@@ -157,6 +157,57 @@ let test_entry entry () =
         input_patterns)
     seeds
 
+(* Golden oracle: the MD5 of each protocol's whole grid — every outcome
+   (or [Illegal_plan] message) followed by its full JSONL trace, in grid
+   order — pinned in [golden/registry_digests.txt]. The digests were
+   written by the list-based protocol path, so they hold whatever engine
+   code produces the runs today to what an independent implementation
+   produced. *)
+let golden_file = "golden/registry_digests.txt"
+
+let grid_digest entry =
+  let n = grid_n entry in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun seed ->
+      let cfg = cfg_for entry ~seed in
+      List.iter
+        (fun (_, pat) ->
+          let inputs = Array.init n pat in
+          for adv_idx = 0 to adversary_count - 1 do
+            let res, trace =
+              capture ~n ~adv_idx (fun ~adversary ~trace ->
+                  Sim.Engine.run ~trace
+                    (Harness.Registry.build entry cfg)
+                    cfg ~adversary ~inputs)
+            in
+            Buffer.add_string buf
+              (match res with
+              | Ok o -> Supervise.Cached.outcome_to_string o
+              | Error m -> "Illegal_plan " ^ m);
+            Buffer.add_char buf '\n';
+            List.iter
+              (fun line ->
+                Buffer.add_string buf line;
+                Buffer.add_char buf '\n')
+              trace
+          done)
+        input_patterns)
+    seeds;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_golden () =
+  let expected = In_channel.with_open_text golden_file In_channel.input_all in
+  let actual =
+    String.concat ""
+      (List.map
+         (fun e -> Printf.sprintf "%s %s\n" e.Harness.Registry.id (grid_digest e))
+         Harness.Registry.all)
+  in
+  if actual <> expected then
+    Alcotest.failf "grid digests differ from %s; computed:\n%s" golden_file
+      actual
+
 let suite =
   List.map
     (fun entry ->
@@ -165,3 +216,4 @@ let suite =
            entry.Harness.Registry.id)
         `Quick (test_entry entry))
     Harness.Registry.all
+  @ [ Alcotest.test_case "registry grids match golden digests" `Quick test_golden ]
