@@ -23,7 +23,7 @@ let probe_min_operative adversary min_ops =
 
 let run_with_params ~params ~n ~t ~seed ~adversary =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-  let proto = Consensus.Optimal_omissions.protocol ~params cfg in
+  let proto = Consensus.Optimal_omissions.protocol_buffered ~params cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   let min_ops = ref max_int in
   let m = measure proto cfg ~adversary:(probe_min_operative adversary min_ops) ~inputs in

@@ -360,7 +360,7 @@ exception Violation of string
    supervision layer quarantines it — one bad point must not kill the
    campaign — but it is always reported, never averaged over. *)
 
-let measure ?on_round ?buffered proto cfg ~adversary ~inputs =
+let measure ?on_round proto cfg ~adversary ~inputs =
   (* Assemble the run's trace sinks. All stay [None]/empty unless a trace
      flag is set, keeping the default path identical to the untraced one. *)
   let tail =
@@ -401,17 +401,9 @@ let measure ?on_round ?buffered proto cfg ~adversary ~inputs =
     | Some t -> raise (Supervise.Breach_traced (kind, Trace.Tail.lines t))
     | None -> raise (Supervise.Breach kind)
   in
-  (* [buffered], when given, supersedes [proto]: the run goes through the
-     allocation-free engine path (bit-identical outcome by the equivalence
-     suite). *)
-  let any =
-    match buffered with
-    | Some b -> Sim.Protocol_intf.Buffered b
-    | None -> Sim.Protocol_intf.Legacy proto
-  in
   let o =
     match
-      Supervise.run_any ?on_round ?trace ~budget:!budget any cfg ~adversary
+      Supervise.run ?on_round ?trace ~budget:!budget proto cfg ~adversary
         ~inputs
     with
     | Ok o ->
@@ -758,10 +750,9 @@ let protected ?cache_key ?codec ~label f =
 
 let optimal_run ?(adversary = Adversary.vote_splitter ()) ~n ~t ~seed () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-  let proto = Consensus.Optimal_omissions.protocol cfg in
-  let buffered = Consensus.Optimal_omissions.protocol_buffered cfg in
+  let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
-  measure ~buffered proto cfg ~adversary ~inputs
+  measure proto cfg ~adversary ~inputs
 
 (* With quarantined points a sweep can shrink below a fittable sample;
    surface that as nan (emitted as JSON null) instead of raising. *)

@@ -101,7 +101,7 @@ let t1_thm3 ~quick () =
               Consensus.Param_omissions.rounds_needed ~x cfg0 + 10
             in
             let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds () in
-            let proto = Consensus.Param_omissions.protocol ~x cfg in
+            let proto = Consensus.Param_omissions.protocol_buffered ~x cfg in
             let inputs = Array.init n (fun i -> i mod 2) in
             measure proto cfg
               ~adversary:(Adversary.staggered_crash ~per_round:1)
@@ -146,7 +146,7 @@ let t1_bjbo ~quick () =
       (fun n seed ->
         let t = n / 4 in
         let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:5000 () in
-        let proto = Consensus.Bjbo.protocol cfg in
+        let proto = Consensus.Bjbo.protocol_buffered cfg in
         let inputs = Array.init n (fun i -> i mod 2) in
         measure proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs)
   in
@@ -203,7 +203,7 @@ let t1_abraham ~quick () =
     [|
       (fun () ->
         let cfg = Sim.Config.make ~n ~t_max:t_opt ~seed:1 ~max_rounds:20000 () in
-        (measure (Consensus.Optimal_omissions.protocol cfg) cfg
+        (measure (Consensus.Optimal_omissions.protocol_buffered cfg) cfg
            ~adversary:(Adversary.vote_splitter ())
            ~inputs:(Array.init n (fun i -> i mod 2)))
           .messages);
@@ -211,19 +211,19 @@ let t1_abraham ~quick () =
         let cfg0 = Sim.Config.make ~n ~t_max:t_opt ~seed:1 () in
         let max_rounds = Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5 in
         let cfg = Sim.Config.make ~n ~t_max:t_opt ~seed:1 ~max_rounds () in
-        (measure (Consensus.Param_omissions.protocol ~x:4 cfg) cfg
+        (measure (Consensus.Param_omissions.protocol_buffered ~x:4 cfg) cfg
            ~adversary:(Adversary.staggered_crash ~per_round:1)
            ~inputs:(Array.init n (fun i -> i mod 2)))
           .messages);
       (fun () ->
         let cfg = Sim.Config.make ~n ~t_max:t_big ~seed:1 ~max_rounds:5000 () in
-        (measure (Consensus.Bjbo.protocol cfg) cfg
+        (measure (Consensus.Bjbo.protocol_buffered cfg) cfg
            ~adversary:(Adversary.vote_splitter ())
            ~inputs:(Array.init n (fun i -> i mod 2)))
           .messages);
       (fun () ->
         let cfg = Sim.Config.make ~n ~t_max:t_big ~seed:1 ~max_rounds:5000 () in
-        (measure (Consensus.Flood.protocol cfg) cfg
+        (measure (Consensus.Flood.protocol_buffered cfg) cfg
            ~adversary:(Adversary.staggered_crash ~per_round:2)
            ~inputs:(Array.init n (fun i -> i mod 2)))
           .messages);
@@ -231,7 +231,7 @@ let t1_abraham ~quick () =
         let cfg =
           Sim.Config.make ~n:n_ds ~t_max:t_ds ~seed:1 ~max_rounds:(t_ds + 5) ()
         in
-        (measure (Consensus.Dolev_strong.protocol cfg) cfg
+        (measure (Consensus.Dolev_strong.protocol_buffered cfg) cfg
            ~adversary:(Adversary.random_omission ~p_omit:0.8)
            ~inputs:(Array.init n_ds (fun i -> i mod 2)))
           .messages);
@@ -442,7 +442,7 @@ let b3 ~quick () =
                 Array.iter
                   (fun e -> om_dissem := !om_dissem + e.Sim.View.bits)
                   envelopes)
-            (Consensus.Optimal_omissions.protocol cfg)
+            (Consensus.Optimal_omissions.protocol_buffered cfg)
             cfg ~adversary ~inputs
         in
         (* crash variant: dissemination = the gossip + help slots *)
@@ -454,7 +454,7 @@ let b3 ~quick () =
                 Array.iter
                   (fun e -> cr_dissem := !cr_dissem + e.Sim.View.bits)
                   envelopes)
-            (Consensus.Crash_subquadratic.protocol cfg)
+            (Consensus.Crash_subquadratic.protocol_buffered cfg)
             cfg ~adversary ~inputs
         in
         (n, t, m_om, m_cr, !om_dissem, !cr_dissem))

@@ -95,7 +95,7 @@ let f2 ~quick:_ () =
   match
     protected ~cache_key:"f2|n=256" ~codec:f2_codec ~label:"f2/n=256"
       (fun () ->
-        let proto = Consensus.Optimal_omissions.protocol cfg in
+        let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
         let trace = Hashtbl.create 64 in
         let on_round ~round envelopes =
           if round <= epoch_len then begin
@@ -212,7 +212,7 @@ let f3 ~quick () =
   let task () =
     let log = ref [] in
     let cfg = Sim.Config.make ~n ~t_max:t ~seed:12 ~max_rounds:20000 () in
-    let proto = Consensus.Optimal_omissions.protocol ~vote_log:log cfg in
+    let proto = Consensus.Optimal_omissions.protocol_buffered ~vote_log:log cfg in
     let inputs = Array.init n (fun i -> i mod 2) in
     let (_ : run_measure) =
       measure proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs

@@ -15,7 +15,7 @@ let test_thm1 =
   Test.make ~name:"T1-thm1: optimal-omissions n=36"
     (Staged.stage
        (run_protocol
-          (fun cfg -> Consensus.Optimal_omissions.protocol cfg)
+          (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg)
           ~n:36 ~t:1
           ~adversary:(Adversary.vote_splitter ())))
 
@@ -28,7 +28,7 @@ let test_thm3 =
            Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5
          in
          let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds () in
-         let proto = Consensus.Param_omissions.protocol ~x:4 cfg in
+         let proto = Consensus.Param_omissions.protocol_buffered ~x:4 cfg in
          let inputs = Array.init n (fun i -> i mod 2) in
          let o =
            Sim.Engine.run proto cfg ~adversary:Sim.Adversary_intf.none ~inputs
@@ -39,7 +39,7 @@ let test_bjbo =
   Test.make ~name:"T1-bjbo: biased-majority n=64"
     (Staged.stage
        (run_protocol
-          (fun cfg -> Consensus.Bjbo.protocol cfg)
+          (fun cfg -> Consensus.Bjbo.protocol_buffered cfg)
           ~n:64 ~t:8
           ~adversary:(Adversary.vote_splitter ())))
 
@@ -47,7 +47,7 @@ let test_abraham =
   Test.make ~name:"T1-abraham: flood-min n=64"
     (Staged.stage
        (run_protocol
-          (fun cfg -> Consensus.Flood.protocol cfg)
+          Consensus.Flood.protocol_buffered
           ~n:64 ~t:8
           ~adversary:(Adversary.staggered_crash ~per_round:2)))
 
@@ -71,10 +71,9 @@ let test_expander =
          ignore (Expander.prune g ~removed ~min_deg:21)))
 
 (* ------------------------------------------------------------------ *)
-(* Engine-path allocation microbenchmark (the "micro-engine"           *)
-(* experiment), covering the full protocol registry — every protocol   *)
-(* is ported to the buffered [step_into] path — measured on both       *)
-(* engine paths. The gated metric is allocation only: kind="micro"     *)
+(* Engine allocation microbenchmark (the "micro-engine" experiment),   *)
+(* covering the full protocol registry on reusable engine instances.   *)
+(* The gated metric is allocation only: kind="micro"                   *)
 (* rows carry words_per_round and are compared by bench/perf_gate.ml   *)
 (* against bench/micro_baseline.json. Throughput (rounds per second)   *)
 (* is machine-dependent, so it ships as separate kind=                 *)
@@ -96,8 +95,8 @@ let words_allocated () =
    window are big enough to be allocated directly on the major heap, so a
    minor-words-only delta would undercount the very arrays the refactor
    removes), total rounds and wall time over [runs] runs of [f]. One
-   warmup run first: the buffered path's reusable {!Sim.Engine.instance}
-   pays its one-time buffer construction there — steady-state cost is
+   warmup run first: the reusable {!Sim.Engine.instance} pays its
+   one-time buffer construction there — steady-state cost is
    what the perf gate tracks. *)
 let measure_runs f ~runs =
   ignore (f () : Sim.Engine.outcome);
@@ -115,7 +114,7 @@ let measure_runs f ~runs =
 
 (* One (protocol, path, n) measurement: cache lookup, the gated
    kind="micro" row, the logged kind="micro-throughput" row. Shared by
-   the legacy/buffered columns and the masked column below.
+   the buffered and masked columns below.
 
    Allocation counts are a pure function of the case (runs are
    seeded, the allocator is deterministic), so they cache like any
@@ -174,24 +173,17 @@ let measure_path ~name ~path ~n ~t ~runs f =
     | _ -> ());
   wpr
 
-let engine_case ~name ~n ~t ~runs ~legacy ~buffered =
+let engine_case ~name ~n ~t ~runs ~buffered =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
   let inputs = Array.init n (fun i -> i mod 2) in
   let adversary = Sim.Adversary_intf.none in
-  (* lazy so a fully cache-served case never constructs its protocols *)
-  let legacy_proto = lazy (legacy cfg) in
+  (* lazy so a fully cache-served case never constructs its protocol *)
   let inst = lazy (Sim.Engine.instance (buffered cfg) cfg) in
-  let w_legacy =
-    measure_path ~name ~path:"legacy" ~n ~t ~runs (fun () ->
-        Sim.Engine.run (Lazy.force legacy_proto) cfg ~adversary ~inputs)
-  in
-  let w_buffered =
+  let w =
     measure_path ~name ~path:"buffered" ~n ~t ~runs (fun () ->
         Sim.Engine.run_instance (Lazy.force inst) ~adversary ~inputs)
   in
-  Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd legacy %12.0f buffered (%.1fx)\n"
-    name n t w_legacy w_buffered
-    (w_legacy /. Float.max 1. w_buffered)
+  Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd buffered\n" name n t w
 
 (* Allocation on the compiled-mask delivery route: the buffered instance
    driven by a structured adversary whose plan carries per-sender masks,
@@ -210,18 +202,15 @@ let masked_case ~name ~n ~t ~runs ~buffered ~adversary =
   in
   Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd masked\n" name n t w
 
-(* The sizes keep the legacy path affordable (dolev-strong relays are
-   O(n^2) per round); flood includes n=256 even in quick mode because the
-   5x acceptance bar is stated at n >= 256. Every registry protocol is
-   covered, at one size in quick mode and two in full mode. *)
+(* Every registry protocol is covered, at one size in quick mode and
+   two in full mode (dolev-strong relays are O(n^2) per round, hence its
+   small sizes); flood adds n=256 and the masked column. *)
 let engine_bench ~quick () =
-  Bench_util.section
-    "Engine path: allocated words/round (legacy shim vs buffered instance)";
+  Bench_util.section "Engine path: allocated words/round (reusable instance)";
   let runs = if quick then 3 else 6 in
   List.iter
     (fun n ->
       engine_case ~name:"flood" ~n ~t:8 ~runs
-        ~legacy:Consensus.Flood.protocol
         ~buffered:Consensus.Flood.protocol_buffered)
     (if quick then [ 64; 256 ] else [ 64; 256; 512 ]);
   (* flood under a compiled-mask crash schedule at the sizes the scale
@@ -236,49 +225,41 @@ let engine_bench ~quick () =
   List.iter
     (fun n ->
       engine_case ~name:"dolev-strong" ~n ~t:4 ~runs
-        ~legacy:Consensus.Dolev_strong.protocol
         ~buffered:Consensus.Dolev_strong.protocol_buffered)
     (if quick then [ 32 ] else [ 32; 64 ]);
   List.iter
     (fun n ->
       engine_case ~name:"optimal" ~n ~t:2 ~runs
-        ~legacy:(fun cfg -> Consensus.Optimal_omissions.protocol cfg)
         ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg))
     (if quick then [ 24 ] else [ 24; 48 ]);
   List.iter
     (fun n ->
       engine_case ~name:"early-stopping" ~n ~t:8 ~runs
-        ~legacy:Consensus.Early_stopping.protocol
         ~buffered:Consensus.Early_stopping.protocol_buffered)
     (if quick then [ 64 ] else [ 64; 128 ]);
   List.iter
     (fun n ->
       engine_case ~name:"bjbo" ~n ~t:8 ~runs
-        ~legacy:(fun cfg -> Consensus.Bjbo.protocol cfg)
         ~buffered:(fun cfg -> Consensus.Bjbo.protocol_buffered cfg))
     (if quick then [ 64 ] else [ 64; 128 ]);
   List.iter
     (fun n ->
       engine_case ~name:"phase-king" ~n ~t:2 ~runs
-        ~legacy:Consensus.Phase_king.protocol
         ~buffered:Consensus.Phase_king.protocol_buffered)
     (if quick then [ 24 ] else [ 24; 48 ]);
   List.iter
     (fun n ->
       engine_case ~name:"crash-sub" ~n ~t:2 ~runs
-        ~legacy:(fun cfg -> Consensus.Crash_subquadratic.protocol cfg)
         ~buffered:(fun cfg -> Consensus.Crash_subquadratic.protocol_buffered cfg))
     (if quick then [ 64 ] else [ 64; 128 ]);
   List.iter
     (fun n ->
       engine_case ~name:"param-x2" ~n ~t:1 ~runs
-        ~legacy:(fun cfg -> Consensus.Param_omissions.protocol ~x:2 cfg)
         ~buffered:(fun cfg -> Consensus.Param_omissions.protocol_buffered ~x:2 cfg))
     (if quick then [ 36 ] else [ 36; 72 ]);
   List.iter
     (fun n ->
       engine_case ~name:"operative-broadcast" ~n ~t:8 ~runs
-        ~legacy:(fun cfg -> Consensus.Operative_broadcast.protocol ~source:0 cfg)
         ~buffered:(fun cfg ->
           Consensus.Operative_broadcast.protocol_buffered ~source:0 cfg))
     (if quick then [ 64 ] else [ 64; 128 ])

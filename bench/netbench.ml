@@ -12,7 +12,7 @@ type case = {
   id : string;
   n : int;
   t : int;
-  build : Sim.Config.t -> Sim.Protocol_intf.any;
+  build : Sim.Config.t -> Sim.Protocol_intf.buffered;
   rounds_for : Sim.Config.t -> int;
 }
 
@@ -22,26 +22,21 @@ let cases ~quick =
       id = "flood";
       n = (if quick then 32 else 48);
       t = 4;
-      build = (fun cfg -> Sim.Protocol_intf.Buffered (Consensus.Flood.protocol_buffered cfg));
+      build = Consensus.Flood.protocol_buffered;
       rounds_for = (fun cfg -> cfg.Sim.Config.t_max + 3);
     };
     {
       id = "dolev-strong";
       n = (if quick then 16 else 24);
       t = 2;
-      build =
-        (fun cfg ->
-          Sim.Protocol_intf.Buffered (Consensus.Dolev_strong.protocol_buffered cfg));
+      build = Consensus.Dolev_strong.protocol_buffered;
       rounds_for = (fun cfg -> cfg.Sim.Config.t_max + 3);
     };
     {
       id = "optimal";
       n = (if quick then 31 else 62);
       t = (if quick then 1 else 2);
-      build =
-        (fun cfg ->
-          Sim.Protocol_intf.Buffered
-            (Consensus.Optimal_omissions.protocol_buffered cfg));
+      build = (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg);
       rounds_for = (fun cfg -> Consensus.Optimal_omissions.rounds_needed cfg + 10);
     };
   ]

@@ -16,10 +16,9 @@
 
    The classic column reproduces the cost model of the buffered engine
    before the broadcast port: every broadcast re-expanded into n-1
-   pointwise outbox rows ([emit_all] routed through
-   {!Sim.Protocol_intf.emit_all_pointwise}), compiled masks stripped by
-   {!Adversary.pointwise} so delivery calls the per-message [omit]
-   predicate, and a no-op [on_round] hook forcing the envelope arena
+   pointwise outbox rows ({!Sim.Protocol_intf.pointwise_emission}),
+   compiled masks stripped by {!Adversary.pointwise} so delivery calls
+   the per-message [omit] predicate, and a no-op [on_round] hook forcing the envelope arena
    fill the old engine performed unconditionally each round. The fast
    column is the same instance with broadcast segments, masks, no hook:
    untraced, the engine takes mask-blit delivery and never materialises
@@ -43,18 +42,6 @@ let timed ?on_round inst ~adversary ~inputs =
   let t0 = Unix.gettimeofday () in
   let o = Sim.Engine.run_instance ?on_round inst ~adversary ~inputs in
   (o, Unix.gettimeofday () -. t0)
-
-(* The pre-broadcast emission model: [emit_all] re-expanded into one
-   pointwise row per destination. *)
-let pointwise_emission (module P : Sim.Protocol_intf.BUFFERED) :
-    Sim.Protocol_intf.buffered =
-  (module struct
-    include P
-
-    let step_into cfg st ~round ~inbox ~rand ~emit ~emit_all:_ =
-      P.step_into cfg st ~round ~inbox ~rand ~emit
-        ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit)
-  end)
 
 let emit_throughput ~protocol ~path ~n (o : Sim.Engine.outcome) wall =
   if not (Out.is_stable ()) then
@@ -110,7 +97,9 @@ let case ~protocol ~buffered ~adversary ~t ~max_rounds ?(classic_cap = max_int)
     | Both when n > classic_cap -> None
     | Both | Classic ->
         let inst =
-          Sim.Engine.instance (pointwise_emission (buffered cfg)) cfg
+          Sim.Engine.instance
+            (Sim.Protocol_intf.pointwise_emission (buffered cfg))
+            cfg
         in
         Some
           (timed inst

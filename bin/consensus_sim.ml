@@ -22,7 +22,7 @@ let run_cmd spec0 seeds trace trace_dir trace_format trace_tail cache
     no_cache =
   let builder =
     match Run_spec.resolve spec0 with
-    | Ok (b, _) -> b
+    | Ok b -> b
     | Error msg ->
         Fmt.epr "%s@." msg;
         exit 2
@@ -488,15 +488,6 @@ let run_term =
           "mixed"
       & info [ "inputs"; "i" ] ~doc:"Inputs: mixed, ones, zeros, random.")
   in
-  let legacy_engine =
-    Arg.(
-      value & flag
-      & info [ "legacy-engine" ]
-          ~doc:
-            "Run ported protocols through the list-based compatibility shim \
-             instead of the buffered engine path (results are bit-identical \
-             either way; this exists for comparison and debugging).")
-  in
   let net =
     Arg.(
       value
@@ -520,7 +511,12 @@ let run_term =
             "Run the canonical run-spec serialization $(docv) (as printed \
              by replay one-liners and cache provenance records) instead of \
              assembling one from the flags above; -p/-n/-t/-x/--seed/-a/-i/\
-             --net/--legacy-engine and the budget flags are ignored.")
+             --net and the budget flags are ignored. $(docv) is 12 \
+             space-separated tokens in this order: p=ID n=N t=T x=X|- \
+             seed=S a=ADV i=INPUTS wall=SECS|- rounds=N|- msgs=N|- \
+             rand=N|- net=SPEC|- (x only for p=param, - elsewhere; wall as \
+             an OCaml float, e.g. 0x1.4p+3). A malformed or invalid spec \
+             exits 2.")
   in
   let cache_arg =
     Arg.(
@@ -537,8 +533,7 @@ let run_term =
   in
   Term.(
     const (fun protocol n t x seed seeds adversary inputs bflags net trace
-               trace_dir trace_format trace_tail legacy_engine spec_str cache
-               no_cache ->
+               trace_dir trace_format trace_tail spec_str cache no_cache ->
         let spec =
           match spec_str with
           | Some s -> (
@@ -554,7 +549,6 @@ let run_term =
                 ~adversary ~inputs
                 ?net:(Option.map Run_spec.Cli.net_or_die net)
                 ~budget:(Run_spec.Cli.budget_of_flags bflags)
-                ~engine:(if legacy_engine then Run_spec.Legacy else Run_spec.Auto)
                 ~protocol ~n ~t_max:t ~seed ()
         in
         run_cmd spec seeds trace trace_dir trace_format trace_tail cache
@@ -565,7 +559,7 @@ let run_term =
         ~doc:
           "Keep the last $(docv) rounds of events; printed when a run fails \
            or disagrees (0 = off)."
-    $ legacy_engine $ spec_arg $ cache_arg $ no_cache)
+    $ spec_arg $ cache_arg $ no_cache)
 
 let graph_term =
   Term.(const graph_cmd $ n_arg $ delta_c_arg $ seed_arg)

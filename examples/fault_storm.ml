@@ -34,7 +34,7 @@ let () =
     (fun adv ->
       min_operative := max_int;
       let cfg = Sim.Config.make ~n ~t_max:t ~seed:99 ~max_rounds:3000 () in
-      let protocol = Consensus.Optimal_omissions.protocol cfg in
+      let protocol = Consensus.Optimal_omissions.protocol_buffered cfg in
       let inputs = Array.init n (fun i -> (i / 5) mod 2) in
       let o = Sim.Engine.run protocol cfg ~adversary:(with_probe adv) ~inputs in
       let verdict =

@@ -46,7 +46,7 @@ let () =
         Sim.Config.make ~n ~t_max:(n / 31) ~seed:(1000 + block.height)
           ~max_rounds:2000 ()
       in
-      let protocol = Consensus.Optimal_omissions.protocol cfg in
+      let protocol = Consensus.Optimal_omissions.protocol_buffered cfg in
       let inputs = Array.init n (fun replica -> validate ~replica block) in
       let adversary = adversary_for_height block.height in
       let o = Sim.Engine.run protocol cfg ~adversary ~inputs in

@@ -7,7 +7,7 @@
 
 let broadcast_cost n adversary seed =
   let cfg = Sim.Config.make ~n ~t_max:(n / 31) ~seed ~max_rounds:200 () in
-  let proto = Consensus.Operative_broadcast.protocol ~source:0 cfg in
+  let proto = Consensus.Operative_broadcast.protocol_buffered ~source:0 cfg in
   let inputs = Array.init n (fun i -> if i = 0 then 1 else 0) in
   let o = Sim.Engine.run proto cfg ~adversary ~inputs in
   let delivered =

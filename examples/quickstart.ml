@@ -12,7 +12,7 @@ let () =
   (* 2. Instantiate the paper's Algorithm 1. All processes deterministically
         agree on the sqrt-decomposition, binary aggregation trees and the
         Theorem-4 expander from (n, seed) — no setup communication. *)
-  let protocol = Consensus.Optimal_omissions.protocol cfg in
+  let protocol = Consensus.Optimal_omissions.protocol_buffered cfg in
 
   (* 3. Pick inputs and an adversary. The vote-splitter is the strongest
         strategy in the library: full-information, adaptive, kills the

@@ -20,7 +20,7 @@ let () =
       let cfg0 = Sim.Config.make ~n ~t_max:(n / 61) ~seed:5 () in
       let max_rounds = Consensus.Param_omissions.rounds_needed ~x cfg0 + 10 in
       let cfg = { cfg0 with Sim.Config.max_rounds } in
-      let protocol = Consensus.Param_omissions.protocol ~x cfg in
+      let protocol = Consensus.Param_omissions.protocol_buffered ~x cfg in
       let inputs = Array.init n (fun i -> i mod 2) in
       let o =
         Sim.Engine.run protocol cfg

@@ -40,7 +40,7 @@ type state = {
   mutable announced : bool;  (** already broadcast the decision once *)
 }
 
-let make ?(coin_set_size = max_int) ?(theta_factor = 0.5)
+let protocol_buffered ?(coin_set_size = max_int) ?(theta_factor = 0.5)
     (cfg : Sim.Config.t) =
   let module M = struct
     type nonrec state = state
@@ -65,10 +65,10 @@ let make ?(coin_set_size = max_int) ?(theta_factor = 0.5)
     let broadcast_into st m ~emit_all =
       emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false m
 
-    let process st ~iter ~rand =
+    let process st ~inbox ~rand =
       (* a decision announcement overrides counting *)
       let final = ref None in
-      iter (fun _src (Vote { b; final = fin }) ->
+      Sim.Mailbox.iter inbox (fun _src (Vote { b; final = fin }) ->
           if fin && !final = None then final := Some b);
       match !final with
       | Some v ->
@@ -77,7 +77,8 @@ let make ?(coin_set_size = max_int) ?(theta_factor = 0.5)
       | None ->
           let c = [| 0; 0 |] in
           c.(st.b) <- 1;
-          iter (fun _src (Vote { b; _ }) -> c.(b) <- c.(b) + 1);
+          Sim.Mailbox.iter inbox (fun _src (Vote { b; _ }) ->
+              c.(b) <- c.(b) + 1);
           let total = c.(0) + c.(1) in
           let decide_margin = (total / 2) + st.t_max + st.theta in
           let lean_margin = (total / 2) + st.theta in
@@ -94,30 +95,16 @@ let make ?(coin_set_size = max_int) ?(theta_factor = 0.5)
           else if st.coin_eligible then st.b <- Sim.Rand.bit rand
           else st.b <- (if c.(1) >= c.(0) then 1 else 0)
 
-    (* Shared per-round logic for both engine paths: one shared message
-       record per broadcast, ascending destination order. *)
-    let step_core st ~round ~iter ~rand ~emit_all =
-      if round > 1 then if st.decided = None then process st ~iter ~rand;
-      match st.decided with
+    (* One shared message record per broadcast, ascending destination
+       order. *)
+    let step_into _cfg st ~round ~inbox ~rand ~emit:_ ~emit_all =
+      if round > 1 then if st.decided = None then process st ~inbox ~rand;
+      (match st.decided with
       | Some v when not st.announced ->
           st.announced <- true;
           broadcast_into st (Vote { b = v; final = true }) ~emit_all
       | Some _ -> ()
-      | None -> broadcast_into st (Vote { b = st.b; final = false }) ~emit_all
-
-    let step _cfg st ~round ~inbox ~rand =
-      let out = ref [] in
-      step_core st ~round
-        ~iter:(fun f -> List.iter (fun (src, m) -> f src m) inbox)
-        ~rand
-        ~emit_all:
-          (Sim.Protocol_intf.emit_all_pointwise (fun dst m ->
-               out := (dst, m) :: !out));
-      (st, List.rev !out)
-
-    let step_into _cfg st ~round ~inbox ~rand ~emit:_ ~emit_all =
-      step_core st ~round ~iter:(fun f -> Sim.Mailbox.iter inbox f) ~rand
-        ~emit_all;
+      | None -> broadcast_into st (Vote { b = st.b; final = false }) ~emit_all);
       st
 
     let observe st =
@@ -131,19 +118,11 @@ let make ?(coin_set_size = max_int) ?(theta_factor = 0.5)
     let msg_hint (Vote { b; _ }) = Some b
   end in
   ignore cfg;
-  ((module M : Sim.Protocol_intf.S), (module M : Sim.Protocol_intf.BUFFERED))
-
-let protocol ?coin_set_size ?theta_factor (cfg : Sim.Config.t) :
-    Sim.Protocol_intf.t =
-  fst (make ?coin_set_size ?theta_factor cfg)
-
-let protocol_buffered ?coin_set_size ?theta_factor (cfg : Sim.Config.t) :
-    Sim.Protocol_intf.buffered =
-  snd (make ?coin_set_size ?theta_factor cfg)
+  (module M : Sim.Protocol_intf.BUFFERED)
 
 let builder ?coin_set_size ?theta_factor () : Sim.Protocol_intf.builder =
   (module struct
     let name = "bjbo"
-    let build cfg = protocol ?coin_set_size ?theta_factor cfg
+    let build cfg = protocol_buffered ?coin_set_size ?theta_factor cfg
     let rounds_needed (cfg : Sim.Config.t) = 60 * (cfg.t_max + 10)
   end)

@@ -11,19 +11,11 @@
 type state
 type msg
 
-val protocol :
-  ?coin_set_size:int ->
-  ?theta_factor:float ->
-  Sim.Config.t ->
-  Sim.Protocol_intf.t
-
 val protocol_buffered :
   ?coin_set_size:int ->
   ?theta_factor:float ->
   Sim.Config.t ->
   Sim.Protocol_intf.buffered
-(** The same protocol on the buffered engine path (shared iterator core —
-    byte-identical to {!protocol} through the shim). *)
 
 val builder :
   ?coin_set_size:int -> ?theta_factor:float -> unit -> Sim.Protocol_intf.builder

@@ -14,8 +14,8 @@
       (Figure 1);
     - the biased-majority vote update (lines 9-12, Figure 3).
 
-    After the last epoch comes one broadcast slot (line 14); {!finalize}
-    consumes it (lines 15-16). The caller (Algorithm 1's wrapper or
+    After the last epoch comes one broadcast slot (line 14);
+    {!finalize_into} consumes it (lines 15-16). The caller (Algorithm 1's wrapper or
     Algorithm 4) decides what to do with undecided processes.
 
     Operative-status rules (Appendix B.1):
@@ -249,10 +249,9 @@ let is_neighbor st local =
 (* Aggregation (Algorithm 2 + GroupRelay)                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Both engine paths run the same iterator-driven slot logic: the list
-   path feeds [iter_of_list], the buffered path iterates the engine's
-   mailbox directly (no intermediate (src, msg) list on the hot path). *)
-let iter_of_list inbox f = List.iter (fun (src, m) -> f src m) inbox
+(* The slot logic consumes its inbox through an iterator: the caller
+   hands in a (possibly filtered) view of its engine mailbox, so no
+   intermediate (src, msg) list is built on the hot path. *)
 
 (* Entry to a stage's B slot: transmitters record the first-received counts
    per child bag (own contribution first — self-messages are handled
@@ -481,10 +480,10 @@ let to_group_all_into st msg ~emit ~emit_all =
       if pid <> st.pid then emit pid msg
     done
 
-(** Iterator core of {!step}: [iter f] must call [f src m] for every
-    message of the previous slot's inbox in delivery order; outgoing
-    messages go to [emit], addressed to global pids, in the exact order the
-    list path would return them. The entry pass emits the Confirm
+(** Run local slot [slot] (1-based, up to [rounds sh]), mutating the
+    state. [iter f] must call [f src m] for every message of the previous
+    slot's inbox in delivery order; outgoing messages go to [emit],
+    addressed to global pids. The entry pass emits the Confirm
     acknowledgments directly — an [Agg_a] slot is always followed by the
     matching [Agg_b] slot, and entry processing shares the emission's
     [transmits] guard. Full-group/full-instance broadcasts go through
@@ -502,7 +501,7 @@ let step_into st ~slot ~iter ~rand ~emit ~emit_all =
      | Spread k ->
          spread_process st ~slot ~iter;
          if k = st.sh.spread_rounds then vote_update st ~slot ~rand
-     | Bcast -> invalid_arg "Core.step: stepped past the schedule");
+     | Bcast -> invalid_arg "Core.step_into: stepped past the schedule");
   match st.sh.schedule.(slot - 1) with
   | Agg_a s ->
       if s = 1 then epoch_begin st;
@@ -522,17 +521,9 @@ let step_into st ~slot ~iter ~rand ~emit ~emit_all =
       if st.sh.final_broadcast && st.operative && st.decided then
         to_group_all_into st (Final st.b) ~emit ~emit_all
 
-(** Run local slot [slot] (1-based, up to [rounds sh]). Mutates the state
-    and returns the messages to send, addressed to global pids. *)
-let step st ~slot ~inbox ~rand =
-  let out = ref [] in
-  let emit dst m = out := (dst, m) :: !out in
-  step_into st ~slot ~iter:(iter_of_list inbox) ~rand ~emit
-    ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
-  List.rev !out
-
-(** Iterator core of {!finalize} (lines 15-16); same [iter] contract as
-    {!step_into}. *)
+(** Consume the Bcast slot's inbox (lines 15-16); same [iter] contract as
+    {!step_into}. Must be called exactly once, on the round after
+    [rounds sh] slots have been stepped. *)
 let finalize_into st ~iter =
   if st.operative && st.decided then st.got_decision <- true
   else begin
@@ -549,11 +540,8 @@ let finalize_into st ~iter =
     | None -> ()
   end
 
-(** Consume the Bcast slot's inbox (lines 15-16). Must be called exactly
-    once, on the round after [rounds sh] slots have been stepped. *)
-let finalize st ~inbox = finalize_into st ~iter:(iter_of_list inbox)
-
-(** Line 16: the decision available right after {!finalize}, if any. *)
+(** Line 16: the decision available right after {!finalize_into}, if
+    any. *)
 let line16_decision st =
   if st.decided then Some st.b
   else if (not st.operative) && st.got_decision then Some st.b

@@ -7,7 +7,7 @@
     by GroupBitsSpreading (Algorithm 3: expander gossip of the per-group
     operative counts, Figure 1) and the biased-majority vote update
     (Figure 3). After the last epoch comes the line-14 decision-broadcast
-    slot; {!finalize} consumes it (lines 15-16). *)
+    slot; {!finalize_into} consumes it (lines 15-16). *)
 
 type counts = { ones : int; zeros : int }
 
@@ -86,13 +86,7 @@ val decided_flag : t -> bool
 (** The line-12 safety flag. *)
 
 val got_decision : t -> bool
-(** Holds a line-14/15 decision after {!finalize}. *)
-
-val step :
-  t -> slot:int -> inbox:(int * msg) list -> rand:Sim.Rand.t -> (int * msg) list
-(** Run local slot 1..[rounds]; mutates the state, returns messages
-    addressed to global pids. A thin wrapper over {!step_into} — both
-    engine paths run the same iterator-driven core. *)
+(** Holds a line-14/15 decision after {!finalize_into}. *)
 
 val step_into :
   t ->
@@ -102,24 +96,22 @@ val step_into :
   emit:(int -> msg -> unit) ->
   emit_all:(lo:int -> hi:int -> skip:int -> desc:bool -> msg -> unit) ->
   unit
-(** Iterator core of {!step}: [iter f] must call [f src m] for every inbox
-    message in delivery order (the buffered path iterates its mailbox
-    directly — no intermediate list); outgoing messages go to [emit] in
-    the exact order {!step} would list them. Full-group and full-instance
-    broadcasts of one shared record go through [emit_all] (descending
-    ranges, matching the legacy reverse-member wire order) whenever the
-    relevant pid set is contiguous; {!step} realises them pointwise via
-    {!Sim.Protocol_intf.emit_all_pointwise}. *)
-
-val finalize : t -> inbox:(int * msg) list -> unit
-(** Consume the broadcast slot's inbox (lines 15-16); call exactly once,
-    on the round after the schedule ends. *)
+(** Run local slot 1..[rounds]; mutates the state. [iter f] must call
+    [f src m] for every inbox message in delivery order (a mailbox, or a
+    filtered view of one, iterates directly — no intermediate list);
+    outgoing messages go to [emit], addressed to global pids.
+    Full-group and full-instance broadcasts of one shared record go
+    through [emit_all] (descending ranges, matching the historical
+    reverse-member wire order) whenever the relevant pid set is
+    contiguous. *)
 
 val finalize_into : t -> iter:((int -> msg -> unit) -> unit) -> unit
-(** Iterator core of {!finalize}; same [iter] contract as {!step_into}. *)
+(** Consume the broadcast slot's inbox (lines 15-16); same [iter] contract
+    as {!step_into}. Call exactly once, on the round after the schedule
+    ends. *)
 
 val line16_decision : t -> int option
-(** The decision line 16 permits right after {!finalize}: the own value if
+(** The decision line 16 permits right after {!finalize_into}: the own value if
     the decided flag is armed, the adopted value for inoperative processes
     that received one, [None] for operative undecided processes (which must
     enter the deterministic fallback). *)

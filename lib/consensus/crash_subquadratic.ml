@@ -16,9 +16,7 @@
 
     Typical-run bits: Õ(n^{3/2}) from the epochs + Õ(n log^2 n)
     dissemination. The deterministic fallback (phase-king, Θ(n^2 t)) runs
-    with polynomially small probability, exactly as in Algorithm 1. Both
-    engine paths share one iterator-driven [step_core], so they are
-    byte-identical by construction. *)
+    with polynomially small probability, exactly as in Algorithm 1. *)
 
 type msg =
   | Core_msg of Core.msg
@@ -46,7 +44,8 @@ type state = {
 
 let iter_empty _f = ()
 
-let make ?(params = Params.default) (cfg : Sim.Config.t) =
+let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
+    Sim.Protocol_intf.buffered =
   let n = cfg.Sim.Config.n in
   let t_max = cfg.Sim.Config.t_max in
   let members = Array.init n (fun i -> i) in
@@ -62,7 +61,8 @@ let make ?(params = Params.default) (cfg : Sim.Config.t) =
   let graph =
     match shared.Core.graph with
     | Some g -> g
-    | None -> invalid_arg "Crash_subquadratic.protocol: n must be >= 2"
+    | None ->
+        invalid_arg "Crash_subquadratic.protocol_buffered: n must be >= 2"
   in
   let module M = struct
     type nonrec state = state
@@ -82,7 +82,7 @@ let make ?(params = Params.default) (cfg : Sim.Config.t) =
       }
 
     (* Filtered views of the whole-inbox iterator: filtering happens
-       during iteration, so the buffered path never materializes a list. *)
+       during iteration, so no list is materialized. *)
     let core_iter iter f =
       iter (fun src m ->
           match m with
@@ -137,10 +137,10 @@ let make ?(params = Params.default) (cfg : Sim.Config.t) =
     let broadcast_into st m ~emit_all =
       emit_all ~lo:0 ~hi:(n - 1) ~skip:st.pid ~desc:false m
 
-    (* The whole state machine, once, for both engine paths. Replies to
-       Help requests go out first, exactly as the old list path's
-       [replies @ out]. *)
-    let step_core st ~round ~iter ~rand ~emit ~emit_all =
+    (* Replies to Help requests go out before this round's other
+       messages. *)
+    let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
+      let iter f = Sim.Mailbox.iter inbox f in
       let emit_all_pk ~lo ~hi ~skip ~desc m =
         emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
       in
@@ -209,22 +209,9 @@ let make ?(params = Params.default) (cfg : Sim.Config.t) =
                 broadcast_into st Help ~emit_all
               end));
       (* a decided process keeps answering Help requests *)
-      match st.phase with
+      (match st.phase with
       | Done v when st.value = None -> st.value <- Some v
-      | _ -> ()
-
-    let step _cfg st ~round ~inbox ~rand =
-      let out = ref [] in
-      let emit dst m = out := (dst, m) :: !out in
-      step_core st ~round
-        ~iter:(fun f -> List.iter (fun (src, m) -> f src m) inbox)
-        ~rand ~emit
-        ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
-      (st, List.rev !out)
-
-    let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
-      step_core st ~round ~iter:(fun f -> Sim.Mailbox.iter inbox f) ~rand
-        ~emit ~emit_all;
+      | _ -> ());
       st
 
     let observe st =
@@ -246,14 +233,7 @@ let make ?(params = Params.default) (cfg : Sim.Config.t) =
       | Pk_msg (Phase_king.Value v) | Pk_msg (Phase_king.King v) -> Some v
       | Help -> None
   end in
-  ((module M : Sim.Protocol_intf.S), (module M : Sim.Protocol_intf.BUFFERED))
-
-let protocol ?params (cfg : Sim.Config.t) : Sim.Protocol_intf.t =
-  fst (make ?params cfg)
-
-let protocol_buffered ?params (cfg : Sim.Config.t) :
-    Sim.Protocol_intf.buffered =
-  snd (make ?params cfg)
+  (module M : Sim.Protocol_intf.BUFFERED)
 
 let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
   let members = Array.init cfg.Sim.Config.n (fun i -> i) in
@@ -269,6 +249,6 @@ let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
 let builder ?params () : Sim.Protocol_intf.builder =
   (module struct
     let name = "crash-sub"
-    let build cfg = protocol ?params cfg
+    let build cfg = protocol_buffered ?params cfg
     let rounds_needed cfg = rounds_needed ?params cfg + 10
   end)

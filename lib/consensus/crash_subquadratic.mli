@@ -8,12 +8,8 @@
 type state
 type msg
 
-val protocol : ?params:Params.t -> Sim.Config.t -> Sim.Protocol_intf.t
-
 val protocol_buffered :
   ?params:Params.t -> Sim.Config.t -> Sim.Protocol_intf.buffered
-(** The same protocol on the buffered engine path (shared iterator core —
-    byte-identical to {!protocol} through the shim). *)
 
 val rounds_needed : ?params:Params.t -> Sim.Config.t -> int
 

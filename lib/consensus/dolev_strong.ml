@@ -83,27 +83,6 @@ module M = struct
       st.accepted;
     st.decided <- Some (if c.(1) > c.(0) then 1 else 0)
 
-  let step _cfg st ~round ~inbox ~rand:_ =
-    List.iter
-      (fun (_, Relay { value; chain }) -> accept st ~round ~value ~chain)
-      inbox;
-    if round > st.t_max + 1 then begin
-      if st.decided = None then decide st;
-      (st, [])
-    end
-    else begin
-      let out = ref [] in
-      List.iter
-        (fun (value, chain) ->
-          for dst = st.n - 1 downto 0 do
-            if dst <> st.pid then
-              out := (dst, Relay { value; chain }) :: !out
-          done)
-        st.to_relay;
-      st.to_relay <- [];
-      (st, !out)
-    end
-
   let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
     Sim.Mailbox.iter inbox (fun _src (Relay { value; chain }) ->
         accept st ~round ~value ~chain);
@@ -113,7 +92,7 @@ module M = struct
     end
     else begin
       (* acceptance order ([to_relay] is consed), one broadcast entry per
-         relayed chain — matches the list path's emission order exactly *)
+         relayed chain *)
       List.iter
         (fun (value, chain) ->
           emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false
@@ -137,14 +116,12 @@ module M = struct
   let msg_hint (Relay { value; _ }) = Some value
 end
 
-let protocol (_cfg : Sim.Config.t) : Sim.Protocol_intf.t = (module M)
-
 let protocol_buffered (_cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
   (module M)
 
 let builder : Sim.Protocol_intf.builder =
   (module struct
     let name = "dolev-strong"
-    let build = protocol
+    let build = protocol_buffered
     let rounds_needed (cfg : Sim.Config.t) = cfg.t_max + 3
   end)

@@ -7,11 +7,9 @@
 type state
 type msg
 
-val protocol : Sim.Config.t -> Sim.Protocol_intf.t
-
 val protocol_buffered : Sim.Config.t -> Sim.Protocol_intf.buffered
-(** Same state machine on the allocation-free [step_into] path: one shared
-    message record per relayed chain instead of one per destination. *)
+(** One shared message record per relayed chain, sent as a single
+    [emit_all] entry. *)
 
 val builder : Sim.Protocol_intf.builder
 (** Registry constructor: id ["dolev-strong"]; schedule bound [t_max + 3]. *)

@@ -50,12 +50,11 @@ module M = struct
   let broadcast_into st m ~emit_all =
     emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false m
 
-  (* Two passes over the inbox iterator (iterators are re-runnable on both
-     engine paths): first scan for a decision announcement, then — absent
-     one — collect the heard-from set and the minimum. *)
-  let process st ~round ~iter =
+  (* Two passes over the inbox: first scan for a decision announcement,
+     then — absent one — collect the heard-from set and the minimum. *)
+  let process st ~round ~inbox =
     let final = ref None in
-    iter (fun _src (Val { v; final = fin }) ->
+    Sim.Mailbox.iter inbox (fun _src (Val { v; final = fin }) ->
         if fin && !final = None then final := Some v);
     match !final with
     | Some v ->
@@ -63,7 +62,7 @@ module M = struct
         st.decided <- Some v
     | None ->
         let heard = ref (Int_set.singleton st.pid) in
-        iter (fun src (Val { v; _ }) ->
+        Sim.Mailbox.iter inbox (fun src (Val { v; _ }) ->
             heard := Int_set.add src !heard;
             if v < st.v then st.v <- v);
         let clean =
@@ -74,29 +73,16 @@ module M = struct
         st.heard_prev <- Some !heard;
         if clean || round > st.t_max + 2 then st.decided <- Some st.v
 
-  (* Shared per-round logic — one shared message record per broadcast, in
-     ascending destination order (the wire order the list path always
-     had). *)
-  let step_core st ~round ~iter ~emit_all =
-    if round > 1 && st.decided = None then process st ~round ~iter;
-    match st.decided with
+  (* One shared message record per broadcast, in ascending destination
+     order. *)
+  let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
+    if round > 1 && st.decided = None then process st ~round ~inbox;
+    (match st.decided with
     | Some v when not st.announced ->
         st.announced <- true;
         broadcast_into st (Val { v; final = true }) ~emit_all
     | Some _ -> ()
-    | None -> broadcast_into st (Val { v = st.v; final = false }) ~emit_all
-
-  let step _cfg st ~round ~inbox ~rand:_ =
-    let out = ref [] in
-    step_core st ~round
-      ~iter:(fun f -> List.iter (fun (src, m) -> f src m) inbox)
-      ~emit_all:
-        (Sim.Protocol_intf.emit_all_pointwise (fun dst m ->
-             out := (dst, m) :: !out));
-    (st, List.rev !out)
-
-  let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
-    step_core st ~round ~iter:(fun f -> Sim.Mailbox.iter inbox f) ~emit_all;
+    | None -> broadcast_into st (Val { v = st.v; final = false }) ~emit_all);
     st
 
   let observe st =
@@ -106,14 +92,12 @@ module M = struct
   let msg_hint (Val { v; _ }) = Some v
 end
 
-let protocol (_cfg : Sim.Config.t) : Sim.Protocol_intf.t = (module M)
-
 let protocol_buffered (_cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
   (module M)
 
 let builder : Sim.Protocol_intf.builder =
   (module struct
     let name = "early-stopping"
-    let build = protocol
+    let build = protocol_buffered
     let rounds_needed (cfg : Sim.Config.t) = cfg.t_max + 5
   end)

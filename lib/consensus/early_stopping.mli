@@ -7,11 +7,7 @@
 type state
 type msg
 
-val protocol : Sim.Config.t -> Sim.Protocol_intf.t
-
 val protocol_buffered : Sim.Config.t -> Sim.Protocol_intf.buffered
-(** The same protocol on the buffered engine path (shared iterator core —
-    byte-identical to {!protocol} through the shim). *)
 
 val builder : Sim.Protocol_intf.builder
 (** Registry constructor: id ["early-stopping"]; schedule bound

@@ -44,10 +44,10 @@ module M = struct
       decided = None;
     }
 
-  (* The decide-or-flood core shared by both engine paths: past the
-     schedule, take the decision; inside it, return the newly learned
-     values to flood this round ([None] when there is nothing to send —
-     flooding only new values keeps the per-link traffic O(1) amortized). *)
+  (* Past the schedule, take the decision; inside it, return the newly
+     learned values to flood this round ([None] when there is nothing to
+     send — flooding only new values keeps the per-link traffic O(1)
+     amortized). *)
   let absorb st ~round =
     if round > st.rounds then begin
       if st.decided = None then st.decided <- Some (if st.zero then 0 else 1);
@@ -60,21 +60,6 @@ module M = struct
       if one then st.sent_one <- true;
       if zero || one then Some (zero, one) else None
     end
-
-  let step _cfg st ~round ~inbox ~rand:_ =
-    List.iter
-      (fun (_, Values { zero; one }) ->
-        if zero then st.zero <- true;
-        if one then st.one <- true)
-      inbox;
-    match absorb st ~round with
-    | None -> (st, [])
-    | Some (zero, one) ->
-        let out = ref [] in
-        for dst = st.n - 1 downto 0 do
-          if dst <> st.pid then out := (dst, Values { zero; one }) :: !out
-        done;
-        (st, !out)
 
   let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
     Sim.Mailbox.iter inbox (fun _src (Values { zero; one }) ->
@@ -100,14 +85,12 @@ module M = struct
   let msg_hint (Values { zero; _ }) = if zero then some0 else some1
 end
 
-let protocol (_cfg : Sim.Config.t) : Sim.Protocol_intf.t = (module M)
-
 let protocol_buffered (_cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
   (module M)
 
 let builder : Sim.Protocol_intf.builder =
   (module struct
     let name = "flood"
-    let build = protocol
+    let build = protocol_buffered
     let rounds_needed (cfg : Sim.Config.t) = cfg.t_max + 3
   end)

@@ -34,7 +34,8 @@ type state = {
   mutable decided : int option;
 }
 
-let make ?(params = Params.default) ?(source = 0) (cfg : Sim.Config.t) =
+let protocol_buffered ?(params = Params.default) ?(source = 0)
+    (cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
   let n = cfg.Sim.Config.n in
   let delta = Params.delta params ~n in
   let graph =
@@ -62,9 +63,9 @@ let make ?(params = Params.default) ?(source = 0) (cfg : Sim.Config.t) =
         decided = None;
       }
 
-    let receive st ~iter =
+    let receive st ~inbox =
       let received = Hashtbl.create 16 in
-      iter (fun src m ->
+      Sim.Mailbox.iter inbox (fun src m ->
           if
             Expander.mem_edge st.graph st.pid src
             && not (Hashtbl.mem st.disregarded src)
@@ -83,12 +84,11 @@ let make ?(params = Params.default) ?(source = 0) (cfg : Sim.Config.t) =
         (Expander.neighbors st.graph st.pid);
       if Hashtbl.length received < st.op_threshold then st.operative <- false
 
-    (* Shared per-round logic for both engine paths. The neighbor array is
-       walked backwards to keep the old consed wire order; the
-       once-per-link bookkeeping is per-neighbor, so the direction does
-       not change what each neighbor receives. *)
-    let step_core st ~round ~iter ~emit =
-      if round > 1 then receive st ~iter;
+    (* The neighbor array is walked backwards to keep the old consed wire
+       order; the once-per-link bookkeeping is per-neighbor, so the
+       direction does not change what each neighbor receives. *)
+    let step_into _cfg st ~round ~inbox ~rand:_ ~emit ~emit_all:_ =
+      if round > 1 then receive st ~inbox;
       if round > st.rounds then begin
         if st.decided = None then
           st.decided <- Some (match st.value with Some v -> v | None -> 0)
@@ -107,17 +107,7 @@ let make ?(params = Params.default) ?(source = 0) (cfg : Sim.Config.t) =
             | Some _ | None -> emit q Heartbeat
           end
         done
-      end
-
-    let step _cfg st ~round ~inbox ~rand:_ =
-      let out = ref [] in
-      step_core st ~round
-        ~iter:(fun f -> List.iter (fun (src, m) -> f src m) inbox)
-        ~emit:(fun dst m -> out := (dst, m) :: !out);
-      (st, List.rev !out)
-
-    let step_into _cfg st ~round ~inbox ~rand:_ ~emit ~emit_all:_ =
-      step_core st ~round ~iter:(fun f -> Sim.Mailbox.iter inbox f) ~emit;
+      end;
       st
 
     let observe st =
@@ -130,18 +120,11 @@ let make ?(params = Params.default) ?(source = 0) (cfg : Sim.Config.t) =
     let msg_bits = function Gossip _ -> 2 | Heartbeat -> 1
     let msg_hint = function Gossip v -> Some v | Heartbeat -> None
   end in
-  ((module M : Sim.Protocol_intf.S), (module M : Sim.Protocol_intf.BUFFERED))
-
-let protocol ?params ?source (cfg : Sim.Config.t) : Sim.Protocol_intf.t =
-  fst (make ?params ?source cfg)
-
-let protocol_buffered ?params ?source (cfg : Sim.Config.t) :
-    Sim.Protocol_intf.buffered =
-  snd (make ?params ?source cfg)
+  (module M : Sim.Protocol_intf.BUFFERED)
 
 let builder ?params ?(source = 0) () : Sim.Protocol_intf.builder =
   (module struct
     let name = "operative-broadcast"
-    let build cfg = protocol ?params ~source cfg
+    let build cfg = protocol_buffered ?params ~source cfg
     let rounds_needed (cfg : Sim.Config.t) = (2 * Params.log2_ceil cfg.n) + 3
   end)

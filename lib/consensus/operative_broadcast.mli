@@ -9,13 +9,8 @@
 type state
 type msg
 
-val protocol :
-  ?params:Params.t -> ?source:int -> Sim.Config.t -> Sim.Protocol_intf.t
-
 val protocol_buffered :
   ?params:Params.t -> ?source:int -> Sim.Config.t -> Sim.Protocol_intf.buffered
-(** The same protocol on the buffered engine path (shared iterator core —
-    byte-identical to {!protocol} through the shim). *)
 
 val builder : ?params:Params.t -> ?source:int -> unit -> Sim.Protocol_intf.builder
 (** Registry constructor: id ["operative-broadcast"] (default source 0);

@@ -23,10 +23,8 @@
       already-finalized state every later round, double-consuming inboxes —
       the line-18/19 seam now has exactly one terminal transition.
 
-    Both engine paths run one shared [step_core] over an inbox context of
-    message-kind iterators (built from the legacy list or directly from the
-    engine mailbox — no intermediate [(src, msg) list] on the hot path), so
-    the two paths are byte-identical by construction. *)
+    The engine mailbox is read through message-kind iterators that filter
+    during iteration — no intermediate [(src, msg) list] on the hot path. *)
 
 type phase =
   | Voting of Core.t
@@ -48,64 +46,21 @@ let core_of = function
   | Waiting { core = c }
   | Done { core = c; _ } -> c
 
-(* The per-round inbox, viewed as one iterator per message kind plus the
-   first-decision scan — each backed either by the legacy list or by the
-   engine's mailbox, filtering during iteration. *)
-type inbox_ctx = {
-  iter_core : (int -> Core.msg -> unit) -> unit;
-  iter_pk : (int -> Phase_king.msg -> unit) -> unit;
-  first_decided : unit -> int option;
-}
+(* The per-round inbox viewed by message kind, filtering during
+   iteration. *)
+let iter_core inbox f =
+  Sim.Mailbox.iter inbox (fun src m ->
+      match m with Core_msg cm -> f src cm | Pk_msg _ | Decided _ -> ())
 
-let ctx_of_list inbox =
-  {
-    iter_core =
-      (fun f ->
-        List.iter
-          (fun (src, m) ->
-            match m with
-            | Core_msg cm -> f src cm
-            | Pk_msg _ | Decided _ -> ())
-          inbox);
-    iter_pk =
-      (fun f ->
-        List.iter
-          (fun (src, m) ->
-            match m with
-            | Pk_msg pm -> f src pm
-            | Core_msg _ | Decided _ -> ())
-          inbox);
-    first_decided =
-      (fun () ->
-        List.fold_left
-          (fun acc (_, m) ->
-            match (acc, m) with
-            | None, Decided v -> Some v
-            | _, (Decided _ | Core_msg _ | Pk_msg _) -> acc)
-          None inbox);
-  }
+let iter_pk inbox f =
+  Sim.Mailbox.iter inbox (fun src m ->
+      match m with Pk_msg pm -> f src pm | Core_msg _ | Decided _ -> ())
 
-let ctx_of_mailbox inbox =
-  {
-    iter_core =
-      (fun f ->
-        Sim.Mailbox.iter inbox (fun src m ->
-            match m with
-            | Core_msg cm -> f src cm
-            | Pk_msg _ | Decided _ -> ()));
-    iter_pk =
-      (fun f ->
-        Sim.Mailbox.iter inbox (fun src m ->
-            match m with
-            | Pk_msg pm -> f src pm
-            | Core_msg _ | Decided _ -> ()));
-    first_decided =
-      (fun () ->
-        Sim.Mailbox.fold inbox ~init:None (fun acc _src m ->
-            match (acc, m) with
-            | None, Decided v -> Some v
-            | _, (Decided _ | Core_msg _ | Pk_msg _) -> acc));
-  }
+let first_decided inbox =
+  Sim.Mailbox.fold inbox ~init:None (fun acc _src m ->
+      match (acc, m) with
+      | None, Decided v -> Some v
+      | _, (Decided _ | Core_msg _ | Pk_msg _) -> acc)
 
 let iter_empty _f = ()
 
@@ -113,7 +68,8 @@ let iter_empty _f = ()
     (partition, expander, schedule) are computed once here — they are pure
     functions of (n, seed, params), which is how all processes agree on them
     without communication. *)
-let make ?(params = Params.default) ?vote_log (cfg : Sim.Config.t) =
+let protocol_buffered ?(params = Params.default) ?vote_log
+    (cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
   let members = Array.init cfg.Sim.Config.n (fun i -> i) in
   let shared =
     Core.make_shared ?vote_log ~members ~seed:cfg.Sim.Config.seed ~params
@@ -130,8 +86,7 @@ let make ?(params = Params.default) ?vote_log (cfg : Sim.Config.t) =
     let init _cfg ~pid ~input =
       { phase = Voting (Core.create shared ~pid ~input); pid }
 
-    (* The whole state machine, once, for both engine paths. *)
-    let step_core st ~round ~ctx ~rand ~emit ~emit_all =
+    let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
       let emit_all_core ~lo ~hi ~skip ~desc m =
         emit_all ~lo ~hi ~skip ~desc (Core_msg m)
       in
@@ -141,13 +96,13 @@ let make ?(params = Params.default) ?vote_log (cfg : Sim.Config.t) =
       match st.phase with
       | Done _ -> st
       | Voting core when round <= core_rounds ->
-          Core.step_into core ~slot:round ~iter:ctx.iter_core ~rand
+          Core.step_into core ~slot:round ~iter:(iter_core inbox) ~rand
             ~emit:(fun dst m -> emit dst (Core_msg m))
             ~emit_all:emit_all_core;
           st
       | Voting core -> (
           (* round = core_rounds + 1: lines 15-16 *)
-          Core.finalize_into core ~iter:ctx.iter_core;
+          Core.finalize_into core ~iter:(iter_core inbox);
           match Core.line16_decision core with
           | Some v -> { st with phase = Done { core; value = v } }
           | None ->
@@ -166,12 +121,12 @@ let make ?(params = Params.default) ?vote_log (cfg : Sim.Config.t) =
           let local_round = round - core_rounds - 1 in
           if local_round <= pk_rounds - 1 then begin
             Phase_king.step_into pk ~local_round:(local_round + 1)
-              ~iter:ctx.iter_pk ~emit_all:emit_all_pk;
+              ~iter:(iter_pk inbox) ~emit_all:emit_all_pk;
             st
           end
           else begin
             (* line 18: fix the fallback outcome; broadcast and decide *)
-            let pk = Phase_king.finalize_into pk ~iter:ctx.iter_pk in
+            let pk = Phase_king.finalize_into pk ~iter:(iter_pk inbox) in
             match Phase_king.decision pk with
             | Some v ->
                 emit_all ~lo:0
@@ -189,26 +144,14 @@ let make ?(params = Params.default) ?vote_log (cfg : Sim.Config.t) =
           (* one round after line 18: adopt a broadcast decision if one
              reached us, else our own fallback value (we were the lone
              participant or are eclipsed-faulty); never broadcast *)
-          match ctx.first_decided () with
+          match first_decided inbox with
           | Some v -> { st with phase = Done { core; value = v } }
           | None -> { st with phase = Done { core; value } })
       | Waiting { core } -> (
           (* line 19: adopt any decision that reaches us *)
-          match ctx.first_decided () with
+          match first_decided inbox with
           | Some v -> { st with phase = Done { core; value = v } }
           | None -> st)
-
-    let step _cfg st ~round ~inbox ~rand =
-      let out = ref [] in
-      let emit dst m = out := (dst, m) :: !out in
-      let st' =
-        step_core st ~round ~ctx:(ctx_of_list inbox) ~rand ~emit
-          ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit)
-      in
-      (st', List.rev !out)
-
-    let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
-      step_core st ~round ~ctx:(ctx_of_mailbox inbox) ~rand ~emit ~emit_all
 
     let observe st =
       let core = core_of st.phase in
@@ -229,14 +172,7 @@ let make ?(params = Params.default) ?vote_log (cfg : Sim.Config.t) =
       | Pk_msg (Phase_king.Value v) | Pk_msg (Phase_king.King v) -> Some v
       | Decided v -> Some v
   end in
-  ((module M : Sim.Protocol_intf.S), (module M : Sim.Protocol_intf.BUFFERED))
-
-let protocol ?params ?vote_log (cfg : Sim.Config.t) : Sim.Protocol_intf.t =
-  fst (make ?params ?vote_log cfg)
-
-let protocol_buffered ?params ?vote_log (cfg : Sim.Config.t) :
-    Sim.Protocol_intf.buffered =
-  snd (make ?params ?vote_log cfg)
+  (module M : Sim.Protocol_intf.BUFFERED)
 
 (** Rounds the full schedule can occupy (voting + fallback), for sizing
     [Config.max_rounds]. *)
@@ -251,6 +187,6 @@ let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
 let builder ?params () : Sim.Protocol_intf.builder =
   (module struct
     let name = "optimal"
-    let build cfg = protocol ?params cfg
+    let build cfg = protocol_buffered ?params cfg
     let rounds_needed cfg = rounds_needed ?params cfg + 10
   end)

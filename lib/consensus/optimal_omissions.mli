@@ -11,21 +11,14 @@
 type state
 type msg
 
-val protocol :
-  ?params:Params.t ->
-  ?vote_log:Core.vote_event list ref ->
-  Sim.Config.t ->
-  Sim.Protocol_intf.t
-(** Build the protocol for a configuration. The shared structures are
-    computed once here from (n, seed, params). [vote_log] collects one
-    event per operative process per epoch for the Figure-3 bench. *)
-
 val protocol_buffered :
   ?params:Params.t ->
   ?vote_log:Core.vote_event list ref ->
   Sim.Config.t ->
   Sim.Protocol_intf.buffered
-(** Same state machine on the allocation-free [step_into] path. *)
+(** Build the protocol for a configuration. The shared structures are
+    computed once here from (n, seed, params). [vote_log] collects one
+    event per operative process per epoch for the Figure-3 bench. *)
 
 val rounds_needed : ?params:Params.t -> Sim.Config.t -> int
 (** Upper bound on the schedule length (voting + fallback), for sizing

@@ -103,7 +103,8 @@ let make_plan ~params (cfg : Sim.Config.t) ~x =
 
 let iter_empty _f = ()
 
-let make ?(params = Params.default) ~x (cfg : Sim.Config.t) =
+let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
+    Sim.Protocol_intf.buffered =
   let p = make_plan ~params cfg ~x in
   let n = cfg.Sim.Config.n in
   let module M = struct
@@ -132,7 +133,7 @@ let make ?(params = Params.default) ~x (cfg : Sim.Config.t) =
       emit_all ~lo:0 ~hi:(n - 1) ~skip:st.pid ~desc:false m
 
     (* Filtered views of the whole-inbox iterator: filtering happens
-       during iteration, so the buffered path never materializes a list. *)
+       during iteration, so no list is materialized. *)
     let sub_iter ~phase iter f =
       iter (fun src m ->
           match m with
@@ -249,8 +250,8 @@ let make ?(params = Params.default) ~x (cfg : Sim.Config.t) =
           | Pk_msg _ ->
               ())
 
-    (* The whole state machine, once, for both engine paths. *)
-    let step_core st ~round ~iter ~rand ~emit ~emit_all =
+    let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
+      let iter f = Sim.Mailbox.iter inbox f in
       let emit_all_pk ~lo ~hi ~skip ~desc m =
         emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
       in
@@ -334,20 +335,7 @@ let make ?(params = Params.default) ~x (cfg : Sim.Config.t) =
                 st.decision <- Some (Phase_king.value pk)
           | Some _ | None -> adopt_decided st ~iter
         end
-      end
-
-    let step _cfg st ~round ~inbox ~rand =
-      let out = ref [] in
-      let emit dst m = out := (dst, m) :: !out in
-      step_core st ~round
-        ~iter:(fun f -> List.iter (fun (src, m) -> f src m) inbox)
-        ~rand ~emit
-        ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
-      (st, List.rev !out)
-
-    let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
-      step_core st ~round ~iter:(fun f -> Sim.Mailbox.iter inbox f) ~rand
-        ~emit ~emit_all;
+      end;
       st
 
     let observe st =
@@ -371,14 +359,7 @@ let make ?(params = Params.default) ~x (cfg : Sim.Config.t) =
       | Safety_vote v | Safety_final v | Decided v -> Some v
       | Pk_msg (Phase_king.Value v) | Pk_msg (Phase_king.King v) -> Some v
   end in
-  ((module M : Sim.Protocol_intf.S), (module M : Sim.Protocol_intf.BUFFERED))
-
-let protocol ?params ~x (cfg : Sim.Config.t) : Sim.Protocol_intf.t =
-  fst (make ?params ~x cfg)
-
-let protocol_buffered ?params ~x (cfg : Sim.Config.t) :
-    Sim.Protocol_intf.buffered =
-  snd (make ?params ~x cfg)
+  (module M : Sim.Protocol_intf.BUFFERED)
 
 (** Total schedule length, for sizing [Config.max_rounds]. *)
 let rounds_needed ?(params = Params.default) ~x (cfg : Sim.Config.t) =
@@ -388,6 +369,6 @@ let rounds_needed ?(params = Params.default) ~x (cfg : Sim.Config.t) =
 let builder ?params ~x () : Sim.Protocol_intf.builder =
   (module struct
     let name = Printf.sprintf "param-x%d" x
-    let build cfg = protocol ?params ~x cfg
+    let build cfg = protocol_buffered ?params ~x cfg
     let rounds_needed cfg = rounds_needed ?params ~x cfg + 10
   end)

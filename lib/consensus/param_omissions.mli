@@ -11,13 +11,9 @@
 type state
 type msg
 
-val protocol : ?params:Params.t -> x:int -> Sim.Config.t -> Sim.Protocol_intf.t
-(** [x] is the super-process count, clamped to what the partition allows. *)
-
 val protocol_buffered :
   ?params:Params.t -> x:int -> Sim.Config.t -> Sim.Protocol_intf.buffered
-(** The same protocol on the buffered engine path (shared iterator core —
-    byte-identical to {!protocol} through the shim). *)
+(** [x] is the super-process count, clamped to what the partition allows. *)
 
 val rounds_needed : ?params:Params.t -> x:int -> Sim.Config.t -> int
 (** Total schedule length, for sizing [Config.max_rounds]. *)

@@ -26,9 +26,9 @@
     a faulty process fully eclipsed by the adversary) ends with
     [decision = None] rather than fabricating a decision from its own echo —
     the caller owns the residue (Algorithm 1 lines 18-19 resolve it by
-    adopting a broadcast decision). Both engine paths share one
-    iterator-driven core: the list-based entry points wrap the [_into]
-    variants, so the two paths are byte-identical by construction. *)
+    adopting a broadcast decision). Inboxes are consumed through iterators,
+    so a caller can hand in a filtered view of its own mailbox without
+    building an intermediate list. *)
 
 type msg = Value of int | King of int
 
@@ -47,7 +47,7 @@ type t = {
 let phases ~t_max = (4 * t_max) + 2
 
 (** Number of engine rounds the protocol occupies (two per phase); the
-    decision is available after one further call to {!finalize}. *)
+    decision is available after one further call to {!finalize_into}. *)
 let rounds ~t_max = 2 * phases ~t_max
 
 let create ~n ~t_max ~pid ~participating ~input =
@@ -65,10 +65,6 @@ let create ~n ~t_max ~pid ~participating ~input =
   }
 
 let king_of_phase st phase = phase mod st.n
-
-(* Inbox iterators: the list path feeds [iter_of_list], the buffered path
-   iterates its mailbox directly — no intermediate (src, msg) list. *)
-let iter_of_list inbox f = List.iter (fun (src, m) -> f src m) inbox
 
 let broadcast_into st m ~emit_all =
   emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false m
@@ -111,9 +107,11 @@ let count st ~iter =
   st.maj <- (if m_p = 0 then st.v else maj);
   st.strong <- m_p > 0 && 2 * c.(maj) > m_p + (4 * st.t_max)
 
-(** Iterator core of {!step}: consumes the inbox through [iter] and hands
-    outgoing messages to [emit_all] — every emission here is a full
-    broadcast (ascending destination order, one shared message record). *)
+(** Local rounds are 1-based and run from 1 to [rounds ~t_max]. Odd rounds
+    broadcast values (and first apply the previous king's verdict); even
+    rounds count and let the king speak. The inbox is consumed through
+    [iter]; every emission is a full broadcast (ascending destination
+    order, one shared message record) handed to [emit_all]. *)
 let step_into st ~local_round ~iter ~emit_all =
   if st.participating then begin
     let phase = (local_round - 1) / 2 in
@@ -128,18 +126,7 @@ let step_into st ~local_round ~iter ~emit_all =
     end
   end
 
-(** [step st ~local_round ~inbox]: local rounds are 1-based and run from 1
-    to [rounds ~t_max]. Odd rounds broadcast values (and first apply the
-    previous king's verdict); even rounds count and let the king speak. *)
-let step st ~local_round ~inbox =
-  let out = ref [] in
-  step_into st ~local_round ~iter:(iter_of_list inbox)
-    ~emit_all:
-      (Sim.Protocol_intf.emit_all_pointwise (fun dst m ->
-           out := (dst, m) :: !out));
-  (st, List.rev !out)
-
-(** Iterator core of {!finalize}: consume the last phase's king message and
+(** Consume the last phase's king message and
     fix the decision — unless the participant heard nothing at all, in
     which case the run ends undecided (see the header note). *)
 let finalize_into st ~iter =
@@ -149,7 +136,6 @@ let finalize_into st ~iter =
   end;
   st
 
-let finalize st ~inbox = finalize_into st ~iter:(iter_of_list inbox)
 let decision st = st.decision
 let value st = st.v
 let heard st = st.heard
@@ -159,9 +145,9 @@ let msg_bits = function Value _ -> 2 | King _ -> 2
 
 let rounds_needed (cfg : Sim.Config.t) = rounds ~t_max:cfg.t_max + 1
 
-(** Phase-king as a standalone protocol (both engine paths): every process
-    participates, the decision lands one round after the last phase (the
-    {!finalize} round). Deterministic; tolerates adaptive omissions for
+(** Phase-king as a standalone protocol: every process participates, the
+    decision lands one round after the last phase (the {!finalize_into}
+    round). Deterministic; tolerates adaptive omissions for
     t < n/6 (the strong-threshold separation argument) — at that budget a
     non-faulty process always hears a co-participant, so only fully
     eclipsed faulty processes can end undecided. *)
@@ -173,12 +159,6 @@ module M = struct
 
   let init (cfg : Sim.Config.t) ~pid ~input =
     create ~n:cfg.n ~t_max:cfg.t_max ~pid ~participating:true ~input
-
-  let step (cfg : Sim.Config.t) st ~round ~inbox ~rand:_ =
-    let last = rounds ~t_max:cfg.t_max in
-    if round <= last then step st ~local_round:round ~inbox
-    else if round = last + 1 then (finalize st ~inbox, [])
-    else (st, [])
 
   let step_into (cfg : Sim.Config.t) st ~round ~inbox ~rand:_ ~emit:_
       ~emit_all =
@@ -199,14 +179,12 @@ module M = struct
   let msg_hint = function Value v -> Some v | King v -> Some v
 end
 
-let protocol (_cfg : Sim.Config.t) : Sim.Protocol_intf.t = (module M)
-
 let protocol_buffered (_cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
   (module M)
 
 let builder : Sim.Protocol_intf.builder =
   (module struct
     let name = "phase-king"
-    let build = protocol
+    let build = protocol_buffered
     let rounds_needed cfg = rounds_needed cfg + 1
   end)

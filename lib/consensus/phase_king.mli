@@ -20,16 +20,11 @@ val phases : t_max:int -> int
 
 val rounds : t_max:int -> int
 (** Engine rounds occupied: two per phase. The decision needs one further
-    {!finalize} call on the following round's inbox. *)
+    {!finalize_into} call on the following round's inbox. *)
 
 val create :
   n:int -> t_max:int -> pid:int -> participating:bool -> input:int -> t
 (** Non-participants stay silent and never decide. *)
-
-val step : t -> local_round:int -> inbox:(int * msg) list -> t * (int * msg) list
-(** Local rounds are 1-based up to [rounds ~t_max]; odd rounds broadcast
-    values (after applying the previous king's verdict), even rounds count
-    and let the king speak. *)
 
 val step_into :
   t ->
@@ -37,27 +32,25 @@ val step_into :
   iter:((int -> msg -> unit) -> unit) ->
   emit_all:(lo:int -> hi:int -> skip:int -> desc:bool -> msg -> unit) ->
   unit
-(** Iterator core of {!step}: [iter f] must call [f src m] for every inbox
-    message in delivery order (a mailbox iterates directly — no
-    intermediate list). Every emission here is a full broadcast, so
-    outgoing messages go through [emit_all] (ascending destination order,
-    one shared record); the list-based {!step} realises it pointwise via
-    {!Sim.Protocol_intf.emit_all_pointwise}, so both engine paths run this
-    same core. *)
-
-val finalize : t -> inbox:(int * msg) list -> t
-(** Consume the last king message and fix the decision. A participant that
-    received no fallback message during the whole run ends with
-    [decision = None] instead of echoing its own value — the caller owns
-    that residue (Algorithm 1 lines 18-19). *)
+(** Local rounds are 1-based up to [rounds ~t_max]; odd rounds broadcast
+    values (after applying the previous king's verdict), even rounds count
+    and let the king speak. [iter f] must call [f src m] for every inbox
+    message in delivery order (a mailbox, or a filtered view of one,
+    iterates directly — no intermediate list). Every emission is a full
+    broadcast, so outgoing messages go through [emit_all] (ascending
+    destination order, one shared record). *)
 
 val finalize_into : t -> iter:((int -> msg -> unit) -> unit) -> t
-(** Iterator core of {!finalize}; same [iter] contract as {!step_into}. *)
+(** Consume the last king message and fix the decision; same [iter]
+    contract as {!step_into}. A participant that received no fallback
+    message during the whole run ends with [decision = None] instead of
+    echoing its own value — the caller owns that residue (Algorithm 1
+    lines 18-19). *)
 
 val decision : t -> int option
 
 val value : t -> int
-(** Current working value — what {!finalize} would decide when the
+(** Current working value — what {!finalize_into} would decide when the
     participant has heard at least one message. *)
 
 val heard : t -> bool
@@ -65,14 +58,10 @@ val heard : t -> bool
 
 val msg_bits : msg -> int
 
-val protocol : Sim.Config.t -> Sim.Protocol_intf.t
+val protocol_buffered : Sim.Config.t -> Sim.Protocol_intf.buffered
 (** Phase-king as a standalone protocol: all processes participate; the
     decision lands at round [rounds ~t_max + 1] (the finalize round).
     Deterministic, omission-tolerant for t < n/6. *)
-
-val protocol_buffered : Sim.Config.t -> Sim.Protocol_intf.buffered
-(** The same standalone protocol on the buffered engine path (shared
-    iterator core — byte-identical to {!protocol} through the shim). *)
 
 val rounds_needed : Sim.Config.t -> int
 (** Engine rounds the standalone protocol needs: [rounds ~t_max + 1]. *)

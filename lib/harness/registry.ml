@@ -1,4 +1,4 @@
-(** First-class-module registry of every {!Sim.Protocol_intf.S}
+(** First-class-module registry of every {!Sim.Protocol_intf.BUFFERED}
     implementation in [lib/consensus], with the metadata the differential
     conformance runner needs: which fault model the protocol is specified
     against, the largest budget it tolerates, and the conformance kind
@@ -21,29 +21,18 @@ type entry = {
   max_t : int -> int;  (** n -> largest tolerated fault budget *)
   min_n : int;  (** smallest supported system size *)
   builder : Sim.Protocol_intf.builder;
-  buffered : (Sim.Config.t -> Sim.Protocol_intf.buffered) option;
-      (** allocation-free construction, for protocols ported to
-          [step_into] *)
 }
 
 let pp_model ppf m =
   Fmt.string ppf (match m with Crash -> "crash" | Omission -> "omission")
 
-let make ?buffered ~model ~kind ~max_t ~min_n builder =
+let make ~model ~kind ~max_t ~min_n builder =
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
-  { id = B.name; model; kind; max_t; min_n; builder; buffered }
+  { id = B.name; model; kind; max_t; min_n; builder }
 
 let build e cfg =
   let module B = (val e.builder : Sim.Protocol_intf.BUILDER) in
   B.build cfg
-
-(** The protocol on its preferred engine path: buffered when the entry has
-    been ported, the legacy list path (through the engine's shim) otherwise.
-    Both paths are bit-identical by the equivalence suite. *)
-let build_any e cfg =
-  match e.buffered with
-  | Some f -> Sim.Protocol_intf.Buffered (f cfg)
-  | None -> Sim.Protocol_intf.Legacy (build e cfg)
 
 let rounds_bound e cfg =
   let module B = (val e.builder : Sim.Protocol_intf.BUILDER) in
@@ -53,47 +42,32 @@ let all : entry list =
   [
     make ~model:Crash ~kind:Consensus
       ~max_t:(fun n -> n / 3)
-      ~min_n:2 ~buffered:Consensus.Flood.protocol_buffered
-      Consensus.Flood.builder;
+      ~min_n:2 Consensus.Flood.builder;
     make ~model:Crash ~kind:Consensus
       ~max_t:(fun n -> n / 4)
-      ~min_n:2 ~buffered:Consensus.Early_stopping.protocol_buffered
-      Consensus.Early_stopping.builder;
+      ~min_n:2 Consensus.Early_stopping.builder;
     make ~model:Crash ~kind:Consensus
       ~max_t:(fun n -> n / 8)
-      ~min_n:2
-      ~buffered:(fun cfg -> Consensus.Bjbo.protocol_buffered cfg)
-      (Consensus.Bjbo.builder ());
+      ~min_n:2 (Consensus.Bjbo.builder ());
     make ~model:Crash ~kind:Consensus
       ~max_t:(fun n -> n / 31)
-      ~min_n:4
-      ~buffered:(fun cfg -> Consensus.Crash_subquadratic.protocol_buffered cfg)
-      (Consensus.Crash_subquadratic.builder ());
+      ~min_n:4 (Consensus.Crash_subquadratic.builder ());
     make ~model:Omission ~kind:Consensus
       ~max_t:(fun n -> n / 4)
-      ~min_n:2 ~buffered:Consensus.Dolev_strong.protocol_buffered
-      Consensus.Dolev_strong.builder;
+      ~min_n:2 Consensus.Dolev_strong.builder;
     make ~model:Omission ~kind:Consensus
       ~max_t:(fun n -> (n - 1) / 6)
-      ~min_n:2 ~buffered:Consensus.Phase_king.protocol_buffered
-      Consensus.Phase_king.builder;
+      ~min_n:2 Consensus.Phase_king.builder;
     make ~model:Omission ~kind:Consensus
       ~max_t:(fun n -> n / 31)
-      ~min_n:4
-      ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg)
-      (Consensus.Optimal_omissions.builder ());
+      ~min_n:4 (Consensus.Optimal_omissions.builder ());
     make ~model:Omission ~kind:Consensus
       ~max_t:(fun n -> n / 61)
-      ~min_n:8
-      ~buffered:(fun cfg -> Consensus.Param_omissions.protocol_buffered ~x:2 cfg)
-      (Consensus.Param_omissions.builder ~x:2 ());
+      ~min_n:8 (Consensus.Param_omissions.builder ~x:2 ());
     make ~model:Omission
       ~kind:(Broadcast { source = 0 })
       ~max_t:(fun n -> n / 8)
-      ~min_n:4
-      ~buffered:(fun cfg ->
-        Consensus.Operative_broadcast.protocol_buffered ~source:0 cfg)
-      (Consensus.Operative_broadcast.builder ~source:0 ());
+      ~min_n:4 (Consensus.Operative_broadcast.builder ~source:0 ());
   ]
 
 let ids () = List.map (fun e -> e.id) all

@@ -1,4 +1,4 @@
-(** First-class-module registry of every {!Sim.Protocol_intf.S}
+(** First-class-module registry of every {!Sim.Protocol_intf.BUFFERED}
     implementation in [lib/consensus], with the metadata the differential
     conformance runner needs. To register a new protocol, export a
     {!Sim.Protocol_intf.BUILDER} from its module and add
@@ -22,13 +22,9 @@ type entry = {
   max_t : int -> int;  (** n -> largest tolerated fault budget *)
   min_n : int;  (** smallest supported system size *)
   builder : Sim.Protocol_intf.builder;
-  buffered : (Sim.Config.t -> Sim.Protocol_intf.buffered) option;
-      (** allocation-free construction, for protocols ported to
-          [step_into] *)
 }
 
 val make :
-  ?buffered:(Sim.Config.t -> Sim.Protocol_intf.buffered) ->
   model:model ->
   kind:kind ->
   max_t:(int -> int) ->
@@ -37,13 +33,8 @@ val make :
   entry
 (** The only way entries are formed: the id is the builder's [name]. *)
 
-val build : entry -> Sim.Config.t -> Sim.Protocol_intf.t
+val build : entry -> Sim.Config.t -> Sim.Protocol_intf.buffered
 (** Instantiate the entry's protocol for a configuration. *)
-
-val build_any : entry -> Sim.Config.t -> Sim.Protocol_intf.any
-(** Instantiate on the protocol's preferred engine path: buffered when
-    ported, legacy otherwise. The equivalence suite keeps the two paths
-    bit-identical. *)
 
 val rounds_bound : entry -> Sim.Config.t -> int
 (** Schedule length to use as [max_rounds]; termination is expected within

@@ -165,12 +165,9 @@ let check_broadcast (s : Scenario.t) ~source ~final_operative
 (** Run one protocol on a scenario. [checked] in the result says whether
     the consensus/broadcast properties were asserted (the protocol's model
     covers the strategy) — the metric invariants are always asserted.
-    [trace], if given, receives the run's engine event stream. Ported
-    protocols run on the buffered engine path unless [force_legacy] pins
-    them to the list-based shim (the equivalence suite uses this to compare
-    the two). *)
-let run_entry ?trace ?net ?(force_legacy = false) (entry : Registry.entry)
-    (s : Scenario.t) : run_result =
+    [trace], if given, receives the run's engine event stream. *)
+let run_entry ?trace ?net (entry : Registry.entry) (s : Scenario.t) :
+    run_result =
   let checked = Registry.in_model entry s in
   let cfg = config_for entry s in
   let link =
@@ -186,12 +183,8 @@ let run_entry ?trace ?net ?(force_legacy = false) (entry : Registry.entry)
   let adversary, final_operative, source_operative =
     probed_adversary s.Scenario.strategy ~source
   in
-  let protocol =
-    if force_legacy then Sim.Protocol_intf.Legacy (Registry.build entry cfg)
-    else Registry.build_any entry cfg
-  in
   match
-    Sim.Engine.run_any ?trace ?link protocol cfg ~adversary
+    Sim.Engine.run ?trace ?link (Registry.build entry cfg) cfg ~adversary
       ~inputs:s.Scenario.inputs
   with
   | exception e ->

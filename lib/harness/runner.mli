@@ -34,7 +34,6 @@ val config_for : Registry.entry -> Scenario.t -> Sim.Config.t
 val run_entry :
   ?trace:Trace.Sink.t ->
   ?net:Net.Spec.t ->
-  ?force_legacy:bool ->
   Registry.entry ->
   Scenario.t ->
   run_result
@@ -42,8 +41,7 @@ val run_entry :
     engine event stream (see {!Sim.Engine.run}). [net], if given, runs the
     scenario over a lossy-link transport (a fresh [Net.Transport] per call;
     residual losses are not model-checked here — use [Supervise.run_net]
-    for the degradation report). Ported protocols run on the buffered
-    engine path unless [force_legacy] pins them to the list-based shim. *)
+    for the degradation report). *)
 
 val run :
   ?protocols:Registry.entry list ->

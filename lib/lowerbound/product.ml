@@ -22,7 +22,7 @@ type result = {
 
 let run ?(seed = 1) ~n ~t ~coin_set () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:(40 * (t + 10)) () in
-  let proto = Consensus.Bjbo.protocol ~coin_set_size:coin_set cfg in
+  let proto = Consensus.Bjbo.protocol_buffered ~coin_set_size:coin_set cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   let adversary = Adversary.vote_splitter () in
   let o = Sim.Engine.run proto cfg ~adversary ~inputs in

@@ -90,7 +90,7 @@ module Transport : sig
   val spec : t -> Spec.t
 
   val link : t -> Sim.Link_intf.t
-  (** The engine-facing hook. Pass to [Sim.Engine.run_any ?link]. *)
+  (** The engine-facing hook. Pass to [Sim.Engine.run ?link]. *)
 end
 
 module Degradation : sig

@@ -4,8 +4,6 @@
    order and spellings frozen — changing either silently invalidates
    every existing cache (which is what Cache.fingerprint is for). *)
 
-type engine = Auto | Legacy
-
 type t = {
   protocol : string;
   n : int;
@@ -16,7 +14,6 @@ type t = {
   inputs : string;
   net : Net.Spec.t option;
   budget : Supervise.Budget.t;
-  engine : engine;
 }
 
 (* --- adversary / input-pattern spelling tables (the run subcommand's
@@ -46,9 +43,8 @@ let inputs_table =
   ]
 
 let make ?x ?(adversary = "none") ?(inputs = "mixed") ?net
-    ?(budget = Supervise.Budget.unlimited) ?(engine = Auto) ~protocol ~n
-    ~t_max ~seed () =
-  { protocol; n; t_max; x; seed; adversary; inputs; net; budget; engine }
+    ?(budget = Supervise.Budget.unlimited) ~protocol ~n ~t_max ~seed () =
+  { protocol; n; t_max; x; seed; adversary; inputs; net; budget }
 
 let adversary spec =
   match List.assoc_opt spec.adversary adversaries with
@@ -63,16 +59,15 @@ let inputs spec =
 (* --- canonical serialization --- *)
 
 let opt_i = function None -> "-" | Some v -> string_of_int v
-let engine_str = function Auto -> "auto" | Legacy -> "legacy"
 
 let to_string spec =
   (* net last: Net.Spec.to_string never contains spaces, but keeping the
      only compound token at the end makes the format trivially
      extensible *)
-  Printf.sprintf "p=%s n=%d t=%d x=%s seed=%d a=%s i=%s engine=%s wall=%s \
-                  rounds=%s msgs=%s rand=%s net=%s"
+  Printf.sprintf "p=%s n=%d t=%d x=%s seed=%d a=%s i=%s wall=%s rounds=%s \
+                  msgs=%s rand=%s net=%s"
     spec.protocol spec.n spec.t_max (opt_i spec.x) spec.seed spec.adversary
-    spec.inputs (engine_str spec.engine)
+    spec.inputs
     (match spec.budget.Supervise.Budget.wall_s with
     | None -> "-"
     | Some w -> Printf.sprintf "%h" w)
@@ -80,6 +75,45 @@ let to_string spec =
     (opt_i spec.budget.Supervise.Budget.max_messages)
     (opt_i spec.budget.Supervise.Budget.max_rand_bits)
     (match spec.net with None -> "-" | Some s -> Net.Spec.to_string s)
+
+(* The one validity check for a spec, whichever surface assembled it: a
+   spec that passes runs with exactly the meaning its string states, and
+   one run has one canonical string. *)
+let validate spec =
+  let fail fmt = Printf.ksprintf (fun m -> Error ("run spec: " ^ m)) fmt in
+  let positive name = function
+    | Some v when v < 1 ->
+        fail "%s budget must be a positive integer, not %d" name v
+    | Some _ | None -> Ok ()
+  in
+  let ( let* ) = Result.bind in
+  let* () =
+    if spec.n < 1 then fail "n must be >= 1, not %d" spec.n else Ok ()
+  in
+  let* () =
+    if spec.t_max < 0 || spec.t_max >= spec.n then
+      fail "t must be in [0, n) = [0, %d), not %d" spec.n spec.t_max
+    else Ok ()
+  in
+  let* () =
+    match (spec.protocol = "param", spec.x) with
+    | true, Some x when x < 1 || x > spec.n ->
+        fail "x must be in [1, n] = [1, %d], not %d" spec.n x
+    | true, Some _ | false, None -> Ok ()
+    | true, None -> fail "param needs x in [1, n]"
+    | false, Some x -> fail "x=%d given, but only param takes x (use x=-)" x
+  in
+  let b = spec.budget in
+  let* () =
+    match b.Supervise.Budget.wall_s with
+    | Some w when not (Float.is_finite w && w > 0.) ->
+        fail "wall budget must be a finite positive number of seconds, not %g" w
+    | Some _ | None -> Ok ()
+  in
+  let* () = positive "rounds" b.Supervise.Budget.max_rounds in
+  let* () = positive "msgs" b.Supervise.Budget.max_messages in
+  let* () = positive "rand" b.Supervise.Budget.max_rand_bits in
+  Ok spec
 
 let digest spec = Digest.to_hex (Digest.string (to_string spec))
 
@@ -106,8 +140,7 @@ let of_string s =
     | v -> Result.map Option.some (int name v)
   in
   match String.split_on_char ' ' (String.trim s) with
-  | [ tp; tn; tt; tx; tseed; ta; ti; teng; twall; trounds; tmsgs; trand; tnet ]
-    ->
+  | [ tp; tn; tt; tx; tseed; ta; ti; twall; trounds; tmsgs; trand; tnet ] ->
       let* protocol = field "p" tp in
       let* n = Result.bind (field "n" tn) (int "n") in
       let* t_max = Result.bind (field "t" tt) (int "t") in
@@ -115,12 +148,6 @@ let of_string s =
       let* seed = Result.bind (field "seed" tseed) (int "seed") in
       let* adversary = field "a" ta in
       let* inputs = field "i" ti in
-      let* engine =
-        Result.bind (field "engine" teng) (function
-          | "auto" -> Ok Auto
-          | "legacy" -> Ok Legacy
-          | v -> Error (Printf.sprintf "run spec: engine must be auto or legacy, not %S" v))
-      in
       let* wall =
         Result.bind (field "wall" twall) (function
           | "-" -> Ok None
@@ -152,7 +179,7 @@ let of_string s =
             (Printf.sprintf "run spec: unknown inputs %S; one of %s" inputs
                (String.concat ", " (List.map fst inputs_table)))
       in
-      Ok
+      validate
         {
           protocol;
           n;
@@ -169,29 +196,24 @@ let of_string s =
               max_messages = msgs;
               max_rand_bits = rand;
             };
-          engine;
         }
   | _ ->
       Error
-        "run spec: expected 13 space-separated k=v tokens \
-         (p n t x seed a i engine wall rounds msgs rand net)"
+        "run spec: expected 12 space-separated k=v tokens \
+         (p n t x seed a i wall rounds msgs rand net)"
 
 (* --- resolution and execution --- *)
 
 let resolve spec =
-  if spec.protocol = "param" then
-    Ok
-      ( Consensus.Param_omissions.builder ~x:(Option.value spec.x ~default:4) (),
-        None )
-  else
-    match Harness.Registry.find spec.protocol with
-    | Ok e ->
-        Ok
-          ( e.Harness.Registry.builder,
-            match spec.engine with
-            | Legacy -> None
-            | Auto -> e.Harness.Registry.buffered )
-    | Error msg -> Error (msg ^ " (plus \"param\", which takes -x)")
+  let ( let* ) = Result.bind in
+  let* spec = validate spec in
+  (* validated: x is present exactly when the protocol is param *)
+  match spec.x with
+  | Some x -> Ok (Consensus.Param_omissions.builder ~x ())
+  | None -> (
+      match Harness.Registry.find spec.protocol with
+      | Ok e -> Ok e.Harness.Registry.builder
+      | Error msg -> Error (msg ^ " (plus \"param\", which takes x)"))
 
 let config spec builder =
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
@@ -201,22 +223,18 @@ let config spec builder =
 let execute ?trace ?store spec =
   match resolve spec with
   | Error msg -> invalid_arg ("Run_spec.execute: " ^ msg)
-  | Ok (builder, buffered) -> (
+  | Ok builder -> (
       let module B = (val builder : Sim.Protocol_intf.BUILDER) in
       let cfg = config spec builder in
-      let proto =
-        match (buffered, spec.engine) with
-        | Some f, Auto -> Sim.Protocol_intf.Buffered (f cfg)
-        | _ -> Sim.Protocol_intf.Legacy (B.build cfg)
-      in
+      let proto = B.build cfg in
       let key = to_string spec in
       let adversary = adversary spec in
       let inputs = inputs spec in
       match spec.net with
       | None -> (
           match
-            Supervise.Cached.run_any ?trace ~budget:spec.budget ?store ~key
-              proto cfg ~adversary ~inputs
+            Supervise.Cached.run ?trace ~budget:spec.budget ?store ~key proto
+              cfg ~adversary ~inputs
           with
           | Ok o -> Ok (o, None)
           | Error (k, p) -> Error (k, Option.map (fun o -> (o, None)) p))

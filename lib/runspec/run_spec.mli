@@ -2,8 +2,7 @@
 
     A [Run_spec.t] captures everything that determines a run's outcome:
     protocol, system size and fault budget, seed, adversary, input
-    pattern, engine path, watchdog budget, and the optional lossy-link
-    spec. Its {!to_string} serialization is canonical — fixed field
+    pattern, watchdog budget, and the optional lossy-link spec. Its {!to_string} serialization is canonical — fixed field
     order, one spelling per value, exact float round-trip — and is
     shared by the [consensus_sim run --spec] CLI, quarantine replay
     one-liners ({!to_command}) and the content-addressed cache key, so
@@ -13,8 +12,6 @@
     is an observer and never changes an outcome, so two runs differing
     only in observation share one cache entry. Provenance is kept
     honest by the [cache-hit] trace event instead. *)
-
-type engine = Auto | Legacy
 
 type t = {
   protocol : string;  (** registry id, or ["param"] (takes [x]) *)
@@ -26,7 +23,6 @@ type t = {
   inputs : string;  (** one of {!Cli.inputs_names} *)
   net : Net.Spec.t option;
   budget : Supervise.Budget.t;
-  engine : engine;
 }
 
 val make :
@@ -35,7 +31,6 @@ val make :
   ?inputs:string ->
   ?net:Net.Spec.t ->
   ?budget:Supervise.Budget.t ->
-  ?engine:engine ->
   protocol:string ->
   n:int ->
   t_max:int ->
@@ -43,17 +38,23 @@ val make :
   unit ->
   t
 (** Defaults: no [x], adversary ["none"], inputs ["mixed"], no net spec,
-    unlimited budget, [Auto] engine. *)
+    unlimited budget. The result is not validated here; {!resolve} and
+    {!execute} refuse what {!of_string} would reject. *)
 
 val to_string : t -> string
-(** Canonical serialization: space-separated [k=v] tokens in a fixed
-    order ([p n t x seed a i engine wall rounds msgs rand net]), ["-"]
+(** Canonical serialization: 12 space-separated [k=v] tokens in a fixed
+    order ([p n t x seed a i wall rounds msgs rand net]), ["-"]
     for absent options, the wall budget as a [%h] hex float so the
     round-trip is exact. Contains no tabs or newlines. *)
 
 val of_string : string -> (t, string) result
-(** Inverse of {!to_string}; [Error] is a one-line message. Validates
-    the adversary and inputs spellings and the field order. *)
+(** Inverse of {!to_string}; [Error] is a one-line message. Checks the
+    field order and the adversary and inputs spellings, then validates
+    the spec: [n >= 1], [0 <= t < n], [1 <= x <= n] for ["param"] and [x]
+    absent for every other protocol (so one run has one canonical
+    string), every integer budget positive, and a wall budget finite and
+    positive. {!resolve} applies the same validation to specs assembled
+    with {!make}, such as the CLI's flag path. *)
 
 val digest : t -> string
 (** Hex digest of {!to_string} — a stable short name for the run. *)
@@ -62,15 +63,10 @@ val to_command : t -> string
 (** A replay one-liner: [dune exec bin/consensus_sim.exe -- run --spec
     '<to_string>'] — the canonical serialization, directly executable. *)
 
-val resolve :
-  t ->
-  ( Sim.Protocol_intf.builder
-    * (Sim.Config.t -> Sim.Protocol_intf.buffered) option,
-    string )
-  result
-(** The spec's protocol builder (plus the buffered constructor when one
-    exists and [engine = Auto]); [Error] lists the registered protocols
-    plus ["param"]. *)
+val resolve : t -> (Sim.Protocol_intf.builder, string) result
+(** The spec's protocol builder, after the validation {!of_string}
+    applies; [Error] is the validation message, or lists the registered
+    protocols plus ["param"]. *)
 
 val config : t -> Sim.Protocol_intf.builder -> Sim.Config.t
 (** The run's engine configuration: [max_rounds] is the builder's

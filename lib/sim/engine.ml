@@ -95,8 +95,8 @@ let agreed_decision outcome =
     mailboxes, envelope arena, adversary view, omission scratch — allocated
     once and reused across runs. Benches and sweeps that execute many runs
     of the same (protocol, cfg) pair amortise the buffer construction away;
-    runs through an instance are bit-identical to fresh {!run_buffered}
-    runs because every run resets all per-run state before its first
+    runs through an instance are bit-identical to fresh {!run} runs
+    because every run resets all per-run state before its first
     round. *)
 type instance = {
   run_i :
@@ -110,10 +110,9 @@ type instance = {
     outcome;
 }
 
-(* The engine proper, written against the buffered protocol interface; the
-   list-based [run] below routes legacy protocols through the shim. Event
-   and metric ordering deliberately reproduces the original list-based
-   engine bit for bit:
+(* The engine proper. Event and metric ordering deliberately reproduces
+   the original list-based engine bit for bit, so traces and outcomes stay
+   comparable with every earlier version:
    - the envelope array groups senders in ascending pid order, and within a
      sender lists messages in *reverse* emission order (the old engine
      consed each outbox onto an accumulator);
@@ -642,33 +641,16 @@ let run_instance ?on_round ?stop ?trace ?link (i : instance)
     ~(adversary : Adversary_intf.t) ~(inputs : int array) : outcome =
   i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
 
-(** [run protocol cfg ~adversary ~inputs] executes a full run of a
-    list-based protocol through the compatibility shim. [on_round], if
-    given, is called once per round with the round's envelopes (before the
-    adversary intervenes) — benches use it to trace per-slot traffic.
-    [stop], if given, is consulted at the end of every round with the
-    cumulative metric counters; returning [true] ends the run exactly as
-    hitting [max_rounds] would — the supervision layer uses it to extend
-    the [max_rounds] semantics to message/randomness/wall-clock budgets. *)
-let run ?on_round ?stop ?trace ?link (module P : Protocol_intf.S)
-    (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
-    outcome =
-  let i = instance (module Protocol_intf.Shim (P)) cfg in
-  i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
-
-(** Run a buffered protocol on the allocation-free path directly. *)
-let run_buffered ?on_round ?stop ?trace ?link (p : Protocol_intf.buffered)
+(** [run protocol cfg ~adversary ~inputs] executes a full run on a fresh
+    {!instance}. [on_round], if given, is called once per round with the
+    round's envelopes (before the adversary intervenes) — benches use it to
+    trace per-slot traffic. [stop], if given, is consulted at the end of
+    every round with the cumulative metric counters; returning [true] ends
+    the run exactly as hitting [max_rounds] would — the supervision layer
+    uses it to extend the [max_rounds] semantics to
+    message/randomness/wall-clock budgets. *)
+let run ?on_round ?stop ?trace ?link (p : Protocol_intf.buffered)
     (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
     outcome =
   let i = instance p cfg in
   i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
-
-(** Dispatch on whichever path the protocol supports. *)
-let run_any ?on_round ?stop ?trace ?link (p : Protocol_intf.any)
-    (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
-    outcome =
-  match p with
-  | Protocol_intf.Legacy p ->
-      run ?on_round ?stop ?trace ?link p cfg ~adversary ~inputs
-  | Protocol_intf.Buffered p ->
-      run_buffered ?on_round ?stop ?trace ?link p cfg ~adversary ~inputs

@@ -50,7 +50,7 @@ type instance
     reused by each {!run_instance} call. Sweeps and benches that execute
     many runs of the same configuration amortise buffer construction to
     zero; each run resets all per-run state first, so outcomes and traces
-    are bit-identical to fresh {!run_buffered} runs. *)
+    are bit-identical to fresh {!run} runs. *)
 
 val instance : Protocol_intf.buffered -> Config.t -> instance
 
@@ -63,15 +63,14 @@ val run_instance :
   adversary:Adversary_intf.t ->
   inputs:int array ->
   outcome
-(** One run through a reusable instance — same contract as
-    {!run_buffered}. An instance is not thread-safe: one run at a time. *)
+(** One run through a reusable instance — same contract as {!run}. An instance is not thread-safe: one run at a time. *)
 
 val run :
   ?on_round:(round:int -> View.envelope array -> unit) ->
   ?stop:(progress -> bool) ->
   ?trace:Trace.Sink.t ->
   ?link:Link_intf.t ->
-  Protocol_intf.t ->
+  Protocol_intf.buffered ->
   Config.t ->
   adversary:Adversary_intf.t ->
   inputs:int array ->
@@ -109,36 +108,7 @@ val run :
     Raises [Invalid_argument] if [inputs] is not an n-vector of bits.
 
     The engine runs on reusable preallocated buffers (mailboxes, envelope
-    arena, a single in-place-refreshed adversary view); list-based protocols
-    are adapted through {!Protocol_intf.Shim}, which reintroduces the
-    per-step list allocations but keeps behaviour — including event order —
-    bit-identical. A {!View.t} and everything reachable from it is only
-    valid during the adversary call that received it. *)
-
-val run_buffered :
-  ?on_round:(round:int -> View.envelope array -> unit) ->
-  ?stop:(progress -> bool) ->
-  ?trace:Trace.Sink.t ->
-  ?link:Link_intf.t ->
-  Protocol_intf.buffered ->
-  Config.t ->
-  adversary:Adversary_intf.t ->
-  inputs:int array ->
-  outcome
-(** [run] for a protocol implementing {!Protocol_intf.BUFFERED}: the
-    allocation-free path. Outcome and trace are bit-identical to running
-    the same protocol's list-based [step] through {!run}, provided the
-    protocol honours the emission-order contract of [step_into]. *)
-
-val run_any :
-  ?on_round:(round:int -> View.envelope array -> unit) ->
-  ?stop:(progress -> bool) ->
-  ?trace:Trace.Sink.t ->
-  ?link:Link_intf.t ->
-  Protocol_intf.any ->
-  Config.t ->
-  adversary:Adversary_intf.t ->
-  inputs:int array ->
-  outcome
-(** Dispatch to {!run} or {!run_buffered} on the path the protocol
-    supports. *)
+    arena, a single in-place-refreshed adversary view); [run] builds a
+    fresh {!instance} for the one run. A {!View.t} and everything
+    reachable from it is only valid during the adversary call that
+    received it. *)

@@ -440,9 +440,7 @@ let fold t ~init f =
   iter t (fun peer m -> acc := f !acc peer m);
   !acc
 
-(** The buffer's contents as the legacy [(peer, msg)] list, in emission
-    order — what the list-based {!Protocol_intf.S.step} compatibility shim
-    feeds to unported protocols. *)
+(** The buffer's contents as a [(peer, msg)] list, in emission order. *)
 let to_list t =
   let acc = ref [] in
   iter t (fun peer m -> acc := (peer, m) :: !acc);

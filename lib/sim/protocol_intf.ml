@@ -1,12 +1,14 @@
 (** Signature every consensus protocol implements.
 
     A protocol is a per-process deterministic state machine driven by the
-    engine. Each round the engine calls {!S.step} once per process (faulty
-    processes included — omission-faulty processes follow the protocol, only
-    their messages are filtered). The state machine never learns who is
-    faulty: it only sees delivered messages, exactly as in the model. *)
-
-module type S = sig
+    engine. Each round the engine calls {!BUFFERED.step_into} once per
+    process (faulty processes included — omission-faulty processes follow
+    the protocol, only their messages are filtered). The state machine
+    never learns who is faulty: it only sees delivered messages, exactly as
+    in the model. The engine hands the protocol its inbox as a reusable
+    {!Mailbox.t} and [emit] sinks for outgoing messages, so the hot path
+    builds no list cells. *)
+module type BUFFERED = sig
   type state
   type msg
 
@@ -15,18 +17,24 @@ module type S = sig
   val init : Config.t -> pid:int -> input:int -> state
   (** Initial state for process [pid] with input bit [input]. *)
 
-  val step :
+  val step_into :
     Config.t ->
     state ->
     round:int ->
-    inbox:(int * msg) list ->
+    inbox:msg Mailbox.t ->
     rand:Rand.t ->
-    state * (int * msg) list
+    emit:(int -> msg -> unit) ->
+    emit_all:(lo:int -> hi:int -> skip:int -> desc:bool -> msg -> unit) ->
+    state
   (** Local-computation phase of [round] (rounds start at 1). [inbox] holds
-      the messages delivered at the end of the previous round, sorted by
-      sender. Returns the new state and the messages [(dst, msg)] to send in
-      this round's communication phase. All randomness must come from
-      [rand]. *)
+      the previous round's deliveries sorted by sender and is only valid
+      for the duration of this call. Each outgoing message is pushed with
+      [emit dst msg]; a broadcast of one shared record to the pid range
+      [lo..hi] (minus [skip]) goes through [emit_all] instead — the engine
+      stores it as a single entry. [desc] declares the emission direction
+      ([hi] down to [lo]); the emission order, with [emit_all] expanded in
+      its declared direction, is the order the engine delivers and traces.
+      All randomness must come from [rand]. *)
 
   val observe : state -> View.obs_core
   (** Full-information observation of the state, also used by the engine to
@@ -41,49 +49,10 @@ module type S = sig
       adversary through {!View.envelope}. *)
 end
 
-type t = (module S)
-
-(** Allocation-free variant of {!S}: the engine hands the protocol its inbox
-    as a reusable {!Mailbox.t} and an [emit] sink for outgoing messages, so
-    the hot path builds no list cells. [step_into] must emit messages in the
-    same order the list-based [step] would have returned them; the engine's
-    equivalence suite holds protocols to that contract. Protocols that have
-    not been ported run through {!Shim}. *)
-module type BUFFERED = sig
-  type state
-  type msg
-
-  val name : string
-  val init : Config.t -> pid:int -> input:int -> state
-
-  val step_into :
-    Config.t ->
-    state ->
-    round:int ->
-    inbox:msg Mailbox.t ->
-    rand:Rand.t ->
-    emit:(int -> msg -> unit) ->
-    emit_all:(lo:int -> hi:int -> skip:int -> desc:bool -> msg -> unit) ->
-    state
-  (** Local-computation phase of [round]. [inbox] holds the previous round's
-      deliveries sorted by sender and is only valid for the duration of this
-      call. Each outgoing message is pushed with [emit dst msg]; a
-      broadcast of one shared record to the pid range [lo..hi] (minus
-      [skip]) goes through [emit_all] instead — the engine stores it as a
-      single entry. [desc] declares the emission direction ([hi] down to
-      [lo]); the flattened emission order, with [emit_all] expanded in its
-      declared direction, must match what {!S.step} would return. *)
-
-  val observe : state -> View.obs_core
-  val msg_bits : msg -> int
-  val msg_hint : msg -> int option
-end
-
 type buffered = (module BUFFERED)
 
-(** [emit_all] realised by pointwise [emit] calls — what the list-based
-    [step] wrappers thread through their shared cores so both paths run
-    the same emission logic. *)
+(** [emit_all] realised by pointwise [emit] calls, in its declared
+    direction. *)
 let emit_all_pointwise emit ~lo ~hi ~skip ~desc m =
   if desc then
     for dst = hi downto lo do
@@ -94,31 +63,19 @@ let emit_all_pointwise emit ~lo ~hi ~skip ~desc m =
       if dst <> skip then emit dst m
     done
 
-(** Compatibility shim: run a list-based protocol on the buffered engine.
-    The inbox is materialised as the legacy sorted list and the returned
-    out-list replayed through [emit], so behaviour is identical (including
-    message order) at the cost of the old per-step allocations. *)
-module Shim (P : S) :
-  BUFFERED with type state = P.state and type msg = P.msg = struct
-  type state = P.state
-  type msg = P.msg
+(** The same protocol with every [emit_all] broadcast re-expanded into one
+    pointwise [emit] per destination: the emission model from before
+    broadcast segments existed. The engine must deliver and trace it
+    exactly as the broadcast form, which the equivalence suite checks and
+    the scale bench times. *)
+let pointwise_emission (module P : BUFFERED) : buffered =
+  (module struct
+    include P
 
-  let name = P.name
-  let init = P.init
-
-  let step_into cfg st ~round ~inbox ~rand ~emit ~emit_all:_ =
-    let st, out = P.step cfg st ~round ~inbox:(Mailbox.to_list inbox) ~rand in
-    List.iter (fun (dst, m) -> emit dst m) out;
-    st
-
-  let observe = P.observe
-  let msg_bits = P.msg_bits
-  let msg_hint = P.msg_hint
-end
-
-(** A protocol on whichever path it supports; the engine runs both, and
-    [Buffered] is preferred wherever one exists. *)
-type any = Legacy of t | Buffered of buffered
+    let step_into cfg st ~round ~inbox ~rand ~emit ~emit_all:_ =
+      P.step_into cfg st ~round ~inbox ~rand ~emit
+        ~emit_all:(emit_all_pointwise emit)
+  end)
 
 (** Uniform constructor every protocol exports: the single way protocols
     enter the registry. [build] packs the protocol for a configuration;
@@ -128,7 +85,7 @@ module type BUILDER = sig
   val name : string
   (** Registry id (also the CLI spelling). *)
 
-  val build : Config.t -> t
+  val build : Config.t -> buffered
   val rounds_needed : Config.t -> int
 end
 

@@ -153,7 +153,7 @@ let failure_json f =
 
 (* --- supervised engine run --- *)
 
-let run_any ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
+let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
     ~adversary ~inputs =
   let started = Unix.gettimeofday () in
   let tripped = ref None in
@@ -182,8 +182,7 @@ let run_any ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
   in
   let stop = if Budget.is_unlimited budget then None else Some stop in
   match
-    Sim.Engine.run_any ?on_round ?stop ?trace ?link proto cfg ~adversary
-      ~inputs
+    Sim.Engine.run ?on_round ?stop ?trace ?link proto cfg ~adversary ~inputs
   with
   | o -> (
       match !tripped with
@@ -205,10 +204,6 @@ let run_any ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
             },
           None )
 
-let run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs =
-  run_any ?on_round ?trace ?link ?budget (Sim.Protocol_intf.Legacy proto) cfg
-    ~adversary ~inputs
-
 (* --- supervised run over a lossy link --- *)
 
 let run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs =
@@ -218,7 +213,7 @@ let run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs =
     Net.Degradation.of_transport tr ~faulty:o.Sim.Engine.faulty
       ~t_max:cfg.Sim.Config.t_max
   in
-  match run_any ?on_round ?trace ~link ?budget proto cfg ~adversary ~inputs with
+  match run ?on_round ?trace ~link ?budget proto cfg ~adversary ~inputs with
   | Ok o ->
       let d = report o in
       if d.Net.Degradation.beyond_model then
@@ -409,8 +404,8 @@ module Chaos = struct
     if tagged t.straggle_mask i then Unix.sleepf t.straggle_s;
     f i x
 
-  let protocol ?pid ~crash_round (module P : Sim.Protocol_intf.S) :
-      Sim.Protocol_intf.t =
+  let protocol ?pid ~crash_round (module P : Sim.Protocol_intf.BUFFERED) :
+      Sim.Protocol_intf.buffered =
     (module struct
       type state = P.state * int  (* pid riding along for the pid filter *)
       type msg = P.msg
@@ -418,13 +413,12 @@ module Chaos = struct
       let name = P.name ^ "+chaos"
       let init cfg ~pid ~input = (P.init cfg ~pid ~input, pid)
 
-      let step cfg (st, me) ~round ~inbox ~rand =
+      let step_into cfg (st, me) ~round ~inbox ~rand ~emit ~emit_all =
         if round = crash_round && (pid = None || pid = Some me) then
           raise
             (Injected
                (Printf.sprintf "injected protocol crash at round %d" round));
-        let st', out = P.step cfg st ~round ~inbox ~rand in
-        ((st', me), out)
+        (P.step_into cfg st ~round ~inbox ~rand ~emit ~emit_all, me)
 
       let observe (st, _) = P.observe st
       let msg_bits = P.msg_bits
@@ -441,7 +435,7 @@ module Chaos = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Content-addressed caching layer over run_any / run_net / map.       *)
+(* Content-addressed caching layer over run / run_net / map.           *)
 (* ------------------------------------------------------------------ *)
 
 module Cached = struct
@@ -595,9 +589,9 @@ module Cached = struct
      (and re-report) every time — a quarantine served from a cache would
      hide a flaky environment. An undecodable payload (fingerprint
      collision, hand-edited store) falls through to a fresh run. *)
-  let run_any ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
+  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
       ~inputs =
-    let fresh () = run_any ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs in
+    let fresh () = run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs in
     match store with
     | None -> fresh ()
     | Some st -> (

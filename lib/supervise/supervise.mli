@@ -113,7 +113,7 @@ val run :
   ?trace:Trace.Sink.t ->
   ?link:Sim.Link_intf.t ->
   ?budget:Budget.t ->
-  Sim.Protocol_intf.t ->
+  Sim.Protocol_intf.buffered ->
   Sim.Config.t ->
   adversary:Sim.Adversary_intf.t ->
   inputs:int array ->
@@ -125,37 +125,24 @@ val run :
     which counts as [Ok]. A raising protocol or adversary (including
     {!Sim.Engine.Illegal_plan}) returns [Error (Crashed _, None)] instead
     of propagating. A run that merely hits [cfg.max_rounds] undecided is
-    still [Ok]: not deciding is a measurement, not a supervision failure. *)
-
-val run_any :
-  ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-  ?trace:Trace.Sink.t ->
-  ?link:Sim.Link_intf.t ->
-  ?budget:Budget.t ->
-  Sim.Protocol_intf.any ->
-  Sim.Config.t ->
-  adversary:Sim.Adversary_intf.t ->
-  inputs:int array ->
-  (Sim.Engine.outcome, failure_kind * Sim.Engine.outcome option) result
-(** {!run} generalised over the engine path: [Buffered] protocols run on
-    the allocation-free {!Sim.Engine.run_buffered} path, [Legacy] ones
-    through the list-based shim. [link] plugs a lossy transport into the
-    delivery loop (see {!Sim.Link_intf}); prefer {!run_net}, which also
-    computes the degradation report. *)
+    still [Ok]: not deciding is a measurement, not a supervision failure.
+    [link] plugs a lossy transport into the delivery loop (see
+    {!Sim.Link_intf}); prefer {!run_net}, which also computes the
+    degradation report. *)
 
 val run_net :
   ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
   ?trace:Trace.Sink.t ->
   ?budget:Budget.t ->
   net:Net.Spec.t ->
-  Sim.Protocol_intf.any ->
+  Sim.Protocol_intf.buffered ->
   Sim.Config.t ->
   adversary:Sim.Adversary_intf.t ->
   inputs:int array ->
   ( Sim.Engine.outcome * Net.Degradation.t,
     failure_kind * (Sim.Engine.outcome * Net.Degradation.t) option )
   result
-(** {!run_any} over a lossy link described by [net]: builds the transport,
+(** {!run} over a lossy link described by [net]: builds the transport,
     runs, then composes the transport's residual losses with the
     adversary's fault set into a [Net.Degradation] report. When the
     effective fault set exceeds [cfg.t_max] the run is beyond the omission
@@ -251,8 +238,11 @@ module Chaos : sig
       and the [describe]-aware sweeps use). *)
 
   val protocol :
-    ?pid:int -> crash_round:int -> Sim.Protocol_intf.t -> Sim.Protocol_intf.t
-  (** Wrap a protocol so that [step] raises {!Injected} at [crash_round]
+    ?pid:int ->
+    crash_round:int ->
+    Sim.Protocol_intf.buffered ->
+    Sim.Protocol_intf.buffered
+  (** Wrap a protocol so that [step_into] raises {!Injected} at [crash_round]
       (for process [pid] only, if given) — a pathological protocol bug on
       demand, used to test {!run}'s containment. *)
 
@@ -264,7 +254,7 @@ module Chaos : sig
 end
 
 module Cached : sig
-  (** Content-addressed caching layer over {!run_any}, {!run_net} and
+  (** Content-addressed caching layer over {!run}, {!run_net} and
       {!map}. [key] is the caller's canonical serialization of
       everything that determines the result (a [Run_spec] string for
       protocol runs, an experiment point string for bench tasks); the
@@ -283,14 +273,14 @@ module Cached : sig
   val net_to_string : Sim.Engine.outcome * Net.Degradation.t -> string
   val net_of_string : string -> (Sim.Engine.outcome * Net.Degradation.t) option
 
-  val run_any :
+  val run :
     ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
     ?trace:Trace.Sink.t ->
     ?link:Sim.Link_intf.t ->
     ?budget:Budget.t ->
     ?store:Cache.Store.t ->
     key:string ->
-    Sim.Protocol_intf.any ->
+    Sim.Protocol_intf.buffered ->
     Sim.Config.t ->
     adversary:Sim.Adversary_intf.t ->
     inputs:int array ->
@@ -303,7 +293,7 @@ module Cached : sig
     ?store:Cache.Store.t ->
     key:string ->
     net:Net.Spec.t ->
-    Sim.Protocol_intf.any ->
+    Sim.Protocol_intf.buffered ->
     Sim.Config.t ->
     adversary:Sim.Adversary_intf.t ->
     inputs:int array ->

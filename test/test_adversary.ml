@@ -4,7 +4,7 @@
 
 let run_bjbo ?(n = 64) ?(t = 8) ?(seed = 1) adversary =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:2000 () in
-  let proto = Consensus.Bjbo.protocol cfg in
+  let proto = Consensus.Bjbo.protocol_buffered cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   Sim.Engine.run proto cfg ~adversary ~inputs
 
@@ -54,7 +54,7 @@ let test_group_killer_target () =
   (* group size 10, majority 6; allow t = 6 *)
   let t = 3 in
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:4000 () in
-  let proto = Consensus.Optimal_omissions.protocol cfg in
+  let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   let o = Sim.Engine.run proto cfg ~adversary:(Adversary.group_killer ()) ~inputs in
   (* victims are the first pids (group 0 is contiguous) *)
@@ -160,7 +160,7 @@ let old_chaotic ?(corrupt_rate = 0.3) ?(omit_rate = 0.5) () =
 
 let traced_run ~n ~t ~seed adversary =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:2000 () in
-  let proto = Consensus.Bjbo.protocol cfg in
+  let proto = Consensus.Bjbo.protocol_buffered cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   let sink, events = Trace.Sink.memory () in
   let o = Sim.Engine.run ~trace:sink proto cfg ~adversary ~inputs in

@@ -55,7 +55,7 @@ let test_bits_positive () =
 let run_ds ?(n = 32) ?(t = 4) ?(seed = 1) ?(adversary = Sim.Adversary_intf.none)
     inputs =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:(t + 5) () in
-  Sim.Engine.run (Consensus.Dolev_strong.protocol cfg) cfg ~adversary ~inputs
+  Sim.Engine.run (Consensus.Dolev_strong.protocol_buffered cfg) cfg ~adversary ~inputs
 
 let check ~what ~inputs o =
   Alcotest.(check bool) (what ^ ": all decided") true

@@ -7,8 +7,8 @@ let run_proto proto_of ?(n = 48) ?t ?(seed = 1) ?(max_rounds = 2000)
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds () in
   Sim.Engine.run (proto_of cfg) cfg ~adversary ~inputs
 
-let run_bjbo = run_proto (fun cfg -> Consensus.Bjbo.protocol cfg)
-let run_flood = run_proto (fun cfg -> Consensus.Flood.protocol cfg)
+let run_bjbo = run_proto (fun cfg -> Consensus.Bjbo.protocol_buffered cfg)
+let run_flood = run_proto (fun cfg -> Consensus.Flood.protocol_buffered cfg)
 
 let check ~what ~inputs o =
   Alcotest.(check bool) (what ^ ": all decided") true
@@ -83,7 +83,7 @@ let test_bjbo_coin_starved () =
     (fun k ->
       let n = 48 in
       let cfg = Sim.Config.make ~n ~t_max:4 ~seed:2 ~max_rounds:2000 () in
-      let proto = Consensus.Bjbo.protocol ~coin_set_size:k cfg in
+      let proto = Consensus.Bjbo.protocol_buffered ~coin_set_size:k cfg in
       let inputs = mixed n in
       let o =
         Sim.Engine.run proto cfg ~adversary:(Adversary.vote_splitter ())
@@ -176,7 +176,7 @@ let suite =
 
 (* --- early stopping --- *)
 
-let run_es = run_proto (fun cfg -> Consensus.Early_stopping.protocol cfg)
+let run_es = run_proto (fun cfg -> Consensus.Early_stopping.protocol_buffered cfg)
 
 let test_es_no_faults_fast () =
   let inputs = mixed 48 in

@@ -3,7 +3,7 @@
 let run ?(n = 64) ?(t = 2) ?(seed = 1) ?(source = 0)
     ?(adversary = Sim.Adversary_intf.none) input =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:200 () in
-  let proto = Consensus.Operative_broadcast.protocol ~source cfg in
+  let proto = Consensus.Operative_broadcast.protocol_buffered ~source cfg in
   let inputs = Array.init n (fun i -> if i = source then input else 0) in
   Sim.Engine.run proto cfg ~adversary ~inputs
 

@@ -158,56 +158,46 @@ let test_concurrent_writers () =
 
 (* A small decided run per registry protocol: adversary none, mixed
    inputs, the registry's own rounds bound. *)
-let spec_for (e : Harness.Registry.entry) ~engine =
+let spec_for (e : Harness.Registry.entry) =
   let n = max e.Harness.Registry.min_n 8 in
   let t = min 1 (e.Harness.Registry.max_t n) in
-  Run_spec.make ~protocol:e.Harness.Registry.id ~n ~t_max:t ~seed:3 ~engine ()
+  Run_spec.make ~protocol:e.Harness.Registry.id ~n ~t_max:t ~seed:3 ()
 
 let test_hit_equals_recompute () =
   with_store (fun _dir open_ ->
       let s = open_ () in
       List.iter
         (fun (e : Harness.Registry.entry) ->
-          List.iter
-            (fun engine ->
-              let spec = spec_for e ~engine in
-              let name =
-                Printf.sprintf "%s/%s" e.Harness.Registry.id
-                  (match engine with
-                  | Run_spec.Auto -> "auto"
-                  | Run_spec.Legacy -> "legacy")
-              in
-              let cold =
-                match Run_spec.execute ~store:s spec with
-                | Ok (o, None) -> o
-                | _ -> Alcotest.failf "%s: cold run failed" name
-              in
-              let sink, events = Trace.Sink.memory () in
-              let warm =
-                match Run_spec.execute ~trace:sink ~store:s spec with
-                | Ok (o, None) -> o
-                | _ -> Alcotest.failf "%s: warm run failed" name
-              in
-              if warm <> cold then
-                Alcotest.failf "%s: warm outcome differs from cold" name;
-              (* provenance: the warm trace is exactly one cache-hit
-                 event carrying the content digest *)
-              match events () with
-              | [ Trace.Event.Cache_hit { key } ] ->
-                  Alcotest.(check string)
-                    (name ^ " digest")
-                    (Cache.Store.digest_key s (Run_spec.to_string spec))
-                    key
-              | evs ->
-                  Alcotest.failf "%s: expected exactly one cache-hit, got %d"
-                    name (List.length evs))
-            [ Run_spec.Auto; Run_spec.Legacy ])
+          let spec = spec_for e in
+          let name = e.Harness.Registry.id in
+          let cold =
+            match Run_spec.execute ~store:s spec with
+            | Ok (o, None) -> o
+            | _ -> Alcotest.failf "%s: cold run failed" name
+          in
+          let sink, events = Trace.Sink.memory () in
+          let warm =
+            match Run_spec.execute ~trace:sink ~store:s spec with
+            | Ok (o, None) -> o
+            | _ -> Alcotest.failf "%s: warm run failed" name
+          in
+          if warm <> cold then
+            Alcotest.failf "%s: warm outcome differs from cold" name;
+          (* provenance: the warm trace is exactly one cache-hit event
+             carrying the content digest *)
+          match events () with
+          | [ Trace.Event.Cache_hit { key } ] ->
+              Alcotest.(check string)
+                (name ^ " digest")
+                (Cache.Store.digest_key s (Run_spec.to_string spec))
+                key
+          | evs ->
+              Alcotest.failf "%s: expected exactly one cache-hit, got %d" name
+                (List.length evs))
         Harness.Registry.all;
-      (* every protocol ran once per engine path; auto and legacy have
-         distinct canonical strings, so distinct entries *)
       Alcotest.(check int)
-        "one entry per protocol per engine"
-        (2 * List.length Harness.Registry.all)
+        "one entry per protocol"
+        (List.length Harness.Registry.all)
         (Cache.Store.entries s);
       Cache.Store.close s)
 
@@ -318,8 +308,7 @@ let test_run_spec_roundtrip () =
     [
       Run_spec.make ~protocol:"optimal" ~n:31 ~t_max:1 ~seed:7
         ~adversary:"random" ~inputs:"ones" ();
-      Run_spec.make ~protocol:"param" ~x:4 ~n:36 ~t_max:1 ~seed:1
-        ~engine:Run_spec.Legacy ();
+      Run_spec.make ~protocol:"param" ~x:4 ~n:36 ~t_max:1 ~seed:1 ();
       Run_spec.make ~protocol:"flood" ~n:16 ~t_max:2 ~seed:5
         ~net:{ Net.Spec.default with Net.Spec.drop = 0.05 }
         ~budget:
@@ -344,8 +333,8 @@ let test_run_spec_roundtrip () =
      existing cache, so it must be deliberate (bump Cache.fingerprint) *)
   Alcotest.(check string)
     "frozen format"
-    "p=optimal n=31 t=1 x=- seed=7 a=random i=ones engine=auto wall=- \
-     rounds=- msgs=- rand=- net=-"
+    "p=optimal n=31 t=1 x=- seed=7 a=random i=ones wall=- rounds=- msgs=- \
+     rand=- net=-"
     (Run_spec.to_string
        (Run_spec.make ~protocol:"optimal" ~n:31 ~t_max:1 ~seed:7
           ~adversary:"random" ~inputs:"ones" ()));
@@ -361,26 +350,58 @@ let test_run_spec_errors () =
   let err s =
     match Run_spec.of_string s with
     | Ok _ -> Alcotest.failf "of_string accepted %S" s
-    | Error e -> e
+    | Error e ->
+        if String.contains e '\n' then
+          Alcotest.failf "error for %S spans lines: %S" s e;
+        e
   in
-  Alcotest.(check bool)
-    "arity error names the fields" true
-    (contains (err "p=flood n=8") "13 space-separated");
-  Alcotest.(check bool)
-    "unknown adversary lists the table" true
-    (contains
-       (err
-          "p=flood n=8 t=1 x=- seed=1 a=nosuch i=mixed engine=auto wall=- \
-           rounds=- msgs=- rand=- net=-")
-       "unknown adversary");
-  Alcotest.(check bool)
-    "bad engine" true
-    (contains
-       (err
-          "p=flood n=8 t=1 x=- seed=1 a=none i=mixed engine=turbo wall=- \
-           rounds=- msgs=- rand=- net=-")
-       "engine must be auto or legacy");
-  match Run_spec.resolve (Run_spec.make ~protocol:"nope" ~n:8 ~t_max:1 ~seed:1 ()) with
+  let spec ?(p = "flood") ?(n = "8") ?(t = "1") ?(x = "-") ?(wall = "-")
+      ?(rounds = "-") ?(msgs = "-") ?(rand = "-") ?(a = "none") () =
+    Printf.sprintf
+      "p=%s n=%s t=%s x=%s seed=1 a=%s i=mixed wall=%s rounds=%s msgs=%s \
+       rand=%s net=-"
+      p n t x a wall rounds msgs rand
+  in
+  let rejects what s needle =
+    Alcotest.(check bool) what true (contains (err s) needle)
+  in
+  rejects "arity error names the fields" "p=flood n=8" "12 space-separated";
+  (* strings from before the engine token was dropped are 13 tokens *)
+  rejects "old engine=auto strings hit the arity error"
+    "p=flood n=8 t=1 x=- seed=1 a=none i=mixed engine=auto wall=- rounds=- \
+     msgs=- rand=- net=-"
+    "12 space-separated";
+  rejects "unknown adversary lists the table"
+    (spec ~a:"nosuch" ())
+    "unknown adversary";
+  (* validation: each spec would otherwise crash the engine or run with a
+     meaning the CLI flags would not give it *)
+  rejects "n = 0" (spec ~n:"0" ~t:"0" ()) "n must be >= 1";
+  rejects "t >= n" (spec ~t:"9" ()) "t must be in [0, n)";
+  rejects "t = n" (spec ~n:"1" ~t:"1" ()) "t must be in [0, n)";
+  rejects "negative t" (spec ~t:"-1" ()) "t must be in [0, n)";
+  rejects "param x = 0"
+    (spec ~p:"param" ~n:"36" ~x:"0" ())
+    "x must be in [1, n]";
+  rejects "param x > n" (spec ~p:"param" ~x:"9" ()) "x must be in [1, n]";
+  rejects "param without x" (spec ~p:"param" ~n:"36" ()) "param needs x";
+  rejects "x on another protocol" (spec ~x:"3" ()) "only param takes x";
+  rejects "negative rounds budget" (spec ~rounds:"-3" ()) "rounds budget";
+  rejects "zero msgs budget" (spec ~msgs:"0" ()) "msgs budget";
+  rejects "zero rand budget" (spec ~rand:"0" ()) "rand budget";
+  rejects "nan wall budget" (spec ~wall:"nan" ()) "wall budget";
+  rejects "infinite wall budget" (spec ~wall:"infinity" ()) "wall budget";
+  rejects "negative wall budget" (spec ~wall:"-0x1p+0" ()) "wall budget";
+  (* the flag path assembles specs with make; resolve applies the same
+     validation *)
+  let resolve ~protocol ~n ~t_max =
+    Run_spec.resolve (Run_spec.make ~protocol ~n ~t_max ~seed:1 ())
+  in
+  (match resolve ~protocol:"flood" ~n:1 ~t_max:1 with
+  | Ok _ -> Alcotest.fail "resolved t = n"
+  | Error msg ->
+      Alcotest.(check bool) "resolve validates" true (contains msg "t must be"));
+  match resolve ~protocol:"nope" ~n:8 ~t_max:1 with
   | Ok _ -> Alcotest.fail "resolved an unknown protocol"
   | Error msg ->
       Alcotest.(check bool) "lists registry" true (contains msg "flood");
@@ -471,8 +492,8 @@ let suite =
       test_fingerprint_invalidates;
     Alcotest.test_case "concurrent writers tear-free" `Quick
       test_concurrent_writers;
-    Alcotest.test_case "hit = recompute, whole registry x both engines"
-      `Quick test_hit_equals_recompute;
+    Alcotest.test_case "hit = recompute, whole registry" `Quick
+      test_hit_equals_recompute;
     Alcotest.test_case "hit = recompute with a net spec" `Quick
       test_hit_equals_recompute_net;
     Alcotest.test_case "corrupt entry costs one recompute" `Quick

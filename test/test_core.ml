@@ -9,6 +9,9 @@
 
 module Core = Consensus.Core
 
+(* A list-backed inbox iterator, for driving the core without an engine. *)
+let iter inbox f = List.iter (fun (src, m) -> f src m) inbox
+
 (* Run the full core schedule (epochs + Bcast) over a network where
    [omit ~slot ~src ~dst] drops messages. Returns the states after
    finalize. *)
@@ -25,18 +28,23 @@ let drive ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) ~m ~inputs () =
     let next = Array.make m [] in
     Array.iteri
       (fun pid st ->
-        let out = Core.step st ~slot ~inbox:inboxes.(pid) ~rand in
+        let out = ref [] in
+        let emit dst m = out := (dst, m) :: !out in
+        Core.step_into st ~slot ~iter:(iter inboxes.(pid)) ~rand ~emit
+          ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
         List.iter
           (fun (dst, msg) ->
             if not (omit ~slot ~src:pid ~dst) then
               next.(dst) <- (pid, msg) :: next.(dst))
-          out)
+          (List.rev !out))
       sts;
     Array.iteri
       (fun i l -> inboxes.(i) <- List.sort (fun (a, _) (b, _) -> compare a b) l)
       next
   done;
-  Array.iteri (fun pid st -> Core.finalize st ~inbox:inboxes.(pid)) sts;
+  Array.iteri
+    (fun pid st -> Core.finalize_into st ~iter:(iter inboxes.(pid)))
+    sts;
   (sh, sts)
 
 let test_clean_run_decides () =

@@ -5,7 +5,7 @@ let run ?(n = 64) ?t ?(seed = 1) ?(adversary = Sim.Adversary_intf.none) inputs =
   let cfg0 = Sim.Config.make ~n ~t_max:t ~seed () in
   let max_rounds = Consensus.Crash_subquadratic.rounds_needed cfg0 + 10 in
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds () in
-  Sim.Engine.run (Consensus.Crash_subquadratic.protocol cfg) cfg ~adversary
+  Sim.Engine.run (Consensus.Crash_subquadratic.protocol_buffered cfg) cfg ~adversary
     ~inputs
 
 let check ~what ~inputs o =
@@ -79,8 +79,8 @@ let test_dissemination_cheaper () =
     Alcotest.(check bool) "decided" true (Sim.Engine.agreed_decision o <> None);
     !acc
   in
-  let om = dissem (fun cfg -> Consensus.Optimal_omissions.protocol cfg) in
-  let cr = dissem (fun cfg -> Consensus.Crash_subquadratic.protocol cfg) in
+  let om = dissem (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg) in
+  let cr = dissem (fun cfg -> Consensus.Crash_subquadratic.protocol_buffered cfg) in
   Alcotest.(check bool)
     (Printf.sprintf "dissemination %d < %d / 2" cr om)
     true

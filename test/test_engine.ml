@@ -9,7 +9,6 @@ module Echo = struct
     n : int;
     input : int;
     mutable heard : int;
-    mutable senders : int list;
     mutable decided : int option;
     mutable coins : int;
   }
@@ -19,22 +18,20 @@ module Echo = struct
   let name = "echo"
 
   let init (cfg : Sim.Config.t) ~pid ~input =
-    { pid; n = cfg.n; input; heard = 0; senders = []; decided = None; coins = 0 }
+    { pid; n = cfg.n; input; heard = 0; decided = None; coins = 0 }
 
   let decide_round = 4
 
-  let step _cfg st ~round ~inbox ~rand =
-    st.heard <- st.heard + List.length inbox;
-    st.senders <- List.map fst inbox @ st.senders;
+  let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all:_ =
+    st.heard <- st.heard + Sim.Mailbox.length inbox;
     (* pid 0 flips a coin every round, to exercise randomness observation *)
     if st.pid = 0 then st.coins <- st.coins + Sim.Rand.bit rand;
     if round = decide_round then st.decided <- Some (st.heard mod 2);
-    let out = ref [] in
     if round < decide_round then
-      for dst = 0 to st.n - 1 do
-        if dst <> st.pid then out := (dst, Ping st.input) :: !out
+      for dst = st.n - 1 downto 0 do
+        if dst <> st.pid then emit dst (Ping st.input)
       done;
-    (st, !out)
+    st
 
   let observe st =
     {
@@ -149,16 +146,17 @@ let test_inbox_sorted_by_sender () =
     let init (cfg : Sim.Config.t) ~pid ~input:_ =
       { pid; n = cfg.n; ok = true; decided = None }
 
-    let step _cfg st ~round ~inbox ~rand:_ =
-      let srcs = List.map fst inbox in
-      if srcs <> List.sort compare srcs then st.ok <- false;
+    let step_into _cfg st ~round ~inbox ~rand:_ ~emit ~emit_all:_ =
+      let last = ref (-1) in
+      Sim.Mailbox.iter inbox (fun src M ->
+          if src < !last then st.ok <- false;
+          last := src);
       if round = 3 then st.decided <- Some (if st.ok then 1 else 0);
-      let out = ref [] in
       if round < 3 then
-        for dst = 0 to st.n - 1 do
-          if dst <> st.pid then out := (dst, M) :: !out
+        for dst = st.n - 1 downto 0 do
+          if dst <> st.pid then emit dst M
         done;
-      (st, !out)
+      st
 
     let observe st =
       { Sim.View.candidate = None; operative = true; decided = st.decided }
@@ -181,7 +179,7 @@ let test_max_rounds_cap () =
 
     let name = "forever"
     let init _ ~pid:_ ~input:_ = ()
-    let step _ st ~round:_ ~inbox:_ ~rand:_ = (st, [])
+    let step_into _ st ~round:_ ~inbox:_ ~rand:_ ~emit:_ ~emit_all:_ = st
     let observe () =
       { Sim.View.candidate = None; operative = true; decided = None }
     let msg_bits (_ : msg) = 1

@@ -1,17 +1,24 @@
-(* Bit-identity equivalence suite for the two engine paths.
+(* Bit-identity equivalence suite for the engine's delivery routes.
 
    For every protocol in the registry, across a grid of (adversary
-   strategy, seed, input pattern), the preferred path ({!Registry.build_any}
-   — buffered [step_into] for ported protocols) must produce exactly the
-   same outcome record and exactly the same JSONL trace, byte for byte, as
-   the legacy list-based [step] run through the compatibility shim. Runs
-   that abort with [Illegal_plan] (the grid deliberately includes
-   over-budget strategies) must abort with the same message after the same
-   trace prefix.
+   strategy, seed, input pattern), runs that reach the same engine state
+   through genuinely different engine code must agree:
 
-   Ported protocols additionally run through one reusable
-   {!Sim.Engine.instance} twice, proving that cross-run buffer reuse leaks
-   no state: the second run is byte-identical to a fresh one. *)
+   - broadcast emission with compiled omission masks, traced, against
+     pointwise emission ({!Sim.Protocol_intf.pointwise_emission}) with
+     the masks stripped ({!Adversary.pointwise}), traced: the outcome and
+     the JSONL trace must be byte-identical. Runs that abort with
+     [Illegal_plan] (the grid deliberately includes over-budget
+     strategies) must abort with the same message after the same trace
+     prefix;
+   - the untraced fast route (mask-blit delivery and the shared broadcast
+     table) against the untraced general route (stripped masks, per-message
+     predicate): outcomes equal, and equal to the traced run's;
+   - one reusable {!Sim.Engine.instance} run twice: each run byte-identical
+     to the fresh traced run, so cross-run buffer reuse leaks no state.
+
+   The golden test then pins every protocol's whole grid to an MD5 digest
+   written before the list-based protocol path was removed. *)
 
 let grid_n entry = max entry.Harness.Registry.min_n 12
 let grid_t entry ~n = max 1 (min 3 (entry.Harness.Registry.max_t n))
@@ -29,15 +36,41 @@ let cfg_for entry ~seed =
     ~max_rounds:(Harness.Registry.rounds_bound entry cfg0)
     ()
 
-(* One traced run: outcome (or the Illegal_plan message) plus the trace as
-   JSON lines. The adversary strategy is rebuilt per run — some strategies
-   close over mutable state, and sharing one across compared runs would
-   let the first run's state bleed into the second. [strip] replaces the
-   strategy with its {!Adversary.pointwise} form (compiled masks removed),
-   putting the engine on the per-message predicate path. *)
-let capture ?(strip = false) ~n ~adv_idx run =
+let adversary_count = List.length (Adversary.standard_suite ~n:12)
+
+(* Every grid cell of [entry], in grid order: [f ~ctx cfg ~adv_idx
+   ~inputs]. *)
+let iter_grid entry f =
+  let n = grid_n entry in
+  List.iter
+    (fun seed ->
+      let cfg = cfg_for entry ~seed in
+      List.iter
+        (fun (pat_name, pat) ->
+          let inputs = Array.init n pat in
+          for adv_idx = 0 to adversary_count - 1 do
+            let ctx =
+              Printf.sprintf "%s seed=%d inputs=%s adv=%d"
+                entry.Harness.Registry.id seed pat_name adv_idx
+            in
+            f ~ctx cfg ~adv_idx ~inputs
+          done)
+        input_patterns)
+    seeds
+
+(* The strategy is rebuilt per run — some strategies close over mutable
+   state, and sharing one across compared runs would let the first run's
+   state bleed into the second. [strip] replaces it with its
+   {!Adversary.pointwise} form (compiled masks removed), putting the
+   engine on the per-message predicate path. *)
+let adversary_for ~strip ~n ~adv_idx =
   let adversary = List.nth (Adversary.standard_suite ~n) adv_idx in
-  let adversary = if strip then Adversary.pointwise adversary else adversary in
+  if strip then Adversary.pointwise adversary else adversary
+
+(* One traced run: outcome (or the Illegal_plan message) plus the trace as
+   JSON lines. *)
+let capture ?(strip = false) ~n ~adv_idx run =
+  let adversary = adversary_for ~strip ~n ~adv_idx in
   let sink, events = Trace.Sink.memory () in
   let res =
     try Ok (run ~adversary ~trace:sink)
@@ -51,24 +84,18 @@ let capture ?(strip = false) ~n ~adv_idx run =
    actually exercises the fast path's delivery, counters and legality
    scan. *)
 let capture_untraced ?(strip = false) ~n ~adv_idx run =
-  let adversary = List.nth (Adversary.standard_suite ~n) adv_idx in
-  let adversary = if strip then Adversary.pointwise adversary else adversary in
+  let adversary = adversary_for ~strip ~n ~adv_idx in
   try Ok (run ~adversary) with Sim.Engine.Illegal_plan m -> Error m
+
+let res_label = function Ok _ -> "Ok" | Error m -> "Illegal_plan " ^ m
 
 let check_outcome_equal ~ctx a b =
   if a <> b then
-    Alcotest.failf "%s: outcomes differ (%s vs %s)" ctx
-      (match a with Ok _ -> "Ok" | Error m -> "Illegal_plan " ^ m)
-      (match b with Ok _ -> "Ok" | Error m -> "Illegal_plan " ^ m)
-
-let adversary_count =
-  List.length (Adversary.standard_suite ~n:12)
+    Alcotest.failf "%s: outcomes differ (%s vs %s)" ctx (res_label a)
+      (res_label b)
 
 let check_equal ~ctx (res_a, trace_a) (res_b, trace_b) =
-  if res_a <> res_b then
-    Alcotest.failf "%s: outcomes differ (%s vs %s)" ctx
-      (match res_a with Ok _ -> "Ok" | Error m -> "Illegal_plan " ^ m)
-      (match res_b with Ok _ -> "Ok" | Error m -> "Illegal_plan " ^ m);
+  check_outcome_equal ~ctx res_a res_b;
   if trace_a <> trace_b then begin
     let rec first_diff i = function
       | a :: tl_a, b :: tl_b ->
@@ -83,117 +110,68 @@ let check_equal ~ctx (res_a, trace_a) (res_b, trace_b) =
     first_diff 0 (trace_a, trace_b)
   end
 
+(* The reference run of a cell: broadcast emission, compiled masks,
+   traced. *)
+let reference entry cfg ~adv_idx ~inputs =
+  capture ~n:cfg.Sim.Config.n ~adv_idx (fun ~adversary ~trace ->
+      Sim.Engine.run ~trace (Harness.Registry.build entry cfg) cfg ~adversary
+        ~inputs)
+
 let test_entry entry () =
   let n = grid_n entry in
-  List.iter
-    (fun seed ->
-      let cfg = cfg_for entry ~seed in
-      List.iter
-        (fun (pat_name, pat) ->
-          let inputs = Array.init n pat in
-          for adv_idx = 0 to adversary_count - 1 do
-            let ctx =
-              Printf.sprintf "%s seed=%d inputs=%s adv=%d"
-                entry.Harness.Registry.id seed pat_name adv_idx
-            in
-            let legacy =
-              capture ~n ~adv_idx (fun ~adversary ~trace ->
-                  Sim.Engine.run ~trace
-                    (Harness.Registry.build entry cfg)
-                    cfg ~adversary ~inputs)
-            in
-            let preferred =
-              capture ~n ~adv_idx (fun ~adversary ~trace ->
-                  Sim.Engine.run_any ~trace
-                    (Harness.Registry.build_any entry cfg)
-                    cfg ~adversary ~inputs)
-            in
-            check_equal ~ctx:(ctx ^ " [shim vs preferred]") legacy preferred;
-            (* same grid with compiled masks stripped: the traced general
-               path must make identical per-message decisions whether it
-               reads the mask bytes or calls the predicate *)
-            let stripped =
-              capture ~strip:true ~n ~adv_idx (fun ~adversary ~trace ->
-                  Sim.Engine.run_any ~trace
-                    (Harness.Registry.build_any entry cfg)
-                    cfg ~adversary ~inputs)
-            in
-            check_equal ~ctx:(ctx ^ " [mask vs predicate]") legacy stripped;
-            (* untraced: compiled plans take the mask-blit fast path,
-               stripped ones the general path — outcomes must agree *)
-            let fast =
-              capture_untraced ~n ~adv_idx (fun ~adversary ->
-                  Sim.Engine.run_any
-                    (Harness.Registry.build_any entry cfg)
-                    cfg ~adversary ~inputs)
-            in
-            let general =
-              capture_untraced ~strip:true ~n ~adv_idx (fun ~adversary ->
-                  Sim.Engine.run_any
-                    (Harness.Registry.build_any entry cfg)
-                    cfg ~adversary ~inputs)
-            in
-            check_outcome_equal ~ctx:(ctx ^ " [fast vs general]") fast general;
-            (* tracing must not perturb the run: the untraced fast-path
-               outcome equals the traced legacy one, Illegal_plan message
-               included *)
-            check_outcome_equal ~ctx:(ctx ^ " [fast vs legacy]") (fst legacy)
-              fast;
-            match entry.Harness.Registry.buffered with
-            | None -> ()
-            | Some bf ->
-                (* Cross-run reuse: the same instance twice, each run
-                   byte-identical to the fresh legacy run. *)
-                let inst = Sim.Engine.instance (bf cfg) cfg in
-                let via_instance () =
-                  capture ~n ~adv_idx (fun ~adversary ~trace ->
-                      Sim.Engine.run_instance ~trace inst ~adversary ~inputs)
-                in
-                check_equal ~ctx:(ctx ^ " [instance run 1]") legacy
-                  (via_instance ());
-                check_equal ~ctx:(ctx ^ " [instance run 2]") legacy
-                  (via_instance ())
-          done)
-        input_patterns)
-    seeds
+  iter_grid entry (fun ~ctx cfg ~adv_idx ~inputs ->
+      let build () = Harness.Registry.build entry cfg in
+      let reference = reference entry cfg ~adv_idx ~inputs in
+      let pointwise =
+        capture ~strip:true ~n ~adv_idx (fun ~adversary ~trace ->
+            Sim.Engine.run ~trace
+              (Sim.Protocol_intf.pointwise_emission (build ()))
+              cfg ~adversary ~inputs)
+      in
+      check_equal
+        ~ctx:(ctx ^ " [broadcast+mask vs pointwise+predicate]")
+        reference pointwise;
+      let fast =
+        capture_untraced ~n ~adv_idx (fun ~adversary ->
+            Sim.Engine.run (build ()) cfg ~adversary ~inputs)
+      in
+      let general =
+        capture_untraced ~strip:true ~n ~adv_idx (fun ~adversary ->
+            Sim.Engine.run (build ()) cfg ~adversary ~inputs)
+      in
+      check_outcome_equal ~ctx:(ctx ^ " [fast vs general]") fast general;
+      (* tracing must not perturb the run: the untraced fast-route outcome
+         equals the traced one, Illegal_plan message included *)
+      check_outcome_equal ~ctx:(ctx ^ " [fast vs traced]") (fst reference)
+        fast;
+      let inst = Sim.Engine.instance (build ()) cfg in
+      let via_instance () =
+        capture ~n ~adv_idx (fun ~adversary ~trace ->
+            Sim.Engine.run_instance ~trace inst ~adversary ~inputs)
+      in
+      check_equal ~ctx:(ctx ^ " [instance run 1]") reference (via_instance ());
+      check_equal ~ctx:(ctx ^ " [instance run 2]") reference (via_instance ()))
 
 (* Golden oracle: the MD5 of each protocol's whole grid — every outcome
    (or [Illegal_plan] message) followed by its full JSONL trace, in grid
    order — pinned in [golden/registry_digests.txt]. The digests were
-   written by the list-based protocol path, so they hold whatever engine
-   code produces the runs today to what an independent implementation
-   produced. *)
+   written by the list-based protocol path before it was removed, so they
+   hold today's engine to what an independent implementation produced. *)
 let golden_file = "golden/registry_digests.txt"
 
 let grid_digest entry =
-  let n = grid_n entry in
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun seed ->
-      let cfg = cfg_for entry ~seed in
-      List.iter
-        (fun (_, pat) ->
-          let inputs = Array.init n pat in
-          for adv_idx = 0 to adversary_count - 1 do
-            let res, trace =
-              capture ~n ~adv_idx (fun ~adversary ~trace ->
-                  Sim.Engine.run ~trace
-                    (Harness.Registry.build entry cfg)
-                    cfg ~adversary ~inputs)
-            in
-            Buffer.add_string buf
-              (match res with
-              | Ok o -> Supervise.Cached.outcome_to_string o
-              | Error m -> "Illegal_plan " ^ m);
-            Buffer.add_char buf '\n';
-            List.iter
-              (fun line ->
-                Buffer.add_string buf line;
-                Buffer.add_char buf '\n')
-              trace
-          done)
-        input_patterns)
-    seeds;
+  let line s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '\n'
+  in
+  iter_grid entry (fun ~ctx:_ cfg ~adv_idx ~inputs ->
+      let res, trace = reference entry cfg ~adv_idx ~inputs in
+      line
+        (match res with
+        | Ok o -> Supervise.Cached.outcome_to_string o
+        | Error m -> "Illegal_plan " ^ m);
+      List.iter line trace);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let test_golden () =
@@ -212,7 +190,7 @@ let suite =
   List.map
     (fun entry ->
       Alcotest.test_case
-        (Printf.sprintf "%s: buffered path bit-identical to shim"
+        (Printf.sprintf "%s: buffered path bit-identical across routes"
            entry.Harness.Registry.id)
         `Quick (test_entry entry))
     Harness.Registry.all

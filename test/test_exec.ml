@@ -17,7 +17,7 @@ let test_seeded_sweep_equality () =
   let run seed =
     let n = 16 in
     let cfg = Sim.Config.make ~n ~t_max:4 ~seed ~max_rounds:2000 () in
-    let proto = Consensus.Bjbo.protocol cfg in
+    let proto = Consensus.Bjbo.protocol_buffered cfg in
     let inputs = Array.init n (fun i -> i mod 2) in
     Sim.Engine.run proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs
   in

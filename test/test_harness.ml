@@ -99,9 +99,9 @@ module Selfish = struct
   let name = "selfish"
   let init _cfg ~pid:_ ~input = { input; decision = None }
 
-  let step _cfg st ~round ~inbox:_ ~rand:_ =
+  let step_into _cfg st ~round ~inbox:_ ~rand:_ ~emit:_ ~emit_all:_ =
     if round = 1 then st.decision <- Some st.input;
-    (st, [])
+    st
 
   let observe st =
     {
@@ -120,7 +120,7 @@ let selfish_entry =
     ~min_n:2
     (module struct
       let name = "selfish"
-      let build _ = (module Selfish : Sim.Protocol_intf.S)
+      let build _ = (module Selfish : Sim.Protocol_intf.BUFFERED)
       let rounds_needed _ = 3
     end : Sim.Protocol_intf.BUILDER)
 

@@ -1,6 +1,6 @@
 (* Tests for the lossy-link transport layer (lib/net): spec parsing and its
    error paths, transport determinism, the zero-fault byte-identity
-   guarantee over every registry protocol on both engine paths, the
+   guarantee over every registry protocol, the
    synchronizer's masking guarantee, the graceful degradation of residual
    losses into induced omission faults, and the greedy-cover attribution. *)
 
@@ -160,7 +160,7 @@ let check_equal ~ctx (res_a, trace_a) (res_b, trace_b) =
 
 (* With every fault probability at zero, running over the transport must be
    byte-identical — outcome and JSONL trace — to running without one, for
-   every registry protocol on both engine paths. *)
+   every registry protocol. *)
 let test_zero_fault_identity entry () =
   let n = max entry.Harness.Registry.min_n 12 in
   let t = max 1 (min 3 (entry.Harness.Registry.max_t n)) in
@@ -182,30 +182,17 @@ let test_zero_fault_identity entry () =
           let tr = Net.Transport.create Net.Spec.default cfg in
           run ~link:(Net.Transport.link tr) ~adversary ~trace)
     in
-    let legacy =
+    let linkless =
       capture ~n ~adv_idx (fun ~adversary ~trace ->
           Sim.Engine.run ~trace (Harness.Registry.build entry cfg) cfg
             ~adversary ~inputs)
     in
-    let legacy_linked =
+    let linked =
       with_link (fun ~link ~adversary ~trace ->
           Sim.Engine.run ~trace ~link (Harness.Registry.build entry cfg) cfg
             ~adversary ~inputs)
     in
-    check_equal ~ctx:(ctx ^ " [legacy]") legacy legacy_linked;
-    let preferred =
-      capture ~n ~adv_idx (fun ~adversary ~trace ->
-          Sim.Engine.run_any ~trace
-            (Harness.Registry.build_any entry cfg)
-            cfg ~adversary ~inputs)
-    in
-    let preferred_linked =
-      with_link (fun ~link ~adversary ~trace ->
-          Sim.Engine.run_any ~trace ~link
-            (Harness.Registry.build_any entry cfg)
-            cfg ~adversary ~inputs)
-    in
-    check_equal ~ctx:(ctx ^ " [preferred]") preferred preferred_linked
+    check_equal ~ctx linkless linked
   done
 
 (* --- Synchronizer masking --- *)
@@ -214,8 +201,6 @@ let flood_cfg ~n ~t ~seed =
   let cfg0 = Sim.Config.make ~n ~t_max:t ~seed () in
   Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:(cfg0.Sim.Config.t_max + 3) ()
 
-let flood_any cfg =
-  Sim.Protocol_intf.Buffered (Consensus.Flood.protocol_buffered cfg)
 
 (* A loss rate the retry budget covers is fully masked: zero residual, no
    induced faults, and the outcome equals the linkless run's bit for bit. *)
@@ -224,15 +209,18 @@ let test_masking () =
   let inputs = Array.init 12 (fun i -> i mod 2) in
   let baseline =
     match
-      Supervise.run_any (flood_any cfg) cfg ~adversary:Adversary.none ~inputs
+      Supervise.run
+        (Consensus.Flood.protocol_buffered cfg)
+        cfg ~adversary:Adversary.none ~inputs
     with
     | Ok o -> o
     | Error _ -> Alcotest.fail "baseline run failed"
   in
   let net = spec_of "drop=0.3,retries=10" in
   match
-    Supervise.run_net ~net (flood_any cfg) cfg ~adversary:Adversary.none
-      ~inputs
+    Supervise.run_net ~net
+      (Consensus.Flood.protocol_buffered cfg)
+      cfg ~adversary:Adversary.none ~inputs
   with
   | Error _ -> Alcotest.fail "masked run reported a failure"
   | Ok (o, d) ->
@@ -253,8 +241,9 @@ let test_beyond_model () =
   let inputs = Array.init 8 (fun i -> i mod 2) in
   let net = spec_of "drop=0.9,retries=0" in
   match
-    Supervise.run_net ~net (flood_any cfg) cfg ~adversary:Adversary.none
-      ~inputs
+    Supervise.run_net ~net
+      (Consensus.Flood.protocol_buffered cfg)
+      cfg ~adversary:Adversary.none ~inputs
   with
   | Ok (_, d) ->
       Alcotest.failf "beyond-model run reported Ok (%s)"

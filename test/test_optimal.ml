@@ -6,7 +6,7 @@ let run ?(n = 64) ?t ?(seed = 1) ?(adversary = Sim.Adversary_intf.none)
     ?(params = Consensus.Params.default) inputs =
   let t = match t with Some t -> t | None -> max 1 (n / 31) in
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:4000 () in
-  let proto = Consensus.Optimal_omissions.protocol ~params cfg in
+  let proto = Consensus.Optimal_omissions.protocol_buffered ~params cfg in
   Sim.Engine.run proto cfg ~adversary ~inputs
 
 let check_consensus ~what ~inputs o =
@@ -280,7 +280,7 @@ let test_vote_log () =
   let n = 36 in
   let log = ref [] in
   let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds:4000 () in
-  let proto = Consensus.Optimal_omissions.protocol ~vote_log:log cfg in
+  let proto = Consensus.Optimal_omissions.protocol_buffered ~vote_log:log cfg in
   let o =
     Sim.Engine.run proto cfg ~adversary:Sim.Adversary_intf.none
       ~inputs:(mixed n)

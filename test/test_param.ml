@@ -7,7 +7,7 @@ let run ?(n = 64) ?t ?(x = 4) ?(seed = 1) ?(adversary = Sim.Adversary_intf.none)
   let cfg0 = Sim.Config.make ~n ~t_max:t ~seed () in
   let max_rounds = Consensus.Param_omissions.rounds_needed ~x cfg0 + 10 in
   let cfg = { cfg0 with Sim.Config.max_rounds } in
-  let proto = Consensus.Param_omissions.protocol ~x cfg in
+  let proto = Consensus.Param_omissions.protocol_buffered ~x cfg in
   Sim.Engine.run proto cfg ~adversary ~inputs
 
 let check_consensus ~what ~inputs o =

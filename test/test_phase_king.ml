@@ -86,21 +86,25 @@ let test_pk_survives_vote_splitter () =
   Alcotest.(check int) "decides at finalize round" (pk_rounds 2) (decided o);
   ignore (agreed o)
 
+(* Driving a lone participant directly: a list-backed inbox iterator, and
+   an [emit_all] that drops its broadcasts. *)
+let iter inbox f = List.iter (fun (src, m) -> f src m) inbox
+let ignore_all ~lo:_ ~hi:_ ~skip:_ ~desc:_ _ = ()
+
 let test_pk_undecided_residue () =
   (* a participant that hears nothing across the whole fallback run ends
      with [decision = None] instead of echoing its own input — the caller
      owns that residue (Algorithm 1 lines 18-19) *)
   let t_max = 1 in
   let pk =
-    ref
-      (Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
-         ~input:1)
+    Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
+      ~input:1
   in
   for lr = 1 to Consensus.Phase_king.rounds ~t_max do
-    let pk', _out = Consensus.Phase_king.step !pk ~local_round:lr ~inbox:[] in
-    pk := pk'
+    Consensus.Phase_king.step_into pk ~local_round:lr ~iter:(iter [])
+      ~emit_all:ignore_all
   done;
-  let fin = Consensus.Phase_king.finalize !pk ~inbox:[] in
+  let fin = Consensus.Phase_king.finalize_into pk ~iter:(iter []) in
   Alcotest.(check bool) "never heard" false (Consensus.Phase_king.heard fin);
   Alcotest.(check (option int))
     "undecided residue" None
@@ -112,16 +116,15 @@ let test_pk_heard_decides () =
   (* a single received fallback message is enough to clear the residue *)
   let t_max = 1 in
   let pk =
-    ref
-      (Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
-         ~input:1)
+    Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
+      ~input:1
   in
   for lr = 1 to Consensus.Phase_king.rounds ~t_max do
     let inbox = if lr = 2 then [ (0, Consensus.Phase_king.Value 0) ] else [] in
-    let pk', _out = Consensus.Phase_king.step !pk ~local_round:lr ~inbox in
-    pk := pk'
+    Consensus.Phase_king.step_into pk ~local_round:lr ~iter:(iter inbox)
+      ~emit_all:ignore_all
   done;
-  let fin = Consensus.Phase_king.finalize !pk ~inbox:[] in
+  let fin = Consensus.Phase_king.finalize_into pk ~iter:(iter []) in
   Alcotest.(check bool) "heard" true (Consensus.Phase_king.heard fin);
   Alcotest.(check bool) "decided" true
     (Consensus.Phase_king.decision fin <> None)

@@ -14,7 +14,7 @@ let contains haystack needle =
 let cfg ?(n = 8) ?(max_rounds = 10) () =
   Sim.Config.make ~n ~t_max:2 ~seed:1 ~max_rounds ()
 
-let echo = (module Test_engine.Echo : Sim.Protocol_intf.S)
+let echo = (module Test_engine.Echo : Sim.Protocol_intf.BUFFERED)
 
 let srun ?budget ?(proto = echo) ?(n = 8) ?(max_rounds = 10) () =
   Supervise.run ?budget proto
@@ -110,8 +110,13 @@ let test_protocol_crash_contained () =
   | _ -> Alcotest.fail "a raising protocol must be Error (Crashed, None)"
 
 let test_protocol_crash_pid_filter () =
-  (* the victim pid never exists at n = 8, so the wrapped protocol is
-     indistinguishable from the original *)
+  (* a pid that exists fires the crash ... *)
+  let victim = Supervise.Chaos.protocol ~pid:3 ~crash_round:2 echo in
+  (match srun ~proto:victim () with
+  | Error (Supervise.Crashed _, None) -> ()
+  | _ -> Alcotest.fail "the named pid must crash");
+  (* ... the victim pid 99 never exists at n = 8, so that wrapped protocol
+     is indistinguishable from the original *)
   let proto = Supervise.Chaos.protocol ~pid:99 ~crash_round:2 echo in
   match (srun ~proto (), srun ()) with
   | Ok a, Ok b ->
@@ -143,7 +148,7 @@ let test_illegal_plan_contained () =
 let sweep_task i =
   let n = 16 and seed = i + 1 in
   let cfg = Sim.Config.make ~n ~t_max:4 ~seed ~max_rounds:2000 () in
-  let proto = Consensus.Bjbo.protocol cfg in
+  let proto = Consensus.Bjbo.protocol_buffered cfg in
   let inputs = Array.init n (fun j -> j mod 2) in
   Sim.Engine.run proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs
 

@@ -6,7 +6,7 @@
 let cfg ?(n = 8) ?(seed = 1) ?(max_rounds = 10) () =
   Sim.Config.make ~n ~t_max:2 ~seed ~max_rounds ()
 
-let echo = (module Test_engine.Echo : Sim.Protocol_intf.S)
+let echo = (module Test_engine.Echo : Sim.Protocol_intf.BUFFERED)
 let inputs n = Array.init n (fun i -> i mod 2)
 
 let traced_run ?(n = 8) ?(seed = 1) ?(adversary = Sim.Adversary_intf.none) ()
@@ -279,7 +279,7 @@ let test_counterexample_trace_tail () =
   let disagree : Sim.Protocol_intf.builder =
     (module struct
       let name = "disagree"
-      let build _ = (module Test_harness.Selfish : Sim.Protocol_intf.S)
+      let build _ = (module Test_harness.Selfish : Sim.Protocol_intf.BUFFERED)
       let rounds_needed _ = 3
     end)
   in

@@ -97,7 +97,10 @@ let qcheck_no_contradiction =
 
 (* --- phase king --- *)
 
-(* Drive phase-king instances directly over a lossless network. *)
+(* Drive phase-king instances directly over a lossless network, with
+   list-backed inboxes. *)
+let iter inbox f = List.iter (fun (src, m) -> f src m) inbox
+
 let run_phase_king ~n ~t_max ~participating ~inputs =
   let sts =
     Array.init n (fun pid ->
@@ -110,11 +113,11 @@ let run_phase_king ~n ~t_max ~participating ~inputs =
     let next = Array.make n [] in
     Array.iteri
       (fun pid st ->
-        let st, out =
-          Consensus.Phase_king.step st ~local_round:r ~inbox:inboxes.(pid)
-        in
-        sts.(pid) <- st;
-        List.iter (fun (dst, m) -> next.(dst) <- (pid, m) :: next.(dst)) out)
+        Consensus.Phase_king.step_into st ~local_round:r
+          ~iter:(iter inboxes.(pid))
+          ~emit_all:
+            (Sim.Protocol_intf.emit_all_pointwise (fun dst m ->
+                 next.(dst) <- (pid, m) :: next.(dst))))
       sts;
     Array.iteri
       (fun i l -> inboxes.(i) <- List.sort (fun (a, _) (b, _) -> compare a b) l)
@@ -122,7 +125,8 @@ let run_phase_king ~n ~t_max ~participating ~inputs =
   done;
   Array.iteri
     (fun pid st ->
-      sts.(pid) <- Consensus.Phase_king.finalize st ~inbox:inboxes.(pid))
+      sts.(pid) <-
+        Consensus.Phase_king.finalize_into st ~iter:(iter inboxes.(pid)))
     sts;
   Array.map Consensus.Phase_king.decision sts
 
