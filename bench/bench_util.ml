@@ -1,6 +1,6 @@
 (* Shared plumbing for the experiment harness: stdout tables, the
    JSON-lines results sink, and the supervision glue — quarantined sweeps,
-   watchdog budgets, and the checkpoint journal behind --resume. *)
+   watchdog budgets, and the run cache behind --cache and --resume. *)
 
 let section title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -105,7 +105,7 @@ module Out = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Supervision state: watchdog budget, quarantine ledger, journal.     *)
+(* Supervision state: watchdog budget, run cache, quarantine ledger.   *)
 (* ------------------------------------------------------------------ *)
 
 (* wired from --wall-budget / --round-budget / --msg-budget / --rand-budget *)
@@ -187,61 +187,16 @@ let trace_file_path () =
            (Printf.sprintf "%s.%s.%d.trace.%s" !Out.experiment sanitized seq
               (Trace.format_extension !trace_format)))
 
-(* the checkpoint journal behind --resume, or None when disabled *)
-let journal : Supervise.Journal.t option ref = ref None
-
-let enable_journal ~path ~resume =
-  let j = Supervise.Journal.open_ ~path ~resume in
-  if resume then begin
-    Printf.printf "resume: %d journaled rows loaded from %s%s\n"
-      (Supervise.Journal.entries j)
-      path
-      (match Supervise.Journal.corrupt j with
-      | 0 -> ""
-      | c -> Printf.sprintf " (%d corrupt lines skipped)" c);
-    if Supervise.Journal.corrupt j > 0 then
-      Out.emit ~kind:"journal-corrupt"
-        [ ("skipped_lines", Out.I (Supervise.Journal.corrupt j)) ]
-  end;
-  journal := Some j
-
-let close_journal () =
-  match !journal with
-  | None -> ()
-  | Some j ->
-      Supervise.Journal.close j;
-      journal := None
-
-(* the content-addressed run cache behind --cache, or None when off. The
-   journal and the cache are complementary layers: the journal is one
-   campaign's crash log (keyed by experiment/point/seed, deleted when the
-   campaign completes), the cache is a cross-campaign memo keyed by run
-   content. [sweep] consults journal first, cache second, and
-   cross-populates on a hit in either, so a campaign can resume from
-   whichever layer survives. *)
+(* the content-addressed run cache behind --cache and --resume, or None
+   when off: the only memo, so a killed campaign rerun on the same store
+   skips every task it already finished *)
 let store : Cache.Store.t option ref = ref None
-
-let enable_cache ~dir =
-  let s = Cache.Store.open_ ~dir () in
-  Printf.printf "cache: %d entries in %s%s\n"
-    (Cache.Store.entries s) dir
-    (match Cache.Store.corrupt s with
-    | 0 -> ""
-    | c -> Printf.sprintf " (%d corrupt index lines skipped)" c);
-  store := Some s
-
-let close_cache () =
-  match !store with
-  | None -> ()
-  | Some s ->
-      Cache.Store.close s;
-      store := None
 
 (* Per-experiment cache accounting: [cache_mark] snapshots the store
    counters, [emit_cache_delta] reports the movement since the snapshot
-   as one kind="cache" row. Counters are ints and the store is consulted
-   only from the main domain's sweep scheduling (workers never touch it),
-   so the rows are deterministic at any --jobs count. *)
+   as one kind="cache" row. Counters are ints, lookups run only on the
+   main domain before dispatch, and workers write back exactly their
+   successes, so the rows are deterministic at any --jobs count. *)
 let cache_mark () =
   match !store with
   | None -> (0, 0, 0)
@@ -352,7 +307,7 @@ type run_measure = {
   faults : int;
   metrics : Trace.Metrics.summary option;
       (** per-round trace metrics, when --trace is on (absent on
-          journal-resumed rows: the journal codec keeps only the scalars) *)
+          cache hits: the codec keeps only the scalars) *)
 }
 
 exception Violation of string
@@ -460,7 +415,7 @@ let measure ?on_round proto cfg ~adversary ~inputs =
     metrics = Option.map (fun (_, summary) -> summary ()) collector;
   }
 
-(* journal codec for run_measure; the decoder rejects torn rows *)
+(* cache codec for run_measure; the decoder rejects torn payloads *)
 let measure_to_string m =
   Printf.sprintf "%d %b %d %d %d %d %d" m.rounds m.decided m.messages m.bits
     m.rand_calls m.rand_bits m.faults
@@ -602,63 +557,17 @@ let avg_runs ?(label = "") ms =
    quarantined (reported + counted, with a replay command when [replay] is
    given), so the sweep always completes its surviving points.
 
-   [point] names a parameter for journal keys and quarantine labels. When
-   [codec] is given and the journal is enabled, each completed (experiment,
-   point, seed) task is journaled as it finishes, and journaled tasks are
-   skipped on --resume — bit-identical results, since every task is a pure
-   function of its (param, seed). *)
+   [point] names a parameter for cache keys and quarantine labels. With
+   [codec], the sweep runs through [Supervise.Cached.map] keyed by
+   "experiment|point|seed=N": with the store on, finished tasks are
+   served from it — bit-identical, since every task is a pure function of
+   its (param, seed) — which is how a killed campaign resumes. *)
 let sweep ?codec ?replay ~point ~params ~seeds f =
   let tasks =
     Array.of_list
       (List.concat_map (fun p -> List.map (fun s -> (p, s)) seeds) params)
   in
-  let key (p, s) = Printf.sprintf "%s|%s|seed=%d" !Out.experiment (point p) s in
-  (* Journal first — this campaign's own checkpoint — then the
-     cross-campaign cache. A hit in either back-fills the other, so a
-     later resume can ride whichever layer survives; the store is only
-     consulted on a journal miss, keeping its hit/miss counters honest.
-     All lookups run on the main domain before dispatch, never in
-     workers, so accounting and record order are --jobs-independent. *)
-  let decode =
-    match codec with
-    | None -> fun _ -> None
-    | Some (enc, dec) -> (
-        fun task ->
-          let k = key task in
-          let from_journal =
-            Option.bind
-              (Option.bind !journal (fun j -> Supervise.Journal.lookup j k))
-              dec
-          in
-          match from_journal with
-          | Some v ->
-              Option.iter
-                (fun s -> Cache.Store.add s ~key:k (enc v))
-                !store;
-              Some v
-          | None ->
-              let from_store =
-                Option.bind
-                  (Option.bind !store (fun s -> Cache.Store.lookup s k))
-                  dec
-              in
-              Option.iter
-                (fun v ->
-                  Option.iter
-                    (fun j -> Supervise.Journal.record j ~key:k (enc v))
-                    !journal)
-                from_store;
-              from_store)
-  in
-  let cached = Array.map decode tasks in
-  let torun =
-    Array.of_list
-      (List.filter
-         (fun i -> cached.(i) = None)
-         (List.init (Array.length tasks) Fun.id))
-  in
-  let describe _k i =
-    let p, s = tasks.(i) in
+  let describe _ (p, s) =
     {
       Supervise.d_label = Printf.sprintf "%s/seed=%d" (point p) s;
       d_seed = Some s;
@@ -671,33 +580,15 @@ let sweep ?codec ?replay ~point ~params ~seeds f =
                  !Out.experiment));
     }
   in
-  let fresh =
-    Supervise.map ~budget:!budget ~describe
-      (fun i ->
-        let p, s = tasks.(i) in
-        f p s)
-      torun
-  in
-  (* merge journal hits and fresh results back into task order, recording
-     fresh successes as we go *)
-  let results = Array.map (fun c -> Option.map Result.ok c) cached in
-  Array.iteri
-    (fun k r ->
-      let i = torun.(k) in
-      (match (r, codec) with
-      | Ok v, Some (enc, _) ->
-          let tk = key tasks.(i) in
-          Option.iter
-            (fun j -> Supervise.Journal.record j ~key:tk (enc v))
-            !journal;
-          Option.iter (fun s -> Cache.Store.add s ~key:tk (enc v)) !store
-      | _ -> ());
-      results.(i) <- Some r)
-    fresh;
+  let run (p, s) = f p s in
   let results =
-    Array.map
-      (function Some r -> r | None -> assert false (* every slot filled *))
-      results
+    match codec with
+    | None -> Supervise.map ~budget:!budget ~describe run tasks
+    | Some codec ->
+        Supervise.Cached.map ~budget:!budget ~describe ?store:!store
+          ~key:(fun (p, s) ->
+            Printf.sprintf "%s|%s|seed=%d" !Out.experiment (point p) s)
+          ~codec run tasks
   in
   (* quarantine failures in task order, then regroup successes per param *)
   Array.iter
@@ -718,35 +609,31 @@ let sweep ?codec ?replay ~point ~params ~seeds f =
    and [codec] and the store on, a successful result is memoized and a
    later campaign gets it without running — failures are never cached. *)
 let protected ?cache_key ?codec ~label f =
-  let from_store =
-    match (cache_key, codec, !store) with
-    | Some k, Some (_, dec), Some s -> Option.bind (Cache.Store.lookup s k) dec
-    | _ -> None
+  let descriptor =
+    {
+      Supervise.d_label = label;
+      d_seed = None;
+      d_replay =
+        Some
+          (Printf.sprintf "dune exec bench/main.exe -- --only %s"
+             !Out.experiment);
+    }
   in
-  match from_store with
-  | Some v -> Some v
-  | None -> (
-      match
-        Supervise.protect ~budget:!budget
-          ~descriptor:
-            {
-              Supervise.d_label = label;
-              d_seed = None;
-              d_replay =
-                Some
-                  (Printf.sprintf "dune exec bench/main.exe -- --only %s"
-                     !Out.experiment);
-            }
-          f
-      with
-      | Ok v ->
-          (match (cache_key, codec, !store) with
-          | Some k, Some (enc, _), Some s -> Cache.Store.add s ~key:k (enc v)
-          | _ -> ());
-          Some v
-      | Error fl ->
-          quarantine fl;
-          None)
+  let result =
+    match (cache_key, codec) with
+    | Some k, Some codec ->
+        (Supervise.Cached.map ~jobs:1 ~budget:!budget
+           ~describe:(fun _ () -> descriptor)
+           ?store:!store
+           ~key:(fun () -> k)
+           ~codec f [| () |]).(0)
+    | _ -> Supervise.protect ~budget:!budget ~descriptor f
+  in
+  match result with
+  | Ok v -> Some v
+  | Error fl ->
+      quarantine fl;
+      None
 
 let optimal_run ?(adversary = Adversary.vote_splitter ()) ~n ~t ~seed () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in

@@ -288,7 +288,7 @@ let t1_abraham ~quick () =
 (* T1-thm2: the lower bound T x (R+T) = Omega(t^2 / log n).            *)
 (* ------------------------------------------------------------------ *)
 
-(* journal codec for the coin-game result record ([%h] round-trips the
+(* cache codec for the coin-game result record ([%h] round-trips the
    float bound exactly) *)
 let product_codec =
   ( (fun (r : Lowerbound.Product.result) ->

@@ -11,9 +11,9 @@
                                               # are identical at any width)
      dune exec bench/main.exe -- --json out.json  # JSON-lines sink
                                               # (default BENCH_consensus.json)
-     dune exec bench/main.exe -- --resume     # skip work journaled in
-                                              # <json>.journal by an
-                                              # interrupted campaign
+     dune exec bench/main.exe -- --resume     # = --cache <json>.cache:
+                                              # rerun a killed campaign to
+                                              # skip what it finished
      dune exec bench/main.exe -- --stable-json    # omit wall_s stamps, so
                                               # two runs diff byte-identical
      dune exec bench/main.exe -- --wall-budget 30 --rand-budget 1000000
@@ -103,9 +103,9 @@ let () =
          \"\" disables)" );
       ( "--resume",
         Arg.Set resume,
-        "skip sweep tasks journaled in <json>.journal by a previous \
-         (interrupted) campaign; results are bit-identical to an \
-         uninterrupted run" );
+        "shorthand for --cache <json>.cache: rerunning a killed campaign \
+         with --resume skips every task it finished; results are \
+         bit-identical to an uninterrupted run" );
       ( "--stable-json",
         Arg.Set stable,
         "omit wall_s stamps from JSON records, so two runs of the same \
@@ -153,7 +153,8 @@ let () =
          fresh results are written back" );
       ( "--no-cache",
         Arg.Set no_cache,
-        "ignore --cache for this campaign (every run executes)" );
+        "ignore --cache and --resume for this campaign (every run \
+         executes)" );
     ]
   in
   Arg.parse spec
@@ -177,14 +178,11 @@ let () =
     if not (Sys.file_exists !trace_dir) then Sys.mkdir !trace_dir 0o755;
     Bench_util.trace_dir := Some !trace_dir
   end;
-  if !resume && !json = "" then begin
-    Printf.eprintf "--resume needs a --json path (the journal lives beside it)\n";
-    exit 2
-  end;
-  Bench_util.Out.set_path (if !json = "" then None else Some !json);
-  if !json <> "" then
-    Bench_util.enable_journal ~path:(!json ^ ".journal") ~resume:!resume;
-  if (not !no_cache) && !cache <> "" then Bench_util.enable_cache ~dir:!cache;
+  let json = if !json = "" then None else Some !json in
+  Bench_util.store :=
+    Run_spec.Cli.store_of_flags ~resume:!resume ~json ~cache:!cache
+      ~no_cache:!no_cache;
+  Bench_util.Out.set_path json;
   Bench_util.budget :=
     Run_spec.Cli.budget_of_flags
       {
@@ -228,8 +226,9 @@ let () =
           ("jobs", Bench_util.Out.I (Exec.default_jobs ()));
         ])
     selected;
-  (* bechamel micro-benches default off under --cache: they measure this
-     machine's timings, which no cache can serve — --micro re-enables. *)
+  (* bechamel micro-benches default off while the store is on: they
+     measure this machine's timings, which no cache can serve — --micro
+     re-enables. *)
   let run_micro =
     match !micro with
     | Some b -> b
@@ -248,12 +247,14 @@ let () =
           ("writes", Bench_util.Out.I st.Cache.Stats.writes);
           ("entries", Bench_util.Out.I (Cache.Store.entries s));
         ];
-      Printf.printf "\ncache: %s (%d entries in %s)\n"
+      Printf.printf "\ncache: %s (%d entries in %s%s)\n"
         (Fmt.str "%a" Cache.Stats.pp st)
-        (Cache.Store.entries s) (Cache.Store.dir s));
+        (Cache.Store.entries s) (Cache.Store.dir s)
+        (match Cache.Store.corrupt s with
+        | 0 -> ""
+        | c -> Printf.sprintf ", %d corrupt dropped" c);
+      Cache.Store.close s);
   Printf.printf "\ntotal wall time: %.1f s\n" (Unix.gettimeofday () -. t0);
   Bench_util.print_failure_summary ();
   Bench_util.Out.close ();
-  Bench_util.close_journal ();
-  Bench_util.close_cache ();
   if Bench_util.failures () > 0 then exit 1

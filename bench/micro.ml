@@ -126,16 +126,13 @@ let measure_path ~name ~path ~n ~t ~runs f =
   let key =
     Printf.sprintf "micro-engine|%s|%s|n=%d|t=%d|runs=%d" name path n t runs
   in
+    let decode payload =
+      match String.split_on_char ' ' payload with
+      | [ w; r ] -> Some (float_of_string w, int_of_string r)
+      | _ -> None
+    in
     let cached =
-      match !Bench_util.store with
-      | None -> None
-      | Some s ->
-          Option.bind (Cache.Store.lookup s key) (fun payload ->
-              match String.split_on_char ' ' payload with
-              | [ w; r ] -> (
-                  try Some (float_of_string w, int_of_string r)
-                  with _ -> None)
-              | _ -> None)
+      Option.bind !Bench_util.store (fun s -> Cache.Store.lookup s ~decode key)
     in
     let wpr, rounds, fresh_wall =
       match cached with

@@ -54,7 +54,7 @@ type net_measure = {
   net_rounds : int;
 }
 
-(* journal codec; the decoder rejects torn rows *)
+(* cache codec; the decoder rejects torn payloads *)
 let nm_to_string m =
   Printf.sprintf "%d %b %d %d %d %d %d %d %d %d" m.rounds m.decided m.messages
     m.delivered m.attempts m.retransmits m.residual m.induced m.slots

@@ -30,7 +30,9 @@ let run_cmd spec0 seeds trace trace_dir trace_format trace_tail cache
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
   let format = Run_spec.Cli.format_or_die trace_format in
   Option.iter ensure_dir trace_dir;
-  let store = Run_spec.Cli.store_of_flags ~cache ~no_cache in
+  let store =
+    Run_spec.Cli.store_of_flags ~resume:false ~json:None ~cache ~no_cache
+  in
   let { Run_spec.protocol; n; t_max = t; _ } = spec0 in
   let failures = ref 0 in
   let run_one ~seed ~verbose =
@@ -248,14 +250,10 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
   let time_budget = if smoke then Some 25.0 else None in
   let jobs = if jobs <= 0 then Exec.default_jobs () else jobs in
   let format = Run_spec.Cli.format_or_die trace_format in
-  (* --json FILE: machine-readable result records in FILE, checkpoint
-     journal beside it (FILE.journal) — same layout as bench/main.exe. *)
-  let journal_path = Option.map (fun j -> j ^ ".journal") json in
-  if resume && journal_path = None then begin
-    Fmt.epr "fuzz: --resume needs --json FILE@.";
-    exit 2
-  end;
-  let store = Run_spec.Cli.store_of_flags ~cache ~no_cache in
+  (* --json FILE: machine-readable result records in FILE; --resume
+     keeps the run cache beside it (FILE.cache) — same layout as
+     bench/main.exe. *)
+  let store = Run_spec.Cli.store_of_flags ~resume ~json ~cache ~no_cache in
   let json_ch = Option.map (fun path -> open_out path) json in
   let emit_json fields =
     match json_ch with
@@ -264,25 +262,11 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
         output_string ch ("{" ^ String.concat "," fields ^ "}\n");
         flush ch
   in
-  let journal =
-    Option.map
-      (fun path ->
-        let j = Supervise.Journal.open_ ~path ~resume in
-        if resume then
-          Fmt.pr "fuzz: resuming — %d scenario(s) journaled%s@."
-            (Supervise.Journal.entries j)
-            (match Supervise.Journal.corrupt j with
-            | 0 -> ""
-            | c -> Fmt.str " (%d corrupt line(s) skipped)" c);
-        j)
-      journal_path
-  in
   let result =
     Harness.Fuzz.run ~protocols ~count ~seed ~max_n ?time_budget ~jobs
       ~progress:(fun m -> Fmt.pr "fuzz: %s@." m)
-      ?journal ?store ()
+      ?store ()
   in
-  Option.iter Supervise.Journal.close journal;
   (match store with
   | None -> ()
   | Some st ->
@@ -604,17 +588,18 @@ let fuzz_term =
           ~doc:
             "JSON-lines result sink: the final stats (kind=\"fuzz-ok\") or \
              the shrunk counterexample with its trace tail \
-             (kind=\"quarantine\") land in $(docv); the checkpoint journal \
-             behind $(b,--resume) lives beside it at $(docv).journal.")
+             (kind=\"quarantine\") land in $(docv); $(b,--resume) keeps \
+             its run cache beside it at $(docv).cache.")
   in
   let resume =
     Arg.(
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Skip scenarios already journaled by a previous (interrupted) \
-             soak with the same seed; final stats are identical to an \
-             uninterrupted run.")
+            "Shorthand for $(b,--cache) FILE.cache, FILE being the \
+             $(b,--json) path: rerunning a killed soak with $(b,--resume) \
+             skips every scenario it already proved clean; final stats are \
+             identical to an uninterrupted run.")
   in
   let cache =
     Arg.(
@@ -629,7 +614,8 @@ let fuzz_term =
   let no_cache =
     Arg.(
       value & flag
-      & info [ "no-cache" ] ~doc:"Ignore --cache: always execute.")
+      & info [ "no-cache" ]
+          ~doc:"Ignore --cache and --resume: always execute.")
   in
   Term.(
     const fuzz_cmd $ count $ seed_arg $ max_n $ protocol $ smoke $ jobs $ json

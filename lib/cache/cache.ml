@@ -41,42 +41,58 @@ module Store = struct
   (* Replay the index. A well-formed line is "hex TAB size"; anything
      else — torn final line, garbage bytes, bad size — is skipped and
      counted. Duplicate digests are fine (lookup self-repair re-appends
-     after rewriting an object); latest wins. *)
+     after rewriting an object); latest wins. Returns the corrupt count
+     and whether the file ends mid-line. *)
   let load_index path index =
-    if not (Sys.file_exists path) then 0
+    if not (Sys.file_exists path) then (0, false)
     else begin
       let ic = open_in_bin path in
-      let corrupt = ref 0 in
-      (try
-         while true do
-           let line = input_line ic in
-           match String.index_opt line '\t' with
-           | Some i
-             when i > 0
-                  && i < String.length line - 1
-                  && not (String.contains_from line (i + 1) '\t') -> (
-               let hex = String.sub line 0 i in
-               let size = String.sub line (i + 1) (String.length line - i - 1) in
-               match int_of_string_opt size with
-               | Some sz when sz >= 0 && is_hex hex ->
-                   Hashtbl.replace index hex sz
-               | _ -> incr corrupt)
-           | _ -> incr corrupt
-         done
-       with End_of_file -> ());
+      let text = really_input_string ic (in_channel_length ic) in
       close_in ic;
-      !corrupt
+      let corrupt = ref 0 in
+      let parse line =
+        match String.index_opt line '\t' with
+        | Some i
+          when i > 0
+               && i < String.length line - 1
+               && not (String.contains_from line (i + 1) '\t') -> (
+            let hex = String.sub line 0 i in
+            let size = String.sub line (i + 1) (String.length line - i - 1) in
+            match int_of_string_opt size with
+            | Some sz when sz >= 0 && is_hex hex -> Hashtbl.replace index hex sz
+            | _ -> incr corrupt)
+        | _ -> incr corrupt
+      in
+      (* the element after the last newline is "" unless the file ends
+         mid-line *)
+      let rec go = function
+        | [] | [ "" ] -> false
+        | [ torn ] ->
+            parse torn;
+            true
+        | line :: rest ->
+            parse line;
+            go rest
+      in
+      let torn = go (String.split_on_char '\n' text) in
+      (!corrupt, torn)
     end
 
   let open_ ?(fingerprint = fingerprint) ~dir () =
     ensure_dir dir;
     ensure_dir (objects_dir dir);
     let index = Hashtbl.create 256 in
-    let corrupt = load_index (index_path dir) index in
+    let corrupt, torn = load_index (index_path dir) index in
     let oc =
       open_out_gen [ Open_wronly; Open_creat; Open_append; Open_binary ] 0o644
         (index_path dir)
     in
+    (* a torn final line has no newline: end it, or the next appended
+       entry would be glued onto the fragment and lost on reopen *)
+    if torn then begin
+      output_char oc '\n';
+      flush oc
+    end;
     {
       dir;
       fingerprint;
@@ -104,29 +120,30 @@ module Store = struct
         close_in_noerr ic;
         payload
 
-  let mem t key = Hashtbl.mem t.index (digest_key t key)
-
-  let lookup t key =
+  (* The caller's decoder is the validity check: a payload it rejects is
+     as corrupt as a torn one — same-length garbage passes the size check
+     — so it is dropped from the index (the next add rewrites it) and
+     counted as a miss, never as a hit. *)
+  let lookup t ~decode key =
     let hex = digest_key t key in
     Mutex.lock t.lock;
     let r =
       match Hashtbl.find_opt t.index hex with
-      | None ->
-          t.stats.Stats.misses <- t.stats.Stats.misses + 1;
-          None
+      | None -> None
       | Some size -> (
-          match read_object (object_path t hex) size with
-          | Some payload ->
-              t.stats.Stats.hits <- t.stats.Stats.hits + 1;
-              Some payload
+          match
+            Option.bind (read_object (object_path t hex) size) (fun p ->
+                try decode p with _ -> None)
+          with
+          | Some v -> Some v
           | None ->
-              (* the object is gone or torn: drop the entry so the next
-                 add can repair it, and recompute this once *)
               Hashtbl.remove t.index hex;
               t.corrupt <- t.corrupt + 1;
-              t.stats.Stats.misses <- t.stats.Stats.misses + 1;
               None)
     in
+    (match r with
+    | Some _ -> t.stats.Stats.hits <- t.stats.Stats.hits + 1
+    | None -> t.stats.Stats.misses <- t.stats.Stats.misses + 1);
     Mutex.unlock t.lock;
     r
 

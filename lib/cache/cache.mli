@@ -13,12 +13,13 @@
     <dir>/objects/<hex>    one payload file per entry
     v}
 
-    Crash safety follows the PR 3 journal discipline: the payload file
-    is written to a temporary name and renamed into place {e before}
-    its index line is appended and flushed, so a torn write leaves at
-    worst an unreachable object or a truncated index line — both
-    skipped (and counted) on the next open, costing one recompute, not
-    a crash. *)
+    Crash safety: the payload file is written to a temporary name and
+    renamed into place {e before} its index line is appended and
+    flushed, so a torn write leaves at worst an unreachable object or a
+    truncated index line — both skipped (and counted) on the next open,
+    costing one recompute, not a crash. Since every entry is written
+    the moment its task completes, the store is also the checkpoint
+    an interrupted campaign resumes from. *)
 
 val fingerprint : string
 (** Code fingerprint mixed into every digest. Bump whenever the engine
@@ -38,22 +39,20 @@ module Store : sig
   val open_ : ?fingerprint:string -> dir:string -> unit -> t
   (** Open (creating if needed) the store rooted at [dir]. The index is
       replayed; torn or corrupt lines are skipped and counted. The
-      index file stays open in append mode for the store's lifetime —
-      unlike the journal there is no truncating mode, because a cache
-      is meant to persist across runs. *)
+      index file stays open in append mode for the store's lifetime;
+      there is no truncating mode, because a cache is meant to persist
+      across runs. *)
 
   val digest_key : t -> string -> string
   (** Hex digest of [fingerprint ^ "\x00" ^ key] — the content address
       an entry lives under; exposed so provenance events can name it. *)
 
-  val lookup : t -> string -> string option
-  (** [lookup t key] returns the stored payload, reading the object
-      file on demand. A missing, truncated, or unreadable object drops
-      the entry (counted as corrupt) and returns [None], so a
-      subsequent {!add} repairs it. Counts a hit or a miss. *)
-
-  val mem : t -> string -> bool
-  (** Whether an index entry exists, without touching stats or disk. *)
+  val lookup : t -> decode:(string -> 'a option) -> string -> 'a option
+  (** [lookup t ~decode key] reads the stored payload on demand and
+      decodes it. A missing, truncated or unreadable object, or a payload
+      [decode] rejects (or raises on), drops the entry, counts it as
+      corrupt and returns [None], so the next {!add} repairs it. Counts a
+      hit only for a decoded payload, a miss otherwise. *)
 
   val add : t -> key:string -> string -> unit
   (** Store a payload. A key already present is left untouched (first

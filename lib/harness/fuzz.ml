@@ -77,42 +77,17 @@ let minimise ?(max_steps = 300) ~protocols (v : Runner.violation) s =
     in index order, reproducing the serial loop's stats and
     first-violation semantics exactly. *)
 let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
-    ?time_budget ?jobs ?(progress = fun _ -> ()) ?journal ?store () :
+    ?time_budget ?jobs ?(progress = fun _ -> ()) ?store () :
     (stats, failure * stats) result =
   let stats = stats_zero () in
-  (* checkpoint/resume: each clean scenario's stats contribution is
-     journaled under a (seed, index) key; on resume those scenarios are
-     folded from the journal without re-evaluation, so the final stats are
-     identical to an uninterrupted soak. Violations are never journaled —
-     an interrupted failing run re-finds the violation on resume. *)
-  let key i = Printf.sprintf "fuzz|seed=%d|i=%d" seed i in
-  let journal_cached i =
-    match journal with
-    | None -> None
-    | Some j -> (
-        match Supervise.Journal.lookup j (key i) with
-        | None -> None
-        | Some payload -> (
-            match String.split_on_char ' ' payload with
-            | [ r; c; d ] -> (
-                try Some (int_of_string r, int_of_string c, int_of_string d)
-                with _ -> None)
-            | _ -> None))
-  in
-  let record i ~runs ~checked ~det =
-    match journal with
-    | None -> ()
-    | Some j ->
-        Supervise.Journal.record j ~key:(key i)
-          (Printf.sprintf "%d %d %d" runs checked det)
-  in
   let root = Sim.Rand.create ~seed:(Int64.of_int seed) () in
-  (* content-addressed dedup across campaigns: the journal keys on
-     (seed, index), the store keys on the scenario itself (plus the
-     protocol set and which determinism check the rotation owes this
-     index), so a repeated or reseeded soak skips every scenario any
-     earlier campaign already proved clean. Violations are never stored
-     — a failing scenario re-runs, re-shrinks and re-reports. *)
+  (* checkpoint/resume and cross-campaign dedup in one: each clean
+     scenario's stats contribution is stored under the scenario itself
+     (plus the protocol set and which determinism check the rotation owes
+     this index), so an interrupted soak rerun on the same store — or a
+     repeated or reseeded one — folds every scenario already proved clean
+     without re-evaluating it, and reports identical stats. Violations are
+     never stored: a failing scenario re-runs, re-shrinks and re-reports. *)
   let protocols_sig =
     String.concat ","
       (List.sort compare (List.map (fun e -> e.Registry.id) protocols))
@@ -144,26 +119,12 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
       (Scenario.to_string s)
       (match det_entry i s with None -> "-" | Some e -> e.Registry.id)
   in
-  let store_cached i =
-    match store with
-    | None -> None
-    | Some st -> (
-        match Cache.Store.lookup st (store_key i (scenario_of i)) with
-        | None -> None
-        | Some payload -> (
-            match String.split_on_char ' ' payload with
-            | [ r; c; d ] -> (
-                try Some (int_of_string r, int_of_string c, int_of_string d)
-                with _ -> None)
-            | _ -> None))
-  in
-  let store_add i ~runs ~checked ~det =
-    match store with
-    | None -> ()
-    | Some st ->
-        Cache.Store.add st
-          ~key:(store_key i (scenario_of i))
-          (Printf.sprintf "%d %d %d" runs checked det)
+  (* payload: "runs checked det" *)
+  let encode (r, c, d) = Printf.sprintf "%d %d %d" r c d in
+  let decode payload =
+    match String.split_on_char ' ' payload with
+    | [ r; c; d ] -> Some (int_of_string r, int_of_string c, int_of_string d)
+    | _ -> None
   in
   let eval i =
     let s = scenario_of i in
@@ -182,24 +143,25 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
     in
     (s, report, violation, det)
   in
+  let add (runs, checked, det) =
+    stats.scenarios <- stats.scenarios + 1;
+    stats.runs <- stats.runs + runs;
+    stats.checked <- stats.checked + checked;
+    stats.determinism_checks <- stats.determinism_checks + det
+  in
   let exception Found of failure in
   try
     let i = ref 0 in
     while !i < count && not (out_of_time ()) do
       let hi = min count (!i + batch) in
       let lo = !i in
-      (* one lookup per index per batch — journal first (cheapest, no
-         disk), then the store — so the store's hit/miss stats mean what
-         they say *)
+      (* one store lookup per index, on this domain, before dispatch *)
       let pre =
         Array.init (hi - lo) (fun k ->
             let idx = lo + k in
-            match journal_cached idx with
-            | Some r -> Some (`Journal, r)
-            | None -> (
-                match store_cached idx with
-                | Some r -> Some (`Store, r)
-                | None -> None))
+            Option.bind store (fun st ->
+                Cache.Store.lookup st ~decode
+                  (store_key idx (scenario_of idx))))
       in
       let fresh =
         Array.of_list
@@ -209,34 +171,23 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
       in
       let results = Exec.map ~jobs (fun k -> (k, eval k)) fresh in
       (* index the fresh results so the fold below can walk lo..hi-1 in
-         order, interleaving journaled and freshly evaluated scenarios *)
+         order, interleaving stored and freshly evaluated scenarios *)
       let tbl = Hashtbl.create (Array.length results) in
       Array.iter (fun (k, r) -> Hashtbl.add tbl k r) results;
       for idx = lo to hi - 1 do
         (match pre.(idx - lo) with
-        | Some (src, (runs, checked, det)) ->
-            stats.scenarios <- stats.scenarios + 1;
-            stats.runs <- stats.runs + runs;
-            stats.checked <- stats.checked + checked;
-            stats.determinism_checks <- stats.determinism_checks + det;
-            (* cross-populate so each layer ends the soak complete: a
-               journal hit seeds the store, a store hit checkpoints the
-               journal *)
-            (match src with
-            | `Journal -> store_add idx ~runs ~checked ~det
-            | `Store -> record idx ~runs ~checked ~det)
+        | Some c -> add c
         | None ->
             let s, (report : Runner.report), violation, det =
               Hashtbl.find tbl idx
             in
-            stats.scenarios <- stats.scenarios + 1;
-            let runs = List.length report.results in
-            let checked =
-              List.length
-                (List.filter (fun r -> r.Runner.checked) report.results)
+            let c =
+              ( List.length report.results,
+                List.length
+                  (List.filter (fun r -> r.Runner.checked) report.results),
+                if det = None then 0 else 1 )
             in
-            stats.runs <- stats.runs + runs;
-            stats.checked <- stats.checked + checked;
+            add c;
             (match violation with
             | Some v ->
                 let shrunk, v', steps = minimise ~protocols v s in
@@ -250,23 +201,14 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
                      })
             | None -> ());
             (match det with
-            | None -> ()
-            | Some det_result -> (
-                stats.determinism_checks <- stats.determinism_checks + 1;
-                match det_result with
-                | Some v ->
-                    raise
-                      (Found
-                         {
-                           original = s;
-                           shrunk = s;
-                           violation = v;
-                           shrink_steps = 0;
-                         })
-                | None -> ()));
-            let det = if det = None then 0 else 1 in
-            record idx ~runs ~checked ~det;
-            store_add idx ~runs ~checked ~det);
+            | Some (Some v) ->
+                raise
+                  (Found
+                     { original = s; shrunk = s; violation = v; shrink_steps = 0 })
+            | Some None | None -> ());
+            Option.iter
+              (fun st -> Cache.Store.add st ~key:(store_key idx s) (encode c))
+              store);
         if (idx + 1) mod 50 = 0 then
           progress
             (Printf.sprintf "%d scenarios, %d protocol runs, %d checked"

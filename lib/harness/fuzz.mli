@@ -40,7 +40,6 @@ val run :
   ?time_budget:float ->
   ?jobs:int ->
   ?progress:(string -> unit) ->
-  ?journal:Supervise.Journal.t ->
   ?store:Cache.Store.t ->
   unit ->
   (stats, failure * stats) result
@@ -55,18 +54,11 @@ val run :
     — stats, first violation, shrunk counterexample — is identical at any
     [jobs]. [jobs = 1] is the serial loop.
 
-    With [journal], each clean scenario's stats contribution is recorded
-    under a [(seed, index)] key as it completes; scenarios already present
-    in the journal (opened with [~resume:true]) are folded from it without
-    re-evaluation, so an interrupted soak resumed with the same [seed] and
-    [count] reports stats identical to an uninterrupted one. Violations are
-    never journaled: resuming a failing soak re-finds the violation. The
-    caller closes the journal.
-
-    With [store], clean scenarios are additionally deduplicated across
-    campaigns through the content-addressed cache: the key is the
-    scenario itself (plus the protocol set and the determinism-check
-    assignment), so a repeated or reseeded soak skips work any earlier
-    one already did. Hits checkpoint the journal and journal hits seed
-    the store, so either layer alone suffices to resume. Violations are
-    never stored. The caller closes the store. *)
+    With [store], each clean scenario's stats contribution is stored
+    when its batch is folded, keyed by the scenario itself (plus the
+    protocol set and the determinism-check assignment). Stored scenarios
+    are folded without re-evaluation, so a soak interrupted and rerun on
+    the same store reports stats identical to an uninterrupted one, and
+    a repeated or reseeded soak skips work any earlier one already did.
+    Violations are never stored: resuming a failing soak re-finds the
+    violation. The caller closes the store. *)

@@ -276,9 +276,18 @@ module Cli = struct
         Fmt.epr "--trace-format must be jsonl or binary, not %S@." s;
         Stdlib.exit 2
 
-  let store_of_flags ~cache ~no_cache =
-    if no_cache || cache = "" then None
-    else Some (Cache.Store.open_ ~dir:cache ())
+  let store_of_flags ~resume ~json ~cache ~no_cache =
+    if resume && json = None then begin
+      Fmt.epr "--resume needs --json FILE (its cache is FILE.cache)@.";
+      Stdlib.exit 2
+    end;
+    let dir =
+      match json with
+      | Some j when cache = "" && resume -> j ^ ".cache"
+      | _ -> cache
+    in
+    if no_cache || dir = "" then None
+    else Some (Cache.Store.open_ ~dir ())
 
   let adversary_names = List.map fst adversaries
   let inputs_names = List.map fst inputs_table

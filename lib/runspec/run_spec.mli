@@ -96,7 +96,7 @@ val execute :
 
 (** Shared CLI parsing for the flag spellings common to
     [bin/consensus_sim] and [bench/main.exe]: budgets, [--net],
-    [--trace-format], [--cache]/[--no-cache]. Error behavior is
+    [--trace-format], [--cache]/[--resume]/[--no-cache]. Error behavior is
     identical on both surfaces — one line on stderr, exit 2. *)
 module Cli : sig
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }
@@ -116,9 +116,16 @@ module Cli : sig
   (** Parse a [--trace-format] value; on error print
       ["--trace-format must be jsonl or binary, not ..."] and exit 2. *)
 
-  val store_of_flags : cache:string -> no_cache:bool -> Cache.Store.t option
-  (** Open the run cache the [--cache DIR] / [--no-cache] flags select:
-      [None] when the dir is empty or [--no-cache] is given. *)
+  val store_of_flags :
+    resume:bool ->
+    json:string option ->
+    cache:string ->
+    no_cache:bool ->
+    Cache.Store.t option
+  (** Open the run cache the [--cache DIR] / [--resume] / [--no-cache]
+      flags select: [DIR] if given, else [<json>.cache] under
+      [--resume]; [None] when neither applies or [--no-cache] is given.
+      [--resume] without a [--json] path prints one line and exits 2. *)
 
   val adversary_names : string list
   val inputs_names : string list

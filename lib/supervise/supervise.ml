@@ -1,5 +1,5 @@
 (* Run supervision and fault containment: watchdog budgets, quarantining
-   map, checkpoint journal, chaos injection. See supervise.mli. *)
+   map, chaos injection, and the cache-aware wrappers. See supervise.mli. *)
 
 module Budget = struct
   type t = {
@@ -234,14 +234,20 @@ let run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs =
 
 (* --- quarantining map --- *)
 
-let map ?jobs ?(budget = Budget.unlimited) ?describe f xs =
+(* Run the tasks at indices [idx] of [xs]; results follow [idx], and
+   every descriptor and failure record names the task by its index in
+   [xs] — which is what a cache-aware caller running only the misses
+   needs. [on_ok i v] runs on the worker as soon as task [i] succeeds. *)
+let map_at ?jobs ?(budget = Budget.unlimited) ?describe
+    ?(on_ok = fun _ _ -> ()) f xs idx =
   let describe i x =
     match describe with
     | Some d -> d i x
     | None -> { d_label = string_of_int i; d_seed = None; d_replay = None }
   in
-  Exec.mapi ?jobs
-    (fun i x ->
+  Exec.map ?jobs
+    (fun i ->
+      let x = xs.(i) in
       let d = describe i x in
       Domain.DLS.set label_key (Some d.d_label);
       let t0 = Unix.gettimeofday () in
@@ -279,8 +285,12 @@ let map ?jobs ?(budget = Budget.unlimited) ?describe f xs =
                  })
       in
       Domain.DLS.set label_key None;
+      (match result with Ok v -> on_ok i v | Error _ -> ());
       result)
-    xs
+    idx
+
+let map ?jobs ?budget ?describe f xs =
+  map_at ?jobs ?budget ?describe f xs (Array.init (Array.length xs) Fun.id)
 
 let map_list ?jobs ?budget ?describe f xs =
   Array.to_list (map ?jobs ?budget ?describe f (Array.of_list xs))
@@ -290,76 +300,6 @@ let protect ?budget ?descriptor f =
     match descriptor with Some d -> Some (fun _ () -> d) | None -> None
   in
   (map ~jobs:1 ?budget ?describe (fun () -> f ()) [| () |]).(0)
-
-(* --- checkpoint journal --- *)
-
-module Journal = struct
-  type t = {
-    path : string;
-    tbl : (string, string) Hashtbl.t;
-    mutable ch : out_channel option;
-    mutable corrupt : int;
-  }
-
-  let well_formed s =
-    not (String.exists (fun c -> c = '\t' || c = '\n' || c = '\r') s)
-
-  let load t =
-    match open_in t.path with
-    | exception Sys_error _ -> ()
-    | ic ->
-        let rec go () =
-          match input_line ic with
-          | exception End_of_file -> close_in ic
-          | line ->
-              (match String.index_opt line '\t' with
-              | Some k when k > 0 && String.index_from_opt line (k + 1) '\t' = None
-                ->
-                  Hashtbl.replace t.tbl (String.sub line 0 k)
-                    (String.sub line (k + 1) (String.length line - k - 1))
-              | _ -> if line <> "" then t.corrupt <- t.corrupt + 1);
-              go ()
-        in
-        go ()
-
-  let open_ ~path ~resume =
-    let t = { path; tbl = Hashtbl.create 256; ch = None; corrupt = 0 } in
-    if resume then load t;
-    let flags =
-      if resume then [ Open_append; Open_creat; Open_wronly ]
-      else [ Open_trunc; Open_creat; Open_wronly ]
-    in
-    t.ch <- Some (open_out_gen flags 0o644 path);
-    t
-
-  let lookup t key = Hashtbl.find_opt t.tbl key
-
-  let record t ~key payload =
-    if not (well_formed key && well_formed payload) then
-      invalid_arg "Journal.record: tabs/newlines not allowed in key or payload";
-    Hashtbl.replace t.tbl key payload;
-    match t.ch with
-    | None -> ()
-    | Some ch ->
-        output_string ch key;
-        output_char ch '\t';
-        output_string ch payload;
-        output_char ch '\n';
-        (* flush per row: a kill costs at most the row being written, and
-           the loader skips that torn line *)
-        flush ch
-
-  let entries t = Hashtbl.length t.tbl
-  let corrupt t = t.corrupt
-  let path t = t.path
-
-  let close t =
-    match t.ch with
-    | None -> ()
-    | Some ch ->
-        close_out ch;
-        t.ch <- None
-end
 
 (* --- chaos injection --- *)
 
@@ -424,14 +364,6 @@ module Chaos = struct
       let msg_bits = P.msg_bits
       let msg_hint = P.msg_hint
     end)
-
-  let corrupt_row = "\xffGARBAGE corrupted row \xfe{not json, no tab payload"
-
-  let corrupt_journal ~path =
-    let ch = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-    output_string ch corrupt_row;
-    (* no trailing newline: simulates a torn write mid-row *)
-    close_out ch
 end
 
 (* ------------------------------------------------------------------ *)
@@ -587,15 +519,15 @@ module Cached = struct
 
   (* Only successes are cached: failures and degraded runs must re-run
      (and re-report) every time — a quarantine served from a cache would
-     hide a flaky environment. An undecodable payload (fingerprint
-     collision, hand-edited store) falls through to a fresh run. *)
+     hide a flaky environment. An undecodable payload (torn or
+     hand-edited object) is dropped by the lookup and recomputed once. *)
   let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
       ~inputs =
     let fresh () = run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs in
     match store with
     | None -> fresh ()
     | Some st -> (
-        match Option.bind (Cache.Store.lookup st key) outcome_of_string with
+        match Cache.Store.lookup st ~decode:outcome_of_string key with
         | Some o ->
             emit_hit trace st key;
             Ok o
@@ -612,7 +544,7 @@ module Cached = struct
     match store with
     | None -> fresh ()
     | Some st -> (
-        match Option.bind (Cache.Store.lookup st key) net_of_string with
+        match Cache.Store.lookup st ~decode:net_of_string key with
         | Some od ->
             emit_hit trace st key;
             Ok od
@@ -623,45 +555,32 @@ module Cached = struct
             | Error _ -> ());
             r)
 
-  (* Cache-aware quarantining map: consult the store per element, run
-     only the misses through the domain pool, merge in input order and
-     write fresh successes back. [describe] still sees original indices. *)
+  (* Cache-aware quarantining map: consult the store per element on the
+     calling domain, run only the misses through the domain pool, and
+     merge in input order. Each fresh success is written back by its
+     worker the moment it completes, so a killed sweep keeps every task
+     it finished. [describe] and quarantine records see original
+     indices, so a warm pass reports failures exactly as a cold one. *)
   let map ?jobs ?budget ?describe ?store ~key ~codec f xs =
     match store with
     | None -> map ?jobs ?budget ?describe f xs
     | Some st ->
-        let enc, dec = codec in
-        let n = Array.length xs in
-        let cached = Array.make n None in
-        Array.iteri
-          (fun i x ->
-            match Option.bind (Cache.Store.lookup st (key x)) dec with
-            | Some v -> cached.(i) <- Some v
-            | None -> ())
-          xs;
-        let torun_idx =
+        let enc, decode = codec in
+        let cached =
+          Array.map (fun x -> Cache.Store.lookup st ~decode (key x)) xs
+        in
+        let misses =
           Array.of_list
             (List.filter
                (fun i -> cached.(i) = None)
-               (List.init n (fun i -> i)))
-        in
-        let describe' =
-          Option.map (fun d j x -> d torun_idx.(j) x) describe
+               (List.init (Array.length xs) Fun.id))
         in
         let fresh =
-          map ?jobs ?budget ?describe:describe' f
-            (Array.map (fun i -> xs.(i)) torun_idx)
+          map_at ?jobs ?budget ?describe
+            ~on_ok:(fun i v -> Cache.Store.add st ~key:(key xs.(i)) (enc v))
+            f xs misses
         in
-        Array.iteri
-          (fun j r ->
-            match r with
-            | Ok v -> Cache.Store.add st ~key:(key xs.(torun_idx.(j))) (enc v)
-            | Error _ -> ())
-          fresh;
-        let fresh_pos = Array.make n (-1) in
-        Array.iteri (fun j i -> fresh_pos.(i) <- j) torun_idx;
-        Array.init n (fun i ->
-            match cached.(i) with
-            | Some v -> Ok v
-            | None -> fresh.(fresh_pos.(i)))
+        let results = Array.map (Option.map Result.ok) cached in
+        Array.iteri (fun j r -> results.(misses.(j)) <- Some r) fresh;
+        Array.map Option.get results
 end

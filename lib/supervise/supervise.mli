@@ -14,13 +14,10 @@
       when some fail; each failure carries the exception text, backtrace,
       seed and a replay command, so sweeps degrade to partial results plus
       a quarantine report instead of aborting.
-    - {b checkpoint/resume} ({!Journal}): a crash-safe, corrupt-tolerant
-      journal of completed work keyed by (experiment, point, seed);
-      interrupted campaigns resume bit-identically because every task is a
-      pure function of its seed.
+    - {b checkpoint/resume}: {!Cached} over the run cache, the only memo.
     - {b chaos mode} ({!Chaos}): seeded fault injection — exceptions,
-      artificial stragglers, corrupted journal rows — used by the test
-      suite to prove the containment claims above. *)
+      artificial stragglers, crashing protocols — used by the test suite
+      to prove the containment claims above. *)
 
 (** Watchdog budgets for a supervised task. *)
 module Budget : sig
@@ -184,33 +181,6 @@ val protect :
   ('b, failure) result
 (** {!map} over a single task. *)
 
-(** Crash-safe checkpoint journal: one [key TAB payload] line per completed
-    unit of work, flushed as it is written. Payload encoding/decoding is
-    the caller's (decoders should reject truncated rows); corrupt or
-    truncated lines are skipped and counted on load, so a row the chaos
-    suite (or a mid-write kill) mangles costs exactly one recomputed task,
-    never the campaign. Duplicate keys resolve to the latest record. *)
-module Journal : sig
-  type t
-
-  val open_ : path:string -> resume:bool -> t
-  (** [resume:false] truncates any existing journal and starts fresh;
-      [resume:true] loads the surviving rows first, then appends. *)
-
-  val lookup : t -> string -> string option
-  val record : t -> key:string -> string -> unit
-  (** Appends and flushes. Raises [Invalid_argument] if key or payload
-      contain tabs or newlines. *)
-
-  val entries : t -> int
-
-  val corrupt : t -> int
-  (** Corrupt lines skipped on load. *)
-
-  val path : t -> string
-  val close : t -> unit
-end
-
 (** Seeded fault injection, for proving the supervision layer contains
     what it claims to contain. *)
 module Chaos : sig
@@ -245,12 +215,6 @@ module Chaos : sig
   (** Wrap a protocol so that [step_into] raises {!Injected} at [crash_round]
       (for process [pid] only, if given) — a pathological protocol bug on
       demand, used to test {!run}'s containment. *)
-
-  val corrupt_row : string
-  (** A line guaranteed to parse as neither a journal row nor JSON. *)
-
-  val corrupt_journal : path:string -> unit
-  (** Append {!corrupt_row} to a journal file — simulates a torn write. *)
 end
 
 module Cached : sig
@@ -311,8 +275,11 @@ module Cached : sig
     ('a -> 'b) ->
     'a array ->
     ('b, failure) result array
-  (** Cache-aware {!map}: each element is looked up first; only misses
-      are dispatched to the domain pool; fresh successes are written
-      back. Results land in input order, and [describe] sees original
-      indices, so the quarantine/replay contract is unchanged. *)
+  (** Cache-aware {!map}: each element is looked up first, on the
+      calling domain; only misses are dispatched to the domain pool; each
+      fresh success is written back as soon as it completes, so a killed
+      batch keeps its finished work. Results land in input order, and
+      [describe] and [failure.index] see original indices, so the
+      quarantine/replay contract is unchanged by how much of the batch
+      was cached. [key] and [codec]'s encoder run on worker domains. *)
 end

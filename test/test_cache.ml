@@ -23,6 +23,9 @@ let rec rm_rf path =
   end
   else Sys.remove path
 
+(* the raw payload: every stored byte string decodes *)
+let lookup s key = Cache.Store.lookup s ~decode:Option.some key
+
 let with_store ?fingerprint f =
   let dir = temp_dir () in
   Fun.protect
@@ -39,12 +42,12 @@ let test_store_roundtrip () =
       Cache.Store.add s ~key:"k1" "never stored: k1 already present";
       Alcotest.(check (option string))
         "k1" (Some "payload one")
-        (Cache.Store.lookup s "k1");
+        (lookup s "k1");
       Alcotest.(check (option string))
         "k2"
         (Some "payload\ntwo with\nnewlines")
-        (Cache.Store.lookup s "k2");
-      Alcotest.(check (option string)) "absent" None (Cache.Store.lookup s "k3");
+        (lookup s "k2");
+      Alcotest.(check (option string)) "absent" None (lookup s "k3");
       let st = Cache.Store.stats s in
       Alcotest.(check int) "hits" 2 st.Cache.Stats.hits;
       Alcotest.(check int) "misses" 1 st.Cache.Stats.misses;
@@ -55,7 +58,7 @@ let test_store_roundtrip () =
       Alcotest.(check int) "entries persist" 2 (Cache.Store.entries s2);
       Alcotest.(check (option string))
         "k1 persists" (Some "payload one")
-        (Cache.Store.lookup s2 "k1");
+        (lookup s2 "k1");
       Alcotest.(check int) "no corrupt lines" 0 (Cache.Store.corrupt s2);
       Cache.Store.close s2)
 
@@ -77,7 +80,7 @@ let test_corrupt_index_skipped () =
       Alcotest.(check int) "corrupt lines counted" 3 (Cache.Store.corrupt s);
       Alcotest.(check (option string))
         "good payload intact" (Some "survives")
-        (Cache.Store.lookup s "good");
+        (lookup s "good");
       Cache.Store.close s)
 
 let test_torn_payload_self_repair () =
@@ -93,13 +96,13 @@ let test_torn_payload_self_repair () =
       close_out oc;
       let s = open_ () in
       Alcotest.(check (option string))
-        "torn payload dropped" None (Cache.Store.lookup s "k");
+        "torn payload dropped" None (lookup s "k");
       Alcotest.(check int) "counted corrupt" 1 (Cache.Store.corrupt s);
       (* exactly one recompute repairs it *)
       Cache.Store.add s ~key:"k" "full payload";
       Alcotest.(check (option string))
         "repaired" (Some "full payload")
-        (Cache.Store.lookup s "k");
+        (lookup s "k");
       Cache.Store.close s)
 
 let test_fingerprint_invalidates () =
@@ -114,17 +117,17 @@ let test_fingerprint_invalidates () =
          never serves results computed by other code *)
       let s2 = Cache.Store.open_ ~fingerprint:"v2" ~dir () in
       Alcotest.(check (option string))
-        "v1 entry invisible under v2" None (Cache.Store.lookup s2 "k");
+        "v1 entry invisible under v2" None (lookup s2 "k");
       Cache.Store.add s2 ~key:"k" "computed under v2";
       Alcotest.(check (option string))
         "v2 entry" (Some "computed under v2")
-        (Cache.Store.lookup s2 "k");
+        (lookup s2 "k");
       Cache.Store.close s2;
       (* the v1 entry was never clobbered *)
       let s1 = Cache.Store.open_ ~fingerprint:"v1" ~dir () in
       Alcotest.(check (option string))
         "v1 entry survives" (Some "computed under v1")
-        (Cache.Store.lookup s1 "k");
+        (lookup s1 "k");
       Cache.Store.close s1)
 
 let test_concurrent_writers () =
@@ -150,7 +153,7 @@ let test_concurrent_writers () =
         Alcotest.(check (option string))
           (Printf.sprintf "key-%03d" i)
           (Some (Printf.sprintf "payload for %03d" i))
-          (Cache.Store.lookup s (Printf.sprintf "key-%03d" i))
+          (lookup s (Printf.sprintf "key-%03d" i))
       done;
       Cache.Store.close s)
 
@@ -224,32 +227,71 @@ let test_hit_equals_recompute_net () =
       Alcotest.(check int) "one miss then one hit" 1 st.Cache.Stats.hits;
       Cache.Store.close s)
 
+(* Each way an entry can go bad — a torn object, a same-length garbage
+   object the size check cannot see, a torn index line — costs exactly
+   one recompute: the damaged entry reads as a miss (never a hit),
+   counts as corrupt, and the write-back repairs it for this session and
+   the next. *)
 let test_corrupt_entry_one_recompute () =
-  with_store (fun dir open_ ->
-      let s = open_ () in
-      let spec =
-        Run_spec.make ~protocol:"flood" ~n:8 ~t_max:1 ~seed:2 ()
-      in
-      let key = Run_spec.to_string spec in
-      (match Run_spec.execute ~store:s spec with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "seed run failed");
-      let hex = Cache.Store.digest_key s key in
-      Cache.Store.close s;
-      (* corrupt the stored outcome *)
-      let obj = Filename.concat (Filename.concat dir "objects") hex in
-      let oc = open_out obj in
-      output_string oc "garbage";
-      close_out oc;
-      let s = open_ () in
-      (* one recompute, no crash, and the entry is repaired *)
-      (match Run_spec.execute ~store:s spec with
-      | Ok _ -> ()
-      | Error _ -> Alcotest.fail "recompute after corruption failed");
-      Alcotest.(check bool)
-        "repaired: next lookup hits" true
-        (Cache.Store.lookup s key <> None);
-      Cache.Store.close s)
+  let spec = Run_spec.make ~protocol:"flood" ~n:8 ~t_max:1 ~seed:2 () in
+  let served_from_cache what s =
+    let sink, events = Trace.Sink.memory () in
+    (match Run_spec.execute ~trace:sink ~store:s spec with
+    | Ok _ -> ()
+    | Error _ -> Alcotest.failf "%s: run failed" what);
+    match events () with [ Trace.Event.Cache_hit _ ] -> true | _ -> false
+  in
+  let rewrite path f =
+    let ic = open_in_bin path in
+    let old = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let oc = open_out_bin path in
+    output_string oc (f old);
+    close_out oc
+  in
+  let object_path dir s =
+    Filename.concat
+      (Filename.concat dir "objects")
+      (Cache.Store.digest_key s (Run_spec.to_string spec))
+  in
+  List.iter
+    (fun (what, damage) ->
+      with_store (fun dir open_ ->
+          let s = open_ () in
+          ignore (served_from_cache what s : bool);
+          let obj = object_path dir s in
+          Cache.Store.close s;
+          damage dir obj;
+          let s = open_ () in
+          Alcotest.(check bool)
+            (what ^ ": recomputed") false
+            (served_from_cache what s);
+          Alcotest.(check bool)
+            (what ^ ": then a hit") true
+            (served_from_cache what s);
+          let st = Cache.Store.stats s in
+          Alcotest.(check (list int))
+            (what ^ ": hits, misses, writes")
+            [ 1; 1; 1 ]
+            [ st.Cache.Stats.hits; st.Cache.Stats.misses; st.Cache.Stats.writes ];
+          Alcotest.(check int) (what ^ ": corrupt") 1 (Cache.Store.corrupt s);
+          Cache.Store.close s;
+          let s = open_ () in
+          Alcotest.(check bool)
+            (what ^ ": repaired on disk") true
+            (served_from_cache what s);
+          Cache.Store.close s))
+    [
+      ( "torn object",
+        fun _ obj -> rewrite obj (fun p -> String.sub p 0 (String.length p / 2))
+      );
+      ( "same-length garbage object",
+        fun _ obj -> rewrite obj (fun p -> String.make (String.length p) 'x') );
+      ( "torn index line",
+        fun dir _ ->
+          rewrite (Filename.concat dir "index") (fun l ->
+              String.sub l 0 (String.length l / 2)) );
+    ]
 
 (* --- Supervise.Cached.map --- *)
 
@@ -262,7 +304,7 @@ let test_cached_map_merge () =
          would never produce: a hit must win over a recompute *)
       Cache.Store.add s ~key:(key 1) "100";
       Cache.Store.add s ~key:(key 3) "300";
-      let ran = Array.make 5 false in
+      let ran = Array.make 6 false in
       let labels = ref [] in
       let results =
         Supervise.Cached.map ~jobs:1 ~store:s ~key ~codec
@@ -275,30 +317,42 @@ let test_cached_map_merge () =
             })
           (fun i ->
             ran.(i) <- true;
+            if i = 5 then failwith "element 5 fails";
             10 * i)
-          [| 0; 1; 2; 3; 4 |]
+          [| 0; 1; 2; 3; 4; 5 |]
       in
       let got = Array.map (function Ok v -> v | Error _ -> -1) results in
       Alcotest.(check (array int))
         "hits and fresh merge in order"
-        [| 0; 100; 20; 300; 40 |]
+        [| 0; 100; 20; 300; 40; -1 |]
         got;
       Alcotest.(check (array bool))
         "only misses executed"
-        [| true; false; true; false; true |]
+        [| true; false; true; false; true; true |]
         ran;
       (* describe saw the ORIGINAL indices of the misses, not their
          positions in the compacted to-run array *)
       List.iter
         (fun (i, x) ->
           Alcotest.(check int) "describe index = element" x i;
-          if not (List.mem i [ 0; 2; 4 ]) then
+          if not (List.mem i [ 0; 2; 4; 5 ]) then
             Alcotest.failf "describe called for cached element %d" i)
         !labels;
-      (* fresh successes were written back *)
+      (* so does the quarantine record of a failure after a hit: element
+         5 is the 4th miss, but its index is 5, as on a cold pass *)
+      (match results.(5) with
+      | Error f ->
+          Alcotest.(check (pair int string))
+            "failure names the original index" (5, "elt-5")
+            (f.Supervise.index, f.Supervise.label)
+      | Ok _ -> Alcotest.fail "element 5 should fail");
+      (* fresh successes were written back, failures were not *)
       Alcotest.(check (option string))
         "write-back" (Some "40")
-        (Cache.Store.lookup s (key 4));
+        (lookup s (key 4));
+      Alcotest.(check (option string))
+        "failure not cached" None
+        (lookup s (key 5));
       Cache.Store.close s)
 
 (* --- Run_spec canonical serialization --- *)
@@ -479,6 +533,36 @@ let test_fuzz_store_dedup () =
       Alcotest.(check int) "determinism checks"
         first.Harness.Fuzz.determinism_checks
         second.Harness.Fuzz.determinism_checks;
+      Cache.Store.close s);
+  (* an interrupted soak: 6 scenarios land in the store, then the full
+     12-scenario soak on the same store folds those 6 and runs the rest,
+     reporting exactly the uninterrupted soak's stats *)
+  let soak ?store count =
+    match Harness.Fuzz.run ~count ~seed:11 ~jobs:1 ?store () with
+    | Ok stats -> stats
+    | Error (f, _) ->
+        Alcotest.failf "fuzz found a violation: %a" Harness.Fuzz.pp_failure f
+  in
+  let uninterrupted = soak 12 in
+  with_store (fun _dir open_ ->
+      let s = open_ () in
+      ignore (soak ~store:s 6 : Harness.Fuzz.stats);
+      Cache.Store.close s;
+      let s = open_ () in
+      let resumed = soak ~store:s 12 in
+      Alcotest.(check int) "resume hits the 6 finished scenarios" 6
+        (Cache.Store.stats s).Cache.Stats.hits;
+      Alcotest.(check (list int)) "resumed stats = uninterrupted"
+        Harness.Fuzz.
+          [
+            uninterrupted.scenarios; uninterrupted.runs;
+            uninterrupted.checked; uninterrupted.determinism_checks;
+          ]
+        Harness.Fuzz.
+          [
+            resumed.scenarios; resumed.runs; resumed.checked;
+            resumed.determinism_checks;
+          ];
       Cache.Store.close s)
 
 let suite =

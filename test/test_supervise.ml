@@ -1,5 +1,6 @@
 (* Tests for the run supervision layer: watchdog budgets, failure
-   quarantine, the checkpoint journal, and chaos-mode fault injection.
+   quarantine, and chaos-mode fault injection (the cache-aware wrappers
+   are covered in test_cache.ml).
    The chaos tests are the containment proof the module's docstring
    promises: injected failures are quarantined while every other task's
    result stays bit-identical to a fault-free run. *)
@@ -273,76 +274,6 @@ let test_protect_and_json () =
           "\"elapsed_s\":";
         ]
 
-(* --- checkpoint journal --- *)
-
-let temp_journal () = Filename.temp_file "supervise_test" ".journal"
-
-let test_journal_roundtrip () =
-  let path = temp_journal () in
-  let j = Supervise.Journal.open_ ~path ~resume:false in
-  Supervise.Journal.record j ~key:"t1|n=64|seed=1" "12 3456 789";
-  Supervise.Journal.record j ~key:"t1|n=64|seed=2" "13 3457 790";
-  Supervise.Journal.record j ~key:"t1|n=64|seed=1" "99 9999 999";
-  Alcotest.(check int) "duplicate keys collapse" 2 (Supervise.Journal.entries j);
-  Alcotest.(check (option string)) "latest record wins" (Some "99 9999 999")
-    (Supervise.Journal.lookup j "t1|n=64|seed=1");
-  Supervise.Journal.close j;
-  (* reopen for resume: everything survives the restart *)
-  let j2 = Supervise.Journal.open_ ~path ~resume:true in
-  Alcotest.(check int) "entries reloaded" 2 (Supervise.Journal.entries j2);
-  Alcotest.(check int) "no corruption" 0 (Supervise.Journal.corrupt j2);
-  Alcotest.(check (option string)) "lookup after reload" (Some "13 3457 790")
-    (Supervise.Journal.lookup j2 "t1|n=64|seed=2");
-  Alcotest.(check (option string)) "miss is None" None
-    (Supervise.Journal.lookup j2 "t1|n=64|seed=3");
-  Supervise.Journal.close j2;
-  Sys.remove path
-
-let test_journal_corruption_skipped () =
-  let path = temp_journal () in
-  let j = Supervise.Journal.open_ ~path ~resume:false in
-  Supervise.Journal.record j ~key:"a" "1";
-  Supervise.Journal.record j ~key:"b" "2";
-  Supervise.Journal.close j;
-  (* chaos: a torn write lands mid-file garbage; only that row is lost *)
-  Supervise.Chaos.corrupt_journal ~path;
-  let j2 = Supervise.Journal.open_ ~path ~resume:true in
-  Alcotest.(check int) "good rows survive" 2 (Supervise.Journal.entries j2);
-  Alcotest.(check int) "corrupt row counted" 1 (Supervise.Journal.corrupt j2);
-  Alcotest.(check (option string)) "good row readable" (Some "2")
-    (Supervise.Journal.lookup j2 "b");
-  Supervise.Journal.close j2;
-  Sys.remove path
-
-let test_journal_fresh_truncates () =
-  let path = temp_journal () in
-  let j = Supervise.Journal.open_ ~path ~resume:false in
-  Supervise.Journal.record j ~key:"stale" "1";
-  Supervise.Journal.close j;
-  let j2 = Supervise.Journal.open_ ~path ~resume:false in
-  Alcotest.(check int) "resume:false starts empty" 0
-    (Supervise.Journal.entries j2);
-  Alcotest.(check (option string)) "stale row gone" None
-    (Supervise.Journal.lookup j2 "stale");
-  Supervise.Journal.close j2;
-  Sys.remove path
-
-let test_journal_rejects_separators () =
-  let path = temp_journal () in
-  let j = Supervise.Journal.open_ ~path ~resume:false in
-  Alcotest.(check bool) "tab in key rejected" true
-    (try
-       Supervise.Journal.record j ~key:"a\tb" "1";
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "newline in payload rejected" true
-    (try
-       Supervise.Journal.record j ~key:"a" "1\n2";
-       false
-     with Invalid_argument _ -> true);
-  Supervise.Journal.close j;
-  Sys.remove path
-
 (* --- chaos victim selection --- *)
 
 let test_chaos_pick () =
@@ -410,14 +341,6 @@ let suite =
     Alcotest.test_case "map wall timeout" `Quick test_map_wall_timeout;
     Alcotest.test_case "protect + quarantine JSON schema" `Quick
       test_protect_and_json;
-    Alcotest.test_case "journal roundtrip and resume" `Quick
-      test_journal_roundtrip;
-    Alcotest.test_case "journal corruption skipped" `Quick
-      test_journal_corruption_skipped;
-    Alcotest.test_case "journal fresh run truncates" `Quick
-      test_journal_fresh_truncates;
-    Alcotest.test_case "journal separator validation" `Quick
-      test_journal_rejects_separators;
     Alcotest.test_case "chaos pick" `Quick test_chaos_pick;
     Alcotest.test_case "chaos masks bound-checked and sparse-safe" `Quick
       test_chaos_mask_bounds;
