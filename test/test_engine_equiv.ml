@@ -174,17 +174,69 @@ let grid_digest entry =
       List.iter line trace);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let test_golden () =
-  let expected = In_channel.with_open_text golden_file In_channel.input_all in
-  let actual =
-    String.concat ""
-      (List.map
-         (fun e -> Printf.sprintf "%s %s\n" e.Harness.Registry.id (grid_digest e))
-         Harness.Registry.all)
-  in
+let check_digests ~file lines =
+  let expected = In_channel.with_open_text file In_channel.input_all in
+  let actual = String.concat "" lines in
   if actual <> expected then
-    Alcotest.failf "grid digests differ from %s; computed:\n%s" golden_file
-      actual
+    Alcotest.failf "grid digests differ from %s; computed:\n%s" file actual
+
+let test_golden () =
+  check_digests ~file:golden_file
+    (List.map
+       (fun e -> Printf.sprintf "%s %s\n" e.Harness.Registry.id (grid_digest e))
+       Harness.Registry.all)
+
+(* Sparse-expander oracle. At the grid's n = 12 the expander is complete
+   (Delta = 11), so the golden grid never exercises the Core paths that
+   depend on a sparse neighbourhood: neighbour positions, disregarding and
+   per-group spreading deltas. These cells run the three Core-based
+   protocols where Delta < m - 1 (optimal and crash-sub at n = 64 and 96;
+   param-x2 at n = 128, whose super-processes have m = 64). Each line of
+   [golden/core_sparse_digests.txt] pins one run: the MD5 of its JSONL
+   trace, which is the file [consensus_sim run --trace-dir] writes for the
+   same spec, and the MD5 of its outcome. The traces run to ~1M events, so
+   they stream to a temporary file instead of memory. The digests were
+   written by the hash-table Core that the flat-array one replaced. *)
+let sparse_file = "golden/core_sparse_digests.txt"
+
+let sparse_cells =
+  let omission = [ "splitter"; "random"; "group"; "eclipse" ] in
+  List.concat_map
+    (fun (protocol, sizes, adversaries) ->
+      List.concat_map
+        (fun n ->
+          List.concat_map
+            (fun seed -> List.map (fun a -> (protocol, n, seed, a)) adversaries)
+            seeds)
+        sizes)
+    [
+      ("optimal", [ 64; 96 ], omission);
+      ("crash-sub", [ 64; 96 ], omission @ [ "crash" ]);
+      ("param-x2", [ 128 ], omission);
+    ]
+
+let sparse_line (protocol, n, seed, adversary) =
+  let entry = Result.get_ok (Harness.Registry.find protocol) in
+  let spec =
+    Run_spec.make ~adversary ~protocol ~n ~t_max:(grid_t entry ~n) ~seed ()
+  in
+  let path = Filename.temp_file "core_sparse" ".jsonl" in
+  let sink = Trace.Sink.file ~path ~format:Trace.Jsonl in
+  let res = Run_spec.execute ~trace:sink spec in
+  Trace.Sink.close sink;
+  let trace_md5 = Digest.to_hex (Digest.file path) in
+  Sys.remove path;
+  let outcome =
+    match res with
+    | Ok (o, _) -> Supervise.Cached.outcome_to_string o
+    | Error (k, _) -> Fmt.str "%a" Supervise.pp_failure_kind k
+  in
+  Printf.sprintf "%s n=%d seed=%d a=%s %s %s\n" protocol n seed adversary
+    trace_md5
+    (Digest.to_hex (Digest.string outcome))
+
+let test_sparse_golden () =
+  check_digests ~file:sparse_file (List.map sparse_line sparse_cells)
 
 let suite =
   List.map
@@ -194,4 +246,8 @@ let suite =
            entry.Harness.Registry.id)
         `Quick (test_entry entry))
     Harness.Registry.all
-  @ [ Alcotest.test_case "registry grids match golden digests" `Quick test_golden ]
+  @ [
+      Alcotest.test_case "registry grids match golden digests" `Quick test_golden;
+      Alcotest.test_case "sparse-expander Core runs match golden digests" `Quick
+        test_sparse_golden;
+    ]
