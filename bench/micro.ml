@@ -229,6 +229,11 @@ let engine_bench ~quick () =
       engine_case ~name:"optimal" ~n ~t:2 ~runs
         ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg))
     (if quick then [ 24 ] else [ 24; 48 ]);
+  (* n = 96 is past the complete-graph range (Delta = 56 < 95), so this row
+     gates the sparse spreading path: neighbour positions, disregarding and
+     per-group deltas *)
+  engine_case ~name:"optimal" ~n:96 ~t:3 ~runs
+    ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg);
   List.iter
     (fun n ->
       engine_case ~name:"early-stopping" ~n ~t:8 ~runs

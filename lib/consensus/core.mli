@@ -39,7 +39,9 @@ type vote_event = {
 type shared = {
   members : int array;
   m : int;
-  index_of : (int, int) Hashtbl.t;
+  index_of : int array;
+      (** global pid -> local index, -1 for non-members; sized by the
+          largest member pid *)
   part : Groups.t;
   graph : Expander.t option;
   delta : int;
@@ -75,6 +77,11 @@ val rounds : shared -> int
 type t
 
 val create : shared -> pid:int -> input:int -> t
+(** Raises [Invalid_argument] if [pid] is not a member. *)
+
+val local_of : t -> int -> int option
+(** Local index of a global pid; [None] for non-members. *)
+
 val candidate : t -> int
 
 val set_candidate : t -> int -> unit

@@ -23,18 +23,20 @@ let delta t = t.delta
 let neighbors t v = t.adj.(v)
 let degree t v = Array.length t.adj.(v)
 
-let mem_edge t u v =
+let neighbor_index t u v =
   let a = t.adj.(u) in
   let rec bsearch lo hi =
-    if lo >= hi then false
+    if lo >= hi then -1
     else begin
       let mid = (lo + hi) / 2 in
-      if a.(mid) = v then true
+      if a.(mid) = v then mid
       else if a.(mid) < v then bsearch (mid + 1) hi
       else bsearch lo mid
     end
   in
   bsearch 0 (Array.length a)
+
+let mem_edge t u v = neighbor_index t u v >= 0
 
 let edge_count t =
   Array.fold_left (fun acc a -> acc + Array.length a) 0 t.adj / 2

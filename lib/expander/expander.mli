@@ -19,8 +19,12 @@ val neighbors : t -> int -> int array
 
 val degree : t -> int -> int
 
+val neighbor_index : t -> int -> int -> int
+(** [neighbor_index g u v] — the position of [v] in [neighbors g u], or -1
+    if there is no edge; binary search, O(log degree). *)
+
 val mem_edge : t -> int -> int -> bool
-(** [mem_edge g u v] — edge test by binary search, O(log degree). *)
+(** [mem_edge g u v] is [neighbor_index g u v >= 0]. *)
 
 val edge_count : t -> int
 

@@ -9,8 +9,8 @@ type t = {
   members : int array;  (** the processes being partitioned, in order *)
   group_size : int;  (** maximum group size S *)
   group_count : int;
-  group_of : (int, int) Hashtbl.t;  (** pid -> group index *)
-  rank_of : (int, int) Hashtbl.t;  (** pid -> rank within its group *)
+  group_of : int array;  (** pid -> group index, -1 for non-members *)
+  rank_of : int array;  (** pid -> rank within its group, -1 for non-members *)
   groups : int array array;  (** group index -> member pids *)
 }
 
@@ -27,13 +27,16 @@ let partition_with_size members size =
         let len = min size (m - start) in
         Array.sub members start len)
   in
-  let group_of = Hashtbl.create m and rank_of = Hashtbl.create m in
+  if Array.exists (fun pid -> pid < 0) members then
+    invalid_arg "Groups.partition_with_size: negative pid";
+  let bound = Array.fold_left max 0 members + 1 in
+  let group_of = Array.make bound (-1) and rank_of = Array.make bound (-1) in
   Array.iteri
     (fun g grp ->
       Array.iteri
         (fun rank pid ->
-          Hashtbl.replace group_of pid g;
-          Hashtbl.replace rank_of pid rank)
+          group_of.(pid) <- g;
+          rank_of.(pid) <- rank)
         grp)
     groups;
   { members; group_size = size; group_count; group_of; rank_of; groups }
@@ -53,15 +56,16 @@ let partition_into members parts =
     invalid_arg "Groups.partition_into: parts must be in [1, m]";
   partition_with_size members ((m + parts - 1) / parts)
 
-let group_of t pid =
-  match Hashtbl.find_opt t.group_of pid with
-  | Some g -> g
-  | None -> invalid_arg "Groups.group_of: pid not a member"
+(* Bounds-checked lookup in a pid-indexed table: negative pids, pids past
+   the largest member and pids in a gap of a non-contiguous member set all
+   read as non-members. *)
+let lookup name tbl pid =
+  let v = if pid >= 0 && pid < Array.length tbl then tbl.(pid) else -1 in
+  if v < 0 then invalid_arg (name ^ ": pid not a member");
+  v
 
-let rank_of t pid =
-  match Hashtbl.find_opt t.rank_of pid with
-  | Some r -> r
-  | None -> invalid_arg "Groups.rank_of: pid not a member"
+let group_of t pid = lookup "Groups.group_of" t.group_of pid
+let rank_of t pid = lookup "Groups.rank_of" t.rank_of pid
 
 let group t g = t.groups.(g)
 let group_count t = t.group_count

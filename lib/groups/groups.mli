@@ -7,13 +7,14 @@ type t = {
   members : int array;
   group_size : int;  (** maximum group size S *)
   group_count : int;
-  group_of : (int, int) Hashtbl.t;
-  rank_of : (int, int) Hashtbl.t;
+  group_of : int array;  (** indexed by pid; -1 for non-members *)
+  rank_of : int array;  (** indexed by pid; -1 for non-members *)
   groups : int array array;
 }
 
 val partition_with_size : int array -> int -> t
-(** Contiguous groups of at most the given size. *)
+(** Contiguous groups of at most the given size. Member pids must be
+    non-negative: the pid-indexed tables are sized by the largest one. *)
 
 val sqrt_partition : int array -> t
 (** The paper's sqrt-decomposition: ceil(sqrt m) groups of size at most
@@ -27,7 +28,8 @@ val group_of : t -> int -> int
 (** Group index of a member pid. Raises [Invalid_argument] on non-members. *)
 
 val rank_of : t -> int -> int
-(** Rank of a member within its group. *)
+(** Rank of a member within its group. Raises [Invalid_argument] on
+    non-members. *)
 
 val group : t -> int -> int array
 val group_count : t -> int

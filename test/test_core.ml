@@ -210,6 +210,31 @@ let test_set_candidate () =
     (Invalid_argument "Core.set_candidate: bit expected") (fun () ->
       Core.set_candidate st 2)
 
+(* Pid lookups are bounds-checked arrays: a negative pid, one past the
+   largest member and one in a gap of a scattered member set must all read
+   as non-members rather than index out of bounds or alias a member. *)
+let test_non_members () =
+  let members = [| 2; 3; 7; 10 |] in
+  let sh =
+    Core.make_shared ~members ~seed:1 ~params:Consensus.Params.default
+      ~t_max:1 ()
+  in
+  let st = Core.create sh ~pid:7 ~input:1 in
+  Array.iteri
+    (fun i pid ->
+      Alcotest.(check (option int)) "member" (Some i) (Core.local_of st pid))
+    members;
+  List.iter
+    (fun pid ->
+      Alcotest.check_raises
+        (Printf.sprintf "create pid %d" pid)
+        (Invalid_argument "Core.create: pid not a member")
+        (fun () -> ignore (Core.create sh ~pid ~input:0));
+      Alcotest.(check (option int))
+        (Printf.sprintf "local_of %d" pid)
+        None (Core.local_of st pid))
+    [ -1; 11; 5 ]
+
 let test_msg_bits () =
   let members = Array.init 16 (fun i -> i) in
   let sh =
@@ -253,5 +278,6 @@ let suite =
     Alcotest.test_case "singleton core" `Quick test_singleton_core;
     Alcotest.test_case "two-member core" `Quick test_two_member_core;
     Alcotest.test_case "set_candidate" `Quick test_set_candidate;
+    Alcotest.test_case "non-members rejected" `Quick test_non_members;
     Alcotest.test_case "message bits" `Quick test_msg_bits;
   ]

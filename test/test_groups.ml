@@ -43,7 +43,22 @@ let test_group_of_nonmember () =
   let p = Groups.sqrt_partition (Array.init 10 (fun i -> i)) in
   Alcotest.check_raises "nonmember rejected"
     (Invalid_argument "Groups.group_of: pid not a member") (fun () ->
-      ignore (Groups.group_of p 11))
+      ignore (Groups.group_of p 11));
+  (* scattered members: a negative pid, one past the largest member and one
+     in a gap are all rejected by both pid-indexed lookups *)
+  let p = Groups.sqrt_partition [| 2; 3; 7; 10 |] in
+  Alcotest.(check int) "member in a later group" 1 (Groups.group_of p 7);
+  List.iter
+    (fun pid ->
+      Alcotest.check_raises
+        (Printf.sprintf "group_of %d" pid)
+        (Invalid_argument "Groups.group_of: pid not a member")
+        (fun () -> ignore (Groups.group_of p pid));
+      Alcotest.check_raises
+        (Printf.sprintf "rank_of %d" pid)
+        (Invalid_argument "Groups.rank_of: pid not a member")
+        (fun () -> ignore (Groups.rank_of p pid)))
+    [ -1; 11; 5 ]
 
 let test_partition_into () =
   let members = Array.init 64 (fun i -> i) in
