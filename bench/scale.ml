@@ -75,9 +75,10 @@ let emit_scale ~protocol ~n ~t (o : Sim.Engine.outcome) =
    and the classic run must not see the fast run's leftovers.
 
    [classic_cap] bounds the n above which a default (--scale-path both)
-   sweep skips the classic column: optimal-omissions is dominated by its
-   local step phase (the two delivery paths measure within noise of each
-   other), so duplicating its quarter-hour n=4096 point buys nothing.
+   sweep skips the classic column: optimal-omissions' fast/classic ratio
+   is already measured at n = 512 and 1024 (1.4-1.7x), and the classic
+   twins above that would add the sweep's longest runs without changing
+   the reading.
    An explicit --scale-path classic still runs every point, keeping the
    per-path kind="scale" row sets identical. *)
 let case ~protocol ~buffered ~adversary ~t ~max_rounds ?(classic_cap = max_int)
