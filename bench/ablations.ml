@@ -44,13 +44,11 @@ let abl_delta ~quick () =
         Printf.sprintf "%d;%d;%s;%d" c delta (measure_to_string m) min_ops),
       fun s ->
         match String.split_on_char ';' s with
-        | [ c; delta; ms; mo ] -> (
-            try
-              Option.map
-                (fun m ->
-                  (int_of_string c, int_of_string delta, m, int_of_string mo))
-                (measure_of_string ms)
-            with _ -> None)
+        | [ c; delta; ms; mo ] ->
+            Option.map
+              (fun m ->
+                (int_of_string c, int_of_string delta, m, int_of_string mo))
+              (measure_of_string ms)
         | _ -> None )
   in
   Supervise.Cached.map ~budget:!budget
@@ -100,12 +98,10 @@ let abl_spread ~quick () =
         Printf.sprintf "%d;%s;%d" c (measure_to_string m) min_ops),
       fun s ->
         match String.split_on_char ';' s with
-        | [ c; ms; mo ] -> (
-            try
-              Option.map
-                (fun m -> (int_of_string c, m, int_of_string mo))
-                (measure_of_string ms)
-            with _ -> None)
+        | [ c; ms; mo ] ->
+            Option.map
+              (fun m -> (int_of_string c, m, int_of_string mo))
+              (measure_of_string ms)
         | _ -> None )
   in
   Supervise.Cached.map ~budget:!budget
@@ -155,10 +151,8 @@ let abl_epochs ~quick () =
     ( (fun (m, fb) -> measure_to_string m ^ ";" ^ string_of_bool fb),
       fun s ->
         match String.split_on_char ';' s with
-        | [ ms; fb ] -> (
-            try
-              Option.map (fun m -> (m, bool_of_string fb)) (measure_of_string ms)
-            with _ -> None)
+        | [ ms; fb ] ->
+            Option.map (fun m -> (m, bool_of_string fb)) (measure_of_string ms)
         | _ -> None )
   in
   let per_e =

@@ -14,26 +14,25 @@ let row fmt = Printf.printf fmt
 (* (JSON Lines) into BENCH_consensus.json, alongside the stdout table. *)
 (* ------------------------------------------------------------------ *)
 
-(* Version of the JSON-lines schema written below; bump when a record's
-   shape changes. Documented in EXPERIMENTS.md ("JSON schema"). *)
-let schema_version = 2
-
 module Out = struct
-  type jv =
+  (* the Jsonl value type, re-exported so rows read [Out.I 3] etc. *)
+  type jv = Jsonl.v =
     | I of int
     | F of float
     | S of string
     | B of bool
     | L of jv list
-    | Raw of string  (** pre-rendered JSON, emitted verbatim *)
+    | Null
+    | Raw of string
 
   let sink : out_channel option ref = ref None
   let experiment = ref ""
   let started = ref 0.
 
-  (* stable mode omits the wall_s stamp from every record, so two runs of
-     the same campaign — e.g. interrupted-then-resumed vs uninterrupted —
-     produce byte-identical files *)
+  (* stable mode omits the wall_s stamp from every record (and elapsed_s
+     from quarantine records), so two runs of the same campaign — e.g.
+     interrupted-then-resumed vs uninterrupted — produce byte-identical
+     files *)
   let stable = ref false
   let set_stable b = stable := b
   let is_stable () = !stable
@@ -48,30 +47,6 @@ module Out = struct
 
   let elapsed () = Unix.gettimeofday () -. !started
 
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
-  let rec jv_to_string = function
-    | I i -> string_of_int i
-    | F f ->
-        (* JSON has no inf/nan literals *)
-        if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-    | S s -> Printf.sprintf "\"%s\"" (escape s)
-    | B b -> string_of_bool b
-    | L l -> "[" ^ String.concat "," (List.map jv_to_string l) ^ "]"
-    | Raw s -> s
-
   (* One self-contained JSON object per line: experiment id, record kind,
      schema version, wall-clock seconds since the experiment started
      (unless in stable mode), then the caller's parameter/metric fields in
@@ -80,20 +55,19 @@ module Out = struct
     match !sink with
     | None -> ()
     | Some ch ->
-        let b = Buffer.create 128 in
-        Buffer.add_string b
-          (Printf.sprintf
-             "{\"experiment\":\"%s\",\"kind\":\"%s\",\"schema_version\":%d"
-             (escape !experiment) (escape kind) schema_version);
-        if not !stable then
-          Buffer.add_string b (Printf.sprintf ",\"wall_s\":%.3f" (elapsed ()));
-        List.iter
-          (fun (k, v) ->
-            Buffer.add_string b
-              (Printf.sprintf ",\"%s\":%s" (escape k) (jv_to_string v)))
-          fields;
-        Buffer.add_string b "}\n";
-        output_string ch (Buffer.contents b);
+        let head =
+          [
+            ("experiment", S !experiment);
+            ("kind", S kind);
+            ("schema_version", I Jsonl.schema_version);
+          ]
+        in
+        let wall =
+          if !stable then []
+          else [ ("wall_s", Raw (Printf.sprintf "%.3f" (elapsed ()))) ]
+        in
+        output_string ch (Jsonl.obj (head @ wall @ fields));
+        output_char ch '\n';
         flush ch
 
   let close () =
@@ -113,7 +87,7 @@ let budget = ref Supervise.Budget.unlimited
 
 (* ------------------------------------------------------------------ *)
 (* Tracing configuration (wired from --trace / --trace-dir /           *)
-(* --trace-format / --trace-tail on bench/main.exe).                    *)
+(* --trace-tail on bench/main.exe).                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* --trace: collect Trace.Metrics per run and tee kind="trace-metrics"
@@ -127,9 +101,6 @@ let trace_tail_rounds = ref 0
 
 (* --trace-dir DIR: write each run's full event trace to a file in DIR *)
 let trace_dir : string option ref = ref None
-
-(* --trace-format *)
-let trace_format = ref Trace.Jsonl
 
 let tracing_on () =
   !trace_metrics || !trace_tail_rounds > 0 || !trace_dir <> None
@@ -184,8 +155,8 @@ let trace_file_path () =
       in
       Some
         (Filename.concat dir
-           (Printf.sprintf "%s.%s.%d.trace.%s" !Out.experiment sanitized seq
-              (Trace.format_extension !trace_format)))
+           (Printf.sprintf "%s.%s.%d.trace.jsonl" !Out.experiment sanitized
+              seq))
 
 (* the content-addressed run cache behind --cache and --resume, or None
    when off: the only memo, so a killed campaign rerun on the same store
@@ -228,47 +199,8 @@ let quarantine (f : Supervise.failure) =
   (match f.Supervise.replay with
   | Some cmd -> Printf.printf "    replay: %s\n" cmd
   | None -> ());
-  let base =
-    [ ("label", Out.S f.Supervise.label); ("index", Out.I f.Supervise.index) ]
-  in
-  let seed =
-    match f.Supervise.seed with Some s -> [ ("seed", Out.I s) ] | None -> []
-  in
-  let replay =
-    match f.Supervise.replay with
-    | Some c -> [ ("replay", Out.S c) ]
-    | None -> []
-  in
-  let kind =
-    match f.Supervise.kind with
-    | Supervise.Crashed { exn_text; _ } ->
-        [ ("failure", Out.S "crashed"); ("exn", Out.S exn_text) ]
-    | Supervise.Timeout { limit_s; elapsed_s } ->
-        [
-          ("failure", Out.S "timeout"); ("limit_s", Out.F limit_s);
-          ("timeout_elapsed_s", Out.F elapsed_s);
-        ]
-    | Supervise.Budget_exceeded { metric; limit; actual; at_round } ->
-        [
-          ("failure", Out.S "budget_exceeded"); ("metric", Out.S metric);
-          ("limit", Out.F limit); ("actual", Out.F actual);
-          ("at_round", Out.I at_round);
-        ]
-    | Supervise.Degraded { induced; adversarial; t_max; residual } ->
-        [
-          ("failure", Out.S "degraded"); ("induced_faults", Out.I induced);
-          ("adversarial_faults", Out.I adversarial); ("t_max", Out.I t_max);
-          ("residual_losses", Out.I residual);
-        ]
-  in
-  let trace =
-    (* the tail's lines are already JSON event objects *)
-    match f.Supervise.trace with
-    | [] -> []
-    | lines ->
-        [ ("trace", Out.Raw ("[" ^ String.concat "," lines ^ "]")) ]
-  in
-  Out.emit ~kind:"quarantine" (base @ seed @ replay @ kind @ trace)
+  Out.emit ~kind:"quarantine"
+    (Supervise.failure_fields ~elapsed:(not (Out.is_stable ())) f)
 
 let skip_point ~label ~reason =
   incr skipped_points;
@@ -336,7 +268,7 @@ let measure ?on_round proto cfg ~adversary ~inputs =
   let file_sink =
     match trace_file_path () with
     | None -> None
-    | Some path -> Some (Trace.Sink.file ~path ~format:!trace_format)
+    | Some path -> Some (Trace.Sink.file ~path)
   in
   let sinks =
     List.filter_map Fun.id
@@ -415,27 +347,26 @@ let measure ?on_round proto cfg ~adversary ~inputs =
     metrics = Option.map (fun (_, summary) -> summary ()) collector;
   }
 
-(* cache codec for run_measure; the decoder rejects torn payloads *)
+(* cache codec for run_measure; a torn payload makes the decoder return
+   None or raise, and the store drops it *)
 let measure_to_string m =
   Printf.sprintf "%d %b %d %d %d %d %d" m.rounds m.decided m.messages m.bits
     m.rand_calls m.rand_bits m.faults
 
 let measure_of_string s =
   match String.split_on_char ' ' s with
-  | [ r; d; ms; b; rc; rb; f ] -> (
-      try
-        Some
-          {
-            rounds = int_of_string r;
-            decided = bool_of_string d;
-            messages = int_of_string ms;
-            bits = int_of_string b;
-            rand_calls = int_of_string rc;
-            rand_bits = int_of_string rb;
-            faults = int_of_string f;
-            metrics = None;
-          }
-      with _ -> None)
+  | [ r; d; ms; b; rc; rb; f ] ->
+      Some
+        {
+          rounds = int_of_string r;
+          decided = bool_of_string d;
+          messages = int_of_string ms;
+          bits = int_of_string b;
+          rand_calls = int_of_string rc;
+          rand_bits = int_of_string rb;
+          faults = int_of_string f;
+          metrics = None;
+        }
   | _ -> None
 
 let measure_codec = (measure_to_string, measure_of_string)

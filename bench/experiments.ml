@@ -333,20 +333,18 @@ let product_codec =
         r.rand_calls r.product r.bound r.decided),
     fun s ->
       match String.split_on_char ' ' s with
-      | [ n; t; k; r; rc; p; b; d ] -> (
-          try
-            Some
-              {
-                Lowerbound.Product.n = int_of_string n;
-                t = int_of_string t;
-                coin_set = int_of_string k;
-                rounds = int_of_string r;
-                rand_calls = int_of_string rc;
-                product = int_of_string p;
-                bound = float_of_string b;
-                decided = bool_of_string d;
-              }
-          with _ -> None)
+      | [ n; t; k; r; rc; p; b; d ] ->
+          Some
+            {
+              Lowerbound.Product.n = int_of_string n;
+              t = int_of_string t;
+              coin_set = int_of_string k;
+              rounds = int_of_string r;
+              rand_calls = int_of_string rc;
+              product = int_of_string p;
+              bound = float_of_string b;
+              decided = bool_of_string d;
+            }
       | _ -> None )
 
 let t1_thm2 ~quick () =
@@ -423,16 +421,14 @@ let b3_codec =
       match String.split_on_char ';' s with
       | [ n; t; mo; mc; od; cd ] -> (
           match (measure_of_string mo, measure_of_string mc) with
-          | Some m_om, Some m_cr -> (
-              try
-                Some
-                  ( int_of_string n,
-                    int_of_string t,
-                    m_om,
-                    m_cr,
-                    int_of_string od,
-                    int_of_string cd )
-              with _ -> None)
+          | Some m_om, Some m_cr ->
+              Some
+                ( int_of_string n,
+                  int_of_string t,
+                  m_om,
+                  m_cr,
+                  int_of_string od,
+                  int_of_string cd )
           | _ -> None)
       | _ -> None )
 

@@ -47,7 +47,7 @@ let f1 ~quick () =
 
 (* cache codec for f2's (measure, per-slot trace) pair: the measure
    reuses measure_codec, the slot list is "slot:msgs:bits" comma-joined;
-   the decoder rejects any torn slot token *)
+   the decoder raises on any torn slot token *)
 let f2_codec =
   ( (fun ((m : run_measure), slots) ->
       measure_to_string m ^ ";"
@@ -61,16 +61,11 @@ let f2_codec =
           Option.bind (measure_of_string ms) (fun m ->
               let parse tok =
                 match String.split_on_char ':' tok with
-                | [ a; b; c ] -> (
-                    try
-                      Some (int_of_string a, int_of_string b, int_of_string c)
-                    with _ -> None)
-                | _ -> None
+                | [ a; b; c ] -> (int_of_string a, int_of_string b, int_of_string c)
+                | _ -> failwith "f2 slot token"
               in
               let toks = if sl = "" then [] else String.split_on_char ',' sl in
-              let parsed = List.filter_map parse toks in
-              if List.length parsed = List.length toks then Some (m, parsed)
-              else None)
+              Some (m, List.map parse toks))
       | _ -> None )
 
 let f2 ~quick:_ () =
@@ -187,21 +182,17 @@ let f3_codec =
     fun s ->
       let parse tok =
         match String.split_on_char ':' tok with
-        | [ ep; mean; s1; s0; coin; dec ] -> (
-            try
-              Some
-                ( int_of_string ep,
-                  float_of_string mean,
-                  int_of_string s1,
-                  int_of_string s0,
-                  int_of_string coin,
-                  int_of_string dec )
-            with _ -> None)
-        | _ -> None
+        | [ ep; mean; s1; s0; coin; dec ] ->
+            ( int_of_string ep,
+              float_of_string mean,
+              int_of_string s1,
+              int_of_string s0,
+              int_of_string coin,
+              int_of_string dec )
+        | _ -> failwith "f3 row token"
       in
       let toks = if s = "" then [] else String.split_on_char ',' s in
-      let parsed = List.filter_map parse toks in
-      if List.length parsed = List.length toks then Some parsed else None )
+      Some (List.map parse toks) )
 
 let f3 ~quick () =
   section "F3: Figure 3 — biased-majority threshold dynamics";

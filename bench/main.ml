@@ -21,8 +21,8 @@
                                               # breaches are quarantined
      dune exec bench/main.exe -- --trace      # per-round trace metrics into
                                               # the JSON sink
-     dune exec bench/main.exe -- --trace-dir traces --trace-format binary
-                                              # full per-run event traces
+     dune exec bench/main.exe -- --trace-dir traces
+                                              # full per-run JSONL traces
      dune exec bench/main.exe -- --trace-tail 5  # quarantine records embed
                                               # the last 5 rounds of events
      dune exec bench/main.exe -- --seeds 8    # seeds 1..8 at every point
@@ -71,7 +71,6 @@ let () =
   let rand_budget = ref 0 in
   let trace = ref false in
   let trace_dir = ref "" in
-  let trace_format = ref "jsonl" in
   let trace_tail = ref 0 in
   let net_spec = ref "" in
   let cache = ref "" in
@@ -130,9 +129,6 @@ let () =
         Arg.Set_string trace_dir,
         "DIR  write each run's full event trace to a file in DIR (created \
          if missing)" );
-      ( "--trace-format",
-        Arg.Set_string trace_format,
-        "jsonl|binary  trace file encoding (default jsonl)" );
       ( "--trace-tail",
         Arg.Set_int trace_tail,
         "K  keep the last K rounds of events per run; quarantine records \
@@ -163,8 +159,7 @@ let () =
     \                [--json FILE] [--resume] [--stable-json] \
      [--wall-budget S]\n\
     \                [--round-budget N] [--msg-budget N] [--rand-budget N]\n\
-    \                [--trace] [--trace-dir DIR] [--trace-format F] \
-     [--trace-tail K]\n\
+    \                [--trace] [--trace-dir DIR] [--trace-tail K]\n\
     \                [--cache DIR] [--no-cache]";
   Exec.set_default_jobs !jobs;
   Bench_util.Out.set_stable !stable;
@@ -173,7 +168,6 @@ let () =
     Bench_util.net_base := Some (Run_spec.Cli.net_or_die !net_spec);
   Bench_util.trace_metrics := !trace;
   Bench_util.trace_tail_rounds := max 0 !trace_tail;
-  Bench_util.trace_format := Run_spec.Cli.format_or_die !trace_format;
   if !trace_dir <> "" then begin
     if not (Sys.file_exists !trace_dir) then Sys.mkdir !trace_dir 0o755;
     Bench_util.trace_dir := Some !trace_dir

@@ -54,7 +54,8 @@ type net_measure = {
   net_rounds : int;
 }
 
-(* cache codec; the decoder rejects torn payloads *)
+(* cache codec; a torn payload makes the decoder return None or raise,
+   and the store drops it *)
 let nm_to_string m =
   Printf.sprintf "%d %b %d %d %d %d %d %d %d %d" m.rounds m.decided m.messages
     m.delivered m.attempts m.retransmits m.residual m.induced m.slots
@@ -62,22 +63,20 @@ let nm_to_string m =
 
 let nm_of_string s =
   match String.split_on_char ' ' s with
-  | [ r; d; ms; dl; a; rt; rs; ind; sl; nr ] -> (
-      try
-        Some
-          {
-            rounds = int_of_string r;
-            decided = bool_of_string d;
-            messages = int_of_string ms;
-            delivered = int_of_string dl;
-            attempts = int_of_string a;
-            retransmits = int_of_string rt;
-            residual = int_of_string rs;
-            induced = int_of_string ind;
-            slots = int_of_string sl;
-            net_rounds = int_of_string nr;
-          }
-      with _ -> None)
+  | [ r; d; ms; dl; a; rt; rs; ind; sl; nr ] ->
+      Some
+        {
+          rounds = int_of_string r;
+          decided = bool_of_string d;
+          messages = int_of_string ms;
+          delivered = int_of_string dl;
+          attempts = int_of_string a;
+          retransmits = int_of_string rt;
+          residual = int_of_string rs;
+          induced = int_of_string ind;
+          slots = int_of_string sl;
+          net_rounds = int_of_string nr;
+        }
   | _ -> None
 
 (* The sweep's base spec: --net on bench/main.exe overrides it; the sweep

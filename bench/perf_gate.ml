@@ -22,9 +22,9 @@
    kind="micro-throughput" records are ignored entirely: absolute
    throughput is a logged artifact, never gated.
 
-   No JSON library: records are flat one-line objects written by
-   Bench_util.Out, so plain substring field extraction is exact. Exit
-   status 0 = gate passed, 1 = regression or missing data, 2 = usage. *)
+   Records are read with Jsonl.read, the reader shared with the writer
+   behind Bench_util.Out. Exit status 0 = gate passed, 1 = regression or
+   missing data, 2 = usage. *)
 
 type row = {
   protocol : string;
@@ -33,82 +33,27 @@ type row = {
   words_per_round : float;
 }
 
-(* Extract the value following ["key":] in a flat JSON-lines record. *)
-let field_raw line key =
-  let pat = "\"" ^ key ^ "\":" in
-  let plen = String.length pat in
-  let llen = String.length line in
-  let rec scan i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then begin
-      let start = i + plen in
-      let stop = ref start in
-      if start < llen && line.[start] = '"' then begin
-        stop := start + 1;
-        while !stop < llen && line.[!stop] <> '"' do
-          incr stop
-        done;
-        Some (String.sub line (start + 1) (!stop - start - 1))
-      end
-      else begin
-        while
-          !stop < llen && line.[!stop] <> ',' && line.[!stop] <> '}'
-        do
-          incr stop
-        done;
-        Some (String.sub line start (!stop - start))
-      end
-    end
-    else scan (i + 1)
-  in
-  scan 0
+(* Rows of kind [kind] carrying protocol, path, n and the float field
+   [metric]; kind="scale-throughput" rows reuse the record shape with
+   rounds_per_sec in place of words_per_round. Lines that are not
+   well-formed records are skipped. *)
+let load_kind file ~kind ~metric =
+  In_channel.with_open_text file In_channel.input_lines
+  |> List.filter_map (fun line ->
+         match Jsonl.read line with
+         | Some fs when Jsonl.string fs "kind" = Some kind -> (
+             match
+               ( Jsonl.string fs "protocol",
+                 Jsonl.string fs "path",
+                 Jsonl.int fs "n",
+                 Jsonl.float fs metric )
+             with
+             | Some protocol, Some path, Some n, Some words_per_round ->
+                 Some { protocol; path; n; words_per_round }
+             | _ -> None)
+         | _ -> None)
 
-let parse_row line =
-  match
-    ( field_raw line "protocol",
-      field_raw line "path",
-      field_raw line "n",
-      field_raw line "words_per_round" )
-  with
-  | Some protocol, Some path, Some n, Some wpr -> (
-      match (int_of_string_opt n, float_of_string_opt wpr) with
-      | Some n, Some words_per_round -> Some { protocol; path; n; words_per_round }
-      | _ -> None)
-  | _ -> None
-
-let load_kind file ~kind parse =
-  let ic = open_in file in
-  let rows = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       match field_raw line "kind" with
-       | Some k when k = kind -> (
-           match parse line with
-           | Some r -> rows := r :: !rows
-           | None -> ())
-       | _ -> ()
-     done
-   with End_of_file -> ());
-  close_in ic;
-  List.rev !rows
-
-let load_rows file = load_kind file ~kind:"micro" parse_row
-
-(* kind="scale-throughput" rows reuse the same record shape with
-   rounds_per_sec in place of words_per_round. *)
-let parse_scale line =
-  match
-    ( field_raw line "protocol",
-      field_raw line "path",
-      field_raw line "n",
-      field_raw line "rounds_per_sec" )
-  with
-  | Some protocol, Some path, Some n, Some rps -> (
-      match (int_of_string_opt n, float_of_string_opt rps) with
-      | Some n, Some words_per_round -> Some { protocol; path; n; words_per_round }
-      | _ -> None)
-  | _ -> None
+let load_rows file = load_kind file ~kind:"micro" ~metric:"words_per_round"
 
 (* Later rows win: a records file may hold several runs appended. *)
 let lookup rows ~protocol ~path ~n =
@@ -128,7 +73,9 @@ let () =
         exit 2
   in
   let current = load_rows records in
-  let scale = load_kind records ~kind:"scale-throughput" parse_scale in
+  let scale =
+    load_kind records ~kind:"scale-throughput" ~metric:"rounds_per_sec"
+  in
   if current = [] && scale = [] then begin
     Printf.eprintf
       "perf_gate: no kind=\"micro\" or kind=\"scale-throughput\" rows in %s\n\

@@ -5,7 +5,7 @@
 
     Flag spellings are shared with bench/main.exe: --jobs, --seeds, --json,
     --wall-budget/--round-budget/--msg-budget/--rand-budget, --trace,
-    --trace-dir, --trace-format, --trace-tail. *)
+    --trace-dir, --trace-tail. *)
 
 open Cmdliner
 
@@ -18,8 +18,7 @@ let print_tail lines =
     List.iter (fun l -> Fmt.pr "  %s@." l) lines
   end
 
-let run_cmd spec0 seeds trace trace_dir trace_format trace_tail cache
-    no_cache =
+let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
   let builder =
     match Run_spec.resolve spec0 with
     | Ok b -> b
@@ -28,7 +27,6 @@ let run_cmd spec0 seeds trace trace_dir trace_format trace_tail cache
         exit 2
   in
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
-  let format = Run_spec.Cli.format_or_die trace_format in
   Option.iter ensure_dir trace_dir;
   let store =
     Run_spec.Cli.store_of_flags ~resume:false ~json:None ~cache ~no_cache
@@ -48,10 +46,9 @@ let run_cmd spec0 seeds trace trace_dir trace_format trace_tail cache
         (fun dir ->
           let path =
             Filename.concat dir
-              (Printf.sprintf "run.%s.seed%d.trace.%s" B.name seed
-                 (Trace.format_extension format))
+              (Printf.sprintf "run.%s.seed%d.trace.jsonl" B.name seed)
           in
-          (path, Trace.Sink.file ~path ~format))
+          (path, Trace.Sink.file ~path))
         trace_dir
     in
     let sinks =
@@ -204,25 +201,11 @@ let fuzz_protocols spec =
           Fmt.epr "%s@." msg;
           exit 2)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* Re-run the shrunk counterexample's violating protocol with trace sinks:
    the full trace goes to a file, the tail is returned for the console and
    the JSON failure record. Deterministic — the scenario is a pure function
    of its seed, so this is the run the fuzzer saw. *)
-let dump_failure_trace ~protocols ~dir ~format ~tail_rounds
+let dump_failure_trace ~protocols ~dir ~tail_rounds
     (f : Harness.Fuzz.failure) =
   let id = f.Harness.Fuzz.violation.Harness.Runner.protocol in
   match
@@ -237,19 +220,17 @@ let dump_failure_trace ~protocols ~dir ~format ~tail_rounds
       ensure_dir dir;
       let path =
         Filename.concat dir
-          (Printf.sprintf "fuzz-counterexample.%s.trace.%s" entry.id
-             (Trace.format_extension format))
+          (Printf.sprintf "fuzz-counterexample.%s.trace.jsonl" entry.id)
       in
-      Trace.File.write ~path ~format (events ());
+      Trace.File.write ~path (events ());
       (Some path, Trace.Tail.lines tail)
 
 let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
-    trace_dir trace_format trace_tail =
+    trace_dir trace_tail =
   let protocols = fuzz_protocols protocol in
   let count = if smoke then max count 1_000_000 else count in
   let time_budget = if smoke then Some 25.0 else None in
   let jobs = if jobs <= 0 then Exec.default_jobs () else jobs in
-  let format = Run_spec.Cli.format_or_die trace_format in
   (* --json FILE: machine-readable result records in FILE; --resume
      keeps the run cache beside it (FILE.cache) — same layout as
      bench/main.exe. *)
@@ -259,7 +240,7 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
     match json_ch with
     | None -> ()
     | Some ch ->
-        output_string ch ("{" ^ String.concat "," fields ^ "}\n");
+        output_string ch (Jsonl.obj fields ^ "\n");
         flush ch
   in
   let result =
@@ -281,14 +262,15 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
         stats.Harness.Fuzz.scenarios stats.runs stats.checked
         stats.determinism_checks;
       emit_json
-        [
-          "\"kind\":\"fuzz-ok\"";
-          Printf.sprintf "\"schema_version\":%d" 2;
-          Printf.sprintf "\"scenarios\":%d" stats.Harness.Fuzz.scenarios;
-          Printf.sprintf "\"runs\":%d" stats.runs;
-          Printf.sprintf "\"checked\":%d" stats.checked;
-          Printf.sprintf "\"determinism_checks\":%d" stats.determinism_checks;
-        ];
+        Jsonl.
+          [
+            ("kind", S "fuzz-ok");
+            ("schema_version", I schema_version);
+            ("scenarios", I stats.Harness.Fuzz.scenarios);
+            ("runs", I stats.runs);
+            ("checked", I stats.checked);
+            ("determinism_checks", I stats.determinism_checks);
+          ];
       Option.iter close_out json_ch
   | Error (f, stats) ->
       Fmt.pr "fuzz: FAILED after %d scenarios@." stats.Harness.Fuzz.scenarios;
@@ -296,36 +278,30 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
       (* quarantine the counterexample with its trace: full trace file +
          last-K-rounds tail on the console and in the JSON record *)
       let path, tail =
-        dump_failure_trace ~protocols ~dir:trace_dir ~format
+        dump_failure_trace ~protocols ~dir:trace_dir
           ~tail_rounds:(max 1 trace_tail) f
       in
       Option.iter (fun p -> Fmt.pr "fuzz: counterexample trace in %s@." p) path;
       print_tail tail;
+      let v = f.Harness.Fuzz.violation in
       emit_json
-        ([
-           "\"kind\":\"quarantine\"";
-           Printf.sprintf "\"schema_version\":%d" 2;
-           Printf.sprintf "\"label\":\"fuzz-counterexample/%s\""
-             (json_escape f.Harness.Fuzz.violation.Harness.Runner.protocol);
-           Printf.sprintf "\"property\":\"%s\""
-             (json_escape f.Harness.Fuzz.violation.Harness.Runner.property);
-           Printf.sprintf "\"detail\":\"%s\""
-             (json_escape f.Harness.Fuzz.violation.Harness.Runner.detail);
-           Printf.sprintf "\"original\":\"%s\""
-             (json_escape (Harness.Scenario.to_string f.Harness.Fuzz.original));
-           Printf.sprintf "\"shrunk\":\"%s\""
-             (json_escape (Harness.Scenario.to_string f.Harness.Fuzz.shrunk));
-           Printf.sprintf "\"shrink_steps\":%d" f.Harness.Fuzz.shrink_steps;
-           Printf.sprintf "\"replay\":\"%s\""
-             (json_escape (Harness.Fuzz.replay_command f.Harness.Fuzz.shrunk));
-         ]
-        @ (match path with
-          | Some p -> [ Printf.sprintf "\"trace_file\":\"%s\"" (json_escape p) ]
-          | None -> [])
-        @
-        match tail with
-        | [] -> []
-        | lines -> [ "\"trace\":[" ^ String.concat "," lines ^ "]" ]);
+        Jsonl.(
+          [
+            ("kind", S "quarantine");
+            ("schema_version", I schema_version);
+            ("label", S ("fuzz-counterexample/" ^ v.Harness.Runner.protocol));
+            ("property", S v.Harness.Runner.property);
+            ("detail", S v.Harness.Runner.detail);
+            ("original", S (Harness.Scenario.to_string f.Harness.Fuzz.original));
+            ("shrunk", S (Harness.Scenario.to_string f.Harness.Fuzz.shrunk));
+            ("shrink_steps", I f.Harness.Fuzz.shrink_steps);
+            ("replay", S (Harness.Fuzz.replay_command f.Harness.Fuzz.shrunk));
+          ]
+          @ (match path with Some p -> [ ("trace_file", S p) ] | None -> [])
+          @
+          match tail with
+          | [] -> []
+          | lines -> [ ("trace", L (List.map (fun l -> Raw l) lines)) ]);
       Option.iter close_out json_ch;
       exit 1
 
@@ -439,12 +415,6 @@ let trace_dir_arg =
         ~doc:"Write full event traces to files in $(docv) (created if \
               missing).")
 
-let trace_format_arg =
-  Arg.(
-    value & opt string "jsonl"
-    & info [ "trace-format" ]
-        ~doc:"Trace file encoding: jsonl or binary.")
-
 let trace_tail_arg ~doc = Arg.(value & opt int 0 & info [ "trace-tail" ] ~doc)
 
 let run_term =
@@ -517,7 +487,7 @@ let run_term =
   in
   Term.(
     const (fun protocol n t x seed seeds adversary inputs bflags net trace
-               trace_dir trace_format trace_tail spec_str cache no_cache ->
+               trace_dir trace_tail spec_str cache no_cache ->
         let spec =
           match spec_str with
           | Some s -> (
@@ -535,11 +505,9 @@ let run_term =
                 ~budget:(Run_spec.Cli.budget_of_flags bflags)
                 ~protocol ~n ~t_max:t ~seed ()
         in
-        run_cmd spec seeds trace trace_dir trace_format trace_tail cache
-          no_cache)
+        run_cmd spec seeds trace trace_dir trace_tail cache no_cache)
     $ protocol $ n_arg $ t_arg $ x_arg $ seed_arg $ seeds_arg $ adversary
-    $ inputs $ budget_term $ net $ trace_flag $ trace_dir_arg
-    $ trace_format_arg $ trace_tail_arg
+    $ inputs $ budget_term $ net $ trace_flag $ trace_dir_arg $ trace_tail_arg
         ~doc:
           "Keep the last $(docv) rounds of events; printed when a run fails \
            or disagrees (0 = off)."
@@ -626,7 +594,6 @@ let fuzz_term =
             ~doc:
               "Directory for the counterexample trace dumped on failure \
                (created if missing).")
-    $ trace_format_arg
     $ trace_tail_arg
         ~doc:
           "Rounds of events to keep in the failure record's trace tail \
@@ -661,13 +628,13 @@ let trace_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"LEFT" ~doc:"First trace file (jsonl or binary).")
+      & info [] ~docv:"LEFT" ~doc:"First JSONL trace file.")
   in
   let right =
     Arg.(
       required
       & pos 1 (some string) None
-      & info [] ~docv:"RIGHT" ~doc:"Second trace file (jsonl or binary).")
+      & info [] ~docv:"RIGHT" ~doc:"Second JSONL trace file.")
   in
   let diff =
     Cmd.v
@@ -682,7 +649,7 @@ let trace_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"FILE" ~doc:"Trace file (jsonl or binary).")
+      & info [] ~docv:"FILE" ~doc:"JSONL trace file.")
   in
   let metrics =
     Arg.(
@@ -693,7 +660,7 @@ let trace_cmd =
   let show =
     Cmd.v
       (Cmd.info "show"
-         ~doc:"Print a trace file as JSONL events (decodes binary traces).")
+         ~doc:"Print a trace file's events, one JSON object per line.")
       Term.(const trace_show_cmd $ file $ metrics)
   in
   Cmd.group

@@ -515,18 +515,28 @@ module Degradation = struct
       o.Sim.Engine.decisions;
     if !ok then !result else None
 
-  let int_list_json l =
-    "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
-
   let to_json d =
-    Printf.sprintf
-      {|{"spec":"%s","attempts":%d,"retransmits":%d,"drops":%d,"dups":%d,"delays":%d,"stalls":%d,"residual":%d,"rounds":%d,"active_rounds":%d,"slots":%d,"induced_faulty":%s,"adversarial_faulty":%s,"effective_faulty":%s,"t_max":%d,"beyond_model":%b}|}
-      (Spec.to_string d.spec) d.attempts d.retransmits d.drops d.dups d.delays
-      d.stalls d.residual d.rounds d.active_rounds d.slots
-      (int_list_json d.induced_faulty)
-      (int_list_json d.adversarial_faulty)
-      (int_list_json d.effective_faulty)
-      d.t_max d.beyond_model
+    let ints l = Jsonl.L (List.map (fun i -> Jsonl.I i) l) in
+    Jsonl.(
+      obj
+        [
+          ("spec", S (Spec.to_string d.spec));
+          ("attempts", I d.attempts);
+          ("retransmits", I d.retransmits);
+          ("drops", I d.drops);
+          ("dups", I d.dups);
+          ("delays", I d.delays);
+          ("stalls", I d.stalls);
+          ("residual", I d.residual);
+          ("rounds", I d.rounds);
+          ("active_rounds", I d.active_rounds);
+          ("slots", I d.slots);
+          ("induced_faulty", ints d.induced_faulty);
+          ("adversarial_faulty", ints d.adversarial_faulty);
+          ("effective_faulty", ints d.effective_faulty);
+          ("t_max", I d.t_max);
+          ("beyond_model", B d.beyond_model);
+        ])
 
   let pp ppf d =
     Fmt.pf ppf

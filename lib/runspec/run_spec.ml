@@ -269,13 +269,6 @@ module Cli = struct
         Fmt.epr "%s@." m;
         Stdlib.exit 2
 
-  let format_or_die s =
-    match Trace.format_of_string s with
-    | Some f -> f
-    | None ->
-        Fmt.epr "--trace-format must be jsonl or binary, not %S@." s;
-        Stdlib.exit 2
-
   let store_of_flags ~resume ~json ~cache ~no_cache =
     if resume && json = None then begin
       Fmt.epr "--resume needs --json FILE (its cache is FILE.cache)@.";

@@ -96,7 +96,7 @@ val execute :
 
 (** Shared CLI parsing for the flag spellings common to
     [bin/consensus_sim] and [bench/main.exe]: budgets, [--net],
-    [--trace-format], [--cache]/[--resume]/[--no-cache]. Error behavior is
+    [--cache]/[--resume]/[--no-cache]. Error behavior is
     identical on both surfaces — one line on stderr, exit 2. *)
 module Cli : sig
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }
@@ -111,10 +111,6 @@ module Cli : sig
   val net_or_die : string -> Net.Spec.t
   (** Parse a [--net] spec; on error print the parser's one-line message
       and exit 2. *)
-
-  val format_or_die : string -> Trace.format
-  (** Parse a [--trace-format] value; on error print
-      ["--trace-format must be jsonl or binary, not ..."] and exit 2. *)
 
   val store_of_flags :
     resume:bool ->

@@ -101,55 +101,50 @@ let pp_failure ppf f =
 
 (* --- JSON-lines quarantine record --- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* The quarantine record's fields, shared by [failure_json] and the bench
+   sink. Seconds are written to the millisecond. *)
+let failure_fields ?(elapsed = true) f =
+  let secs x = Jsonl.Raw (Printf.sprintf "%.3f" x) in
+  let opt k to_v = function Some x -> [ (k, to_v x) ] | None -> [] in
+  let kind =
+    match f.kind with
+    | Crashed { exn_text; backtrace } ->
+        [ ("failure", Jsonl.S "crashed"); ("exn", Jsonl.S exn_text) ]
+        @ if backtrace = "" then [] else [ ("backtrace", Jsonl.S backtrace) ]
+    | Timeout { limit_s; elapsed_s } ->
+        [
+          ("failure", Jsonl.S "timeout");
+          ("limit_s", secs limit_s);
+          ("timeout_elapsed_s", secs elapsed_s);
+        ]
+    | Budget_exceeded { metric; limit; actual; at_round } ->
+        [
+          ("failure", Jsonl.S "budget_exceeded");
+          ("metric", Jsonl.S metric);
+          ("limit", Jsonl.F limit);
+          ("actual", Jsonl.F actual);
+          ("at_round", Jsonl.I at_round);
+        ]
+    | Degraded { induced; adversarial; t_max; residual } ->
+        [
+          ("failure", Jsonl.S "degraded");
+          ("induced_faults", Jsonl.I induced);
+          ("adversarial_faults", Jsonl.I adversarial);
+          ("t_max", Jsonl.I t_max);
+          ("residual_losses", Jsonl.I residual);
+        ]
+  in
+  [ ("index", Jsonl.I f.index); ("label", Jsonl.S f.label) ]
+  @ opt "seed" (fun s -> Jsonl.I s) f.seed
+  @ opt "replay" (fun r -> Jsonl.S r) f.replay
+  @ kind
+  @ (if elapsed then [ ("elapsed_s", secs f.elapsed_s) ] else [])
+  (* the trace tail's lines are already JSON objects (Trace.Event.to_json) *)
+  @ if f.trace = [] then []
+    else [ ("trace", Jsonl.L (List.map (fun l -> Jsonl.Raw l) f.trace)) ]
 
 let failure_json f =
-  let b = Buffer.create 160 in
-  let field k v = Buffer.add_string b (Printf.sprintf ",\"%s\":%s" k v) in
-  let str k s = field k (Printf.sprintf "\"%s\"" (json_escape s)) in
-  Buffer.add_string b
-    (Printf.sprintf "{\"kind\":\"quarantine\",\"index\":%d" f.index);
-  str "label" f.label;
-  (match f.seed with Some s -> field "seed" (string_of_int s) | None -> ());
-  (match f.replay with Some r -> str "replay" r | None -> ());
-  (match f.kind with
-  | Crashed { exn_text; backtrace } ->
-      str "failure" "crashed";
-      str "exn" exn_text;
-      if backtrace <> "" then str "backtrace" backtrace
-  | Timeout { limit_s; elapsed_s } ->
-      str "failure" "timeout";
-      field "limit_s" (Printf.sprintf "%.3f" limit_s);
-      field "timeout_elapsed_s" (Printf.sprintf "%.3f" elapsed_s)
-  | Budget_exceeded { metric; limit; actual; at_round } ->
-      str "failure" "budget_exceeded";
-      str "metric" metric;
-      field "limit" (Printf.sprintf "%.0f" limit);
-      field "actual" (Printf.sprintf "%.0f" actual);
-      field "at_round" (string_of_int at_round)
-  | Degraded { induced; adversarial; t_max; residual } ->
-      str "failure" "degraded";
-      field "induced_faults" (string_of_int induced);
-      field "adversarial_faults" (string_of_int adversarial);
-      field "t_max" (string_of_int t_max);
-      field "residual_losses" (string_of_int residual));
-  field "elapsed_s" (Printf.sprintf "%.3f" f.elapsed_s);
-  (* the trace tail's lines are already JSON objects (Trace.Event.to_json) *)
-  if f.trace <> [] then field "trace" ("[" ^ String.concat "," f.trace ^ "]");
-  Buffer.add_char b '}';
-  Buffer.contents b
+  Jsonl.obj (("kind", Jsonl.S "quarantine") :: failure_fields f)
 
 (* --- supervised engine run --- *)
 
@@ -403,40 +398,38 @@ module Cached = struct
 
   let outcome_of_string s =
     match String.split_on_char ' ' s with
-    | [ dec; fau; rt; dr; ms; bs; mo; rc; rb; fu ] -> (
-        try
-          let decisions =
-            if dec = "." then [||]
-            else
-              Array.of_list
-                (List.map
-                   (function "-" -> None | v -> Some (int_of_string v))
-                   (String.split_on_char ',' dec))
-          in
-          let faulty =
-            if fau = "." then [||]
-            else
-              Array.init (String.length fau) (fun i ->
-                  match fau.[i] with
-                  | '1' -> true
-                  | '0' -> false
-                  | _ -> failwith "faulty")
-          in
-          Some
-            {
-              Sim.Engine.decisions;
-              faulty;
-              rounds_total = int_of_string rt;
-              decided_round =
-                (if dr = "-" then None else Some (int_of_string dr));
-              messages_sent = int_of_string ms;
-              bits_sent = int_of_string bs;
-              messages_omitted = int_of_string mo;
-              rand_calls = int_of_string rc;
-              rand_bits = int_of_string rb;
-              faults_used = int_of_string fu;
-            }
-        with _ -> None)
+    | [ dec; fau; rt; dr; ms; bs; mo; rc; rb; fu ] ->
+        let decisions =
+          if dec = "." then [||]
+          else
+            Array.of_list
+              (List.map
+                 (function "-" -> None | v -> Some (int_of_string v))
+                 (String.split_on_char ',' dec))
+        in
+        let faulty =
+          if fau = "." then [||]
+          else
+            Array.init (String.length fau) (fun i ->
+                match fau.[i] with
+                | '1' -> true
+                | '0' -> false
+                | _ -> failwith "faulty")
+        in
+        Some
+          {
+            Sim.Engine.decisions;
+            faulty;
+            rounds_total = int_of_string rt;
+            decided_round =
+              (if dr = "-" then None else Some (int_of_string dr));
+            messages_sent = int_of_string ms;
+            bits_sent = int_of_string bs;
+            messages_omitted = int_of_string mo;
+            rand_calls = int_of_string rc;
+            rand_bits = int_of_string rb;
+            faults_used = int_of_string fu;
+          }
     | _ -> None
 
   let ints_to_token = function
@@ -470,29 +463,27 @@ module Cached = struct
         bm ] -> (
         match Net.Spec.of_string spec with
         | Error _ -> None
-        | Ok spec -> (
-            try
-              Some
-                {
-                  Net.Degradation.spec;
-                  attempts = int_of_string at;
-                  retransmits = int_of_string rt;
-                  drops = int_of_string dr;
-                  dups = int_of_string du;
-                  delays = int_of_string de;
-                  stalls = int_of_string st;
-                  residual = int_of_string rs;
-                  rounds = int_of_string ro;
-                  active_rounds = int_of_string ar;
-                  slots = int_of_string sl;
-                  induced_per_pid = Array.of_list (ints_of_token ipp);
-                  induced_faulty = ints_of_token ind;
-                  adversarial_faulty = ints_of_token adv;
-                  effective_faulty = ints_of_token eff;
-                  t_max = int_of_string tm;
-                  beyond_model = bool_of_string bm;
-                }
-            with _ -> None))
+        | Ok spec ->
+            Some
+              {
+                Net.Degradation.spec;
+                attempts = int_of_string at;
+                retransmits = int_of_string rt;
+                drops = int_of_string dr;
+                dups = int_of_string du;
+                delays = int_of_string de;
+                stalls = int_of_string st;
+                residual = int_of_string rs;
+                rounds = int_of_string ro;
+                active_rounds = int_of_string ar;
+                slots = int_of_string sl;
+                induced_per_pid = Array.of_list (ints_of_token ipp);
+                induced_faulty = ints_of_token ind;
+                adversarial_faulty = ints_of_token adv;
+                effective_faulty = ints_of_token eff;
+                t_max = int_of_string tm;
+                beyond_model = bool_of_string bm;
+              })
     | _ -> None
 
   let net_to_string (o, d) =
@@ -520,7 +511,8 @@ module Cached = struct
   (* Only successes are cached: failures and degraded runs must re-run
      (and re-report) every time — a quarantine served from a cache would
      hide a flaky environment. An undecodable payload (torn or
-     hand-edited object) is dropped by the lookup and recomputed once. *)
+     hand-edited object: the decoder returns None or raises) is dropped
+     by the lookup and recomputed once. *)
   let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
       ~inputs =
     let fresh () = run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs in

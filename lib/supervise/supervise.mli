@@ -98,12 +98,20 @@ val current_label : unit -> string option
 val pp_failure_kind : Format.formatter -> failure_kind -> unit
 val pp_failure : Format.formatter -> failure -> unit
 
+val failure_fields : ?elapsed:bool -> failure -> (string * Jsonl.v) list
+(** The quarantine record's fields, in order: [index], [label], [seed]?,
+    [replay]?, [failure] ("crashed" | "timeout" | "budget_exceeded" |
+    "degraded") and its kind-specific fields ([exn] and [backtrace]? for a
+    crash; [limit_s] and [timeout_elapsed_s] for a timeout; [metric],
+    [limit], [actual] and [at_round] for a breach; [induced_faults],
+    [adversarial_faults], [t_max] and [residual_losses] for a degraded
+    run), then [elapsed_s] and [trace]? (the tail's event objects).
+    Seconds are written to the millisecond. [~elapsed:false] leaves out
+    the wall-clock [elapsed_s]. *)
+
 val failure_json : failure -> string
-(** The quarantine record as a single JSON-lines object (no trailing
-    newline). Schema: [{"kind":"quarantine","index":i,"label":s,
-    "seed":i?,"replay":s?,
-    "failure":"crashed"|"timeout"|"budget_exceeded"|"degraded",
-    ...kind-specific fields...,"elapsed_s":f}]. *)
+(** The quarantine record as one JSON-lines object (no trailing
+    newline): [{"kind":"quarantine"] followed by {!failure_fields}. *)
 
 val run :
   ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
@@ -232,10 +240,14 @@ module Cached : sig
       one is given, and never invoke [on_round]. *)
 
   val outcome_to_string : Sim.Engine.outcome -> string
+
   val outcome_of_string : string -> Sim.Engine.outcome option
+  (** [None] on a wrong token count; raises on a malformed token, which
+      {!Cache.Store.lookup} counts as a corrupt entry. *)
 
   val net_to_string : Sim.Engine.outcome * Net.Degradation.t -> string
   val net_of_string : string -> (Sim.Engine.outcome * Net.Degradation.t) option
+  (** May raise, like {!outcome_of_string}. *)
 
   val run :
     ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
@@ -281,5 +293,8 @@ module Cached : sig
       batch keeps its finished work. Results land in input order, and
       [describe] and [failure.index] see original indices, so the
       quarantine/replay contract is unchanged by how much of the batch
-      was cached. [key] and [codec]'s encoder run on worker domains. *)
+      was cached. [key] and [codec]'s encoder run on worker domains.
+      [codec]'s decoder runs inside {!Cache.Store.lookup}: it may return
+      [None] or raise on a payload it cannot read, and either way the
+      entry counts as corrupt and the task is recomputed. *)
 end

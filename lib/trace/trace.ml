@@ -2,16 +2,6 @@
    the paper's per-round resource flows (rounds, communication bits, random
    bits) and the debugging tool behind quarantine records. See trace.mli. *)
 
-type format = Jsonl | Binary
-
-let format_of_string = function
-  | "jsonl" | "json" -> Some Jsonl
-  | "binary" | "bin" -> Some Binary
-  | _ -> None
-
-let format_to_string = function Jsonl -> "jsonl" | Binary -> "binary"
-let format_extension = function Jsonl -> "jsonl" | Binary -> "bin"
-
 (* ------------------------------------------------------------------ *)
 (* Events.                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -127,161 +117,119 @@ module Event = struct
     (* keys are hex digests: no commas, colons, or quotes to escape *)
     | Cache_hit { key } -> Printf.sprintf {|{"ev":"cache-hit","key":"%s"}|} key
 
-  (* Parses exactly the flat one-line objects [to_json] writes: string
-     values never contain commas or colons, so splitting is safe. *)
   let of_json line =
-    let line = String.trim line in
-    let n = String.length line in
-    if n < 2 || line.[0] <> '{' || line.[n - 1] <> '}' then None
-    else
-      let fields = Hashtbl.create 8 in
-      match
-        String.split_on_char ',' (String.sub line 1 (n - 2))
-        |> List.iter (fun part ->
-               match String.index_opt part ':' with
-               | None -> raise Exit
-               | Some i ->
-                   let key = String.trim (String.sub part 0 i) in
-                   let value =
-                     String.trim
-                       (String.sub part (i + 1) (String.length part - i - 1))
-                   in
-                   let kl = String.length key in
-                   if kl < 2 || key.[0] <> '"' || key.[kl - 1] <> '"' then
-                     raise Exit;
-                   Hashtbl.replace fields (String.sub key 1 (kl - 2)) value)
-      with
-      | exception Exit -> None
-      | () -> (
-          let str k =
-            match Hashtbl.find_opt fields k with
-            | Some v
-              when String.length v >= 2
-                   && v.[0] = '"'
-                   && v.[String.length v - 1] = '"' ->
-                String.sub v 1 (String.length v - 2)
-            | _ -> raise Exit
-          in
-          let int k =
-            match Hashtbl.find_opt fields k with
-            | Some v -> int_of_string v
-            | None -> raise Exit
-          in
-          let boolean k =
-            match Hashtbl.find_opt fields k with
-            | Some "true" -> true
-            | Some "false" -> false
-            | _ -> raise Exit
-          in
-          let opt k =
-            match Hashtbl.find_opt fields k with
-            | Some "null" -> None
-            | Some v -> Some (int_of_string v)
-            | None -> raise Exit
-          in
-          match
-            match str "ev" with
-            | "round-start" -> Round_start { round = int "round" }
-            | "send" ->
-                Send
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    bits = int "bits";
-                    hint = opt "hint";
-                  }
-            | "corrupt" -> Corrupt { round = int "round"; pid = int "pid" }
-            | "omit" ->
-                Omit { round = int "round"; src = int "src"; dst = int "dst" }
-            | "deliver" ->
-                Deliver
-                  { round = int "round"; src = int "src"; dst = int "dst" }
-            | "coin" ->
-                Coin
-                  {
-                    round = int "round";
-                    pid = int "pid";
-                    calls = int "calls";
-                    bits = int "bits";
-                  }
-            | "phase" ->
-                Phase
-                  {
-                    round = int "round";
-                    pid = int "pid";
-                    operative = boolean "operative";
-                    candidate = opt "candidate";
-                  }
-            | "decide" ->
-                Decide
-                  { round = int "round"; pid = int "pid"; value = int "value" }
-            | "round-end" ->
-                Round_end
-                  {
-                    round = int "round";
-                    messages = int "messages";
-                    bits = int "bits";
-                    omitted = int "omitted";
-                    rand_calls = int "rand_calls";
-                    rand_bits = int "rand_bits";
-                  }
-            | "drop" ->
-                Drop
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    attempt = int "attempt";
-                  }
-            | "dup" ->
-                Dup
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    copies = int "copies";
-                  }
-            | "delay" ->
-                Delay
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    slots = int "slots";
-                  }
-            | "retransmit" ->
-                Retransmit
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    attempt = int "attempt";
-                    backoff = int "backoff";
-                  }
-            | "ack" ->
-                Ack
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    attempt = int "attempt";
-                  }
-            | "degrade" ->
-                Degrade
-                  {
-                    round = int "round";
-                    src = int "src";
-                    dst = int "dst";
-                    attempts = int "attempts";
-                  }
-            | "cache-hit" -> Cache_hit { key = str "key" }
-            | _ -> raise Exit
-          with
-          | e -> Some e
-          | exception Exit -> None
-          | exception Not_found -> None
-          | exception Failure _ -> None)
+    match Jsonl.read line with
+    | None -> None
+    | Some fs -> (
+        let get f k = match f fs k with Some v -> v | None -> raise Exit in
+        let int = get Jsonl.int in
+        let opt k =
+          match List.assoc_opt k fs with
+          | Some Jsonl.Null -> None
+          | Some (Jsonl.I v) -> Some v
+          | _ -> raise Exit
+        in
+        match
+          match get Jsonl.string "ev" with
+          | "round-start" -> Round_start { round = int "round" }
+          | "send" ->
+              Send
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  bits = int "bits";
+                  hint = opt "hint";
+                }
+          | "corrupt" -> Corrupt { round = int "round"; pid = int "pid" }
+          | "omit" ->
+              Omit { round = int "round"; src = int "src"; dst = int "dst" }
+          | "deliver" ->
+              Deliver
+                { round = int "round"; src = int "src"; dst = int "dst" }
+          | "coin" ->
+              Coin
+                {
+                  round = int "round";
+                  pid = int "pid";
+                  calls = int "calls";
+                  bits = int "bits";
+                }
+          | "phase" ->
+              Phase
+                {
+                  round = int "round";
+                  pid = int "pid";
+                  operative = get Jsonl.bool "operative";
+                  candidate = opt "candidate";
+                }
+          | "decide" ->
+              Decide
+                { round = int "round"; pid = int "pid"; value = int "value" }
+          | "round-end" ->
+              Round_end
+                {
+                  round = int "round";
+                  messages = int "messages";
+                  bits = int "bits";
+                  omitted = int "omitted";
+                  rand_calls = int "rand_calls";
+                  rand_bits = int "rand_bits";
+                }
+          | "drop" ->
+              Drop
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  attempt = int "attempt";
+                }
+          | "dup" ->
+              Dup
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  copies = int "copies";
+                }
+          | "delay" ->
+              Delay
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  slots = int "slots";
+                }
+          | "retransmit" ->
+              Retransmit
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  attempt = int "attempt";
+                  backoff = int "backoff";
+                }
+          | "ack" ->
+              Ack
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  attempt = int "attempt";
+                }
+          | "degrade" ->
+              Degrade
+                {
+                  round = int "round";
+                  src = int "src";
+                  dst = int "dst";
+                  attempts = int "attempts";
+                }
+          | "cache-hit" -> Cache_hit { key = get Jsonl.string "key" }
+          | _ -> raise Exit
+        with
+        | e -> Some e
+        | exception Exit -> None)
 
   let pp ppf e =
     match e with
@@ -324,216 +272,11 @@ module Event = struct
         Fmt.pf ppf "r%-4d degrade %d -> %d lost after %d attempts" round src
           dst attempts
     | Cache_hit { key } -> Fmt.pf ppf "r0    cache-hit %s" key
-
-  (* --- compact binary codec (tag byte + LEB128 varints) --- *)
-
-  let tag = function
-    | Round_start _ -> 0
-    | Send _ -> 1
-    | Corrupt _ -> 2
-    | Omit _ -> 3
-    | Deliver _ -> 4
-    | Coin _ -> 5
-    | Phase _ -> 6
-    | Decide _ -> 7
-    | Round_end _ -> 8
-    | Drop _ -> 9
-    | Dup _ -> 10
-    | Delay _ -> 11
-    | Retransmit _ -> 12
-    | Ack _ -> 13
-    | Degrade _ -> 14
-    | Cache_hit _ -> 15
-
-  let put_uv b n =
-    if n < 0 then invalid_arg "Trace.Event: negative field in binary codec";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char b (Char.chr n)
-      else begin
-        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
-
-  let zigzag n = (n lsl 1) lxor (n asr 62)
-  let unzigzag n = (n lsr 1) lxor (-(n land 1))
-
-  let put_opt b = function
-    | None -> put_uv b 0
-    | Some v ->
-        put_uv b 1;
-        put_uv b (zigzag v)
-
-  let to_binary b e =
-    Buffer.add_char b (Char.chr (tag e));
-    match e with
-    | Round_start { round } -> put_uv b round
-    | Send { round; src; dst; bits; hint } ->
-        put_uv b round;
-        put_uv b src;
-        put_uv b dst;
-        put_uv b bits;
-        put_opt b hint
-    | Corrupt { round; pid } ->
-        put_uv b round;
-        put_uv b pid
-    | Omit { round; src; dst } | Deliver { round; src; dst } ->
-        put_uv b round;
-        put_uv b src;
-        put_uv b dst
-    | Coin { round; pid; calls; bits } ->
-        put_uv b round;
-        put_uv b pid;
-        put_uv b calls;
-        put_uv b bits
-    | Phase { round; pid; operative; candidate } ->
-        put_uv b round;
-        put_uv b pid;
-        put_uv b (if operative then 1 else 0);
-        put_opt b candidate
-    | Decide { round; pid; value } ->
-        put_uv b round;
-        put_uv b pid;
-        put_uv b (zigzag value)
-    | Round_end { round; messages; bits; omitted; rand_calls; rand_bits } ->
-        put_uv b round;
-        put_uv b messages;
-        put_uv b bits;
-        put_uv b omitted;
-        put_uv b rand_calls;
-        put_uv b rand_bits
-    | Drop { round; src; dst; attempt }
-    | Ack { round; src; dst; attempt }
-    | Degrade { round; src; dst; attempts = attempt } ->
-        put_uv b round;
-        put_uv b src;
-        put_uv b dst;
-        put_uv b attempt
-    | Dup { round; src; dst; copies = k }
-    | Delay { round; src; dst; slots = k } ->
-        put_uv b round;
-        put_uv b src;
-        put_uv b dst;
-        put_uv b k
-    | Retransmit { round; src; dst; attempt; backoff } ->
-        put_uv b round;
-        put_uv b src;
-        put_uv b dst;
-        put_uv b attempt;
-        put_uv b backoff
-    | Cache_hit { key } ->
-        put_uv b (String.length key);
-        Buffer.add_string b key
-
-  exception Truncated
-
-  let get_uv s pos =
-    let rec go shift acc =
-      if !pos >= String.length s then raise Truncated;
-      let c = Char.code s.[!pos] in
-      incr pos;
-      let acc = acc lor ((c land 0x7f) lsl shift) in
-      if c land 0x80 = 0 then acc else go (shift + 7) acc
-    in
-    go 0 0
-
-  let get_opt s pos =
-    match get_uv s pos with
-    | 0 -> None
-    | _ -> Some (unzigzag (get_uv s pos))
-
-  let of_binary s pos =
-    if !pos >= String.length s then raise Truncated;
-    let tag = Char.code s.[!pos] in
-    incr pos;
-    let uv () = get_uv s pos in
-    match tag with
-    | 0 -> Round_start { round = uv () }
-    | 1 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        let bits = uv () in
-        let hint = get_opt s pos in
-        Send { round; src; dst; bits; hint }
-    | 2 ->
-        let round = uv () in
-        Corrupt { round; pid = uv () }
-    | 3 ->
-        let round = uv () in
-        let src = uv () in
-        Omit { round; src; dst = uv () }
-    | 4 ->
-        let round = uv () in
-        let src = uv () in
-        Deliver { round; src; dst = uv () }
-    | 5 ->
-        let round = uv () in
-        let pid = uv () in
-        let calls = uv () in
-        Coin { round; pid; calls; bits = uv () }
-    | 6 ->
-        let round = uv () in
-        let pid = uv () in
-        let operative = uv () = 1 in
-        Phase { round; pid; operative; candidate = get_opt s pos }
-    | 7 ->
-        let round = uv () in
-        let pid = uv () in
-        Decide { round; pid; value = unzigzag (uv ()) }
-    | 8 ->
-        let round = uv () in
-        let messages = uv () in
-        let bits = uv () in
-        let omitted = uv () in
-        let rand_calls = uv () in
-        Round_end { round; messages; bits; omitted; rand_calls; rand_bits = uv () }
-    | 9 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        Drop { round; src; dst; attempt = uv () }
-    | 10 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        Dup { round; src; dst; copies = uv () }
-    | 11 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        Delay { round; src; dst; slots = uv () }
-    | 12 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        let attempt = uv () in
-        Retransmit { round; src; dst; attempt; backoff = uv () }
-    | 13 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        Ack { round; src; dst; attempt = uv () }
-    | 14 ->
-        let round = uv () in
-        let src = uv () in
-        let dst = uv () in
-        Degrade { round; src; dst; attempts = uv () }
-    | 15 ->
-        let len = uv () in
-        if !pos + len > String.length s then raise Truncated;
-        let key = String.sub s !pos len in
-        pos := !pos + len;
-        Cache_hit { key }
-    | t -> raise (Failure (Printf.sprintf "Trace: unknown binary tag %d" t))
 end
 
 (* ------------------------------------------------------------------ *)
 (* Sinks.                                                              *)
 (* ------------------------------------------------------------------ *)
-
-let binary_magic = "CTRACE1\n"
 
 module Sink = struct
   type t = { emit : Event.t -> unit; close : unit -> unit }
@@ -574,27 +317,9 @@ module Sink = struct
       close = (fun () -> flush ch);
     }
 
-  let binary ch =
-    let b = Buffer.create 65536 in
-    Buffer.add_string b binary_magic;
-    let drain () =
-      Buffer.output_buffer ch b;
-      Buffer.clear b
-    in
-    {
-      emit =
-        (fun e ->
-          Event.to_binary b e;
-          if Buffer.length b >= 61440 then drain ());
-      close =
-        (fun () ->
-          drain ();
-          flush ch);
-    }
-
-  let file ~path ~format =
+  let file ~path =
     let ch = open_out_bin path in
-    let inner = match format with Jsonl -> jsonl ch | Binary -> binary ch in
+    let inner = jsonl ch in
     {
       inner with
       close =
@@ -790,56 +515,28 @@ module Metrics = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Trace files: write a list of events, read either format back.       *)
+(* Trace files: write a list of events as JSONL, read them back.       *)
 (* ------------------------------------------------------------------ *)
 
 module File = struct
   exception Corrupt of string
 
-  let write ~path ~format events =
-    let sink = Sink.file ~path ~format in
+  let write ~path events =
+    let sink = Sink.file ~path in
     List.iter (Sink.emit sink) events;
     Sink.close sink
 
-  let read_all path =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-
-  let starts_with ~prefix s =
-    String.length s >= String.length prefix
-    && String.sub s 0 (String.length prefix) = prefix
-
   let read path =
-    let s = read_all path in
-    if starts_with ~prefix:binary_magic s then begin
-      let pos = ref (String.length binary_magic) in
-      let acc = ref [] in
-      (try
-         while !pos < String.length s do
-           acc := Event.of_binary s pos :: !acc
-         done
-       with
-      | Event.Truncated ->
-          raise (Corrupt (Printf.sprintf "%s: truncated binary event" path))
-      | Failure m -> raise (Corrupt (Printf.sprintf "%s: %s" path m)));
-      List.rev !acc
-    end
-    else
-      String.split_on_char '\n' s
-      |> List.filteri (fun i line ->
-             ignore i;
-             String.trim line <> "")
-      |> List.map (fun line ->
-             match Event.of_json line with
-             | Some e -> e
-             | None ->
-                 raise
-                   (Corrupt
-                      (Printf.sprintf "%s: unparseable trace line: %s" path
-                         line)))
+    In_channel.with_open_bin path In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> String.trim line <> "")
+    |> List.map (fun line ->
+           match Event.of_json line with
+           | Some e -> e
+           | None ->
+               raise
+                 (Corrupt
+                    (Printf.sprintf "%s: unparseable trace line: %s" path line)))
 end
 
 (* ------------------------------------------------------------------ *)

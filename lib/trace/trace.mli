@@ -18,15 +18,6 @@
       preallocated buffer, cheap enough to leave on for every supervised
       run so quarantine records ship with their trace tail. *)
 
-(** Serialization format of a trace file. *)
-type format = Jsonl | Binary
-
-val format_of_string : string -> format option
-val format_to_string : format -> string
-
-val format_extension : format -> string
-(** ["jsonl"] or ["bin"]. *)
-
 module Event : sig
   (** One engine event. [round] is 1-based; counters in [Round_end] are the
       round's own deltas, not cumulative totals. *)
@@ -80,16 +71,8 @@ module Event : sig
   (** One-line flat JSON object, no trailing newline. *)
 
   val of_json : string -> t option
-  (** Parses exactly the lines {!to_json} writes. *)
-
-  val to_binary : Buffer.t -> t -> unit
-  (** Append the compact binary encoding (tag byte + LEB128 varints). *)
-
-  exception Truncated
-
-  val of_binary : string -> int ref -> t
-  (** Decode one event at [!pos], advancing it. Raises {!Truncated} on a
-      short read and [Failure] on an unknown tag. *)
+  (** Parses a line {!to_json} writes (through [Jsonl.read], so field
+      order and whitespace are free); [None] for anything else. *)
 end
 
 (** A pluggable event consumer. *)
@@ -111,13 +94,8 @@ module Sink : sig
   (** One JSON object per line; [close] flushes but does not close the
       channel. *)
 
-  val binary : out_channel -> t
-  (** Compact binary codec for soak runs (writes the magic header, buffers
-      ~64 KiB between writes); [close] flushes but does not close the
-      channel. *)
-
-  val file : path:string -> format:format -> t
-  (** Opens [path], writes in [format]; [close] closes the file. *)
+  val file : path:string -> t
+  (** Opens [path] and writes JSONL; [close] closes the file. *)
 end
 
 (** Preallocated event ring: O(1) add, keeps the newest [capacity] events,
@@ -199,15 +177,15 @@ module Metrics : sig
   val pp_summary : Format.formatter -> summary -> unit
 end
 
-(** Whole-trace files. *)
+(** Whole-trace files, one JSONL event per line. *)
 module File : sig
   exception Corrupt of string
 
-  val write : path:string -> format:format -> Event.t list -> unit
+  val write : path:string -> Event.t list -> unit
 
   val read : string -> Event.t list
-  (** Auto-detects the format (binary magic vs JSONL). Raises {!Corrupt} on
-      undecodable content. *)
+  (** Blank lines are skipped. Raises {!Corrupt} on a line {!Event.of_json}
+      rejects. *)
 end
 
 (** First-diverging-event comparison — the debuggable form of the test

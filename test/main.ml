@@ -26,4 +26,5 @@ let () =
     ("engine-equiv", Test_engine_equiv.suite);
     ("net", Test_net.suite);
     ("cache", Test_cache.suite);
+    ("jsonl", Test_jsonl.suite);
     ]

@@ -287,6 +287,15 @@ let test_corrupt_entry_one_recompute () =
       );
       ( "same-length garbage object",
         fun _ obj -> rewrite obj (fun p -> String.make (String.length p) 'x') );
+      (* right token count and length, but rounds_total is not a number:
+         the decoder raises, and the lookup counts that as corrupt *)
+      ( "non-number token",
+        fun _ obj ->
+          rewrite obj (fun p ->
+              String.split_on_char ' ' p
+              |> List.mapi (fun i tok ->
+                     if i = 2 then String.make (String.length tok) 'x' else tok)
+              |> String.concat " ") );
       ( "torn index line",
         fun dir _ ->
           rewrite (Filename.concat dir "index") (fun l ->
@@ -481,24 +490,13 @@ let test_cli_budget_flags () =
     "wall" true
     (b.Supervise.Budget.wall_s = Some 2.5)
 
-(* --- the cache-hit trace event codecs --- *)
+(* --- the cache-hit trace event codec --- *)
 
 let test_cache_hit_event_codec () =
   let ev = Trace.Event.Cache_hit { key = "0123abcd0123abcd0123abcd0123abcd" } in
-  (match Trace.Event.of_json (Trace.Event.to_json ev) with
+  match Trace.Event.of_json (Trace.Event.to_json ev) with
   | Some ev' -> Alcotest.(check bool) "json roundtrip" true (Trace.Event.equal ev ev')
-  | None -> Alcotest.fail "json decode failed");
-  let b = Buffer.create 64 in
-  Trace.Event.to_binary b ev;
-  let pos = ref 0 in
-  let ev' = Trace.Event.of_binary (Buffer.contents b) pos in
-  Alcotest.(check bool) "binary roundtrip" true (Trace.Event.equal ev ev');
-  Alcotest.(check int) "binary consumed fully" (Buffer.length b) !pos;
-  (* truncated binary raises, never reads past the end *)
-  let torn = String.sub (Buffer.contents b) 0 (Buffer.length b - 3) in
-  match Trace.Event.of_binary torn (ref 0) with
-  | exception Trace.Event.Truncated -> ()
-  | _ -> Alcotest.fail "torn cache-hit event decoded"
+  | None -> Alcotest.fail "json decode failed"
 
 (* --- fuzz store dedup --- *)
 

@@ -221,7 +221,7 @@ let sparse_line (protocol, n, seed, adversary) =
     Run_spec.make ~adversary ~protocol ~n ~t_max:(grid_t entry ~n) ~seed ()
   in
   let path = Filename.temp_file "core_sparse" ".jsonl" in
-  let sink = Trace.Sink.file ~path ~format:Trace.Jsonl in
+  let sink = Trace.Sink.file ~path in
   let res = Run_spec.execute ~trace:sink spec in
   Trace.Sink.close sink;
   let trace_md5 = Digest.to_hex (Digest.file path) in

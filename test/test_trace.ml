@@ -1,4 +1,4 @@
-(* Tests for the structured tracing layer: event codecs (JSONL and binary),
+(* Tests for the structured tracing layer: the JSONL event codec,
    ring/tail capture bounds, metrics-vs-outcome agreement, first-divergence
    diff, determinism of the event stream at any executor width, and the
    quarantine path that ships a trace tail inside the failure record. *)
@@ -35,55 +35,18 @@ let test_json_roundtrip () =
           Alcotest.failf "json roundtrip lost %s" (Trace.Event.to_json e))
     events
 
-let test_binary_roundtrip () =
-  let _, events = traced_run ~adversary:(omission_adversary ()) () in
-  let buf = Buffer.create 1024 in
-  List.iter (Trace.Event.to_binary buf) events;
-  let s = Buffer.contents buf in
-  let pos = ref 0 in
-  let decoded = ref [] in
-  while !pos < String.length s do
-    decoded := Trace.Event.of_binary s pos :: !decoded
-  done;
-  let decoded = List.rev !decoded in
-  Alcotest.(check int) "event count" (List.length events)
-    (List.length decoded);
-  List.iter2
-    (fun a b ->
-      if not (Trace.Event.equal a b) then
-        Alcotest.failf "binary roundtrip changed %s" (Trace.Event.to_json a))
-    events decoded
-
-let test_binary_truncated () =
-  let _, events = traced_run () in
-  let buf = Buffer.create 1024 in
-  List.iter (Trace.Event.to_binary buf) events;
-  let s = Buffer.contents buf in
-  let cut = String.sub s 0 (String.length s - 1) in
-  let pos = ref 0 in
-  Alcotest.check_raises "short read" Trace.Event.Truncated (fun () ->
-      while !pos < String.length cut do
-        ignore (Trace.Event.of_binary cut pos)
-      done)
-
 let test_file_roundtrip () =
   let _, events = traced_run ~adversary:(omission_adversary ()) () in
-  let check format =
-    let path = Filename.temp_file "trace" ("." ^ Trace.format_extension format) in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Trace.File.write ~path ~format events;
-        (* File.read auto-detects the format from the content *)
-        let back = Trace.File.read path in
-        Alcotest.(check bool)
-          (Trace.format_to_string format ^ " file roundtrip")
-          true
-          (List.length back = List.length events
-          && List.for_all2 Trace.Event.equal events back))
-  in
-  check Trace.Jsonl;
-  check Trace.Binary
+  let path = Filename.temp_file "trace" ".trace.jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Trace.File.write ~path events;
+      let back = Trace.File.read path in
+      Alcotest.(check bool)
+        "jsonl file roundtrip" true
+        (List.length back = List.length events
+        && List.for_all2 Trace.Event.equal events back))
 
 let test_file_corrupt () =
   let path = Filename.temp_file "trace" ".jsonl" in
@@ -297,7 +260,7 @@ let test_counterexample_trace_tail () =
 (* --- net events --- *)
 
 (* The transport's link events (emitted by lib/net, never by the engine)
-   must survive both codecs like every other event. *)
+   must survive the codec like every other event. *)
 let net_events =
   [
     Trace.Event.Drop { round = 3; src = 1; dst = 2; attempt = 1 };
@@ -319,19 +282,6 @@ let test_net_event_json () =
       | None ->
           Alcotest.failf "json roundtrip lost %s" (Trace.Event.to_json e))
     net_events
-
-let test_net_event_binary () =
-  let buf = Buffer.create 256 in
-  List.iter (Trace.Event.to_binary buf) net_events;
-  let s = Buffer.contents buf in
-  let pos = ref 0 in
-  List.iter
-    (fun e ->
-      let e' = Trace.Event.of_binary s pos in
-      if not (Trace.Event.equal e e') then
-        Alcotest.failf "binary roundtrip changed %s" (Trace.Event.to_json e))
-    net_events;
-  Alcotest.(check int) "all bytes consumed" (String.length s) !pos
 
 (* Regression for the --stable-json path: a metrics collector on a constant
    clock must fold the same run into byte-identical summaries — no
@@ -375,11 +325,7 @@ let suite =
   [
     Alcotest.test_case "json codec roundtrips a real trace" `Quick
       test_json_roundtrip;
-    Alcotest.test_case "binary codec roundtrips a real trace" `Quick
-      test_binary_roundtrip;
-    Alcotest.test_case "binary decode detects truncation" `Quick
-      test_binary_truncated;
-    Alcotest.test_case "trace files roundtrip in both formats" `Quick
+    Alcotest.test_case "JSONL trace files roundtrip" `Quick
       test_file_roundtrip;
     Alcotest.test_case "corrupt trace file raises" `Quick test_file_corrupt;
     Alcotest.test_case "tracing does not change the outcome" `Quick
@@ -409,8 +355,6 @@ let suite =
       test_off_path_no_sink_calls;
     Alcotest.test_case "net link events roundtrip as json" `Quick
       test_net_event_json;
-    Alcotest.test_case "net link events roundtrip as binary" `Quick
-      test_net_event_binary;
     Alcotest.test_case "stable collector is wall-clock free" `Quick
       test_stable_collector_deterministic;
   ]
