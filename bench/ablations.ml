@@ -39,18 +39,6 @@ let abl_delta ~quick () =
   let t = max 1 (n / 31) in
   row "%8s %8s %10s %14s %14s %8s\n" "c" "Delta" "rounds" "comm bits"
     "min operative" "n-3t";
-  let codec =
-    ( (fun (c, delta, m, min_ops) ->
-        Printf.sprintf "%d;%d;%s;%d" c delta (measure_to_string m) min_ops),
-      fun s ->
-        match String.split_on_char ';' s with
-        | [ c; delta; ms; mo ] ->
-            Option.map
-              (fun m ->
-                (int_of_string c, int_of_string delta, m, int_of_string mo))
-              (measure_of_string ms)
-        | _ -> None )
-  in
   Supervise.Cached.map ~budget:!budget
     ~describe:(fun _ c ->
       {
@@ -60,18 +48,18 @@ let abl_delta ~quick () =
       })
     ?store:!store
     ~key:(fun c -> Printf.sprintf "abl-delta|n=%d|c=%d" n c)
-    ~codec
+    ~codec:Cache.Codec.(triple (pair int int) measure_codec int)
     (fun c ->
       let params = { Consensus.Params.default with Consensus.Params.delta_c = c } in
       let m, min_ops =
         run_with_params ~params ~n ~t ~seed:1
           ~adversary:(Adversary.random_omission ~p_omit:1.0)
       in
-      (c, Consensus.Params.delta params ~n, m, min_ops))
+      ((c, Consensus.Params.delta params ~n), m, min_ops))
     [| 2; 4; 8; 12 |]
   |> Array.iter (function
        | Error fl -> quarantine fl
-       | Ok (c, delta, m, min_ops) ->
+       | Ok ((c, delta), m, min_ops) ->
            row "%8d %8d %10d %14d %14d %8d\n" c delta m.rounds m.bits min_ops
              (n - (3 * t));
            Out.emit
@@ -93,17 +81,6 @@ let abl_spread ~quick () =
   let t = max 1 (n / 31) in
   row "%8s %10s %10s %14s %14s\n" "c" "rounds" "decided" "comm bits"
     "min operative";
-  let codec =
-    ( (fun (c, m, min_ops) ->
-        Printf.sprintf "%d;%s;%d" c (measure_to_string m) min_ops),
-      fun s ->
-        match String.split_on_char ';' s with
-        | [ c; ms; mo ] ->
-            Option.map
-              (fun m -> (int_of_string c, m, int_of_string mo))
-              (measure_of_string ms)
-        | _ -> None )
-  in
   Supervise.Cached.map ~budget:!budget
     ~describe:(fun _ c ->
       {
@@ -113,7 +90,7 @@ let abl_spread ~quick () =
       })
     ?store:!store
     ~key:(fun c -> Printf.sprintf "abl-spread|n=%d|c=%d" n c)
-    ~codec
+    ~codec:Cache.Codec.(triple int measure_codec int)
     (fun c ->
       let params = { Consensus.Params.default with Consensus.Params.spread_c = c } in
       let m, min_ops =
@@ -147,16 +124,8 @@ let abl_epochs ~quick () =
      mean the fallback ran *)
   row "%8s %12s %16s %12s\n" "epochs" "avg rounds" "fallback runs"
     "avg bits";
-  let epoch_codec =
-    ( (fun (m, fb) -> measure_to_string m ^ ";" ^ string_of_bool fb),
-      fun s ->
-        match String.split_on_char ';' s with
-        | [ ms; fb ] ->
-            Option.map (fun m -> (m, bool_of_string fb)) (measure_of_string ms)
-        | _ -> None )
-  in
   let per_e =
-    sweep ~codec:epoch_codec
+    sweep ~codec:Cache.Codec.(pair measure_codec bool)
       (* n in the point: quick and full campaigns use different sizes and
          must not share cache entries under the same key *)
       ~point:(fun e -> Printf.sprintf "n=%d/epochs=%d" n e)

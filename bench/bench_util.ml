@@ -238,8 +238,7 @@ type run_measure = {
   rand_bits : int;
   faults : int;
   metrics : Trace.Metrics.summary option;
-      (** per-round trace metrics, when --trace is on (absent on
-          cache hits: the codec keeps only the scalars) *)
+      (** per-round trace metrics, when --trace is on *)
 }
 
 exception Violation of string
@@ -347,29 +346,56 @@ let measure ?on_round proto cfg ~adversary ~inputs =
     metrics = Option.map (fun (_, summary) -> summary ()) collector;
   }
 
-(* cache codec for run_measure; a torn payload makes the decoder return
-   None or raise, and the store drops it *)
-let measure_to_string m =
-  Printf.sprintf "%d %b %d %d %d %d %d" m.rounds m.decided m.messages m.bits
-    m.rand_calls m.rand_bits m.faults
+(* cache codecs for run_measure, trace metrics included, so a warm
+   --trace campaign emits the same trace-metrics records as a cold one *)
+let per_round_codec =
+  Cache.Codec.(
+    conv
+      (fun (r : Trace.Metrics.per_round) ->
+        ( (r.round, r.messages, r.bits),
+          (r.omitted, r.corruptions, r.coin_calls),
+          (r.coin_bits, r.decisions, r.wall_s) ))
+      (fun ( (round, messages, bits),
+             (omitted, corruptions, coin_calls),
+             (coin_bits, decisions, wall_s) ) ->
+        { Trace.Metrics.round; messages; bits; omitted; corruptions;
+          coin_calls; coin_bits; decisions; wall_s })
+      (triple (triple int int int) (triple int int int) (triple int int float)))
 
-let measure_of_string s =
-  match String.split_on_char ' ' s with
-  | [ r; d; ms; b; rc; rb; f ] ->
-      Some
-        {
-          rounds = int_of_string r;
-          decided = bool_of_string d;
-          messages = int_of_string ms;
-          bits = int_of_string b;
-          rand_calls = int_of_string rc;
-          rand_bits = int_of_string rb;
-          faults = int_of_string f;
-          metrics = None;
-        }
-  | _ -> None
+let summary_codec =
+  Cache.Codec.(
+    conv
+      (fun (s : Trace.Metrics.summary) ->
+        ( ((s.rounds, s.messages, s.bits), (s.omitted, s.corruptions),
+           (s.coin_calls, s.coin_bits, s.decisions)),
+          (s.max_round_messages, s.max_round_bits, s.max_round_coin_bits),
+          (s.wall_total_s, s.per_round) ))
+      (fun ( ((rounds, messages, bits), (omitted, corruptions),
+              (coin_calls, coin_bits, decisions)),
+             (max_round_messages, max_round_bits, max_round_coin_bits),
+             (wall_total_s, per_round) ) ->
+        { Trace.Metrics.rounds; messages; bits; omitted; corruptions;
+          coin_calls; coin_bits; decisions; max_round_messages;
+          max_round_bits; max_round_coin_bits; wall_total_s; per_round })
+      (triple
+         (triple (triple int int int) (pair int int) (triple int int int))
+         (triple int int int)
+         (pair float (list per_round_codec))))
 
-let measure_codec = (measure_to_string, measure_of_string)
+let measure_codec =
+  Cache.Codec.(
+    conv
+      (fun m ->
+        ( (m.rounds, m.decided, m.messages),
+          (m.bits, m.rand_calls, m.rand_bits),
+          (m.faults, m.metrics) ))
+      (fun ( (rounds, decided, messages),
+             (bits, rand_calls, rand_bits),
+             (faults, metrics) ) ->
+        { rounds; decided; messages; bits; rand_calls; rand_bits; faults;
+          metrics })
+      (triple (triple int bool int) (triple int int int)
+         (pair int (option summary_codec))))
 
 (* Average a list of measurements, excluding runs that hit max_rounds
    without deciding: their rounds column is a timeout artifact, not a

@@ -288,7 +288,7 @@ let t1_abraham ~quick () =
         { Supervise.d_label = labels.(i); d_seed = Some 1; d_replay = None })
       ?store:!store
       ~key:(fun i -> Printf.sprintf "t1-abraham|%s|n=%d" labels.(i) n)
-      ~codec:(string_of_int, int_of_string_opt)
+      ~codec:Cache.Codec.int
       (fun i -> tasks.(i) ())
       (Array.init (Array.length tasks) Fun.id)
   in
@@ -325,27 +325,19 @@ let t1_abraham ~quick () =
 (* T1-thm2: the lower bound T x (R+T) = Omega(t^2 / log n).            *)
 (* ------------------------------------------------------------------ *)
 
-(* cache codec for the coin-game result record ([%h] round-trips the
-   float bound exactly) *)
+(* cache codec for the coin-game result record *)
 let product_codec =
-  ( (fun (r : Lowerbound.Product.result) ->
-      Printf.sprintf "%d %d %d %d %d %d %h %b" r.n r.t r.coin_set r.rounds
-        r.rand_calls r.product r.bound r.decided),
-    fun s ->
-      match String.split_on_char ' ' s with
-      | [ n; t; k; r; rc; p; b; d ] ->
-          Some
-            {
-              Lowerbound.Product.n = int_of_string n;
-              t = int_of_string t;
-              coin_set = int_of_string k;
-              rounds = int_of_string r;
-              rand_calls = int_of_string rc;
-              product = int_of_string p;
-              bound = float_of_string b;
-              decided = bool_of_string d;
-            }
-      | _ -> None )
+  Cache.Codec.(
+    conv
+      (fun (r : Lowerbound.Product.result) ->
+        ( (r.n, r.t, r.coin_set),
+          (r.rounds, r.rand_calls, r.product),
+          (r.bound, r.decided) ))
+      (fun ((n, t, coin_set), (rounds, rand_calls, product), (bound, decided))
+         ->
+        { Lowerbound.Product.n; t; coin_set; rounds; rand_calls; product;
+          bound; decided })
+      (triple (triple int int int) (triple int int int) (pair float bool)))
 
 let t1_thm2 ~quick () =
   section "T1-thm2: Theorem 2 lower bound — why a lot of randomness is needed";
@@ -411,27 +403,6 @@ let all ~quick () =
 (* B3: Appendix B.3 — the crash/omission communication separation.     *)
 (* ------------------------------------------------------------------ *)
 
-(* cache codec for the per-n B3 row; the two embedded measures reuse
-   measure_codec (space-separated, so ';' is free as the outer separator) *)
-let b3_codec =
-  ( (fun (n, t, m_om, m_cr, om_d, cr_d) ->
-      Printf.sprintf "%d;%d;%s;%s;%d;%d" n t (measure_to_string m_om)
-        (measure_to_string m_cr) om_d cr_d),
-    fun s ->
-      match String.split_on_char ';' s with
-      | [ n; t; mo; mc; od; cd ] -> (
-          match (measure_of_string mo, measure_of_string mc) with
-          | Some m_om, Some m_cr ->
-              Some
-                ( int_of_string n,
-                  int_of_string t,
-                  m_om,
-                  m_cr,
-                  int_of_string od,
-                  int_of_string cd )
-          | _ -> None)
-      | _ -> None )
-
 let b3 ~quick () =
   section "B3: crash-model subquadratic variant vs Algorithm 1 (Appendix B.3)";
   Printf.printf
@@ -455,7 +426,11 @@ let b3 ~quick () =
         })
       ?store:!store
       ~key:(fun n -> Printf.sprintf "b3|n=%d" n)
-      ~codec:b3_codec
+      ~codec:
+        Cache.Codec.(
+          triple (pair int int)
+            (pair measure_codec measure_codec)
+            (pair int int))
       (fun n ->
         let t = max 1 (n / 31) in
         let seed = 1 in
@@ -490,13 +465,13 @@ let b3 ~quick () =
             (Consensus.Crash_subquadratic.protocol_buffered cfg)
             cfg ~adversary ~inputs
         in
-        (n, t, m_om, m_cr, !om_dissem, !cr_dissem))
+        ((n, t), (m_om, m_cr), (!om_dissem, !cr_dissem)))
       (Array.of_list ns)
   in
   Array.iter
     (function
       | Error fl -> quarantine fl
-      | Ok (n, t, m_om, m_cr, om_dissem, cr_dissem) ->
+      | Ok ((n, t), (m_om, m_cr), (om_dissem, cr_dissem)) ->
       row "%6d %5d %14d %14d %13d %13d %7.1f\n" n t m_om.bits m_cr.bits
         om_dissem cr_dissem
         (float_of_int om_dissem /. float_of_int (max 1 cr_dissem));

@@ -45,29 +45,6 @@ let f1 ~quick () =
 (* F2: Figure 2 — the 3-round relay trace inside one epoch.            *)
 (* ------------------------------------------------------------------ *)
 
-(* cache codec for f2's (measure, per-slot trace) pair: the measure
-   reuses measure_codec, the slot list is "slot:msgs:bits" comma-joined;
-   the decoder raises on any torn slot token *)
-let f2_codec =
-  ( (fun ((m : run_measure), slots) ->
-      measure_to_string m ^ ";"
-      ^ String.concat ","
-          (List.map
-             (fun (s, msgs, bits) -> Printf.sprintf "%d:%d:%d" s msgs bits)
-             slots)),
-    fun s ->
-      match String.split_on_char ';' s with
-      | [ ms; sl ] ->
-          Option.bind (measure_of_string ms) (fun m ->
-              let parse tok =
-                match String.split_on_char ':' tok with
-                | [ a; b; c ] -> (int_of_string a, int_of_string b, int_of_string c)
-                | _ -> failwith "f2 slot token"
-              in
-              let toks = if sl = "" then [] else String.split_on_char ',' sl in
-              Some (m, List.map parse toks))
-      | _ -> None )
-
 let f2 ~quick:_ () =
   section "F2: Figure 2 — binary-tree aggregation trace (one epoch)";
   let n = 256 in
@@ -88,7 +65,8 @@ let f2 ~quick:_ () =
   (* the per-slot trace is collected inside the task and returned with
      the measure, so a cache hit restores the whole figure without a run *)
   match
-    protected ~cache_key:"f2|n=256" ~codec:f2_codec ~label:"f2/n=256"
+    protected ~cache_key:"f2|n=256" ~label:"f2/n=256"
+      ~codec:Cache.Codec.(pair measure_codec (list (triple int int int)))
       (fun () ->
         let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
         let trace = Hashtbl.create 64 in
@@ -169,31 +147,6 @@ let f2 ~quick:_ () =
 (* F3: Figure 3 — the voting thresholds in action.                     *)
 (* ------------------------------------------------------------------ *)
 
-(* cache codec for f3's per-epoch aggregate rows, comma-joined
-   "epoch:mean:set1:set0:coin:decided" with the mean as a %h hex float
-   so the round-trip is bit-exact *)
-let f3_codec =
-  ( (fun rows ->
-      String.concat ","
-        (List.map
-           (fun (ep, mean, s1, s0, coin, dec) ->
-             Printf.sprintf "%d:%h:%d:%d:%d:%d" ep mean s1 s0 coin dec)
-           rows)),
-    fun s ->
-      let parse tok =
-        match String.split_on_char ':' tok with
-        | [ ep; mean; s1; s0; coin; dec ] ->
-            ( int_of_string ep,
-              float_of_string mean,
-              int_of_string s1,
-              int_of_string s0,
-              int_of_string coin,
-              int_of_string dec )
-        | _ -> failwith "f3 row token"
-      in
-      let toks = if s = "" then [] else String.split_on_char ',' s in
-      Some (List.map parse toks) )
-
 let f3 ~quick () =
   section "F3: Figure 3 — biased-majority threshold dynamics";
   let n = if quick then 144 else 400 in
@@ -232,20 +185,20 @@ let f3 ~quick () =
           String.length r >= String.length p
           && String.sub r 0 (String.length p) = p
         in
-        ( ep,
-          mean,
-          count (starts "one"),
-          count (starts "zero"),
-          count (starts "coin"),
-          count (fun e ->
-              let r = e.Consensus.Core.ev_rule in
-              String.length r > 8) ))
+        ( (ep, mean),
+          (count (starts "one"), count (starts "zero")),
+          ( count (starts "coin"),
+            count (fun e ->
+                let r = e.Consensus.Core.ev_rule in
+                String.length r > 8) ) ))
       epochs
   in
   match
     protected
       ~cache_key:(Printf.sprintf "f3|n=%d" n)
-      ~codec:f3_codec
+      ~codec:
+        Cache.Codec.(
+          list (triple (pair int float) (pair int int) (pair int int)))
       ~label:(Printf.sprintf "f3/n=%d" n)
       task
   with
@@ -257,7 +210,7 @@ let f3 ~quick () =
   row "%6s %10s %8s %8s %8s %9s\n" "epoch" "mean 1s%" "set-1" "set-0" "coin"
     "decided";
   List.iter
-    (fun (ep, mean, set_one, set_zero, coin, decided) ->
+    (fun ((ep, mean), (set_one, set_zero), (coin, decided)) ->
       row "%6d %9.1f%% %8d %8d %8d %9d\n" ep (100. *. mean) set_one set_zero
         coin decided;
       Out.emit

@@ -173,9 +173,13 @@ let () =
     Bench_util.trace_dir := Some !trace_dir
   end;
   let json = if !json = "" then None else Some !json in
+  (* a --trace campaign caches trace metrics in its payloads, so it keeps
+     its own entries: an untraced entry is never served to a traced run *)
   Bench_util.store :=
-    Run_spec.Cli.store_of_flags ~resume:!resume ~json ~cache:!cache
-      ~no_cache:!no_cache;
+    Run_spec.Cli.store_of_flags
+      ?fingerprint:
+        (if !trace then Some (Cache.fingerprint ^ "+trace") else None)
+      ~resume:!resume ~json ~cache:!cache ~no_cache:!no_cache ();
   Bench_util.Out.set_path json;
   Bench_util.budget :=
     Run_spec.Cli.budget_of_flags

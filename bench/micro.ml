@@ -118,21 +118,18 @@ let measure_runs f ~runs =
 
    Allocation counts are a pure function of the case (runs are
    seeded, the allocator is deterministic), so they cache like any
-   other run result — payload "words_per_round rounds" with the
-   float as %h for an exact round-trip. Throughput never caches:
+   other run result: the payload is (words_per_round, rounds), the
+   float bit-exact. Throughput never caches:
    it measures this machine's clock, and a hit skips its row just
    as --stable-json omits it. *)
 let measure_path ~name ~path ~n ~t ~runs f =
   let key =
     Printf.sprintf "micro-engine|%s|%s|n=%d|t=%d|runs=%d" name path n t runs
   in
-    let decode payload =
-      match String.split_on_char ' ' payload with
-      | [ w; r ] -> Some (float_of_string w, int_of_string r)
-      | _ -> None
-    in
+    let codec = Cache.Codec.(pair float int) in
     let cached =
-      Option.bind !Bench_util.store (fun s -> Cache.Store.lookup s ~decode key)
+      Option.bind !Bench_util.store (fun s ->
+          Cache.Store.lookup s ~decode:(Cache.Codec.decode codec) key)
     in
     let wpr, rounds, fresh_wall =
       match cached with
@@ -142,7 +139,7 @@ let measure_path ~name ~path ~n ~t ~runs f =
           let wpr = words /. float_of_int (max 1 rounds) in
           Option.iter
             (fun s ->
-              Cache.Store.add s ~key (Printf.sprintf "%h %d" wpr rounds))
+              Cache.Store.add s ~key (Cache.Codec.encode codec (wpr, rounds)))
             !Bench_util.store;
           (wpr, rounds, Some wall)
     in

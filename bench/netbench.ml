@@ -54,30 +54,20 @@ type net_measure = {
   net_rounds : int;
 }
 
-(* cache codec; a torn payload makes the decoder return None or raise,
-   and the store drops it *)
-let nm_to_string m =
-  Printf.sprintf "%d %b %d %d %d %d %d %d %d %d" m.rounds m.decided m.messages
-    m.delivered m.attempts m.retransmits m.residual m.induced m.slots
-    m.net_rounds
-
-let nm_of_string s =
-  match String.split_on_char ' ' s with
-  | [ r; d; ms; dl; a; rt; rs; ind; sl; nr ] ->
-      Some
-        {
-          rounds = int_of_string r;
-          decided = bool_of_string d;
-          messages = int_of_string ms;
-          delivered = int_of_string dl;
-          attempts = int_of_string a;
-          retransmits = int_of_string rt;
-          residual = int_of_string rs;
-          induced = int_of_string ind;
-          slots = int_of_string sl;
-          net_rounds = int_of_string nr;
-        }
-  | _ -> None
+let nm_codec =
+  Cache.Codec.(
+    conv
+      (fun m ->
+        ( (m.rounds, m.decided, m.messages),
+          (m.delivered, m.attempts, m.retransmits),
+          (m.residual, m.induced, (m.slots, m.net_rounds)) ))
+      (fun ( (rounds, decided, messages),
+             (delivered, attempts, retransmits),
+             (residual, induced, (slots, net_rounds)) ) ->
+        { rounds; decided; messages; delivered; attempts; retransmits;
+          residual; induced; slots; net_rounds })
+      (triple (triple int bool int) (triple int int int)
+         (triple int int (pair int int))))
 
 (* The sweep's base spec: --net on bench/main.exe overrides it; the sweep
    then varies only the drop rate. retries=8 masks drop=0.2 with residual
@@ -134,8 +124,7 @@ let net ~quick () =
       row "%6s %8s %10s %10s %8s %10s %9s %9s %8s\n" "drop" "rounds" "msgs"
         "attempts" "retx" "inflation" "overhead" "residual" "induced";
       let per_drop =
-        sweep
-          ~codec:(nm_to_string, nm_of_string)
+        sweep ~codec:nm_codec
           (* the full transport spec plus (n, t) in the point: quick and
              full campaigns size the cases differently and --net rebases
              the sweep, and none of those runs may share a cache entry *)

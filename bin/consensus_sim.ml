@@ -29,7 +29,7 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
   Option.iter ensure_dir trace_dir;
   let store =
-    Run_spec.Cli.store_of_flags ~resume:false ~json:None ~cache ~no_cache
+    Run_spec.Cli.store_of_flags ~resume:false ~json:None ~cache ~no_cache ()
   in
   let { Run_spec.protocol; n; t_max = t; _ } = spec0 in
   let failures = ref 0 in
@@ -234,7 +234,7 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
   (* --json FILE: machine-readable result records in FILE; --resume
      keeps the run cache beside it (FILE.cache) — same layout as
      bench/main.exe. *)
-  let store = Run_spec.Cli.store_of_flags ~resume ~json ~cache ~no_cache in
+  let store = Run_spec.Cli.store_of_flags ~resume ~json ~cache ~no_cache () in
   let json_ch = Option.map (fun path -> open_out path) json in
   let emit_json fields =
     match json_ch with

@@ -4,7 +4,9 @@
    boundary; what matters is that the address is a pure function of
    (fingerprint, key). *)
 
-let fingerprint = "consensus-cache-v1"
+let fingerprint = "consensus-cache-v2"
+
+module Codec = Codec
 
 module Stats = struct
   type t = { mutable hits : int; mutable misses : int; mutable writes : int }

@@ -24,7 +24,12 @@
 val fingerprint : string
 (** Code fingerprint mixed into every digest. Bump whenever the engine
     or a protocol changes semantics: every existing entry silently
-    becomes a miss, which is exactly the invalidation we want. *)
+    becomes a miss, which is exactly the invalidation we want. Bump it
+    too when a payload's bytes change, so an old entry misses instead of
+    counting as corrupt. *)
+
+module Codec = Codec
+(** The payload codec every cached result goes through. *)
 
 module Stats : sig
   type t = { mutable hits : int; mutable misses : int; mutable writes : int }
@@ -49,10 +54,11 @@ module Store : sig
 
   val lookup : t -> decode:(string -> 'a option) -> string -> 'a option
   (** [lookup t ~decode key] reads the stored payload on demand and
-      decodes it. A missing, truncated or unreadable object, or a payload
-      [decode] rejects (or raises on), drops the entry, counts it as
-      corrupt and returns [None], so the next {!add} repairs it. Counts a
-      hit only for a decoded payload, a miss otherwise. *)
+      decodes it, usually with [Codec.decode c]. A missing, truncated or
+      unreadable object, or a payload [decode] rejects (or raises on),
+      drops the entry, counts it as corrupt and returns [None], so the
+      next {!add} repairs it. Counts a hit only for a decoded payload, a
+      miss otherwise. *)
 
   val add : t -> key:string -> string -> unit
   (** Store a payload. A key already present is left untouched (first

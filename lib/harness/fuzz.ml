@@ -119,13 +119,8 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
       (Scenario.to_string s)
       (match det_entry i s with None -> "-" | Some e -> e.Registry.id)
   in
-  (* payload: "runs checked det" *)
-  let encode (r, c, d) = Printf.sprintf "%d %d %d" r c d in
-  let decode payload =
-    match String.split_on_char ' ' payload with
-    | [ r; c; d ] -> Some (int_of_string r, int_of_string c, int_of_string d)
-    | _ -> None
-  in
+  (* payload: (runs, checked, det) *)
+  let codec = Cache.Codec.(triple int int int) in
   let eval i =
     let s = scenario_of i in
     let report = Runner.run ~protocols s in
@@ -160,7 +155,7 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
         Array.init (hi - lo) (fun k ->
             let idx = lo + k in
             Option.bind store (fun st ->
-                Cache.Store.lookup st ~decode
+                Cache.Store.lookup st ~decode:(Cache.Codec.decode codec)
                   (store_key idx (scenario_of idx))))
       in
       let fresh =
@@ -207,7 +202,9 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
                      { original = s; shrunk = s; violation = v; shrink_steps = 0 })
             | Some None | None -> ());
             Option.iter
-              (fun st -> Cache.Store.add st ~key:(store_key idx s) (encode c))
+              (fun st ->
+                Cache.Store.add st ~key:(store_key idx s)
+                  (Cache.Codec.encode codec c))
               store);
         if (idx + 1) mod 50 = 0 then
           progress

@@ -269,7 +269,7 @@ module Cli = struct
         Fmt.epr "%s@." m;
         Stdlib.exit 2
 
-  let store_of_flags ~resume ~json ~cache ~no_cache =
+  let store_of_flags ?fingerprint ~resume ~json ~cache ~no_cache () =
     if resume && json = None then begin
       Fmt.epr "--resume needs --json FILE (its cache is FILE.cache)@.";
       Stdlib.exit 2
@@ -280,7 +280,7 @@ module Cli = struct
       | _ -> cache
     in
     if no_cache || dir = "" then None
-    else Some (Cache.Store.open_ ~dir ())
+    else Some (Cache.Store.open_ ?fingerprint ~dir ())
 
   let adversary_names = List.map fst adversaries
   let inputs_names = List.map fst inputs_table

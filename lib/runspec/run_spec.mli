@@ -113,15 +113,18 @@ module Cli : sig
       and exit 2. *)
 
   val store_of_flags :
+    ?fingerprint:string ->
     resume:bool ->
     json:string option ->
     cache:string ->
     no_cache:bool ->
+    unit ->
     Cache.Store.t option
   (** Open the run cache the [--cache DIR] / [--resume] / [--no-cache]
       flags select: [DIR] if given, else [<json>.cache] under
       [--resume]; [None] when neither applies or [--no-cache] is given.
-      [--resume] without a [--json] path prints one line and exits 2. *)
+      [--resume] without a [--json] path prints one line and exits 2.
+      [fingerprint] is passed to {!Cache.Store.open_}. *)
 
   val adversary_names : string list
   val inputs_names : string list

@@ -366,186 +366,94 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Cached = struct
-  (* Engine-outcome codec. Tokens are space-separated; the two array
-     fields come first and use "." when empty so the token count is
-     fixed. Decisions are comma-joined with "-" for None; faulty is a
-     0/1 character string. *)
-  let outcome_to_string (o : Sim.Engine.outcome) =
-    let dec =
-      if Array.length o.Sim.Engine.decisions = 0 then "."
-      else
-        String.concat ","
-          (Array.to_list
-             (Array.map
-                (function None -> "-" | Some v -> string_of_int v)
-                o.Sim.Engine.decisions))
-    in
-    let fau =
-      if Array.length o.Sim.Engine.faulty = 0 then "."
-      else
-        String.init
-          (Array.length o.Sim.Engine.faulty)
-          (fun i -> if o.Sim.Engine.faulty.(i) then '1' else '0')
-    in
-    Printf.sprintf "%s %s %d %s %d %d %d %d %d %d" dec fau
-      o.Sim.Engine.rounds_total
-      (match o.Sim.Engine.decided_round with
-      | None -> "-"
-      | Some r -> string_of_int r)
-      o.Sim.Engine.messages_sent o.Sim.Engine.bits_sent
-      o.Sim.Engine.messages_omitted o.Sim.Engine.rand_calls
-      o.Sim.Engine.rand_bits o.Sim.Engine.faults_used
+  (* Cache payload codecs (grammar in Cache.Codec). The outcome's bytes
+     are load-bearing beyond the cache: golden digests and the benchmark
+     compare [outcome_to_string]. *)
+  let outcome_codec =
+    Cache.Codec.(
+      conv
+        (fun (o : Sim.Engine.outcome) ->
+          ( (o.decisions, o.faulty, o.rounds_total),
+            (o.decided_round, o.messages_sent, o.bits_sent),
+            (o.messages_omitted, o.rand_calls, (o.rand_bits, o.faults_used)) ))
+        (fun ( (decisions, faulty, rounds_total),
+               (decided_round, messages_sent, bits_sent),
+               (messages_omitted, rand_calls, (rand_bits, faults_used)) ) ->
+          { Sim.Engine.decisions; faulty; rounds_total; decided_round;
+            messages_sent; bits_sent; messages_omitted; rand_calls;
+            rand_bits; faults_used })
+        (triple
+           (triple (array (option int)) bits int)
+           (triple (option int) int int)
+           (triple int int (pair int int))))
 
-  let outcome_of_string s =
-    match String.split_on_char ' ' s with
-    | [ dec; fau; rt; dr; ms; bs; mo; rc; rb; fu ] ->
-        let decisions =
-          if dec = "." then [||]
-          else
-            Array.of_list
-              (List.map
-                 (function "-" -> None | v -> Some (int_of_string v))
-                 (String.split_on_char ',' dec))
-        in
-        let faulty =
-          if fau = "." then [||]
-          else
-            Array.init (String.length fau) (fun i ->
-                match fau.[i] with
-                | '1' -> true
-                | '0' -> false
-                | _ -> failwith "faulty")
-        in
-        Some
-          {
-            Sim.Engine.decisions;
-            faulty;
-            rounds_total = int_of_string rt;
-            decided_round =
-              (if dr = "-" then None else Some (int_of_string dr));
-            messages_sent = int_of_string ms;
-            bits_sent = int_of_string bs;
-            messages_omitted = int_of_string mo;
-            rand_calls = int_of_string rc;
-            rand_bits = int_of_string rb;
-            faults_used = int_of_string fu;
-          }
-    | _ -> None
+  let outcome_to_string = Cache.Codec.encode outcome_codec
 
-  let ints_to_token = function
-    | [] -> "."
-    | l -> String.concat "," (List.map string_of_int l)
+  (* Net.Spec.to_string is canonical (round-trips through of_string) and
+     has no spaces, so the spec is one top-level string atom *)
+  let spec_codec =
+    Cache.Codec.conv Net.Spec.to_string
+      (fun s -> Result.fold ~ok:Fun.id ~error:failwith (Net.Spec.of_string s))
+      Cache.Codec.string
 
-  let ints_of_token = function
-    | "." -> []
-    | s -> List.map int_of_string (String.split_on_char ',' s)
+  let degradation_codec =
+    Cache.Codec.(
+      conv
+        (fun (d : Net.Degradation.t) ->
+          ( (d.spec, d.attempts, d.retransmits),
+            ((d.drops, d.dups, d.delays), (d.stalls, d.residual, d.rounds),
+             (d.active_rounds, d.slots, d.induced_per_pid)),
+            ((d.induced_faulty, d.adversarial_faulty, d.effective_faulty),
+             d.t_max, d.beyond_model) ))
+        (fun ( (spec, attempts, retransmits),
+               ((drops, dups, delays), (stalls, residual, rounds),
+                (active_rounds, slots, induced_per_pid)),
+               ((induced_faulty, adversarial_faulty, effective_faulty),
+                t_max, beyond_model) ) ->
+          { Net.Degradation.spec; attempts; retransmits; drops; dups; delays;
+            stalls; residual; rounds; active_rounds; slots; induced_per_pid;
+            induced_faulty; adversarial_faulty; effective_faulty; t_max;
+            beyond_model })
+        (triple
+           (triple spec_codec int int)
+           (triple (triple int int int) (triple int int int)
+              (triple int int (array int)))
+           (triple (triple (list int) (list int) (list int)) int bool)))
 
-  (* Degradation codec: Net.Spec.to_string is canonical (round-trips
-     through of_string) and contains no spaces, so it is a safe leading
-     token. *)
-  let degradation_to_string (d : Net.Degradation.t) =
-    Printf.sprintf "%s %d %d %d %d %d %d %d %d %d %d %s %s %s %s %d %b"
-      (Net.Spec.to_string d.Net.Degradation.spec)
-      d.Net.Degradation.attempts d.Net.Degradation.retransmits
-      d.Net.Degradation.drops d.Net.Degradation.dups d.Net.Degradation.delays
-      d.Net.Degradation.stalls d.Net.Degradation.residual
-      d.Net.Degradation.rounds d.Net.Degradation.active_rounds
-      d.Net.Degradation.slots
-      (ints_to_token (Array.to_list d.Net.Degradation.induced_per_pid))
-      (ints_to_token d.Net.Degradation.induced_faulty)
-      (ints_to_token d.Net.Degradation.adversarial_faulty)
-      (ints_to_token d.Net.Degradation.effective_faulty)
-      d.Net.Degradation.t_max d.Net.Degradation.beyond_model
-
-  let degradation_of_string s =
-    match String.split_on_char ' ' s with
-    | [ spec; at; rt; dr; du; de; st; rs; ro; ar; sl; ipp; ind; adv; eff; tm;
-        bm ] -> (
-        match Net.Spec.of_string spec with
-        | Error _ -> None
-        | Ok spec ->
-            Some
-              {
-                Net.Degradation.spec;
-                attempts = int_of_string at;
-                retransmits = int_of_string rt;
-                drops = int_of_string dr;
-                dups = int_of_string du;
-                delays = int_of_string de;
-                stalls = int_of_string st;
-                residual = int_of_string rs;
-                rounds = int_of_string ro;
-                active_rounds = int_of_string ar;
-                slots = int_of_string sl;
-                induced_per_pid = Array.of_list (ints_of_token ipp);
-                induced_faulty = ints_of_token ind;
-                adversarial_faulty = ints_of_token adv;
-                effective_faulty = ints_of_token eff;
-                t_max = int_of_string tm;
-                beyond_model = bool_of_string bm;
-              })
-    | _ -> None
-
-  let net_to_string (o, d) =
-    outcome_to_string o ^ "\n" ^ degradation_to_string d
-
-  let net_of_string s =
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some i -> (
-        match
-          ( outcome_of_string (String.sub s 0 i),
-            degradation_of_string
-              (String.sub s (i + 1) (String.length s - i - 1)) )
-        with
-        | Some o, Some d -> Some (o, d)
-        | _ -> None)
-
-  let emit_hit trace st key =
-    match trace with
-    | None -> ()
-    | Some sink ->
-        Trace.Sink.emit sink
-          (Trace.Event.Cache_hit { key = Cache.Store.digest_key st key })
+  let net_codec = Cache.Codec.pair outcome_codec degradation_codec
 
   (* Only successes are cached: failures and degraded runs must re-run
      (and re-report) every time — a quarantine served from a cache would
      hide a flaky environment. An undecodable payload (torn or
-     hand-edited object: the decoder returns None or raises) is dropped
-     by the lookup and recomputed once. *)
-  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
-      ~inputs =
-    let fresh () = run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs in
+     hand-edited object) is dropped by the lookup and recomputed once. *)
+  let memo ?trace ~codec store key fresh =
     match store with
     | None -> fresh ()
     | Some st -> (
-        match Cache.Store.lookup st ~decode:outcome_of_string key with
-        | Some o ->
-            emit_hit trace st key;
-            Ok o
+        match Cache.Store.lookup st ~decode:(Cache.Codec.decode codec) key with
+        | Some v ->
+            Option.iter
+              (fun sink ->
+                let key = Cache.Store.digest_key st key in
+                Trace.Sink.emit sink (Trace.Event.Cache_hit { key }))
+              trace;
+            Ok v
         | None ->
             let r = fresh () in
-            (match r with
-            | Ok o -> Cache.Store.add st ~key (outcome_to_string o)
-            | Error _ -> ());
+            Result.iter
+              (fun v -> Cache.Store.add st ~key (Cache.Codec.encode codec v))
+              r;
             r)
+
+  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
+      ~inputs =
+    memo ?trace ~codec:outcome_codec store key (fun () ->
+        run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs)
 
   let run_net ?on_round ?trace ?budget ?store ~key ~net proto cfg ~adversary
       ~inputs =
-    let fresh () = run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs in
-    match store with
-    | None -> fresh ()
-    | Some st -> (
-        match Cache.Store.lookup st ~decode:net_of_string key with
-        | Some od ->
-            emit_hit trace st key;
-            Ok od
-        | None ->
-            let r = fresh () in
-            (match r with
-            | Ok od -> Cache.Store.add st ~key (net_to_string od)
-            | Error _ -> ());
-            r)
+    memo ?trace ~codec:net_codec store key (fun () ->
+        run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs)
 
   (* Cache-aware quarantining map: consult the store per element on the
      calling domain, run only the misses through the domain pool, and
@@ -557,7 +465,7 @@ module Cached = struct
     match store with
     | None -> map ?jobs ?budget ?describe f xs
     | Some st ->
-        let enc, decode = codec in
+        let decode = Cache.Codec.decode codec in
         let cached =
           Array.map (fun x -> Cache.Store.lookup st ~decode (key x)) xs
         in
@@ -569,7 +477,8 @@ module Cached = struct
         in
         let fresh =
           map_at ?jobs ?budget ?describe
-            ~on_ok:(fun i v -> Cache.Store.add st ~key:(key xs.(i)) (enc v))
+            ~on_ok:(fun i v ->
+              Cache.Store.add st ~key:(key xs.(i)) (Cache.Codec.encode codec v))
             f xs misses
         in
         let results = Array.map (Option.map Result.ok) cached in

@@ -240,14 +240,8 @@ module Cached : sig
       one is given, and never invoke [on_round]. *)
 
   val outcome_to_string : Sim.Engine.outcome -> string
-
-  val outcome_of_string : string -> Sim.Engine.outcome option
-  (** [None] on a wrong token count; raises on a malformed token, which
-      {!Cache.Store.lookup} counts as a corrupt entry. *)
-
-  val net_to_string : Sim.Engine.outcome * Net.Degradation.t -> string
-  val net_of_string : string -> (Sim.Engine.outcome * Net.Degradation.t) option
-  (** May raise, like {!outcome_of_string}. *)
+  (** The outcome's cache payload. Its bytes are frozen: golden digests
+      and the benchmark compare them. *)
 
   val run :
     ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
@@ -283,7 +277,7 @@ module Cached : sig
     ?describe:(int -> 'a -> descriptor) ->
     ?store:Cache.Store.t ->
     key:('a -> string) ->
-    codec:(('b -> string) * (string -> 'b option)) ->
+    codec:'b Cache.Codec.t ->
     ('a -> 'b) ->
     'a array ->
     ('b, failure) result array
@@ -293,8 +287,7 @@ module Cached : sig
       batch keeps its finished work. Results land in input order, and
       [describe] and [failure.index] see original indices, so the
       quarantine/replay contract is unchanged by how much of the batch
-      was cached. [key] and [codec]'s encoder run on worker domains.
-      [codec]'s decoder runs inside {!Cache.Store.lookup}: it may return
-      [None] or raise on a payload it cannot read, and either way the
-      entry counts as corrupt and the task is recomputed. *)
+      was cached. [key] and the encoding run on worker domains; decoding
+      runs inside {!Cache.Store.lookup}, which counts a payload [codec]
+      rejects as corrupt and recomputes the task. *)
 end

@@ -27,4 +27,5 @@ let () =
     ("net", Test_net.suite);
     ("cache", Test_cache.suite);
     ("jsonl", Test_jsonl.suite);
+    ("codec", Test_codec.suite);
     ]

@@ -307,7 +307,7 @@ let test_corrupt_entry_one_recompute () =
 let test_cached_map_merge () =
   with_store (fun _dir open_ ->
       let s = open_ () in
-      let codec = (string_of_int, int_of_string_opt) in
+      let codec = Cache.Codec.int in
       let key i = Printf.sprintf "map|%d" i in
       (* pre-populate entries 1 and 3 with sentinel values the function
          would never produce: a hit must win over a recompute *)
