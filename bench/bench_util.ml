@@ -241,11 +241,6 @@ type run_measure = {
       (** per-round trace metrics, when --trace is on *)
 }
 
-exception Violation of string
-(* A run on which the non-faulty processes disagreed: a protocol bug. The
-   supervision layer quarantines it — one bad point must not kill the
-   campaign — but it is always reported, never averaged over. *)
-
 let measure ?on_round proto cfg ~adversary ~inputs =
   (* Assemble the run's trace sinks. All stay [None]/empty unless a trace
      flag is set, keeping the default path identical to the untraced one. *)
@@ -287,12 +282,16 @@ let measure ?on_round proto cfg ~adversary ~inputs =
     | Some t -> raise (Supervise.Breach_traced (kind, Trace.Tail.lines t))
     | None -> raise (Supervise.Breach kind)
   in
+  (* Every bench sweep measures a consensus protocol. A run the oracle
+     rejects is a protocol bug: it is quarantined like any other failure,
+     never averaged over. A run that merely ran out of rounds surfaces as
+     [decided = false] and is excluded from averages by [avg_runs]. *)
   let o =
     match
-      Supervise.run ?on_round ?trace ~budget:!budget proto cfg ~adversary
-        ~inputs
+      Supervise.run ?on_round ?trace ~budget:!budget ~property:Consensus proto
+        cfg ~adversary ~inputs
     with
-    | Ok o ->
+    | Ok (o, _) ->
         close_file ();
         o
     | Error (kind, _partial) -> fail kind
@@ -300,38 +299,6 @@ let measure ?on_round proto cfg ~adversary ~inputs =
         close_file ();
         raise e
   in
-  (* Disagreement between processes that did decide is a protocol bug; it
-     becomes a quarantined failure under Supervise.map. A run that merely
-     ran out of rounds surfaces as [decided = false] and is excluded from
-     averages by [avg_runs]. *)
-  let disagreement =
-    let seen = ref None and bad = ref false in
-    Array.iteri
-      (fun pid d ->
-        if not o.Sim.Engine.faulty.(pid) then
-          match (d, !seen) with
-          | None, _ -> ()
-          | Some v, None -> seen := Some v
-          | Some v, Some w -> if v <> w then bad := true)
-      o.Sim.Engine.decisions;
-    !bad
-  in
-  let violation msg =
-    (* keep the plain Violation when no tail is kept, so untraced campaigns
-       quarantine exactly as before; with a tail, ship it along *)
-    match tail with
-    | Some t ->
-        raise
-          (Supervise.Breach_traced
-             ( Supervise.Crashed
-                 { exn_text = "Violation: " ^ msg; backtrace = "" },
-               Trace.Tail.lines t ))
-    | None -> raise (Violation msg)
-  in
-  if disagreement then
-    violation "run violated consensus — this is a bug, please report";
-  if o.Sim.Engine.decided_round <> None && Sim.Engine.agreed_decision o = None
-  then violation "run violated consensus — this is a bug, please report";
   {
     rounds =
       (match o.Sim.Engine.decided_round with

@@ -4,12 +4,16 @@
 open Bechamel
 open Toolkit
 
+(* A measured run must also be a correct, terminated one. *)
+let check_run cfg ~inputs o =
+  assert (
+    Supervise.Oracle.violations ~termination:true Consensus cfg ~inputs o = [])
+
 let run_protocol make_proto ~n ~t ~adversary () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
   let proto = make_proto cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
-  let o = Sim.Engine.run proto cfg ~adversary ~inputs in
-  assert (Sim.Engine.agreed_decision o <> None)
+  check_run cfg ~inputs (Sim.Engine.run proto cfg ~adversary ~inputs)
 
 let test_thm1 =
   Test.make ~name:"T1-thm1: optimal-omissions n=36"
@@ -30,10 +34,9 @@ let test_thm3 =
          let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds () in
          let proto = Consensus.Param_omissions.protocol_buffered ~x:4 cfg in
          let inputs = Array.init n (fun i -> i mod 2) in
-         let o =
-           Sim.Engine.run proto cfg ~adversary:Sim.Adversary_intf.none ~inputs
-         in
-         assert (Sim.Engine.agreed_decision o <> None)))
+         check_run cfg ~inputs
+           (Sim.Engine.run proto cfg ~adversary:Sim.Adversary_intf.none
+              ~inputs)))
 
 let test_bjbo =
   Test.make ~name:"T1-bjbo: biased-majority n=64"

@@ -85,11 +85,13 @@ let run_case case drop seed =
   let proto = case.build cfg in
   let inputs = Array.init case.n (fun i -> i mod 2) in
   match
-    Supervise.run_net ~budget:!budget ~net:spec proto cfg
+    Supervise.run ~budget:!budget ~net:spec ~property:Consensus proto cfg
       ~adversary:Adversary.none ~inputs
   with
   | Error (kind, _) -> raise (Supervise.Breach kind)
   | Ok (o, d) ->
+      (* a run over a net always carries its report *)
+      let d = Option.get d in
       {
         rounds =
           (match o.Sim.Engine.decided_round with

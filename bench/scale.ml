@@ -119,8 +119,14 @@ let case ~protocol ~buffered ~adversary ~t ~max_rounds ?(classic_cap = max_int)
     | Some (o, _), _ | None, Some (o, _) -> o
     | None, None -> assert false
   in
-  if Sim.Engine.agreed_decision o = None then
-    failwith (Printf.sprintf "scale: %s n=%d failed to decide" protocol n);
+  (match
+     Supervise.Oracle.violations ~termination:true Consensus cfg ~inputs o
+   with
+  | [] -> ()
+  | (property, detail) :: _ ->
+      failwith
+        (Printf.sprintf "scale: %s n=%d violated %s: %s" protocol n property
+           detail));
   emit_scale ~protocol ~n ~t o;
   Option.iter
     (fun (o, w) -> emit_throughput ~protocol ~path:"fast" ~n o w)

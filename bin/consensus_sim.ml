@@ -70,10 +70,14 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
     Option.iter (fun (path, s) -> Trace.Sink.close s;
         if verbose then Fmt.pr "trace written      : %s@." path)
       file_sink;
+    let tail_lines () =
+      match tail with Some tl -> Trace.Tail.lines tl | None -> []
+    in
     match result with
-    | Error ((Supervise.Degraded _ as kind), partial) ->
-        (* beyond the omission model: a structured quarantine record with a
-           replay one-liner (the canonical spec serialization), never a
+    | Error (kind, partial) ->
+        (* every failure, a degraded or violated run included, is a
+           structured quarantine record with a replay one-liner (the
+           canonical spec serialization) and the trace tail, never a
            consensus verdict *)
         incr failures;
         let replay = Run_spec.to_command spec in
@@ -85,11 +89,13 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
             replay = Some replay;
             kind;
             elapsed_s = 0.;
-            trace =
-              (match tail with Some tl -> Trace.Tail.lines tl | None -> []);
+            trace = tail_lines ();
           }
         in
-        Fmt.pr "seed %-4d: DEGRADED BEYOND MODEL — %a@." seed
+        Fmt.pr "seed %-4d: %s — %a@." seed
+          (match kind with
+          | Supervise.Degraded _ -> "DEGRADED BEYOND MODEL"
+          | _ -> "SUPERVISION FAILURE")
           Supervise.pp_failure_kind kind;
         (match partial with
         | Some (_, Some d) ->
@@ -97,19 +103,10 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
         | _ -> ());
         Fmt.pr "%s@." (Supervise.failure_json f);
         Fmt.pr "  replay: %s@." replay
-    | Error (kind, _) ->
-        incr failures;
-        Fmt.pr "seed %-4d: SUPERVISION FAILURE — %a@." seed
-          Supervise.pp_failure_kind kind;
-        Option.iter (fun tl -> print_tail (Trace.Tail.lines tl)) tail
-    | Ok (o, dopt) ->
-        let agreement =
-          (* with a lossy link, agreement is judged over the effective
-             (adversarial + induced) fault set *)
-          match dopt with
-          | Some d -> Net.Degradation.agreed_decision d o
-          | None -> Sim.Engine.agreed_decision o
-        in
+    | Ok (o, degradation) ->
+        (* the oracle has passed the run: agreement and validity hold, and
+           [None] here means a covered process did not decide *)
+        let decision = Supervise.Oracle.decision ?degradation o in
         if verbose then begin
           Fmt.pr "protocol           : %s@." proto_name;
           Fmt.pr "n / t / seed       : %d / %d / %d@." n t seed;
@@ -126,7 +123,7 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
           Fmt.pr "omitted messages   : %d@." o.messages_omitted;
           (* printed only for a spec that can actually fault, so a
              drop=0-style --net run stays byte-identical to a linkless one *)
-          match (dopt, spec.Run_spec.net) with
+          match (degradation, spec.Run_spec.net) with
           | Some d, Some ns when not (Net.Spec.zero_fault ns) ->
               Fmt.pr "net degradation    : %s@." (Net.Degradation.to_json d)
           | _ -> ()
@@ -135,19 +132,19 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
           Fmt.pr "seed %-4d: rounds=%-5d msgs=%-8d bits=%-9d rand_bits=%-7d %s@."
             seed o.Sim.Engine.rounds_total o.messages_sent o.bits_sent
             o.rand_bits
-            (match agreement with
+            (match decision with
             | Some v -> Printf.sprintf "decision=%d" v
-            | None -> "NO AGREEMENT");
+            | None -> "UNDECIDED");
         Option.iter
           (fun (_, summary) ->
             Fmt.pr "%a@." Trace.Metrics.pp_summary (summary ()))
           collector;
-        (match agreement with
+        (match decision with
         | Some v -> if verbose then Fmt.pr "decision           : %d (agreement holds)@." v
         | None ->
             if verbose then
-              Fmt.pr "decision           : DISAGREEMENT OR MISSING DECISIONS@.";
-            Option.iter (fun tl -> print_tail (Trace.Tail.lines tl)) tail;
+              Fmt.pr "decision           : NONE (a non-faulty process did not decide)@.";
+            print_tail (tail_lines ());
             incr failures)
   in
   (match seeds with
@@ -509,8 +506,9 @@ let run_term =
     $ protocol $ n_arg $ t_arg $ x_arg $ seed_arg $ seeds_arg $ adversary
     $ inputs $ budget_term $ net $ trace_flag $ trace_dir_arg $ trace_tail_arg
         ~doc:
-          "Keep the last $(docv) rounds of events; printed when a run fails \
-           or disagrees (0 = off)."
+          "Keep the last $(docv) rounds of events; embedded in a failed \
+           run's quarantine record, printed for a run that did not decide \
+           (0 = off)."
     $ spec_arg $ cache_arg $ no_cache)
 
 let graph_term =

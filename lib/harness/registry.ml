@@ -7,7 +7,7 @@
 
 type model = Crash | Omission
 
-type kind =
+type kind = Supervise.Oracle.property =
   | Consensus
       (** agreement + weak validity + termination among non-faulty *)
   | Broadcast of { source : int }

@@ -1,8 +1,9 @@
 (** Differential conformance runner: execute registered protocols on the
-    same scenario and check each against its spec — the consensus
-    properties (agreement, weak validity, termination) for protocols whose
-    fault model covers the scenario's strategy, plus the engine metric
-    invariants on every run. *)
+    same scenario and check each against its spec — [Supervise.Oracle]'s
+    agreement and validity plus termination (and the broadcast's
+    conditional delivery) for protocols whose fault model covers the
+    scenario's strategy, and the oracle's engine metric invariants on
+    every run. *)
 
 type violation = {
   protocol : string;
@@ -62,87 +63,12 @@ let probed_adversary strategy ~source =
   in
   (adversary, final_operative, source_operative)
 
-let check_metrics (cfg : Sim.Config.t) (o : Sim.Engine.outcome) =
-  let bad = ref [] in
-  let check property cond detail =
-    if not cond then bad := (property, detail) :: !bad
-  in
-  let faulty_count =
-    Array.fold_left (fun a f -> if f then a + 1 else a) 0 o.faulty
-  in
-  check "metric:fault-budget"
-    (o.faults_used <= cfg.t_max)
-    (Printf.sprintf "faults_used %d > t_max %d" o.faults_used cfg.t_max);
-  check "metric:fault-count"
-    (o.faults_used = faulty_count)
-    (Printf.sprintf "faults_used %d <> |faulty| %d" o.faults_used faulty_count);
-  check "metric:omitted<=sent"
-    (o.messages_omitted <= o.messages_sent && o.messages_omitted >= 0)
-    (Printf.sprintf "omitted %d vs sent %d" o.messages_omitted o.messages_sent);
-  check "metric:bits>=messages"
-    (o.bits_sent >= o.messages_sent)
-    (Printf.sprintf "bits %d < messages %d" o.bits_sent o.messages_sent);
-  check "metric:rounds<=max"
-    (o.rounds_total <= cfg.max_rounds)
-    (Printf.sprintf "rounds %d > max_rounds %d" o.rounds_total cfg.max_rounds);
-  (match o.decided_round with
-  | Some r ->
-      check "metric:decided-round"
-        (r >= 1 && r <= o.rounds_total)
-        (Printf.sprintf "decided_round %d outside [1, %d]" r o.rounds_total)
-  | None -> ());
-  check "metric:rand-monotone"
-    (o.rand_calls >= 0 && o.rand_bits >= o.rand_calls)
-    (Printf.sprintf "rand bits %d < calls %d" o.rand_bits o.rand_calls);
-  check "metric:rand-zero"
-    (o.rand_calls > 0 || o.rand_bits = 0)
-    (Printf.sprintf "0 calls but %d bits" o.rand_bits);
-  Array.iteri
-    (fun pid d ->
-      match d with
-      | Some v when v <> 0 && v <> 1 ->
-          check "metric:decision-bit" false
-            (Printf.sprintf "pid %d decided non-bit %d" pid v)
-      | _ -> ())
-    o.decisions;
-  List.rev !bad
-
-let check_consensus (s : Scenario.t) (o : Sim.Engine.outcome) =
-  let bad = ref [] in
-  if not (Sim.Engine.all_nonfaulty_decided o) then
-    bad :=
-      ("termination", "a non-faulty process never decided") :: !bad
-  else begin
-    match Sim.Engine.agreed_decision o with
-    | None -> bad := ("agreement", "non-faulty processes disagree") :: !bad
-    | Some v ->
-        if not (Array.exists (fun b -> b = v) s.Scenario.inputs) then
-          bad :=
-            ( "validity",
-              Printf.sprintf "decision %d is nobody's input" v )
-            :: !bad
-  end;
-  List.rev !bad
-
-let check_broadcast (s : Scenario.t) ~source ~final_operative
+(* The Section-6 guarantee: with the source non-faulty and operative
+   throughout, every process still operative at the end delivers. *)
+let check_delivery (s : Scenario.t) ~source ~final_operative
     ~source_operative (o : Sim.Engine.outcome) =
   let bad = ref [] in
   let input = s.Scenario.inputs.(source) in
-  if not (Sim.Engine.all_nonfaulty_decided o) then
-    bad := ("termination", "a non-faulty process never decided") :: !bad;
-  Array.iteri
-    (fun pid d ->
-      match d with
-      | Some v when (not o.faulty.(pid)) && v <> 0 && v <> input ->
-          bad :=
-            ( "broadcast-validity",
-              Printf.sprintf "pid %d delivered %d, source sent %d" pid v input
-            )
-            :: !bad
-      | _ -> ())
-    o.decisions;
-  (* the Section-6 guarantee: with the source non-faulty and operative
-     throughout, every process still operative at the end delivers *)
   if (not o.faulty.(source)) && source_operative then
     Array.iteri
       (fun pid d ->
@@ -177,8 +103,8 @@ let run_entry ?trace ?net (entry : Registry.entry) (s : Scenario.t) :
   in
   let source =
     match entry.kind with
-    | Registry.Broadcast { source } -> Some source
-    | Registry.Consensus -> None
+    | Broadcast { source } -> Some source
+    | Consensus -> None
   in
   let adversary, final_operative, source_operative =
     probed_adversary s.Scenario.strategy ~source
@@ -205,16 +131,18 @@ let run_entry ?trace ?net (entry : Registry.entry) (s : Scenario.t) :
           ];
       }
   | o ->
-      let metric = check_metrics cfg o in
-      let spec =
-        if not checked then []
+      (* out of model, only the engine's metric invariants are held *)
+      let violations =
+        if not checked then Supervise.Oracle.metrics cfg o
         else
-          match entry.kind with
-          | Registry.Consensus -> check_consensus s o
-          | Registry.Broadcast { source } ->
-              check_broadcast s ~source
-                ~final_operative:!final_operative
+          Supervise.Oracle.violations ~termination:true entry.kind cfg
+            ~inputs:s.Scenario.inputs o
+          @
+          match source with
+          | Some source ->
+              check_delivery s ~source ~final_operative:!final_operative
                 ~source_operative:!source_operative o
+          | None -> []
       in
       {
         id = entry.id;
@@ -224,7 +152,7 @@ let run_entry ?trace ?net (entry : Registry.entry) (s : Scenario.t) :
           List.map
             (fun (property, detail) ->
               { protocol = entry.id; property; detail })
-            (metric @ spec);
+            violations;
       }
 
 (** Run the differential suite. By default only protocols whose model

@@ -1,8 +1,9 @@
 (** Differential conformance runner: execute registered protocols on the
-    same scenario and check each against its spec — agreement, weak
-    validity and termination for protocols whose fault model covers the
-    scenario's strategy (the conditional delivery guarantee for the
-    broadcast), plus the engine metric invariants on every run. *)
+    same scenario and check each against its spec — [Supervise.Oracle]'s
+    agreement and validity, plus termination, for protocols whose fault
+    model covers the scenario's strategy (and the conditional delivery
+    guarantee for the broadcast), and the oracle's engine metric
+    invariants on every run. *)
 
 type violation = {
   protocol : string;
@@ -40,7 +41,7 @@ val run_entry :
 (** Run one protocol on a scenario. [trace], if given, receives the run's
     engine event stream (see {!Sim.Engine.run}). [net], if given, runs the
     scenario over a lossy-link transport (a fresh [Net.Transport] per call;
-    residual losses are not model-checked here — use [Supervise.run_net]
+    residual losses are not model-checked here — use [Supervise.run ~net]
     for the degradation report). *)
 
 val run :

@@ -491,30 +491,6 @@ module Degradation = struct
       beyond_model = List.length effective_faulty > t_max;
     }
 
-  (* Agreement over the processes the reduction still vouches for: a pid in
-     the effective fault set (adversarial or induced) is allowed anything,
-     exactly as in the omission model. *)
-  let agreed_decision d (o : Sim.Engine.outcome) =
-    let n = Array.length o.Sim.Engine.decisions in
-    let eff = Array.make n false in
-    List.iter (fun p -> if p < n then eff.(p) <- true) d.effective_faulty;
-    let result = ref None in
-    let ok = ref true in
-    let seen = ref false in
-    Array.iteri
-      (fun i dec ->
-        if not eff.(i) then
-          match dec with
-          | None -> ok := false
-          | Some v ->
-              if !seen then (if !result <> Some v then ok := false)
-              else begin
-                seen := true;
-                result := Some v
-              end)
-      o.Sim.Engine.decisions;
-    if !ok then !result else None
-
   let to_json d =
     let ints l = Jsonl.L (List.map (fun i -> Jsonl.I i) l) in
     Jsonl.(

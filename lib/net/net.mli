@@ -14,7 +14,7 @@
     Soundness condition of the reduction: the run is still within the
     source-paper model iff [|adversarial faults ∪ induced faults| <= t].
     {!Degradation.of_transport} computes that effective fault set; a run
-    beyond it must be reported as degraded (see [Supervise.run_net]), never
+    beyond it must be reported as degraded (see [Supervise.run ~net]), never
     as a consensus result.
 
     Determinism: all link randomness comes from a private stream salted off
@@ -126,11 +126,6 @@ module Degradation : sig
   val greedy_cover : n:int -> (int * int) list -> int list
   (** Exposed for tests: highest-degree-first (lowest pid on ties) vertex
       cover, ascending blame order. *)
-
-  val agreed_decision : t -> Sim.Engine.outcome -> int option
-  (** The common decision of the processes outside [effective_faulty], or
-      [None] if any is undecided or two disagree — the omission-model
-      agreement check re-based on the effective fault set. *)
 
   val to_json : t -> string
   (** One-line flat JSON object (degradation-record schema in

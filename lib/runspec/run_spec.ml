@@ -223,29 +223,19 @@ let config spec builder =
 let execute ?trace ?store spec =
   match resolve spec with
   | Error msg -> invalid_arg ("Run_spec.execute: " ^ msg)
-  | Ok builder -> (
+  | Ok builder ->
       let module B = (val builder : Sim.Protocol_intf.BUILDER) in
       let cfg = config spec builder in
-      let proto = B.build cfg in
-      let key = to_string spec in
-      let adversary = adversary spec in
-      let inputs = inputs spec in
-      match spec.net with
-      | None -> (
-          match
-            Supervise.Cached.run ?trace ~budget:spec.budget ?store ~key proto
-              cfg ~adversary ~inputs
-          with
-          | Ok o -> Ok (o, None)
-          | Error (k, p) -> Error (k, Option.map (fun o -> (o, None)) p))
-      | Some net -> (
-          match
-            Supervise.Cached.run_net ?trace ~budget:spec.budget ?store ~key
-              ~net proto cfg ~adversary ~inputs
-          with
-          | Ok (o, d) -> Ok (o, Some d)
-          | Error (k, p) ->
-              Error (k, Option.map (fun (o, d) -> (o, Some d)) p)))
+      (* param, the one protocol outside the registry, is a consensus *)
+      let property =
+        Result.fold (Harness.Registry.find spec.protocol)
+          ~ok:(fun e -> e.Harness.Registry.kind)
+          ~error:(fun _ -> Supervise.Oracle.Consensus)
+      in
+      Supervise.run ?trace ~budget:spec.budget ?net:spec.net
+        ?cache:(Option.map (fun st -> (st, to_string spec)) store)
+        ~property (B.build cfg) cfg ~adversary:(adversary spec)
+        ~inputs:(inputs spec)
 
 module Cli = struct
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }

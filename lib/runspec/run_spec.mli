@@ -88,8 +88,9 @@ val execute :
     Supervise.failure_kind
     * (Sim.Engine.outcome * Net.Degradation.t option) option )
   result
-(** Run the spec under supervision — through {!Supervise.Cached} keyed
-    by {!to_string} when [store] is given, so repeated executions of an
+(** Run the spec through {!Supervise.run}, judged by the oracle against
+    the registry entry's property ([Consensus] for ["param"]), and cached
+    under {!to_string} when [store] is given, so repeated executions of an
     identical spec are served from the cache (with a [cache-hit] trace
     event). The degradation report rides along when the spec has a net.
     Raises [Invalid_argument] if {!resolve} fails. *)

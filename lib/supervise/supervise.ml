@@ -1,5 +1,6 @@
-(* Run supervision and fault containment: watchdog budgets, quarantining
-   map, chaos injection, and the cache-aware wrappers. See supervise.mli. *)
+(* Run supervision and fault containment: the outcome oracle, watchdog
+   budgets, the one supervised run, quarantining map, chaos injection and
+   the cache-aware map. See supervise.mli. *)
 
 module Budget = struct
   type t = {
@@ -47,6 +48,119 @@ module Budget = struct
     | l -> Fmt.pf ppf "%s" (String.concat " " l)
 end
 
+(* --- the outcome oracle --- *)
+
+module Oracle = struct
+  type property = Consensus | Broadcast of { source : int }
+
+  let metrics (cfg : Sim.Config.t) (o : Sim.Engine.outcome) =
+    let bad = ref [] in
+    let check property cond detail =
+      if not cond then bad := (property, detail) :: !bad
+    in
+    let faulty_count =
+      Array.fold_left (fun a f -> if f then a + 1 else a) 0 o.faulty
+    in
+    check "metric:fault-budget"
+      (o.faults_used <= cfg.t_max)
+      (Printf.sprintf "faults_used %d > t_max %d" o.faults_used cfg.t_max);
+    check "metric:fault-count"
+      (o.faults_used = faulty_count)
+      (Printf.sprintf "faults_used %d <> |faulty| %d" o.faults_used faulty_count);
+    check "metric:omitted<=sent"
+      (o.messages_omitted <= o.messages_sent && o.messages_omitted >= 0)
+      (Printf.sprintf "omitted %d vs sent %d" o.messages_omitted o.messages_sent);
+    check "metric:bits>=messages"
+      (o.bits_sent >= o.messages_sent)
+      (Printf.sprintf "bits %d < messages %d" o.bits_sent o.messages_sent);
+    check "metric:rounds<=max"
+      (o.rounds_total <= cfg.max_rounds)
+      (Printf.sprintf "rounds %d > max_rounds %d" o.rounds_total cfg.max_rounds);
+    (match o.decided_round with
+    | Some r ->
+        check "metric:decided-round"
+          (r >= 1 && r <= o.rounds_total)
+          (Printf.sprintf "decided_round %d outside [1, %d]" r o.rounds_total)
+    | None -> ());
+    check "metric:rand-monotone"
+      (o.rand_calls >= 0 && o.rand_bits >= o.rand_calls)
+      (Printf.sprintf "rand bits %d < calls %d" o.rand_bits o.rand_calls);
+    check "metric:rand-zero"
+      (o.rand_calls > 0 || o.rand_bits = 0)
+      (Printf.sprintf "0 calls but %d bits" o.rand_bits);
+    Array.iteri
+      (fun pid d ->
+        match d with
+        | Some v when v <> 0 && v <> 1 ->
+            check "metric:decision-bit" false
+              (Printf.sprintf "pid %d decided non-bit %d" pid v)
+        | _ -> ())
+      o.decisions;
+    List.rev !bad
+
+  (* The decisions of the pids the guarantees cover, in pid order, and
+     whether one of them is undecided. A pid is covered outside the
+     effective fault set on a lossy link (the faulty are allowed anything,
+     including their residual losses), outside the adversary's fault set
+     otherwise. *)
+  let covered ?degradation (o : Sim.Engine.outcome) =
+    let faulty = Array.copy o.faulty in
+    Option.iter
+      (fun (d : Net.Degradation.t) ->
+        List.iter
+          (fun p -> if p < Array.length faulty then faulty.(p) <- true)
+          d.effective_faulty)
+      degradation;
+    let decided = ref [] and undecided = ref false in
+    for pid = Array.length faulty - 1 downto 0 do
+      if not faulty.(pid) then
+        match o.decisions.(pid) with
+        | Some v -> decided := (pid, v) :: !decided
+        | None -> undecided := true
+    done;
+    (!decided, !undecided)
+
+  let violations ?degradation ?(termination = false) property cfg ~inputs o =
+    let decided, undecided = covered ?degradation o in
+    let safety =
+      match (property, decided) with
+      | Consensus, [] -> []
+      | Consensus, (p, v) :: rest -> (
+          match List.find_opt (fun (_, w) -> w <> v) rest with
+          | Some (q, w) ->
+              [
+                ( "agreement",
+                  Printf.sprintf "non-faulty pids %d and %d decided %d and %d"
+                    p q v w );
+              ]
+          | None when not (Array.mem v inputs) ->
+              [ ("validity", Printf.sprintf "decision %d is nobody's input" v) ]
+          | None -> [])
+      | Broadcast { source }, _ ->
+          let input = inputs.(source) in
+          List.filter_map
+            (fun (pid, v) ->
+              if v <> 0 && v <> input then
+                Some
+                  ( "broadcast-validity",
+                    Printf.sprintf "pid %d delivered %d, source sent %d" pid v
+                      input )
+              else None)
+            decided
+    in
+    metrics cfg o
+    @ (if termination && undecided then
+         [ ("termination", "a non-faulty process never decided") ]
+       else [])
+    @ safety
+
+  let decision ?degradation o =
+    match covered ?degradation o with
+    | (_, v) :: rest, false when List.for_all (fun (_, w) -> w = v) rest ->
+        Some v
+    | _ -> None
+end
+
 type breach = { metric : string; limit : float; actual : float; at_round : int }
 
 type failure_kind =
@@ -54,6 +168,7 @@ type failure_kind =
   | Timeout of { limit_s : float; elapsed_s : float }
   | Budget_exceeded of breach
   | Degraded of { induced : int; adversarial : int; t_max : int; residual : int }
+  | Violated of { property : string; detail : string }
 
 exception Breach of failure_kind
 exception Breach_traced of failure_kind * string list
@@ -84,6 +199,10 @@ let pp_failure_kind ppf = function
   | Crashed { exn_text; _ } -> Fmt.pf ppf "crashed: %s" exn_text
   | Timeout { limit_s; elapsed_s } ->
       Fmt.pf ppf "timeout: %.3f s elapsed (budget %.3f s)" elapsed_s limit_s
+  | Budget_exceeded { metric = "rounds"; limit; _ } ->
+      (* the round ceiling trips when reached, the others when passed *)
+      Fmt.pf ppf "budget exceeded: still undecided at the %.0f-round ceiling"
+        limit
   | Budget_exceeded { metric; limit; actual; at_round } ->
       Fmt.pf ppf "budget exceeded: %s = %.0f > %.0f at round %d" metric actual
         limit at_round
@@ -92,12 +211,8 @@ let pp_failure_kind ppf = function
         "degraded beyond model: %d induced + %d adversarial faults > t=%d (%d \
          residual losses)"
         induced adversarial t_max residual
-
-let pp_failure ppf f =
-  Fmt.pf ppf "[%d] %s: %a" f.index f.label pp_failure_kind f.kind;
-  match f.replay with
-  | Some cmd -> Fmt.pf ppf "@.    replay: %s" cmd
-  | None -> ()
+  | Violated { property; detail } ->
+      Fmt.pf ppf "violated %s: %s" property detail
 
 (* --- JSON-lines quarantine record --- *)
 
@@ -133,6 +248,12 @@ let failure_fields ?(elapsed = true) f =
           ("t_max", Jsonl.I t_max);
           ("residual_losses", Jsonl.I residual);
         ]
+    | Violated { property; detail } ->
+        [
+          ("failure", Jsonl.S "violated");
+          ("property", Jsonl.S property);
+          ("detail", Jsonl.S detail);
+        ]
   in
   [ ("index", Jsonl.I f.index); ("label", Jsonl.S f.label) ]
   @ opt "seed" (fun s -> Jsonl.I s) f.seed
@@ -148,8 +269,73 @@ let failure_json f =
 
 (* --- supervised engine run --- *)
 
-let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
-    ~adversary ~inputs =
+(* Cache payload codecs (grammar in Cache.Codec). The outcome's bytes
+   are load-bearing beyond the cache: golden digests and the benchmark
+   compare [outcome_to_string]. *)
+let outcome_codec =
+  Cache.Codec.(
+    conv
+      (fun (o : Sim.Engine.outcome) ->
+        ( (o.decisions, o.faulty, o.rounds_total),
+          (o.decided_round, o.messages_sent, o.bits_sent),
+          (o.messages_omitted, o.rand_calls, (o.rand_bits, o.faults_used)) ))
+      (fun ( (decisions, faulty, rounds_total),
+             (decided_round, messages_sent, bits_sent),
+             (messages_omitted, rand_calls, (rand_bits, faults_used)) ) ->
+        { Sim.Engine.decisions; faulty; rounds_total; decided_round;
+          messages_sent; bits_sent; messages_omitted; rand_calls;
+          rand_bits; faults_used })
+      (triple
+         (triple (array (option int)) bits int)
+         (triple (option int) int int)
+         (triple int int (pair int int))))
+
+(* Net.Spec.to_string is canonical (round-trips through of_string) and
+   has no spaces, so the spec is one top-level string atom *)
+let spec_codec =
+  Cache.Codec.conv Net.Spec.to_string
+    (fun s -> Result.fold ~ok:Fun.id ~error:failwith (Net.Spec.of_string s))
+    Cache.Codec.string
+
+let degradation_codec =
+  Cache.Codec.(
+    conv
+      (fun (d : Net.Degradation.t) ->
+        ( (d.spec, d.attempts, d.retransmits),
+          ((d.drops, d.dups, d.delays), (d.stalls, d.residual, d.rounds),
+           (d.active_rounds, d.slots, d.induced_per_pid)),
+          ((d.induced_faulty, d.adversarial_faulty, d.effective_faulty),
+           d.t_max, d.beyond_model) ))
+      (fun ( (spec, attempts, retransmits),
+             ((drops, dups, delays), (stalls, residual, rounds),
+              (active_rounds, slots, induced_per_pid)),
+             ((induced_faulty, adversarial_faulty, effective_faulty),
+              t_max, beyond_model) ) ->
+        { Net.Degradation.spec; attempts; retransmits; drops; dups; delays;
+          stalls; residual; rounds; active_rounds; slots; induced_per_pid;
+          induced_faulty; adversarial_faulty; effective_faulty; t_max;
+          beyond_model })
+      (triple
+         (triple spec_codec int int)
+         (triple (triple int int int) (triple int int int)
+            (triple int int (array int)))
+         (triple (triple (list int) (list int) (list int)) int bool)))
+
+(* a run's cached result, [(outcome, report)]; the report is there
+   exactly when the run had a net, and the key says which *)
+let result_codec = function
+  | None -> Cache.Codec.conv fst (fun o -> (o, None)) outcome_codec
+  | Some _ ->
+      Cache.Codec.(
+        conv
+          (fun (o, d) -> (o, Option.get d))
+          (fun (o, d) -> (o, Some d))
+          (pair outcome_codec degradation_codec))
+
+(* The engine under the watchdog, over the [net] transport if given:
+   [(outcome, degradation report)], or the failure with the partial
+   result. *)
+let watched ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs =
   let started = Unix.gettimeofday () in
   let tripped = ref None in
   let stop (p : Sim.Engine.progress) =
@@ -176,6 +362,16 @@ let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
     !tripped <> None
   in
   let stop = if Budget.is_unlimited budget then None else Some stop in
+  let transport = Option.map (fun spec -> Net.Transport.create spec cfg) net in
+  let link = Option.map Net.Transport.link transport in
+  let with_report (o : Sim.Engine.outcome) =
+    ( o,
+      Option.map
+        (fun tr ->
+          Net.Degradation.of_transport tr ~faulty:o.faulty
+            ~t_max:cfg.Sim.Config.t_max)
+        transport )
+  in
   match
     Sim.Engine.run ?on_round ?stop ?trace ?link proto cfg ~adversary ~inputs
   with
@@ -187,8 +383,8 @@ let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
               Timeout { limit_s = b.limit; elapsed_s = b.actual }
             else Budget_exceeded b
           in
-          Error (kind, Some o)
-      | _ -> Ok o)
+          Error (kind, Some (with_report o))
+      | _ -> Ok (with_report o))
   | exception e ->
       let bt = Printexc.get_raw_backtrace () in
       Error
@@ -199,33 +395,58 @@ let run ?on_round ?trace ?link ?(budget = Budget.unlimited) proto cfg
             },
           None )
 
-(* --- supervised run over a lossy link --- *)
+(* A finished run is reported only inside the model: a lossy-link run
+   whose effective fault set exceeds t_max is degraded, never a consensus
+   result computed over too many faults; one the oracle rejects is
+   violated. *)
+let judge ~property cfg ~inputs ((o, d) as result) =
+  match d with
+  | Some (d : Net.Degradation.t) when d.beyond_model ->
+      Error
+        ( Degraded
+            {
+              induced = List.length d.induced_faulty;
+              adversarial = List.length d.adversarial_faulty;
+              t_max = cfg.Sim.Config.t_max;
+              residual = d.residual;
+            },
+          Some result )
+  | _ -> (
+      match Oracle.violations ?degradation:d property cfg ~inputs o with
+      | [] -> Ok result
+      | (property, detail) :: _ ->
+          Error (Violated { property; detail }, Some result))
 
-let run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs =
-  let tr = Net.Transport.create net cfg in
-  let link = Net.Transport.link tr in
-  let report (o : Sim.Engine.outcome) =
-    Net.Degradation.of_transport tr ~faulty:o.Sim.Engine.faulty
-      ~t_max:cfg.Sim.Config.t_max
+(* Only successes are cached: failures, degraded and violated runs re-run
+   (and re-report) every time — a quarantine served from a cache would
+   hide a flaky environment. A hit is judged like a fresh run, and an
+   undecodable payload (torn or hand-edited object) is dropped by the
+   lookup and recomputed once. *)
+let run ?on_round ?trace ?(budget = Budget.unlimited) ?net ?cache ~property
+    proto cfg ~adversary ~inputs =
+  let fresh () =
+    Result.bind
+      (watched ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs)
+      (judge ~property cfg ~inputs)
   in
-  match run ?on_round ?trace ~link ?budget proto cfg ~adversary ~inputs with
-  | Ok o ->
-      let d = report o in
-      if d.Net.Degradation.beyond_model then
-        (* the run left the omission model: report degradation, never a
-           consensus result computed over too many faults *)
-        Error
-          ( Degraded
-              {
-                induced = List.length d.Net.Degradation.induced_faulty;
-                adversarial = List.length d.Net.Degradation.adversarial_faulty;
-                t_max = cfg.Sim.Config.t_max;
-                residual = d.Net.Degradation.residual;
-              },
-            Some (o, d) )
-      else Ok (o, d)
-  | Error (kind, partial) ->
-      Error (kind, Option.map (fun o -> (o, report o)) partial)
+  match cache with
+  | None -> fresh ()
+  | Some (store, key) -> (
+      let codec = result_codec net in
+      match Cache.Store.lookup store ~decode:(Cache.Codec.decode codec) key with
+      | Some v ->
+          Option.iter
+            (fun sink ->
+              let key = Cache.Store.digest_key store key in
+              Trace.Sink.emit sink (Trace.Event.Cache_hit { key }))
+            trace;
+          judge ~property cfg ~inputs v
+      | None ->
+          let r = fresh () in
+          Result.iter
+            (fun v -> Cache.Store.add store ~key (Cache.Codec.encode codec v))
+            r;
+          r)
 
 (* --- quarantining map --- *)
 
@@ -286,9 +507,6 @@ let map_at ?jobs ?(budget = Budget.unlimited) ?describe
 
 let map ?jobs ?budget ?describe f xs =
   map_at ?jobs ?budget ?describe f xs (Array.init (Array.length xs) Fun.id)
-
-let map_list ?jobs ?budget ?describe f xs =
-  Array.to_list (map ?jobs ?budget ?describe f (Array.of_list xs))
 
 let protect ?budget ?descriptor f =
   let describe =
@@ -361,99 +579,10 @@ module Chaos = struct
     end)
 end
 
-(* ------------------------------------------------------------------ *)
-(* Content-addressed caching layer over run / run_net / map.           *)
-(* ------------------------------------------------------------------ *)
+(* --- cache-aware map --- *)
 
 module Cached = struct
-  (* Cache payload codecs (grammar in Cache.Codec). The outcome's bytes
-     are load-bearing beyond the cache: golden digests and the benchmark
-     compare [outcome_to_string]. *)
-  let outcome_codec =
-    Cache.Codec.(
-      conv
-        (fun (o : Sim.Engine.outcome) ->
-          ( (o.decisions, o.faulty, o.rounds_total),
-            (o.decided_round, o.messages_sent, o.bits_sent),
-            (o.messages_omitted, o.rand_calls, (o.rand_bits, o.faults_used)) ))
-        (fun ( (decisions, faulty, rounds_total),
-               (decided_round, messages_sent, bits_sent),
-               (messages_omitted, rand_calls, (rand_bits, faults_used)) ) ->
-          { Sim.Engine.decisions; faulty; rounds_total; decided_round;
-            messages_sent; bits_sent; messages_omitted; rand_calls;
-            rand_bits; faults_used })
-        (triple
-           (triple (array (option int)) bits int)
-           (triple (option int) int int)
-           (triple int int (pair int int))))
-
   let outcome_to_string = Cache.Codec.encode outcome_codec
-
-  (* Net.Spec.to_string is canonical (round-trips through of_string) and
-     has no spaces, so the spec is one top-level string atom *)
-  let spec_codec =
-    Cache.Codec.conv Net.Spec.to_string
-      (fun s -> Result.fold ~ok:Fun.id ~error:failwith (Net.Spec.of_string s))
-      Cache.Codec.string
-
-  let degradation_codec =
-    Cache.Codec.(
-      conv
-        (fun (d : Net.Degradation.t) ->
-          ( (d.spec, d.attempts, d.retransmits),
-            ((d.drops, d.dups, d.delays), (d.stalls, d.residual, d.rounds),
-             (d.active_rounds, d.slots, d.induced_per_pid)),
-            ((d.induced_faulty, d.adversarial_faulty, d.effective_faulty),
-             d.t_max, d.beyond_model) ))
-        (fun ( (spec, attempts, retransmits),
-               ((drops, dups, delays), (stalls, residual, rounds),
-                (active_rounds, slots, induced_per_pid)),
-               ((induced_faulty, adversarial_faulty, effective_faulty),
-                t_max, beyond_model) ) ->
-          { Net.Degradation.spec; attempts; retransmits; drops; dups; delays;
-            stalls; residual; rounds; active_rounds; slots; induced_per_pid;
-            induced_faulty; adversarial_faulty; effective_faulty; t_max;
-            beyond_model })
-        (triple
-           (triple spec_codec int int)
-           (triple (triple int int int) (triple int int int)
-              (triple int int (array int)))
-           (triple (triple (list int) (list int) (list int)) int bool)))
-
-  let net_codec = Cache.Codec.pair outcome_codec degradation_codec
-
-  (* Only successes are cached: failures and degraded runs must re-run
-     (and re-report) every time — a quarantine served from a cache would
-     hide a flaky environment. An undecodable payload (torn or
-     hand-edited object) is dropped by the lookup and recomputed once. *)
-  let memo ?trace ~codec store key fresh =
-    match store with
-    | None -> fresh ()
-    | Some st -> (
-        match Cache.Store.lookup st ~decode:(Cache.Codec.decode codec) key with
-        | Some v ->
-            Option.iter
-              (fun sink ->
-                let key = Cache.Store.digest_key st key in
-                Trace.Sink.emit sink (Trace.Event.Cache_hit { key }))
-              trace;
-            Ok v
-        | None ->
-            let r = fresh () in
-            Result.iter
-              (fun v -> Cache.Store.add st ~key (Cache.Codec.encode codec v))
-              r;
-            r)
-
-  let run ?on_round ?trace ?link ?budget ?store ~key proto cfg ~adversary
-      ~inputs =
-    memo ?trace ~codec:outcome_codec store key (fun () ->
-        run ?on_round ?trace ?link ?budget proto cfg ~adversary ~inputs)
-
-  let run_net ?on_round ?trace ?budget ?store ~key ~net proto cfg ~adversary
-      ~inputs =
-    memo ?trace ~codec:net_codec store key (fun () ->
-        run_net ?on_round ?trace ?budget ~net proto cfg ~adversary ~inputs)
 
   (* Cache-aware quarantining map: consult the store per element on the
      calling domain, run only the misses through the domain pool, and

@@ -5,6 +5,10 @@
     expected, and one pathological run must not discard a whole campaign's
     work. This layer wraps {!Exec} and {!Sim.Engine.run} with:
 
+    - {b one supervised run} ({!run}): the engine under the watchdog,
+      over an optional lossy link and through the run cache, with every
+      finished run — fast or traced, fresh or a cache hit — judged by
+      {b the outcome oracle} ({!Oracle}).
     - {b watchdog budgets} ({!Budget}): every supervised task gets a
       wall-clock timeout plus round / message / random-bit ceilings — the
       [Config.max_rounds] semantics extended to all the paper's metrics. A
@@ -14,7 +18,8 @@
       when some fail; each failure carries the exception text, backtrace,
       seed and a replay command, so sweeps degrade to partial results plus
       a quarantine report instead of aborting.
-    - {b checkpoint/resume}: {!Cached} over the run cache, the only memo.
+    - {b checkpoint/resume}: {!run}'s [cache] and {!Cached.map} over the
+      run cache, the only memo.
     - {b chaos mode} ({!Chaos}): seeded fault injection — exceptions,
       artificial stragglers, crashing protocols — used by the test suite
       to prove the containment claims above. *)
@@ -42,6 +47,43 @@ module Budget : sig
   val pp : Format.formatter -> t -> unit
 end
 
+(** What a finished run must satisfy: the paper's agreement and validity
+    among the non-faulty processes (Section 2), and the engine's metric
+    invariants. Termination is a measurement on supervised routes, so it
+    is checked only on request. *)
+module Oracle : sig
+  type property =
+    | Consensus
+        (** agreement + weak validity (+ termination) among non-faulty *)
+    | Broadcast of { source : int }
+        (** decisions are the source's bit or the default 0 *)
+
+  val metrics : Sim.Config.t -> Sim.Engine.outcome -> (string * string) list
+  (** The engine's metric invariants, as [(property, detail)] pairs named
+      ["metric:…"]. *)
+
+  val violations :
+    ?degradation:Net.Degradation.t ->
+    ?termination:bool ->
+    property ->
+    Sim.Config.t ->
+    inputs:int array ->
+    Sim.Engine.outcome ->
+    (string * string) list
+  (** {!metrics}, then ["termination"] if asked (default [false]) and a
+      covered process never decided, then the safety half over the
+      decided covered processes: ["agreement"] or ["validity"] (the
+      decision is some process's input) for [Consensus], a
+      ["broadcast-validity"] per process deciding neither 0 nor the
+      source's input for [Broadcast]. The covered processes are the
+      non-faulty ones, or those outside a [degradation] report's
+      effective fault set. Empty for a correct run. *)
+
+  val decision : ?degradation:Net.Degradation.t -> Sim.Engine.outcome -> int option
+  (** The common decision of the covered processes, or [None] if one is
+      undecided or two disagree. *)
+end
+
 type breach = {
   metric : string;  (** ["rounds"], ["messages"] or ["rand_bits"] *)
   limit : float;
@@ -56,7 +98,10 @@ type failure_kind =
   | Degraded of { induced : int; adversarial : int; t_max : int; residual : int }
       (** a lossy-link run left the omission model: the transport's induced
           faults plus the adversary's exceeded [t_max] (see
-          [Net.Degradation] and {!run_net}) *)
+          [Net.Degradation] and {!run}) *)
+  | Violated of { property : string; detail : string }
+      (** the oracle rejected a finished run: [property] names the first
+          violation ({!Oracle.violations}) *)
 
 exception Breach of failure_kind
 (** Tasks running under {!map} may raise [Breach kind] to report a
@@ -96,16 +141,15 @@ val current_label : unit -> string option
     sweep point. *)
 
 val pp_failure_kind : Format.formatter -> failure_kind -> unit
-val pp_failure : Format.formatter -> failure -> unit
 
 val failure_fields : ?elapsed:bool -> failure -> (string * Jsonl.v) list
 (** The quarantine record's fields, in order: [index], [label], [seed]?,
     [replay]?, [failure] ("crashed" | "timeout" | "budget_exceeded" |
-    "degraded") and its kind-specific fields ([exn] and [backtrace]? for a
-    crash; [limit_s] and [timeout_elapsed_s] for a timeout; [metric],
-    [limit], [actual] and [at_round] for a breach; [induced_faults],
-    [adversarial_faults], [t_max] and [residual_losses] for a degraded
-    run), then [elapsed_s] and [trace]? (the tail's event objects).
+    "degraded" | "violated") and its kind-specific fields ([exn] and
+    [backtrace]? for a crash; [limit_s] and [timeout_elapsed_s] for a
+    timeout; [metric], [limit], [actual] and [at_round] for a breach;
+    [induced_faults], [adversarial_faults], [t_max] and [residual_losses]
+    for a degraded run; [property] and [detail] for a violated one), then [elapsed_s] and [trace]? (the tail's event objects).
     Seconds are written to the millisecond. [~elapsed:false] leaves out
     the wall-clock [elapsed_s]. *)
 
@@ -116,46 +160,41 @@ val failure_json : failure -> string
 val run :
   ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
   ?trace:Trace.Sink.t ->
-  ?link:Sim.Link_intf.t ->
   ?budget:Budget.t ->
+  ?net:Net.Spec.t ->
+  ?cache:Cache.Store.t * string ->
+  property:Oracle.property ->
   Sim.Protocol_intf.buffered ->
   Sim.Config.t ->
   adversary:Sim.Adversary_intf.t ->
   inputs:int array ->
-  (Sim.Engine.outcome, failure_kind * Sim.Engine.outcome option) result
-(** {!Sim.Engine.run} under a watchdog. The budget is checked after every
-    round; a breached ceiling stops the engine (same semantics as
-    [max_rounds]) and returns [Error (kind, Some partial_outcome)] with the
-    partial outcome's counters intact — unless the run had already decided,
-    which counts as [Ok]. A raising protocol or adversary (including
+  ( Sim.Engine.outcome * Net.Degradation.t option,
+    failure_kind * (Sim.Engine.outcome * Net.Degradation.t option) option )
+  result
+(** {!Sim.Engine.run} under a watchdog, judged by the {!Oracle}.
+
+    The budget is checked after every round; a breached ceiling stops the
+    engine (same semantics as [max_rounds]) and returns
+    [Error (kind, Some partial)] with the partial outcome's counters
+    intact — unless the run had already decided, which counts as a
+    finished run. A raising protocol or adversary (including
     {!Sim.Engine.Illegal_plan}) returns [Error (Crashed _, None)] instead
     of propagating. A run that merely hits [cfg.max_rounds] undecided is
     still [Ok]: not deciding is a measurement, not a supervision failure.
-    [link] plugs a lossy transport into the delivery loop (see
-    {!Sim.Link_intf}); prefer {!run_net}, which also computes the
-    degradation report. *)
 
-val run_net :
-  ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-  ?trace:Trace.Sink.t ->
-  ?budget:Budget.t ->
-  net:Net.Spec.t ->
-  Sim.Protocol_intf.buffered ->
-  Sim.Config.t ->
-  adversary:Sim.Adversary_intf.t ->
-  inputs:int array ->
-  ( Sim.Engine.outcome * Net.Degradation.t,
-    failure_kind * (Sim.Engine.outcome * Net.Degradation.t) option )
-  result
-(** {!run} over a lossy link described by [net]: builds the transport,
-    runs, then composes the transport's residual losses with the
-    adversary's fault set into a [Net.Degradation] report. When the
-    effective fault set exceeds [cfg.t_max] the run is beyond the omission
-    model: the result is [Error (Degraded _, Some (outcome, report))] — the
-    outcome is preserved for forensics but must not be reported as a
-    consensus result. Judge agreement of an [Ok] run with
-    [Net.Degradation.agreed_decision], which re-bases the check on the
-    effective fault set. *)
+    [net] runs over that lossy link, with its [Net.Degradation] report
+    beside the outcome ([None] without a net). A run whose effective
+    fault set exceeds [cfg.t_max] is beyond the omission model:
+    [Error (Degraded _, Some _)], kept for forensics, never a consensus
+    result. Every other finished run is checked with
+    {!Oracle.violations} for [property] over [inputs] (over the effective
+    fault set on a lossy link); the first violation is
+    [Error (Violated _, Some _)].
+
+    [cache] is a store and the caller's canonical key for the run (a
+    [Run_spec] string). A hit emits a {!Trace.Event.Cache_hit} event into
+    [trace], never invokes [on_round], and is judged like a fresh run.
+    Only [Ok] results are written back. *)
 
 val map :
   ?jobs:int ->
@@ -173,14 +212,6 @@ val map :
     contract as {!Exec.map}. Wall-clock enforcement is cooperative: the
     elapsed time is checked when the task returns (and, for engine tasks
     run through {!run}, at every round boundary). *)
-
-val map_list :
-  ?jobs:int ->
-  ?budget:Budget.t ->
-  ?describe:(int -> 'a -> descriptor) ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, failure) result list
 
 val protect :
   ?budget:Budget.t ->
@@ -226,50 +257,15 @@ module Chaos : sig
 end
 
 module Cached : sig
-  (** Content-addressed caching layer over {!run}, {!run_net} and
-      {!map}. [key] is the caller's canonical serialization of
-      everything that determines the result (a [Run_spec] string for
-      protocol runs, an experiment point string for bench tasks); the
-      store addresses it under [digest(fingerprint, key)], so a code
-      fingerprint bump invalidates everything at once.
-
-      Only successes are cached. Failures, budget breaches and degraded
-      runs re-run (and re-report) every time: a quarantine served from a
-      cache would hide a flaky environment. Hits emit a
-      {!Trace.Event.Cache_hit} provenance event into the trace sink, if
-      one is given, and never invoke [on_round]. *)
+  (** Content-addressed caching over {!map}. [key] is the caller's
+      canonical serialization of everything that determines the result
+      (an experiment point string for bench tasks); the store addresses
+      it under [digest(fingerprint, key)], so a code fingerprint bump
+      invalidates everything at once. Only successes are cached. *)
 
   val outcome_to_string : Sim.Engine.outcome -> string
   (** The outcome's cache payload. Its bytes are frozen: golden digests
       and the benchmark compare them. *)
-
-  val run :
-    ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-    ?trace:Trace.Sink.t ->
-    ?link:Sim.Link_intf.t ->
-    ?budget:Budget.t ->
-    ?store:Cache.Store.t ->
-    key:string ->
-    Sim.Protocol_intf.buffered ->
-    Sim.Config.t ->
-    adversary:Sim.Adversary_intf.t ->
-    inputs:int array ->
-    (Sim.Engine.outcome, failure_kind * Sim.Engine.outcome option) result
-
-  val run_net :
-    ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
-    ?trace:Trace.Sink.t ->
-    ?budget:Budget.t ->
-    ?store:Cache.Store.t ->
-    key:string ->
-    net:Net.Spec.t ->
-    Sim.Protocol_intf.buffered ->
-    Sim.Config.t ->
-    adversary:Sim.Adversary_intf.t ->
-    inputs:int array ->
-    ( Sim.Engine.outcome * Net.Degradation.t,
-      failure_kind * (Sim.Engine.outcome * Net.Degradation.t) option )
-    result
 
   val map :
     ?jobs:int ->

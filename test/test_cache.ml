@@ -227,6 +227,33 @@ let test_hit_equals_recompute_net () =
       Alcotest.(check int) "one miss then one hit" 1 st.Cache.Stats.hits;
       Cache.Store.close s)
 
+(* The oracle judges cache hits like fresh runs: a violating outcome
+   planted under a spec's key comes back Violated, never Ok. *)
+let test_planted_violation () =
+  with_store (fun _dir open_ ->
+      let s = open_ () in
+      let spec = Run_spec.make ~protocol:"flood" ~n:8 ~t_max:1 ~seed:2 () in
+      let o =
+        match Run_spec.execute spec with
+        | Ok (o, None) -> o
+        | _ -> Alcotest.fail "fresh run failed"
+      in
+      (* flip the decision of the first non-faulty process *)
+      let decisions = Array.copy o.Sim.Engine.decisions in
+      let pid = Option.get (Array.find_index not o.faulty) in
+      decisions.(pid) <- Option.map (fun v -> 1 - v) decisions.(pid);
+      Cache.Store.add s ~key:(Run_spec.to_string spec)
+        (Supervise.Cached.outcome_to_string { o with decisions });
+      (match Run_spec.execute ~store:s spec with
+      | Error (Supervise.Violated { property; _ }, Some _) ->
+          Alcotest.(check string) "property" "agreement" property
+      | Ok _ -> Alcotest.fail "a planted violating outcome was served as Ok"
+      | Error (k, _) ->
+          Alcotest.failf "expected Violated, got %a" Supervise.pp_failure_kind k);
+      Alcotest.(check int) "served from the store" 1
+        (Cache.Store.stats s).Cache.Stats.hits;
+      Cache.Store.close s)
+
 (* Each way an entry can go bad — a torn object, a same-length garbage
    object the size check cannot see, a torn index line — costs exactly
    one recompute: the damaged entry reads as a miss (never a hit),
@@ -578,6 +605,8 @@ let suite =
       test_hit_equals_recompute;
     Alcotest.test_case "hit = recompute with a net spec" `Quick
       test_hit_equals_recompute_net;
+    Alcotest.test_case "planted violation is judged on a hit" `Quick
+      test_planted_violation;
     Alcotest.test_case "corrupt entry costs one recompute" `Quick
       test_corrupt_entry_one_recompute;
     Alcotest.test_case "Cached.map merges hits and misses" `Quick

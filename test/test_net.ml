@@ -209,21 +209,20 @@ let test_masking () =
   let inputs = Array.init 12 (fun i -> i mod 2) in
   let baseline =
     match
-      Supervise.run
+      Supervise.run ~property:Consensus
         (Consensus.Flood.protocol_buffered cfg)
         cfg ~adversary:Adversary.none ~inputs
     with
-    | Ok o -> o
+    | Ok (o, _) -> o
     | Error _ -> Alcotest.fail "baseline run failed"
   in
   let net = spec_of "drop=0.3,retries=10" in
   match
-    Supervise.run_net ~net
+    Supervise.run ~net ~property:Consensus
       (Consensus.Flood.protocol_buffered cfg)
       cfg ~adversary:Adversary.none ~inputs
   with
-  | Error _ -> Alcotest.fail "masked run reported a failure"
-  | Ok (o, d) ->
+  | Ok (o, Some d) ->
       Alcotest.(check int) "residual" 0 d.Net.Degradation.residual;
       Alcotest.(check (list int)) "induced" [] d.Net.Degradation.induced_faulty;
       Alcotest.(check bool) "in model" false d.Net.Degradation.beyond_model;
@@ -232,7 +231,8 @@ let test_masking () =
       Alcotest.(check bool) "losses were actually recovered" true
         (d.Net.Degradation.retransmits > 0);
       Alcotest.(check bool) "agreement holds" true
-        (Net.Degradation.agreed_decision d o <> None)
+        (Supervise.Oracle.decision ~degradation:d o <> None)
+  | _ -> Alcotest.fail "masked run reported a failure"
 
 (* --- Graceful degradation --- *)
 
@@ -241,13 +241,11 @@ let test_beyond_model () =
   let inputs = Array.init 8 (fun i -> i mod 2) in
   let net = spec_of "drop=0.9,retries=0" in
   match
-    Supervise.run_net ~net
+    Supervise.run ~net ~property:Consensus
       (Consensus.Flood.protocol_buffered cfg)
       cfg ~adversary:Adversary.none ~inputs
   with
-  | Ok (_, d) ->
-      Alcotest.failf "beyond-model run reported Ok (%s)"
-        (Net.Degradation.to_json d)
+  | Ok _ -> Alcotest.fail "beyond-model run reported Ok"
   | Error (kind, partial) -> (
       (match kind with
       | Supervise.Degraded { induced; adversarial; t_max; residual } ->
@@ -259,8 +257,9 @@ let test_beyond_model () =
           Alcotest.failf "expected Degraded, got %s"
             (Fmt.str "%a" Supervise.pp_failure_kind k));
       (match partial with
-      | None -> Alcotest.fail "degraded run lost its forensic outcome"
-      | Some (_, d) ->
+      | Some (_, None) | None ->
+          Alcotest.fail "degraded run lost its forensic outcome"
+      | Some (_, Some d) ->
           Alcotest.(check bool) "report flags beyond_model" true
             d.Net.Degradation.beyond_model;
           Alcotest.(check bool) "effective set exceeds t" true

@@ -17,11 +17,14 @@ let cfg ?(n = 8) ?(max_rounds = 10) () =
 
 let echo = (module Test_engine.Echo : Sim.Protocol_intf.BUFFERED)
 
+(* the linkless runs here carry no degradation report: drop its slot *)
 let srun ?budget ?(proto = echo) ?(n = 8) ?(max_rounds = 10) () =
-  Supervise.run ?budget proto
+  Supervise.run ?budget ~property:Consensus proto
     (cfg ~n ~max_rounds ())
     ~adversary:Sim.Adversary_intf.none
     ~inputs:(Array.init n (fun i -> i mod 2))
+  |> Result.map fst
+  |> Result.map_error (fun (k, p) -> (k, Option.map fst p))
 
 (* --- watchdog budgets over the engine --- *)
 
@@ -100,6 +103,20 @@ let test_budget_validation () =
   Alcotest.(check bool) "make () is unlimited" true
     (Supervise.Budget.is_unlimited (Supervise.Budget.make ()))
 
+let test_breach_text () =
+  let text kind = Fmt.str "%a" Supervise.pp_failure_kind kind in
+  (* the round ceiling trips when reached, not passed *)
+  Alcotest.(check string) "rounds"
+    "budget exceeded: still undecided at the 2-round ceiling"
+    (text
+       (Supervise.Budget_exceeded
+          { metric = "rounds"; limit = 2.; actual = 2.; at_round = 2 }));
+  Alcotest.(check string) "messages"
+    "budget exceeded: messages = 112 > 60 at round 2"
+    (text
+       (Supervise.Budget_exceeded
+          { metric = "messages"; limit = 60.; actual = 112.; at_round = 2 }))
+
 (* --- crash containment in Supervise.run --- *)
 
 let test_protocol_crash_contained () =
@@ -134,7 +151,7 @@ let test_illegal_plan_contained () =
     }
   in
   let r =
-    Supervise.run echo (cfg ()) ~adversary
+    Supervise.run ~property:Consensus echo (cfg ()) ~adversary
       ~inputs:(Array.init 8 (fun i -> i mod 2))
   in
   match r with
@@ -142,6 +159,81 @@ let test_illegal_plan_contained () =
       Alcotest.(check bool) "Illegal_plan captured as text" true
         (exn_text <> "")
   | _ -> Alcotest.fail "Illegal_plan must be contained, not propagated"
+
+(* --- the outcome oracle on the supervised route --- *)
+
+(* A protocol that sends nothing and decides [decide cfg ~input] in
+   round 1. *)
+let decider decide : Sim.Protocol_intf.buffered =
+  (module struct
+    type state = { input : int; mutable decision : int option }
+    type msg = unit
+
+    let name = "decider"
+    let init _ ~pid:_ ~input = { input; decision = None }
+
+    let step_into cfg st ~round ~inbox:_ ~rand:_ ~emit:_ ~emit_all:_ =
+      if round = 1 then st.decision <- Some (decide cfg ~input:st.input);
+      st
+
+    let observe st =
+      { Sim.View.candidate = Some st.input; operative = true; decided = st.decision }
+
+    let msg_bits () = 1
+    let msg_hint () = None
+  end)
+
+(* agrees on 0 except at seed 2, where every process keeps its input *)
+let split_on_seed_2 =
+  decider (fun cfg ~input -> if cfg.Sim.Config.seed = 2 then input else 0)
+
+(* A sweep task over [Supervise.run]: untraced and linkless (the mask
+   route) unless [tail], whose lines ride along on a failure. *)
+let oracle_task ?(tail = false) ?(inputs = fun i -> i mod 2) proto seed =
+  let n = 8 in
+  let tail = if tail then Some (Trace.Tail.create ~rounds:2 ()) else None in
+  match
+    Supervise.run
+      ?trace:(Option.map Trace.Tail.sink tail)
+      ~property:Consensus proto
+      (Sim.Config.make ~n ~t_max:2 ~seed ~max_rounds:3 ())
+      ~adversary:Sim.Adversary_intf.none ~inputs:(Array.init n inputs)
+  with
+  | Ok (o, _) -> o
+  | Error (kind, _) -> (
+      match tail with
+      | Some t -> raise (Supervise.Breach_traced (kind, Trace.Tail.lines t))
+      | None -> raise (Supervise.Breach kind))
+
+let test_violation_quarantined () =
+  List.iter
+    (fun tail ->
+      let r =
+        Supervise.map ~jobs:1 (oracle_task ~tail split_on_seed_2) [| 1; 2; 3 |]
+      in
+      (match (r.(0), r.(2)) with
+      | Ok _, Ok _ -> ()
+      | _ -> Alcotest.fail "agreeing seeds must stay Ok");
+      match r.(1) with
+      | Error ({ kind = Supervise.Violated { property; _ }; _ } as f) ->
+          Alcotest.(check string) "property" "agreement" property;
+          Alcotest.(check bool) "tail attached iff traced" tail (f.trace <> []);
+          Alcotest.(check bool) "quarantine JSON" true
+            (contains (Supervise.failure_json f) {|"failure":"violated"|})
+      | _ -> Alcotest.fail "the disagreeing seed must be quarantined as violated")
+    [ false; true ]
+
+let test_validity_violated () =
+  let always_1 = decider (fun _ ~input:_ -> 1) in
+  (match oracle_task ~inputs:(fun _ -> 0) always_1 1 with
+  | _ -> Alcotest.fail "deciding 1 on all-zero inputs must be rejected"
+  | exception Supervise.Breach (Supervise.Violated { property; _ }) ->
+      Alcotest.(check string) "property" "validity" property);
+  match oracle_task always_1 1 with
+  | o -> Alcotest.(check (option int)) "valid on mixed inputs" (Some 1)
+           (Sim.Engine.agreed_decision o)
+  | exception Supervise.Breach k ->
+      Alcotest.failf "mixed inputs: %a" Supervise.pp_failure_kind k
 
 (* --- quarantining map: the chaos containment proof --- *)
 
@@ -329,6 +421,10 @@ let suite =
       test_max_rounds_is_not_a_breach;
     Alcotest.test_case "unlimited budget" `Quick test_unlimited_budget_ok;
     Alcotest.test_case "budget validation" `Quick test_budget_validation;
+    Alcotest.test_case "breach text" `Quick test_breach_text;
+    Alcotest.test_case "violation quarantined, tail attached" `Quick
+      test_violation_quarantined;
+    Alcotest.test_case "validity mutant violated" `Quick test_validity_violated;
     Alcotest.test_case "protocol crash contained" `Quick
       test_protocol_crash_contained;
     Alcotest.test_case "chaos pid filter" `Quick test_protocol_crash_pid_filter;
