@@ -242,62 +242,31 @@ type run_measure = {
 }
 
 let measure ?on_round proto cfg ~adversary ~inputs =
-  (* Assemble the run's trace sinks. All stay [None]/empty unless a trace
-     flag is set, keeping the default path identical to the untraced one. *)
-  let tail =
-    if !trace_tail_rounds > 0 then
-      Some (Trace.Tail.create ~rounds:!trace_tail_rounds ())
-    else None
+  (* The run's observers stay off unless a trace flag is set, keeping the
+     default path identical to the untraced one. Under --stable-json the
+     collector gets a constant clock: per-round wall_s stays 0 and two
+     stable traced runs are byte-identical. *)
+  let obs =
+    Trace.Observers.create ~tail:!trace_tail_rounds ~metrics:!trace_metrics
+      ?clock:(if Out.is_stable () then Some (fun () -> 0.) else None)
+      ?file:(trace_file_path ()) ()
   in
-  let collector =
-    (* under --stable-json the collector gets a constant clock: per-round
-       wall_s stays 0 and two stable traced runs are byte-identical — the
-       default gettimeofday clock is unreachable in stable mode *)
-    if !trace_metrics then
-      if Out.is_stable () then
-        Some (Trace.Metrics.collector ~clock:(fun () -> 0.) ())
-      else Some (Trace.Metrics.collector ())
-    else None
+  let result =
+    Supervise.run ?on_round ?trace:(Trace.Observers.sink obs) ~budget:!budget
+      ~property:Consensus proto cfg ~adversary ~inputs
   in
-  let file_sink =
-    match trace_file_path () with
-    | None -> None
-    | Some path -> Some (Trace.Sink.file ~path)
-  in
-  let sinks =
-    List.filter_map Fun.id
-      [
-        Option.map Trace.Tail.sink tail;
-        Option.map fst collector;
-        file_sink;
-      ]
-  in
-  let trace = match sinks with [] -> None | l -> Some (Trace.Sink.tee_all l) in
-  let close_file () = Option.iter Trace.Sink.close file_sink in
-  (* A failing run re-raises with the tail attached, so the quarantine
-     record ships with the last rounds of events. *)
-  let fail kind =
-    close_file ();
-    match tail with
-    | Some t -> raise (Supervise.Breach_traced (kind, Trace.Tail.lines t))
-    | None -> raise (Supervise.Breach kind)
-  in
+  Trace.Observers.close obs;
   (* Every bench sweep measures a consensus protocol. A run the oracle
      rejects is a protocol bug: it is quarantined like any other failure,
-     never averaged over. A run that merely ran out of rounds surfaces as
-     [decided = false] and is excluded from averages by [avg_runs]. *)
+     never averaged over, and re-raised with the tail attached so the
+     quarantine record ships with the last rounds of events. A run that
+     merely ran out of rounds surfaces as [decided = false] and is
+     excluded from averages by [avg_runs]. *)
   let o =
-    match
-      Supervise.run ?on_round ?trace ~budget:!budget ~property:Consensus proto
-        cfg ~adversary ~inputs
-    with
-    | Ok (o, _) ->
-        close_file ();
-        o
-    | Error (kind, _partial) -> fail kind
-    | exception e ->
-        close_file ();
-        raise e
+    match result with
+    | Ok (o, _) -> o
+    | Error (kind, _partial) ->
+        raise (Supervise.Breach_traced (kind, Trace.Observers.tail_lines obs))
   in
   {
     rounds =
@@ -310,7 +279,7 @@ let measure ?on_round proto cfg ~adversary ~inputs =
     rand_calls = o.rand_calls;
     rand_bits = o.rand_bits;
     faults = o.faults_used;
-    metrics = Option.map (fun (_, summary) -> summary ()) collector;
+    metrics = Trace.Observers.summary obs;
   }
 
 (* cache codecs for run_measure, trace metrics included, so a warm

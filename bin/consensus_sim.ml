@@ -36,43 +36,27 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
   let run_one ~seed ~verbose =
     let spec = { spec0 with Run_spec.seed } in
     let proto_name = B.name in
-    let tail =
-      if trace_tail > 0 then Some (Trace.Tail.create ~rounds:trace_tail ())
-      else None
-    in
-    let collector = if trace then Some (Trace.Metrics.collector ()) else None in
-    let file_sink =
+    let path =
       Option.map
         (fun dir ->
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "run.%s.seed%d.trace.jsonl" B.name seed)
-          in
-          (path, Trace.Sink.file ~path))
+          Filename.concat dir
+            (Printf.sprintf "run.%s.seed%d.trace.jsonl" B.name seed))
         trace_dir
     in
-    let sinks =
-      List.filter_map Fun.id
-        [
-          Option.map Trace.Tail.sink tail;
-          Option.map fst collector;
-          Option.map snd file_sink;
-        ]
-    in
-    let tsink =
-      match sinks with [] -> None | l -> Some (Trace.Sink.tee_all l)
+    let obs =
+      Trace.Observers.create ~tail:trace_tail ~metrics:trace ?file:path ()
     in
     (* one result shape for the linkless and lossy-link paths; the
        degradation report rides along when the spec has a net. The spec's
        canonical string is also the cache key, so a repeated run with
        --cache is served from the store. *)
-    let result = Run_spec.execute ?trace:tsink ?store spec in
-    Option.iter (fun (path, s) -> Trace.Sink.close s;
-        if verbose then Fmt.pr "trace written      : %s@." path)
-      file_sink;
-    let tail_lines () =
-      match tail with Some tl -> Trace.Tail.lines tl | None -> []
+    let result =
+      Run_spec.execute ?trace:(Trace.Observers.sink obs) ?store spec
     in
+    Trace.Observers.close obs;
+    Option.iter
+      (fun p -> if verbose then Fmt.pr "trace written      : %s@." p)
+      path;
     match result with
     | Error (kind, partial) ->
         (* every failure, a degraded or violated run included, is a
@@ -89,7 +73,7 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
             replay = Some replay;
             kind;
             elapsed_s = 0.;
-            trace = tail_lines ();
+            trace = Trace.Observers.tail_lines obs;
           }
         in
         Fmt.pr "seed %-4d: %s — %a@." seed
@@ -136,15 +120,14 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
             | Some v -> Printf.sprintf "decision=%d" v
             | None -> "UNDECIDED");
         Option.iter
-          (fun (_, summary) ->
-            Fmt.pr "%a@." Trace.Metrics.pp_summary (summary ()))
-          collector;
+          (Fmt.pr "%a@." Trace.Metrics.pp_summary)
+          (Trace.Observers.summary obs);
         (match decision with
         | Some v -> if verbose then Fmt.pr "decision           : %d (agreement holds)@." v
         | None ->
             if verbose then
               Fmt.pr "decision           : NONE (a non-faulty process did not decide)@.";
-            print_tail (tail_lines ());
+            print_tail (Trace.Observers.tail_lines obs);
             incr failures)
   in
   (match seeds with
@@ -198,30 +181,6 @@ let fuzz_protocols spec =
           Fmt.epr "%s@." msg;
           exit 2)
 
-(* Re-run the shrunk counterexample's violating protocol with trace sinks:
-   the full trace goes to a file, the tail is returned for the console and
-   the JSON failure record. Deterministic — the scenario is a pure function
-   of its seed, so this is the run the fuzzer saw. *)
-let dump_failure_trace ~protocols ~dir ~tail_rounds
-    (f : Harness.Fuzz.failure) =
-  let id = f.Harness.Fuzz.violation.Harness.Runner.protocol in
-  match
-    List.find_opt (fun e -> e.Harness.Registry.id = id) protocols
-  with
-  | None -> (None, [])
-  | Some entry ->
-      let tail = Trace.Tail.create ~rounds:tail_rounds () in
-      let mem, events = Trace.Sink.memory () in
-      let sink = Trace.Sink.tee (Trace.Tail.sink tail) mem in
-      ignore (Harness.Runner.run_entry ~trace:sink entry f.Harness.Fuzz.shrunk);
-      ensure_dir dir;
-      let path =
-        Filename.concat dir
-          (Printf.sprintf "fuzz-counterexample.%s.trace.jsonl" entry.id)
-      in
-      Trace.File.write ~path (events ());
-      (Some path, Trace.Tail.lines tail)
-
 let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
     trace_dir trace_tail =
   let protocols = fuzz_protocols protocol in
@@ -274,31 +233,23 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
       Fmt.pr "%a" Harness.Fuzz.pp_failure f;
       (* quarantine the counterexample with its trace: full trace file +
          last-K-rounds tail on the console and in the JSON record *)
-      let path, tail =
-        dump_failure_trace ~protocols ~dir:trace_dir
-          ~tail_rounds:(max 1 trace_tail) f
+      ensure_dir trace_dir;
+      let q, path =
+        Harness.Fuzz.quarantine ~protocols ~tail_rounds:(max 1 trace_tail)
+          ~dir:trace_dir f
       in
       Option.iter (fun p -> Fmt.pr "fuzz: counterexample trace in %s@." p) path;
-      print_tail tail;
-      let v = f.Harness.Fuzz.violation in
+      print_tail q.Supervise.trace;
       emit_json
         Jsonl.(
-          [
-            ("kind", S "quarantine");
-            ("schema_version", I schema_version);
-            ("label", S ("fuzz-counterexample/" ^ v.Harness.Runner.protocol));
-            ("property", S v.Harness.Runner.property);
-            ("detail", S v.Harness.Runner.detail);
-            ("original", S (Harness.Scenario.to_string f.Harness.Fuzz.original));
-            ("shrunk", S (Harness.Scenario.to_string f.Harness.Fuzz.shrunk));
-            ("shrink_steps", I f.Harness.Fuzz.shrink_steps);
-            ("replay", S (Harness.Fuzz.replay_command f.Harness.Fuzz.shrunk));
-          ]
-          @ (match path with Some p -> [ ("trace_file", S p) ] | None -> [])
-          @
-          match tail with
-          | [] -> []
-          | lines -> [ ("trace", L (List.map (fun l -> Raw l) lines)) ]);
+          [ ("kind", S "quarantine"); ("schema_version", I schema_version) ]
+          @ Supervise.failure_fields ~elapsed:false q
+          @ [
+              ("original", S (Harness.Scenario.to_string f.original));
+              ("shrunk", S (Harness.Scenario.to_string f.shrunk));
+              ("shrink_steps", I f.shrink_steps);
+            ]
+          @ match path with Some p -> [ ("trace_file", S p) ] | None -> []);
       Option.iter close_out json_ch;
       exit 1
 

@@ -9,10 +9,8 @@ type stats = {
   mutable determinism_checks : int;
 }
 
-let stats_zero () =
-  { scenarios = 0; runs = 0; checked = 0; determinism_checks = 0 }
-
 type failure = {
+  index : int;  (** soak index of [original] *)
   original : Scenario.t;
   shrunk : Scenario.t;
   violation : Runner.violation;
@@ -20,7 +18,8 @@ type failure = {
 }
 
 let replay_command s =
-  Printf.sprintf "consensus_sim replay -s '%s'" (Scenario.to_string s)
+  Printf.sprintf "dune exec bin/consensus_sim.exe -- replay -s '%s'"
+    (Scenario.to_string s)
 
 let pp_failure ppf f =
   Fmt.pf ppf "violation %a@." Runner.pp_violation f.violation;
@@ -28,6 +27,39 @@ let pp_failure ppf f =
   Fmt.pf ppf "shrunk   : %s (%d shrink steps)@."
     (Scenario.to_string f.shrunk) f.shrink_steps;
   Fmt.pf ppf "replay   : %s@." (replay_command f.shrunk)
+
+(* The counterexample's quarantine record. The shrunk scenario is re-run
+   on the violating protocol with a [tail_rounds]-round tail and its full
+   trace written into [dir]. Deterministic: the scenario is a pure
+   function of its seed, so this is the run the soak saw. *)
+let quarantine ~protocols ~tail_rounds ~dir f =
+  let id = f.violation.protocol in
+  let path, trace =
+    match List.find_opt (fun e -> e.Registry.id = id) protocols with
+    | None -> (None, [])
+    | Some entry ->
+        let path =
+          Filename.concat dir
+            (Printf.sprintf "fuzz-counterexample.%s.trace.jsonl" id)
+        in
+        let obs = Trace.Observers.create ~tail:tail_rounds ~file:path () in
+        ignore
+          (Runner.run_entry ?trace:(Trace.Observers.sink obs) entry f.shrunk);
+        Trace.Observers.close obs;
+        (Some path, Trace.Observers.tail_lines obs)
+  in
+  ( {
+      Supervise.index = f.index;
+      label = "fuzz-counterexample/" ^ id;
+      seed = Some f.original.seed;
+      replay = Some (replay_command f.shrunk);
+      kind =
+        Violated
+          { property = f.violation.property; detail = f.violation.detail };
+      elapsed_s = 0.;
+      trace;
+    },
+    path )
 
 (* A scenario "still fails" when it reproduces a violation of the same
    protocol and property — chasing a different bug mid-shrink would make
@@ -64,30 +96,19 @@ let minimise ?(max_steps = 300) ~protocols (v : Runner.violation) s =
   in
   go s v 0
 
-(** Run [count] generated scenarios (stopping early once [time_budget]
-    wall-clock seconds have elapsed, if given) through the differential
-    suite. Every 25th scenario is additionally replayed twice for
-    bit-identical determinism. Returns the stats, or the first (shrunk)
-    failure.
-
-    Scenarios are evaluated in batches fanned across the {!Exec} domain
-    pool. Each scenario is a pure function of [seed] and its index
-    ([Sim.Rand.derive] off a never-advancing root), so results are
-    identical at any [jobs]; the serial fold below consumes batch results
-    in index order, reproducing the serial loop's stats and
-    first-violation semantics exactly. *)
+(* Each scenario is a pure function of [seed] and its index
+   ([Sim.Rand.derive] off a never-advancing root), and the fold consumes
+   batch results in index order, so the outcome is the serial loop's at
+   any [jobs]. *)
 let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
     ?time_budget ?jobs ?(progress = fun _ -> ()) ?store () :
     (stats, failure * stats) result =
-  let stats = stats_zero () in
+  let stats =
+    { scenarios = 0; runs = 0; checked = 0; determinism_checks = 0 }
+  in
   let root = Sim.Rand.create ~seed:(Int64.of_int seed) () in
-  (* checkpoint/resume and cross-campaign dedup in one: each clean
-     scenario's stats contribution is stored under the scenario itself
-     (plus the protocol set and which determinism check the rotation owes
-     this index), so an interrupted soak rerun on the same store — or a
-     repeated or reseeded one — folds every scenario already proved clean
-     without re-evaluating it, and reports identical stats. Violations are
-     never stored: a failing scenario re-runs, re-shrinks and re-reports. *)
+  (* the store key: the scenario, the protocol set and which determinism
+     check the rotation owes this index *)
   let protocols_sig =
     String.concat ","
       (List.sort compare (List.map (fun e -> e.Registry.id) protocols))
@@ -114,29 +135,43 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
       | l -> Some (List.nth l (i / 25 mod List.length l))
   in
   let scenario_of i = Scenario.generate ?max_n (Sim.Rand.derive root i) in
-  let store_key i s =
+  let key i =
+    let s = scenario_of i in
     Printf.sprintf "fuzz-scenario|%s|%s|det=%s" protocols_sig
       (Scenario.to_string s)
       (match det_entry i s with None -> "-" | Some e -> e.Registry.id)
   in
   (* payload: (runs, checked, det) *)
   let codec = Cache.Codec.(triple int int int) in
+  (* scenario [i], its stats contribution and its first violation, if
+     any: a conformance violation (to be shrunk) or else a determinism
+     one (reported as found) *)
   let eval i =
     let s = scenario_of i in
     let report = Runner.run ~protocols s in
-    let violation =
-      match Runner.report_violations report with v :: _ -> Some v | [] -> None
+    let contribution det =
+      ( List.length report.results,
+        List.length (List.filter (fun r -> r.Runner.checked) report.results),
+        det )
     in
-    (* the serial loop stops at a conformance violation before reaching the
-       determinism check, so don't spend the replays in that case *)
-    let det =
-      if violation <> None then None
-      else
+    match Runner.report_violations report with
+    (* the serial loop stops at a conformance violation before reaching
+       the determinism check, so the replays are not spent *)
+    | v :: _ -> (s, contribution 0, Some (v, `Shrink))
+    | [] -> (
         match det_entry i s with
-        | None -> None
-        | Some e -> Some (Runner.determinism_violation e s)
-    in
-    (s, report, violation, det)
+        | None -> (s, contribution 0, None)
+        | Some e ->
+            let det = Runner.determinism_violation e s in
+            (s, contribution 1, Option.map (fun v -> (v, `Keep)) det))
+  in
+  let task i =
+    match eval i with
+    | _, c, None -> c
+    | _, _, Some ((v : Runner.violation), _) ->
+        raise
+          (Supervise.Breach
+             (Violated { property = v.property; detail = v.detail }))
   in
   let add (runs, checked, det) =
     stats.scenarios <- stats.scenarios + 1;
@@ -148,69 +183,35 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
   try
     let i = ref 0 in
     while !i < count && not (out_of_time ()) do
-      let hi = min count (!i + batch) in
       let lo = !i in
-      (* one store lookup per index, on this domain, before dispatch *)
-      let pre =
-        Array.init (hi - lo) (fun k ->
-            let idx = lo + k in
-            Option.bind store (fun st ->
-                Cache.Store.lookup st ~decode:(Cache.Codec.decode codec)
-                  (store_key idx (scenario_of idx))))
-      in
-      let fresh =
-        Array.of_list
-          (List.filter
-             (fun k -> pre.(k - lo) = None)
-             (List.init (hi - lo) (fun k -> lo + k)))
-      in
-      let results = Exec.map ~jobs (fun k -> (k, eval k)) fresh in
-      (* index the fresh results so the fold below can walk lo..hi-1 in
-         order, interleaving stored and freshly evaluated scenarios *)
-      let tbl = Hashtbl.create (Array.length results) in
-      Array.iter (fun (k, r) -> Hashtbl.add tbl k r) results;
-      for idx = lo to hi - 1 do
-        (match pre.(idx - lo) with
-        | Some c -> add c
-        | None ->
-            let s, (report : Runner.report), violation, det =
-              Hashtbl.find tbl idx
-            in
-            let c =
-              ( List.length report.results,
-                List.length
-                  (List.filter (fun r -> r.Runner.checked) report.results),
-                if det = None then 0 else 1 )
-            in
-            add c;
-            (match violation with
-            | Some v ->
-                let shrunk, v', steps = minimise ~protocols v s in
-                raise
-                  (Found
-                     {
-                       original = s;
-                       shrunk;
-                       violation = v';
-                       shrink_steps = steps;
-                     })
-            | None -> ());
-            (match det with
-            | Some (Some v) ->
-                raise
-                  (Found
-                     { original = s; shrunk = s; violation = v; shrink_steps = 0 })
-            | Some None | None -> ());
-            Option.iter
-              (fun st ->
-                Cache.Store.add st ~key:(store_key idx s)
-                  (Cache.Codec.encode codec c))
-              store);
-        if (idx + 1) mod 50 = 0 then
-          progress
-            (Printf.sprintf "%d scenarios, %d protocol runs, %d checked"
-               stats.scenarios stats.runs stats.checked)
-      done;
+      let hi = min count (lo + batch) in
+      Supervise.Cached.map ~jobs ?store ~key ~codec task
+        (Array.init (hi - lo) (fun k -> lo + k))
+      |> Array.iteri (fun k r ->
+             let idx = lo + k in
+             (match r with
+             | Ok c -> add c
+             | Error _ ->
+                 (* re-evaluated here, where a harness exception
+                    propagates and the violation is shrunk *)
+                 let s, c, found = eval idx in
+                 add c;
+                 Option.iter
+                   (fun (v, how) ->
+                     let shrunk, violation, shrink_steps =
+                       match how with
+                       | `Shrink -> minimise ~protocols v s
+                       | `Keep -> (s, v, 0)
+                     in
+                     raise
+                       (Found
+                          { index = idx; original = s; shrunk; violation;
+                            shrink_steps }))
+                   found);
+             if (idx + 1) mod 50 = 0 then
+               progress
+                 (Printf.sprintf "%d scenarios, %d protocol runs, %d checked"
+                    stats.scenarios stats.runs stats.checked));
       i := hi
     done;
     Ok stats

@@ -10,6 +10,7 @@ type stats = {
 }
 
 type failure = {
+  index : int;  (** soak index of [original] *)
   original : Scenario.t;
   shrunk : Scenario.t;
   violation : Runner.violation;
@@ -17,9 +18,23 @@ type failure = {
 }
 
 val replay_command : Scenario.t -> string
-(** The one-liner that reproduces the scenario via [consensus_sim replay]. *)
+(** [dune exec bin/consensus_sim.exe -- replay -s '<scenario>']. *)
 
 val pp_failure : Format.formatter -> failure -> unit
+
+val quarantine :
+  protocols:Registry.entry list ->
+  tail_rounds:int ->
+  dir:string ->
+  failure ->
+  Supervise.failure * string option
+(** The counterexample as a quarantine record: [Violated], label
+    [fuzz-counterexample/<id>], the original's soak index and seed, the
+    shrunk scenario's {!replay_command}, and the last [tail_rounds] rounds
+    of re-running it on protocol [<id>] from [protocols]. That run's full
+    trace goes to the returned path,
+    [dir/fuzz-counterexample.<id>.trace.jsonl]; no run and [None] when
+    [<id>] is not in [protocols]. *)
 
 val minimise :
   ?max_steps:int ->
@@ -48,15 +63,17 @@ val run :
     replayed twice for bit-identical determinism. Returns the stats, or the
     first failure, already shrunk.
 
-    Scenario batches fan out across [jobs] domains (default
-    {!Exec.default_jobs}); every scenario is a pure function of [seed] and
-    its index, and batch results are folded in index order, so the outcome
-    — stats, first violation, shrunk counterexample — is identical at any
-    [jobs]. [jobs = 1] is the serial loop.
+    Scenario batches go through [Supervise.Cached.map] across [jobs]
+    domains (default {!Exec.default_jobs}); every scenario is a pure
+    function of [seed] and its index, and batch results are folded in
+    index order, so the outcome — stats, first violation, shrunk
+    counterexample — is identical at any [jobs]. A violating scenario is
+    a failed task; the fold re-evaluates the first one on the calling
+    domain, where it is shrunk and where a harness exception propagates.
 
-    With [store], each clean scenario's stats contribution is stored
-    when its batch is folded, keyed by the scenario itself (plus the
-    protocol set and the determinism-check assignment). Stored scenarios
+    With [store], it holds each clean scenario's stats contribution,
+    keyed by the scenario itself (plus the protocol set and the
+    determinism-check assignment). Stored scenarios
     are folded without re-evaluation, so a soak interrupted and rerun on
     the same store reports stats identical to an uninterrupted one, and
     a repeated or reseeded soak skips work any earlier one already did.

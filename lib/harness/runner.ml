@@ -92,15 +92,9 @@ let check_delivery (s : Scenario.t) ~source ~final_operative
     the consensus/broadcast properties were asserted (the protocol's model
     covers the strategy) — the metric invariants are always asserted.
     [trace], if given, receives the run's engine event stream. *)
-let run_entry ?trace ?net (entry : Registry.entry) (s : Scenario.t) :
-    run_result =
+let run_entry ?trace (entry : Registry.entry) (s : Scenario.t) : run_result =
   let checked = Registry.in_model entry s in
   let cfg = config_for entry s in
-  let link =
-    match net with
-    | None -> None
-    | Some spec -> Some (Net.Transport.link (Net.Transport.create spec cfg))
-  in
   let source =
     match entry.kind with
     | Broadcast { source } -> Some source
@@ -110,7 +104,7 @@ let run_entry ?trace ?net (entry : Registry.entry) (s : Scenario.t) :
     probed_adversary s.Scenario.strategy ~source
   in
   match
-    Sim.Engine.run ?trace ?link (Registry.build entry cfg) cfg ~adversary
+    Sim.Engine.run ?trace (Registry.build entry cfg) cfg ~adversary
       ~inputs:s.Scenario.inputs
   with
   | exception e ->

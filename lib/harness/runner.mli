@@ -32,17 +32,9 @@ val config_for : Registry.entry -> Scenario.t -> Sim.Config.t
 (** The configuration the entry runs under: the scenario's budget clamped
     to the entry's tolerance, the entry's schedule bound as [max_rounds]. *)
 
-val run_entry :
-  ?trace:Trace.Sink.t ->
-  ?net:Net.Spec.t ->
-  Registry.entry ->
-  Scenario.t ->
-  run_result
+val run_entry : ?trace:Trace.Sink.t -> Registry.entry -> Scenario.t -> run_result
 (** Run one protocol on a scenario. [trace], if given, receives the run's
-    engine event stream (see {!Sim.Engine.run}). [net], if given, runs the
-    scenario over a lossy-link transport (a fresh [Net.Transport] per call;
-    residual losses are not model-checked here — use [Supervise.run ~net]
-    for the degradation report). *)
+    engine event stream (see {!Sim.Engine.run}). *)
 
 val run :
   ?protocols:Registry.entry list ->

@@ -1,6 +1,7 @@
 (** Run supervision and fault containment for sweeps.
 
-    The experiment campaigns in [bench/] and the fuzz soak run thousands of
+    The experiment campaigns in [bench/] and the fuzz soak
+    ([Harness.Fuzz.run], batches through {!Cached.map}) run thousands of
     independent simulator tasks; at that scale stragglers and failures are
     expected, and one pathological run must not discard a whole campaign's
     work. This layer wraps {!Exec} and {!Sim.Engine.run} with:
@@ -19,7 +20,11 @@
       seed and a replay command, so sweeps degrade to partial results plus
       a quarantine report instead of aborting.
     - {b checkpoint/resume}: {!run}'s [cache] and {!Cached.map} over the
-      run cache, the only memo.
+      run cache, the only memo. The store holds successes only: a
+      {!run} result under its [Run_spec] key, and through {!Cached.map}
+      a bench task's measurement or a fuzz scenario's stats contribution
+      under the caller's key. Failures, oracle violations and fuzz
+      counterexamples included, always re-run.
     - {b chaos mode} ({!Chaos}): seeded fault injection — exceptions,
       artificial stragglers, crashing protocols — used by the test suite
       to prove the containment claims above. *)

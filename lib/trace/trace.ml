@@ -515,16 +515,47 @@ module Metrics = struct
 end
 
 (* ------------------------------------------------------------------ *)
-(* Trace files: write a list of events as JSONL, read them back.       *)
+(* A run's observer sinks.                                             *)
+(* ------------------------------------------------------------------ *)
+
+module Observers = struct
+  type t = {
+    tail : Tail.t option;
+    summary : (unit -> Metrics.summary) option;
+    sink : Sink.t option;
+  }
+
+  let create ?(tail = 0) ?(metrics = false) ?clock ?file () =
+    let tail = if tail > 0 then Some (Tail.create ~rounds:tail ()) else None in
+    let collector =
+      if metrics then Some (Metrics.collector ?clock ()) else None
+    in
+    let sinks =
+      List.filter_map Fun.id
+        [
+          Option.map Tail.sink tail;
+          Option.map fst collector;
+          Option.map (fun path -> Sink.file ~path) file;
+        ]
+    in
+    {
+      tail;
+      summary = Option.map snd collector;
+      sink = (match sinks with [] -> None | l -> Some (Sink.tee_all l));
+    }
+
+  let sink t = t.sink
+  let tail_lines t = match t.tail with Some tl -> Tail.lines tl | None -> []
+  let summary t = Option.map (fun f -> f ()) t.summary
+  let close t = Option.iter Sink.close t.sink
+end
+
+(* ------------------------------------------------------------------ *)
+(* Trace files, as Sink.file writes them: read them back.              *)
 (* ------------------------------------------------------------------ *)
 
 module File = struct
   exception Corrupt of string
-
-  let write ~path events =
-    let sink = Sink.file ~path in
-    List.iter (Sink.emit sink) events;
-    Sink.close sink
 
   let read path =
     In_channel.with_open_bin path In_channel.input_all

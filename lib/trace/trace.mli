@@ -177,11 +177,33 @@ module Metrics : sig
   val pp_summary : Format.formatter -> summary -> unit
 end
 
-(** Whole-trace files, one JSONL event per line. *)
+(** A run's observers teed into one sink: a last-[tail]-rounds {!Tail}
+    (when [tail > 0]), a {!Metrics.collector} on [clock] (when [metrics])
+    and a {!Sink.file} at [file]. *)
+module Observers : sig
+  type t
+
+  val create :
+    ?tail:int -> ?metrics:bool -> ?clock:(unit -> float) -> ?file:string ->
+    unit -> t
+
+  val sink : t -> Sink.t option
+  (** [None] when nothing is requested, so an untraced run keeps the
+      engine's sink-free route. *)
+
+  val tail_lines : t -> string list
+  (** Empty without a tail. *)
+
+  val summary : t -> Metrics.summary option
+
+  val close : t -> unit
+  (** Closes the file; idempotent. *)
+end
+
+(** Whole-trace files, one JSONL event per line, as {!Sink.file} writes
+    them. *)
 module File : sig
   exception Corrupt of string
-
-  val write : path:string -> Event.t list -> unit
 
   val read : string -> Event.t list
   (** Blank lines are skipped. Raises {!Corrupt} on a line {!Event.of_json}

@@ -590,6 +590,40 @@ let test_fuzz_store_dedup () =
           ];
       Cache.Store.close s)
 
+(* A violation is a failed task, and failures are never stored: a
+   failing soak rerun on the same store re-finds the same counterexample
+   and writes nothing more. The soak is cut at the counterexample (index
+   3), so the three scenarios before it are exactly the clean ones. *)
+let test_fuzz_violation_not_cached () =
+  with_store (fun _dir open_ ->
+      let s = open_ () in
+      let soak () =
+        match
+          Harness.Fuzz.run ~protocols:[ Test_harness.selfish_entry ] ~count:4
+            ~seed:3 ~jobs:1 ~store:s ()
+        with
+        | Ok _ -> Alcotest.fail "fuzzer missed the broken protocol"
+        | Error (f, _) ->
+            ( Harness.Scenario.to_string f.Harness.Fuzz.original,
+              Harness.Scenario.to_string f.shrunk,
+              f.shrink_steps )
+      in
+      let first = soak () in
+      let c1 = Cache.Store.stats s in
+      Alcotest.(check int) "only the clean scenarios are written" 3
+        c1.Cache.Stats.writes;
+      let second = soak () in
+      let c2 = Cache.Store.stats s in
+      Alcotest.(check (triple string string int))
+        "same shrunk counterexample" first second;
+      Alcotest.(check int) "the clean scenarios are hits" 3
+        (c2.Cache.Stats.hits - c1.Cache.Stats.hits);
+      Alcotest.(check int) "the counterexample is re-evaluated" 1
+        (c2.Cache.Stats.misses - c1.Cache.Stats.misses);
+      Alcotest.(check int) "no new writes" c1.Cache.Stats.writes
+        c2.Cache.Stats.writes;
+      Cache.Store.close s)
+
 let suite =
   [
     Alcotest.test_case "store roundtrip + reopen" `Quick test_store_roundtrip;
@@ -619,4 +653,6 @@ let suite =
     Alcotest.test_case "cache-hit event codecs" `Quick
       test_cache_hit_event_codec;
     Alcotest.test_case "fuzz store dedup" `Quick test_fuzz_store_dedup;
+    Alcotest.test_case "fuzz violations are never cached" `Quick
+      test_fuzz_violation_not_cached;
   ]

@@ -124,6 +124,11 @@ let selfish_entry =
       let rounds_needed _ = 3
     end : Sim.Protocol_intf.BUILDER)
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
+  go 0
+
 let test_broken_protocol_caught () =
   match Harness.Fuzz.run ~protocols:[ selfish_entry ] ~count:50 ~seed:3 () with
   | Ok _ -> Alcotest.fail "fuzzer missed the broken protocol"
@@ -142,13 +147,104 @@ let test_broken_protocol_caught () =
       (* and the replay one-liner names exactly the shrunk scenario *)
       let cmd = Harness.Fuzz.replay_command f.shrunk in
       let sub = Harness.Scenario.to_string f.shrunk in
-      let contains hay needle =
-        let lh = String.length hay and ln = String.length needle in
-        let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-        go 0
-      in
       Alcotest.(check bool) "replay command mentions scenario" true
-        (contains cmd sub)
+        (contains cmd sub);
+      (* and runs as printed, like every other replay line *)
+      Alcotest.(check bool) "replay command is a dune exec line" true
+        (String.starts_with
+           ~prefix:"dune exec bin/consensus_sim.exe -- replay -s '" cmd)
+
+(* The counterexample's quarantine record has the shape of every other
+   one (Supervise.failure_json), with the replay line and the trace tail.
+   The soak's counterexample itself is pinned. *)
+let test_counterexample_record () =
+  match Harness.Fuzz.run ~protocols:[ selfish_entry ] ~count:50 ~seed:3 () with
+  | Ok _ -> Alcotest.fail "fuzzer missed the broken protocol"
+  | Error (f, _) -> (
+      Alcotest.(check string) "original"
+        "35/8/257032/00000000000000000100000000000000000/strike(hold0x2,to1)"
+        (Harness.Scenario.to_string f.Harness.Fuzz.original);
+      Alcotest.(check string) "shrunk" "18/0/1/000000000000000001/idle"
+        (Harness.Scenario.to_string f.shrunk);
+      Alcotest.(check int) "shrink steps" 20 f.shrink_steps;
+      let dir = Filename.temp_dir "fuzz-quarantine" "" in
+      let q, path =
+        Harness.Fuzz.quarantine ~protocols:[ selfish_entry ] ~tail_rounds:3
+          ~dir f
+      in
+      let path = Option.get path in
+      let events = Trace.File.read path in
+      Sys.remove path;
+      Sys.rmdir dir;
+      Alcotest.(check string) "trace file name"
+        "fuzz-counterexample.selfish.trace.jsonl" (Filename.basename path);
+      (* the tail is the end of the full trace *)
+      let tail = List.rev q.Supervise.trace in
+      Alcotest.(check (list string)) "tail ends the trace file" tail
+        (List.filteri
+           (fun i _ -> i < List.length tail)
+           (List.rev_map Trace.Event.to_json events));
+      let json = Supervise.failure_json q in
+      List.iter
+        (fun needle ->
+          Alcotest.(check bool) ("record has " ^ needle) true
+            (contains json needle))
+        [
+          {|"failure":"violated"|};
+          {|"property":"agreement"|};
+          {|"label":"fuzz-counterexample/selfish"|};
+          {|"replay":"dune exec bin/consensus_sim.exe -- replay -s '18/0/1/|};
+        ];
+      match Jsonl.read json with
+      | None -> Alcotest.fail "record does not parse"
+      | Some fields ->
+          Alcotest.(check (option string)) "kind" (Some "quarantine")
+            (Jsonl.string fields "kind");
+          Alcotest.(check (option int)) "soak index" (Some 3)
+            (Jsonl.int fields "index");
+          Alcotest.(check (option int)) "seed" (Some 257032)
+            (Jsonl.int fields "seed");
+          Alcotest.(check (option string)) "replay"
+            (Some (Harness.Fuzz.replay_command f.shrunk))
+            (Jsonl.string fields "replay");
+          Alcotest.(check bool) "non-empty trace tail" true
+            (match List.assoc_opt "trace" fields with
+            | Some (Jsonl.Raw r) -> r <> "[]"
+            | _ -> false))
+
+(* Fuzz.run's outcome is independent of the domain-pool width, failing or
+   clean: same counterexample, shrink and stats. *)
+let test_fuzz_jobs_invariant () =
+  let outcome ~protocols ~count ~seed jobs =
+    let counts (st : Harness.Fuzz.stats) =
+      [ st.scenarios; st.runs; st.checked; st.determinism_checks ]
+    in
+    match Harness.Fuzz.run ~protocols ~count ~seed ~jobs () with
+    | Ok st -> ([], counts st)
+    | Error (f, st) ->
+        ( [
+            Harness.Scenario.to_string f.original;
+            Harness.Scenario.to_string f.shrunk;
+            f.violation.property;
+            string_of_int f.shrink_steps;
+          ],
+          counts st )
+  in
+  let same name ~protocols ~count ~seed =
+    let c1, s1 = outcome ~protocols ~count ~seed 1
+    and c4, s4 = outcome ~protocols ~count ~seed 4 in
+    Alcotest.(check (list string)) (name ^ ": counterexample") c1 c4;
+    Alcotest.(check (list int)) (name ^ ": stats") s1 s4;
+    c1
+  in
+  let failing =
+    same "failing soak" ~protocols:[ selfish_entry ] ~count:50 ~seed:3
+  in
+  Alcotest.(check bool) "the failing soak fails" true (failing <> []);
+  let clean =
+    same "clean soak" ~protocols:Harness.Registry.all ~count:24 ~seed:11
+  in
+  Alcotest.(check (list string)) "the clean soak is clean" [] clean
 
 (* --- registry sanity --- *)
 
@@ -216,6 +312,10 @@ let suite =
     qcheck qcheck_conformance;
     Alcotest.test_case "broken protocol caught and shrunk" `Quick
       test_broken_protocol_caught;
+    Alcotest.test_case "counterexample quarantine record" `Quick
+      test_counterexample_record;
+    Alcotest.test_case "fuzz outcome identical at any jobs" `Quick
+      test_fuzz_jobs_invariant;
     Alcotest.test_case "registry complete" `Quick test_registry_complete;
     Alcotest.test_case "replay determinism per protocol" `Quick
       test_runner_determinism;

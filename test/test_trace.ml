@@ -41,7 +41,9 @@ let test_file_roundtrip () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace.File.write ~path events;
+      let sink = Trace.Sink.file ~path in
+      List.iter (Trace.Sink.emit sink) events;
+      Trace.Sink.close sink;
       let back = Trace.File.read path in
       Alcotest.(check bool)
         "jsonl file roundtrip" true
@@ -257,6 +259,43 @@ let test_counterexample_trace_tail () =
     (r.Harness.Runner.violations = []);
   Alcotest.(check bool) "tail is non-empty" true (Trace.Tail.lines tail <> [])
 
+(* --- a run's observer sinks --- *)
+
+let test_observers () =
+  let none = Trace.Observers.create () in
+  Alcotest.(check bool) "nothing requested, no sink" true
+    (Trace.Observers.sink none = None);
+  Alcotest.(check bool) "no tail, no lines" true
+    (Trace.Observers.tail_lines none = []);
+  let path = Filename.temp_file "observers" ".trace.jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let obs =
+        Trace.Observers.create ~tail:2 ~metrics:true ~clock:(fun () -> 0.)
+          ~file:path ()
+      in
+      let o =
+        Sim.Engine.run ?trace:(Trace.Observers.sink obs) echo (cfg ())
+          ~adversary:(omission_adversary ()) ~inputs:(inputs 8)
+      in
+      Trace.Observers.close obs;
+      Trace.Observers.close obs;
+      let _, events = traced_run ~adversary:(omission_adversary ()) () in
+      Alcotest.(check int) "file holds the full trace" (List.length events)
+        (List.length (Trace.File.read path));
+      let last = List.rev (List.map Trace.Event.to_json events) in
+      let tail = Trace.Observers.tail_lines obs in
+      Alcotest.(check bool) "tail is the trace's end" true
+        (tail <> []
+        && List.rev tail
+           = List.filteri (fun i _ -> i < List.length tail) last);
+      match Trace.Observers.summary obs with
+      | None -> Alcotest.fail "metrics requested, no summary"
+      | Some m ->
+          Alcotest.(check int) "metrics messages" o.Sim.Engine.messages_sent
+            m.Trace.Metrics.messages)
+
 (* --- net events --- *)
 
 (* The transport's link events (emitted by lib/net, never by the engine)
@@ -353,6 +392,8 @@ let suite =
       test_counterexample_trace_tail;
     Alcotest.test_case "no sink, no events (off path)" `Quick
       test_off_path_no_sink_calls;
+    Alcotest.test_case "observers: tail, metrics and file teed" `Quick
+      test_observers;
     Alcotest.test_case "net link events roundtrip as json" `Quick
       test_net_event_json;
     Alcotest.test_case "stable collector is wall-clock free" `Quick
