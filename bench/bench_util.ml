@@ -241,19 +241,25 @@ type run_measure = {
       (** per-round trace metrics, when --trace is on *)
 }
 
-let measure ?on_round proto cfg ~adversary ~inputs =
+let measure ?trace proto cfg ~adversary ~inputs =
   (* The run's observers stay off unless a trace flag is set, keeping the
      default path identical to the untraced one. Under --stable-json the
      collector gets a constant clock: per-round wall_s stays 0 and two
-     stable traced runs are byte-identical. *)
+     stable traced runs are byte-identical. [trace] is the caller's own
+     sink, teed with them. *)
   let obs =
     Trace.Observers.create ~tail:!trace_tail_rounds ~metrics:!trace_metrics
       ?clock:(if Out.is_stable () then Some (fun () -> 0.) else None)
       ?file:(trace_file_path ()) ()
   in
+  let trace =
+    match (trace, Trace.Observers.sink obs) with
+    | Some a, Some b -> Some (Trace.Sink.tee a b)
+    | s, None | None, s -> s
+  in
   let result =
-    Supervise.run ?on_round ?trace:(Trace.Observers.sink obs) ~budget:!budget
-      ~property:Consensus proto cfg ~adversary ~inputs
+    Supervise.run ?trace ~budget:!budget ~property:Consensus proto cfg
+      ~adversary ~inputs
   in
   Trace.Observers.close obs;
   (* Every bench sweep measures a consensus protocol. A run the oracle
@@ -450,12 +456,13 @@ let avg_runs ?(label = "") ms =
    quarantined (reported + counted, with a replay command when [replay] is
    given), so the sweep always completes its surviving points.
 
-   [point] names a parameter for cache keys and quarantine labels. With
-   [codec], the sweep runs through [Supervise.Cached.map] keyed by
-   "experiment|point|seed=N": with the store on, finished tasks are
-   served from it — bit-identical, since every task is a pure function of
-   its (param, seed) — which is how a killed campaign resumes. *)
-let sweep ?codec ?replay ~point ~params ~seeds f =
+   [point] names a parameter for cache keys and quarantine labels. The
+   sweep runs through [Supervise.Cached.map] keyed by
+   "experiment|point|seed=N" and stored with [codec]: with the store on,
+   finished tasks are served from it — bit-identical, since every task is
+   a pure function of its (param, seed) — which is how a killed campaign
+   resumes. *)
+let sweep ~codec ?replay ~point ~params ~seeds f =
   let tasks =
     Array.of_list
       (List.concat_map (fun p -> List.map (fun s -> (p, s)) seeds) params)
@@ -475,13 +482,10 @@ let sweep ?codec ?replay ~point ~params ~seeds f =
   in
   let run (p, s) = f p s in
   let results =
-    match codec with
-    | None -> Supervise.map ~budget:!budget ~describe run tasks
-    | Some codec ->
-        Supervise.Cached.map ~budget:!budget ~describe ?store:!store
-          ~key:(fun (p, s) ->
-            Printf.sprintf "%s|%s|seed=%d" !Out.experiment (point p) s)
-          ~codec run tasks
+    Supervise.Cached.map ~budget:!budget ~describe ?store:!store
+      ~key:(fun (p, s) ->
+        Printf.sprintf "%s|%s|seed=%d" !Out.experiment (point p) s)
+      ~codec run tasks
   in
   (* quarantine failures in task order, then regroup successes per param *)
   Array.iter
@@ -498,10 +502,10 @@ let sweep ?codec ?replay ~point ~params ~seeds f =
     params
 
 (* Run one supervised task outside a sweep (the single-run figures); a
-   failure is quarantined and the caller gets [None]. With [cache_key]
-   and [codec] and the store on, a successful result is memoized and a
+   failure is quarantined and the caller gets [None]. With the store on, a
+   successful result is memoized under [cache_key] with [codec] and a
    later campaign gets it without running — failures are never cached. *)
-let protected ?cache_key ?codec ~label f =
+let protected ~cache_key ~codec ~label f =
   let descriptor =
     {
       Supervise.d_label = label;
@@ -512,17 +516,13 @@ let protected ?cache_key ?codec ~label f =
              !Out.experiment);
     }
   in
-  let result =
-    match (cache_key, codec) with
-    | Some k, Some codec ->
-        (Supervise.Cached.map ~jobs:1 ~budget:!budget
-           ~describe:(fun _ () -> descriptor)
-           ?store:!store
-           ~key:(fun () -> k)
-           ~codec f [| () |]).(0)
-    | _ -> Supervise.protect ~budget:!budget ~descriptor f
-  in
-  match result with
+  match
+    (Supervise.Cached.map ~jobs:1 ~budget:!budget
+       ~describe:(fun _ () -> descriptor)
+       ?store:!store
+       ~key:(fun () -> cache_key)
+       ~codec f [| () |]).(0)
+  with
   | Ok v -> Some v
   | Error fl ->
       quarantine fl;

@@ -441,31 +441,27 @@ let b3 ~quick () =
         let params = Consensus.Params.default in
         let sh = Consensus.Core.make_shared ~members ~seed ~params ~t_max:t () in
         let v = Consensus.Core.rounds sh in
-        let om_dissem = ref 0 in
         let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-        let m_om =
-          measure
-            ~on_round:(fun ~round envelopes ->
-              if round >= v then
-                Array.iter
-                  (fun e -> om_dissem := !om_dissem + e.Sim.View.bits)
-                  envelopes)
-            (Consensus.Optimal_omissions.protocol_buffered cfg)
-            cfg ~adversary ~inputs
+        (* the run's measure and the bits sent from round v on *)
+        let dissem proto =
+          let trace, summary =
+            Trace.Metrics.collector ~clock:(fun () -> 0.) ()
+          in
+          let m = measure ~trace proto cfg ~adversary ~inputs in
+          ( m,
+            List.fold_left
+              (fun a (r : Trace.Metrics.per_round) ->
+                if r.round >= v then a + r.bits else a)
+              0 (summary ()).per_round )
+        in
+        let m_om, om_dissem =
+          dissem (Consensus.Optimal_omissions.protocol_buffered cfg)
         in
         (* crash variant: dissemination = the gossip + help slots *)
-        let cr_dissem = ref 0 in
-        let m_cr =
-          measure
-            ~on_round:(fun ~round envelopes ->
-              if round >= v then
-                Array.iter
-                  (fun e -> cr_dissem := !cr_dissem + e.Sim.View.bits)
-                  envelopes)
-            (Consensus.Crash_subquadratic.protocol_buffered cfg)
-            cfg ~adversary ~inputs
+        let m_cr, cr_dissem =
+          dissem (Consensus.Crash_subquadratic.protocol_buffered cfg)
         in
-        ((n, t), (m_om, m_cr), (!om_dissem, !cr_dissem)))
+        ((n, t), (m_om, m_cr), (om_dissem, cr_dissem)))
       (Array.of_list ns)
   in
   Array.iter

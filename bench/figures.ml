@@ -69,25 +69,17 @@ let f2 ~quick:_ () =
       ~codec:Cache.Codec.(pair measure_codec (list (triple int int int)))
       (fun () ->
         let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
-        let trace = Hashtbl.create 64 in
-        let on_round ~round envelopes =
-          if round <= epoch_len then begin
-            let msgs = Array.length envelopes in
-            let bits =
-              Array.fold_left (fun a e -> a + e.Sim.View.bits) 0 envelopes
-            in
-            Hashtbl.replace trace round (msgs, bits)
-          end
-        in
+        let trace, summary = Trace.Metrics.collector ~clock:(fun () -> 0.) () in
         let m =
-          measure ~on_round proto cfg ~adversary:(Adversary.group_killer ())
+          measure ~trace proto cfg ~adversary:(Adversary.group_killer ())
             ~inputs
         in
         let slots =
-          List.sort compare
-            (Hashtbl.fold
-               (fun slot (msgs, bits) acc -> (slot, msgs, bits) :: acc)
-               trace [])
+          List.filter_map
+            (fun (r : Trace.Metrics.per_round) ->
+              if r.round <= epoch_len then Some (r.round, r.messages, r.bits)
+              else None)
+            (summary ()).per_round
         in
         (m, slots))
   with

@@ -137,11 +137,6 @@ let () =
         Arg.Set_string net_spec,
         "SPEC  base lossy-link spec for the \"net\" experiment (same syntax \
          as consensus_sim --net; the sweep varies the drop rate around it)" );
-      ( "--scale-path",
-        Arg.String Scale.set_path,
-        "both|classic|fast  delivery paths measured by the \"scale\" \
-         experiment (default both; kind=\"scale\" rows are identical on \
-         either path)" );
       ( "--cache",
         Arg.Set_string cache,
         "DIR  content-addressed run cache: protocol runs already in DIR are \

@@ -128,9 +128,7 @@ let () =
           Printf.printf "ok   flood n=1024 fast/classic throughput %.1fx (>= 5x)\n"
             ratio
     | _ ->
-        fail
-          "flood n=1024: missing fast or classic scale-throughput row (run \
-           the scale experiment with --scale-path both)"
+        fail "flood n=1024: missing fast or classic scale-throughput row"
   end;
   if !failures > 0 then begin
     Printf.printf "perf gate: %d failure(s)\n" !failures;

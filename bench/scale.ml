@@ -5,9 +5,8 @@
 
    - kind="scale": deterministic run facts (rounds, messages, bits,
      omissions, decision round) with NO path field. Both delivery paths
-     are bit-identical by construction (test/test_engine_equiv.ml), so
-     these rows do not depend on --scale-path: CI runs the sweep once
-     per path with --stable-json and diffs the files byte-for-byte.
+     are bit-identical by construction (test/test_engine_equiv.ml), and
+     every point that runs both asserts their outcomes equal.
    - kind="scale-throughput": rounds_per_sec and ns_per_message per
      path. Machine-dependent, so omitted in stable mode — like the
      micro-engine experiment's throughput rows, logged but never part
@@ -18,30 +17,30 @@
    before the broadcast port: every broadcast re-expanded into n-1
    pointwise outbox rows ({!Sim.Protocol_intf.pointwise_emission}),
    compiled masks stripped by {!Adversary.pointwise} so delivery calls
-   the per-message [omit] predicate, and a no-op [on_round] hook forcing the envelope arena
-   fill the old engine performed unconditionally each round. The fast
-   column is the same instance with broadcast segments, masks, no hook:
-   untraced, the engine takes mask-blit delivery and never materialises
-   the arena. Outcomes are asserted equal. *)
+   the per-message [omit] predicate, and an adversary that reads the
+   envelopes each round, forcing the arena fill the old engine performed
+   unconditionally. The fast column is the same instance with broadcast
+   segments and masks, untraced: the engine takes mask-blit delivery and
+   never materialises the arena. Outcomes are asserted equal. *)
 
 open Bench_util
 
-type path_sel = Both | Classic | Fast
-
-let path_sel = ref Both
-
-let set_path = function
-  | "both" -> path_sel := Both
-  | "classic" -> path_sel := Classic
-  | "fast" -> path_sel := Fast
-  | s ->
-      Printf.eprintf "unknown --scale-path %S (expected both|classic|fast)\n" s;
-      exit 2
-
-let timed ?on_round inst ~adversary ~inputs =
+let timed inst ~adversary ~inputs =
   let t0 = Unix.gettimeofday () in
-  let o = Sim.Engine.run_instance ?on_round inst ~adversary ~inputs in
+  let o = Sim.Engine.run_instance inst ~adversary ~inputs in
   (o, Unix.gettimeofday () -. t0)
+
+(* [a], reading the round's envelopes before it plans *)
+let reading (a : Sim.Adversary_intf.t) =
+  {
+    a with
+    create =
+      (fun cfg rand ->
+        let plan = a.create cfg rand in
+        fun view ->
+          ignore (Sim.View.envelopes view);
+          plan view);
+  }
 
 let emit_throughput ~protocol ~path ~n (o : Sim.Engine.outcome) wall =
   if not (Out.is_stable ()) then
@@ -74,51 +73,37 @@ let emit_scale ~protocol ~n ~t (o : Sim.Engine.outcome) =
    strategies close over mutable per-run state (crash schedules tick),
    and the classic run must not see the fast run's leftovers.
 
-   [classic_cap] bounds the n above which a default (--scale-path both)
-   sweep skips the classic column: optimal-omissions' fast/classic ratio
-   is already measured at n = 512 and 1024 (1.4-1.7x), and the classic
-   twins above that would add the sweep's longest runs without changing
-   the reading.
-   An explicit --scale-path classic still runs every point, keeping the
-   per-path kind="scale" row sets identical. *)
+   [classic_cap] bounds the n above which the sweep skips the classic
+   column: optimal-omissions' fast/classic ratio is already measured at
+   n = 512 and 1024 (1.4-1.7x), and the classic twins above that would
+   add the sweep's longest runs without changing the reading. *)
 let case ~protocol ~buffered ~adversary ~t ~max_rounds ?(classic_cap = max_int)
     n =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds () in
   let inputs = Array.init n (fun i -> i mod 2) in
-  let fast =
-    match !path_sel with
-    | Classic -> None
-    | Both | Fast ->
-        let inst = Sim.Engine.instance (buffered cfg) cfg in
-        Some (timed inst ~adversary:(adversary ()) ~inputs)
+  let ((o, fast_wall) as fast) =
+    let inst = Sim.Engine.instance (buffered cfg) cfg in
+    timed inst ~adversary:(adversary ()) ~inputs
   in
   let classic =
-    match !path_sel with
-    | Fast -> None
-    | Both when n > classic_cap -> None
-    | Both | Classic ->
-        let inst =
-          Sim.Engine.instance
-            (Sim.Protocol_intf.pointwise_emission (buffered cfg))
-            cfg
-        in
-        Some
-          (timed inst
-             ~on_round:(fun ~round:_ _ -> ())
-             ~adversary:(Adversary.pointwise (adversary ()))
-             ~inputs)
+    if n > classic_cap then None
+    else
+      let inst =
+        Sim.Engine.instance
+          (Sim.Protocol_intf.pointwise_emission (buffered cfg))
+          cfg
+      in
+      Some
+        (timed inst
+           ~adversary:(reading (Adversary.pointwise (adversary ())))
+           ~inputs)
   in
-  (match (fast, classic) with
-  | Some (of_, _), Some (oc, _) when of_ <> oc ->
+  (match classic with
+  | Some (oc, _) when o <> oc ->
       failwith
         (Printf.sprintf "scale: %s n=%d: fast and classic outcomes differ"
            protocol n)
   | _ -> ());
-  let o =
-    match (fast, classic) with
-    | Some (o, _), _ | None, Some (o, _) -> o
-    | None, None -> assert false
-  in
   (match
      Supervise.Oracle.violations ~termination:true Consensus cfg ~inputs o
    with
@@ -128,34 +113,22 @@ let case ~protocol ~buffered ~adversary ~t ~max_rounds ?(classic_cap = max_int)
         (Printf.sprintf "scale: %s n=%d violated %s: %s" protocol n property
            detail));
   emit_scale ~protocol ~n ~t o;
-  Option.iter
-    (fun (o, w) -> emit_throughput ~protocol ~path:"fast" ~n o w)
-    fast;
+  emit_throughput ~protocol ~path:"fast" ~n o fast_wall;
   Option.iter
     (fun (o, w) -> emit_throughput ~protocol ~path:"classic" ~n o w)
     classic;
-  let rps = function
-    | Some ((o : Sim.Engine.outcome), w) -> float_of_int o.rounds_total /. w
-    | None -> nan
-  in
-  match (fast, classic) with
-  | Some _, Some _ ->
+  let rps ((o : Sim.Engine.outcome), w) = float_of_int o.rounds_total /. w in
+  match classic with
+  | Some c ->
       row "%-10s n=%-5d t=%-3d %8d rnds %12d msgs %10.1f rps fast %10.1f rps classic (%.1fx)\n"
-        protocol n t o.rounds_total o.messages_sent (rps fast) (rps classic)
-        (rps fast /. rps classic)
-  | _ ->
-      row "%-10s n=%-5d t=%-3d %8d rnds %12d msgs %10.1f rps %s only\n"
-        protocol n t o.rounds_total o.messages_sent
-        (rps (if fast = None then classic else fast))
-        (if fast = None then "classic" else "fast")
+        protocol n t o.rounds_total o.messages_sent (rps fast) (rps c)
+        (rps fast /. rps c)
+  | None ->
+      row "%-10s n=%-5d t=%-3d %8d rnds %12d msgs %10.1f rps fast only\n"
+        protocol n t o.rounds_total o.messages_sent (rps fast)
 
 let scale ~quick () =
   section "Scale: broadcast fast path vs pointwise classic path";
-  Printf.printf "paths: %s (--scale-path)\n"
-    (match !path_sel with
-    | Both -> "both"
-    | Classic -> "classic"
-    | Fast -> "fast");
   let ns = if quick then [ 512; 1024 ] else [ 512; 1024; 2048; 4096 ] in
   List.iter
     (fun n ->

@@ -57,7 +57,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
   let gossip_rounds = 2 * Params.log2_ceil n in
   let help_rounds = 2 * Params.log2_ceil n in
   let pk_rounds = Phase_king.rounds ~t_max in
-  let decision_round = core_rounds + gossip_rounds + 1 in
+  let decide_round = core_rounds + gossip_rounds + 1 in
   let graph =
     match shared.Core.graph with
     | Some g -> g
@@ -160,7 +160,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
             st.value <- Some (Core.candidate st.core);
           st.phase <- Gossiping;
           gossip_emission_into st ~emit
-      | Gossiping when round < decision_round -> gossip_emission_into st ~emit
+      | Gossiping when round < decide_round -> gossip_emission_into st ~emit
       | Gossiping -> (
           (* decision point *)
           match st.value with
@@ -177,7 +177,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
               end
               else st.phase <- Waiting)
       | Fallback pk ->
-          let local_round = round - decision_round in
+          let local_round = round - decide_round in
           if local_round <= pk_rounds - 1 then
             Phase_king.step_into pk ~local_round:(local_round + 1)
               ~iter:(pk_iter iter) ~emit_all:emit_all_pk
@@ -198,7 +198,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
           | Some v -> st.phase <- Done v
           | None ->
               (* straggler: ask the neighborhood, then once everyone *)
-              if round <= decision_round + help_rounds then begin
+              if round <= decide_round + help_rounds then begin
                 let nb = Expander.neighbors graph st.pid in
                 for i = Array.length nb - 1 downto 0 do
                   emit nb.(i) Help

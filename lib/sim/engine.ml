@@ -100,7 +100,6 @@ let agreed_decision outcome =
     round. *)
 type instance = {
   run_i :
-    ?on_round:(round:int -> View.envelope array -> unit) ->
     ?stop:(progress -> bool) ->
     ?trace:Trace.Sink.t ->
     ?link:Link_intf.t ->
@@ -189,7 +188,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
     e.hint <- hint;
     incr arena_len
   in
-  (* Exact-length window over the arena handed to the adversary / [on_round];
+  (* Exact-length window over the arena handed to the adversary;
      rebuilt only when the round's message count changes (arena growth keeps
      record identity for retained slots, so a cached window stays valid). *)
   let exact = ref ([||] : View.envelope array) in
@@ -227,7 +226,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
      into envelope records, each sender walked in reverse emission order
      (the ordering note above). Installed as the view's refresher; runs
      at most once per round, and only when someone actually reads the
-     envelopes (tracer, [on_round] hook, or an envelope-inspecting
+     envelopes (a message-level tracer or an envelope-inspecting
      adversary). *)
   let fill_arena () =
     arena_len := 0;
@@ -245,7 +244,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   view.View.refresh_envelopes <- fill_arena;
   (* Per-sender omission flags, grown to the largest outbox seen. *)
   let omit_scratch = ref Bytes.empty in
-  let run_i ?on_round ?stop ?trace ?link ~(adversary : Adversary_intf.t)
+  let run_i ?stop ?trace ?link ~(adversary : Adversary_intf.t)
       ~(inputs : int array) () : outcome =
     if Array.length inputs <> n then
       invalid_arg "Engine.run: inputs length must equal n";
@@ -297,6 +296,13 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               r0_rand_bits = 0;
             }
     in
+    (* The tracer again when its sink takes message-level events. Only
+       those need the per-message route; round-level events are all
+       emitted outside delivery, so any other run keeps the fast route. *)
+    let msg_tr =
+      match tr with Some t when Trace.Sink.messages t.sink -> tr | _ -> None
+    in
+    let fast = Option.is_none link && Option.is_none msg_tr in
     let round = ref 1 in
     let stop_flag = ref false in
     while (not !stop_flag) && !round <= cfg.max_rounds do
@@ -370,8 +376,8 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       done;
       if !everyone_decided && !decided_round = None then decided_round := Some r;
       (* Phase 2: adversary intervention. The envelope arena is no longer
-         filled eagerly: the view refreshes it on first access (the
-         tracer and [on_round] force it; an adversary that never reads
+         filled eagerly: the view refreshes it on first access (a
+         message-level tracer forces it; an adversary that never reads
          envelopes skips the O(messages) expansion entirely). *)
       view.View.round <- r;
       Array.blit faulty 0 view.View.faulty 0 n;
@@ -382,10 +388,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
         o.View.used_randomness <- used_randomness.(pid)
       done;
       view.View.envelopes_ready <- false;
-      (match on_round with
-      | Some f -> f ~round:r (View.envelopes view)
-      | None -> ());
-      (match tr with
+      (match msg_tr with
       | None -> ()
       | Some t ->
           Array.iter
@@ -423,21 +426,20 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       (match link with
       | None -> ()
       | Some l -> l.Link_intf.begin_round ~round:r);
-      let fast = (match tr with None -> true | Some _ -> false) && link = None in
       (* Last round's broadcast-table entries were consumed in phase 1;
          the table refills below (fast path only — it stays empty on the
          general path, whose inboxes then iterate as plain rows). *)
       Mailbox.shared_clear bcast;
       (match plan.compiled with
       | Some compiled when fast ->
-          (* Mask-blit fast path: no tracer and no link, and the plan
-             carries a compiled verdict per sender. Counters update in
-             aggregate (one add per entry, broadcast segments unexpanded);
-             the only per-destination work left is the inbox push for
-             survivors — and the forward legality scan, which preserves
-             the exact [Illegal_plan] the general path would raise (the
-             first omitted message, in emission order, whose endpoints are
-             both non-faulty). *)
+          (* Mask-blit fast path: no message-level tracer and no link,
+             and the plan carries a compiled verdict per sender. Counters
+             update in aggregate (one add per entry, broadcast segments
+             unexpanded); the only per-destination work left is the inbox
+             push for survivors — and the forward legality scan, which
+             preserves the exact [Illegal_plan] the general path would
+             raise (the first omitted message, in emission order, whose
+             endpoints are both non-faulty). *)
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             let total = Mailbox.length ob in
@@ -505,12 +507,12 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
             end
           done
       | _ ->
-          (* General path: tracer or link present, or a pointwise-only
-             plan. Broadcast segments are expanded in place first, then
-             the per-message loop runs exactly as the legacy engine did —
-             with the omission verdict read from the compiled mask when
-             one exists (so traced runs still exercise mask semantics)
-             and from the predicate otherwise. *)
+          (* General path: message-level tracer or link present, or a
+             pointwise-only plan. Broadcast segments are expanded in
+             place first, then the per-message loop runs exactly as the
+             legacy engine did — with the omission verdict read from the
+             compiled mask when one exists (so traced runs still exercise
+             mask semantics) and from the predicate otherwise. *)
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             Mailbox.flatten ob;
@@ -547,7 +549,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                       pid dst r;
                   incr messages_omitted;
                   Bytes.unsafe_set om i '\001';
-                  match tr with
+                  match msg_tr with
                   | None -> ()
                   | Some t ->
                       Trace.Sink.emit t.sink
@@ -566,7 +568,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                   in
                   if delivered then begin
                     Bytes.unsafe_set om i '\000';
-                    match tr with
+                    match msg_tr with
                     | None -> ()
                     | Some t ->
                         Trace.Sink.emit t.sink
@@ -637,20 +639,18 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   { run_i }
 
 (** Execute one run through a reusable {!instance}. *)
-let run_instance ?on_round ?stop ?trace ?link (i : instance)
+let run_instance ?stop ?trace ?link (i : instance)
     ~(adversary : Adversary_intf.t) ~(inputs : int array) : outcome =
-  i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
+  i.run_i ?stop ?trace ?link ~adversary ~inputs ()
 
 (** [run protocol cfg ~adversary ~inputs] executes a full run on a fresh
-    {!instance}. [on_round], if given, is called once per round with the
-    round's envelopes (before the adversary intervenes) — benches use it to
-    trace per-slot traffic. [stop], if given, is consulted at the end of
-    every round with the cumulative metric counters; returning [true] ends
-    the run exactly as hitting [max_rounds] would — the supervision layer
-    uses it to extend the [max_rounds] semantics to
-    message/randomness/wall-clock budgets. *)
-let run ?on_round ?stop ?trace ?link (p : Protocol_intf.buffered)
+    {!instance}. [stop], if given, is consulted at the end of every round
+    with the cumulative metric counters; returning [true] ends the run
+    exactly as hitting [max_rounds] would — the supervision layer uses it
+    to extend the [max_rounds] semantics to message/randomness/wall-clock
+    budgets. *)
+let run ?stop ?trace ?link (p : Protocol_intf.buffered)
     (cfg : Config.t) ~(adversary : Adversary_intf.t) ~(inputs : int array) :
     outcome =
   let i = instance p cfg in
-  i.run_i ?on_round ?stop ?trace ?link ~adversary ~inputs ()
+  i.run_i ?stop ?trace ?link ~adversary ~inputs ()

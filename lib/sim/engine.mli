@@ -55,7 +55,6 @@ type instance
 val instance : Protocol_intf.buffered -> Config.t -> instance
 
 val run_instance :
-  ?on_round:(round:int -> View.envelope array -> unit) ->
   ?stop:(progress -> bool) ->
   ?trace:Trace.Sink.t ->
   ?link:Link_intf.t ->
@@ -66,7 +65,6 @@ val run_instance :
 (** One run through a reusable instance — same contract as {!run}. An instance is not thread-safe: one run at a time. *)
 
 val run :
-  ?on_round:(round:int -> View.envelope array -> unit) ->
   ?stop:(progress -> bool) ->
   ?trace:Trace.Sink.t ->
   ?link:Link_intf.t ->
@@ -77,23 +75,18 @@ val run :
   outcome
 (** Execute a run: a pure function of [(protocol, adversary, cfg, inputs)].
     Stops when every non-faulty process has decided or at [max_rounds].
-    [on_round] observes each round's envelopes (before omissions) — used by
-    the benches for traffic traces. [stop] is the watchdog hook: consulted
-    after every round with the cumulative counters, and returning [true]
-    ends the run with the same semantics as hitting [max_rounds]
-    ([decided_round] stays [None]); {!Supervise} uses it to enforce
-    message/randomness/wall-clock budgets.
+    [stop] is the watchdog hook: consulted after every round with the
+    cumulative counters, and returning [true] ends the run with the same
+    semantics as hitting [max_rounds] ([decided_round] stays [None]);
+    {!Supervise} uses it to enforce message/randomness/wall-clock
+    budgets.
 
-    [trace], if given, receives the run's structured event stream:
-    per round, [Round_start]; then per process in pid order [Coin] (when the
-    counted source advanced), [Phase] (when the observable state changed)
-    and [Decide] (on the decision transition); then one [Send] per envelope
-    in ascending [src] order; [Corrupt] for each newly corrupted process in
-    plan order; [Omit]/[Deliver] per message in delivery order; and a
-    [Round_end] carrying the round's metric deltas. The stream is a pure
-    function of [(protocol, adversary, cfg, inputs)] — no timestamps — so
-    equal-seed runs produce identical traces. When [trace] is absent no
-    event is constructed (tracing is zero-cost off).
+    [trace], if given, receives the run's structured event stream, in the
+    order {!Trace.Event} documents. A message-level sink puts the run on
+    the per-message delivery route; a round-level one ({!Trace.Sink.rounds},
+    e.g. a [Trace.Metrics] collector) leaves the route as it would be
+    untraced. When [trace] is absent no event is constructed (tracing is
+    zero-cost off).
 
     [link], if given, is the lossy-link transport hook (see
     {!Link_intf}): it is reset from the run seed before the first round,

@@ -335,7 +335,7 @@ let result_codec = function
 (* The engine under the watchdog, over the [net] transport if given:
    [(outcome, degradation report)], or the failure with the partial
    result. *)
-let watched ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs =
+let watched ?trace ~budget ?net proto cfg ~adversary ~inputs =
   let started = Unix.gettimeofday () in
   let tripped = ref None in
   let stop (p : Sim.Engine.progress) =
@@ -373,7 +373,7 @@ let watched ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs =
         transport )
   in
   match
-    Sim.Engine.run ?on_round ?stop ?trace ?link proto cfg ~adversary ~inputs
+    Sim.Engine.run ?stop ?trace ?link proto cfg ~adversary ~inputs
   with
   | o -> (
       match !tripped with
@@ -422,11 +422,11 @@ let judge ~property cfg ~inputs ((o, d) as result) =
    hide a flaky environment. A hit is judged like a fresh run, and an
    undecodable payload (torn or hand-edited object) is dropped by the
    lookup and recomputed once. *)
-let run ?on_round ?trace ?(budget = Budget.unlimited) ?net ?cache ~property
+let run ?trace ?(budget = Budget.unlimited) ?net ?cache ~property
     proto cfg ~adversary ~inputs =
   let fresh () =
     Result.bind
-      (watched ?on_round ?trace ~budget ?net proto cfg ~adversary ~inputs)
+      (watched ?trace ~budget ?net proto cfg ~adversary ~inputs)
       (judge ~property cfg ~inputs)
   in
   match cache with
@@ -507,12 +507,6 @@ let map_at ?jobs ?(budget = Budget.unlimited) ?describe
 
 let map ?jobs ?budget ?describe f xs =
   map_at ?jobs ?budget ?describe f xs (Array.init (Array.length xs) Fun.id)
-
-let protect ?budget ?descriptor f =
-  let describe =
-    match descriptor with Some d -> Some (fun _ () -> d) | None -> None
-  in
-  (map ~jobs:1 ?budget ?describe (fun () -> f ()) [| () |]).(0)
 
 (* --- chaos injection --- *)
 

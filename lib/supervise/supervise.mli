@@ -163,7 +163,6 @@ val failure_json : failure -> string
     newline): [{"kind":"quarantine"] followed by {!failure_fields}. *)
 
 val run :
-  ?on_round:(round:int -> Sim.View.envelope array -> unit) ->
   ?trace:Trace.Sink.t ->
   ?budget:Budget.t ->
   ?net:Net.Spec.t ->
@@ -198,8 +197,8 @@ val run :
 
     [cache] is a store and the caller's canonical key for the run (a
     [Run_spec] string). A hit emits a {!Trace.Event.Cache_hit} event into
-    [trace], never invokes [on_round], and is judged like a fresh run.
-    Only [Ok] results are written back. *)
+    [trace] and is judged like a fresh run. Only [Ok] results are written
+    back. *)
 
 val map :
   ?jobs:int ->
@@ -217,13 +216,6 @@ val map :
     contract as {!Exec.map}. Wall-clock enforcement is cooperative: the
     elapsed time is checked when the task returns (and, for engine tasks
     run through {!run}, at every round boundary). *)
-
-val protect :
-  ?budget:Budget.t ->
-  ?descriptor:descriptor ->
-  (unit -> 'b) ->
-  ('b, failure) result
-(** {!map} over a single task. *)
 
 (** Seeded fault injection, for proving the supervision layer contains
     what it claims to contain. *)

@@ -56,6 +56,14 @@ module Event = struct
     | Degrade { round; _ } ->
         round
 
+  let is_message = function
+    | Send _ | Omit _ | Deliver _ | Drop _ | Dup _ | Delay _ | Retransmit _
+    | Ack _ | Degrade _ ->
+        true
+    | Round_start _ | Corrupt _ | Coin _ | Phase _ | Decide _ | Round_end _
+    | Cache_hit _ ->
+        false
+
   let equal (a : t) (b : t) = a = b
 
   let opt_json = function None -> "null" | Some v -> string_of_int v
@@ -279,12 +287,22 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Sink = struct
-  type t = { emit : Event.t -> unit; close : unit -> unit }
+  (* [messages]: the sink consumes message-level events, so the engine
+     must run its per-message route to produce them *)
+  type t = { emit : Event.t -> unit; close : unit -> unit; messages : bool }
 
-  let make ~emit ~close = { emit; close }
+  let make ~emit ~close = { emit; close; messages = true }
   let emit t e = t.emit e
   let close t = t.close ()
-  let null = { emit = (fun _ -> ()); close = (fun () -> ()) }
+  let messages t = t.messages
+  let null = { emit = (fun _ -> ()); close = (fun () -> ()); messages = false }
+
+  let rounds s =
+    {
+      s with
+      emit = (fun e -> if not (Event.is_message e) then s.emit e);
+      messages = false;
+    }
 
   let tee a b =
     {
@@ -296,6 +314,7 @@ module Sink = struct
         (fun () ->
           a.close ();
           b.close ());
+      messages = a.messages || b.messages;
     }
 
   let tee_all = function
@@ -305,17 +324,15 @@ module Sink = struct
 
   let memory () =
     let acc = ref [] in
-    ( { emit = (fun e -> acc := e :: !acc); close = (fun () -> ()) },
+    ( make ~emit:(fun e -> acc := e :: !acc) ~close:(fun () -> ()),
       fun () -> List.rev !acc )
 
   let jsonl ch =
-    {
-      emit =
-        (fun e ->
-          output_string ch (Event.to_json e);
-          output_char ch '\n');
-      close = (fun () -> flush ch);
-    }
+    make
+      ~emit:(fun e ->
+        output_string ch (Event.to_json e);
+        output_char ch '\n')
+      ~close:(fun () -> flush ch)
 
   let file ~path =
     let ch = open_out_bin path in
@@ -498,7 +515,7 @@ module Metrics = struct
         { empty_summary with per_round = rounds }
         rounds
     in
-    (Sink.make ~emit ~close:(fun () -> ()), summary)
+    (Sink.rounds (Sink.make ~emit ~close:(fun () -> ())), summary)
 
   let of_events events =
     let sink, summary = collector ~clock:(fun () -> 0.) () in

@@ -20,17 +20,38 @@
 
 module Event : sig
   (** One engine event. [round] is 1-based; counters in [Round_end] are the
-      round's own deltas, not cumulative totals. *)
+      round's own deltas, not cumulative totals.
+
+      Per-round order, as [Sim.Engine.run] emits it: [Round_start]; then
+      per process in pid order [Coin] (when the counted source advanced),
+      [Phase] (when the observable state changed) and [Decide] (on the
+      decision transition); then one [Send] per envelope in ascending
+      [src] order; [Corrupt] for each newly corrupted process in plan
+      order; [Omit]/[Deliver] per message in delivery order (over a lossy
+      link, a message's link events come before its [Deliver], or stand
+      in for it when the link loses the message); and a [Round_end]
+      carrying the round's metric deltas. The stream is a pure function of
+      the run's inputs, with no timestamps, so equal-seed runs produce
+      identical traces.
+
+      The events marked {e message-level} below ({!is_message}) are one per
+      message or per link attempt; the rest are {e round-level}. A sink
+      that takes only round-level events ({!Sink.rounds}) lets the engine
+      keep its fast delivery route, and sees the same round-level
+      events, in the same order, as a message-level sink would. *)
   type t =
     | Round_start of { round : int }
     | Send of { round : int; src : int; dst : int; bits : int; hint : int option }
-        (** a message handed to the communication phase (pre-adversary) *)
+        (** message-level: a message handed to the communication phase
+            (pre-adversary) *)
     | Corrupt of { round : int; pid : int }
         (** the adversary corrupted [pid] this round *)
     | Omit of { round : int; src : int; dst : int }
-        (** the adversary suppressed this round's [src] -> [dst] message *)
+        (** message-level: the adversary suppressed this round's [src] ->
+            [dst] message *)
     | Deliver of { round : int; src : int; dst : int }
-        (** the message survived and will be consumed next round *)
+        (** message-level: the message survived and will be consumed next
+            round *)
     | Coin of { round : int; pid : int; calls : int; bits : int }
         (** [pid] drew from the counted random source during its local phase *)
     | Phase of { round : int; pid : int; operative : bool; candidate : int option }
@@ -45,8 +66,9 @@ module Event : sig
         rand_bits : int;
       }  (** per-round totals *)
     | Drop of { round : int; src : int; dst : int; attempt : int }
-        (** the link lost attempt [attempt] of this exchange (lib/net only;
-            the engine never emits link events) *)
+        (** message-level, as are the five link events after it: the link
+            lost attempt [attempt] of this exchange (lib/net only; the
+            engine never emits link events) *)
     | Dup of { round : int; src : int; dst : int; copies : int }
         (** the link delivered [copies] > 1 copies of one attempt *)
     | Delay of { round : int; src : int; dst : int; slots : int }
@@ -64,6 +86,11 @@ module Event : sig
             digest). Emitted as the only event of the run, at round 0. *)
 
   val round : t -> int
+
+  val is_message : t -> bool
+  (** [true] for the message-level events: [Send], [Omit], [Deliver] and
+      the link events. *)
+
   val equal : t -> t -> bool
   val pp : Format.formatter -> t -> unit
 
@@ -75,15 +102,30 @@ module Event : sig
       order and whitespace are free); [None] for anything else. *)
 end
 
-(** A pluggable event consumer. *)
+(** A pluggable event consumer. A sink is message-level or round-level
+    (see {!Event}); the level is a property of how the sink was built. *)
 module Sink : sig
   type t
 
   val make : emit:(Event.t -> unit) -> close:(unit -> unit) -> t
+  (** A message-level sink, as are {!memory}, {!jsonl}, {!file} and the
+      {!Ring} and {!Tail} sinks. *)
+
   val emit : t -> Event.t -> unit
   val close : t -> unit
+
+  val messages : t -> bool
+  (** Whether the sink is message-level. *)
+
   val null : t
+  (** Round-level: it consumes nothing. *)
+
+  val rounds : t -> t
+  (** The sink fed only the round-level events; round-level. *)
+
   val tee : t -> t -> t
+  (** Message-level when either side is. *)
+
   val tee_all : t list -> t
 
   val memory : unit -> t * (unit -> Event.t list)
@@ -166,10 +208,10 @@ module Metrics : sig
   val empty_summary : summary
 
   val collector : ?clock:(unit -> float) -> unit -> Sink.t * (unit -> summary)
-  (** A sink that folds the stream into per-round counters; call the second
-      component after the run for the summary. [clock] defaults to
-      [Unix.gettimeofday]; pass a constant clock for deterministic
-      summaries. *)
+  (** A round-level sink that folds the stream into per-round counters;
+      call the second component after the run for the summary. [clock]
+      defaults to [Unix.gettimeofday]; pass a constant clock for
+      deterministic summaries. *)
 
   val of_events : Event.t list -> summary
   (** Fold a recorded event list (deterministic: wall times are 0). *)
@@ -189,7 +231,8 @@ module Observers : sig
 
   val sink : t -> Sink.t option
   (** [None] when nothing is requested, so an untraced run keeps the
-      engine's sink-free route. *)
+      engine's sink-free route. Round-level with metrics alone;
+      message-level with a tail or a file. *)
 
   val tail_lines : t -> string list
   (** Empty without a tail. *)

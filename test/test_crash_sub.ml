@@ -64,20 +64,19 @@ let test_dissemination_cheaper () =
   in
   let v = Consensus.Core.rounds sh in
   let dissem proto_of =
-    let acc = ref 0 in
+    let trace, summary = Trace.Metrics.collector ~clock:(fun () -> 0.) () in
     let cfg0 = Sim.Config.make ~n ~t_max:t ~seed:1 () in
     let cfg = { cfg0 with Sim.Config.max_rounds = 20000 } in
     let o =
-      Sim.Engine.run
-        ~on_round:(fun ~round envelopes ->
-          if round >= v then
-            Array.iter (fun e -> acc := !acc + e.Sim.View.bits) envelopes)
-        (proto_of cfg) cfg
+      Sim.Engine.run ~trace (proto_of cfg) cfg
         ~adversary:(Adversary.staggered_crash ~per_round:1)
         ~inputs:(mixed n)
     in
     Alcotest.(check bool) "decided" true (Sim.Engine.agreed_decision o <> None);
-    !acc
+    List.fold_left
+      (fun a (r : Trace.Metrics.per_round) ->
+        if r.round >= v then a + r.bits else a)
+      0 (summary ()).per_round
   in
   let om = dissem (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg) in
   let cr = dissem (fun cfg -> Consensus.Crash_subquadratic.protocol_buffered cfg) in

@@ -15,7 +15,11 @@
      table) against the untraced general route (stripped masks, per-message
      predicate): outcomes equal, and equal to the traced run's;
    - one reusable {!Sim.Engine.instance} run twice: each run byte-identical
-     to the fresh traced run, so cross-run buffer reuse leaks no state.
+     to the fresh traced run, so cross-run buffer reuse leaks no state;
+   - a round-level sink ({!Trace.Sink.rounds}), which leaves the run on the
+     fast route: its stream must be byte-identical to the traced
+     reference's filtered to round-level events, and each reference
+     [Round_end] must total that round's [Send] events.
 
    The golden test then pins every protocol's whole grid to an MD5 digest
    written before the list-based protocol path was removed. *)
@@ -67,16 +71,17 @@ let adversary_for ~strip ~n ~adv_idx =
   let adversary = List.nth (Adversary.standard_suite ~n) adv_idx in
   if strip then Adversary.pointwise adversary else adversary
 
-(* One traced run: outcome (or the Illegal_plan message) plus the trace as
-   JSON lines. *)
-let capture ?(strip = false) ~n ~adv_idx run =
+(* One traced run: outcome (or the Illegal_plan message) plus the trace.
+   [rounds] records through a round-level sink. *)
+let capture ?(strip = false) ?(rounds = false) ~n ~adv_idx run =
   let adversary = adversary_for ~strip ~n ~adv_idx in
   let sink, events = Trace.Sink.memory () in
+  let sink = if rounds then Trace.Sink.rounds sink else sink in
   let res =
     try Ok (run ~adversary ~trace:sink)
     with Sim.Engine.Illegal_plan m -> Error m
   in
-  (res, List.map Trace.Event.to_json (events ()))
+  (res, events ())
 
 (* Untraced run: outcome only. Without a tracer the engine takes the
    mask-blit fast path whenever the plan carries compiled verdicts, so
@@ -96,6 +101,8 @@ let check_outcome_equal ~ctx a b =
 
 let check_equal ~ctx (res_a, trace_a) (res_b, trace_b) =
   check_outcome_equal ~ctx res_a res_b;
+  let trace_a = List.map Trace.Event.to_json trace_a
+  and trace_b = List.map Trace.Event.to_json trace_b in
   if trace_a <> trace_b then begin
     let rec first_diff i = function
       | a :: tl_a, b :: tl_b ->
@@ -109,6 +116,25 @@ let check_equal ~ctx (res_a, trace_a) (res_b, trace_b) =
     in
     first_diff 0 (trace_a, trace_b)
   end
+
+(* Each [Round_end] carries the message count and bit sum of the round's
+   [Send] events: what lets a round-level sink stand in for the per-message
+   stream when totalling a round's traffic. *)
+let check_round_totals ~ctx events =
+  ignore
+    (List.fold_left
+       (fun (msgs, bits) (e : Trace.Event.t) ->
+         match e with
+         | Send { bits = b; _ } -> (msgs + 1, bits + b)
+         | Round_end { round; messages; bits = b; _ } ->
+             if (messages, b) <> (msgs, bits) then
+               Alcotest.failf
+                 "%s: round %d ends with %d messages / %d bits, its sends \
+                  total %d / %d"
+                 ctx round messages b msgs bits;
+             (0, 0)
+         | _ -> (msgs, bits))
+       (0, 0) events)
 
 (* The reference run of a cell: broadcast emission, compiled masks,
    traced. *)
@@ -131,6 +157,18 @@ let test_entry entry () =
       check_equal
         ~ctx:(ctx ^ " [broadcast+mask vs pointwise+predicate]")
         reference pointwise;
+      check_round_totals ~ctx:(ctx ^ " [round totals]") (snd reference);
+      let round_level =
+        capture ~rounds:true ~n ~adv_idx (fun ~adversary ~trace ->
+            Sim.Engine.run ~trace (build ()) cfg ~adversary ~inputs)
+      in
+      check_equal
+        ~ctx:(ctx ^ " [round-level sink vs filtered reference]")
+        ( fst reference,
+          List.filter
+            (fun e -> not (Trace.Event.is_message e))
+            (snd reference) )
+        round_level;
       let fast =
         capture_untraced ~n ~adv_idx (fun ~adversary ->
             Sim.Engine.run (build ()) cfg ~adversary ~inputs)
@@ -171,7 +209,7 @@ let grid_digest entry =
         (match res with
         | Ok o -> Supervise.Cached.outcome_to_string o
         | Error m -> "Illegal_plan " ^ m);
-      List.iter line trace);
+      List.iter (fun e -> line (Trace.Event.to_json e)) trace);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
 let check_digests ~file lines =
@@ -238,6 +276,74 @@ let sparse_line (protocol, n, seed, adversary) =
 let test_sparse_golden () =
   check_digests ~file:sparse_file (List.map sparse_line sparse_cells)
 
+(* Route witness: a protocol whose [msg_bits] counts its calls. The fast
+   route prices a broadcast segment once; the general route prices every
+   message, and a message-level sink prices each again for its [Send]
+   events. Flood under a crash schedule (compiled masks) must therefore
+   price no more than n times a round with a round-level sink, exactly as
+   untraced, and at least once per message with a [Tail]. *)
+let test_route_witness () =
+  let n = 64 in
+  let cfg = Sim.Config.make ~n ~t_max:4 ~seed:1 ~max_rounds:10 () in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  let priced ?trace () =
+    let calls = ref 0 in
+    let (module P) = Consensus.Flood.protocol_buffered cfg in
+    let proto : Sim.Protocol_intf.buffered =
+      (module struct
+        include P
+
+        let msg_bits m =
+          incr calls;
+          P.msg_bits m
+      end)
+    in
+    let o =
+      Sim.Engine.run ?trace proto cfg
+        ~adversary:(Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]) ])
+        ~inputs
+    in
+    (o, !calls)
+  in
+  let o, untraced = priced () in
+  let per_round = o.Sim.Engine.rounds_total * n in
+  Alcotest.(check bool)
+    (Printf.sprintf "untraced: %d pricings <= %d" untraced per_round)
+    true (untraced <= per_round);
+  let observers ?tail ?file () =
+    Trace.Observers.create ~metrics:true ?tail ?file ()
+  in
+  let level ~what obs ~messages =
+    let sink = Option.get (Trace.Observers.sink obs) in
+    Alcotest.(check bool) (what ^ " is message-level") messages
+      (Trace.Sink.messages sink);
+    let o', calls = priced ~trace:sink () in
+    Trace.Observers.close obs;
+    Alcotest.(check bool) (what ^ ": same outcome") true (o = o');
+    if messages then
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d pricings >= %d messages" what calls
+           o.messages_sent)
+        true
+        (calls >= o.messages_sent)
+    else Alcotest.(check int) (what ^ ": pricings as untraced") untraced calls
+  in
+  let sink, _ = Trace.Sink.memory () in
+  let o', calls = priced ~trace:(Trace.Sink.rounds sink) () in
+  Alcotest.(check bool) "rounds memory: same outcome" true (o = o');
+  Alcotest.(check int) "rounds memory: pricings as untraced" untraced calls;
+  let tail = Trace.Tail.create ~rounds:5 () in
+  let _, calls = priced ~trace:(Trace.Tail.sink tail) () in
+  Alcotest.(check bool)
+    (Printf.sprintf "tail: %d pricings >= %d messages" calls o.messages_sent)
+    true
+    (calls >= o.messages_sent);
+  level ~what:"metrics" (observers ()) ~messages:false;
+  level ~what:"metrics+tail" (observers ~tail:5 ()) ~messages:true;
+  let path = Filename.temp_file "route_witness" ".jsonl" in
+  level ~what:"metrics+file" (observers ~file:path ()) ~messages:true;
+  Sys.remove path
+
 let suite =
   List.map
     (fun entry ->
@@ -247,6 +353,8 @@ let suite =
         `Quick (test_entry entry))
     Harness.Registry.all
   @ [
+      Alcotest.test_case "round-level sinks keep the fast route" `Quick
+        test_route_witness;
       Alcotest.test_case "registry grids match golden digests" `Quick test_golden;
       Alcotest.test_case "sparse-expander Core runs match golden digests" `Quick
         test_sparse_golden;

@@ -347,7 +347,10 @@ let test_protect_and_json () =
       d_replay = Some "echo replay";
     }
   in
-  match Supervise.protect ~descriptor:d (fun () -> failwith "boom") with
+  match
+    (Supervise.map ~describe:(fun _ () -> d) (fun () -> failwith "boom")
+       [| () |]).(0)
+  with
   | Ok _ -> Alcotest.fail "raising task must be quarantined"
   | Error fl ->
       Alcotest.(check int) "single-task index" 0 fl.Supervise.index;

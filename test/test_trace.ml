@@ -22,7 +22,7 @@ let omission_adversary () = Adversary.random_omission ~p_omit:0.5
 
 (* --- codecs --- *)
 
-let test_json_roundtrip () =
+let test_json_codec () =
   let _, events = traced_run ~adversary:(omission_adversary ()) () in
   Alcotest.(check bool) "trace is non-trivial" true (List.length events > 50);
   List.iter
@@ -220,11 +220,13 @@ let test_diff_prefix () =
 let test_breach_traced_in_failure_record () =
   let lines = [ {|{"ev":"round-start","round":7}|} ] in
   match
-    Supervise.protect (fun () ->
-        raise
-          (Supervise.Breach_traced
-             ( Supervise.Crashed { exn_text = "boom"; backtrace = "" },
-               lines )))
+    (Supervise.map
+       (fun () ->
+         raise
+           (Supervise.Breach_traced
+              ( Supervise.Crashed { exn_text = "boom"; backtrace = "" },
+                lines )))
+       [| () |]).(0)
   with
   | Ok _ -> Alcotest.fail "expected failure"
   | Error f ->
@@ -363,7 +365,7 @@ let test_off_path_no_sink_calls () =
 let suite =
   [
     Alcotest.test_case "json codec roundtrips a real trace" `Quick
-      test_json_roundtrip;
+      test_json_codec;
     Alcotest.test_case "JSONL trace files roundtrip" `Quick
       test_file_roundtrip;
     Alcotest.test_case "corrupt trace file raises" `Quick test_file_corrupt;
