@@ -240,11 +240,11 @@ let vote_splitter ?(slack = 0) () =
     Sim.Adversary_intf.name = "vote-splitter";
     create =
       (fun cfg _rand ->
-        let crashed = Hashtbl.create 16 in
+        (* one byte per pid: the fault sets are read per message *)
         let crashed_b = Bytes.make cfg.Sim.Config.n '\000' in
+        let crashed pid = Bytes.get crashed_b pid <> '\000' in
         let crash_compiled src =
-          if Bytes.get crashed_b src <> '\000' then Sim.View.Omit_all
-          else Sim.View.Deliver_all
+          if crashed src then Sim.View.Omit_all else Sim.View.Deliver_all
         in
         fun view ->
           let c = [| 0; 0 |] in
@@ -253,10 +253,7 @@ let vote_splitter ?(slack = 0) () =
           Array.iter
             (fun o ->
               let pid = o.Sim.View.pid in
-              if
-                (not view.Sim.View.faulty.(pid))
-                && not (Hashtbl.mem crashed pid)
-              then
+              if (not view.Sim.View.faulty.(pid)) && not (crashed pid) then
                 match (o.core.candidate, o.core.decided) with
                 | Some b, None ->
                     c.(b) <- c.(b) + 1;
@@ -281,11 +278,7 @@ let vote_splitter ?(slack = 0) () =
           in
           let victims = List.map snd (take kills candidates) in
           budget := !budget - List.length victims;
-          List.iter
-            (fun pid ->
-              Hashtbl.replace crashed pid ();
-              Bytes.set crashed_b pid '\001')
-            victims;
+          List.iter (fun pid -> Bytes.set crashed_b pid '\001') victims;
           (* Lemma 15 split: only meaningful when the kills reached exact
              balance; the splitter must hold the tie-breaking value 1. *)
           let balanced = abs d - List.length victims = 0 in
@@ -294,7 +287,7 @@ let vote_splitter ?(slack = 0) () =
             else
               List.find_opt
                 (fun pid ->
-                  (not (Hashtbl.mem crashed pid))
+                  (not (crashed pid))
                   && List.exists (fun (_, q) -> q = pid) holders.(1))
                 (List.sort compare !live)
           in
@@ -302,7 +295,7 @@ let vote_splitter ?(slack = 0) () =
           | None ->
               {
                 Sim.View.new_faults = victims;
-                omit = (fun src _ -> Hashtbl.mem crashed src);
+                omit = (fun src _ -> crashed src);
                 compiled = Some crash_compiled;
               }
           | Some v ->
@@ -310,27 +303,21 @@ let vote_splitter ?(slack = 0) () =
                  then silence v forever (a crash in the sending round) *)
               let survivors =
                 List.filter
-                  (fun pid -> pid <> v && not (Hashtbl.mem crashed pid))
+                  (fun pid -> pid <> v && not (crashed pid))
                   (List.sort compare !live)
               in
               let h_size = (List.length survivors + 1) / 2 in
-              let hidden_from = Hashtbl.create 16 in
               let hidden_b = Bytes.make cfg.Sim.Config.n '\000' in
               List.iteri
-                (fun i pid ->
-                  if i < h_size then begin
-                    Hashtbl.replace hidden_from pid ();
-                    Bytes.set hidden_b pid '\001'
-                  end)
+                (fun i pid -> if i < h_size then Bytes.set hidden_b pid '\001')
                 survivors;
               (* v joins [crashed] for future rounds, but this round it
                  still delivers to the non-hidden half — the [src = v]
                  dispatch comes first in both forms for that reason *)
               let plan_omit src dst =
-                if src = v then Hashtbl.mem hidden_from dst
-                else Hashtbl.mem crashed src
+                if src = v then Bytes.get hidden_b dst <> '\000'
+                else crashed src
               in
-              Hashtbl.replace crashed v ();
               Bytes.set crashed_b v '\001';
               {
                 Sim.View.new_faults = v :: victims;

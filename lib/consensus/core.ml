@@ -79,9 +79,10 @@ type shared = {
       (** emit the line-14 all-to-all broadcast (Algorithm 1). The
           crash-model variant of Appendix B.3 disables it and disseminates
           decisions over the expander instead. *)
+  b_count : int;  (** bits of one count: ceil(log2 (group size + 1)) *)
+  b_stage : int;  (** bits of a stage index: ceil(log2 (stages + 1)) *)
+  b_group : int;  (** bits of a group index: ceil(log2 (groups + 1)) *)
 }
-
-let log2_ceil = Params.log2_ceil
 
 let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_max () =
   let m = Array.length members in
@@ -138,6 +139,9 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
     vote_log;
     contig;
     final_broadcast;
+    b_count = Params.log2_ceil (part.Groups.group_size + 1);
+    b_stage = Params.log2_ceil (stages + 1);
+    b_group = Params.log2_ceil (Groups.group_count part + 1);
   }
 
 let rounds sh = Array.length sh.schedule
@@ -288,15 +292,16 @@ let clear_relay st = Array.fill st.relay 0 (Array.length st.relay) None
 (* Entry to a stage's B slot: transmitters record the first-received counts
    per child bag (own contribution first — self-messages are handled
    locally, not through the network) and acknowledge each source heard —
-   [confirm src] fires in arrival order, once per source. *)
-let agg_process_a st ~slot ~s ~iter ~confirm =
+   [emit src cm] fires in arrival order, once per source, with one shared
+   Confirm record [cm]. *)
+let agg_process_a st ~slot ~s ~iter ~emit ~cm =
   if transmits st ~slot then begin
     clear_relay st;
     if st.sourced then st.relay.(st.rank lsr (s - 1)) <- Some st.agg;
     iter (fun src m ->
         match m with
         | Counts { stage; bag; c } when stage = s && in_my_group st src ->
-            confirm src;
+            emit src cm;
             if
               bag >= 0
               && bag < Array.length st.relay
@@ -346,24 +351,25 @@ let agg_finalize_stage st ~slot ~s ~iter =
     end
   end
 
-(* Group broadcast of one shared message record. Emission walks the member
-   array backwards: the old list path built its output by fold-left
-   consing, so the wire order (and hence the trace) is the reverse of the
-   array — kept bit-identical here. A contiguous group goes out as one
-   descending broadcast entry; scattered member sets (possible under
-   Algorithm 4's sub-instances) fall back to pointwise emission. *)
-let to_group_into st msg ~emit ~emit_all =
+(* Group broadcast of one shared, already-wrapped message record [wm].
+   Emission walks the member array backwards: the old list path built its
+   output by fold-left consing, so the wire order (and hence the trace) is
+   the reverse of the array — kept bit-identical here. A contiguous group
+   goes out as one descending broadcast entry; scattered member sets
+   (possible under Algorithm 4's sub-instances) fall back to pointwise
+   emission. *)
+let to_group_into st wm ~emit ~emit_all =
   if st.group_contig then
-    emit_all ~lo:st.group_lo ~hi:st.group_hi ~skip:st.pid ~desc:true msg
+    emit_all ~lo:st.group_lo ~hi:st.group_hi ~skip:st.pid ~desc:true wm
   else
     for i = Array.length st.group_locals - 1 downto 0 do
       let l = st.group_locals.(i) in
-      if l <> st.me then emit (global st l) msg
+      if l <> st.me then emit (global st l) wm
     done
 
 (* Emission at a stage's C slot: the transmitter sends each group member the
    result pair for that member's parent bag. *)
-let agg_emit_results_into st ~slot ~s ~emit =
+let agg_emit_results_into st ~slot ~s ~wrap ~emit =
   if transmits st ~slot then
     for i = Array.length st.group_locals - 1 downto 0 do
       let l = st.group_locals.(i) in
@@ -372,7 +378,7 @@ let agg_emit_results_into st ~slot ~s ~emit =
         let k = rank_l lsr s in
         let left = relayed st (2 * k) in
         let right = relayed st ((2 * k) + 1) in
-        emit (global st l) (Result { stage = s; left; right })
+        emit (global st l) (wrap (Result { stage = s; left; right }))
       end
     done
 
@@ -386,9 +392,10 @@ let spread_init st =
   if st.operative then st.bitpacks.(st.grp) <- Some st.agg
 
 (* Every live neighbor gets the same delta (see [sent]), so it is built
-   once per slot, groups ascending, and shared. The neighbor array is
-   walked backwards to match the old fold-left-consed wire order. *)
-let spread_emit_into st ~emit =
+   and wrapped once per slot, groups ascending, and shared. The neighbor
+   array is walked backwards to match the old fold-left-consed wire
+   order. *)
+let spread_emit_into st ~wrap ~emit =
   if st.operative then begin
     let entries = ref [] in
     for grp = Array.length st.bitpacks - 1 downto 0 do
@@ -398,11 +405,22 @@ let spread_emit_into st ~emit =
           entries := (grp, c) :: !entries
       | Some _ | None -> ()
     done;
-    let msg = Spread_delta !entries in
+    let wm = wrap (Spread_delta !entries) in
     for i = Array.length st.nbrs - 1 downto 0 do
-      if not st.disregarded.(i) then emit (global st st.nbrs.(i)) msg
+      if not st.disregarded.(i) then emit (global st st.nbrs.(i)) wm
     done
   end
+
+(* Record the first counts heard per group. Top level, so absorbing a
+   delta allocates no closure. *)
+let rec absorb_delta bitpacks = function
+  | [] -> ()
+  | (grp, c) :: rest ->
+      (if grp >= 0 && grp < Array.length bitpacks then
+         match bitpacks.(grp) with
+         | None -> bitpacks.(grp) <- Some c
+         | Some _ -> ());
+      absorb_delta bitpacks rest
 
 let spread_process st ~slot ~iter =
   match st.sh.graph with
@@ -421,14 +439,7 @@ let spread_process st ~slot ~iter =
                   st.heard.(i) <- true;
                   incr count
                 end;
-                List.iter
-                  (fun (grp, c) ->
-                    if
-                      grp >= 0
-                      && grp < Array.length st.bitpacks
-                      && st.bitpacks.(grp) = None
-                    then st.bitpacks.(grp) <- Some c)
-                  entries
+                absorb_delta st.bitpacks entries
               end
           | Counts _ | Confirm _ | Result _ | Final _ -> ());
       Array.iteri
@@ -488,33 +499,34 @@ let epoch_begin st =
 
 (* line 14 broadcasts to every member of the instance, not just the group;
    reverse member order for the same wire-order reason as [to_group_into] *)
-let to_group_all_into st msg ~emit ~emit_all =
+let to_group_all_into st wm ~emit ~emit_all =
   if st.sh.contig then
     emit_all ~lo:st.sh.members.(0)
       ~hi:st.sh.members.(st.sh.m - 1)
-      ~skip:st.pid ~desc:true msg
+      ~skip:st.pid ~desc:true wm
   else
     for i = Array.length st.sh.members - 1 downto 0 do
       let pid = st.sh.members.(i) in
-      if pid <> st.pid then emit pid msg
+      if pid <> st.pid then emit pid wm
     done
 
 (** Run local slot [slot] (1-based, up to [rounds sh]), mutating the
     state. [iter f] must call [f src m] for every message of the previous
     slot's inbox in delivery order; outgoing messages go to [emit],
-    addressed to global pids. The entry pass emits the Confirm
+    addressed to global pids, each record passed through [wrap] once —
+    never once per destination. The entry pass emits the Confirm
     acknowledgments directly — an [Agg_a] slot is always followed by the
     matching [Agg_b] slot, and entry processing shares the emission's
     [transmits] guard. Full-group/full-instance broadcasts go through
     [emit_all] (one shared record + range); per-destination messages stay
     on [emit]. *)
-let step_into st ~slot ~iter ~rand ~emit ~emit_all =
+let step_into st ~slot ~iter ~rand ~wrap ~emit ~emit_all =
   (if slot > 1 then
      match st.sh.schedule.(slot - 2) with
      | Agg_a s ->
          (* one shared Confirm record for every acknowledged source *)
-         let cm = Confirm { stage = s } in
-         agg_process_a st ~slot ~s ~iter ~confirm:(fun src -> emit src cm)
+         let cm = wrap (Confirm { stage = s }) in
+         agg_process_a st ~slot ~s ~iter ~emit ~cm
      | Agg_b s -> agg_process_b st ~slot ~s ~iter
      | Agg_c s -> agg_finalize_stage st ~slot ~s ~iter
      | Spread k ->
@@ -527,18 +539,18 @@ let step_into st ~slot ~iter ~rand ~emit ~emit_all =
       if st.operative then begin
         st.sourced <- true;
         to_group_into st
-          (Counts { stage = s; bag = st.rank lsr (s - 1); c = st.agg })
+          (wrap (Counts { stage = s; bag = st.rank lsr (s - 1); c = st.agg }))
           ~emit ~emit_all
       end
       else st.sourced <- false
   | Agg_b _ -> () (* the Confirms went out during the entry pass above *)
-  | Agg_c s -> agg_emit_results_into st ~slot ~s ~emit
+  | Agg_c s -> agg_emit_results_into st ~slot ~s ~wrap ~emit
   | Spread k ->
       if k = 1 then spread_init st;
-      spread_emit_into st ~emit
+      spread_emit_into st ~wrap ~emit
   | Bcast ->
       if st.sh.final_broadcast && st.operative && st.decided then
-        to_group_all_into st (Final st.b) ~emit ~emit_all
+        to_group_all_into st (wrap (Final st.b)) ~emit ~emit_all
 
 (** Consume the Bcast slot's inbox (lines 15-16); same [iter] contract as
     {!step_into}. Must be called exactly once, on the round after
@@ -570,16 +582,15 @@ let line16_decision st =
 (* Accounting                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Called once per message sent, so the widths are precomputed in
+   [make_shared] and pricing allocates nothing. *)
 let msg_bits sh m =
-  let b_count = log2_ceil (sh.part.Groups.group_size + 1) in
-  let b_stage = log2_ceil (sh.stages + 1) in
-  let b_group = log2_ceil (Groups.group_count sh.part + 1) in
   match m with
-  | Counts _ -> 3 + b_stage + b_count + (2 * b_count)
-  | Confirm _ -> 3 + b_stage
-  | Result _ -> 5 + b_stage + (4 * b_count)
+  | Counts _ -> 3 + sh.b_stage + sh.b_count + (2 * sh.b_count)
+  | Confirm _ -> 3 + sh.b_stage
+  | Result _ -> 5 + sh.b_stage + (4 * sh.b_count)
   | Spread_delta entries ->
-      3 + (List.length entries * (b_group + (2 * b_count)))
+      3 + (List.length entries * (sh.b_group + (2 * sh.b_count)))
   | Final _ -> 4
 
 let msg_hint = function

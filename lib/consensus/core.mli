@@ -56,6 +56,9 @@ type shared = {
       (** member pids form a contiguous ascending range — whole-instance
           broadcasts then go out as one range entry *)
   final_broadcast : bool;
+  b_count : int;  (** bits of one count: ceil(log2 (group size + 1)) *)
+  b_stage : int;  (** bits of a stage index: ceil(log2 (stages + 1)) *)
+  b_group : int;  (** bits of a group index: ceil(log2 (groups + 1)) *)
 }
 
 val make_shared :
@@ -100,13 +103,17 @@ val step_into :
   slot:int ->
   iter:((int -> msg -> unit) -> unit) ->
   rand:Sim.Rand.t ->
-  emit:(int -> msg -> unit) ->
-  emit_all:(lo:int -> hi:int -> skip:int -> desc:bool -> msg -> unit) ->
+  wrap:(msg -> 'm) ->
+  emit:(int -> 'm -> unit) ->
+  emit_all:(lo:int -> hi:int -> skip:int -> desc:bool -> 'm -> unit) ->
   unit
 (** Run local slot 1..[rounds]; mutates the state. [iter f] must call
     [f src m] for every inbox message in delivery order (a mailbox, or a
     filtered view of one, iterates directly — no intermediate list);
-    outgoing messages go to [emit], addressed to global pids.
+    outgoing messages go to [emit], addressed to global pids. Each record
+    is passed through [wrap] (the caller's message constructor) exactly
+    once: a broadcast or a spreading delta goes to all its destinations
+    as one wrapped record.
     Full-group and full-instance broadcasts of one shared record go
     through [emit_all] (descending ranges, matching the historical
     reverse-member wire order) whenever the relevant pid set is

@@ -44,6 +44,12 @@ type state = {
 
 let iter_empty _f = ()
 
+(* Top level, so the voting path passes [core_msg] without building a
+   closure; the fallback's [emit_all_pk emit_all] builds one per step. *)
+let core_msg m = Core_msg m
+let emit_all_pk emit_all ~lo ~hi ~skip ~desc m =
+  emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
+
 let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
     Sim.Protocol_intf.buffered =
   let n = cfg.Sim.Config.n in
@@ -141,18 +147,13 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
        messages. *)
     let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
       let iter f = Sim.Mailbox.iter inbox f in
-      let emit_all_pk ~lo ~hi ~skip ~desc m =
-        emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
-      in
       absorb st ~iter;
       emit_replies st ~emit;
       (match st.phase with
       | Done _ -> ()
       | Voting when round <= core_rounds ->
           Core.step_into st.core ~slot:round ~iter:(core_iter iter) ~rand
-            ~emit:(fun dst m -> emit dst (Core_msg m))
-            ~emit_all:(fun ~lo ~hi ~skip ~desc m ->
-              emit_all ~lo ~hi ~skip ~desc (Core_msg m))
+            ~wrap:core_msg ~emit ~emit_all
       | Voting ->
           (* round = core_rounds + 1: close the voting, start gossiping *)
           Core.finalize_into st.core ~iter:iter_empty;
@@ -172,7 +173,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
                     ~input:(Core.candidate st.core)
                 in
                 Phase_king.step_into pk ~local_round:1 ~iter:iter_empty
-                  ~emit_all:emit_all_pk;
+                  ~emit_all:(emit_all_pk emit_all);
                 st.phase <- Fallback pk
               end
               else st.phase <- Waiting)
@@ -180,7 +181,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
           let local_round = round - decide_round in
           if local_round <= pk_rounds - 1 then
             Phase_king.step_into pk ~local_round:(local_round + 1)
-              ~iter:(pk_iter iter) ~emit_all:emit_all_pk
+              ~iter:(pk_iter iter) ~emit_all:(emit_all_pk emit_all)
           else begin
             let pk = Phase_king.finalize_into pk ~iter:(pk_iter iter) in
             match Phase_king.decision pk with

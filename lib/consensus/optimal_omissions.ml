@@ -39,6 +39,15 @@ type state = { phase : phase; pid : int }
 
 type msg = Core_msg of Core.msg | Pk_msg of Phase_king.msg | Decided of int
 
+(* Top level, so the voting path passes [core_msg] without building a
+   closure; the fallback's [emit_all_pk emit_all] builds one per step. *)
+let core_msg m = Core_msg m
+let emit_all_pk emit_all ~lo ~hi ~skip ~desc m =
+  emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
+
+(* [Some v] for a bit without allocating: the two static atoms. *)
+let some_bit = function 0 -> Some 0 | 1 -> Some 1 | v -> Some v
+
 let core_of = function
   | Voting c
   | Fallback { core = c; _ }
@@ -87,18 +96,11 @@ let protocol_buffered ?(params = Params.default) ?vote_log
       { phase = Voting (Core.create shared ~pid ~input); pid }
 
     let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
-      let emit_all_core ~lo ~hi ~skip ~desc m =
-        emit_all ~lo ~hi ~skip ~desc (Core_msg m)
-      in
-      let emit_all_pk ~lo ~hi ~skip ~desc m =
-        emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
-      in
       match st.phase with
       | Done _ -> st
       | Voting core when round <= core_rounds ->
           Core.step_into core ~slot:round ~iter:(iter_core inbox) ~rand
-            ~emit:(fun dst m -> emit dst (Core_msg m))
-            ~emit_all:emit_all_core;
+            ~wrap:core_msg ~emit ~emit_all;
           st
       | Voting core -> (
           (* round = core_rounds + 1: lines 15-16 *)
@@ -113,7 +115,7 @@ let protocol_buffered ?(params = Params.default) ?vote_log
                     ~participating:true ~input:(Core.candidate core)
                 in
                 Phase_king.step_into pk ~local_round:1 ~iter:iter_empty
-                  ~emit_all:emit_all_pk;
+                  ~emit_all:(emit_all_pk emit_all);
                 { st with phase = Fallback { core; pk } }
               end
               else { st with phase = Waiting { core } })
@@ -121,7 +123,7 @@ let protocol_buffered ?(params = Params.default) ?vote_log
           let local_round = round - core_rounds - 1 in
           if local_round <= pk_rounds - 1 then begin
             Phase_king.step_into pk ~local_round:(local_round + 1)
-              ~iter:(iter_pk inbox) ~emit_all:emit_all_pk;
+              ~iter:(iter_pk inbox) ~emit_all:(emit_all_pk emit_all);
             st
           end
           else begin
@@ -153,13 +155,16 @@ let protocol_buffered ?(params = Params.default) ?vote_log
           | Some v -> { st with phase = Done { core; value = v } }
           | None -> st)
 
+    (* Called 2n+ times per round, so the options are static atoms. *)
     let observe st =
       let core = core_of st.phase in
       {
-        Sim.View.candidate = Some (Core.candidate core);
+        Sim.View.candidate = some_bit (Core.candidate core);
         operative = Core.operative core;
         decided =
-          (match st.phase with Done { value; _ } -> Some value | _ -> None);
+          (match st.phase with
+          | Done { value; _ } -> some_bit value
+          | _ -> None);
       }
 
     let msg_bits = function

@@ -103,6 +103,9 @@ let make_plan ~params (cfg : Sim.Config.t) ~x =
 
 let iter_empty _f = ()
 
+let emit_all_pk emit_all ~lo ~hi ~skip ~desc m =
+  emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
+
 let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
     Sim.Protocol_intf.buffered =
   let p = make_plan ~params cfg ~x in
@@ -252,9 +255,6 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
 
     let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
       let iter f = Sim.Mailbox.iter inbox f in
-      let emit_all_pk ~lo ~hi ~skip ~desc m =
-        emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
-      in
       if st.decision <> None then ()
       else if round < p.safety_start then begin
         (* round-robin stage: phase-local slots 1..phase_len; the core runs
@@ -278,9 +278,8 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         (* emission *)
         if in_my_phase && ls <= cl then
           Core.step_into st.core ~slot:ls ~iter:(sub_iter ~phase iter) ~rand
-            ~emit:(fun dst m -> emit dst (Sub (phase, m)))
-            ~emit_all:(fun ~lo ~hi ~skip ~desc m ->
-              emit_all ~lo ~hi ~skip ~desc (Sub (phase, m)))
+            ~wrap:(fun m -> Sub (phase, m))
+            ~emit ~emit_all
         else if ls > p.phase_core_len then flood_emission_into st ~emit
       end
       else begin
@@ -307,7 +306,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
                 ~participating:true ~input:st.b
             in
             Phase_king.step_into pk ~local_round:1 ~iter:iter_empty
-              ~emit_all:emit_all_pk;
+              ~emit_all:(emit_all_pk emit_all);
             st.pk <- Some pk
           end
         end
@@ -315,7 +314,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
           match st.pk with
           | Some pk when s <= p.pk_rounds + 1 ->
               Phase_king.step_into pk ~local_round:(s - 1)
-                ~iter:(pk_iter iter) ~emit_all:emit_all_pk
+                ~iter:(pk_iter iter) ~emit_all:(emit_all_pk emit_all)
           | Some pk when s = p.pk_rounds + 2 -> (
               let pk = Phase_king.finalize_into pk ~iter:(pk_iter iter) in
               st.pk <- Some pk;

@@ -23,11 +23,18 @@ type t = {
 let default =
   { delta_c = 8; spread_c = 1; epochs = Auto 1.0; graph_attempts = 30 }
 
+(* A loop, not a local [let rec]: a local recursive function that
+   captures [n] is a closure, allocated on every call without flambda,
+   and message pricing reaches this once per message. *)
 let log2_ceil n =
   if n <= 1 then 1
   else begin
-    let rec go acc cap = if cap >= n then acc else go (acc + 1) (cap * 2) in
-    go 0 1
+    let acc = ref 0 and cap = ref 1 in
+    while !cap < n do
+      incr acc;
+      cap := !cap * 2
+    done;
+    !acc
   end
 
 let delta t ~n = min (n - 1) (max 4 (t.delta_c * log2_ceil n))

@@ -23,18 +23,18 @@ let delta t = t.delta
 let neighbors t v = t.adj.(v)
 let degree t v = Array.length t.adj.(v)
 
+(* Binary search as a loop: a local [let rec] capturing [a] and [v]
+   would allocate a closure per call, once per received spreading
+   message. *)
 let neighbor_index t u v =
   let a = t.adj.(u) in
-  let rec bsearch lo hi =
-    if lo >= hi then -1
-    else begin
-      let mid = (lo + hi) / 2 in
-      if a.(mid) = v then mid
-      else if a.(mid) < v then bsearch (mid + 1) hi
-      else bsearch lo mid
-    end
-  in
-  bsearch 0 (Array.length a)
+  let lo = ref 0 and hi = ref (Array.length a) and found = ref (-1) in
+  while !found < 0 && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let x = a.(mid) in
+    if x = v then found := mid else if x < v then lo := mid + 1 else hi := mid
+  done;
+  !found
 
 let mem_edge t u v = neighbor_index t u v >= 0
 

@@ -19,9 +19,14 @@
     {!Mailbox.t} outboxes/inboxes reset by count, an envelope arena sized to
     the high-water mark whose records are refreshed in place, one adversary
     {!View.t} whose observation and fault-snapshot arrays are reused across
-    rounds, and a single derived random stream reseeded per step. Steady
-    state allocates O(n) words per round (fresh [obs_core] observations)
-    instead of O(messages). *)
+    rounds, and a single derived random stream reseeded per step. On the
+    fast route the engine allocates nothing per message: a sender is
+    priced by one closure-free {!Mailbox.total_bits} and delivered by a
+    closure-free blit ({!Mailbox.rdeliver}, {!Mailbox.rshare}), so the
+    engine's own steady-state cost is O(n) words per round (fresh
+    [obs_core] observations). Protocols add what they allocate per
+    message record. The general route still allocates per message for a
+    message-level sink's events and for the envelope arena's hints. *)
 
 exception Illegal_plan of string
 
@@ -244,6 +249,39 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   view.View.refresh_envelopes <- fill_arena;
   (* Per-sender omission flags, grown to the largest outbox seen. *)
   let omit_scratch = ref Bytes.empty in
+  (* The fast path's per-sender helpers, built once per instance so that
+     delivery allocates no closure per sender or per message. *)
+  let omit_every = Bytes.make n '\001' in
+  (* A non-faulty sender may omit only towards faulty destinations: raise
+     for the first other omission in emission order, exactly as the
+     general path does. *)
+  let check_omissions ~round pid ob mask =
+    if not faulty.(pid) then begin
+      let dst = Mailbox.first_masked ob ~mask ~except:faulty in
+      if dst >= 0 then
+        illegal "omission between non-faulty %d -> %d at round %d" pid dst
+          round
+    end
+  in
+  (* Push one sender's survivors ([mask] as in {!Mailbox.rdeliver}). A
+     sender whose round is pure wide broadcast delivers through the
+     round-shared table: O(1) per segment instead of one inbox row per
+     destination. Mixed, pointwise or narrow-segment (e.g. one-group)
+     outboxes keep the per-destination blit — every receiver scans the
+     whole table, so only segments covering at least half the network pay
+     for their scan slot — and the routing is all-or-nothing per sender,
+     so table sources and pointwise inbox rows stay disjoint (the merge
+     contract). Either way a sender's entries go in reverse emission
+     order; senders ascend, so inboxes come out sorted with the
+     same-sender order the legacy engine produced. *)
+  let deliver_fast pid ob ~mask =
+    if
+      Mailbox.point_length ob = 0
+      && Mailbox.seg_count ob > 0
+      && 2 * Mailbox.min_seg_span ob >= n
+    then Mailbox.rshare ob bcast ~src:pid ~mask
+    else Mailbox.rdeliver ob inboxes ~peer:pid ~mask
+  in
   let run_i ?stop ?trace ?link ~(adversary : Adversary_intf.t)
       ~(inputs : int array) () : outcome =
     if Array.length inputs <> n then
@@ -445,65 +483,17 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
             let total = Mailbox.length ob in
             if total > 0 then begin
               messages_sent := !messages_sent + total;
-              Mailbox.iter_entries ob
-                ~point:(fun _dst m ->
-                  bits_sent := !bits_sent + max 1 (P.msg_bits m))
-                ~seg:(fun ~lo:_ ~hi:_ ~skip:_ ~desc:_ ~size m ->
-                  bits_sent := !bits_sent + (size * max 1 (P.msg_bits m)));
-              (* A sender whose round is pure wide broadcast delivers
-                 through the round-shared table: O(1) per segment instead
-                 of one inbox row per destination. Mixed, pointwise or
-                 narrow-segment (e.g. one-group) outboxes keep the
-                 per-destination blit — every receiver scans the whole
-                 table, so only segments covering at least half the
-                 network pay for their scan slot — and the routing is
-                 all-or-nothing per sender, so table sources and
-                 pointwise inbox rows stay disjoint (the merge contract).
-                 Segments are appended in reverse emission order — the
-                 same per-sender order the pointwise blit produces. *)
-              let pure_bcast =
-                Mailbox.point_length ob = 0
-                && Mailbox.seg_count ob > 0
-                && 2 * Mailbox.min_seg_span ob >= n
-              in
+              bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
               match compiled pid with
-              | View.Deliver_all ->
-                  if pure_bcast then
-                    Mailbox.riter_entries ob
-                      ~point:(fun _ _ -> assert false)
-                      ~seg:(fun ~lo ~hi ~skip ~desc:_ ~size:_ m ->
-                        Mailbox.shared_push bcast ~src:pid ~lo ~hi ~skip
-                          ~mask:Bytes.empty m)
-                  else
-                    (* senders ascend and each sender pushes in reverse
-                       emission order, so inboxes come out sorted with the
-                       same-sender order the legacy engine produced *)
-                    Mailbox.rdeliver ob inboxes ~peer:pid
+              | View.Deliver_all -> deliver_fast pid ob ~mask:Bytes.empty
               | View.Omit_all ->
-                  if not faulty.(pid) then
-                    Mailbox.iter ob (fun dst _m ->
-                        if not faulty.(dst) then
-                          illegal
-                            "omission between non-faulty %d -> %d at round %d"
-                            pid dst r);
+                  check_omissions ~round:r pid ob omit_every;
                   messages_omitted := !messages_omitted + total
               | View.Omit_mask b ->
-                  let sender_faulty = faulty.(pid) in
-                  Mailbox.iter ob (fun dst _m ->
-                      if Bytes.get b dst <> '\000' then begin
-                        if (not sender_faulty) && not faulty.(dst) then
-                          illegal
-                            "omission between non-faulty %d -> %d at round %d"
-                            pid dst r;
-                        incr messages_omitted
-                      end);
-                  if pure_bcast then
-                    Mailbox.riter_entries ob
-                      ~point:(fun _ _ -> assert false)
-                      ~seg:(fun ~lo ~hi ~skip ~desc:_ ~size:_ m ->
-                        Mailbox.shared_push bcast ~src:pid ~lo ~hi ~skip
-                          ~mask:b m)
-                  else Mailbox.rdeliver_masked ob inboxes ~peer:pid ~mask:b
+                  check_omissions ~round:r pid ob b;
+                  messages_omitted :=
+                    !messages_omitted + Mailbox.count_masked ob ~mask:b;
+                  deliver_fast pid ob ~mask:b
             end
           done
       | _ ->

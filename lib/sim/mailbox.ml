@@ -362,6 +362,11 @@ let riter_merged t sh f =
 let iter t f =
   match t.shared with
   | Some sh when sh.s_len > 0 -> iter_merged t sh f
+  | _ when t.seg_len = 0 ->
+      (* the common inbox: plain rows, walked without a [~seg] closure *)
+      for i = 0 to t.len - 1 do
+        f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
+      done
   | _ ->
       iter_entries t ~point:f ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
           seg_iter_dsts ~lo ~hi ~skip ~desc (fun dst -> f dst m))
@@ -374,6 +379,10 @@ let riter t f =
       riter_entries t ~point:f ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
           seg_riter_dsts ~lo ~hi ~skip ~desc (fun dst -> f dst m))
 
+(* The fast path's per-sender walks below are plain loops over the
+   arrays: a walk through {!iter_entries} would allocate its [~point] and
+   [~seg] closures for every sender of every round. *)
+
 (* Append one delivered row without the public-push indirection: capacity
    check against the live arrays, unsafe stores. [dst] is trusted — the
    engine validates destination ranges at emit time. *)
@@ -385,43 +394,106 @@ let[@inline] deliver_row inboxes ~peer dst m =
   Array.unsafe_set ib.msgs len m;
   ib.len <- len + 1
 
-(** Bulk delivery in reverse emission order: exactly
-    [riter t (fun dst m -> push inboxes.(dst) ~peer m)] with the
-    per-destination closure dispatch and bounds checks hoisted out of the
-    segment inner loops — the engine's fast-path [Deliver_all] blit. *)
-let rdeliver t inboxes ~peer =
-  riter_entries t
-    ~point:(fun dst m -> deliver_row inboxes ~peer dst m)
-    ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
-      (* reverse emission order, as in {!seg_riter_dsts} *)
-      if desc then
-        for dst = lo to hi do
-          if dst <> skip then deliver_row inboxes ~peer dst m
-        done
-      else
-        for dst = hi downto lo do
-          if dst <> skip then deliver_row inboxes ~peer dst m
-        done)
+(* [mask] lets [dst] through: [Bytes.empty] lets every destination
+   through, as in {!shared_push}. *)
+let[@inline] passes mask dst =
+  Bytes.length mask = 0 || Bytes.unsafe_get mask dst = '\000'
 
-(** {!rdeliver} restricted to survivors: rows whose [mask] byte at [dst]
-    is ['\000'] — the fast-path [Omit_mask] push. [mask] must cover every
-    destination in the buffer. *)
-let rdeliver_masked t inboxes ~peer ~mask =
-  riter_entries t
-    ~point:(fun dst m ->
-      if Bytes.unsafe_get mask dst = '\000' then
-        deliver_row inboxes ~peer dst m)
-    ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
-      if desc then
-        for dst = lo to hi do
-          if dst <> skip && Bytes.unsafe_get mask dst = '\000' then
-            deliver_row inboxes ~peer dst m
-        done
-      else
-        for dst = hi downto lo do
-          if dst <> skip && Bytes.unsafe_get mask dst = '\000' then
-            deliver_row inboxes ~peer dst m
-        done)
+(** [total_bits t f]: the expanded bit total
+    [fold t ~init:0 (fun acc _ m -> acc + max 1 (f m))] of a buffer
+    without an attached broadcast table, with one [f] call per pointwise
+    slot and per segment. *)
+let total_bits t f =
+  let bits = ref 0 in
+  for i = 0 to t.len - 1 do
+    bits := !bits + max 1 (f (Array.unsafe_get t.msgs i))
+  done;
+  for j = 0 to t.seg_len - 1 do
+    let size =
+      seg_size ~lo:t.seg_lo.(j) ~hi:t.seg_hi.(j) ~skip:t.seg_skip.(j)
+    in
+    bits := !bits + (size * max 1 (f t.seg_msg.(j)))
+  done;
+  !bits
+
+(** Bulk delivery in reverse emission order, restricted to the rows whose
+    [mask] byte at [dst] is ['\000'] ([Bytes.empty] delivers every row):
+    exactly [riter t (fun dst m -> if passes then push inboxes.(dst) ~peer
+    m)] without a closure — the engine's fast-path blit. A non-empty
+    [mask] must cover every destination in the buffer. *)
+let rdeliver t inboxes ~peer ~mask =
+  let s = ref (t.seg_len - 1) in
+  for i = t.len - 1 downto -1 do
+    (* segments pushed after slot [i] come after it in emission order,
+       so in reverse order they are delivered first *)
+    while !s >= 0 && t.seg_pos.(!s) > i do
+      let j = !s in
+      let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
+      (* a segment gives each destination one row, so its direction
+         changes no inbox *)
+      for dst = t.seg_lo.(j) to t.seg_hi.(j) do
+        if dst <> skip && passes mask dst then deliver_row inboxes ~peer dst m
+      done;
+      decr s
+    done;
+    if i >= 0 then begin
+      let dst = Array.unsafe_get t.peers i in
+      if passes mask dst then
+        deliver_row inboxes ~peer dst (Array.unsafe_get t.msgs i)
+    end
+  done
+
+(** Append every segment of [t], which holds no pointwise slots, to the
+    round-shared table [sh] as one entry from [src] with [mask], in reverse
+    emission order — the order {!rdeliver} would fill the inboxes in. *)
+let rshare t sh ~src ~mask =
+  assert (t.len = 0);
+  for j = t.seg_len - 1 downto 0 do
+    shared_push sh ~src ~lo:t.seg_lo.(j) ~hi:t.seg_hi.(j) ~skip:t.seg_skip.(j)
+      ~mask t.seg_msg.(j)
+  done
+
+(** Number of expanded entries whose [mask] byte at [dst] is set. *)
+let count_masked t ~mask =
+  let c = ref 0 in
+  for i = 0 to t.len - 1 do
+    if Bytes.get mask t.peers.(i) <> '\000' then incr c
+  done;
+  for j = 0 to t.seg_len - 1 do
+    let skip = t.seg_skip.(j) in
+    for dst = t.seg_lo.(j) to t.seg_hi.(j) do
+      if dst <> skip && Bytes.get mask dst <> '\000' then incr c
+    done
+  done;
+  !c
+
+let[@inline] hit mask except dst =
+  Bytes.get mask dst <> '\000' && not except.(dst)
+
+(** The first destination, in emission order, whose [mask] byte is set
+    and whose [except] flag is false; [-1] if there is none — the
+    engine's legality scan for a non-faulty sender's omissions. *)
+let first_masked t ~mask ~except =
+  let found = ref (-1) in
+  let s = ref 0 and i = ref 0 in
+  while !found < 0 && !i <= t.len do
+    while !found < 0 && !s < t.seg_len && t.seg_pos.(!s) <= !i do
+      let j = !s in
+      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) and skip = t.seg_skip.(j) in
+      let desc = t.seg_desc.(j) in
+      let k = ref 0 in
+      while !found < 0 && !k <= hi - lo do
+        let dst = if desc then hi - !k else lo + !k in
+        if dst <> skip && hit mask except dst then found := dst;
+        incr k
+      done;
+      incr s
+    done;
+    if !found < 0 && !i < t.len && hit mask except t.peers.(!i) then
+      found := t.peers.(!i);
+    incr i
+  done;
+  !found
 
 (** Smallest destination-range width among the buffer's segments
     ([max_int] when it has none). The engine routes a sender through the

@@ -30,8 +30,8 @@ let drive ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) ~m ~inputs () =
       (fun pid st ->
         let out = ref [] in
         let emit dst m = out := (dst, m) :: !out in
-        Core.step_into st ~slot ~iter:(iter inboxes.(pid)) ~rand ~emit
-          ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
+        Core.step_into st ~slot ~iter:(iter inboxes.(pid)) ~rand ~wrap:Fun.id
+          ~emit ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
         List.iter
           (fun (dst, msg) ->
             if not (omit ~slot ~src:pid ~dst) then
@@ -259,7 +259,48 @@ let test_msg_bits () =
   Alcotest.(check (option int)) "final hint" (Some 1)
     (Core.msg_hint (Core.Final 1));
   Alcotest.(check (option int)) "counts carry no hint" None
-    (Core.msg_hint (Core.Counts { stage = 1; bag = 0; c }))
+    (Core.msg_hint (Core.Counts { stage = 1; bag = 0; c }));
+  (* the widths [make_shared] precomputes price every kind exactly as
+     the per-message computation did *)
+  let log2_ceil = Consensus.Params.log2_ceil in
+  List.iter
+    (fun m ->
+      let sh =
+        Core.make_shared ~members:(Array.init m (fun i -> i)) ~seed:1
+          ~params:Consensus.Params.default ~t_max:1 ()
+      in
+      let b_count = log2_ceil (sh.Core.part.Groups.group_size + 1) in
+      let b_stage = log2_ceil (sh.Core.stages + 1) in
+      let b_group = log2_ceil (Groups.group_count sh.Core.part + 1) in
+      List.iter
+        (fun (msg, bits) ->
+          Alcotest.(check int) "exact price" bits (Core.msg_bits sh msg))
+        [
+          (Core.Counts { stage = 1; bag = 0; c }, 3 + b_stage + (3 * b_count));
+          (Core.Confirm { stage = 1 }, 3 + b_stage);
+          (Core.Result { stage = 1; left = None; right = None },
+           5 + b_stage + (4 * b_count));
+          (Core.Spread_delta [ (0, c); (1, c); (2, c) ],
+           3 + (3 * (b_group + (2 * b_count))));
+          (Core.Spread_delta [], 3);
+          (Core.Final 0, 4);
+        ])
+    [ 1; 2; 16; 96; 300 ]
+
+(* The loop form of [Params.log2_ceil] against its former recursive
+   definition, including the [n <= 1] branch. *)
+let test_log2_ceil_reference () =
+  let reference n =
+    if n <= 1 then 1
+    else
+      let rec go acc cap = if cap >= n then acc else go (acc + 1) (cap * 2) in
+      go 0 1
+  in
+  for n = -3 to 70_000 do
+    if Consensus.Params.log2_ceil n <> reference n then
+      Alcotest.failf "log2_ceil %d = %d, reference %d" n
+        (Consensus.Params.log2_ceil n) (reference n)
+  done
 
 let suite =
   [
@@ -280,4 +321,6 @@ let suite =
     Alcotest.test_case "set_candidate" `Quick test_set_candidate;
     Alcotest.test_case "non-members rejected" `Quick test_non_members;
     Alcotest.test_case "message bits" `Quick test_msg_bits;
+    Alcotest.test_case "log2_ceil = recursive reference" `Quick
+      test_log2_ceil_reference;
   ]

@@ -105,6 +105,57 @@ let test_illegal_omission_rejected () =
        false
      with Sim.Engine.Illegal_plan _ -> true)
 
+(* The fast route's legality scan over compiled verdicts raises the same
+   [Illegal_plan] as the general route's per-message predicate: the first
+   omission between non-faulty processes in emission order. Echo emits
+   pointwise (descending), Flood one broadcast segment. *)
+let test_compiled_illegal_matches_general () =
+  let n = 8 in
+  let cfg = cfg ~n () in
+  let mask = Bytes.make n '\000' in
+  List.iter (fun d -> Bytes.set mask d '\001') [ 2; 5; 6 ];
+  let cheater verdict =
+    {
+      Sim.Adversary_intf.name = "compiled-cheater";
+      create =
+        (fun _ _ _ ->
+          let compiled src =
+            if src = 3 then verdict else Sim.View.Deliver_all
+          in
+          {
+            Sim.View.new_faults = [ 5 ];
+            omit =
+              (fun src dst ->
+                match compiled src with
+                | Sim.View.Deliver_all -> false
+                | Omit_all -> true
+                | Omit_mask b -> Bytes.get b dst <> '\000');
+            compiled = Some compiled;
+          });
+    }
+  in
+  let raised proto adversary =
+    try
+      ignore
+        (Sim.Engine.run proto cfg ~adversary
+           ~inputs:(Array.init n (fun i -> i mod 2)));
+      "no exception"
+    with Sim.Engine.Illegal_plan s -> s
+  in
+  List.iter
+    (fun (proto : Sim.Protocol_intf.buffered) ->
+      List.iter
+        (fun verdict ->
+          let adv = cheater verdict in
+          let fast = raised proto adv in
+          Alcotest.(check string)
+            "fast = general"
+            (raised proto (Adversary.pointwise adv))
+            fast;
+          Alcotest.(check bool) "raised" true (fast <> "no exception"))
+        [ Sim.View.Omit_mask mask; Sim.View.Omit_all ])
+    [ (module Echo); Consensus.Flood.protocol_buffered cfg ]
+
 let test_budget_enforced () =
   let adversary =
     {
@@ -396,6 +447,40 @@ let test_instance_construction_linear () =
     true
     (words <= 200. *. float_of_int n)
 
+let test_alg1_allocation_per_message () =
+  (* Algorithm 1's round allocates per message record and per process,
+     never once per message sent: pricing, emission and delivery build no
+     closure and no box per message. A run on an instance already warmed
+     by one run (so every buffer sits at its high-water mark) must stay
+     within a few minor words per message; one closure per message priced
+     alone would cost about five. *)
+  let n = 96 in
+  let cfg0 = Sim.Config.make ~n ~t_max:(n / 31) ~seed:1 ~max_rounds:1 () in
+  let cfg =
+    {
+      cfg0 with
+      Sim.Config.max_rounds =
+        Consensus.Optimal_omissions.rounds_needed cfg0 + 10;
+    }
+  in
+  let inst =
+    Sim.Engine.instance (Consensus.Optimal_omissions.protocol_buffered cfg) cfg
+  in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  let run () =
+    Sim.Engine.run_instance inst ~adversary:(Adversary.vote_splitter ())
+      ~inputs
+  in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let o = run () in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) "decided" true (o.Sim.Engine.decided_round <> None);
+  let per_msg = words /. float_of_int o.Sim.Engine.messages_sent in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per message sent <= 8" per_msg)
+    true (per_msg <= 8.)
+
 let test_input_validation () =
   let cfg = cfg () in
   Alcotest.(check bool) "wrong input length rejected" true
@@ -445,4 +530,8 @@ let suite =
     Alcotest.test_case "instance construction is O(n) at n=4096" `Quick
       test_instance_construction_linear;
     Alcotest.test_case "input validation" `Quick test_input_validation;
+    Alcotest.test_case "compiled illegal omission = general route" `Quick
+      test_compiled_illegal_matches_general;
+    Alcotest.test_case "optimal n=96 allocates <= 8 words per message" `Quick
+      test_alg1_allocation_per_message;
   ]

@@ -40,6 +40,22 @@ let test_mem_edge_consistent () =
     done
   done
 
+(* The loop binary search against a linear scan, for every pair of a
+   sampled graph: neighbours, non-neighbours, and [v] below the first or
+   past the last neighbour (including outside 0..n-1). *)
+let test_neighbor_index_reference () =
+  let g = graph ~n:64 () in
+  let n = Expander.n g in
+  for u = 0 to n - 1 do
+    let a = Expander.neighbors g u in
+    for v = -2 to n + 1 do
+      let expected = ref (-1) in
+      Array.iteri (fun i w -> if w = v && !expected < 0 then expected := i) a;
+      Alcotest.(check int) "neighbor_index = linear scan" !expected
+        (Expander.neighbor_index g u v)
+    done
+  done
+
 let test_degree_concentration () =
   let g = graph ~n:512 () in
   Alcotest.(check bool) "degrees within [delta/2, 1.6 delta]" true
@@ -176,4 +192,6 @@ let suite =
     Alcotest.test_case "small graphs" `Quick test_small_graphs;
     Alcotest.test_case "sample invalid" `Quick test_sample_invalid;
     QCheck_alcotest.to_alcotest qcheck_prune_subset;
+    Alcotest.test_case "neighbor_index = linear scan" `Quick
+      test_neighbor_index_reference;
   ]

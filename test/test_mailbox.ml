@@ -296,6 +296,76 @@ let test_bounds () =
     (Invalid_argument "Mailbox.msg: index out of bounds") (fun () ->
       ignore (Sim.Mailbox.msg mb 0))
 
+(* The engine's closure-free fast-path walks against their references
+   through [riter]/[iter]: masked delivery, table sharing, omission count,
+   legality scan and bit total. Masks cover destinations 0..7; [None] is
+   [Bytes.empty] (deliver to all). *)
+let mask_gen = QCheck.(option (list_of_size (Gen.return 8) bool))
+
+let bytes_of_flags l =
+  Bytes.of_string
+    (String.concat "" (List.map (fun b -> if b then "\001" else "\000") l))
+
+let qcheck_rdeliver_mask =
+  QCheck.Test.make
+    ~name:"rdeliver ~mask = riter + filtered push; bit total = fold"
+    ~count:500
+    QCheck.(triple mixed_load mask_gen (list_of_size (Gen.return 8) bool))
+    (fun (ops, flags, except) ->
+      let mb = Sim.Mailbox.create () in
+      apply_ops mb ops;
+      let mask =
+        match flags with None -> Bytes.empty | Some l -> bytes_of_flags l
+      in
+      let passes dst = Bytes.length mask = 0 || Bytes.get mask dst = '\000' in
+      let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
+      let expected = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
+      (* one earlier row per inbox: delivery appends *)
+      Array.iter (fun ib -> Sim.Mailbox.push ib ~peer:0 (-1)) inboxes;
+      Array.iter (fun ib -> Sim.Mailbox.push ib ~peer:0 (-1)) expected;
+      Sim.Mailbox.rdeliver mb inboxes ~peer:9 ~mask;
+      Sim.Mailbox.riter mb (fun dst m ->
+          if passes dst then Sim.Mailbox.push expected.(dst) ~peer:9 m);
+      let rows = Array.map Sim.Mailbox.to_list in
+      let all = Sim.Mailbox.to_list mb in
+      let f m = m mod 5 in
+      let masked_ok =
+        Bytes.length mask = 0
+        ||
+        let except = Array.of_list except in
+        Sim.Mailbox.count_masked mb ~mask
+        = List.length (List.filter (fun (d, _) -> not (passes d)) all)
+        && Sim.Mailbox.first_masked mb ~mask ~except
+           = (match
+                List.find_opt
+                  (fun (d, _) -> (not (passes d)) && not except.(d))
+                  all
+              with
+             | Some (d, _) -> d
+             | None -> -1)
+      in
+      (* a pure-broadcast buffer shared through the round table reads, at
+         every receiver, exactly as its rdeliver rows *)
+      let shared_ok =
+        let bcast = Sim.Mailbox.create () in
+        apply_ops bcast
+          (List.filter (function `B _ -> true | `P _ -> false) ops);
+        let sh = Sim.Mailbox.shared_create () in
+        Sim.Mailbox.rshare bcast sh ~src:9 ~mask;
+        let direct = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
+        Sim.Mailbox.rdeliver bcast direct ~peer:9 ~mask;
+        List.for_all
+          (fun dst ->
+            let ib = Sim.Mailbox.create () in
+            Sim.Mailbox.attach_shared ib sh ~owner:dst;
+            Sim.Mailbox.to_list ib = Sim.Mailbox.to_list direct.(dst))
+          (List.init 8 Fun.id)
+      in
+      rows inboxes = rows expected
+      && Sim.Mailbox.total_bits mb f
+         = Sim.Mailbox.fold mb ~init:0 (fun acc _ m -> acc + max 1 (f m))
+      && masked_ok && shared_ok)
+
 let suite =
   [
     qcheck qcheck_order;
@@ -312,4 +382,5 @@ let suite =
     Alcotest.test_case "push_all keeps one shared record" `Quick
       test_broadcast_identity;
     Alcotest.test_case "bounds checks and clear semantics" `Quick test_bounds;
+    qcheck qcheck_rdeliver_mask;
   ]
