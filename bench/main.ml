@@ -6,7 +6,6 @@
      dune exec bench/main.exe                 # all experiments, default sizes
      dune exec bench/main.exe -- --quick      # smaller sweeps (CI)
      dune exec bench/main.exe -- --only t1-thm1,f3
-     dune exec bench/main.exe -- --micro      # also run bechamel benches
      dune exec bench/main.exe -- --jobs 4     # domain-pool width (results
                                               # are identical at any width)
      dune exec bench/main.exe -- --json out.json  # JSON-lines sink
@@ -58,7 +57,6 @@ let experiments =
 
 let () =
   let quick = ref false in
-  let micro = ref None in
   let only = ref [] in
   let jobs = ref 0 in
   let seeds = ref 0 in
@@ -81,12 +79,6 @@ let () =
       ( "--only",
         Arg.String (fun s -> only := String.split_on_char ',' s),
         "comma-separated experiment ids" );
-      ( "--micro",
-        Arg.Unit (fun () -> micro := Some true),
-        "also run bechamel micro-benchmarks" );
-      ( "--no-micro",
-        Arg.Unit (fun () -> micro := Some false),
-        "skip bechamel micro-benchmarks" );
       ( "--jobs",
         Arg.Set_int jobs,
         "N  domains in the executor pool (default: recommended count; 1 = \
@@ -150,7 +142,7 @@ let () =
   in
   Arg.parse spec
     (fun _ -> ())
-    "bench/main.exe [--quick] [--only ids] [--micro] [--jobs N] [--seeds N]\n\
+    "bench/main.exe [--quick] [--only ids] [--jobs N] [--seeds N]\n\
     \                [--json FILE] [--resume] [--stable-json] \
      [--wall-budget S]\n\
     \                [--round-budget N] [--msg-budget N] [--rand-budget N]\n\
@@ -219,15 +211,6 @@ let () =
           ("jobs", Bench_util.Out.I (Exec.default_jobs ()));
         ])
     selected;
-  (* bechamel micro-benches default off while the store is on: they
-     measure this machine's timings, which no cache can serve — --micro
-     re-enables. *)
-  let run_micro =
-    match !micro with
-    | Some b -> b
-    | None -> !only = [] && Option.is_none !Bench_util.store
-  in
-  if run_micro then Micro.benchmark ();
   (match !Bench_util.store with
   | None -> ()
   | Some s ->

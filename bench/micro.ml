@@ -1,88 +1,11 @@
-(* Bechamel micro-benchmarks: one Test.make per Table-1 experiment (a
-   scaled-down instance of each), plus the substrate hot paths. *)
-
-open Bechamel
-open Toolkit
-
-(* A measured run must also be a correct, terminated one. *)
-let check_run cfg ~inputs o =
-  assert (
-    Supervise.Oracle.violations ~termination:true Consensus cfg ~inputs o = [])
-
-let run_protocol make_proto ~n ~t ~adversary () =
-  let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
-  let proto = make_proto cfg in
-  let inputs = Array.init n (fun i -> i mod 2) in
-  check_run cfg ~inputs (Sim.Engine.run proto cfg ~adversary ~inputs)
-
-let test_thm1 =
-  Test.make ~name:"T1-thm1: optimal-omissions n=36"
-    (Staged.stage
-       (run_protocol
-          (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg)
-          ~n:36 ~t:1
-          ~adversary:(Adversary.vote_splitter ())))
-
-let test_thm3 =
-  Test.make ~name:"T1-thm3: param-omissions n=36 x=4"
-    (Staged.stage (fun () ->
-         let n = 36 in
-         let cfg0 = Sim.Config.make ~n ~t_max:1 ~seed:1 () in
-         let max_rounds =
-           Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5
-         in
-         let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds () in
-         let proto = Consensus.Param_omissions.protocol_buffered ~x:4 cfg in
-         let inputs = Array.init n (fun i -> i mod 2) in
-         check_run cfg ~inputs
-           (Sim.Engine.run proto cfg ~adversary:Sim.Adversary_intf.none
-              ~inputs)))
-
-let test_bjbo =
-  Test.make ~name:"T1-bjbo: biased-majority n=64"
-    (Staged.stage
-       (run_protocol
-          (fun cfg -> Consensus.Bjbo.protocol_buffered cfg)
-          ~n:64 ~t:8
-          ~adversary:(Adversary.vote_splitter ())))
-
-let test_abraham =
-  Test.make ~name:"T1-abraham: flood-min n=64"
-    (Staged.stage
-       (run_protocol
-          Consensus.Flood.protocol_buffered
-          ~n:64 ~t:8
-          ~adversary:(Adversary.staggered_crash ~per_round:2)))
-
-let test_thm2 =
-  Test.make ~name:"T1-thm2: product experiment n=64"
-    (Staged.stage (fun () ->
-         let r = Lowerbound.Product.run ~seed:1 ~n:64 ~t:16 ~coin_set:8 () in
-         assert r.Lowerbound.Product.decided))
-
-let test_coin_game =
-  Test.make ~name:"L12: coin game k=1024"
-    (Staged.stage (fun () ->
-         let rand = Sim.Rand.create ~seed:1L () in
-         ignore (Lowerbound.Coin_game.imbalance rand ~k:1024)))
-
-let test_expander =
-  Test.make ~name:"G4: expander sample+prune n=256"
-    (Staged.stage (fun () ->
-         let g = Expander.sample ~n:256 ~delta:64 ~seed:9L in
-         let removed = Array.init 256 (fun v -> v < 17) in
-         ignore (Expander.prune g ~removed ~min_deg:21)))
-
-(* ------------------------------------------------------------------ *)
-(* Engine allocation microbenchmark (the "micro-engine" experiment),   *)
-(* covering the full protocol registry on reusable engine instances.   *)
-(* The gated metric is allocation only: kind="micro"                   *)
-(* rows carry words_per_round and are compared by bench/perf_gate.ml   *)
-(* against bench/micro_baseline.json. Throughput (rounds per second)   *)
-(* is machine-dependent, so it ships as separate kind=                 *)
-(* "micro-throughput" records — a logged artifact, never gated and     *)
-(* never part of the stable baseline file.                             *)
-(* ------------------------------------------------------------------ *)
+(* Engine allocation microbenchmark (the "micro-engine" experiment),
+   covering the full protocol registry on reusable engine instances. The
+   gated metric is allocation only: kind="micro" rows carry
+   words_per_round and are compared by bench/perf_gate.ml against
+   bench/micro_baseline.json. Throughput (rounds per second) is
+   machine-dependent, so it ships as separate kind="micro-throughput"
+   records — a logged artifact, never gated and never part of the stable
+   baseline file. *)
 
 module Out = Bench_util.Out
 
@@ -266,36 +189,3 @@ let engine_bench ~quick () =
           Consensus.Operative_broadcast.protocol_buffered ~source:0 cfg))
     (if quick then [ 64 ] else [ 64; 128 ])
 
-let benchmark () =
-  let tests =
-    [
-      test_thm1;
-      test_thm3;
-      test_bjbo;
-      test_abraham;
-      test_thm2;
-      test_coin_game;
-      test_expander;
-    ]
-  in
-  Bench_util.section "Bechamel micro-benchmarks (one per experiment)";
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~kde:(Some 100) ()
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed =
-        Analyze.all (Analyze.ols ~bootstrap:0 ~r_square:true
-                       ~predictors:[| Measure.run |])
-          (Instance.monotonic_clock) results
-      in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-              Printf.printf "  %-40s %12.0f ns/run\n%!" name est
-          | _ -> Printf.printf "  %-40s (no estimate)\n%!" name)
-        analyzed)
-    tests

@@ -19,15 +19,11 @@ let take k l =
 
 (* Shared helper: maintain a crash set; each round corrupt the newly chosen
    victims and silence every message they send (classic crash semantics:
-   outgoing only). The set is mirrored in a [Bytes] flag per pid, which
-   both feeds the hot-path predicate (no hashing per message) and compiles
-   to the per-sender verdict the engine's mask-blit path wants. *)
-let crash_set_plan crashed crashed_b new_victims =
-  List.iter
-    (fun pid ->
-      Hashtbl.replace crashed pid ();
-      Bytes.set crashed_b pid '\001')
-    new_victims;
+   outgoing only). The set is one [Bytes] flag per pid, which both feeds
+   the hot-path predicate (no hashing per message) and compiles to the
+   per-sender verdict the engine's mask route wants. *)
+let crash_set_plan crashed_b new_victims =
+  List.iter (fun pid -> Bytes.set crashed_b pid '\001') new_victims;
   {
     Sim.View.new_faults = new_victims;
     omit = (fun src _dst -> Bytes.get crashed_b src <> '\000');
@@ -45,7 +41,6 @@ let crash_schedule schedule =
     Sim.Adversary_intf.name = "crash-schedule";
     create =
       (fun cfg _rand ->
-        let crashed = Hashtbl.create 16 in
         let crashed_b = Bytes.make cfg.Sim.Config.n '\000' in
         fun view ->
           let victims =
@@ -56,11 +51,12 @@ let crash_schedule schedule =
           let victims =
             List.filter
               (fun pid ->
-                (not (Hashtbl.mem crashed pid)) && not view.Sim.View.faulty.(pid))
+                Bytes.get crashed_b pid = '\000'
+                && not view.Sim.View.faulty.(pid))
               victims
           in
           let budget = cfg.Sim.Config.t_max - view.faults_used in
-          crash_set_plan crashed crashed_b (take budget victims));
+          crash_set_plan crashed_b (take budget victims));
   }
 
 (** Corrupt [t_max] processes chosen uniformly at round 1, then omit each of
@@ -169,7 +165,6 @@ let eclipse ~victim =
     Sim.Adversary_intf.name = Printf.sprintf "eclipse(victim=%d)" victim;
     create =
       (fun cfg _rand ->
-        let corrupted = Hashtbl.create 16 in
         let corrupted_b = Bytes.make cfg.Sim.Config.n '\000' in
         let victim_b = Bytes.make cfg.Sim.Config.n '\000' in
         Bytes.set victim_b victim '\001';
@@ -195,25 +190,19 @@ let eclipse ~victim =
           let new_faults =
             Hashtbl.fold
               (fun src () acc ->
-                if
-                  (not (Hashtbl.mem corrupted src))
-                  && not view.faulty.(src)
+                if Bytes.get corrupted_b src = '\000' && not view.faulty.(src)
                 then src :: acc
                 else acc)
               senders []
           in
           let new_faults = take budget (List.sort compare new_faults) in
-          List.iter
-            (fun pid ->
-              Hashtbl.replace corrupted pid ();
-              Bytes.set corrupted_b pid '\001')
-            new_faults;
+          List.iter (fun pid -> Bytes.set corrupted_b pid '\001') new_faults;
           {
             Sim.View.new_faults;
             omit =
               (fun src dst ->
-                (dst = victim && Hashtbl.mem corrupted src)
-                || (src = victim && Hashtbl.mem corrupted dst));
+                (dst = victim && Bytes.get corrupted_b src <> '\000')
+                || (src = victim && Bytes.get corrupted_b dst <> '\000'));
             compiled = Some compiled;
           });
   }
@@ -337,20 +326,19 @@ let staggered_crash ~per_round =
     Sim.Adversary_intf.name = Printf.sprintf "staggered-crash(%d)" per_round;
     create =
       (fun cfg rand ->
-        let crashed = Hashtbl.create 16 in
         let crashed_b = Bytes.make cfg.Sim.Config.n '\000' in
         fun view ->
           let budget = cfg.Sim.Config.t_max - view.Sim.View.faults_used in
           let live = ref [] in
           for pid = cfg.Sim.Config.n - 1 downto 0 do
-            if (not view.faulty.(pid)) && not (Hashtbl.mem crashed pid) then
+            if (not view.faulty.(pid)) && Bytes.get crashed_b pid = '\000' then
               live := pid :: !live
           done;
           let live = Array.of_list !live in
           Sim.Rand.shuffle rand live;
           let k = min (min per_round budget) (Array.length live) in
           let victims = Array.to_list (Array.sub live 0 k) in
-          crash_set_plan crashed crashed_b victims);
+          crash_set_plan crashed_b victims);
   }
 
 (** All strategies exercised by the integration test grid, with feasible

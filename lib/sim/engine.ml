@@ -15,18 +15,26 @@
     The engine enforces the model: omissions between two non-faulty
     processes, or corruptions beyond the budget, raise {!Illegal_plan}.
 
+    Delivery route: the link and the plan choose it, never the observer.
+    Without a link, a plan with compiled verdicts takes the mask route
+    (aggregate counters, mask-blit delivery); a link or a pointwise-only
+    plan takes the general per-message route. A message-level sink only
+    decides whether [Send]/[Omit]/[Deliver] events are built, on either
+    route.
+
     Allocation discipline: the hot path runs on reusable buffers — per-pid
     {!Mailbox.t} outboxes/inboxes reset by count, an envelope arena sized to
     the high-water mark whose records are refreshed in place, one adversary
     {!View.t} whose observation and fault-snapshot arrays are reused across
     rounds, and a single derived random stream reseeded per step. On the
-    fast route the engine allocates nothing per message: a sender is
+    mask route the engine allocates nothing per message: a sender is
     priced by one closure-free {!Mailbox.total_bits} and delivered by a
     closure-free blit ({!Mailbox.rdeliver}, {!Mailbox.rshare}), so the
     engine's own steady-state cost is O(n) words per round (fresh
     [obs_core] observations). Protocols add what they allocate per
-    message record. The general route still allocates per message for a
-    message-level sink's events and for the envelope arena's hints. *)
+    message record. A message-level sink's events, and the envelope
+    arena's hints for an adversary that reads them, allocate per
+    message. *)
 
 exception Illegal_plan of string
 
@@ -68,6 +76,13 @@ type tracer = {
   mutable r0_omitted : int;
   mutable r0_rand_calls : int;
   mutable r0_rand_bits : int;
+  (* What a message-level walk is visiting: the round, the sender and, on
+     the mask route, its verdict ([Bytes.empty] delivers every message).
+     The walk closures read these cells, so they are built once per run
+     rather than once per sender. *)
+  mutable at_round : int;
+  mutable at_src : int;
+  mutable at_mask : Bytes.t;
 }
 
 let all_nonfaulty_decided outcome =
@@ -117,9 +132,9 @@ type instance = {
 (* The engine proper. Event and metric ordering deliberately reproduces
    the original list-based engine bit for bit, so traces and outcomes stay
    comparable with every earlier version:
-   - the envelope array groups senders in ascending pid order, and within a
-     sender lists messages in *reverse* emission order (the old engine
-     consed each outbox onto an accumulator);
+   - the envelope array and the [Send] events group senders in ascending
+     pid order, and within a sender list messages in *reverse* emission
+     order (the old engine consed each outbox onto an accumulator);
    - omission decisions, metric counters and Omit/Deliver events run per
      sender in ascending pid order and *forward* emission order (the old
      delivery loop walked the outbox lists head-first);
@@ -138,7 +153,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   let inboxes : P.msg Mailbox.t array =
     Array.init n (fun _ -> Mailbox.create ())
   in
-  (* Round-shared broadcast table: the fast path delivers a surviving
+  (* Round-shared broadcast table: the mask route delivers a surviving
      broadcast as one table entry instead of one row per destination;
      every inbox merges the table back in at read time. *)
   let bcast = Mailbox.shared_create () in
@@ -230,9 +245,8 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   (* Lazy arena fill: expand every outbox — broadcast segments included —
      into envelope records, each sender walked in reverse emission order
      (the ordering note above). Installed as the view's refresher; runs
-     at most once per round, and only when someone actually reads the
-     envelopes (a message-level tracer or an envelope-inspecting
-     adversary). *)
+     at most once per round, and only for an adversary that reads
+     {!View.envelopes}. *)
   let fill_arena () =
     arena_len := 0;
     let total = ref 0 in
@@ -249,12 +263,12 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   view.View.refresh_envelopes <- fill_arena;
   (* Per-sender omission flags, grown to the largest outbox seen. *)
   let omit_scratch = ref Bytes.empty in
-  (* The fast path's per-sender helpers, built once per instance so that
+  (* The mask route's per-sender helpers, built once per instance so that
      delivery allocates no closure per sender or per message. *)
   let omit_every = Bytes.make n '\001' in
   (* A non-faulty sender may omit only towards faulty destinations: raise
      for the first other omission in emission order, exactly as the
-     general path does. *)
+     general route does. *)
   let check_omissions ~round pid ob mask =
     if not faulty.(pid) then begin
       let dst = Mailbox.first_masked ob ~mask ~except:faulty in
@@ -332,15 +346,47 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               r0_omitted = 0;
               r0_rand_calls = 0;
               r0_rand_bits = 0;
+              at_round = 0;
+              at_src = 0;
+              at_mask = Bytes.empty;
             }
     in
-    (* The tracer again when its sink takes message-level events. Only
-       those need the per-message route; round-level events are all
-       emitted outside delivery, so any other run keeps the fast route. *)
+    (* The tracer again when its sink takes message-level events: only
+       then are [Send]/[Omit]/[Deliver] events built. It plays no part in
+       choosing the delivery route. *)
     let msg_tr =
       match tr with Some t when Trace.Sink.messages t.sink -> tr | _ -> None
     in
-    let fast = Option.is_none link && Option.is_none msg_tr in
+    (* A message-level sink's walks over one outbox: [Send] per entry, and
+       on the mask route [Omit]/[Deliver] per entry from the sender's
+       verdict, with the general route's legality check at its place in
+       the stream. Untraced, both are static no-ops. *)
+    let on_send, trace_verdicts =
+      match msg_tr with
+      | None -> ((fun _ _ -> ()), fun _ _ _ -> ())
+      | Some t ->
+          let on_verdict dst _ =
+            let round = t.at_round and src = t.at_src in
+            if Mailbox.passes t.at_mask dst then
+              Trace.Sink.emit t.sink (Trace.Event.Deliver { round; src; dst })
+            else begin
+              if not (faulty.(src) || faulty.(dst)) then
+                illegal "omission between non-faulty %d -> %d at round %d" src
+                  dst round;
+              Trace.Sink.emit t.sink (Trace.Event.Omit { round; src; dst })
+            end
+          in
+          ( (fun dst m ->
+              Trace.Sink.emit t.sink
+                (Trace.Event.Send
+                   { round = t.at_round; src = t.at_src; dst;
+                     bits = max 1 (P.msg_bits m); hint = P.msg_hint m })),
+            fun pid ob mask ->
+              t.at_src <- pid;
+              t.at_mask <- mask;
+              Mailbox.iter ob on_verdict )
+    in
+    let fast = Option.is_none link in
     let round = ref 1 in
     let stop_flag = ref false in
     while (not !stop_flag) && !round <= cfg.max_rounds do
@@ -413,10 +459,9 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
         incr pid
       done;
       if !everyone_decided && !decided_round = None then decided_round := Some r;
-      (* Phase 2: adversary intervention. The envelope arena is no longer
-         filled eagerly: the view refreshes it on first access (a
-         message-level tracer forces it; an adversary that never reads
-         envelopes skips the O(messages) expansion entirely). *)
+      (* Phase 2: adversary intervention. The envelope arena is filled
+         lazily: the view refreshes it on first access, so an adversary
+         that never reads envelopes skips the O(messages) expansion. *)
       view.View.round <- r;
       Array.blit faulty 0 view.View.faulty 0 n;
       view.View.faults_used <- !faults_used;
@@ -429,13 +474,11 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       (match msg_tr with
       | None -> ()
       | Some t ->
-          Array.iter
-            (fun (e : View.envelope) ->
-              Trace.Sink.emit t.sink
-                (Trace.Event.Send
-                   { round = r; src = e.src; dst = e.dst; bits = e.bits;
-                     hint = e.hint }))
-            (View.envelopes view));
+          t.at_round <- r;
+          for pid = 0 to n - 1 do
+            t.at_src <- pid;
+            Mailbox.riter outboxes.(pid) on_send
+          done);
       let plan = adv view in
       List.iter
         (fun pid ->
@@ -465,19 +508,20 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       | None -> ()
       | Some l -> l.Link_intf.begin_round ~round:r);
       (* Last round's broadcast-table entries were consumed in phase 1;
-         the table refills below (fast path only — it stays empty on the
-         general path, whose inboxes then iterate as plain rows). *)
+         the table refills below (mask route only — it stays empty on the
+         general route, whose inboxes then iterate as plain rows). *)
       Mailbox.shared_clear bcast;
       (match plan.compiled with
       | Some compiled when fast ->
-          (* Mask-blit fast path: no message-level tracer and no link,
-             and the plan carries a compiled verdict per sender. Counters
-             update in aggregate (one add per entry, broadcast segments
-             unexpanded); the only per-destination work left is the inbox
-             push for survivors — and the forward legality scan, which
-             preserves the exact [Illegal_plan] the general path would
-             raise (the first omitted message, in emission order, whose
-             endpoints are both non-faulty). *)
+          (* Mask route: no link, and the plan carries a compiled verdict
+             per sender. Counters update in aggregate (one add per entry,
+             broadcast segments unexpanded); the only per-destination work
+             left is the inbox push for survivors — and the forward
+             legality scan, which preserves the exact [Illegal_plan] the
+             general route would raise (the first omitted message, in
+             emission order, whose endpoints are both non-faulty). A
+             message-level sink's walk runs first and raises at that same
+             message, after the events before it. *)
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             let total = Mailbox.length ob in
@@ -485,11 +529,15 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               messages_sent := !messages_sent + total;
               bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
               match compiled pid with
-              | View.Deliver_all -> deliver_fast pid ob ~mask:Bytes.empty
+              | View.Deliver_all ->
+                  trace_verdicts pid ob Bytes.empty;
+                  deliver_fast pid ob ~mask:Bytes.empty
               | View.Omit_all ->
+                  trace_verdicts pid ob omit_every;
                   check_omissions ~round:r pid ob omit_every;
                   messages_omitted := !messages_omitted + total
               | View.Omit_mask b ->
+                  trace_verdicts pid ob b;
                   check_omissions ~round:r pid ob b;
                   messages_omitted :=
                     !messages_omitted + Mailbox.count_masked ob ~mask:b;
@@ -497,12 +545,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
             end
           done
       | _ ->
-          (* General path: message-level tracer or link present, or a
-             pointwise-only plan. Broadcast segments are expanded in
-             place first, then the per-message loop runs exactly as the
-             legacy engine did — with the omission verdict read from the
-             compiled mask when one exists (so traced runs still exercise
-             mask semantics) and from the predicate otherwise. *)
+          (* General route: a link, or a pointwise-only plan. Broadcast
+             segments are expanded in place first, then the per-message
+             loop runs exactly as the legacy engine did, with the
+             omission verdict read from the predicate. *)
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             Mailbox.flatten ob;
@@ -511,29 +557,11 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               if Bytes.length !omit_scratch < len then
                 omit_scratch := Bytes.create len;
               let om = !omit_scratch in
-              (* per-sender verdict source: 0 = predicate, 1 = deliver
-                 all, 2 = omit all, 3 = mask bytes *)
-              let mode, mbytes =
-                match plan.compiled with
-                | None -> (0, Bytes.empty)
-                | Some c -> (
-                    match c pid with
-                    | View.Deliver_all -> (1, Bytes.empty)
-                    | View.Omit_all -> (2, Bytes.empty)
-                    | View.Omit_mask b -> (3, b))
-              in
               for i = 0 to len - 1 do
                 let dst = Mailbox.peer ob i in
                 incr messages_sent;
                 bits_sent := !bits_sent + max 1 (P.msg_bits (Mailbox.msg ob i));
-                let omitted =
-                  match mode with
-                  | 0 -> plan.omit pid dst
-                  | 1 -> false
-                  | 2 -> true
-                  | _ -> Bytes.get mbytes dst <> '\000'
-                in
-                if omitted then begin
+                if plan.omit pid dst then begin
                   if (not faulty.(pid)) && not faulty.(dst) then
                     illegal "omission between non-faulty %d -> %d at round %d"
                       pid dst r;

@@ -82,11 +82,11 @@ val run :
     budgets.
 
     [trace], if given, receives the run's structured event stream, in the
-    order {!Trace.Event} documents. A message-level sink puts the run on
-    the per-message delivery route; a round-level one ({!Trace.Sink.rounds},
-    e.g. a [Trace.Metrics] collector) leaves the route as it would be
-    untraced. When [trace] is absent no event is constructed (tracing is
-    zero-cost off).
+    order {!Trace.Event} documents. The sink never picks the delivery
+    route: only [link] and the plan's compiled verdicts do. A round-level
+    sink ({!Trace.Sink.rounds}, e.g. a [Trace.Metrics] collector) gets no
+    message-level event, so none is built. When [trace] is absent no
+    event is constructed (tracing is zero-cost off).
 
     [link], if given, is the lossy-link transport hook (see
     {!Link_intf}): it is reset from the run seed before the first round,

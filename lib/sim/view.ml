@@ -55,8 +55,8 @@ type t = {
 
 (** The round's pending messages, one envelope per (src, dst) pair —
     broadcasts expanded. The engine materialises the array on first access
-    each round; an adversary that never looks at the envelopes never pays
-    for them. *)
+    each round. Tracing never reads it, so an adversary that never looks
+    at the envelopes never pays for them. *)
 let envelopes t =
   if not t.envelopes_ready then begin
     t.envelopes <- t.refresh_envelopes ();
@@ -81,8 +81,9 @@ type plan = {
       (** per-sender compiled form of [omit], when the strategy can
           precompute it: [compiled src] must agree with [omit src dst] for
           every [dst], and must not draw randomness or otherwise depend on
-          call order. The engine prefers it wherever present (mask-blit
-          delivery with aggregate counters); strategies whose predicate
+          call order. Without a link the engine delivers by it (mask-blit
+          delivery with aggregate counters), traced or not; over a link
+          it reads [omit] instead. Strategies whose predicate
           draws randomness per call — where the draw order is part of the
           observable bit-stream — must leave it [None]. *)
 }
@@ -97,14 +98,3 @@ let no_op =
     omit = (fun _ _ -> false);
     compiled = Some (fun _ -> Deliver_all);
   }
-
-(** Omission predicate dropping every message to or from any pid in [pids]. *)
-let omit_all_of pids =
-  let set = Hashtbl.create (List.length pids * 2) in
-  List.iter (fun p -> Hashtbl.replace set p ()) pids;
-  fun src dst -> Hashtbl.mem set src || Hashtbl.mem set dst
-
-(** Crash-style plan: corrupt [pids] and silence them completely.
-    Pointwise (the helper does not know n, so it cannot build masks);
-    adversaries that want the compiled path build their own plans. *)
-let crash pids = { new_faults = pids; omit = omit_all_of pids; compiled = None }

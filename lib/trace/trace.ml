@@ -288,7 +288,7 @@ end
 
 module Sink = struct
   (* [messages]: the sink consumes message-level events, so the engine
-     must run its per-message route to produce them *)
+     builds them *)
   type t = { emit : Event.t -> unit; close : unit -> unit; messages : bool }
 
   let make ~emit ~close = { emit; close; messages = true }

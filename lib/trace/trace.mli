@@ -25,7 +25,7 @@ module Event : sig
       Per-round order, as [Sim.Engine.run] emits it: [Round_start]; then
       per process in pid order [Coin] (when the counted source advanced),
       [Phase] (when the observable state changed) and [Decide] (on the
-      decision transition); then one [Send] per envelope in ascending
+      decision transition); then one [Send] per message in ascending
       [src] order; [Corrupt] for each newly corrupted process in plan
       order; [Omit]/[Deliver] per message in delivery order (over a lossy
       link, a message's link events come before its [Deliver], or stand
@@ -36,9 +36,10 @@ module Event : sig
 
       The events marked {e message-level} below ({!is_message}) are one per
       message or per link attempt; the rest are {e round-level}. A sink
-      that takes only round-level events ({!Sink.rounds}) lets the engine
-      keep its fast delivery route, and sees the same round-level
-      events, in the same order, as a message-level sink would. *)
+      that takes only round-level events ({!Sink.rounds}) spares the
+      engine building the message-level ones, and sees the same
+      round-level events, in the same order, as a message-level sink
+      would. No sink changes which delivery route a run takes. *)
   type t =
     | Round_start of { round : int }
     | Send of { round : int; src : int; dst : int; bits : int; hint : int option }
@@ -230,9 +231,9 @@ module Observers : sig
     unit -> t
 
   val sink : t -> Sink.t option
-  (** [None] when nothing is requested, so an untraced run keeps the
-      engine's sink-free route. Round-level with metrics alone;
-      message-level with a tail or a file. *)
+  (** [None] when nothing is requested, so an untraced run builds no
+      event. Round-level with metrics alone; message-level with a tail
+      or a file. *)
 
   val tail_lines : t -> string list
   (** Empty without a tail. *)

@@ -105,10 +105,12 @@ let test_illegal_omission_rejected () =
        false
      with Sim.Engine.Illegal_plan _ -> true)
 
-(* The fast route's legality scan over compiled verdicts raises the same
+(* The mask route's legality scan over compiled verdicts raises the same
    [Illegal_plan] as the general route's per-message predicate: the first
    omission between non-faulty processes in emission order. Echo emits
-   pointwise (descending), Flood one broadcast segment. *)
+   pointwise (descending), Flood one broadcast segment. Traced, both
+   routes leave the same event prefix: the cheating sender's events
+   before the illegal message are emitted, then the run raises. *)
 let test_compiled_illegal_matches_general () =
   let n = 8 in
   let cfg = cfg ~n () in
@@ -134,13 +136,18 @@ let test_compiled_illegal_matches_general () =
           });
     }
   in
-  let raised proto adversary =
+  let raised ?trace proto adversary =
     try
       ignore
-        (Sim.Engine.run proto cfg ~adversary
+        (Sim.Engine.run ?trace proto cfg ~adversary
            ~inputs:(Array.init n (fun i -> i mod 2)));
       "no exception"
     with Sim.Engine.Illegal_plan s -> s
+  in
+  let traced proto adversary =
+    let sink, events = Trace.Sink.memory () in
+    let s = raised ~trace:sink proto adversary in
+    (s, List.map Trace.Event.to_json (events ()))
   in
   List.iter
     (fun (proto : Sim.Protocol_intf.buffered) ->
@@ -152,7 +159,13 @@ let test_compiled_illegal_matches_general () =
             "fast = general"
             (raised proto (Adversary.pointwise adv))
             fast;
-          Alcotest.(check bool) "raised" true (fast <> "no exception"))
+          Alcotest.(check bool) "raised" true (fast <> "no exception");
+          let msg, prefix = traced proto adv in
+          let msg', prefix' = traced proto (Adversary.pointwise adv) in
+          Alcotest.(check string) "traced mask route" fast msg;
+          Alcotest.(check string) "traced general route" fast msg';
+          Alcotest.(check (list string)) "trace prefix up to the raise"
+            prefix' prefix)
         [ Sim.View.Omit_mask mask; Sim.View.Omit_all ])
     [ (module Echo); Consensus.Flood.protocol_buffered cfg ]
 

@@ -4,22 +4,23 @@
    strategy, seed, input pattern), runs that reach the same engine state
    through genuinely different engine code must agree:
 
-   - broadcast emission with compiled omission masks, traced, against
-     pointwise emission ({!Sim.Protocol_intf.pointwise_emission}) with
-     the masks stripped ({!Adversary.pointwise}), traced: the outcome and
+   - broadcast emission with compiled omission masks (the mask route),
+     traced, against pointwise emission ({!Sim.Protocol_intf.pointwise_emission}) with
+     the masks stripped ({!Adversary.pointwise}, the general route),
+     traced: the outcome and
      the JSONL trace must be byte-identical. Runs that abort with
      [Illegal_plan] (the grid deliberately includes over-budget
      strategies) must abort with the same message after the same trace
      prefix;
-   - the untraced fast route (mask-blit delivery and the shared broadcast
+   - the untraced mask route (mask-blit delivery and the shared broadcast
      table) against the untraced general route (stripped masks, per-message
      predicate): outcomes equal, and equal to the traced run's;
    - one reusable {!Sim.Engine.instance} run twice: each run byte-identical
      to the fresh traced run, so cross-run buffer reuse leaks no state;
-   - a round-level sink ({!Trace.Sink.rounds}), which leaves the run on the
-     fast route: its stream must be byte-identical to the traced
-     reference's filtered to round-level events, and each reference
-     [Round_end] must total that round's [Send] events.
+   - a round-level sink ({!Trace.Sink.rounds}): its stream must be
+     byte-identical to the traced reference's filtered to round-level
+     events, and each reference [Round_end] must total that round's
+     [Send] events.
 
    The golden test then pins every protocol's whole grid to an MD5 digest
    written before the list-based protocol path was removed. *)
@@ -83,11 +84,10 @@ let capture ?(strip = false) ?(rounds = false) ~n ~adv_idx run =
   in
   (res, events ())
 
-(* Untraced run: outcome only. Without a tracer the engine takes the
-   mask-blit fast path whenever the plan carries compiled verdicts, so
-   comparing this against the stripped (predicate-path) run is what
-   actually exercises the fast path's delivery, counters and legality
-   scan. *)
+(* Untraced run: outcome only. The engine takes the mask route whenever
+   the plan carries compiled verdicts, traced or not; untraced, it runs
+   the route's delivery, counters and legality scan with no event walk
+   beside them, against the stripped (predicate-route) run. *)
 let capture_untraced ?(strip = false) ~n ~adv_idx run =
   let adversary = adversary_for ~strip ~n ~adv_idx in
   try Ok (run ~adversary) with Sim.Engine.Illegal_plan m -> Error m
@@ -276,17 +276,20 @@ let sparse_line (protocol, n, seed, adversary) =
 let test_sparse_golden () =
   check_digests ~file:sparse_file (List.map sparse_line sparse_cells)
 
-(* Route witness: a protocol whose [msg_bits] counts its calls. The fast
+(* Route witness: a protocol whose [msg_bits] counts its calls. The mask
    route prices a broadcast segment once; the general route prices every
-   message, and a message-level sink prices each again for its [Send]
-   events. Flood under a crash schedule (compiled masks) must therefore
-   price no more than n times a round with a round-level sink, exactly as
-   untraced, and at least once per message with a [Tail]. *)
+   message; a message-level sink prices each message once more for its
+   [Send] event. Flood under a crash schedule (compiled masks) must
+   therefore price no more than n times a round untraced and with a
+   round-level sink, and no more than that plus once per message with any
+   message-level sink: no sink moves the run off the mask route. The same
+   [Tail] on the stripped run, which takes the general route, prices
+   every message twice. *)
 let test_route_witness () =
   let n = 64 in
   let cfg = Sim.Config.make ~n ~t_max:4 ~seed:1 ~max_rounds:10 () in
   let inputs = Array.init n (fun i -> i mod 2) in
-  let priced ?trace () =
+  let priced ?(strip = false) ?trace () =
     let calls = ref 0 in
     let (module P) = Consensus.Flood.protocol_buffered cfg in
     let proto : Sim.Protocol_intf.buffered =
@@ -298,11 +301,11 @@ let test_route_witness () =
           P.msg_bits m
       end)
     in
-    let o =
-      Sim.Engine.run ?trace proto cfg
-        ~adversary:(Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]) ])
-        ~inputs
+    let adversary = Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]) ] in
+    let adversary =
+      if strip then Adversary.pointwise adversary else adversary
     in
+    let o = Sim.Engine.run ?trace proto cfg ~adversary ~inputs in
     (o, !calls)
   in
   let o, untraced = priced () in
@@ -310,39 +313,47 @@ let test_route_witness () =
   Alcotest.(check bool)
     (Printf.sprintf "untraced: %d pricings <= %d" untraced per_round)
     true (untraced <= per_round);
-  let observers ?tail ?file () =
-    Trace.Observers.create ~metrics:true ?tail ?file ()
-  in
-  let level ~what obs ~messages =
-    let sink = Option.get (Trace.Observers.sink obs) in
-    Alcotest.(check bool) (what ^ " is message-level") messages
-      (Trace.Sink.messages sink);
-    let o', calls = priced ~trace:sink () in
-    Trace.Observers.close obs;
+  let bound = o.messages_sent + per_round in
+  let check ~what ~messages (o', calls) =
     Alcotest.(check bool) (what ^ ": same outcome") true (o = o');
     if messages then
       Alcotest.(check bool)
-        (Printf.sprintf "%s: %d pricings >= %d messages" what calls
-           o.messages_sent)
-        true
-        (calls >= o.messages_sent)
+        (Printf.sprintf "%s: %d pricings <= %d" what calls bound)
+        true (calls <= bound)
     else Alcotest.(check int) (what ^ ": pricings as untraced") untraced calls
   in
-  let sink, _ = Trace.Sink.memory () in
-  let o', calls = priced ~trace:(Trace.Sink.rounds sink) () in
-  Alcotest.(check bool) "rounds memory: same outcome" true (o = o');
-  Alcotest.(check int) "rounds memory: pricings as untraced" untraced calls;
-  let tail = Trace.Tail.create ~rounds:5 () in
-  let _, calls = priced ~trace:(Trace.Tail.sink tail) () in
-  Alcotest.(check bool)
-    (Printf.sprintf "tail: %d pricings >= %d messages" calls o.messages_sent)
-    true
-    (calls >= o.messages_sent);
-  level ~what:"metrics" (observers ()) ~messages:false;
-  level ~what:"metrics+tail" (observers ~tail:5 ()) ~messages:true;
+  let observed ~what ?tail ?file () =
+    let obs = Trace.Observers.create ~metrics:true ?tail ?file () in
+    let sink = Option.get (Trace.Observers.sink obs) in
+    let messages = tail <> None || file <> None in
+    Alcotest.(check bool) (what ^ " is message-level") messages
+      (Trace.Sink.messages sink);
+    let res = priced ~trace:sink () in
+    Trace.Observers.close obs;
+    check ~what ~messages res
+  in
+  let memory, _ = Trace.Sink.memory () in
+  check ~what:"rounds memory" ~messages:false
+    (priced ~trace:(Trace.Sink.rounds memory) ());
+  check ~what:"memory" ~messages:true (priced ~trace:memory ());
+  check ~what:"tail" ~messages:true
+    (priced ~trace:(Trace.Tail.sink (Trace.Tail.create ~rounds:5 ())) ());
+  observed ~what:"metrics" ();
+  observed ~what:"metrics+tail" ~tail:5 ();
   let path = Filename.temp_file "route_witness" ".jsonl" in
-  level ~what:"metrics+file" (observers ~file:path ()) ~messages:true;
-  Sys.remove path
+  observed ~what:"metrics+file" ~file:path ();
+  Sys.remove path;
+  let o', calls =
+    priced ~strip:true
+      ~trace:(Trace.Tail.sink (Trace.Tail.create ~rounds:5 ()))
+      ()
+  in
+  Alcotest.(check bool) "stripped tail: same outcome" true (o = o');
+  Alcotest.(check bool)
+    (Printf.sprintf "stripped tail: %d pricings >= %d" calls
+       (2 * o.messages_sent))
+    true
+    (calls >= 2 * o.messages_sent)
 
 let suite =
   List.map
@@ -353,7 +364,7 @@ let suite =
         `Quick (test_entry entry))
     Harness.Registry.all
   @ [
-      Alcotest.test_case "round-level sinks keep the fast route" `Quick
+      Alcotest.test_case "every sink keeps the fast route" `Quick
         test_route_witness;
       Alcotest.test_case "registry grids match golden digests" `Quick test_golden;
       Alcotest.test_case "sparse-expander Core runs match golden digests" `Quick
