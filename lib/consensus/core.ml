@@ -185,6 +185,10 @@ type t = {
       (** by position in [nbrs]: silent neighbors, permanent *)
   heard : bool array;
       (** by position in [nbrs]: scratch for one spreading slot *)
+  mutable cursor : int;
+      (** scratch for one spreading slot: how far the sorted inbox has
+          moved the neighbour lookup through [nbrs] *)
+  mutable heard_count : int;  (** distinct live neighbours heard this slot *)
 }
 
 (* Local index of a global pid, or -1 for non-members. Bounds-checked:
@@ -240,6 +244,8 @@ let create sh ~pid ~input =
     sent = Array.make (Groups.group_count sh.part) false;
     disregarded = Array.make degree false;
     heard = Array.make degree false;
+    cursor = 0;
+    heard_count = 0;
   }
 
 let candidate st = st.b
@@ -368,19 +374,21 @@ let to_group_into st wm ~emit ~emit_all =
     done
 
 (* Emission at a stage's C slot: the transmitter sends each group member the
-   result pair for that member's parent bag. *)
+   result pair for that member's parent bag. A member's rank is its
+   position in [group_locals], so parent bag [k] is the positions
+   [k lsl s ..] and its members share one wrapped record. *)
 let agg_emit_results_into st ~slot ~s ~wrap ~emit =
-  if transmits st ~slot then
-    for i = Array.length st.group_locals - 1 downto 0 do
-      let l = st.group_locals.(i) in
-      if l <> st.me then begin
-        let rank_l = Groups.rank_of st.sh.part l in
-        let k = rank_l lsr s in
-        let left = relayed st (2 * k) in
-        let right = relayed st ((2 * k) + 1) in
-        emit (global st l) (wrap (Result { stage = s; left; right }))
-      end
+  if transmits st ~slot then begin
+    let last = Array.length st.group_locals - 1 in
+    for k = last lsr s downto 0 do
+      let left = relayed st (2 * k) and right = relayed st ((2 * k) + 1) in
+      let wm = wrap (Result { stage = s; left; right }) in
+      for i = min last (((k + 1) lsl s) - 1) downto k lsl s do
+        let l = st.group_locals.(i) in
+        if l <> st.me then emit (global st l) wm
+      done
     done
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Spreading (Algorithm 3)                                             *)
@@ -422,30 +430,48 @@ let rec absorb_delta bitpacks = function
          | Some _ -> ());
       absorb_delta bitpacks rest
 
+(* Position of local index [l] in [st.nbrs], or -1. Senders arrive in
+   ascending order, so a cursor that only moves forward finds each
+   neighbour in O(1) amortised, and a repeated sender stays on it. A
+   sender not above the entry before the cursor is out of order and
+   falls back to the binary search. *)
+let nbr_position st g l =
+  let nbrs = st.nbrs in
+  let deg = Array.length nbrs in
+  let c = ref st.cursor in
+  while !c < deg && Array.unsafe_get nbrs !c < l do
+    incr c
+  done;
+  let c = !c in
+  st.cursor <- c;
+  if c < deg && Array.unsafe_get nbrs c = l then c
+  else if c = 0 || Array.unsafe_get nbrs (c - 1) < l then -1
+  else Expander.neighbor_index g st.me l
+
+let spread_receive st g src = function
+  | Spread_delta entries ->
+      let l = index_in st.sh src in
+      let i = if l >= 0 then nbr_position st g l else -1 in
+      if i >= 0 && not st.disregarded.(i) then begin
+        if not st.heard.(i) then begin
+          st.heard.(i) <- true;
+          st.heard_count <- st.heard_count + 1
+        end;
+        absorb_delta st.bitpacks entries
+      end
+  | Counts _ | Confirm _ | Result _ | Final _ -> ()
+
 let spread_process st ~slot ~iter =
   match st.sh.graph with
   | Some g when st.operative ->
       Array.fill st.heard 0 (Array.length st.heard) false;
-      let count = ref 0 in
-      iter (fun src m ->
-          match m with
-          | Spread_delta entries ->
-              let l = index_in st.sh src in
-              let i =
-                if l >= 0 then Expander.neighbor_index g st.me l else -1
-              in
-              if i >= 0 && not st.disregarded.(i) then begin
-                if not st.heard.(i) then begin
-                  st.heard.(i) <- true;
-                  incr count
-                end;
-                absorb_delta st.bitpacks entries
-              end
-          | Counts _ | Confirm _ | Result _ | Final _ -> ());
-      Array.iteri
-        (fun i h -> if not h then st.disregarded.(i) <- true)
-        st.heard;
-      if !count < st.sh.op_threshold then become_inoperative st ~slot
+      st.cursor <- 0;
+      st.heard_count <- 0;
+      iter (spread_receive st g);
+      for i = 0 to Array.length st.heard - 1 do
+        if not st.heard.(i) then st.disregarded.(i) <- true
+      done;
+      if st.heard_count < st.sh.op_threshold then become_inoperative st ~slot
   | Some _ | None -> ()
 
 (* ------------------------------------------------------------------ *)

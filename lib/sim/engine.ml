@@ -548,19 +548,22 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
           (* General route: a link, or a pointwise-only plan. Broadcast
              segments are expanded in place first, then the per-message
              loop runs exactly as the legacy engine did, with the
-             omission verdict read from the predicate. *)
+             omission verdict read from the predicate. The sender is
+             priced once up front, so a flattened broadcast's repeated
+             record costs one [msg_bits] call; an [Illegal_plan] midway
+             aborts the run, so no partial count is ever read. *)
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             Mailbox.flatten ob;
             let len = Mailbox.length ob in
             if len > 0 then begin
+              bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
               if Bytes.length !omit_scratch < len then
                 omit_scratch := Bytes.create len;
               let om = !omit_scratch in
               for i = 0 to len - 1 do
                 let dst = Mailbox.peer ob i in
                 incr messages_sent;
-                bits_sent := !bits_sent + max 1 (P.msg_bits (Mailbox.msg ob i));
                 if plan.omit pid dst then begin
                   if (not faulty.(pid)) && not faulty.(dst) then
                     illegal "omission between non-faulty %d -> %d at round %d"

@@ -401,12 +401,20 @@ let[@inline] passes mask dst =
 
 (** [total_bits t f]: the expanded bit total
     [fold t ~init:0 (fun acc _ m -> acc + max 1 (f m))] of a buffer
-    without an attached broadcast table, with one [f] call per pointwise
-    slot and per segment. *)
+    without an attached broadcast table, with one [f] call per segment and
+    per run of consecutive pointwise slots holding the same ([==]) record:
+    a protocol that sends one shared record to many destinations in a row
+    is priced once, so [f] must be a pure function of the record. *)
 let total_bits t f =
-  let bits = ref 0 in
-  for i = 0 to t.len - 1 do
-    bits := !bits + max 1 (f (Array.unsafe_get t.msgs i))
+  let bits = ref 0 and i = ref 0 in
+  while !i < t.len do
+    let m = Array.unsafe_get t.msgs !i in
+    let j = ref (!i + 1) in
+    while !j < t.len && Array.unsafe_get t.msgs !j == m do
+      incr j
+    done;
+    bits := !bits + ((!j - !i) * max 1 (f m));
+    i := !j
   done;
   for j = 0 to t.seg_len - 1 do
     let size =

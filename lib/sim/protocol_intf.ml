@@ -42,7 +42,10 @@ module type BUFFERED = sig
 
   val msg_bits : msg -> int
   (** Size of a message in bits, charged to communication complexity. Must
-      be at least 1 (a message carries at least one bit). *)
+      be at least 1 (a message carries at least one bit), and a pure
+      function of the record: the engine prices a record shared by a run
+      of consecutive destinations, or by a broadcast, once for all of
+      them. *)
 
   val msg_hint : msg -> int option
   (** Candidate value carried by the message, if meaningful; exposed to the

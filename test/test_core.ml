@@ -12,19 +12,19 @@ module Core = Consensus.Core
 (* A list-backed inbox iterator, for driving the core without an engine. *)
 let iter inbox f = List.iter (fun (src, m) -> f src m) inbox
 
-(* Run the full core schedule (epochs + Bcast) over a network where
-   [omit ~slot ~src ~dst] drops messages. Returns the states after
-   finalize. *)
-let drive ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) ~m ~inputs () =
-  let members = Array.init m (fun i -> i) in
-  let sh =
-    Core.make_shared ~members ~seed:42 ~params:Consensus.Params.default
-      ~t_max:(max 1 (m / 31)) ()
-  in
+let make_shared m =
+  Core.make_shared ~members:(Array.init m (fun i -> i)) ~seed:42
+    ~params:Consensus.Params.default ~t_max:(max 1 (m / 31)) ()
+
+(* Step every member through slots 1..[upto] over a network where
+   [omit ~slot ~src ~dst] drops messages. Returns the states, the inboxes
+   of slot [upto + 1] and the random source. *)
+let run_slots ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) sh ~inputs ~upto =
+  let m = sh.Core.m in
   let sts = Array.init m (fun pid -> Core.create sh ~pid ~input:(inputs pid)) in
   let inboxes = Array.make m [] in
   let rand = Sim.Rand.create ~seed:5L () in
-  for slot = 1 to Core.rounds sh do
+  for slot = 1 to upto do
     let next = Array.make m [] in
     Array.iteri
       (fun pid st ->
@@ -42,6 +42,12 @@ let drive ?(omit = fun ~slot:_ ~src:_ ~dst:_ -> false) ~m ~inputs () =
       (fun i l -> inboxes.(i) <- List.sort (fun (a, _) (b, _) -> compare a b) l)
       next
   done;
+  (sts, inboxes, rand)
+
+(* Run the full core schedule (epochs + Bcast) and finalize. *)
+let drive ?omit ~m ~inputs () =
+  let sh = make_shared m in
+  let sts, inboxes, _ = run_slots ?omit sh ~inputs ~upto:(Core.rounds sh) in
   Array.iteri
     (fun pid st -> Core.finalize_into st ~iter:(iter inboxes.(pid)))
     sts;
@@ -287,6 +293,73 @@ let test_msg_bits () =
         ])
     [ 1; 2; 16; 96; 300 ]
 
+(* The spreading receive finds each sender in the neighbour array with a
+   forward cursor, relying on the inbox being sorted by sender; sources
+   out of order, repeated or outside the neighbourhood must still land
+   where the binary search puts them. Drive a clean network to the first
+   spreading slot, then hand one process heartbeats from a subset [s] of
+   its neighbours (every other one, enough to stay operative) in
+   ascending, descending and shuffled order, each time with one sender
+   repeated, one member that is not a neighbour and one pid outside the
+   instance. Its next emission must go to exactly [s]. *)
+let test_spread_lookup_order () =
+  let m = 96 and target = 5 in
+  let sh = make_shared m in
+  let first_spread =
+    let k = ref 0 in
+    while sh.Core.schedule.(!k) <> Core.Spread 1 do
+      incr k
+    done;
+    !k + 1
+  in
+  let nbrs =
+    Expander.neighbors (Option.get sh.Core.graph) target |> Array.to_list
+  in
+  let s = List.filteri (fun i _ -> i mod 2 = 0) nbrs in
+  let stranger =
+    List.find
+      (fun q -> q <> target && not (List.mem q nbrs))
+      (List.init m Fun.id)
+  in
+  let emitted order =
+    let sts, _, rand =
+      run_slots sh ~inputs:(fun pid -> pid mod 2) ~upto:first_spread
+    in
+    let hb src = (src, Core.Spread_delta []) in
+    let srcs = order s in
+    let dup = List.nth srcs (List.length srcs / 2) in
+    let inbox =
+      List.concat_map
+        (fun q ->
+          if q = dup then [ hb q; hb q; hb stranger ] else [ hb q ])
+        srcs
+      @ [ hb (m + 3) ]
+    in
+    let out = ref [] in
+    let emit dst _ = out := dst :: !out in
+    Core.step_into sts.(target) ~slot:(first_spread + 1) ~iter:(iter inbox)
+      ~rand ~wrap:Fun.id ~emit
+      ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
+    Alcotest.(check bool) "still operative" true (Core.operative sts.(target));
+    List.sort compare !out
+  in
+  let shuffle l =
+    let a = Array.of_list l in
+    let rng = Random.State.make [| 11 |] in
+    for i = Array.length a - 1 downto 1 do
+      let j = Random.State.int rng (i + 1) in
+      let x = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- x
+    done;
+    Array.to_list a
+  in
+  List.iter
+    (fun (what, order) ->
+      Alcotest.(check (list int)) (what ^ ": emits to the senders heard") s
+        (emitted order))
+    [ ("ascending", Fun.id); ("descending", List.rev); ("shuffled", shuffle) ]
+
 (* The loop form of [Params.log2_ceil] against its former recursive
    definition, including the [n <= 1] branch. *)
 let test_log2_ceil_reference () =
@@ -320,6 +393,8 @@ let suite =
     Alcotest.test_case "two-member core" `Quick test_two_member_core;
     Alcotest.test_case "set_candidate" `Quick test_set_candidate;
     Alcotest.test_case "non-members rejected" `Quick test_non_members;
+    Alcotest.test_case "spreading lookup in any sender order" `Quick
+      test_spread_lookup_order;
     Alcotest.test_case "message bits" `Quick test_msg_bits;
     Alcotest.test_case "log2_ceil = recursive reference" `Quick
       test_log2_ceil_reference;

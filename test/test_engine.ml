@@ -494,6 +494,41 @@ let test_alg1_allocation_per_message () =
     (Printf.sprintf "%.1f minor words per message sent <= 8" per_msg)
     true (per_msg <= 8.)
 
+let test_alg1_pricing_per_record () =
+  (* Each spreading slot sends one shared delta record to every live
+     neighbour, and each C slot one result record per parent bag: the
+     engine prices a run of one shared record once, not once per
+     destination. *)
+  let n = 96 in
+  let cfg0 = Sim.Config.make ~n ~t_max:(n / 31) ~seed:1 ~max_rounds:1 () in
+  let cfg =
+    {
+      cfg0 with
+      Sim.Config.max_rounds =
+        Consensus.Optimal_omissions.rounds_needed cfg0 + 10;
+    }
+  in
+  let calls = ref 0 in
+  let (module P) = Consensus.Optimal_omissions.protocol_buffered cfg in
+  let proto : Sim.Protocol_intf.buffered =
+    (module struct
+      include P
+
+      let msg_bits m =
+        incr calls;
+        P.msg_bits m
+    end)
+  in
+  let o =
+    Sim.Engine.run proto cfg ~adversary:(Adversary.vote_splitter ())
+      ~inputs:(Array.init n (fun i -> i mod 2))
+  in
+  Alcotest.(check bool) "decided" true (o.Sim.Engine.decided_round <> None);
+  let per_msg = float_of_int !calls /. float_of_int o.Sim.Engine.messages_sent in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f msg_bits calls per message sent <= 0.1" per_msg)
+    true (per_msg <= 0.1)
+
 let test_input_validation () =
   let cfg = cfg () in
   Alcotest.(check bool) "wrong input length rejected" true
@@ -547,4 +582,6 @@ let suite =
       test_compiled_illegal_matches_general;
     Alcotest.test_case "optimal n=96 allocates <= 8 words per message" `Quick
       test_alg1_allocation_per_message;
+    Alcotest.test_case "optimal n=96 prices once per shared record" `Quick
+      test_alg1_pricing_per_record;
   ]

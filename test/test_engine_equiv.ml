@@ -276,21 +276,24 @@ let sparse_line (protocol, n, seed, adversary) =
 let test_sparse_golden () =
   check_digests ~file:sparse_file (List.map sparse_line sparse_cells)
 
-(* Route witness: a protocol whose [msg_bits] counts its calls. The mask
-   route prices a broadcast segment once; the general route prices every
-   message; a message-level sink prices each message once more for its
-   [Send] event. Flood under a crash schedule (compiled masks) must
-   therefore price no more than n times a round untraced and with a
-   round-level sink, and no more than that plus once per message with any
-   message-level sink: no sink moves the run off the mask route. The same
-   [Tail] on the stripped run, which takes the general route, prices
-   every message twice. *)
+(* Route witness: a protocol whose [msg_bits] counts its calls, against
+   an adversary whose [omit] predicate counts its calls. The mask route
+   delivers by the compiled verdicts and never asks the predicate; the
+   general route asks it once per message. Both routes price a broadcast
+   record once per sender; a message-level sink prices each message once
+   more for its [Send] event. Flood under a crash schedule (compiled
+   masks) must therefore ask the predicate nothing and price no more than
+   n times a round untraced and with a round-level sink, and no more than
+   that plus once per message with any message-level sink: no sink moves
+   the run off the mask route. The same [Tail] on the stripped run, which
+   takes the general route, asks the predicate once per message and
+   prices within the same bound. *)
 let test_route_witness () =
   let n = 64 in
   let cfg = Sim.Config.make ~n ~t_max:4 ~seed:1 ~max_rounds:10 () in
   let inputs = Array.init n (fun i -> i mod 2) in
   let priced ?(strip = false) ?trace () =
-    let calls = ref 0 in
+    let calls = ref 0 and omits = ref 0 in
     let (module P) = Consensus.Flood.protocol_buffered cfg in
     let proto : Sim.Protocol_intf.buffered =
       (module struct
@@ -305,17 +308,36 @@ let test_route_witness () =
     let adversary =
       if strip then Adversary.pointwise adversary else adversary
     in
+    let adversary =
+      {
+        adversary with
+        Sim.Adversary_intf.create =
+          (fun cfg rand ->
+            let adv = adversary.Sim.Adversary_intf.create cfg rand in
+            fun view ->
+              let plan = adv view in
+              {
+                plan with
+                Sim.View.omit =
+                  (fun src dst ->
+                    incr omits;
+                    plan.Sim.View.omit src dst);
+              });
+      }
+    in
     let o = Sim.Engine.run ?trace proto cfg ~adversary ~inputs in
-    (o, !calls)
+    (o, !calls, !omits)
   in
-  let o, untraced = priced () in
+  let o, untraced, omits = priced () in
   let per_round = o.Sim.Engine.rounds_total * n in
   Alcotest.(check bool)
     (Printf.sprintf "untraced: %d pricings <= %d" untraced per_round)
     true (untraced <= per_round);
+  Alcotest.(check int) "untraced: no predicate calls" 0 omits;
   let bound = o.messages_sent + per_round in
-  let check ~what ~messages (o', calls) =
+  let check ~what ~messages (o', calls, omits) =
     Alcotest.(check bool) (what ^ ": same outcome") true (o = o');
+    Alcotest.(check int) (what ^ ": no predicate calls") 0 omits;
     if messages then
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d pricings <= %d" what calls bound)
@@ -343,17 +365,17 @@ let test_route_witness () =
   let path = Filename.temp_file "route_witness" ".jsonl" in
   observed ~what:"metrics+file" ~file:path ();
   Sys.remove path;
-  let o', calls =
+  let o', calls, omits =
     priced ~strip:true
       ~trace:(Trace.Tail.sink (Trace.Tail.create ~rounds:5 ()))
       ()
   in
   Alcotest.(check bool) "stripped tail: same outcome" true (o = o');
+  Alcotest.(check int) "stripped tail: one predicate call per message"
+    o.messages_sent omits;
   Alcotest.(check bool)
-    (Printf.sprintf "stripped tail: %d pricings >= %d" calls
-       (2 * o.messages_sent))
-    true
-    (calls >= 2 * o.messages_sent)
+    (Printf.sprintf "stripped tail: %d pricings <= %d" calls bound)
+    true (calls <= bound)
 
 let suite =
   List.map

@@ -306,12 +306,60 @@ let bytes_of_flags l =
   Bytes.of_string
     (String.concat "" (List.map (fun b -> if b then "\001" else "\000") l))
 
+(* Runs of pointwise pushes for the pricing check: [(k, v, shared)] pushes
+   [k] slots holding [v], either as one shared record or as [k]
+   structurally equal but physically distinct copies. *)
+let runs_gen = QCheck.(small_list (triple (int_range 1 6) small_int bool))
+
+type boxed = { v : int }
+
+(* The mixed load and the runs over boxed records, every [`P] and [`B]
+   record fresh. [total_bits] must equal the fold and call its pricing
+   function once per segment and once per maximal run of physically
+   equal consecutive pointwise slots: never once per destination of a
+   shared record, and never once for two distinct records. *)
+let priced_per_record ops runs =
+  let mb = Sim.Mailbox.create () in
+  apply_ops mb
+    (List.map
+       (function
+         | `P (peer, m) -> `P (peer, { v = m })
+         | `B (lo, hi, skip, desc, m) -> `B (lo, hi, skip, desc, { v = m }))
+       ops);
+  List.iter
+    (fun (k, v, shared) ->
+      let r = { v } in
+      for i = 0 to k - 1 do
+        Sim.Mailbox.push mb ~peer:(i mod 8)
+          (if shared then r else { v })
+      done)
+    runs;
+  let records =
+    let rec count prev i acc =
+      if i = Sim.Mailbox.point_length mb then acc
+      else
+        let m = Sim.Mailbox.msg mb i in
+        count (Some m) (i + 1)
+          (match prev with Some p when p == m -> acc | _ -> acc + 1)
+    in
+    count None 0 0 + Sim.Mailbox.seg_count mb
+  in
+  let calls = ref 0 in
+  let f r =
+    incr calls;
+    r.v mod 5
+  in
+  Sim.Mailbox.total_bits mb f
+  = Sim.Mailbox.fold mb ~init:0 (fun acc _ r -> acc + max 1 (r.v mod 5))
+  && !calls = records
+
 let qcheck_rdeliver_mask =
   QCheck.Test.make
     ~name:"rdeliver ~mask = riter + filtered push; bit total = fold"
     ~count:500
-    QCheck.(triple mixed_load mask_gen (list_of_size (Gen.return 8) bool))
-    (fun (ops, flags, except) ->
+    QCheck.(
+      quad mixed_load mask_gen (list_of_size (Gen.return 8) bool) runs_gen)
+    (fun (ops, flags, except, runs) ->
       let mb = Sim.Mailbox.create () in
       apply_ops mb ops;
       let mask =
@@ -364,6 +412,7 @@ let qcheck_rdeliver_mask =
       rows inboxes = rows expected
       && Sim.Mailbox.total_bits mb f
          = Sim.Mailbox.fold mb ~init:0 (fun acc _ m -> acc + max 1 (f m))
+      && priced_per_record ops runs
       && masked_ok && shared_ok)
 
 let suite =
