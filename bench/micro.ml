@@ -17,13 +17,12 @@ let words_allocated () =
   let s = Gc.quick_stat () in
   Gc.minor_words () +. s.Gc.major_words -. s.Gc.promoted_words
 
-(* Total allocated words (all heaps: the envelope arena and the exact
-   window are big enough to be allocated directly on the major heap, so a
-   minor-words-only delta would undercount the very arrays the refactor
-   removes), total rounds and wall time over [runs] runs of [f]. One
-   warmup run first: the reusable {!Sim.Engine.instance} pays its
-   one-time buffer construction there — steady-state cost is
-   what the perf gate tracks. *)
+(* Total allocated words (all heaps: a mailbox array grown past the
+   minor-heap size limit is allocated directly on the major heap, so a
+   minor-words-only delta would undercount it), total rounds and wall
+   time over [runs] runs of [f]. One warmup run first: the reusable
+   {!Sim.Engine.instance} pays its one-time buffer construction there —
+   steady-state cost is what the perf gate tracks. *)
 let measure_runs f ~runs =
   ignore (f () : Sim.Engine.outcome);
   Gc.full_major ();
@@ -105,7 +104,7 @@ let engine_case ~name ~n ~t ~runs ~buffered =
   in
   Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd buffered\n" name n t w
 
-(* Allocation on the compiled-mask delivery route: the buffered instance
+(* Allocation on the mask delivery route: the buffered instance
    driven by a structured adversary whose plan carries per-sender masks,
    so an untraced run takes the mask-blit / broadcast-table path the
    scale experiment measures for throughput. Same gated metric
@@ -133,7 +132,7 @@ let engine_bench ~quick () =
       engine_case ~name:"flood" ~n ~t:8 ~runs
         ~buffered:Consensus.Flood.protocol_buffered)
     (if quick then [ 64; 256 ] else [ 64; 256; 512 ]);
-  (* flood under a compiled-mask crash schedule at the sizes the scale
+  (* flood under a mask-plan crash schedule at the sizes the scale
      sweep gates — allocation on the new delivery route, both modes *)
   List.iter
     (fun n ->

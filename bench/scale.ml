@@ -16,12 +16,12 @@
    The classic column reproduces the cost model of the buffered engine
    before the broadcast port: every broadcast re-expanded into n-1
    pointwise outbox rows ({!Sim.Protocol_intf.pointwise_emission}),
-   compiled masks stripped by {!Adversary.pointwise} so delivery calls
-   the per-message [omit] predicate, and an adversary that reads the
-   envelopes each round, forcing the arena fill the old engine performed
-   unconditionally. The fast column is the same instance with broadcast
-   segments and masks, untraced: the engine takes mask-blit delivery and
-   never materialises the arena. Outcomes are asserted equal. *)
+   masks decoded into a predicate by {!Adversary.pointwise} so delivery
+   asks for a verdict per message, and an adversary that walks the
+   pending messages each round, as the old engine did unconditionally.
+   The fast column is the same instance with broadcast segments and
+   masks, untraced: the engine takes mask-blit delivery and never walks
+   the pending messages. Outcomes are asserted equal. *)
 
 open Bench_util
 
@@ -30,7 +30,7 @@ let timed inst ~adversary ~inputs =
   let o = Sim.Engine.run_instance inst ~adversary ~inputs in
   (o, Unix.gettimeofday () -. t0)
 
-(* [a], reading the round's envelopes before it plans *)
+(* [a], walking the round's pending messages before it plans *)
 let reading (a : Sim.Adversary_intf.t) =
   {
     a with
@@ -38,7 +38,7 @@ let reading (a : Sim.Adversary_intf.t) =
       (fun cfg rand ->
         let plan = a.create cfg rand in
         fun view ->
-          ignore (Sim.View.envelopes view);
+          view.Sim.View.iter_envelopes (fun _ _ _ _ -> ());
           plan view);
   }
 

@@ -2,10 +2,13 @@
 
     Every strategy is generic over the protocol: it reads the per-process
     observations ({!Sim.View.obs}: candidate bit, operative flag, decided
-    flag, coin usage this round) and the pending message envelopes, and
-    returns corruptions and omissions. The engine enforces legality (budget,
-    omissions only at faulty endpoints), so strategies here express intent
-    and stay within [t_max] themselves. *)
+    flag, coin usage this round) and the pending messages
+    ([iter_envelopes]), and returns corruptions and omissions. Structured
+    strategies state their omissions as per-sender masks; the randomized
+    ones, whose per-message draw order is observable, as a predicate. The
+    engine enforces legality (budget, omissions only at faulty endpoints),
+    so strategies here express intent and stay within [t_max]
+    themselves. *)
 
 let none = Sim.Adversary_intf.none
 
@@ -19,16 +22,14 @@ let take k l =
 
 (* Shared helper: maintain a crash set; each round corrupt the newly chosen
    victims and silence every message they send (classic crash semantics:
-   outgoing only). The set is one [Bytes] flag per pid, which both feeds
-   the hot-path predicate (no hashing per message) and compiles to the
-   per-sender verdict the engine's mask route wants. *)
+   outgoing only). The set is one [Bytes] flag per pid, read once per
+   sender by the verdict. *)
 let crash_set_plan crashed_b new_victims =
   List.iter (fun pid -> Bytes.set crashed_b pid '\001') new_victims;
   {
     Sim.View.new_faults = new_victims;
-    omit = (fun src _dst -> Bytes.get crashed_b src <> '\000');
-    compiled =
-      Some
+    omit =
+      Masks
         (fun src ->
           if Bytes.get crashed_b src <> '\000' then Sim.View.Omit_all
           else Sim.View.Deliver_all);
@@ -88,16 +89,16 @@ let random_omission ~p_omit =
           in
           ignore view;
           {
-            (* stays pointwise ([compiled = None]): the predicate draws one
-               random float per incident message, and that draw order is
-               part of the observable bit-stream *)
+            (* a predicate, not masks: it draws one random float per
+               incident message, and that draw order is part of the
+               observable bit-stream *)
             Sim.View.new_faults;
             omit =
-              (fun src dst ->
-                (Bytes.get faulty_b src <> '\000'
-                || Bytes.get faulty_b dst <> '\000')
-                && Sim.Rand.float rand < p_omit);
-            compiled = None;
+              Predicate
+                (fun src dst ->
+                  (Bytes.get faulty_b src <> '\000'
+                  || Bytes.get faulty_b dst <> '\000')
+                  && Sim.Rand.float rand < p_omit);
           });
   }
 
@@ -123,15 +124,18 @@ let group_killer ?(group = 0) () =
         List.iter (fun pid -> Bytes.set victim_b pid '\001') victims;
         let member_b = Bytes.make n '\000' in
         Array.iter (fun pid -> Bytes.set member_b pid '\001') members;
-        (* static fault structure, so the per-sender verdict compiles once:
+        (* static fault structure, so the per-sender verdict is built once:
            a victim silences its whole group (victims included), a
            non-victim member loses exactly its victim links, outsiders are
            untouched *)
-        let compiled src =
-          if Bytes.get victim_b src <> '\000' then Sim.View.Omit_mask member_b
-          else if Bytes.get member_b src <> '\000' then
-            Sim.View.Omit_mask victim_b
-          else Sim.View.Deliver_all
+        let omit =
+          Sim.View.Masks
+            (fun src ->
+              if Bytes.get victim_b src <> '\000' then
+                Sim.View.Omit_mask member_b
+              else if Bytes.get member_b src <> '\000' then
+                Sim.View.Omit_mask victim_b
+              else Sim.View.Deliver_all)
         in
         let started = ref false in
         fun _view ->
@@ -142,16 +146,7 @@ let group_killer ?(group = 0) () =
               victims
             end
           in
-          {
-            Sim.View.new_faults;
-            omit =
-              (fun src dst ->
-                (Bytes.get victim_b src <> '\000'
-                && Bytes.get member_b dst <> '\000')
-                || (Bytes.get victim_b dst <> '\000'
-                   && Bytes.get member_b src <> '\000'));
-            compiled = Some compiled;
-          });
+          { Sim.View.new_faults; omit });
   }
 
 (** Isolate [victim] by corrupting the processes that talk to it and
@@ -172,21 +167,21 @@ let eclipse ~victim =
            static three-way dispatch: the victim loses its links to the
            corrupted set, a corrupted process loses exactly its link to the
            victim, everyone else is untouched *)
-        let compiled src =
-          if src = victim then Sim.View.Omit_mask corrupted_b
-          else if Bytes.get corrupted_b src <> '\000' then
-            Sim.View.Omit_mask victim_b
-          else Sim.View.Deliver_all
+        let omit =
+          Sim.View.Masks
+            (fun src ->
+              if src = victim then Sim.View.Omit_mask corrupted_b
+              else if Bytes.get corrupted_b src <> '\000' then
+                Sim.View.Omit_mask victim_b
+              else Sim.View.Deliver_all)
         in
         fun view ->
           let budget = cfg.Sim.Config.t_max - view.Sim.View.faults_used in
           (* corrupt the processes currently sending to the victim *)
           let senders = Hashtbl.create 16 in
-          Array.iter
-            (fun e ->
-              if e.Sim.View.dst = victim && e.src <> victim then
-                Hashtbl.replace senders e.src ())
-            (Sim.View.envelopes view);
+          view.Sim.View.iter_envelopes (fun src dst _bits _hint ->
+              if dst = victim && src <> victim then
+                Hashtbl.replace senders src ());
           let new_faults =
             Hashtbl.fold
               (fun src () acc ->
@@ -197,14 +192,7 @@ let eclipse ~victim =
           in
           let new_faults = take budget (List.sort compare new_faults) in
           List.iter (fun pid -> Bytes.set corrupted_b pid '\001') new_faults;
-          {
-            Sim.View.new_faults;
-            omit =
-              (fun src dst ->
-                (dst = victim && Bytes.get corrupted_b src <> '\000')
-                || (src = victim && Bytes.get corrupted_b dst <> '\000'));
-            compiled = Some compiled;
-          });
+          { Sim.View.new_faults; omit });
   }
 
 (** The lower-bound adversary (Theorem 2, Lemmas 13-15), played with crash
@@ -229,10 +217,10 @@ let vote_splitter ?(slack = 0) () =
     Sim.Adversary_intf.name = "vote-splitter";
     create =
       (fun cfg _rand ->
-        (* one byte per pid: the fault sets are read per message *)
+        (* one byte per pid: the crash set is read per sender *)
         let crashed_b = Bytes.make cfg.Sim.Config.n '\000' in
         let crashed pid = Bytes.get crashed_b pid <> '\000' in
-        let crash_compiled src =
+        let crash_verdict src =
           if crashed src then Sim.View.Omit_all else Sim.View.Deliver_all
         in
         fun view ->
@@ -282,11 +270,7 @@ let vote_splitter ?(slack = 0) () =
           in
           match splitter with
           | None ->
-              {
-                Sim.View.new_faults = victims;
-                omit = (fun src _ -> crashed src);
-                compiled = Some crash_compiled;
-              }
+              { Sim.View.new_faults = victims; omit = Masks crash_verdict }
           | Some v ->
               (* deliver v's vote to the second half of the survivors only,
                  then silence v forever (a crash in the sending round) *)
@@ -302,20 +286,15 @@ let vote_splitter ?(slack = 0) () =
                 survivors;
               (* v joins [crashed] for future rounds, but this round it
                  still delivers to the non-hidden half — the [src = v]
-                 dispatch comes first in both forms for that reason *)
-              let plan_omit src dst =
-                if src = v then Bytes.get hidden_b dst <> '\000'
-                else crashed src
-              in
+                 dispatch comes first for that reason *)
               Bytes.set crashed_b v '\001';
               {
                 Sim.View.new_faults = v :: victims;
-                omit = plan_omit;
-                compiled =
-                  Some
+                omit =
+                  Masks
                     (fun src ->
                       if src = v then Sim.View.Omit_mask hidden_b
-                      else crash_compiled src);
+                      else crash_verdict src);
               });
   }
 
@@ -389,29 +368,30 @@ let chaotic ?(corrupt_rate = 0.3) ?(omit_rate = 0.5) () =
             else []
           in
           {
-            (* pointwise for the same reason as random_omission: the
+            (* a predicate for the same reason as random_omission: the
                per-message randomness draw order is bit-observable *)
             Sim.View.new_faults;
             omit =
-              (fun src dst ->
-                (Bytes.get faulty_b src <> '\000'
-                || Bytes.get faulty_b dst <> '\000')
-                && Sim.Rand.float rand < omit_rate);
-            compiled = None;
+              Predicate
+                (fun src dst ->
+                  (Bytes.get faulty_b src <> '\000'
+                  || Bytes.get faulty_b dst <> '\000')
+                  && Sim.Rand.float rand < omit_rate);
           });
   }
 
-(** [pointwise a]: [a] with the compiled per-sender masks stripped from
-    every plan it returns, forcing the engine onto the general
-    per-message delivery path. The observable run is unchanged — the
-    engine's contract is that compiled masks agree with the predicate —
-    which is exactly what the equivalence suite and the scale bench's
-    classic column use this combinator to demonstrate. *)
+(** [pointwise a]: [a] with every plan's omissions decoded into a
+    per-message predicate ({!Sim.View.omits}), forcing the engine onto
+    the general per-message delivery path. The observable run is
+    unchanged — which is exactly what the equivalence suite and the scale
+    bench's classic column use this combinator to demonstrate. *)
 let pointwise (a : Sim.Adversary_intf.t) =
   {
     a with
     Sim.Adversary_intf.create =
       (fun cfg rand ->
         let adv = a.Sim.Adversary_intf.create cfg rand in
-        fun view -> { (adv view) with Sim.View.compiled = None });
+        fun view ->
+          let p = adv view in
+          { p with Sim.View.omit = Predicate (Sim.View.omits p.omit) });
   }

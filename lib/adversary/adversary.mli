@@ -1,5 +1,5 @@
 (** Adaptive full-information adversary strategies, generic over the
-    protocol: they read the per-process observations and pending envelopes
+    protocol: they read the per-process observations and pending messages
     and return corruptions plus per-edge omissions. The engine enforces
     legality; strategies stay within the budget themselves. *)
 
@@ -47,8 +47,8 @@ val chaotic :
     sweep over seeds. *)
 
 val pointwise : Sim.Adversary_intf.t -> Sim.Adversary_intf.t
-(** The same strategy with the compiled per-sender masks stripped from
-    every plan, forcing the engine onto the general per-message delivery
-    path. Observable behaviour is unchanged (compiled masks must agree
-    with the predicate); the equivalence suite and the scale bench's
-    classic column use this to compare the two paths. *)
+(** The same strategy with every plan's omissions decoded into a
+    per-message predicate ({!Sim.View.omits}), forcing the engine onto the
+    general per-message delivery path. Observable behaviour is unchanged;
+    the equivalence suite and the scale bench's classic column use this
+    to compare the two paths. *)

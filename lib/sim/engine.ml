@@ -16,24 +16,23 @@
     processes, or corruptions beyond the budget, raise {!Illegal_plan}.
 
     Delivery route: the link and the plan choose it, never the observer.
-    Without a link, a plan with compiled verdicts takes the mask route
-    (aggregate counters, mask-blit delivery); a link or a pointwise-only
-    plan takes the general per-message route. A message-level sink only
-    decides whether [Send]/[Omit]/[Deliver] events are built, on either
-    route.
+    Without a link, a plan whose omissions are per-sender [Masks] takes
+    the mask route (aggregate counters, mask-blit delivery); a link or a
+    [Predicate] plan takes the general per-message route. A message-level
+    sink only decides whether [Send]/[Omit]/[Deliver] events are built, on
+    either route.
 
     Allocation discipline: the hot path runs on reusable buffers — per-pid
-    {!Mailbox.t} outboxes/inboxes reset by count, an envelope arena sized to
-    the high-water mark whose records are refreshed in place, one adversary
-    {!View.t} whose observation and fault-snapshot arrays are reused across
-    rounds, and a single derived random stream reseeded per step. On the
-    mask route the engine allocates nothing per message: a sender is
+    {!Mailbox.t} outboxes/inboxes reset by count, one adversary {!View.t}
+    whose observation and fault-snapshot arrays are reused across rounds,
+    and a single derived random stream reseeded per step. On the mask
+    route the engine allocates nothing per message: a sender is
     priced by one closure-free {!Mailbox.total_bits} and delivered by a
     closure-free blit ({!Mailbox.rdeliver}, {!Mailbox.rshare}), so the
     engine's own steady-state cost is O(n) words per round (fresh
     [obs_core] observations). Protocols add what they allocate per
-    message record. A message-level sink's events, and the envelope
-    arena's hints for an adversary that reads them, allocate per
+    message record. A message-level sink's events, and the hints the
+    pending-message walk hands an adversary that reads them, allocate per
     message. *)
 
 exception Illegal_plan of string
@@ -78,7 +77,7 @@ type tracer = {
   mutable r0_rand_bits : int;
   (* What a message-level walk is visiting: the round, the sender and, on
      the mask route, its verdict ([Bytes.empty] delivers every message).
-     The walk closures read these cells, so they are built once per run
+     The event closures read these cells, so they are built once per run
      rather than once per sender. *)
   mutable at_round : int;
   mutable at_src : int;
@@ -112,9 +111,9 @@ let agreed_decision outcome =
   if !ok then !value else None
 
 (** A reusable engine instance: every buffer the round loop needs —
-    mailboxes, envelope arena, adversary view, omission scratch — allocated
-    once and reused across runs. Benches and sweeps that execute many runs
-    of the same (protocol, cfg) pair amortise the buffer construction away;
+    mailboxes, adversary view, omission scratch — allocated once and
+    reused across runs. Benches and sweeps that execute many runs of the
+    same (protocol, cfg) pair amortise the buffer construction away;
     runs through an instance are bit-identical to fresh {!run} runs
     because every run resets all per-run state before its first
     round. *)
@@ -132,9 +131,10 @@ type instance = {
 (* The engine proper. Event and metric ordering deliberately reproduces
    the original list-based engine bit for bit, so traces and outcomes stay
    comparable with every earlier version:
-   - the envelope array and the [Send] events group senders in ascending
-     pid order, and within a sender list messages in *reverse* emission
-     order (the old engine consed each outbox onto an accumulator);
+   - the pending-message walk ({!View.iter_envelopes} and the [Send]
+     events) groups senders in ascending pid order, and within a sender
+     lists messages in *reverse* emission order (the old engine consed
+     each outbox onto an accumulator);
    - omission decisions, metric counters and Omit/Deliver events run per
      sender in ascending pid order and *forward* emission order (the old
      delivery loop walked the outbox lists head-first);
@@ -162,8 +162,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
     Array.init n (fun _ -> Mailbox.create ())
   in
   (* One emit / emit_all closure pair per sender, allocated once. The
-     destination-range check lives here (not in the arena fill, which is
-     now lazy and may never run). *)
+     destination-range check lives here, at emission. *)
   let emits =
     Array.init n (fun pid ->
         let ob = outboxes.(pid) in
@@ -184,42 +183,26 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   in
   let faulty = Array.make n false in
   let used_randomness = Array.make n false in
-  (* Envelope arena: grow-only record pool refreshed in place each round.
-     [arena_ensure] grows straight to a known round total so a heavy round
-     costs one allocation, not a doubling cascade. *)
-  let arena = ref ([||] : View.envelope array) in
-  let arena_len = ref 0 in
-  let arena_ensure total =
-    let cap = Array.length !arena in
-    if total > cap then begin
-      let cap' = max total (2 * cap) in
-      arena :=
-        Array.init cap' (fun i ->
-            if i < cap then (!arena).(i)
-            else { View.src = 0; dst = 0; bits = 0; hint = None })
-    end
+  (* The one pending-message walk: every outbox, broadcast segments
+     expanded, each sender in reverse emission order (the ordering note
+     above). It feeds both {!View.iter_envelopes} and the [Send] events.
+     The per-message closure reads the sender and the consumer from these
+     cells, so it is built once per instance, not once per sender. The
+     consumer cell is emptied after each walk: the instance outlives the
+     run, and must not keep its trace sink or adversary alive. *)
+  let no_walk _ _ _ _ = () in
+  let walk_src = ref 0 in
+  let walk_f = ref no_walk in
+  let walk_msg dst m =
+    !walk_f !walk_src dst (max 1 (P.msg_bits m)) (P.msg_hint m)
   in
-  let arena_push src dst bits hint =
-    if !arena_len = Array.length !arena then arena_ensure (!arena_len + 1);
-    let e = (!arena).(!arena_len) in
-    e.View.src <- src;
-    e.dst <- dst;
-    e.bits <- bits;
-    e.hint <- hint;
-    incr arena_len
-  in
-  (* Exact-length window over the arena handed to the adversary;
-     rebuilt only when the round's message count changes (arena growth keeps
-     record identity for retained slots, so a cached window stays valid). *)
-  let exact = ref ([||] : View.envelope array) in
-  let arena_window () =
-    if !arena_len = 0 then [||] (* the static empty atom, no allocation *)
-    else if !arena_len = Array.length !arena then !arena
-    else begin
-      if Array.length !exact <> !arena_len then
-        exact := Array.sub !arena 0 !arena_len;
-      !exact
-    end
+  let iter_envelopes f =
+    walk_f := f;
+    for pid = 0 to n - 1 do
+      walk_src := pid;
+      Mailbox.riter outboxes.(pid) walk_msg
+    done;
+    walk_f := no_walk
   in
   (* The single adversary view, refreshed in place each round. *)
   let view_obs =
@@ -237,30 +220,9 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       faulty = Array.make n false;
       faults_used = 0;
       obs = view_obs;
-      envelopes = [||];
-      envelopes_ready = true;
-      refresh_envelopes = (fun () -> [||]);
+      iter_envelopes;
     }
   in
-  (* Lazy arena fill: expand every outbox — broadcast segments included —
-     into envelope records, each sender walked in reverse emission order
-     (the ordering note above). Installed as the view's refresher; runs
-     at most once per round, and only for an adversary that reads
-     {!View.envelopes}. *)
-  let fill_arena () =
-    arena_len := 0;
-    let total = ref 0 in
-    for pid = 0 to n - 1 do
-      total := !total + Mailbox.length outboxes.(pid)
-    done;
-    arena_ensure !total;
-    for pid = 0 to n - 1 do
-      Mailbox.riter outboxes.(pid) (fun dst m ->
-          arena_push pid dst (max 1 (P.msg_bits m)) (P.msg_hint m))
-    done;
-    arena_window ()
-  in
-  view.View.refresh_envelopes <- fill_arena;
   (* Per-sender omission flags, grown to the largest outbox seen. *)
   let omit_scratch = ref Bytes.empty in
   (* The mask route's per-sender helpers, built once per instance so that
@@ -357,13 +319,13 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
     let msg_tr =
       match tr with Some t when Trace.Sink.messages t.sink -> tr | _ -> None
     in
-    (* A message-level sink's walks over one outbox: [Send] per entry, and
-       on the mask route [Omit]/[Deliver] per entry from the sender's
-       verdict, with the general route's legality check at its place in
-       the stream. Untraced, both are static no-ops. *)
+    (* A message-level sink's consumers: [Send] per pending message, and
+       on the mask route [Omit]/[Deliver] per entry of one outbox from the
+       sender's verdict, with the general route's legality check at its
+       place in the stream. Untraced, both are static no-ops. *)
     let on_send, trace_verdicts =
       match msg_tr with
-      | None -> ((fun _ _ -> ()), fun _ _ _ -> ())
+      | None -> (no_walk, fun _ _ _ -> ())
       | Some t ->
           let on_verdict dst _ =
             let round = t.at_round and src = t.at_src in
@@ -376,11 +338,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               Trace.Sink.emit t.sink (Trace.Event.Omit { round; src; dst })
             end
           in
-          ( (fun dst m ->
+          ( (fun src dst bits hint ->
               Trace.Sink.emit t.sink
                 (Trace.Event.Send
-                   { round = t.at_round; src = t.at_src; dst;
-                     bits = max 1 (P.msg_bits m); hint = P.msg_hint m })),
+                   { round = t.at_round; src; dst; bits; hint })),
             fun pid ob mask ->
               t.at_src <- pid;
               t.at_mask <- mask;
@@ -459,9 +420,9 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
         incr pid
       done;
       if !everyone_decided && !decided_round = None then decided_round := Some r;
-      (* Phase 2: adversary intervention. The envelope arena is filled
-         lazily: the view refreshes it on first access, so an adversary
-         that never reads envelopes skips the O(messages) expansion. *)
+      (* Phase 2: adversary intervention. The pending messages are walked
+         only on demand: for a message-level sink's [Send] events and for
+         an adversary that calls {!View.iter_envelopes}. *)
       view.View.round <- r;
       Array.blit faulty 0 view.View.faulty 0 n;
       view.View.faults_used <- !faults_used;
@@ -470,15 +431,11 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
         o.View.core <- P.observe states.(pid);
         o.View.used_randomness <- used_randomness.(pid)
       done;
-      view.View.envelopes_ready <- false;
       (match msg_tr with
       | None -> ()
       | Some t ->
           t.at_round <- r;
-          for pid = 0 to n - 1 do
-            t.at_src <- pid;
-            Mailbox.riter outboxes.(pid) on_send
-          done);
+          iter_envelopes on_send);
       let plan = adv view in
       List.iter
         (fun pid ->
@@ -511,10 +468,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
          the table refills below (mask route only — it stays empty on the
          general route, whose inboxes then iterate as plain rows). *)
       Mailbox.shared_clear bcast;
-      (match plan.compiled with
-      | Some compiled when fast ->
-          (* Mask route: no link, and the plan carries a compiled verdict
-             per sender. Counters update in aggregate (one add per entry,
+      (match plan.omit with
+      | View.Masks verdict when fast ->
+          (* Mask route: no link, and the plan gives one verdict per
+             sender. Counters update in aggregate (one add per entry,
              broadcast segments unexpanded); the only per-destination work
              left is the inbox push for survivors — and the forward
              legality scan, which preserves the exact [Illegal_plan] the
@@ -528,7 +485,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
             if total > 0 then begin
               messages_sent := !messages_sent + total;
               bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
-              match compiled pid with
+              match verdict pid with
               | View.Deliver_all ->
                   trace_verdicts pid ob Bytes.empty;
                   deliver_fast pid ob ~mask:Bytes.empty
@@ -544,14 +501,16 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                   deliver_fast pid ob ~mask:b
             end
           done
-      | _ ->
-          (* General route: a link, or a pointwise-only plan. Broadcast
+      | omission ->
+          (* General route: a link, or a predicate plan. Broadcast
              segments are expanded in place first, then the per-message
              loop runs exactly as the legacy engine did, with the
-             omission verdict read from the predicate. The sender is
-             priced once up front, so a flattened broadcast's repeated
-             record costs one [msg_bits] call; an [Illegal_plan] midway
+             omission verdict read per message (a mask plan decoded once
+             for the round). The sender is priced once up front, so a
+             flattened broadcast's repeated record costs one [msg_bits]
+             call; an [Illegal_plan] midway
              aborts the run, so no partial count is ever read. *)
+          let omit = View.omits omission in
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             Mailbox.flatten ob;
@@ -564,7 +523,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               for i = 0 to len - 1 do
                 let dst = Mailbox.peer ob i in
                 incr messages_sent;
-                if plan.omit pid dst then begin
+                if omit pid dst then begin
                   if (not faulty.(pid)) && not faulty.(dst) then
                     illegal "omission between non-faulty %d -> %d at round %d"
                       pid dst r;

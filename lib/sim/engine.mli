@@ -45,9 +45,9 @@ val agreed_decision : outcome -> int option
 
 type instance
 (** A reusable engine instance for one (protocol, cfg) pair: every buffer
-    the round loop needs — per-pid mailboxes, the envelope arena, the
-    adversary view, omission scratch — is allocated by {!instance} and
-    reused by each {!run_instance} call. Sweeps and benches that execute
+    the round loop needs — per-pid mailboxes, the adversary view,
+    omission scratch — is allocated by {!instance} and reused by each
+    {!run_instance} call. Sweeps and benches that execute
     many runs of the same configuration amortise buffer construction to
     zero; each run resets all per-run state first, so outcomes and traces
     are bit-identical to fresh {!run} runs. *)
@@ -83,10 +83,11 @@ val run :
 
     [trace], if given, receives the run's structured event stream, in the
     order {!Trace.Event} documents. The sink never picks the delivery
-    route: only [link] and the plan's compiled verdicts do. A round-level
-    sink ({!Trace.Sink.rounds}, e.g. a [Trace.Metrics] collector) gets no
-    message-level event, so none is built. When [trace] is absent no
-    event is constructed (tracing is zero-cost off).
+    route: only [link] and the plan's {!View.omission} form do. A
+    round-level sink ({!Trace.Sink.rounds}, e.g. a [Trace.Metrics]
+    collector) gets no message-level event, so none is built. When
+    [trace] is absent no event is constructed (tracing is zero-cost
+    off).
 
     [link], if given, is the lossy-link transport hook (see
     {!Link_intf}): it is reset from the run seed before the first round,
@@ -100,8 +101,8 @@ val run :
 
     Raises [Invalid_argument] if [inputs] is not an n-vector of bits.
 
-    The engine runs on reusable preallocated buffers (mailboxes, envelope
-    arena, a single in-place-refreshed adversary view); [run] builds a
-    fresh {!instance} for the one run. A {!View.t} and everything
+    The engine runs on reusable preallocated buffers (mailboxes, a single
+    in-place-refreshed adversary view); [run] builds a fresh {!instance}
+    for the one run. A {!View.t} and everything
     reachable from it is only valid during the adversary call that
     received it. *)

@@ -6,8 +6,8 @@
     across rounds allocates only until it reaches its high-water mark.
     Slots beyond [length] keep their old contents (and thus keep old
     messages alive) until overwritten — the retained memory is bounded by
-    the largest round ever buffered, which is exactly the arena semantics
-    the engine wants.
+    the largest round ever buffered, which is exactly the reuse the
+    engine wants.
 
     On top of the pointwise slots, a mailbox can hold {e broadcast
     segments} ({!push_all}): one shared message record plus a destination
@@ -371,7 +371,8 @@ let iter t f =
       iter_entries t ~point:f ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
           seg_iter_dsts ~lo ~hi ~skip ~desc (fun dst -> f dst m))
 
-(** Expanded walk in reverse emission order — the engine's arena fill. *)
+(** Expanded walk in reverse emission order — the engine's
+    pending-message walk. *)
 let riter t f =
   match t.shared with
   | Some sh when sh.s_len > 0 -> riter_merged t sh f
@@ -566,25 +567,3 @@ let is_sorted_by_peer t =
     if t.peers.(i - 1) > t.peers.(i) then ok := false
   done;
   !ok
-
-(** Stable in-place insertion sort by ascending [peer] — the monomorphic
-    replacement for the engine's old [List.sort (fun (a,_) (b,_) ->
-    compare a b)]: same ascending-peer order, equal peers keep their
-    relative slot order (duplicates preserved). Runs in O(len) when the
-    buffer is already sorted, which is the engine's steady state.
-    Pointwise slots only. *)
-let sort_by_peer t =
-  for i = 1 to t.len - 1 do
-    let p = t.peers.(i) in
-    if t.peers.(i - 1) > p then begin
-      let m = t.msgs.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && t.peers.(!j) > p do
-        t.peers.(!j + 1) <- t.peers.(!j);
-        t.msgs.(!j + 1) <- t.msgs.(!j);
-        decr j
-      done;
-      t.peers.(!j + 1) <- p;
-      t.msgs.(!j + 1) <- m
-    end
-  done

@@ -49,7 +49,7 @@ module type BUFFERED = sig
 
   val msg_hint : msg -> int option
   (** Candidate value carried by the message, if meaningful; exposed to the
-      adversary through {!View.envelope}. *)
+      adversary through the view's [iter_envelopes] walk. *)
 end
 
 type buffered = (module BUFFERED)

@@ -185,12 +185,13 @@ let qcheck_chaotic_snapshot =
       traced_run ~n:24 ~t:5 ~seed (Adversary.chaotic ())
       = traced_run ~n:24 ~t:5 ~seed (old_chaotic ()))
 
-(* --- mask-vs-predicate plan equivalence on random fault sets ---
+(* --- mask route vs general route on random fault sets ---
 
-   A hand-built crash-style adversary over an arbitrary fault set, in two
-   forms: compiled (Omit_all per crashed sender) and pointwise. Both runs
-   (traced, so the general path consults the mask bytes message by
-   message) must be byte-identical. *)
+   A hand-built crash-style adversary over an arbitrary fault set, stated
+   once as per-sender masks (Omit_all per crashed sender). Run as is it
+   takes the mask route; through {!Adversary.pointwise} the general route
+   decodes the same masks message by message. Both traced runs must be
+   byte-identical. *)
 
 let masked_crash ~victims =
   {
@@ -210,17 +211,16 @@ let masked_crash ~victims =
           in
           {
             Sim.View.new_faults;
-            omit = (fun src _dst -> Bytes.get crashed_b src <> '\000');
-            compiled =
-              Some
+            omit =
+              Masks
                 (fun src ->
                   if Bytes.get crashed_b src <> '\000' then Sim.View.Omit_all
                   else Sim.View.Deliver_all);
           });
   }
 
-let qcheck_mask_equals_predicate =
-  QCheck.Test.make ~name:"compiled masks = pointwise predicate (random faults)"
+let qcheck_mask_route_equals_general =
+  QCheck.Test.make ~name:"mask route = general route (random faults)"
     ~count:30
     QCheck.(pair (int_range 1 1000) (list_of_size (Gen.return 5) (int_range 0 23)))
     (fun (seed, pids) ->
@@ -249,5 +249,5 @@ let suite =
     Alcotest.test_case "standard suite" `Quick test_standard_suite_runs;
     qcheck qcheck_random_omission_snapshot;
     qcheck qcheck_chaotic_snapshot;
-    qcheck qcheck_mask_equals_predicate;
+    qcheck qcheck_mask_route_equals_general;
   ]

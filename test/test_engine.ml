@@ -105,8 +105,8 @@ let test_illegal_omission_rejected () =
        false
      with Sim.Engine.Illegal_plan _ -> true)
 
-(* The mask route's legality scan over compiled verdicts raises the same
-   [Illegal_plan] as the general route's per-message predicate: the first
+(* The mask route's legality scan over per-sender verdicts raises the
+   same [Illegal_plan] as the general route's per-message predicate: the first
    omission between non-faulty processes in emission order. Echo emits
    pointwise (descending), Flood one broadcast segment. Traced, both
    routes leave the same event prefix: the cheating sender's events
@@ -121,18 +121,11 @@ let test_compiled_illegal_matches_general () =
       Sim.Adversary_intf.name = "compiled-cheater";
       create =
         (fun _ _ _ ->
-          let compiled src =
-            if src = 3 then verdict else Sim.View.Deliver_all
-          in
           {
             Sim.View.new_faults = [ 5 ];
             omit =
-              (fun src dst ->
-                match compiled src with
-                | Sim.View.Deliver_all -> false
-                | Omit_all -> true
-                | Omit_mask b -> Bytes.get b dst <> '\000');
-            compiled = Some compiled;
+              Masks
+                (fun src -> if src = 3 then verdict else Sim.View.Deliver_all);
           });
     }
   in
@@ -349,29 +342,109 @@ let test_recorruption_is_free () =
   Alcotest.(check bool) "pid 5 faulty" true o.faulty.(5)
 
 let test_view_contents () =
-  (* the adversary sees candidates, coin usage, and envelopes *)
-  let seen_coin = ref false and seen_envelopes = ref false in
+  (* the adversary sees candidates and coin usage; the pending messages
+     are checked against the [Send] stream below *)
+  let seen_coin = ref false in
   let adversary =
     {
       Sim.Adversary_intf.name = "observer";
       create =
         (fun _ _ view ->
           if view.Sim.View.obs.(0).used_randomness then seen_coin := true;
-          let envelopes = Sim.View.envelopes view in
-          if Array.length envelopes > 0 then begin
-            seen_envelopes := true;
-            Array.iter
-              (fun e ->
-                if e.Sim.View.hint = None then
-                  failwith "echo messages carry hints")
-              envelopes
-          end;
           Sim.View.no_op);
     }
   in
   let (_ : Sim.Engine.outcome) = run ~adversary () in
-  Alcotest.(check bool) "coin visible" true !seen_coin;
-  Alcotest.(check bool) "envelopes visible" true !seen_envelopes
+  Alcotest.(check bool) "coin visible" true !seen_coin
+
+(* The pending messages an adversary walks are the messages a
+   message-level sink is told about: each round, the [iter_envelopes]
+   calls, in order, equal that round's [Send] events. Flood emits
+   broadcast segments; Algorithm 1 at n = 96 emits pointwise rows over a
+   sparse expander. *)
+let test_walk_is_send_stream () =
+  let check ~what (proto : Sim.Protocol_intf.buffered) (cfg : Sim.Config.t)
+      (inner : Sim.Adversary_intf.t) =
+    let walked = Hashtbl.create 64 in
+    let adversary =
+      {
+        inner with
+        Sim.Adversary_intf.create =
+          (fun cfg rand ->
+            let adv = inner.Sim.Adversary_intf.create cfg rand in
+            fun view ->
+              let acc = ref [] in
+              view.Sim.View.iter_envelopes (fun src dst bits hint ->
+                  acc := (src, dst, bits, hint) :: !acc);
+              Hashtbl.replace walked view.Sim.View.round (List.rev !acc);
+              adv view);
+      }
+    in
+    let sink, events = Trace.Sink.memory () in
+    let o =
+      Sim.Engine.run ~trace:sink proto cfg ~adversary
+        ~inputs:(Array.init cfg.n (fun i -> i mod 2))
+    in
+    let sent = Hashtbl.create 64 in
+    List.iter
+      (function
+        | Trace.Event.Send { round; src; dst; bits; hint } ->
+            let prev = Option.value ~default:[] (Hashtbl.find_opt sent round) in
+            Hashtbl.replace sent round ((src, dst, bits, hint) :: prev)
+        | _ -> ())
+      (events ());
+    let total = ref 0 in
+    for r = 1 to o.Sim.Engine.rounds_total do
+      let sends = List.rev (Option.value ~default:[] (Hashtbl.find_opt sent r))
+      and walk = Option.value ~default:[] (Hashtbl.find_opt walked r) in
+      if sends <> walk then
+        Alcotest.failf "%s round %d: walk of %d messages, %d Send events" what
+          r (List.length walk) (List.length sends);
+      total := !total + List.length walk
+    done;
+    Alcotest.(check int) (what ^ ": every message walked") o.messages_sent
+      !total
+  in
+  let flood_cfg = Sim.Config.make ~n:32 ~t_max:3 ~seed:1 ~max_rounds:10 () in
+  check ~what:"flood" (Consensus.Flood.protocol_buffered flood_cfg) flood_cfg
+    (Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]) ]);
+  let n = 96 in
+  let cfg0 = Sim.Config.make ~n ~t_max:(n / 31) ~seed:1 ~max_rounds:1 () in
+  let cfg =
+    {
+      cfg0 with
+      Sim.Config.max_rounds =
+        Consensus.Optimal_omissions.rounds_needed cfg0 + 10;
+    }
+  in
+  check ~what:"optimal n=96"
+    (Consensus.Optimal_omissions.protocol_buffered cfg)
+    cfg (Adversary.vote_splitter ())
+
+(* A reused instance outlives its runs: once a traced run returns, the
+   instance must hold nothing that keeps the run's sink (and the events
+   it buffers) alive, or every later run pays for the last one's trace. *)
+let test_instance_releases_sink () =
+  let cfg = cfg () in
+  let inst = Sim.Engine.instance (module Echo) cfg in
+  let inputs = Array.init 8 (fun i -> i mod 2) in
+  let weak = Weak.create 1 in
+  let traced_run () =
+    let sink, _ = Trace.Sink.memory () in
+    Weak.set weak 0 (Some sink);
+    ignore
+      (Sim.Engine.run_instance ~trace:sink inst
+         ~adversary:Sim.Adversary_intf.none ~inputs)
+  in
+  (Sys.opaque_identity traced_run) ();
+  Gc.full_major ();
+  Alcotest.(check bool) "sink collected" false (Weak.check weak 0);
+  (* the instance is still in use *)
+  let o =
+    Sim.Engine.run_instance inst ~adversary:Sim.Adversary_intf.none ~inputs
+  in
+  Alcotest.(check (option int)) "reused run decides" (Some 4)
+    o.Sim.Engine.decided_round
 
 let test_agreed_decision_helpers () =
   let o = run () in
@@ -572,6 +645,10 @@ let suite =
     Alcotest.test_case "re-corruption consumes no budget" `Quick
       test_recorruption_is_free;
     Alcotest.test_case "adversary view contents" `Quick test_view_contents;
+    Alcotest.test_case "pending-message walk = Send stream" `Quick
+      test_walk_is_send_stream;
+    Alcotest.test_case "instance keeps no run's sink alive" `Quick
+      test_instance_releases_sink;
     Alcotest.test_case "outcome helpers" `Quick test_agreed_decision_helpers;
     Alcotest.test_case "outcome helper edge cases" `Quick
       test_outcome_helper_edges;

@@ -4,16 +4,16 @@
    strategy, seed, input pattern), runs that reach the same engine state
    through genuinely different engine code must agree:
 
-   - broadcast emission with compiled omission masks (the mask route),
-     traced, against pointwise emission ({!Sim.Protocol_intf.pointwise_emission}) with
-     the masks stripped ({!Adversary.pointwise}, the general route),
-     traced: the outcome and
-     the JSONL trace must be byte-identical. Runs that abort with
-     [Illegal_plan] (the grid deliberately includes over-budget
+   - broadcast emission with per-sender omission masks (the mask route),
+     traced, against pointwise emission
+     ({!Sim.Protocol_intf.pointwise_emission}) with the masks decoded to a
+     predicate ({!Adversary.pointwise}, the general route), traced: the
+     outcome and the JSONL trace must be byte-identical. Runs that abort
+     with [Illegal_plan] (the grid deliberately includes over-budget
      strategies) must abort with the same message after the same trace
      prefix;
    - the untraced mask route (mask-blit delivery and the shared broadcast
-     table) against the untraced general route (stripped masks, per-message
+     table) against the untraced general route (decoded masks, per-message
      predicate): outcomes equal, and equal to the traced run's;
    - one reusable {!Sim.Engine.instance} run twice: each run byte-identical
      to the fresh traced run, so cross-run buffer reuse leaks no state;
@@ -66,7 +66,7 @@ let iter_grid entry f =
 (* The strategy is rebuilt per run — some strategies close over mutable
    state, and sharing one across compared runs would let the first run's
    state bleed into the second. [strip] replaces it with its
-   {!Adversary.pointwise} form (compiled masks removed), putting the
+   {!Adversary.pointwise} form (masks decoded to a predicate), putting the
    engine on the per-message predicate path. *)
 let adversary_for ~strip ~n ~adv_idx =
   let adversary = List.nth (Adversary.standard_suite ~n) adv_idx in
@@ -85,7 +85,7 @@ let capture ?(strip = false) ?(rounds = false) ~n ~adv_idx run =
   (res, events ())
 
 (* Untraced run: outcome only. The engine takes the mask route whenever
-   the plan carries compiled verdicts, traced or not; untraced, it runs
+   the plan gives per-sender masks, traced or not; untraced, it runs
    the route's delivery, counters and legality scan with no event walk
    beside them, against the stripped (predicate-route) run. *)
 let capture_untraced ?(strip = false) ~n ~adv_idx run =
@@ -136,7 +136,7 @@ let check_round_totals ~ctx events =
          | _ -> (msgs, bits))
        (0, 0) events)
 
-(* The reference run of a cell: broadcast emission, compiled masks,
+(* The reference run of a cell: broadcast emission, per-sender masks,
    traced. *)
 let reference entry cfg ~adv_idx ~inputs =
   capture ~n:cfg.Sim.Config.n ~adv_idx (fun ~adversary ~trace ->
@@ -277,23 +277,25 @@ let test_sparse_golden () =
   check_digests ~file:sparse_file (List.map sparse_line sparse_cells)
 
 (* Route witness: a protocol whose [msg_bits] counts its calls, against
-   an adversary whose [omit] predicate counts its calls. The mask route
-   delivers by the compiled verdicts and never asks the predicate; the
-   general route asks it once per message. Both routes price a broadcast
-   record once per sender; a message-level sink prices each message once
-   more for its [Send] event. Flood under a crash schedule (compiled
-   masks) must therefore ask the predicate nothing and price no more than
-   n times a round untraced and with a round-level sink, and no more than
-   that plus once per message with any message-level sink: no sink moves
-   the run off the mask route. The same [Tail] on the stripped run, which
-   takes the general route, asks the predicate once per message and
-   prices within the same bound. *)
+   an adversary whose omission verdicts count their calls: per-sender
+   mask calls for a {!Sim.View.Masks} plan, predicate calls for a
+   {!Sim.View.Predicate} plan. The mask route asks each sender's verdict
+   at most once a round; the general route decodes it per message. Both
+   routes price a broadcast record once per sender; a message-level sink
+   prices each message once more for its [Send] event. Flood under a
+   crash schedule (a mask plan) must therefore make no more than n mask
+   calls and n pricings a round untraced and with a round-level sink, and
+   the same mask calls but pricings within that plus once per message
+   with any message-level sink: no sink moves the run off the mask route.
+   The same [Tail] on the stripped run, which takes the general route,
+   asks its predicate once per message and prices within the same
+   bound. *)
 let test_route_witness () =
   let n = 64 in
   let cfg = Sim.Config.make ~n ~t_max:4 ~seed:1 ~max_rounds:10 () in
   let inputs = Array.init n (fun i -> i mod 2) in
   let priced ?(strip = false) ?trace () =
-    let calls = ref 0 and omits = ref 0 in
+    let calls = ref 0 and masks = ref 0 and preds = ref 0 in
     let (module P) = Consensus.Flood.protocol_buffered cfg in
     let proto : Sim.Protocol_intf.buffered =
       (module struct
@@ -316,28 +318,41 @@ let test_route_witness () =
             let adv = adversary.Sim.Adversary_intf.create cfg rand in
             fun view ->
               let plan = adv view in
-              {
-                plan with
-                Sim.View.omit =
-                  (fun src dst ->
-                    incr omits;
-                    plan.Sim.View.omit src dst);
-              });
+              let omit =
+                match plan.Sim.View.omit with
+                | Masks m ->
+                    Sim.View.Masks
+                      (fun src ->
+                        incr masks;
+                        m src)
+                | Predicate p ->
+                    Predicate
+                      (fun src dst ->
+                        incr preds;
+                        p src dst)
+              in
+              { plan with omit });
       }
     in
     let o = Sim.Engine.run ?trace proto cfg ~adversary ~inputs in
-    (o, !calls, !omits)
+    (o, !calls, !masks, !preds)
   in
-  let o, untraced, omits = priced () in
+  let o, untraced, masks, preds = priced () in
   let per_round = o.Sim.Engine.rounds_total * n in
   Alcotest.(check bool)
     (Printf.sprintf "untraced: %d pricings <= %d" untraced per_round)
     true (untraced <= per_round);
-  Alcotest.(check int) "untraced: no predicate calls" 0 omits;
+  Alcotest.(check bool)
+    (Printf.sprintf "untraced: %d mask calls <= %d" masks per_round)
+    true (masks <= per_round);
+  Alcotest.(check int) "untraced: no predicate calls" 0 preds;
   let bound = o.messages_sent + per_round in
-  let check ~what ~messages (o', calls, omits) =
+  let check ~what ~messages (o', calls, masks', preds) =
     Alcotest.(check bool) (what ^ ": same outcome") true (o = o');
-    Alcotest.(check int) (what ^ ": no predicate calls") 0 omits;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d mask calls <= %d" what masks' per_round)
+      true (masks' <= per_round);
+    Alcotest.(check int) (what ^ ": no predicate calls") 0 preds;
     if messages then
       Alcotest.(check bool)
         (Printf.sprintf "%s: %d pricings <= %d" what calls bound)
@@ -365,14 +380,15 @@ let test_route_witness () =
   let path = Filename.temp_file "route_witness" ".jsonl" in
   observed ~what:"metrics+file" ~file:path ();
   Sys.remove path;
-  let o', calls, omits =
+  let o', calls, masks, preds =
     priced ~strip:true
       ~trace:(Trace.Tail.sink (Trace.Tail.create ~rounds:5 ()))
       ()
   in
   Alcotest.(check bool) "stripped tail: same outcome" true (o = o');
+  Alcotest.(check int) "stripped tail: no mask calls" 0 masks;
   Alcotest.(check int) "stripped tail: one predicate call per message"
-    o.messages_sent omits;
+    o.messages_sent preds;
   Alcotest.(check bool)
     (Printf.sprintf "stripped tail: %d pricings <= %d" calls bound)
     true (calls <= bound)
