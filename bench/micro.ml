@@ -92,38 +92,32 @@ let measure_path ~name ~path ~n ~t ~runs f =
     | _ -> ());
   wpr
 
-let engine_case ~name ~n ~t ~runs ~buffered =
+(* One instance, one adversary and one [path] column name. The
+   adversary is rebuilt per run: strategies close over mutable schedule
+   state. Which delivery route a run takes depends on the adversary's
+   plan: [Sim.Adversary_intf.none] and crash schedules give per-sender
+   masks (the mask-blit / broadcast-table route, path="buffered" and
+   "masked"), a randomized predicate takes the general per-message route
+   (path="pointwise"). *)
+let case ~name ~path ~n ~t ~runs ~buffered ~adversary =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
   let inputs = Array.init n (fun i -> i mod 2) in
-  let adversary = Sim.Adversary_intf.none in
   (* lazy so a fully cache-served case never constructs its protocol *)
   let inst = lazy (Sim.Engine.instance (buffered cfg) cfg) in
   let w =
-    measure_path ~name ~path:"buffered" ~n ~t ~runs (fun () ->
-        Sim.Engine.run_instance (Lazy.force inst) ~adversary ~inputs)
-  in
-  Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd buffered\n" name n t w
-
-(* Allocation on the mask delivery route: the buffered instance
-   driven by a structured adversary whose plan carries per-sender masks,
-   so an untraced run takes the mask-blit / broadcast-table path the
-   scale experiment measures for throughput. Same gated metric
-   (words/round), same baseline mechanics, path="masked". The adversary
-   is rebuilt per run: strategies close over mutable schedule state. *)
-let masked_case ~name ~n ~t ~runs ~buffered ~adversary =
-  let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
-  let inputs = Array.init n (fun i -> i mod 2) in
-  let inst = lazy (Sim.Engine.instance (buffered cfg) cfg) in
-  let w =
-    measure_path ~name ~path:"masked" ~n ~t ~runs (fun () ->
+    measure_path ~name ~path ~n ~t ~runs (fun () ->
         Sim.Engine.run_instance (Lazy.force inst) ~adversary:(adversary ())
           ~inputs)
   in
-  Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd masked\n" name n t w
+  Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd %s\n" name n t w path
+
+let engine_case =
+  case ~path:"buffered" ~adversary:(fun () -> Sim.Adversary_intf.none)
 
 (* Every registry protocol is covered, at one size in quick mode and
    two in full mode (dolev-strong relays are O(n^2) per round, hence its
-   small sizes); flood adds n=256 and the masked column. *)
+   small sizes); flood adds n=256 and the masked and pointwise
+   columns. *)
 let engine_bench ~quick () =
   Bench_util.section "Engine path: allocated words/round (reusable instance)";
   let runs = if quick then 3 else 6 in
@@ -133,13 +127,21 @@ let engine_bench ~quick () =
         ~buffered:Consensus.Flood.protocol_buffered)
     (if quick then [ 64; 256 ] else [ 64; 256; 512 ]);
   (* flood under a mask-plan crash schedule at the sizes the scale
-     sweep gates — allocation on the new delivery route, both modes *)
+     sweep gates: allocation on the mask route, both modes *)
   List.iter
     (fun n ->
-      masked_case ~name:"flood" ~n ~t:8 ~runs
+      case ~name:"flood" ~path:"masked" ~n ~t:8 ~runs
         ~buffered:Consensus.Flood.protocol_buffered
         ~adversary:(fun () ->
           Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]); (3, [ 2 ]) ]))
+    [ 256; 1024 ];
+  (* flood under randomized omissions: a predicate plan, so every message
+     takes the general route's per-message verdict walk *)
+  List.iter
+    (fun n ->
+      case ~name:"flood" ~path:"pointwise" ~n ~t:8 ~runs
+        ~buffered:Consensus.Flood.protocol_buffered
+        ~adversary:(fun () -> Adversary.random_omission ~p_omit:0.5))
     [ 256; 1024 ];
   List.iter
     (fun n ->

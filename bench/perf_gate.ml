@@ -8,7 +8,10 @@
 
    - regression: words_per_round must not exceed 2x the baseline value
      (plus a small absolute slack so near-zero baselines don't make the
-     gate flaky), at every baseline point.
+     gate flaky), at every baseline point. The points cover both
+     delivery routes: path="buffered" and "masked" rows run mask plans
+     (the mask route), path="pointwise" rows run flood under a
+     randomized predicate plan (the general per-message route).
 
    kind="scale-throughput" rows (the scale experiment, non-stable mode)
    are gated within the records file itself — throughput is machine-

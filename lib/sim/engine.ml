@@ -30,8 +30,10 @@
     priced by one closure-free {!Mailbox.total_bits} and delivered by a
     closure-free blit ({!Mailbox.rdeliver}, {!Mailbox.rshare}), so the
     engine's own steady-state cost is O(n) words per round (fresh
-    [obs_core] observations). Protocols add what they allocate per
-    message record. A message-level sink's events, and the hints the
+    [obs_core] observations). The general route walks each outbox in
+    place ({!Mailbox.iter}, {!Mailbox.riter}) with two closures built
+    once per round. Protocols add what they allocate per message
+    record. A message-level sink's events, and the hints the
     pending-message walk hands an adversary that reads them, allocate per
     message. *)
 
@@ -502,68 +504,77 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
             end
           done
       | omission ->
-          (* General route: a link, or a predicate plan. Broadcast
-             segments are expanded in place first, then the per-message
-             loop runs exactly as the legacy engine did, with the
-             omission verdict read per message (a mask plan decoded once
-             for the round). The sender is priced once up front, so a
-             flattened broadcast's repeated record costs one [msg_bits]
-             call; an [Illegal_plan] midway
-             aborts the run, so no partial count is ever read. *)
+          (* General route: a link, or a predicate plan. Per sender, a
+             forward walk of the outbox asks each message's verdict in
+             emission order and records it at the message's index; a
+             reverse walk then pushes the survivors. Broadcast segments
+             expand inside the walks, so no outbox is copied. The two
+             walk closures are built here, once per round, and read the
+             sender from [src]. Omissions go to a round-local counter:
+             a closure capturing the per-run one would box it on every
+             route. Counts are added per sender or per round: an
+             [Illegal_plan] midway aborts the run, so no partial count is
+             ever read. *)
           let omit = View.omits omission in
+          let src = ref 0 and at = ref 0 and omitted = ref 0 in
+          let decide dst _ =
+            let pid = !src and i = !at in
+            at := i + 1;
+            if omit pid dst then begin
+              if (not faulty.(pid)) && not faulty.(dst) then
+                illegal "omission between non-faulty %d -> %d at round %d" pid
+                  dst r;
+              incr omitted;
+              Bytes.unsafe_set !omit_scratch i '\001';
+              match msg_tr with
+              | None -> ()
+              | Some t ->
+                  Trace.Sink.emit t.sink
+                    (Trace.Event.Omit { round = r; src = pid; dst })
+            end
+            else begin
+              let delivered =
+                match link with
+                | None -> true
+                | Some l -> (
+                    match
+                      l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
+                    with
+                    | Link_intf.Delivered -> true
+                    | Link_intf.Lost -> false)
+              in
+              if delivered then begin
+                Bytes.unsafe_set !omit_scratch i '\000';
+                match msg_tr with
+                | None -> ()
+                | Some t ->
+                    Trace.Sink.emit t.sink
+                      (Trace.Event.Deliver { round = r; src = pid; dst })
+              end
+              else Bytes.unsafe_set !omit_scratch i '\002'
+            end
+          in
+          let push dst m =
+            let i = !at - 1 in
+            at := i;
+            if Bytes.unsafe_get !omit_scratch i = '\000' then
+              Mailbox.push inboxes.(dst) ~peer:!src m
+          in
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
-            Mailbox.flatten ob;
             let len = Mailbox.length ob in
             if len > 0 then begin
+              messages_sent := !messages_sent + len;
               bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
               if Bytes.length !omit_scratch < len then
                 omit_scratch := Bytes.create len;
-              let om = !omit_scratch in
-              for i = 0 to len - 1 do
-                let dst = Mailbox.peer ob i in
-                incr messages_sent;
-                if omit pid dst then begin
-                  if (not faulty.(pid)) && not faulty.(dst) then
-                    illegal "omission between non-faulty %d -> %d at round %d"
-                      pid dst r;
-                  incr messages_omitted;
-                  Bytes.unsafe_set om i '\001';
-                  match msg_tr with
-                  | None -> ()
-                  | Some t ->
-                      Trace.Sink.emit t.sink
-                        (Trace.Event.Omit { round = r; src = pid; dst })
-                end
-                else begin
-                  let delivered =
-                    match link with
-                    | None -> true
-                    | Some l -> (
-                        match
-                          l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
-                        with
-                        | Link_intf.Delivered -> true
-                        | Link_intf.Lost -> false)
-                  in
-                  if delivered then begin
-                    Bytes.unsafe_set om i '\000';
-                    match msg_tr with
-                    | None -> ()
-                    | Some t ->
-                        Trace.Sink.emit t.sink
-                          (Trace.Event.Deliver { round = r; src = pid; dst })
-                  end
-                  else Bytes.unsafe_set om i '\002'
-                end
-              done;
-              for i = len - 1 downto 0 do
-                if Bytes.unsafe_get om i = '\000' then
-                  Mailbox.push inboxes.(Mailbox.peer ob i) ~peer:pid
-                    (Mailbox.msg ob i)
-              done
+              src := pid;
+              at := 0;
+              Mailbox.iter ob decide;
+              Mailbox.riter ob push
             end
-          done);
+          done;
+          messages_omitted := !messages_omitted + !omitted);
       (* The backward survivor push fills every inbox sorted by ascending
          sender already; assert the contract in debug builds instead of
          paying an O(n + len) re-sort scan on the steady-state hot path. *)

@@ -15,10 +15,11 @@
     materialising them. Segments remember the pointwise length at which
     they were pushed, so the logical emission order — the sequence of
     [(peer, msg)] pairs a pointwise-only writer would have produced — is
-    fully reconstructible: {!iter}, {!fold} and {!to_list} expand segments
-    in place, and {!flatten} rewrites the buffer into the equivalent
-    pointwise-only form. Only outboxes carry segments; the engine always
-    delivers into inboxes pointwise.
+    fully reconstructible: {!iter}, {!riter}, {!fold} and {!to_list}
+    expand segments in place. Only outboxes carry segments. Inboxes hold
+    pointwise rows, plus, when the engine has attached its round-shared
+    broadcast table ({!attach_shared}), the table entries covering their
+    owner, merged in at read time.
 
     The [peer] of a slot is the destination pid for outboxes and the
     source pid for inboxes. Readers must treat a mailbox as valid only for
@@ -66,9 +67,6 @@ type 'm t = {
           slots [pos - 1] and [pos] in emission order *)
   mutable seg_len : int;
   mutable seg_total : int;  (** expanded size of all segments *)
-  (* Scratch for {!flatten}, grow-only like the main arrays. *)
-  mutable fl_peers : int array;
-  mutable fl_msgs : 'm array;
 }
 
 let shared_create () =
@@ -143,8 +141,6 @@ let create ?(hint = 0) () =
     seg_pos = [||];
     seg_len = 0;
     seg_total = 0;
-    fl_peers = [||];
-    fl_msgs = [||];
   }
 
 (** Expanded entry count: pointwise slots plus every segment destination,
@@ -170,14 +166,6 @@ let clear t =
   t.len <- 0;
   t.seg_len <- 0;
   t.seg_total <- 0
-
-let peer t i =
-  if i < 0 || i >= t.len then invalid_arg "Mailbox.peer: index out of bounds";
-  t.peers.(i)
-
-let msg t i =
-  if i < 0 || i >= t.len then invalid_arg "Mailbox.msg: index out of bounds";
-  t.msgs.(i)
 
 (* The msgs array needs a seed element to exist; it is created lazily from
    the first message pushed, so the type stays fully polymorphic without an
@@ -236,85 +224,6 @@ let push_all t ~lo ~hi ?(skip = -1) ?(desc = false) m =
     t.seg_total <- t.seg_total + size
   end
 
-(* Expand one segment's destinations in emission order. *)
-let seg_iter_dsts ~lo ~hi ~skip ~desc f =
-  if desc then
-    for dst = hi downto lo do
-      if dst <> skip then f dst
-    done
-  else
-    for dst = lo to hi do
-      if dst <> skip then f dst
-    done
-
-(* Same in reverse emission order. *)
-let seg_riter_dsts ~lo ~hi ~skip ~desc f =
-  if desc then
-    for dst = lo to hi do
-      if dst <> skip then f dst
-    done
-  else
-    for dst = hi downto lo do
-      if dst <> skip then f dst
-    done
-
-(** Walk the buffer's entries in emission order without expanding
-    segments: [point peer m] per pointwise slot, [seg ~lo ~hi ~skip ~desc
-    ~size m] per broadcast segment. *)
-let iter_entries t ~point ~seg =
-  if t.seg_len = 0 then
-    for i = 0 to t.len - 1 do
-      point t.peers.(i) t.msgs.(i)
-    done
-  else begin
-    let s = ref 0 in
-    let flush_upto pos =
-      while !s < t.seg_len && t.seg_pos.(!s) <= pos do
-        let i = !s in
-        seg ~lo:t.seg_lo.(i) ~hi:t.seg_hi.(i) ~skip:t.seg_skip.(i)
-          ~desc:t.seg_desc.(i)
-          ~size:
-            (seg_size ~lo:t.seg_lo.(i) ~hi:t.seg_hi.(i) ~skip:t.seg_skip.(i))
-          t.seg_msg.(i);
-        incr s
-      done
-    in
-    for i = 0 to t.len - 1 do
-      flush_upto i;
-      point t.peers.(i) t.msgs.(i)
-    done;
-    flush_upto t.len
-  end
-
-(** {!iter_entries} in reverse emission order (segments still unexpanded,
-    visited after the pointwise slot they precede). *)
-let riter_entries t ~point ~seg =
-  if t.seg_len = 0 then
-    for i = t.len - 1 downto 0 do
-      point t.peers.(i) t.msgs.(i)
-    done
-  else begin
-    let s = ref (t.seg_len - 1) in
-    let flush_downto pos =
-      (* segments at position > pos come after slot [pos] in emission
-         order, so in reverse order they are visited first *)
-      while !s >= 0 && t.seg_pos.(!s) > pos do
-        let i = !s in
-        seg ~lo:t.seg_lo.(i) ~hi:t.seg_hi.(i) ~skip:t.seg_skip.(i)
-          ~desc:t.seg_desc.(i)
-          ~size:
-            (seg_size ~lo:t.seg_lo.(i) ~hi:t.seg_hi.(i) ~skip:t.seg_skip.(i))
-          t.seg_msg.(i);
-        decr s
-      done
-    in
-    for i = t.len - 1 downto 0 do
-      flush_downto i;
-      point t.peers.(i) t.msgs.(i)
-    done;
-    flush_downto (-1)
-  end
-
 (* Inbox walk when a round-shared broadcast table is attached and
    non-empty: merge the pointwise rows (sorted by ascending peer) with
    the table entries covering this receiver (sorted by ascending src).
@@ -340,49 +249,62 @@ let iter_merged t sh f =
     incr i
   done
 
-let riter_merged t sh f =
-  assert (t.seg_len = 0);
-  let me = t.owner in
-  let i = ref (t.len - 1) in
-  for j = sh.s_len - 1 downto 0 do
-    if shared_covers sh j me then begin
-      let src = Array.unsafe_get sh.s_src j in
-      while !i >= 0 && Array.unsafe_get t.peers !i > src do
-        f (Array.unsafe_get t.peers !i) (Array.unsafe_get t.msgs !i);
-        decr i
-      done;
-      f src (Array.unsafe_get sh.s_msg j)
-    end
-  done;
-  while !i >= 0 do
-    f (Array.unsafe_get t.peers !i) (Array.unsafe_get t.msgs !i);
-    decr i
-  done
-
+(* [iter] and [riter] are plain loops over the arrays, like {!rdeliver}:
+   they allocate nothing per sender or per segment. Segment [j] sits just
+   before pointwise slot [seg_pos.(j)] in emission order. *)
 let iter t f =
   match t.shared with
   | Some sh when sh.s_len > 0 -> iter_merged t sh f
-  | _ when t.seg_len = 0 ->
-      (* the common inbox: plain rows, walked without a [~seg] closure *)
-      for i = 0 to t.len - 1 do
-        f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
-      done
   | _ ->
-      iter_entries t ~point:f ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
-          seg_iter_dsts ~lo ~hi ~skip ~desc (fun dst -> f dst m))
+      let s = ref 0 in
+      for i = 0 to t.len do
+        while !s < t.seg_len && t.seg_pos.(!s) <= i do
+          let j = !s in
+          let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
+          let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
+          if t.seg_desc.(j) then
+            for dst = hi downto lo do
+              if dst <> skip then f dst m
+            done
+          else
+            for dst = lo to hi do
+              if dst <> skip then f dst m
+            done;
+          incr s
+        done;
+        if i < t.len then
+          f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
+      done
 
 (** Expanded walk in reverse emission order — the engine's
-    pending-message walk. *)
+    pending-message walk and its survivor push. Raises [Invalid_argument]
+    on an inbox whose attached broadcast table is non-empty: the walk
+    does not merge table entries, so it would silently miss them. *)
 let riter t f =
-  match t.shared with
-  | Some sh when sh.s_len > 0 -> riter_merged t sh f
-  | _ ->
-      riter_entries t ~point:f ~seg:(fun ~lo ~hi ~skip ~desc ~size:_ m ->
-          seg_riter_dsts ~lo ~hi ~skip ~desc (fun dst -> f dst m))
-
-(* The fast path's per-sender walks below are plain loops over the
-   arrays: a walk through {!iter_entries} would allocate its [~point] and
-   [~seg] closures for every sender of every round. *)
+  (match t.shared with
+  | Some sh when sh.s_len > 0 ->
+      invalid_arg "Mailbox.riter: buffer has an attached broadcast table"
+  | _ -> ());
+  let s = ref (t.seg_len - 1) in
+  for i = t.len - 1 downto -1 do
+    (* segments pushed after slot [i] come after it in emission order,
+       so in reverse order they are visited first *)
+    while !s >= 0 && t.seg_pos.(!s) > i do
+      let j = !s in
+      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
+      let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
+      if t.seg_desc.(j) then
+        for dst = lo to hi do
+          if dst <> skip then f dst m
+        done
+      else
+        for dst = hi downto lo do
+          if dst <> skip then f dst m
+        done;
+      decr s
+    done;
+    if i >= 0 then f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
+  done
 
 (* Append one delivered row without the public-push indirection: capacity
    check against the live arrays, unsafe stores. [dst] is trusted — the
@@ -526,36 +448,6 @@ let to_list t =
   let acc = ref [] in
   iter t (fun peer m -> acc := (peer, m) :: !acc);
   List.rev !acc
-
-(** Rewrite the buffer into the equivalent pointwise-only form: every
-    segment expanded in place, emission order preserved. No-op without
-    segments; with segments it runs on grow-only scratch arrays, so a
-    buffer reused across rounds stops allocating at its high-water mark. *)
-let flatten t =
-  if t.seg_len > 0 then begin
-    let total = length t in
-    let seed = t.seg_msg.(0) in
-    if Array.length t.fl_peers < total then begin
-      let cap = max total (2 * Array.length t.fl_peers) in
-      t.fl_peers <- Array.make cap 0;
-      t.fl_msgs <- Array.make cap seed
-    end;
-    let fp = t.fl_peers and fm = t.fl_msgs in
-    let j = ref 0 in
-    iter t (fun peer m ->
-        fp.(!j) <- peer;
-        fm.(!j) <- m;
-        incr j);
-    (* swap: the old pointwise arrays become next flatten's scratch *)
-    let op = t.peers and om = t.msgs in
-    t.peers <- fp;
-    t.msgs <- fm;
-    t.fl_peers <- op;
-    t.fl_msgs <- om;
-    t.len <- total;
-    t.seg_len <- 0;
-    t.seg_total <- 0
-  end
 
 (** [true] iff slots are in non-decreasing [peer] order — the engine's
     post-delivery debug assertion: the backward survivor push fills every

@@ -421,6 +421,103 @@ let test_walk_is_send_stream () =
     (Consensus.Optimal_omissions.protocol_buffered cfg)
     cfg (Adversary.vote_splitter ())
 
+(* The general route asks each message's verdict in emission order. Per
+   round the predicate sees the senders in ascending order and, within a
+   sender, the reverse of its pending-message walk entries (the walk lists
+   a sender's messages in reverse emission order); the link sees the same
+   sequence without the omitted messages. *)
+let test_general_route_emission_order () =
+  let check ~what (proto : Sim.Protocol_intf.buffered) (cfg : Sim.Config.t) =
+    let inner = Adversary.random_omission ~p_omit:0.5 in
+    let walked = Hashtbl.create 64 and asked = Hashtbl.create 64 in
+    let transmitted = Hashtbl.create 64 in
+    let find tbl r = Option.value ~default:[] (Hashtbl.find_opt tbl r) in
+    let adversary =
+      {
+        inner with
+        Sim.Adversary_intf.create =
+          (fun cfg rand ->
+            let adv = inner.Sim.Adversary_intf.create cfg rand in
+            fun view ->
+              let r = view.Sim.View.round in
+              let acc = ref [] in
+              view.Sim.View.iter_envelopes (fun src dst _ _ ->
+                  acc := (src, dst) :: !acc);
+              Hashtbl.replace walked r (List.rev !acc);
+              let plan = adv view in
+              match plan.Sim.View.omit with
+              | Sim.View.Predicate p ->
+                  let p' src dst =
+                    let v = p src dst in
+                    Hashtbl.replace asked r ((src, dst, v) :: find asked r);
+                    v
+                  in
+                  { plan with Sim.View.omit = Sim.View.Predicate p' }
+              | Sim.View.Masks _ -> Alcotest.fail "expected a predicate plan");
+      }
+    in
+    let link =
+      {
+        Sim.Link_intf.name = "recorder";
+        reset = (fun ~seed:_ -> ());
+        begin_round = (fun ~round:_ -> ());
+        transmit =
+          (fun ~trace:_ ~round ~src ~dst ->
+            Hashtbl.replace transmitted round
+              ((src, dst) :: find transmitted round);
+            Sim.Link_intf.Delivered);
+      }
+    in
+    let o =
+      Sim.Engine.run ~link proto cfg ~adversary
+        ~inputs:(Array.init cfg.n (fun i -> i mod 2))
+    in
+    let total = ref 0 in
+    for r = 1 to o.Sim.Engine.rounds_total do
+      let walk = find walked r and asks = List.rev (find asked r) in
+      let emission =
+        List.concat_map
+          (fun pid -> List.rev (List.filter (fun (s, _) -> s = pid) walk))
+          (List.init cfg.n Fun.id)
+      in
+      if List.map (fun (s, d, _) -> (s, d)) asks <> emission then
+        Alcotest.failf "%s round %d: predicate calls out of emission order"
+          what r;
+      let kept =
+        List.filter_map (fun (s, d, v) -> if v then None else Some (s, d)) asks
+      in
+      if List.rev (find transmitted r) <> kept then
+        Alcotest.failf "%s round %d: transmit calls differ from survivors"
+          what r;
+      total := !total + List.length asks
+    done;
+    Alcotest.(check int) (what ^ ": one verdict per message") o.messages_sent
+      !total;
+    Alcotest.(check bool) (what ^ ": some message omitted") true
+      (o.messages_omitted > 0)
+  in
+  (* dolev-strong repeats destinations within a sender's round *)
+  let ds_cfg = Sim.Config.make ~n:16 ~t_max:3 ~seed:1 () in
+  check ~what:"dolev-strong n=16"
+    (Consensus.Dolev_strong.protocol_buffered ds_cfg)
+    ds_cfg;
+  (* optimal mixes descending whole-instance segments with pointwise rows *)
+  let cfg0 = Sim.Config.make ~n:24 ~t_max:1 ~seed:1 ~max_rounds:1 () in
+  let opt_cfg =
+    {
+      cfg0 with
+      Sim.Config.max_rounds =
+        Consensus.Optimal_omissions.rounds_needed cfg0 + 10;
+    }
+  in
+  check ~what:"optimal n=24"
+    (Consensus.Optimal_omissions.protocol_buffered opt_cfg)
+    opt_cfg;
+  (* flood broadcasts through ascending segments *)
+  let flood_cfg = Sim.Config.make ~n:32 ~t_max:8 ~seed:1 () in
+  check ~what:"flood n=32" (Consensus.Flood.protocol_buffered flood_cfg)
+    flood_cfg
+
 (* A reused instance outlives its runs: once a traced run returns, the
    instance must hold nothing that keeps the run's sink (and the events
    it buffers) alive, or every later run pays for the last one's trace. *)
@@ -647,6 +744,8 @@ let suite =
     Alcotest.test_case "adversary view contents" `Quick test_view_contents;
     Alcotest.test_case "pending-message walk = Send stream" `Quick
       test_walk_is_send_stream;
+    Alcotest.test_case "general route asks in emission order" `Quick
+      test_general_route_emission_order;
     Alcotest.test_case "instance keeps no run's sink alive" `Quick
       test_instance_releases_sink;
     Alcotest.test_case "outcome helpers" `Quick test_agreed_decision_helpers;

@@ -182,58 +182,6 @@ let qcheck_broadcast_equiv =
       && Sim.Mailbox.fold mb ~init:[] (fun acc p m -> (p, m) :: acc)
          = List.rev expected)
 
-let qcheck_broadcast_flatten =
-  QCheck.Test.make
-    ~name:"flatten rewrites segments in place, emission order kept"
-    ~count:500 mixed_load (fun ops ->
-      let mb = Sim.Mailbox.create () in
-      apply_ops mb ops;
-      let expected = expand_ops ops in
-      Sim.Mailbox.flatten mb;
-      Sim.Mailbox.seg_count mb = 0
-      && Sim.Mailbox.point_length mb = List.length expected
-      && Sim.Mailbox.to_list mb = expected
-      && List.for_all
-           (fun i ->
-             (Sim.Mailbox.peer mb i, Sim.Mailbox.msg mb i)
-             = List.nth expected i)
-           (List.init (List.length expected) Fun.id))
-
-let qcheck_broadcast_entries =
-  QCheck.Test.make
-    ~name:"iter_entries/riter_entries visit segments at their positions"
-    ~count:300 mixed_load (fun ops ->
-      let mb = Sim.Mailbox.create () in
-      apply_ops mb ops;
-      let expand_entry ~lo ~hi ~skip ~desc ~size m =
-        let l = ref [] in
-        if desc then
-          for d = lo to hi do
-            if d <> skip then l := (d, m) :: !l
-          done
-        else
-          for d = hi downto lo do
-            if d <> skip then l := (d, m) :: !l
-          done;
-        assert (List.length !l = size);
-        !l
-      in
-      let fwd = ref [] in
-      Sim.Mailbox.iter_entries mb
-        ~point:(fun p m -> fwd := (p, m) :: !fwd)
-        ~seg:(fun ~lo ~hi ~skip ~desc ~size m ->
-          fwd := List.rev_append (expand_entry ~lo ~hi ~skip ~desc ~size m) !fwd);
-      let bwd = ref [] in
-      Sim.Mailbox.riter_entries mb
-        ~point:(fun p m -> bwd := (p, m) :: !bwd)
-        ~seg:(fun ~lo ~hi ~skip ~desc ~size m ->
-          bwd :=
-            List.rev_append
-              (List.rev (expand_entry ~lo ~hi ~skip ~desc ~size m))
-              !bwd);
-      let expected = expand_ops ops in
-      List.rev !fwd = expected && !bwd = expected)
-
 let qcheck_broadcast_reuse =
   QCheck.Test.make
     ~name:"broadcast clear-then-refill never exposes stale segments"
@@ -253,7 +201,7 @@ let qcheck_broadcast_reuse =
 let test_broadcast_identity () =
   (* one push_all stores ONE shared record: every expanded slot must be
      physically identical ([==]) to the pushed message, across segment
-     growth and across flatten *)
+     growth *)
   let mb = Sim.Mailbox.create () in
   let records = Array.init 12 (fun i -> ref i) in
   Array.iter (fun r -> Sim.Mailbox.push_all mb ~lo:0 ~hi:30 ~skip:7 r) records;
@@ -265,25 +213,24 @@ let test_broadcast_identity () =
   Alcotest.(check bool) "shared identity through growth" true !ok;
   Array.iteri
     (fun i c -> Alcotest.(check int) (Printf.sprintf "fanout %d" i) 30 c)
-    seen;
-  Sim.Mailbox.flatten mb;
-  let ok = ref true in
-  Sim.Mailbox.iter mb (fun _peer m -> if not (m == records.(!m)) then ok := false);
-  Alcotest.(check bool) "shared identity after flatten" true !ok;
-  Alcotest.(check int) "flattened size" (12 * 30) (Sim.Mailbox.point_length mb)
+    seen
 
-let test_bounds () =
-  let mb = Sim.Mailbox.create () in
-  Sim.Mailbox.push mb ~peer:3 "x";
-  Alcotest.(check string) "msg 0" "x" (Sim.Mailbox.msg mb 0);
-  Alcotest.(check int) "peer 0" 3 (Sim.Mailbox.peer mb 0);
-  Alcotest.check_raises "peer out of bounds"
-    (Invalid_argument "Mailbox.peer: index out of bounds") (fun () ->
-      ignore (Sim.Mailbox.peer mb 1));
-  Sim.Mailbox.clear mb;
-  Alcotest.check_raises "cleared slot unreadable"
-    (Invalid_argument "Mailbox.msg: index out of bounds") (fun () ->
-      ignore (Sim.Mailbox.msg mb 0))
+(* [riter] does not merge an attached broadcast table, so it refuses an
+   inbox whose table holds entries rather than silently skip them. *)
+let test_riter_refuses_table () =
+  let ib = Sim.Mailbox.create () in
+  Sim.Mailbox.push ib ~peer:0 "row";
+  let sh = Sim.Mailbox.shared_create () in
+  Sim.Mailbox.attach_shared ib sh ~owner:1;
+  let rows = ref [] in
+  Sim.Mailbox.riter ib (fun p m -> rows := (p, m) :: !rows);
+  Alcotest.(check (list (pair int string))) "empty table: plain rows"
+    [ (0, "row") ] !rows;
+  Sim.Mailbox.shared_push sh ~src:2 ~lo:0 ~hi:3 ~skip:(-1) ~mask:Bytes.empty
+    "entry";
+  Alcotest.check_raises "non-empty table"
+    (Invalid_argument "Mailbox.riter: buffer has an attached broadcast table")
+    (fun () -> Sim.Mailbox.riter ib (fun _ _ -> ()))
 
 (* The engine's closure-free fast-path walks against their references
    through [riter]/[iter]: masked delivery, table sharing, omission count,
@@ -323,15 +270,13 @@ let priced_per_record ops runs =
           (if shared then r else { v })
       done)
     runs;
+  (* every [`P] is its own record; a shared run is one record *)
   let records =
-    let rec count prev i acc =
-      if i = Sim.Mailbox.point_length mb then acc
-      else
-        let m = Sim.Mailbox.msg mb i in
-        count (Some m) (i + 1)
-          (match prev with Some p when p == m -> acc | _ -> acc + 1)
-    in
-    count None 0 0 + Sim.Mailbox.seg_count mb
+    List.length (List.filter (function `P _ -> true | `B _ -> false) ops)
+    + List.fold_left
+        (fun acc (k, _, shared) -> acc + if shared then 1 else k)
+        0 runs
+    + Sim.Mailbox.seg_count mb
   in
   let calls = ref 0 in
   let f r =
@@ -413,11 +358,10 @@ let suite =
     qcheck qcheck_filter_equiv;
     qcheck qcheck_filter_reuse;
     qcheck qcheck_broadcast_equiv;
-    qcheck qcheck_broadcast_flatten;
-    qcheck qcheck_broadcast_entries;
     qcheck qcheck_broadcast_reuse;
     Alcotest.test_case "push_all keeps one shared record" `Quick
       test_broadcast_identity;
-    Alcotest.test_case "bounds checks and clear semantics" `Quick test_bounds;
+    Alcotest.test_case "riter refuses a non-empty attached table" `Quick
+      test_riter_refuses_table;
     qcheck qcheck_rdeliver_mask;
   ]
