@@ -94,25 +94,31 @@ let measure_path ~name ~path ~n ~t ~runs f =
 
 (* One instance, one adversary and one [path] column name. The
    adversary is rebuilt per run: strategies close over mutable schedule
-   state. Which delivery route a run takes depends on the adversary's
-   plan: [Sim.Adversary_intf.none] and crash schedules give per-sender
-   masks (the mask-blit / broadcast-table route, path="buffered" and
-   "masked"), a randomized predicate takes the general per-message route
-   (path="pointwise"). *)
-let case ~name ~path ~n ~t ~runs ~buffered ~adversary =
+   state, as is [trace], the run's sink. Which delivery route a run
+   takes depends on the adversary's plan: [Sim.Adversary_intf.none] and
+   crash schedules give per-sender masks (the mask-blit / broadcast-table
+   route, path="buffered", "masked" and "tail"), a randomized predicate
+   takes the general per-message route (path="pointwise"). *)
+let case ?(trace = fun () -> None) ~name ~path ~n ~t ~runs ~buffered
+    ~adversary () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
   let inputs = Array.init n (fun i -> i mod 2) in
   (* lazy so a fully cache-served case never constructs its protocol *)
   let inst = lazy (Sim.Engine.instance (buffered cfg) cfg) in
   let w =
     measure_path ~name ~path ~n ~t ~runs (fun () ->
-        Sim.Engine.run_instance (Lazy.force inst) ~adversary:(adversary ())
-          ~inputs)
+        Sim.Engine.run_instance ?trace:(trace ()) (Lazy.force inst)
+          ~adversary:(adversary ()) ~inputs)
   in
   Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd %s\n" name n t w path
 
-let engine_case =
-  case ~path:"buffered" ~adversary:(fun () -> Sim.Adversary_intf.none)
+let engine_case ~name ~n ~t ~runs ~buffered =
+  case ~name ~path:"buffered" ~n ~t ~runs ~buffered
+    ~adversary:(fun () -> Sim.Adversary_intf.none)
+    ()
+
+let three_crashes () =
+  Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]); (3, [ 2 ]) ]
 
 (* Every registry protocol is covered, at one size in quick mode and
    two in full mode (dolev-strong relays are O(n^2) per round, hence its
@@ -131,9 +137,17 @@ let engine_bench ~quick () =
   List.iter
     (fun n ->
       case ~name:"flood" ~path:"masked" ~n ~t:8 ~runs
-        ~buffered:Consensus.Flood.protocol_buffered
-        ~adversary:(fun () ->
-          Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]); (3, [ 2 ]) ]))
+        ~buffered:Consensus.Flood.protocol_buffered ~adversary:three_crashes ())
+    [ 256; 1024 ];
+  (* the same runs recording a 5-round trace tail: message-level events
+     from both walks of the mask route, stored without allocation *)
+  List.iter
+    (fun n ->
+      case ~name:"flood" ~path:"tail" ~n ~t:8 ~runs
+        ~buffered:Consensus.Flood.protocol_buffered ~adversary:three_crashes
+        ~trace:(fun () ->
+          Some (Trace.Tail.sink (Trace.Tail.create ~rounds:5 ())))
+        ())
     [ 256; 1024 ];
   (* flood under randomized omissions: a predicate plan, so every message
      takes the general route's per-message verdict walk *)
@@ -141,7 +155,8 @@ let engine_bench ~quick () =
     (fun n ->
       case ~name:"flood" ~path:"pointwise" ~n ~t:8 ~runs
         ~buffered:Consensus.Flood.protocol_buffered
-        ~adversary:(fun () -> Adversary.random_omission ~p_omit:0.5))
+        ~adversary:(fun () -> Adversary.random_omission ~p_omit:0.5)
+        ())
     [ 256; 1024 ];
   List.iter
     (fun n ->

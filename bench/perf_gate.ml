@@ -11,7 +11,10 @@
      gate flaky), at every baseline point. The points cover both
      delivery routes: path="buffered" and "masked" rows run mask plans
      (the mask route), path="pointwise" rows run flood under a
-     randomized predicate plan (the general per-message route).
+     randomized predicate plan (the general per-message route), and
+     path="tail" rows run the "masked" flood runs recording a 5-round
+     Trace.Tail, so message-level tracing that allocates per event
+     fails the gate.
 
    kind="scale-throughput" rows (the scale experiment, non-stable mode)
    are gated within the records file itself — throughput is machine-

@@ -19,8 +19,8 @@
     Without a link, a plan whose omissions are per-sender [Masks] takes
     the mask route (aggregate counters, mask-blit delivery); a link or a
     [Predicate] plan takes the general per-message route. A message-level
-    sink only decides whether [Send]/[Omit]/[Deliver] events are built, on
-    either route.
+    sink only decides whether [Send]/[Omit]/[Deliver] events are reported,
+    on either route.
 
     Allocation discipline: the hot path runs on reusable buffers — per-pid
     {!Mailbox.t} outboxes/inboxes reset by count, one adversary {!View.t}
@@ -33,9 +33,13 @@
     [obs_core] observations). The general route walks each outbox in
     place ({!Mailbox.iter}, {!Mailbox.riter}) with two closures built
     once per round. Protocols add what they allocate per message
-    record. A message-level sink's events, and the hints the
-    pending-message walk hands an adversary that reads them, allocate per
-    message. *)
+    record. A message-level sink is handed each event's fields
+    ({!Trace.Sink.send}, {!Trace.Sink.omit}, {!Trace.Sink.deliver}):
+    the pending-message walk prices and hints a record once per run of
+    entries sharing it, the mask route's verdicts come from one
+    closure-free {!Mailbox.verdicts} walk per sender, and a {!Trace.Tail}
+    stores the fields without allocating. A sink built with
+    {!Trace.Sink.make} builds each event. *)
 
 exception Illegal_plan of string
 
@@ -77,14 +81,18 @@ type tracer = {
   mutable r0_omitted : int;
   mutable r0_rand_calls : int;
   mutable r0_rand_bits : int;
-  (* What a message-level walk is visiting: the round, the sender and, on
-     the mask route, its verdict ([Bytes.empty] delivers every message).
-     The event closures read these cells, so they are built once per run
-     rather than once per sender. *)
-  mutable at_round : int;
-  mutable at_src : int;
-  mutable at_mask : Bytes.t;
 }
+
+(* What the pending-message walk feeds: an adversary's
+   {!View.iter_envelopes} consumer, or a message-level sink's [Send]
+   entry point ({!Trace.Sink.send}, bound once per walk) for one
+   round. *)
+type walk =
+  | Idle
+  | Envelopes of (int -> int -> int -> int option -> unit)
+  | Sends of
+      (round:int -> src:int -> dst:int -> bits:int -> hint:int option -> unit)
+      * int
 
 let all_nonfaulty_decided outcome =
   let n = Array.length outcome.decisions in
@@ -189,23 +197,38 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
      expanded, each sender in reverse emission order (the ordering note
      above). It feeds both {!View.iter_envelopes} and the [Send] events.
      The per-message closure reads the sender and the consumer from these
-     cells, so it is built once per instance, not once per sender. The
-     consumer cell is emptied after each walk: the instance outlives the
-     run, and must not keep its trace sink or adversary alive. *)
-  let no_walk _ _ _ _ = () in
-  let walk_src = ref 0 in
-  let walk_f = ref no_walk in
+     cells, so it is built once per instance, not once per sender. A
+     record is priced and hinted once per run of consecutive [==]
+     entries (a broadcast segment is one run), through the [last] cache.
+     The consumer and the cache are emptied after each walk: the instance
+     outlives the run, and must not keep its trace sink, adversary or
+     messages alive. *)
+  let walk = ref Idle and walk_src = ref 0 in
+  let last = ref None and last_bits = ref 0 and last_hint = ref None in
   let walk_msg dst m =
-    !walk_f !walk_src dst (max 1 (P.msg_bits m)) (P.msg_hint m)
+    (match !last with
+    | Some l when l == m -> ()
+    | _ ->
+        last := Some m;
+        last_bits := max 1 (P.msg_bits m);
+        last_hint := P.msg_hint m);
+    match !walk with
+    | Envelopes f -> f !walk_src dst !last_bits !last_hint
+    | Sends (send, round) ->
+        send ~round ~src:!walk_src ~dst ~bits:!last_bits ~hint:!last_hint
+    | Idle -> ()
   in
-  let iter_envelopes f =
-    walk_f := f;
+  let walk_pending w =
+    walk := w;
     for pid = 0 to n - 1 do
       walk_src := pid;
       Mailbox.riter outboxes.(pid) walk_msg
     done;
-    walk_f := no_walk
+    walk := Idle;
+    last := None;
+    last_hint := None
   in
+  let iter_envelopes f = walk_pending (Envelopes f) in
   (* The single adversary view, refreshed in place each round. *)
   let view_obs =
     Array.init n (fun pid ->
@@ -230,12 +253,18 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   (* The mask route's per-sender helpers, built once per instance so that
      delivery allocates no closure per sender or per message. *)
   let omit_every = Bytes.make n '\001' in
-  (* A non-faulty sender may omit only towards faulty destinations: raise
-     for the first other omission in emission order, exactly as the
-     general route does. *)
-  let check_omissions ~round pid ob mask =
-    if not faulty.(pid) then begin
-      let dst = Mailbox.first_masked ob ~mask ~except:faulty in
+  (* One sender's verdict walk on the mask route: a message-level sink's
+     [Omit]/[Deliver] events, and the legality check that a non-faulty
+     sender omits only towards faulty destinations. It raises for the
+     first other omission in emission order, after the events before it,
+     exactly as the general route does. Without a sink it runs only when
+     a non-faulty sender omits something. *)
+  let verdict_walk ~sink ~round pid ob mask =
+    let checked = (not faulty.(pid)) && Bytes.length mask > 0 in
+    if checked || Option.is_some sink then begin
+      let dst =
+        Mailbox.verdicts ob ~mask ~checked ~faulty ~sink ~round ~src:pid
+      in
       if dst >= 0 then
         illegal "omission between non-faulty %d -> %d at round %d" pid dst
           round
@@ -310,44 +339,13 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               r0_omitted = 0;
               r0_rand_calls = 0;
               r0_rand_bits = 0;
-              at_round = 0;
-              at_src = 0;
-              at_mask = Bytes.empty;
             }
     in
-    (* The tracer again when its sink takes message-level events: only
-       then are [Send]/[Omit]/[Deliver] events built. It plays no part in
+    (* The sink again when it takes message-level events: only then are
+       [Send]/[Omit]/[Deliver] events reported. It plays no part in
        choosing the delivery route. *)
-    let msg_tr =
-      match tr with Some t when Trace.Sink.messages t.sink -> tr | _ -> None
-    in
-    (* A message-level sink's consumers: [Send] per pending message, and
-       on the mask route [Omit]/[Deliver] per entry of one outbox from the
-       sender's verdict, with the general route's legality check at its
-       place in the stream. Untraced, both are static no-ops. *)
-    let on_send, trace_verdicts =
-      match msg_tr with
-      | None -> (no_walk, fun _ _ _ -> ())
-      | Some t ->
-          let on_verdict dst _ =
-            let round = t.at_round and src = t.at_src in
-            if Mailbox.passes t.at_mask dst then
-              Trace.Sink.emit t.sink (Trace.Event.Deliver { round; src; dst })
-            else begin
-              if not (faulty.(src) || faulty.(dst)) then
-                illegal "omission between non-faulty %d -> %d at round %d" src
-                  dst round;
-              Trace.Sink.emit t.sink (Trace.Event.Omit { round; src; dst })
-            end
-          in
-          ( (fun src dst bits hint ->
-              Trace.Sink.emit t.sink
-                (Trace.Event.Send
-                   { round = t.at_round; src; dst; bits; hint })),
-            fun pid ob mask ->
-              t.at_src <- pid;
-              t.at_mask <- mask;
-              Mailbox.iter ob on_verdict )
+    let msg_sink =
+      match trace with Some s when Trace.Sink.messages s -> trace | _ -> None
     in
     let fast = Option.is_none link in
     let round = ref 1 in
@@ -433,11 +431,9 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
         o.View.core <- P.observe states.(pid);
         o.View.used_randomness <- used_randomness.(pid)
       done;
-      (match msg_tr with
+      (match msg_sink with
       | None -> ()
-      | Some t ->
-          t.at_round <- r;
-          iter_envelopes on_send);
+      | Some sink -> walk_pending (Sends (Trace.Sink.send sink, r)));
       let plan = adv view in
       List.iter
         (fun pid ->
@@ -476,11 +472,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
              sender. Counters update in aggregate (one add per entry,
              broadcast segments unexpanded); the only per-destination work
              left is the inbox push for survivors — and the forward
-             legality scan, which preserves the exact [Illegal_plan] the
+             verdict walk, which preserves the exact [Illegal_plan] the
              general route would raise (the first omitted message, in
-             emission order, whose endpoints are both non-faulty). A
-             message-level sink's walk runs first and raises at that same
-             message, after the events before it. *)
+             emission order, whose endpoints are both non-faulty), after
+             a message-level sink's events before it. *)
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             let total = Mailbox.length ob in
@@ -489,15 +484,13 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
               match verdict pid with
               | View.Deliver_all ->
-                  trace_verdicts pid ob Bytes.empty;
+                  verdict_walk ~sink:msg_sink ~round:r pid ob Bytes.empty;
                   deliver_fast pid ob ~mask:Bytes.empty
               | View.Omit_all ->
-                  trace_verdicts pid ob omit_every;
-                  check_omissions ~round:r pid ob omit_every;
+                  verdict_walk ~sink:msg_sink ~round:r pid ob omit_every;
                   messages_omitted := !messages_omitted + total
               | View.Omit_mask b ->
-                  trace_verdicts pid ob b;
-                  check_omissions ~round:r pid ob b;
+                  verdict_walk ~sink:msg_sink ~round:r pid ob b;
                   messages_omitted :=
                     !messages_omitted + Mailbox.count_masked ob ~mask:b;
                   deliver_fast pid ob ~mask:b
@@ -526,11 +519,9 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                   dst r;
               incr omitted;
               Bytes.unsafe_set !omit_scratch i '\001';
-              match msg_tr with
+              match msg_sink with
               | None -> ()
-              | Some t ->
-                  Trace.Sink.emit t.sink
-                    (Trace.Event.Omit { round = r; src = pid; dst })
+              | Some s -> Trace.Sink.omit s ~round:r ~src:pid ~dst
             end
             else begin
               let delivered =
@@ -545,11 +536,9 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               in
               if delivered then begin
                 Bytes.unsafe_set !omit_scratch i '\000';
-                match msg_tr with
+                match msg_sink with
                 | None -> ()
-                | Some t ->
-                    Trace.Sink.emit t.sink
-                      (Trace.Event.Deliver { round = r; src = pid; dst })
+                | Some s -> Trace.Sink.deliver s ~round:r ~src:pid ~dst
               end
               else Bytes.unsafe_set !omit_scratch i '\002'
             end

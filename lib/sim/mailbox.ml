@@ -398,13 +398,34 @@ let count_masked t ~mask =
   done;
   !c
 
-let[@inline] hit mask except dst =
-  Bytes.get mask dst <> '\000' && not except.(dst)
+(* One entry of {!verdicts}: [true] when omitting [dst] is illegal;
+   otherwise the verdict is reported when [traced]. *)
+let[@inline] verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src
+    dst =
+  if passes mask dst then begin
+    if traced then deliver ~round ~src ~dst;
+    false
+  end
+  else if checked && not (Array.unsafe_get faulty dst) then true
+  else begin
+    if traced then omit ~round ~src ~dst;
+    false
+  end
 
-(** The first destination, in emission order, whose [mask] byte is set
-    and whose [except] flag is false; [-1] if there is none — the
-    engine's legality scan for a non-faulty sender's omissions. *)
-let first_masked t ~mask ~except =
+(** The mask route's verdict walk over a buffer without an attached
+    broadcast table, in emission order and without a closure of its own
+    (the sink's entry points are bound once per call): each
+    destination [mask] lets through (as in {!rdeliver}) goes to [sink] as
+    a [Deliver] from [src] at [round], each masked one as an [Omit].
+    When [checked] (the sender is non-faulty), omitting towards a
+    destination whose [faulty] flag is false is illegal: the walk stops
+    there, before reporting it, and returns that destination. [-1] when
+    the walk reached the end. With no sink it is the legality scan
+    alone. *)
+let verdicts t ~mask ~checked ~faulty ~sink ~round ~src =
+  let traced = Option.is_some sink in
+  let events = Option.value sink ~default:Trace.Sink.null in
+  let deliver = Trace.Sink.deliver events and omit = Trace.Sink.omit events in
   let found = ref (-1) in
   let s = ref 0 and i = ref 0 in
   while !found < 0 && !i <= t.len do
@@ -415,13 +436,20 @@ let first_masked t ~mask ~except =
       let k = ref 0 in
       while !found < 0 && !k <= hi - lo do
         let dst = if desc then hi - !k else lo + !k in
-        if dst <> skip && hit mask except dst then found := dst;
+        if
+          dst <> skip
+          && verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round
+               ~src dst
+        then found := dst;
         incr k
       done;
       incr s
     done;
-    if !found < 0 && !i < t.len && hit mask except t.peers.(!i) then
-      found := t.peers.(!i);
+    if !found < 0 && !i < t.len then begin
+      let dst = Array.unsafe_get t.peers !i in
+      if verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src dst
+      then found := dst
+    end;
     incr i
   done;
   !found

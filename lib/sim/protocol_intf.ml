@@ -49,7 +49,10 @@ module type BUFFERED = sig
 
   val msg_hint : msg -> int option
   (** Candidate value carried by the message, if meaningful; exposed to the
-      adversary through the view's [iter_envelopes] walk. *)
+      adversary through the view's [iter_envelopes] walk and to a
+      message-level trace's [Send] events. Like {!msg_bits}, a pure
+      function of the record: the pending-message walk asks once per run
+      of consecutive entries sharing a record. *)
 end
 
 type buffered = (module BUFFERED)

@@ -288,20 +288,57 @@ end
 
 module Sink = struct
   (* [messages]: the sink consumes message-level events, so the engine
-     builds them *)
-  type t = { emit : Event.t -> unit; close : unit -> unit; messages : bool }
+     reports them. [send]/[omit]/[deliver] take a message-level event's
+     fields, so a sink that stores fields need not build the event. *)
+  type t = {
+    emit : Event.t -> unit;
+    send :
+      round:int -> src:int -> dst:int -> bits:int -> hint:int option -> unit;
+    omit : round:int -> src:int -> dst:int -> unit;
+    deliver : round:int -> src:int -> dst:int -> unit;
+    close : unit -> unit;
+    messages : bool;
+  }
 
-  let make ~emit ~close = { emit; close; messages = true }
+  let make ~emit ~close =
+    {
+      emit;
+      send =
+        (fun ~round ~src ~dst ~bits ~hint ->
+          emit (Event.Send { round; src; dst; bits; hint }));
+      omit = (fun ~round ~src ~dst -> emit (Event.Omit { round; src; dst }));
+      deliver =
+        (fun ~round ~src ~dst -> emit (Event.Deliver { round; src; dst }));
+      close;
+      messages = true;
+    }
+
   let emit t e = t.emit e
+
+  (* The entry points are the fields themselves, so applying one to the
+     sink alone allocates nothing. *)
+  let send t = t.send
+  let omit t = t.omit
+  let deliver t = t.deliver
   let close t = t.close ()
   let messages t = t.messages
-  let null = { emit = (fun _ -> ()); close = (fun () -> ()); messages = false }
+  let no_verdict ~round:_ ~src:_ ~dst:_ = ()
+
+  let null =
+    {
+      emit = ignore;
+      send = (fun ~round:_ ~src:_ ~dst:_ ~bits:_ ~hint:_ -> ());
+      omit = no_verdict;
+      deliver = no_verdict;
+      close = ignore;
+      messages = false;
+    }
 
   let rounds s =
     {
-      s with
+      null with
       emit = (fun e -> if not (Event.is_message e) then s.emit e);
-      messages = false;
+      close = s.close;
     }
 
   let tee a b =
@@ -310,6 +347,18 @@ module Sink = struct
         (fun e ->
           a.emit e;
           b.emit e);
+      send =
+        (fun ~round ~src ~dst ~bits ~hint ->
+          a.send ~round ~src ~dst ~bits ~hint;
+          b.send ~round ~src ~dst ~bits ~hint);
+      omit =
+        (fun ~round ~src ~dst ->
+          a.omit ~round ~src ~dst;
+          b.omit ~round ~src ~dst);
+      deliver =
+        (fun ~round ~src ~dst ->
+          a.deliver ~round ~src ~dst;
+          b.deliver ~round ~src ~dst);
       close =
         (fun () ->
           a.close ();
@@ -351,30 +400,118 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Ring = struct
-  type t = { buf : Event.t array; mutable next : int; mutable len : int }
+  (* Slot [i]'s [kinds.(i)] says where its event lives. [Send], [Omit]
+     and [Deliver] live in the int columns at [i] ([bits] and [hint] for
+     [Send] only), the kind telling [Send]'s [hint = None] ([Sent]) from
+     [Some] ([Sent_hinted]): a message-level add stores immediates only,
+     so it allocates nothing and needs no write barrier. Every other event
+     is kept as is in [boxed.(i)]. A boxed cell a message event has since
+     overwritten keeps its old event alive until reused: at most
+     [capacity] events. *)
+  type kind = Boxed | Sent | Sent_hinted | Omitted | Delivered
+
+  type t = {
+    kinds : kind array;
+    round : int array;
+    src : int array;
+    dst : int array;
+    bits : int array;
+    hint : int array;
+    boxed : Event.t array;
+    mutable next : int;
+    mutable len : int;
+  }
 
   let create ~capacity =
     if capacity <= 0 then invalid_arg "Trace.Ring.create: capacity must be > 0";
+    let column () = Array.make capacity 0 in
     {
-      buf = Array.make capacity (Event.Round_start { round = 0 });
+      kinds = Array.make capacity Boxed;
+      round = column ();
+      src = column ();
+      dst = column ();
+      bits = column ();
+      hint = column ();
+      boxed = Array.make capacity (Event.Round_start { round = 0 });
       next = 0;
       len = 0;
     }
 
-  let capacity t = Array.length t.buf
+  let capacity t = Array.length t.kinds
   let length t = t.len
 
-  let add t e =
-    let cap = Array.length t.buf in
-    t.buf.(t.next) <- e;
-    t.next <- (t.next + 1) mod cap;
-    if t.len < cap then t.len <- t.len + 1
+  (* Claims the next slot for an event of [kind]; returns its index. *)
+  let[@inline] slot t kind =
+    let cap = Array.length t.kinds in
+    let i = t.next in
+    t.next <- (if i + 1 = cap then 0 else i + 1);
+    if t.len < cap then t.len <- t.len + 1;
+    Array.unsafe_set t.kinds i kind;
+    i
 
-  let to_list t =
-    let cap = Array.length t.buf in
-    List.init t.len (fun i -> t.buf.((t.next - t.len + i + (2 * cap)) mod cap))
+  (* Claims a slot and stores a message-level event's common fields. *)
+  let[@inline] put t kind round src dst =
+    let i = slot t kind in
+    Array.unsafe_set t.round i round;
+    Array.unsafe_set t.src i src;
+    Array.unsafe_set t.dst i dst;
+    i
 
-  let sink t = Sink.make ~emit:(add t) ~close:(fun () -> ())
+  let add_send t round src dst bits hint =
+    match hint with
+    | None ->
+        let i = put t Sent round src dst in
+        Array.unsafe_set t.bits i bits
+    | Some h ->
+        let i = put t Sent_hinted round src dst in
+        Array.unsafe_set t.bits i bits;
+        Array.unsafe_set t.hint i h
+
+  let add_omit t round src dst = ignore (put t Omitted round src dst : int)
+  let add_deliver t round src dst = ignore (put t Delivered round src dst : int)
+
+  let add t (e : Event.t) =
+    match e with
+    | Send { round; src; dst; bits; hint } -> add_send t round src dst bits hint
+    | Omit { round; src; dst } -> add_omit t round src dst
+    | Deliver { round; src; dst } -> add_deliver t round src dst
+    | _ -> t.boxed.(slot t Boxed) <- e
+
+  let get t i : Event.t =
+    let round = t.round.(i) and src = t.src.(i) and dst = t.dst.(i) in
+    match t.kinds.(i) with
+    | Sent -> Send { round; src; dst; bits = t.bits.(i); hint = None }
+    | Sent_hinted ->
+        Send { round; src; dst; bits = t.bits.(i); hint = Some t.hint.(i) }
+    | Omitted -> Omit { round; src; dst }
+    | Delivered -> Deliver { round; src; dst }
+    | Boxed -> t.boxed.(i)
+
+  (* [f] over the retained events, newest first, each rebuilt just for
+     its call: a fold that keeps less than every event (a tail's rounds,
+     its JSON lines) leaves the rest to die young. *)
+  let fold t ~init f =
+    let cap = capacity t in
+    let acc = ref init in
+    for k = 1 to t.len do
+      let i = t.next - k in
+      acc := f !acc (get t (if i < 0 then i + cap else i))
+    done;
+    !acc
+
+  let to_list t = fold t ~init:[] (fun acc e -> e :: acc)
+
+  let sink t =
+    {
+      Sink.emit = (fun e -> add t e);
+      send =
+        (fun ~round ~src ~dst ~bits ~hint ->
+          add_send t round src dst bits hint);
+      omit = (fun ~round ~src ~dst -> add_omit t round src dst);
+      deliver = (fun ~round ~src ~dst -> add_deliver t round src dst);
+      close = ignore;
+      messages = true;
+    }
 end
 
 (* ------------------------------------------------------------------ *)
@@ -390,17 +527,16 @@ module Tail = struct
 
   let sink t = Ring.sink t.ring
 
-  let events t =
-    match Ring.to_list t.ring with
-    | [] -> []
-    | evs ->
-        let hi =
-          List.fold_left (fun a e -> max a (Event.round e)) 0 evs
-        in
-        let lo = hi - t.rounds + 1 in
-        List.filter (fun e -> Event.round e >= lo) evs
+  (* The retained events of the last [rounds] rounds, each through [f],
+     oldest first. *)
+  let collect t f =
+    let hi = Ring.fold t.ring ~init:0 (fun a e -> max a (Event.round e)) in
+    let lo = hi - t.rounds + 1 in
+    Ring.fold t.ring ~init:[] (fun acc e ->
+        if Event.round e >= lo then f e :: acc else acc)
 
-  let lines t = List.map Event.to_json (events t)
+  let events t = collect t Fun.id
+  let lines t = collect t Event.to_json
 end
 
 (* ------------------------------------------------------------------ *)

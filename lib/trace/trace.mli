@@ -37,7 +37,7 @@ module Event : sig
       The events marked {e message-level} below ({!is_message}) are one per
       message or per link attempt; the rest are {e round-level}. A sink
       that takes only round-level events ({!Sink.rounds}) spares the
-      engine building the message-level ones, and sees the same
+      engine reporting the message-level ones, and sees the same
       round-level events, in the same order, as a message-level sink
       would. No sink changes which delivery route a run takes. *)
   type t =
@@ -110,9 +110,28 @@ module Sink : sig
 
   val make : emit:(Event.t -> unit) -> close:(unit -> unit) -> t
   (** A message-level sink, as are {!memory}, {!jsonl}, {!file} and the
-      {!Ring} and {!Tail} sinks. *)
+      {!Ring} and {!Tail} sinks. Its {!send}, {!omit} and {!deliver}
+      build the event and pass it to [emit], so [emit] sees every event
+      whichever entry point the producer used. *)
 
   val emit : t -> Event.t -> unit
+
+  val send :
+    t -> round:int -> src:int -> dst:int -> bits:int -> hint:int option -> unit
+  (** [send s ~round ~src ~dst ~bits ~hint] is
+      [emit s (Send { round; src; dst; bits; hint })], field-wise: the
+      engine's entry point for message-level events, so a sink that
+      stores fields ({!Ring}, {!Tail}) builds no event. [send s] is the
+      sink's own entry point and allocates nothing: a walk binds it once
+      and pays one indirect call per event. *)
+
+  val omit : t -> round:int -> src:int -> dst:int -> unit
+  (** [emit s (Omit { round; src; dst })], field-wise, bound as {!send}. *)
+
+  val deliver : t -> round:int -> src:int -> dst:int -> unit
+  (** [emit s (Deliver { round; src; dst })], field-wise, bound as
+      {!send}. *)
+
   val close : t -> unit
 
   val messages : t -> bool
@@ -122,7 +141,8 @@ module Sink : sig
   (** Round-level: it consumes nothing. *)
 
   val rounds : t -> t
-  (** The sink fed only the round-level events; round-level. *)
+  (** The sink fed only the round-level events; round-level. Its {!send},
+      {!omit} and {!deliver} do nothing. *)
 
   val tee : t -> t -> t
   (** Message-level when either side is. *)
@@ -142,7 +162,11 @@ module Sink : sig
 end
 
 (** Preallocated event ring: O(1) add, keeps the newest [capacity] events,
-    allocates only at creation. *)
+    allocates only at creation. [Send], [Omit] and [Deliver] are stored as
+    immediates, a kind and five int columns per slot, and rebuilt by
+    {!to_list}: lossless for every int and for [hint = None]. Storing one
+    allocates nothing, through {!add} or the sink's field-wise entry
+    points. Every other event is stored as the value it was added as. *)
 module Ring : sig
   type t
 
@@ -155,6 +179,8 @@ module Ring : sig
   (** Oldest first. *)
 
   val sink : t -> Sink.t
+  (** Message-level; its field-wise entry points write the columns
+      directly. *)
 end
 
 (** Last-K-rounds capture over a {!Ring} — what quarantine records ship

@@ -281,15 +281,19 @@ let test_sparse_golden () =
    mask calls for a {!Sim.View.Masks} plan, predicate calls for a
    {!Sim.View.Predicate} plan. The mask route asks each sender's verdict
    at most once a round; the general route decodes it per message. Both
-   routes price a broadcast record once per sender; a message-level sink
-   prices each message once more for its [Send] event. Flood under a
-   crash schedule (a mask plan) must therefore make no more than n mask
-   calls and n pricings a round untraced and with a round-level sink, and
-   the same mask calls but pricings within that plus once per message
-   with any message-level sink: no sink moves the run off the mask route.
-   The same [Tail] on the stripped run, which takes the general route,
-   asks its predicate once per message and prices within the same
-   bound. *)
+   routes price a broadcast record once per sender; a message-level sink's
+   pending-message walk prices each record once more for its [Send]
+   events, once per run of entries sharing it. Flood under a crash
+   schedule (a mask plan) broadcasts one record per sender a round, so it
+   must make no more than n mask calls and n pricings a round untraced
+   and with a round-level sink, and the same mask calls but at most 2n
+   pricings a round with any message-level sink: no sink moves the run
+   off the mask route. The same sinks on the stripped run, which takes
+   the general route, ask its predicate once per message and price
+   within the same bound. On either route a [Tail] records the same lines
+   through the field-wise entry points, behind a [Sink.make] wrapper (the
+   shape of the benchmark's counting wrapper) and teed with a memory
+   sink. *)
 let test_route_witness () =
   let n = 64 in
   let cfg = Sim.Config.make ~n ~t_max:4 ~seed:1 ~max_rounds:10 () in
@@ -346,7 +350,7 @@ let test_route_witness () =
     (Printf.sprintf "untraced: %d mask calls <= %d" masks per_round)
     true (masks <= per_round);
   Alcotest.(check int) "untraced: no predicate calls" 0 preds;
-  let bound = o.messages_sent + per_round in
+  let bound = 2 * per_round in
   let check ~what ~messages (o', calls, masks', preds) =
     Alcotest.(check bool) (what ^ ": same outcome") true (o = o');
     Alcotest.(check bool)
@@ -373,25 +377,56 @@ let test_route_witness () =
   check ~what:"rounds memory" ~messages:false
     (priced ~trace:(Trace.Sink.rounds memory) ());
   check ~what:"memory" ~messages:true (priced ~trace:memory ());
-  check ~what:"tail" ~messages:true
-    (priced ~trace:(Trace.Tail.sink (Trace.Tail.create ~rounds:5 ())) ());
   observed ~what:"metrics" ();
   observed ~what:"metrics+tail" ~tail:5 ();
   let path = Filename.temp_file "route_witness" ".jsonl" in
   observed ~what:"metrics+file" ~file:path ();
   Sys.remove path;
-  let o', calls, masks, preds =
-    priced ~strip:true
-      ~trace:(Trace.Tail.sink (Trace.Tail.create ~rounds:5 ()))
-      ()
+  let stripped ~what (o', calls, masks, preds) =
+    Alcotest.(check bool) (what ^ ": same outcome") true (o = o');
+    Alcotest.(check int) (what ^ ": no mask calls") 0 masks;
+    Alcotest.(check int) (what ^ ": one predicate call per message")
+      o.messages_sent preds;
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d pricings <= %d" what calls bound)
+      true (calls <= bound)
   in
-  Alcotest.(check bool) "stripped tail: same outcome" true (o = o');
-  Alcotest.(check int) "stripped tail: no mask calls" 0 masks;
-  Alcotest.(check int) "stripped tail: one predicate call per message"
-    o.messages_sent preds;
-  Alcotest.(check bool)
-    (Printf.sprintf "stripped tail: %d pricings <= %d" calls bound)
-    true (calls <= bound)
+  let same_tails ~route ~strip judge =
+    let direct = Trace.Tail.create ~rounds:5 () in
+    let wrapped = Trace.Tail.create ~rounds:5 () in
+    let teed = Trace.Tail.create ~rounds:5 () in
+    let inner = Trace.Tail.sink wrapped and counted = ref 0 in
+    let memory, events = Trace.Sink.memory () in
+    List.iter
+      (fun (how, sink) ->
+        judge ~what:(route ^ " " ^ how) (priced ~strip ~trace:sink ()))
+      [
+        ("tail", Trace.Tail.sink direct);
+        ( "wrapped tail",
+          Trace.Sink.make
+            ~emit:(fun e ->
+              incr counted;
+              Trace.Sink.emit inner e)
+            ~close:(fun () -> Trace.Sink.close inner) );
+        ("memory+tail", Trace.Sink.tee memory (Trace.Tail.sink teed));
+      ];
+    let lines = Trace.Tail.lines direct in
+    Alcotest.(check bool) (route ^ ": tail holds Send events") true
+      (List.exists
+         (fun l ->
+           match Trace.Event.of_json l with
+           | Some (Trace.Event.Send _) -> true
+           | _ -> false)
+         lines);
+    Alcotest.(check int) (route ^ ": the wrapper saw every event")
+      (List.length (events ())) !counted;
+    Alcotest.(check (list string)) (route ^ ": wrapped tail = field-wise tail")
+      lines (Trace.Tail.lines wrapped);
+    Alcotest.(check (list string)) (route ^ ": teed tail = field-wise tail")
+      lines (Trace.Tail.lines teed)
+  in
+  same_tails ~route:"mask" ~strip:false (check ~messages:true);
+  same_tails ~route:"stripped" ~strip:true stripped
 
 let suite =
   List.map

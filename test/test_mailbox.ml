@@ -289,7 +289,7 @@ let priced_per_record ops runs =
 
 let qcheck_rdeliver_mask =
   QCheck.Test.make
-    ~name:"rdeliver ~mask = riter + filtered push; bit total = fold"
+    ~name:"rdeliver ~mask = riter + filtered push; bit total = fold; verdict walk"
     ~count:500
     QCheck.(
       quad mixed_load mask_gen (list_of_size (Gen.return 8) bool) runs_gen)
@@ -313,18 +313,41 @@ let qcheck_rdeliver_mask =
       let f m = m mod 5 in
       let masked_ok =
         Bytes.length mask = 0
-        ||
-        let except = Array.of_list except in
-        Sim.Mailbox.count_masked mb ~mask
-        = List.length (List.filter (fun (d, _) -> not (passes d)) all)
-        && Sim.Mailbox.first_masked mb ~mask ~except
-           = (match
-                List.find_opt
-                  (fun (d, _) -> (not (passes d)) && not except.(d))
-                  all
-              with
-             | Some (d, _) -> d
-             | None -> -1)
+        || Sim.Mailbox.count_masked mb ~mask
+           = List.length (List.filter (fun (d, _) -> not (passes d)) all)
+      in
+      (* the verdict walk reports every entry in emission order, stopping
+         before the first omission towards a non-[faulty] destination
+         when checked, and returns that destination *)
+      let verdicts_ok =
+        let faulty = Array.of_list except in
+        let walk ~checked ~traced =
+          let sink, events = Trace.Sink.memory () in
+          let sink = if traced then Some sink else None in
+          let dst =
+            Sim.Mailbox.verdicts mb ~mask ~checked ~faulty ~sink ~round:3
+              ~src:9
+          in
+          (dst, events ())
+        in
+        let reported ~checked =
+          let rec go = function
+            | [] -> ([], -1)
+            | (d, _) :: rest ->
+                if passes d then
+                  let evs, stop = go rest in
+                  (Trace.Event.Deliver { round = 3; src = 9; dst = d } :: evs, stop)
+                else if checked && not faulty.(d) then ([], d)
+                else
+                  let evs, stop = go rest in
+                  (Trace.Event.Omit { round = 3; src = 9; dst = d } :: evs, stop)
+          in
+          let evs, stop = go all in
+          (stop, evs)
+        in
+        walk ~checked:true ~traced:true = reported ~checked:true
+        && walk ~checked:false ~traced:true = reported ~checked:false
+        && fst (walk ~checked:true ~traced:false) = fst (reported ~checked:true)
       in
       (* a pure-broadcast buffer shared through the round table reads, at
          every receiver, exactly as its rdeliver rows *)
@@ -347,7 +370,7 @@ let qcheck_rdeliver_mask =
       && Sim.Mailbox.total_bits mb f
          = Sim.Mailbox.fold mb ~init:0 (fun acc _ m -> acc + max 1 (f m))
       && priced_per_record ops runs
-      && masked_ok && shared_ok)
+      && masked_ok && verdicts_ok && shared_ok)
 
 let suite =
   [

@@ -151,6 +151,43 @@ let test_decides_once_per_process () =
 
 let ev_round r = Trace.Event.Round_start { round = r }
 
+(* One of each of the 16 constructors, with the int extremes and the
+   [None]s a column store must keep apart from [Some]. *)
+let every_event =
+  Trace.Event.
+    [
+      Round_start { round = 1 };
+      Send { round = 1; src = 0; dst = 1; bits = 3; hint = None };
+      Send { round = 1; src = 2; dst = 3; bits = max_int; hint = Some min_int };
+      Send { round = 2; src = min_int; dst = max_int; bits = 1; hint = Some max_int };
+      Send { round = 2; src = 4; dst = 5; bits = 2; hint = Some 0 };
+      Corrupt { round = 2; pid = 4 };
+      Omit { round = 2; src = 4; dst = 5 };
+      Deliver { round = 2; src = 5; dst = 4 };
+      Coin { round = 2; pid = 1; calls = 2; bits = 64 };
+      Phase { round = 3; pid = 1; operative = true; candidate = None };
+      Phase { round = 3; pid = 2; operative = false; candidate = Some 1 };
+      Decide { round = 3; pid = 1; value = 0 };
+      Round_end
+        { round = 3; messages = 9; bits = 27; omitted = 1; rand_calls = 2; rand_bits = 64 };
+      Drop { round = 3; src = 1; dst = 2; attempt = 1 };
+      Dup { round = 3; src = 1; dst = 2; copies = 2 };
+      Delay { round = 3; src = 1; dst = 2; slots = 3 };
+      Retransmit { round = 3; src = 1; dst = 2; attempt = 2; backoff = 4 };
+      Ack { round = 3; src = 2; dst = 1; attempt = 2 };
+      Degrade { round = 3; src = 1; dst = 2; attempts = 5 };
+      Cache_hit { key = "0123456789abcdef" };
+    ]
+
+(* [e] through [sink]'s field-wise entry point when it has one. *)
+let field_wise sink (e : Trace.Event.t) =
+  match e with
+  | Send { round; src; dst; bits; hint } ->
+      Trace.Sink.send sink ~round ~src ~dst ~bits ~hint
+  | Omit { round; src; dst } -> Trace.Sink.omit sink ~round ~src ~dst
+  | Deliver { round; src; dst } -> Trace.Sink.deliver sink ~round ~src ~dst
+  | e -> Trace.Sink.emit sink e
+
 let test_ring_bounds () =
   let ring = Trace.Ring.create ~capacity:4 in
   for r = 1 to 10 do
@@ -159,7 +196,30 @@ let test_ring_bounds () =
   Alcotest.(check int) "length capped" 4 (Trace.Ring.length ring);
   Alcotest.(check bool) "keeps newest, oldest first" true
     (List.for_all2 Trace.Event.equal (Trace.Ring.to_list ring)
-       [ ev_round 7; ev_round 8; ev_round 9; ev_round 10 ])
+       [ ev_round 7; ev_round 8; ev_round 9; ev_round 10 ]);
+  (* every constructor comes back equal, message-level ones from the int
+     columns, whether it went in whole or field-wise, across a wrap *)
+  let expect_last cap got =
+    let all = every_event @ every_event in
+    let want = List.filteri (fun i _ -> i >= List.length all - cap) all in
+    Alcotest.(check int) (Printf.sprintf "capacity %d: length" cap)
+      (List.length want) (List.length got);
+    List.iter2
+      (fun w g ->
+        if not (Trace.Event.equal w g) then
+          Alcotest.failf "capacity %d: %s came back as %s" cap
+            (Trace.Event.to_json w) (Trace.Event.to_json g))
+      want got
+  in
+  List.iter
+    (fun cap ->
+      let ring = Trace.Ring.create ~capacity:cap in
+      List.iter (Trace.Ring.add ring) (every_event @ every_event);
+      expect_last cap (Trace.Ring.to_list ring);
+      let tail = Trace.Tail.create ~capacity:cap ~rounds:100 () in
+      List.iter (field_wise (Trace.Tail.sink tail)) (every_event @ every_event);
+      expect_last cap (Trace.Tail.events tail))
+    [ 1; 5; List.length every_event; List.length every_event + 3; 64 ]
 
 let test_tail_last_rounds () =
   let _, events = traced_run ~adversary:(omission_adversary ()) () in
