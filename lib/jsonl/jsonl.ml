@@ -12,49 +12,75 @@ type v =
 
 let schema_version = 2
 
+type fields = (string * v) list
+
 (* --- writer --- *)
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c when Char.code c < 0x20 -> Printf.bprintf b "\\u%04x" (Char.code c)
       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+    s
 
-let rec to_string = function
-  | I i -> string_of_int i
+(* The digits of [n <= 0], most significant first: counting down from 0
+   reaches [min_int] too, which has no positive twin. *)
+let rec add_digits b n =
+  if n <= -10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (Char.code '0' - (n mod 10)))
+
+let add_int b i =
+  if i < 0 then Buffer.add_char b '-';
+  add_digits b (if i < 0 then i else -i)
+
+let add_string b s =
+  Buffer.add_char b '"';
+  add_escaped b s;
+  Buffer.add_char b '"'
+
+(* [add] of each element, comma-separated *)
+let add_seq b add l =
+  List.iteri
+    (fun i x ->
+      if i > 0 then Buffer.add_char b ',';
+      add b x)
+    l
+
+let rec add_value b = function
+  | I i -> add_int b i
   | F f ->
       (* JSON has no inf/nan literals *)
-      if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
-  | S s -> "\"" ^ escape s ^ "\""
-  | B b -> string_of_bool b
-  | L l -> "[" ^ String.concat "," (List.map to_string l) ^ "]"
-  | Null -> "null"
-  | Raw s -> s
+      if Float.is_finite f then Printf.bprintf b "%.17g" f
+      else Buffer.add_string b "null"
+  | S s -> add_string b s
+  | B v -> Buffer.add_string b (if v then "true" else "false")
+  | L l ->
+      Buffer.add_char b '[';
+      add_seq b add_value l;
+      Buffer.add_char b ']'
+  | Null -> Buffer.add_string b "null"
+  | Raw s -> Buffer.add_string b s
+
+let add_field b (k, v) =
+  add_string b k;
+  Buffer.add_char b ':';
+  add_value b v
+
+let add_obj b fields =
+  Buffer.add_char b '{';
+  add_seq b add_field fields;
+  Buffer.add_char b '}'
 
 let obj fields =
   let b = Buffer.create 128 in
-  Buffer.add_char b '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (to_string (S k));
-      Buffer.add_char b ':';
-      Buffer.add_string b (to_string v))
-    fields;
-  Buffer.add_char b '}';
+  add_obj b fields;
   Buffer.contents b
 
 (* --- reader --- *)
-
-type fields = (string * v) list
 
 exception Malformed
 

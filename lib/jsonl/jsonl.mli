@@ -3,9 +3,10 @@
     Every machine-readable record the simulator writes — bench rows, fuzz
     results, quarantine records, degradation reports — goes through
     {!obj}, and every record it reads back — perf-gate rows, trace
-    events — goes through {!read}. Trace events keep their own typed
-    encoder ([Trace.Event.to_json]) for speed, but their lines are in
-    this format and parse with {!read}. *)
+    events — goes through {!read}. Trace events are written by the same
+    writer ({!add_obj}, once per event): it writes ints digit by digit
+    into the buffer, about twice as fast as a per-event [Printf] table
+    writing the same bytes. *)
 
 type v =
   | I of int
@@ -23,10 +24,14 @@ val schema_version : int
 (** Version of the record schemas documented in EXPERIMENTS.md ("JSON
     schema"); bump when a record's shape changes. *)
 
-val obj : (string * v) list -> string
-(** One-line JSON object of the fields in order, no trailing newline. *)
-
 type fields = (string * v) list
+
+val add_obj : Buffer.t -> fields -> unit
+(** Appends the one-line JSON object of the fields, in order, with no
+    trailing newline. Keys are escaped as [S] strings are. *)
+
+val obj : fields -> string
+(** {!add_obj} into a fresh buffer. *)
 
 val read : string -> fields option
 (** Parse one line holding one JSON object (surrounding whitespace

@@ -66,64 +66,56 @@ module Event = struct
 
   let equal (a : t) (b : t) = a = b
 
-  let opt_json = function None -> "null" | Some v -> string_of_int v
+  (* The trace format, said once: each constructor's wire name, then its
+     fields in wire order. [to_json] and [Sink.file] write it. *)
+  let fields e : Jsonl.fields =
+    let open Jsonl in
+    let opt = function None -> Null | Some v -> I v in
+    let msg round src dst rest =
+      ("round", I round) :: ("src", I src) :: ("dst", I dst) :: rest
+    in
+    let name, fs =
+      match e with
+      | Round_start { round } -> ("round-start", [ ("round", I round) ])
+      | Send { round; src; dst; bits; hint } ->
+          ("send", msg round src dst [ ("bits", I bits); ("hint", opt hint) ])
+      | Corrupt { round; pid } ->
+          ("corrupt", [ ("round", I round); ("pid", I pid) ])
+      | Omit { round; src; dst } -> ("omit", msg round src dst [])
+      | Deliver { round; src; dst } -> ("deliver", msg round src dst [])
+      | Coin { round; pid; calls; bits } ->
+          ( "coin",
+            [ ("round", I round); ("pid", I pid); ("calls", I calls);
+              ("bits", I bits) ] )
+      | Phase { round; pid; operative; candidate } ->
+          ( "phase",
+            [ ("round", I round); ("pid", I pid); ("operative", B operative);
+              ("candidate", opt candidate) ] )
+      | Decide { round; pid; value } ->
+          ("decide", [ ("round", I round); ("pid", I pid); ("value", I value) ])
+      | Round_end { round; messages; bits; omitted; rand_calls; rand_bits } ->
+          ( "round-end",
+            [ ("round", I round); ("messages", I messages); ("bits", I bits);
+              ("omitted", I omitted); ("rand_calls", I rand_calls);
+              ("rand_bits", I rand_bits) ] )
+      | Drop { round; src; dst; attempt } ->
+          ("drop", msg round src dst [ ("attempt", I attempt) ])
+      | Dup { round; src; dst; copies } ->
+          ("dup", msg round src dst [ ("copies", I copies) ])
+      | Delay { round; src; dst; slots } ->
+          ("delay", msg round src dst [ ("slots", I slots) ])
+      | Retransmit { round; src; dst; attempt; backoff } ->
+          ( "retransmit",
+            msg round src dst [ ("attempt", I attempt); ("backoff", I backoff) ] )
+      | Ack { round; src; dst; attempt } ->
+          ("ack", msg round src dst [ ("attempt", I attempt) ])
+      | Degrade { round; src; dst; attempts } ->
+          ("degrade", msg round src dst [ ("attempts", I attempts) ])
+      | Cache_hit { key } -> ("cache-hit", [ ("key", S key) ])
+    in
+    ("ev", S name) :: fs
 
-  let to_json = function
-    | Round_start { round } ->
-        Printf.sprintf {|{"ev":"round-start","round":%d}|} round
-    | Send { round; src; dst; bits; hint } ->
-        Printf.sprintf
-          {|{"ev":"send","round":%d,"src":%d,"dst":%d,"bits":%d,"hint":%s}|}
-          round src dst bits (opt_json hint)
-    | Corrupt { round; pid } ->
-        Printf.sprintf {|{"ev":"corrupt","round":%d,"pid":%d}|} round pid
-    | Omit { round; src; dst } ->
-        Printf.sprintf {|{"ev":"omit","round":%d,"src":%d,"dst":%d}|} round src
-          dst
-    | Deliver { round; src; dst } ->
-        Printf.sprintf {|{"ev":"deliver","round":%d,"src":%d,"dst":%d}|} round
-          src dst
-    | Coin { round; pid; calls; bits } ->
-        Printf.sprintf
-          {|{"ev":"coin","round":%d,"pid":%d,"calls":%d,"bits":%d}|} round pid
-          calls bits
-    | Phase { round; pid; operative; candidate } ->
-        Printf.sprintf
-          {|{"ev":"phase","round":%d,"pid":%d,"operative":%b,"candidate":%s}|}
-          round pid operative (opt_json candidate)
-    | Decide { round; pid; value } ->
-        Printf.sprintf {|{"ev":"decide","round":%d,"pid":%d,"value":%d}|} round
-          pid value
-    | Round_end { round; messages; bits; omitted; rand_calls; rand_bits } ->
-        Printf.sprintf
-          {|{"ev":"round-end","round":%d,"messages":%d,"bits":%d,"omitted":%d,"rand_calls":%d,"rand_bits":%d}|}
-          round messages bits omitted rand_calls rand_bits
-    | Drop { round; src; dst; attempt } ->
-        Printf.sprintf
-          {|{"ev":"drop","round":%d,"src":%d,"dst":%d,"attempt":%d}|} round src
-          dst attempt
-    | Dup { round; src; dst; copies } ->
-        Printf.sprintf
-          {|{"ev":"dup","round":%d,"src":%d,"dst":%d,"copies":%d}|} round src
-          dst copies
-    | Delay { round; src; dst; slots } ->
-        Printf.sprintf
-          {|{"ev":"delay","round":%d,"src":%d,"dst":%d,"slots":%d}|} round src
-          dst slots
-    | Retransmit { round; src; dst; attempt; backoff } ->
-        Printf.sprintf
-          {|{"ev":"retransmit","round":%d,"src":%d,"dst":%d,"attempt":%d,"backoff":%d}|}
-          round src dst attempt backoff
-    | Ack { round; src; dst; attempt } ->
-        Printf.sprintf
-          {|{"ev":"ack","round":%d,"src":%d,"dst":%d,"attempt":%d}|} round src
-          dst attempt
-    | Degrade { round; src; dst; attempts } ->
-        Printf.sprintf
-          {|{"ev":"degrade","round":%d,"src":%d,"dst":%d,"attempts":%d}|} round
-          src dst attempts
-    (* keys are hex digests: no commas, colons, or quotes to escape *)
-    | Cache_hit { key } -> Printf.sprintf {|{"ev":"cache-hit","key":"%s"}|} key
+  let to_json e = Jsonl.obj (fields e)
 
   let of_json line =
     match Jsonl.read line with
@@ -238,48 +230,6 @@ module Event = struct
         with
         | e -> Some e
         | exception Exit -> None)
-
-  let pp ppf e =
-    match e with
-    | Round_start { round } -> Fmt.pf ppf "r%-4d round-start" round
-    | Send { round; src; dst; bits; hint } ->
-        Fmt.pf ppf "r%-4d send    %d -> %d (%d bits%s)" round src dst bits
-          (match hint with
-          | Some h -> Printf.sprintf ", hint %d" h
-          | None -> "")
-    | Corrupt { round; pid } -> Fmt.pf ppf "r%-4d corrupt pid %d" round pid
-    | Omit { round; src; dst } ->
-        Fmt.pf ppf "r%-4d omit    %d -> %d" round src dst
-    | Deliver { round; src; dst } ->
-        Fmt.pf ppf "r%-4d deliver %d -> %d" round src dst
-    | Coin { round; pid; calls; bits } ->
-        Fmt.pf ppf "r%-4d coin    pid %d (%d calls, %d bits)" round pid calls
-          bits
-    | Phase { round; pid; operative; candidate } ->
-        Fmt.pf ppf "r%-4d phase   pid %d operative=%b candidate=%s" round pid
-          operative
-          (match candidate with Some c -> string_of_int c | None -> "-")
-    | Decide { round; pid; value } ->
-        Fmt.pf ppf "r%-4d decide  pid %d value %d" round pid value
-    | Round_end { round; messages; bits; omitted; rand_calls; rand_bits } ->
-        Fmt.pf ppf
-          "r%-4d round-end msgs=%d bits=%d omitted=%d rand=%d calls/%d bits"
-          round messages bits omitted rand_calls rand_bits
-    | Drop { round; src; dst; attempt } ->
-        Fmt.pf ppf "r%-4d drop    %d -> %d (attempt %d)" round src dst attempt
-    | Dup { round; src; dst; copies } ->
-        Fmt.pf ppf "r%-4d dup     %d -> %d (%d copies)" round src dst copies
-    | Delay { round; src; dst; slots } ->
-        Fmt.pf ppf "r%-4d delay   %d -> %d (%d slots)" round src dst slots
-    | Retransmit { round; src; dst; attempt; backoff } ->
-        Fmt.pf ppf "r%-4d retransmit %d -> %d (attempt %d, backoff %d)" round
-          src dst attempt backoff
-    | Ack { round; src; dst; attempt } ->
-        Fmt.pf ppf "r%-4d ack     %d <- %d (attempt %d)" round src dst attempt
-    | Degrade { round; src; dst; attempts } ->
-        Fmt.pf ppf "r%-4d degrade %d -> %d lost after %d attempts" round src
-          dst attempts
-    | Cache_hit { key } -> Fmt.pf ppf "r0    cache-hit %s" key
 end
 
 (* ------------------------------------------------------------------ *)
@@ -376,23 +326,18 @@ module Sink = struct
     ( make ~emit:(fun e -> acc := e :: !acc) ~close:(fun () -> ()),
       fun () -> List.rev !acc )
 
-  let jsonl ch =
-    make
-      ~emit:(fun e ->
-        output_string ch (Event.to_json e);
-        output_char ch '\n')
-      ~close:(fun () -> flush ch)
-
+  (* One line per event: the buffer, cleared and reused for each event,
+     goes whole to the channel, so nothing waits outside it. *)
   let file ~path =
     let ch = open_out_bin path in
-    let inner = jsonl ch in
-    {
-      inner with
-      close =
-        (fun () ->
-          inner.close ();
-          close_out ch);
-    }
+    let b = Buffer.create 256 in
+    make
+      ~emit:(fun e ->
+        Buffer.clear b;
+        Jsonl.add_obj b (Event.fields e);
+        Buffer.add_char b '\n';
+        Buffer.output_buffer ch b)
+      ~close:(fun () -> close_out ch)
 end
 
 (* ------------------------------------------------------------------ *)
@@ -747,8 +692,6 @@ module Diff = struct
           else Diverged { index = i; left = Some l; right = Some r }
     in
     go 0 a b
-
-  let files ~left ~right = events (File.read left) (File.read right)
 
   let pp_side ppf = function
     | Some e -> Fmt.pf ppf "%s" (Event.to_json e)

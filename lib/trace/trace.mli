@@ -93,10 +93,11 @@ module Event : sig
       the link events. *)
 
   val equal : t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 
   val to_json : t -> string
-  (** One-line flat JSON object, no trailing newline. *)
+  (** One-line flat JSON object, no trailing newline, written by
+      [Jsonl.add_obj]: ["ev"] (the constructor's wire name) first, then
+      the record's fields in declaration order; a [None] is [null]. *)
 
   val of_json : string -> t option
   (** Parses a line {!to_json} writes (through [Jsonl.read], so field
@@ -109,7 +110,7 @@ module Sink : sig
   type t
 
   val make : emit:(Event.t -> unit) -> close:(unit -> unit) -> t
-  (** A message-level sink, as are {!memory}, {!jsonl}, {!file} and the
+  (** A message-level sink, as are {!memory}, {!file} and the
       {!Ring} and {!Tail} sinks. Its {!send}, {!omit} and {!deliver}
       build the event and pass it to [emit], so [emit] sees every event
       whichever entry point the producer used. *)
@@ -153,12 +154,10 @@ module Sink : sig
   (** In-memory sink for tests: the second component returns the events
       recorded so far, oldest first. *)
 
-  val jsonl : out_channel -> t
-  (** One JSON object per line; [close] flushes but does not close the
-      channel. *)
-
   val file : path:string -> t
-  (** Opens [path] and writes JSONL; [close] closes the file. *)
+  (** Opens [path] and writes each event as its {!Event.to_json} line
+      plus a newline, straight into the file's channel; [close] flushes
+      and closes the file, and a second [close] does nothing. *)
 end
 
 (** Preallocated event ring: O(1) add, keeps the newest [capacity] events,
@@ -292,6 +291,5 @@ module Diff : sig
   type outcome = Identical of int  (** event count *) | Diverged of divergence
 
   val events : Event.t list -> Event.t list -> outcome
-  val files : left:string -> right:string -> outcome
   val pp_outcome : Format.formatter -> outcome -> unit
 end

@@ -39,6 +39,38 @@ let any_float =
 
 let prop_float_roundtrip f = (not (Float.is_finite f)) || float_roundtrips f
 
+(* Ints where digit writers go wrong: the extremes ([min_int] has no
+   positive twin), zero, and either side of every power of ten. *)
+let any_int =
+  let edges =
+    List.concat_map
+      (fun p -> [ p - 1; p; p + 1; -p - 1; -p; -p + 1 ])
+      (List.init 19 (fun k -> int_of_float (10. ** float_of_int k)))
+  in
+  QCheck.(
+    oneof [ int; oneofl ([ min_int; max_int; min_int + 1; 0; -1; 9; 10 ] @ edges) ])
+
+let prop_int_bytes i =
+  let line = Jsonl.obj [ ("x", Jsonl.I i) ] in
+  line = {|{"x":|} ^ string_of_int i ^ "}"
+  && Jsonl.read line = Some [ ("x", Jsonl.I i) ]
+
+(* Every [v] constructor, nested, and every escape, in a key too. *)
+let test_every_value_bytes () =
+  Alcotest.(check string)
+    "pinned bytes"
+    {|{"a\"b\n":[1,[-2,null],{"r":[]},true],"s":"q\"\\\u0001\u001f\u0009é","f":0.10000000000000001,"g":-0,"n":null,"b":false}|}
+    (Jsonl.obj
+       Jsonl.
+         [
+           ("a\"b\n", L [ I 1; L [ I (-2); Null ]; Raw {|{"r":[]}|}; B true ]);
+           ("s", S "q\"\\\001\031\té");
+           ("f", F 0.1);
+           ("g", F (-0.));
+           ("n", Null);
+           ("b", B false);
+         ])
+
 let test_non_finite_is_null () =
   List.iter
     (fun f ->
@@ -98,6 +130,9 @@ let suite =
       prop_string_roundtrip;
     qcheck ~name:"%.17g floats roundtrip bit-exactly" any_float
       prop_float_roundtrip;
+    qcheck ~name:"ints are written as string_of_int" any_int prop_int_bytes;
+    Alcotest.test_case "every value kind has pinned bytes" `Quick
+      test_every_value_bytes;
     Alcotest.test_case "non-finite floats are written as null" `Quick
       test_non_finite_is_null;
     Alcotest.test_case "fields read past a nested trace array" `Quick

@@ -188,6 +188,63 @@ let field_wise sink (e : Trace.Event.t) =
   | Deliver { round; src; dst } -> Trace.Sink.deliver sink ~round ~src ~dst
   | e -> Trace.Sink.emit sink e
 
+(* [every_event]'s lines, byte for byte: the trace format is frozen (golden
+   digests pin it only for the events real runs emit), key order
+   included, which no roundtrip can see. *)
+let every_event_json =
+  [
+    {|{"ev":"round-start","round":1}|};
+    {|{"ev":"send","round":1,"src":0,"dst":1,"bits":3,"hint":null}|};
+    {|{"ev":"send","round":1,"src":2,"dst":3,"bits":4611686018427387903,"hint":-4611686018427387904}|};
+    {|{"ev":"send","round":2,"src":-4611686018427387904,"dst":4611686018427387903,"bits":1,"hint":4611686018427387903}|};
+    {|{"ev":"send","round":2,"src":4,"dst":5,"bits":2,"hint":0}|};
+    {|{"ev":"corrupt","round":2,"pid":4}|};
+    {|{"ev":"omit","round":2,"src":4,"dst":5}|};
+    {|{"ev":"deliver","round":2,"src":5,"dst":4}|};
+    {|{"ev":"coin","round":2,"pid":1,"calls":2,"bits":64}|};
+    {|{"ev":"phase","round":3,"pid":1,"operative":true,"candidate":null}|};
+    {|{"ev":"phase","round":3,"pid":2,"operative":false,"candidate":1}|};
+    {|{"ev":"decide","round":3,"pid":1,"value":0}|};
+    {|{"ev":"round-end","round":3,"messages":9,"bits":27,"omitted":1,"rand_calls":2,"rand_bits":64}|};
+    {|{"ev":"drop","round":3,"src":1,"dst":2,"attempt":1}|};
+    {|{"ev":"dup","round":3,"src":1,"dst":2,"copies":2}|};
+    {|{"ev":"delay","round":3,"src":1,"dst":2,"slots":3}|};
+    {|{"ev":"retransmit","round":3,"src":1,"dst":2,"attempt":2,"backoff":4}|};
+    {|{"ev":"ack","round":3,"src":2,"dst":1,"attempt":2}|};
+    {|{"ev":"degrade","round":3,"src":1,"dst":2,"attempts":5}|};
+    {|{"ev":"cache-hit","key":"0123456789abcdef"}|};
+  ]
+
+let test_event_bytes_frozen () =
+  Alcotest.(check (list string))
+    "to_json" every_event_json
+    (List.map Trace.Event.to_json every_event)
+
+(* Every constructor survives the codec: through [to_json]/[of_json], and
+   through a trace file written whole or field-wise and read back. *)
+let test_every_event_roundtrip () =
+  List.iter
+    (fun e ->
+      match Trace.Event.of_json (Trace.Event.to_json e) with
+      | Some e' when Trace.Event.equal e e' -> ()
+      | _ -> Alcotest.failf "json roundtrip changed %s" (Trace.Event.to_json e))
+    every_event;
+  List.iter
+    (fun (how, emit) ->
+      let path = Filename.temp_file "every" ".trace.jsonl" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          let sink = Trace.Sink.file ~path in
+          List.iter (emit sink) every_event;
+          Trace.Sink.close sink;
+          Alcotest.(check string) (how ^ ": file bytes")
+            (String.concat "" (List.map (fun l -> l ^ "\n") every_event_json))
+            (In_channel.with_open_bin path In_channel.input_all);
+          Alcotest.(check bool) (how ^ ": read back") true
+            (List.equal Trace.Event.equal every_event (Trace.File.read path))))
+    [ ("whole", Trace.Sink.emit); ("field-wise", field_wise) ]
+
 let test_ring_bounds () =
   let ring = Trace.Ring.create ~capacity:4 in
   for r = 1 to 10 do
@@ -300,6 +357,29 @@ let test_breach_traced_in_failure_record () =
          in
          at 0)
 
+let test_crashed_run_trace_file () =
+  (* a run whose protocol raises mid-run still leaves a whole trace file:
+     every event emitted before the crash, and nothing else *)
+  let path = Filename.temp_file "crashed" ".trace.jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let memory, events = Trace.Sink.memory () in
+      let sink = Trace.Sink.tee (Trace.Sink.file ~path) memory in
+      (match
+         Supervise.run ~trace:sink ~property:Consensus
+           (Supervise.Chaos.protocol ~crash_round:3 echo)
+           (cfg ()) ~adversary:(omission_adversary ()) ~inputs:(inputs 8)
+       with
+      | Error (Supervise.Crashed _, _) -> ()
+      | _ -> Alcotest.fail "expected Error (Crashed _)");
+      Trace.Sink.close sink;
+      Trace.Sink.close sink;
+      Alcotest.(check bool) "events up to the crash" true
+        (List.exists (fun e -> Trace.Event.round e = 2) (events ()));
+      Alcotest.(check bool) "file holds the emitted events" true
+        (List.equal Trace.Event.equal (events ()) (Trace.File.read path)))
+
 let test_counterexample_trace_tail () =
   (* the fuzz failure path: re-run a violating protocol with a tail sink
      and get a non-empty last-K-rounds tail for the quarantine record *)
@@ -357,32 +437,6 @@ let test_observers () =
       | Some m ->
           Alcotest.(check int) "metrics messages" o.Sim.Engine.messages_sent
             m.Trace.Metrics.messages)
-
-(* --- net events --- *)
-
-(* The transport's link events (emitted by lib/net, never by the engine)
-   must survive the codec like every other event. *)
-let net_events =
-  [
-    Trace.Event.Drop { round = 3; src = 1; dst = 2; attempt = 1 };
-    Trace.Event.Dup { round = 3; src = 0; dst = 7; copies = 2 };
-    Trace.Event.Delay { round = 4; src = 5; dst = 6; slots = 3 };
-    Trace.Event.Retransmit { round = 4; src = 1; dst = 2; attempt = 2; backoff = 1 };
-    Trace.Event.Retransmit { round = 9; src = 2; dst = 1; attempt = 5; backoff = 8 };
-    Trace.Event.Ack { round = 9; src = 2; dst = 1; attempt = 5 };
-    Trace.Event.Degrade { round = 12; src = 3; dst = 4; attempts = 9 };
-  ]
-
-let test_net_event_json () =
-  List.iter
-    (fun e ->
-      match Trace.Event.of_json (Trace.Event.to_json e) with
-      | Some e' ->
-          if not (Trace.Event.equal e e') then
-            Alcotest.failf "json roundtrip changed %s" (Trace.Event.to_json e)
-      | None ->
-          Alcotest.failf "json roundtrip lost %s" (Trace.Event.to_json e))
-    net_events
 
 (* Regression for the --stable-json path: a metrics collector on a constant
    clock must fold the same run into byte-identical summaries — no
@@ -450,14 +504,17 @@ let suite =
       test_diff_prefix;
     Alcotest.test_case "quarantine records embed the trace tail" `Quick
       test_breach_traced_in_failure_record;
+    Alcotest.test_case "a crashed run's trace file is whole" `Quick
+      test_crashed_run_trace_file;
     Alcotest.test_case "violating run yields a counterexample tail" `Quick
       test_counterexample_trace_tail;
     Alcotest.test_case "no sink, no events (off path)" `Quick
       test_off_path_no_sink_calls;
     Alcotest.test_case "observers: tail, metrics and file teed" `Quick
       test_observers;
-    Alcotest.test_case "net link events roundtrip as json" `Quick
-      test_net_event_json;
+    Alcotest.test_case "every event roundtrips: json, file, field-wise"
+      `Quick test_every_event_roundtrip;
+    Alcotest.test_case "event bytes are frozen" `Quick test_event_bytes_frozen;
     Alcotest.test_case "stable collector is wall-clock free" `Quick
       test_stable_collector_deterministic;
   ]
