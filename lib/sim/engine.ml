@@ -17,10 +17,13 @@
 
     Delivery route: the link and the plan choose it, never the observer.
     Without a link, a plan whose omissions are per-sender [Masks] takes
-    the mask route (aggregate counters, mask-blit delivery); a link or a
-    [Predicate] plan takes the general per-message route. A message-level
-    sink only decides whether [Send]/[Omit]/[Deliver] events are reported,
-    on either route.
+    the mask route (aggregate counters, one verdict per sender); a link
+    or a [Predicate] plan takes the general route, which asks a verdict
+    per message. Both routes deliver the same way: a sender whose round
+    is pure wide broadcast goes into the round-shared broadcast table,
+    any other sender is pushed row by row. A message-level sink only
+    decides whether [Send]/[Omit]/[Deliver] events are reported, on
+    either route.
 
     Allocation discipline: the hot path runs on reusable buffers — per-pid
     {!Mailbox.t} outboxes/inboxes reset by count, one adversary {!View.t}
@@ -31,9 +34,12 @@
     closure-free blit ({!Mailbox.rdeliver}, {!Mailbox.rshare}), so the
     engine's own steady-state cost is O(n) words per round (fresh
     [obs_core] observations). The general route walks each outbox in
-    place ({!Mailbox.iter}, {!Mailbox.riter}) with two closures built
-    once per round. Protocols add what they allocate per message
-    record. A message-level sink is handed each event's fields
+    place: a forward {!Mailbox.iter} with one verdict closure built once
+    per round, then a closure-free table entry per segment
+    ({!Mailbox.rshare_verdicts}, its masks from buffers the table reuses
+    across rounds) or reverse push ({!Mailbox.rdeliver_verdicts}).
+    Protocols add what they allocate per message record. A message-level
+    sink is handed each event's fields
     ({!Trace.Sink.send}, {!Trace.Sink.omit}, {!Trace.Sink.deliver}):
     the pending-message walk prices and hints a record once per run of
     entries sharing it, the mask route's verdicts come from one
@@ -163,7 +169,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   let inboxes : P.msg Mailbox.t array =
     Array.init n (fun _ -> Mailbox.create ())
   in
-  (* Round-shared broadcast table: the mask route delivers a surviving
+  (* Round-shared broadcast table: both routes deliver a surviving
      broadcast as one table entry instead of one row per destination;
      every inbox merges the table back in at read time. *)
   let bcast = Mailbox.shared_create () in
@@ -270,23 +276,26 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
           round
     end
   in
-  (* Push one sender's survivors ([mask] as in {!Mailbox.rdeliver}). A
-     sender whose round is pure wide broadcast delivers through the
-     round-shared table: O(1) per segment instead of one inbox row per
-     destination. Mixed, pointwise or narrow-segment (e.g. one-group)
-     outboxes keep the per-destination blit — every receiver scans the
-     whole table, so only segments covering at least half the network pay
-     for their scan slot — and the routing is all-or-nothing per sender,
-     so table sources and pointwise inbox rows stay disjoint (the merge
-     contract). Either way a sender's entries go in reverse emission
-     order; senders ascend, so inboxes come out sorted with the
-     same-sender order the legacy engine produced. *)
+  (* Does this sender deliver through the round-shared table? Only a
+     sender whose round is pure wide broadcast does: O(1) per segment
+     instead of one inbox row per destination. Mixed, pointwise or
+     narrow-segment (e.g. one-group) outboxes keep the per-destination
+     push — every receiver scans the whole table, so only segments
+     covering at least half the network pay for their scan slot — and
+     the routing is all-or-nothing per sender, so table sources and
+     pointwise inbox rows stay disjoint (the merge contract). Both routes
+     ask it. Either way a sender's entries go in reverse emission order;
+     senders ascend, so inboxes come out sorted with the same-sender
+     order the legacy engine produced. *)
+  let via_table ob =
+    Mailbox.point_length ob = 0
+    && Mailbox.seg_count ob > 0
+    && 2 * Mailbox.min_seg_span ob >= n
+  in
+  (* Push one sender's survivors on the mask route ([mask] as in
+     {!Mailbox.rdeliver}). *)
   let deliver_fast pid ob ~mask =
-    if
-      Mailbox.point_length ob = 0
-      && Mailbox.seg_count ob > 0
-      && 2 * Mailbox.min_seg_span ob >= n
-    then Mailbox.rshare ob bcast ~src:pid ~mask
+    if via_table ob then Mailbox.rshare ob bcast ~src:pid ~mask
     else Mailbox.rdeliver ob inboxes ~peer:pid ~mask
   in
   let run_i ?stop ?trace ?link ~(adversary : Adversary_intf.t)
@@ -463,8 +472,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       | None -> ()
       | Some l -> l.Link_intf.begin_round ~round:r);
       (* Last round's broadcast-table entries were consumed in phase 1;
-         the table refills below (mask route only — it stays empty on the
-         general route, whose inboxes then iterate as plain rows). *)
+         the table refills below, on either route. *)
       Mailbox.shared_clear bcast;
       (match plan.omit with
       | View.Masks verdict when fast ->
@@ -499,15 +507,19 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       | omission ->
           (* General route: a link, or a predicate plan. Per sender, a
              forward walk of the outbox asks each message's verdict in
-             emission order and records it at the message's index; a
-             reverse walk then pushes the survivors. Broadcast segments
-             expand inside the walks, so no outbox is copied. The two
-             walk closures are built here, once per round, and read the
-             sender from [src]. Omissions go to a round-local counter:
-             a closure capturing the per-run one would box it on every
-             route. Counts are added per sender or per round: an
-             [Illegal_plan] midway aborts the run, so no partial count is
-             ever read. *)
+             emission order and records it at the message's index. The
+             survivors then go out as on the mask route: a pure wide
+             broadcast sender's segments become table entries masked by
+             their own verdicts ({!Mailbox.rshare_verdicts}); any other
+             sender's survivors are pushed by a closure-free reverse walk
+             that reads the verdicts by index
+             ({!Mailbox.rdeliver_verdicts}). Broadcast segments expand
+             inside the walks, so no outbox is copied. The verdict walk's
+             closure is built here, once per round, and reads the sender
+             from [src]. Omissions go to a round-local counter: a closure
+             capturing the per-run one would box it on every route.
+             Counts are added per sender or per round: an [Illegal_plan]
+             midway aborts the run, so no partial count is ever read. *)
           let omit = View.omits omission in
           let src = ref 0 and at = ref 0 and omitted = ref 0 in
           let decide dst _ =
@@ -543,12 +555,6 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               else Bytes.unsafe_set !omit_scratch i '\002'
             end
           in
-          let push dst m =
-            let i = !at - 1 in
-            at := i;
-            if Bytes.unsafe_get !omit_scratch i = '\000' then
-              Mailbox.push inboxes.(dst) ~peer:!src m
-          in
           for pid = 0 to n - 1 do
             let ob = outboxes.(pid) in
             let len = Mailbox.length ob in
@@ -560,7 +566,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
               src := pid;
               at := 0;
               Mailbox.iter ob decide;
-              Mailbox.riter ob push
+              let verdicts = !omit_scratch in
+              if via_table ob then
+                Mailbox.rshare_verdicts ob bcast ~src:pid ~verdicts
+              else Mailbox.rdeliver_verdicts ob inboxes ~peer:pid ~verdicts
             end
           done;
           messages_omitted := !messages_omitted + !omitted);

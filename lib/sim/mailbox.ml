@@ -26,15 +26,18 @@
     the duration of the call that received it: the engine clears and
     refills these buffers every round. *)
 
-(** Round-shared broadcast table: the fast path's alternative to
+(** Round-shared broadcast table: the engine's alternative to
     materialising one inbox row per (sender, destination) pair. Each entry
     is one surviving broadcast — source, shared message, destination range
     and an optional per-destination omission mask — appended once by the
     engine's delivery phase and read by {e every} receiver's inbox
     iteration, which filters the table down to the entries covering its
-    own pid. Delivery work per broadcast drops from O(destinations)
-    scattered writes to O(1), and all receivers scan the same compact,
-    cache-resident arrays. *)
+    own pid. Both delivery routes fill it: the mask route with the plan's
+    per-sender mask ({!rshare}), the general route with each segment's
+    own per-message verdicts ({!rshare_verdicts}), whose masks live in
+    buffers the table owns and reuses across rounds. Delivery work per
+    broadcast drops from O(destinations) scattered writes to O(1), and
+    all receivers scan the same compact, cache-resident arrays. *)
 type 'm shared = {
   mutable s_src : int array;
   mutable s_msg : 'm array;
@@ -45,6 +48,9 @@ type 'm shared = {
       (** [Bytes.empty] = deliver to the whole range; otherwise a
           non-['\000'] byte at [dst] suppresses that destination *)
   mutable s_len : int;
+  mutable s_pool : Bytes.t array;
+      (** mask buffers {!rshare_verdicts} fills, reused across rounds *)
+  mutable s_pooled : int;  (** pool buffers in use since {!shared_clear} *)
 }
 
 type 'm t = {
@@ -78,9 +84,13 @@ let shared_create () =
     s_skip = [||];
     s_mask = [||];
     s_len = 0;
+    s_pool = [||];
+    s_pooled = 0;
   }
 
-let shared_clear sh = sh.s_len <- 0
+let shared_clear sh =
+  sh.s_len <- 0;
+  sh.s_pooled <- 0
 
 let shared_grow sh m =
   let cap = Array.length sh.s_lo in
@@ -277,7 +287,7 @@ let iter t f =
       done
 
 (** Expanded walk in reverse emission order — the engine's
-    pending-message walk and its survivor push. Raises [Invalid_argument]
+    pending-message walk. Raises [Invalid_argument]
     on an inbox whose attached broadcast table is non-empty: the walk
     does not merge table entries, so it would silently miss them. *)
 let riter t f =
@@ -382,6 +392,86 @@ let rshare t sh ~src ~mask =
   for j = t.seg_len - 1 downto 0 do
     shared_push sh ~src ~lo:t.seg_lo.(j) ~hi:t.seg_hi.(j) ~skip:t.seg_skip.(j)
       ~mask t.seg_msg.(j)
+  done
+
+(* A table-owned mask buffer covering destinations [0 .. width - 1],
+   free until the next {!shared_clear}. Its bytes are stale: the caller
+   writes every destination its entry covers. *)
+let pooled_mask sh ~width =
+  let k = sh.s_pooled in
+  if k = Array.length sh.s_pool then
+    sh.s_pool <- Array.append sh.s_pool (Array.make (max 4 k) Bytes.empty);
+  if Bytes.length sh.s_pool.(k) < width then sh.s_pool.(k) <- Bytes.create width;
+  sh.s_pooled <- k + 1;
+  sh.s_pool.(k)
+
+(** {!rshare} with one verdict per message instead of one mask per
+    sender: [verdicts] holds a byte per expanded entry of [t], which holds
+    no pointwise slots, in emission order — ['\000'] delivers, any other
+    byte drops (an omission or a link loss). Each segment becomes one
+    table entry, in reverse emission order, whose mask is the segment's
+    own verdicts indexed by destination: {!Bytes.empty} when the segment
+    drops nothing, otherwise a buffer from the table's pool. *)
+let rshare_verdicts t sh ~src ~verdicts =
+  assert (t.len = 0);
+  let stop = ref t.seg_total in
+  for j = t.seg_len - 1 downto 0 do
+    let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) and skip = t.seg_skip.(j) in
+    let start = !stop - seg_size ~lo ~hi ~skip in
+    let dropped = ref false in
+    for i = start to !stop - 1 do
+      if Bytes.get verdicts i <> '\000' then dropped := true
+    done;
+    let mask =
+      if not !dropped then Bytes.empty
+      else begin
+        let mask = pooled_mask sh ~width:(hi + 1) in
+        let desc = t.seg_desc.(j) and i = ref start in
+        for k = 0 to hi - lo do
+          let dst = if desc then hi - k else lo + k in
+          if dst <> skip then begin
+            Bytes.set mask dst (Bytes.get verdicts !i);
+            incr i
+          end
+        done;
+        mask
+      end
+    in
+    shared_push sh ~src ~lo ~hi ~skip ~mask t.seg_msg.(j);
+    stop := start
+  done
+
+(** {!rdeliver} with one verdict per message instead of one mask per
+    sender: [verdicts] holds a byte per expanded entry of [t] in emission
+    order, and an entry is delivered when its byte is ['\000']. The walk
+    reads them by index in reverse emission order, the order of {!riter},
+    without a closure. *)
+let rdeliver_verdicts t inboxes ~peer ~verdicts =
+  let at = ref (t.len + t.seg_total) in
+  let s = ref (t.seg_len - 1) in
+  for i = t.len - 1 downto -1 do
+    while !s >= 0 && t.seg_pos.(!s) > i do
+      let j = !s in
+      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
+      let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
+      let desc = t.seg_desc.(j) in
+      for k = 0 to hi - lo do
+        let dst = if desc then lo + k else hi - k in
+        if dst <> skip then begin
+          decr at;
+          if Bytes.get verdicts !at = '\000' then
+            deliver_row inboxes ~peer dst m
+        end
+      done;
+      decr s
+    done;
+    if i >= 0 then begin
+      decr at;
+      if Bytes.get verdicts !at = '\000' then
+        deliver_row inboxes ~peer
+          (Array.unsafe_get t.peers i)
+          (Array.unsafe_get t.msgs i)
+    end
   done
 
 (** Number of expanded entries whose [mask] byte at [dst] is set. *)

@@ -518,6 +518,71 @@ let test_general_route_emission_order () =
   check ~what:"flood n=32" (Consensus.Flood.protocol_buffered flood_cfg)
     flood_cfg
 
+(* Route witness for the general route's table delivery. Flood under
+   [random_omission] (a [Predicate] plan) broadcasts one wide segment per
+   sender a round, so its survivors go through the round-shared table:
+   from round 2 on every inbox holds no pointwise row, and reads exactly
+   the previous round's [Deliver] events towards its owner, senders
+   ascending, each carrying the record its sender emitted. The engine
+   steps pids in ascending order, which the wrapper uses to name the
+   pid it runs. *)
+let test_general_route_table () =
+  let n = 64 in
+  let cfg = Sim.Config.make ~n ~t_max:8 ~seed:3 () in
+  let module F = (val Consensus.Flood.protocol_buffered cfg) in
+  let emitted = Hashtbl.create 64 and read = Hashtbl.create 64 in
+  let stepped = ref (0, 0) in
+  let module W = struct
+    include F
+
+    let step_into cfg st ~round ~inbox ~rand ~emit ~emit_all =
+      let pid =
+        match !stepped with r, p when r = round -> p + 1 | _ -> 0
+      in
+      stepped := (round, pid);
+      Hashtbl.replace read (round, pid)
+        (Sim.Mailbox.point_length inbox, Sim.Mailbox.to_list inbox);
+      let emit_all ~lo ~hi ~skip ~desc m =
+        Hashtbl.replace emitted (round, pid) m;
+        emit_all ~lo ~hi ~skip ~desc m
+      in
+      F.step_into cfg st ~round ~inbox ~rand ~emit ~emit_all
+  end in
+  let sink, events = Trace.Sink.memory () in
+  let o =
+    Sim.Engine.run ~trace:sink
+      (module W)
+      cfg
+      ~adversary:(Adversary.random_omission ~p_omit:0.5)
+      ~inputs:(Array.init n (fun i -> i mod 2))
+  in
+  let events = events () in
+  let delivered = ref 0 in
+  for r = 2 to o.Sim.Engine.rounds_total do
+    for pid = 0 to n - 1 do
+      let points, rows = Hashtbl.find read (r, pid) in
+      if points <> 0 then
+        Alcotest.failf "round %d pid %d: %d pointwise inbox rows" r pid points;
+      let expected =
+        List.filter_map
+          (function
+            | Trace.Event.Deliver { round; src; dst }
+              when round = r - 1 && dst = pid ->
+                Some (src, Hashtbl.find emitted (r - 1, src))
+            | _ -> None)
+          events
+      in
+      if
+        List.map fst rows <> List.map fst expected
+        || not (List.for_all2 (fun (_, a) (_, b) -> a == b) rows expected)
+      then Alcotest.failf "round %d pid %d: inbox differs from Deliver" r pid;
+      delivered := !delivered + List.length rows
+    done
+  done;
+  Alcotest.(check bool) "some message omitted" true (o.messages_omitted > 0);
+  Alcotest.(check bool) "some message delivered from round 2" true
+    (!delivered > 0)
+
 (* A reused instance outlives its runs: once a traced run returns, the
    instance must hold nothing that keeps the run's sink (and the events
    it buffers) alive, or every later run pays for the last one's trace. *)
@@ -746,6 +811,8 @@ let suite =
       test_walk_is_send_stream;
     Alcotest.test_case "general route asks in emission order" `Quick
       test_general_route_emission_order;
+    Alcotest.test_case "general route delivers broadcasts via the table" `Quick
+      test_general_route_table;
     Alcotest.test_case "instance keeps no run's sink alive" `Quick
       test_instance_releases_sink;
     Alcotest.test_case "outcome helpers" `Quick test_agreed_decision_helpers;

@@ -212,17 +212,24 @@ let grid_digest entry =
       List.iter (fun e -> line (Trace.Event.to_json e)) trace);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let check_digests ~file lines =
-  let expected = In_channel.with_open_text file In_channel.input_all in
-  let actual = String.concat "" lines in
+(* [file] is found next to the test executable, where the test's [deps]
+   put it, so the suite passes from any working directory. It is read
+   before any digest is computed: a missing file fails at once, naming
+   the path it looked for. *)
+let check_digests ~file line cells =
+  let path = Filename.concat (Filename.dirname Sys.executable_name) file in
+  let expected =
+    try In_channel.with_open_text path In_channel.input_all
+    with Sys_error e -> Alcotest.failf "golden file %s unreadable: %s" path e
+  in
+  let actual = String.concat "" (List.map line cells) in
   if actual <> expected then
-    Alcotest.failf "grid digests differ from %s; computed:\n%s" file actual
+    Alcotest.failf "grid digests differ from %s; computed:\n%s" path actual
 
 let test_golden () =
   check_digests ~file:golden_file
-    (List.map
-       (fun e -> Printf.sprintf "%s %s\n" e.Harness.Registry.id (grid_digest e))
-       Harness.Registry.all)
+    (fun e -> Printf.sprintf "%s %s\n" e.Harness.Registry.id (grid_digest e))
+    Harness.Registry.all
 
 (* Sparse-expander oracle. At the grid's n = 12 the expander is complete
    (Delta = 11), so the golden grid never exercises the Core paths that
@@ -274,7 +281,7 @@ let sparse_line (protocol, n, seed, adversary) =
     (Digest.to_hex (Digest.string outcome))
 
 let test_sparse_golden () =
-  check_digests ~file:sparse_file (List.map sparse_line sparse_cells)
+  check_digests ~file:sparse_file sparse_line sparse_cells
 
 (* Route witness: a protocol whose [msg_bits] counts its calls, against
    an adversary whose omission verdicts count their calls: per-sender

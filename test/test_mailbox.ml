@@ -372,6 +372,82 @@ let qcheck_rdeliver_mask =
       && priced_per_record ops runs
       && masked_ok && verdicts_ok && shared_ok)
 
+(* The general route's delivery: each sender's forward walk leaves one
+   verdict byte per expanded entry, in emission order ('\000' delivers,
+   '\001' an omission and '\002' a link loss both drop). A pure-segment
+   sender goes through the round-shared table with per-segment masks
+   built from those bytes ({!Sim.Mailbox.rshare_verdicts}); any other
+   sender is pushed by the closure-free index walk
+   ({!Sim.Mailbox.rdeliver_verdicts}). Either way every inbox must read
+   as the list model: senders ascending, each sender's survivors towards
+   the inbox in reverse emission order. Two rounds run through the same
+   table and inboxes, so the second reads masks from reused pool buffers
+   with stale bytes. *)
+let verdict_round_gen ops_gen =
+  (* up to four senders, each with its outbox and 64 verdict codes *)
+  QCheck.(
+    list_of_size (Gen.int_range 1 4)
+      (pair ops_gen (list_of_size (Gen.return 64) (int_range 0 2))))
+
+let segment_ops =
+  QCheck.map
+    (List.map (function
+      | `P (lo, m) -> `B (lo, 7, -1, false, m)
+      | b -> b))
+    mixed_load
+
+(* the verdict code of entry [i]; a long outbox repeats the 64 codes *)
+let code codes i = List.nth codes (i mod 64)
+
+let verdict_bytes ops codes =
+  let len = List.length (expand_ops ops) in
+  Bytes.init len (fun i -> Char.chr (code codes i))
+
+let model senders =
+  Array.init 8 (fun dst ->
+      List.concat
+        (List.mapi
+           (fun src (ops, codes) ->
+             let entries = expand_ops ops in
+             List.rev
+               (List.filteri
+                  (fun i (d, _) -> d = dst && code codes i = 0)
+                  entries)
+             |> List.map (fun (_, m) -> (src, m)))
+           senders))
+
+let deliver_rounds ~table rounds =
+  let sh = Sim.Mailbox.shared_create () in
+  let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
+  Array.iteri (fun dst ib -> Sim.Mailbox.attach_shared ib sh ~owner:dst) inboxes;
+  List.for_all
+    (fun senders ->
+      Sim.Mailbox.shared_clear sh;
+      Array.iter Sim.Mailbox.clear inboxes;
+      List.iteri
+        (fun src (ops, codes) ->
+          let ob = Sim.Mailbox.create () in
+          apply_ops ob ops;
+          let verdicts = verdict_bytes ops codes in
+          if table then Sim.Mailbox.rshare_verdicts ob sh ~src ~verdicts
+          else Sim.Mailbox.rdeliver_verdicts ob inboxes ~peer:src ~verdicts)
+        senders;
+      Array.map Sim.Mailbox.to_list inboxes = model senders
+      && (table || Array.for_all Sim.Mailbox.is_sorted_by_peer inboxes))
+    rounds
+
+let qcheck_verdicts_to_table =
+  QCheck.Test.make
+    ~name:"rshare_verdicts: table inboxes = survivors model" ~count:500
+    QCheck.(pair (verdict_round_gen segment_ops) (verdict_round_gen segment_ops))
+    (fun (r1, r2) -> deliver_rounds ~table:true [ r1; r2 ])
+
+let qcheck_verdicts_push =
+  QCheck.Test.make
+    ~name:"rdeliver_verdicts: pushed inboxes = survivors model" ~count:500
+    QCheck.(pair (verdict_round_gen mixed_load) (verdict_round_gen mixed_load))
+    (fun (r1, r2) -> deliver_rounds ~table:false [ r1; r2 ])
+
 let suite =
   [
     qcheck qcheck_order;
@@ -387,4 +463,6 @@ let suite =
     Alcotest.test_case "riter refuses a non-empty attached table" `Quick
       test_riter_refuses_table;
     qcheck qcheck_rdeliver_mask;
+    qcheck qcheck_verdicts_to_table;
+    qcheck qcheck_verdicts_push;
   ]

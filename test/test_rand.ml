@@ -167,6 +167,30 @@ let test_int_below_invalid () =
     (Invalid_argument "Rand.int_below: bound must be positive") (fun () ->
       ignore (Sim.Rand.int_below r 0))
 
+(* The engine reseeds a stream and draws from it in every step, so no
+   call may allocate: the stream's words are read and written in place.
+   The only words allowed are the two boxed [Gc.minor_words] readings. *)
+let test_no_allocation () =
+  let root = Sim.Rand.create ~seed:13L () in
+  let r = Sim.Rand.derive root 0 in
+  let sink = ref 0 in
+  let check_flat what f =
+    f 0;
+    let before = Gc.minor_words () in
+    for i = 1 to 10_000 do
+      f i
+    done;
+    let grown = Gc.minor_words () -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %.0f minor words over 10000 calls" what grown)
+      true (grown <= 8.)
+  in
+  check_flat "derive_into" (fun i -> Sim.Rand.derive_into ~into:r root i);
+  check_flat "bit" (fun _ -> sink := !sink + Sim.Rand.bit r);
+  check_flat "bits" (fun _ -> sink := !sink + Sim.Rand.bits r 20);
+  check_flat "int_below" (fun i -> sink := !sink + Sim.Rand.int_below r (i + 1));
+  ignore (Sys.opaque_identity !sink)
+
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -184,6 +208,8 @@ let suite =
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "bits invalid args" `Quick test_bits_invalid;
     Alcotest.test_case "int_below invalid args" `Quick test_int_below_invalid;
+    Alcotest.test_case "draws and reseeds allocate nothing" `Quick
+      test_no_allocation;
     QCheck_alcotest.to_alcotest test_int_below_range;
     QCheck_alcotest.to_alcotest test_bits_bounds;
     QCheck_alcotest.to_alcotest test_shuffle_permutation;
