@@ -96,8 +96,8 @@ let measure_path ~name ~path ~n ~t ~runs f =
    adversary is rebuilt per run: strategies close over mutable schedule
    state, as is [trace], the run's sink. Which delivery route a run
    takes depends on the adversary's plan: [Sim.Adversary_intf.none] and
-   crash schedules give per-sender masks (the mask-blit / broadcast-table
-   route, path="buffered", "masked" and "tail"), a randomized predicate
+   crash schedules give per-sender masks (the mask route,
+   path="buffered", "masked" and "tail"), a randomized predicate
    takes the general per-message route (path="pointwise"). *)
 let case ?(trace = fun () -> None) ~name ~path ~n ~t ~runs ~buffered
     ~adversary () =

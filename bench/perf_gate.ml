@@ -15,6 +15,11 @@
      path="tail" rows run the "masked" flood runs recording a 5-round
      Trace.Tail, so message-level tracing that allocates per event
      fails the gate.
+   - staleness: words_per_round must also stay above half the baseline
+     value. A row at or below half fails with "baseline stale:
+     regenerate bench/micro_baseline.json", so a change that halves
+     allocation refreshes the baseline with it and the 2x bound keeps
+     guarding the new level.
 
    kind="scale-throughput" rows (the scale experiment, non-stable mode)
    are gated within the records file itself — throughput is machine-
@@ -29,8 +34,8 @@
    throughput is a logged artifact, never gated.
 
    Records are read with Jsonl.read, the reader shared with the writer
-   behind Bench_util.Out. Exit status 0 = gate passed, 1 = regression or
-   missing data, 2 = usage. *)
+   behind Bench_util.Out. Exit status 0 = gate passed, 1 = regression, stale
+   baseline or missing data, 2 = usage. *)
 
 type row = {
   protocol : string;
@@ -99,8 +104,9 @@ let () =
         baseline;
       exit 1
     end;
-    (* Regression check: every baseline point must exist and stay within 2x
-       (+256 words absolute slack for near-zero steady-state baselines). *)
+    (* Every baseline point must exist and stay within 2x (+256 words
+       absolute slack for near-zero steady-state baselines), and above
+       half the baseline. *)
     List.iter
       (fun b ->
         match lookup current ~protocol:b.protocol ~path:b.path ~n:b.n with
@@ -112,6 +118,11 @@ let () =
             if w > limit then
               fail "%s/%s n=%d: %.0f words/round > limit %.0f (baseline %.0f)"
                 b.protocol b.path b.n w limit b.words_per_round
+            else if 2. *. w <= b.words_per_round then
+              fail
+                "%s/%s n=%d: %.0f words/round <= half of baseline %.0f: \
+                 baseline stale: regenerate bench/micro_baseline.json"
+                b.protocol b.path b.n w b.words_per_round
             else
               Printf.printf "ok   %-14s %-9s n=%-4d %12.0f words/round (baseline %.0f)\n"
                 b.protocol b.path b.n w b.words_per_round)

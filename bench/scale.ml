@@ -20,8 +20,9 @@
    asks for a verdict per message, and an adversary that walks the
    pending messages each round, as the old engine did unconditionally.
    The fast column is the same instance with broadcast segments and
-   masks, untraced: the engine takes mask-blit delivery and never walks
-   the pending messages. Outcomes are asserted equal. *)
+   masks, untraced: the engine takes the mask route, delivers wide
+   broadcasts through the round-shared table and never walks the
+   pending messages. Outcomes are asserted equal. *)
 
 open Bench_util
 

@@ -17,34 +17,34 @@
 
     Delivery route: the link and the plan choose it, never the observer.
     Without a link, a plan whose omissions are per-sender [Masks] takes
-    the mask route (aggregate counters, one verdict per sender); a link
-    or a [Predicate] plan takes the general route, which asks a verdict
-    per message. Both routes deliver the same way: a sender whose round
-    is pure wide broadcast goes into the round-shared broadcast table,
-    any other sender is pushed row by row. A message-level sink only
-    decides whether [Send]/[Omit]/[Deliver] events are reported, on
+    the mask route (one verdict per sender); a link or a [Predicate] plan
+    takes the general route, which asks a verdict per message. The routes
+    differ only in how they write a sender's verdict bytes. Delivery is
+    one step for both: a sender whose round is pure wide broadcast goes
+    into the round-shared broadcast table, any other sender is pushed row
+    by row, and the delivery counts the omissions. A message-level sink
+    only decides whether [Send]/[Omit]/[Deliver] events are reported, on
     either route.
 
     Allocation discipline: the hot path runs on reusable buffers — per-pid
     {!Mailbox.t} outboxes/inboxes reset by count, one adversary {!View.t}
     whose observation and fault-snapshot arrays are reused across rounds,
     and a single derived random stream reseeded per step. On the mask
-    route the engine allocates nothing per message: a sender is
-    priced by one closure-free {!Mailbox.total_bits} and delivered by a
-    closure-free blit ({!Mailbox.rdeliver}, {!Mailbox.rshare}), so the
+    route the engine allocates nothing per message: a sender is priced by
+    one closure-free {!Mailbox.total_bits}, its verdicts come from one
+    closure-free {!Mailbox.verdicts} walk (skipped for an untraced sender
+    that omits nothing), and it is delivered by a closure-free table
+    entry per segment ({!Mailbox.rshare}, its masks from buffers the table
+    reuses across rounds) or reverse push ({!Mailbox.rdeliver}), so the
     engine's own steady-state cost is O(n) words per round (fresh
-    [obs_core] observations). The general route walks each outbox in
-    place: a forward {!Mailbox.iter} with one verdict closure built once
-    per round, then a closure-free table entry per segment
-    ({!Mailbox.rshare_verdicts}, its masks from buffers the table reuses
-    across rounds) or reverse push ({!Mailbox.rdeliver_verdicts}).
-    Protocols add what they allocate per message record. A message-level
-    sink is handed each event's fields
-    ({!Trace.Sink.send}, {!Trace.Sink.omit}, {!Trace.Sink.deliver}):
-    the pending-message walk prices and hints a record once per run of
-    entries sharing it, the mask route's verdicts come from one
-    closure-free {!Mailbox.verdicts} walk per sender, and a {!Trace.Tail}
-    stores the fields without allocating. A sink built with
+    [obs_core] observations). The general route writes its verdicts
+    through a forward {!Mailbox.iter} with one closure built once per
+    round, then delivers the same way. Protocols add what they allocate
+    per message record. A message-level sink is handed each event's
+    fields ({!Trace.Sink.send}, {!Trace.Sink.omit},
+    {!Trace.Sink.deliver}): the pending-message walk prices and hints a
+    record once per run of entries sharing it, and a {!Trace.Tail} stores
+    the fields without allocating. A sink built with
     {!Trace.Sink.make} builds each event. *)
 
 exception Illegal_plan of string
@@ -254,27 +254,37 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       iter_envelopes;
     }
   in
-  (* Per-sender omission flags, grown to the largest outbox seen. *)
+  (* Per-sender verdict bytes, grown to the largest outbox seen, and the
+     general route's cursor into them: the sender and the message index
+     its verdict walk has reached. *)
   let omit_scratch = ref Bytes.empty in
-  (* The mask route's per-sender helpers, built once per instance so that
-     delivery allocates no closure per sender or per message. *)
+  let src = ref 0 and at = ref 0 in
   let omit_every = Bytes.make n '\001' in
-  (* One sender's verdict walk on the mask route: a message-level sink's
-     [Omit]/[Deliver] events, and the legality check that a non-faulty
-     sender omits only towards faulty destinations. It raises for the
-     first other omission in emission order, after the events before it,
-     exactly as the general route does. Without a sink it runs only when
-     a non-faulty sender omits something. *)
-  let verdict_walk ~sink ~round pid ob mask =
-    let checked = (not faulty.(pid)) && Bytes.length mask > 0 in
-    if checked || Option.is_some sink then begin
+  (* One sender's verdicts on the mask route: the closure-free
+     {!Mailbox.verdicts} walk writes them into [omit_scratch] ('\000'
+     deliver, '\001' omit), reports a message-level sink's
+     [Omit]/[Deliver] events, and checks that a non-faulty sender omits
+     only towards faulty destinations. It raises for the first other
+     omission in emission order, after the events before it, exactly as
+     the general route does. A sender that omits nothing is delivered
+     from [Bytes.empty], and without a sink it skips the walk. *)
+  let mask_verdicts ~sink ~round pid ob verdict =
+    let mask =
+      match verdict with
+      | View.Deliver_all -> Bytes.empty
+      | View.Omit_all -> omit_every
+      | View.Omit_mask b -> b
+    in
+    if Bytes.length mask > 0 || Option.is_some sink then begin
       let dst =
-        Mailbox.verdicts ob ~mask ~checked ~faulty ~sink ~round ~src:pid
+        Mailbox.verdicts ob ~mask ~checked:(not faulty.(pid)) ~faulty ~sink
+          ~round ~src:pid ~out:!omit_scratch
       in
       if dst >= 0 then
         illegal "omission between non-faulty %d -> %d at round %d" pid dst
           round
-    end
+    end;
+    if Bytes.length mask = 0 then Bytes.empty else !omit_scratch
   in
   (* Does this sender deliver through the round-shared table? Only a
      sender whose round is pure wide broadcast does: O(1) per segment
@@ -283,20 +293,14 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
      push — every receiver scans the whole table, so only segments
      covering at least half the network pay for their scan slot — and
      the routing is all-or-nothing per sender, so table sources and
-     pointwise inbox rows stay disjoint (the merge contract). Both routes
-     ask it. Either way a sender's entries go in reverse emission order;
-     senders ascend, so inboxes come out sorted with the same-sender
-     order the legacy engine produced. *)
+     pointwise inbox rows stay disjoint (the merge contract). Either way
+     a sender's entries go in reverse emission order; senders ascend, so
+     inboxes come out sorted with the same-sender order the legacy
+     engine produced. *)
   let via_table ob =
     Mailbox.point_length ob = 0
     && Mailbox.seg_count ob > 0
     && 2 * Mailbox.min_seg_span ob >= n
-  in
-  (* Push one sender's survivors on the mask route ([mask] as in
-     {!Mailbox.rdeliver}). *)
-  let deliver_fast pid ob ~mask =
-    if via_table ob then Mailbox.rshare ob bcast ~src:pid ~mask
-    else Mailbox.rdeliver ob inboxes ~peer:pid ~mask
   in
   let run_i ?stop ?trace ?link ~(adversary : Adversary_intf.t)
       ~(inputs : int array) () : outcome =
@@ -458,121 +462,85 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                 Trace.Sink.emit t.sink (Trace.Event.Corrupt { round = r; pid })
           end)
         plan.new_faults;
-      (* Phase 3: communication. Omitted messages still count as sent: the
-         sender transmitted them; the adversary suppressed delivery. The
-         forward pass decides omissions (in emission order — omission
-         predicates may draw randomness per call); the backward pass pushes
-         survivors so each destination mailbox comes out sorted by sender.
-         Messages the adversary let through additionally cross the [link]
-         layer (when one is plugged in): a [Lost] verdict is a residual
-         link loss, marked '\002' — dropped like an omission but neither
-         checked against the fault set nor counted in [messages_omitted];
-         the transport accounts for it as an induced omission fault. *)
+      (* Phase 3: communication, one delivery step per sender on both
+         routes. Omitted messages still count as sent: the sender
+         transmitted them; the adversary suppressed delivery. A forward
+         pass writes one verdict byte per message in emission order
+         (omission predicates may draw randomness per call): the mask
+         route's [mask_verdicts], or the general route's [decide], built
+         here once per round and only on that route, which asks the
+         predicate and then the [link] (when one is plugged in). A
+         [Lost] verdict is a residual link loss, marked '\002': dropped
+         like an omission but not checked against the fault set. The
+         backward pass then delivers the survivors, through the table
+         ({!Mailbox.rshare}) or pushed ({!Mailbox.rdeliver}), so each
+         inbox comes out sorted by sender, and returns the sender's
+         '\001' count: [messages_omitted] is counted here alone and never
+         counts a link loss, which the transport accounts for as an
+         induced omission fault. An [Illegal_plan] aborts the run before
+         its sender's count. *)
       (match link with
       | None -> ()
       | Some l -> l.Link_intf.begin_round ~round:r);
       (* Last round's broadcast-table entries were consumed in phase 1;
          the table refills below, on either route. *)
       Mailbox.shared_clear bcast;
-      (match plan.omit with
-      | View.Masks verdict when fast ->
-          (* Mask route: no link, and the plan gives one verdict per
-             sender. Counters update in aggregate (one add per entry,
-             broadcast segments unexpanded); the only per-destination work
-             left is the inbox push for survivors — and the forward
-             verdict walk, which preserves the exact [Illegal_plan] the
-             general route would raise (the first omitted message, in
-             emission order, whose endpoints are both non-faulty), after
-             a message-level sink's events before it. *)
-          for pid = 0 to n - 1 do
-            let ob = outboxes.(pid) in
-            let total = Mailbox.length ob in
-            if total > 0 then begin
-              messages_sent := !messages_sent + total;
-              bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
-              match verdict pid with
-              | View.Deliver_all ->
-                  verdict_walk ~sink:msg_sink ~round:r pid ob Bytes.empty;
-                  deliver_fast pid ob ~mask:Bytes.empty
-              | View.Omit_all ->
-                  verdict_walk ~sink:msg_sink ~round:r pid ob omit_every;
-                  messages_omitted := !messages_omitted + total
-              | View.Omit_mask b ->
-                  verdict_walk ~sink:msg_sink ~round:r pid ob b;
-                  messages_omitted :=
-                    !messages_omitted + Mailbox.count_masked ob ~mask:b;
-                  deliver_fast pid ob ~mask:b
-            end
-          done
-      | omission ->
-          (* General route: a link, or a predicate plan. Per sender, a
-             forward walk of the outbox asks each message's verdict in
-             emission order and records it at the message's index. The
-             survivors then go out as on the mask route: a pure wide
-             broadcast sender's segments become table entries masked by
-             their own verdicts ({!Mailbox.rshare_verdicts}); any other
-             sender's survivors are pushed by a closure-free reverse walk
-             that reads the verdicts by index
-             ({!Mailbox.rdeliver_verdicts}). Broadcast segments expand
-             inside the walks, so no outbox is copied. The verdict walk's
-             closure is built here, once per round, and reads the sender
-             from [src]. Omissions go to a round-local counter: a closure
-             capturing the per-run one would box it on every route.
-             Counts are added per sender or per round: an [Illegal_plan]
-             midway aborts the run, so no partial count is ever read. *)
-          let omit = View.omits omission in
-          let src = ref 0 and at = ref 0 and omitted = ref 0 in
-          let decide dst _ =
-            let pid = !src and i = !at in
-            at := i + 1;
-            if omit pid dst then begin
-              if (not faulty.(pid)) && not faulty.(dst) then
-                illegal "omission between non-faulty %d -> %d at round %d" pid
-                  dst r;
-              incr omitted;
-              Bytes.unsafe_set !omit_scratch i '\001';
-              match msg_sink with
-              | None -> ()
-              | Some s -> Trace.Sink.omit s ~round:r ~src:pid ~dst
-            end
-            else begin
-              let delivered =
+      let decide =
+        match plan.omit with
+        | View.Masks _ when fast -> fun _ _ -> ()
+        | omission ->
+            let omit = View.omits omission in
+            fun dst _ ->
+              let pid = !src and i = !at in
+              at := i + 1;
+              if omit pid dst then begin
+                if (not faulty.(pid)) && not faulty.(dst) then
+                  illegal "omission between non-faulty %d -> %d at round %d"
+                    pid dst r;
+                Bytes.unsafe_set !omit_scratch i '\001';
+                match msg_sink with
+                | None -> ()
+                | Some s -> Trace.Sink.omit s ~round:r ~src:pid ~dst
+              end
+              else if
                 match link with
                 | None -> true
-                | Some l -> (
-                    match
-                      l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
-                    with
-                    | Link_intf.Delivered -> true
-                    | Link_intf.Lost -> false)
-              in
-              if delivered then begin
+                | Some l ->
+                    l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
+                    = Link_intf.Delivered
+              then begin
                 Bytes.unsafe_set !omit_scratch i '\000';
                 match msg_sink with
                 | None -> ()
                 | Some s -> Trace.Sink.deliver s ~round:r ~src:pid ~dst
               end
               else Bytes.unsafe_set !omit_scratch i '\002'
-            end
+      in
+      for pid = 0 to n - 1 do
+        let ob = outboxes.(pid) in
+        let len = Mailbox.length ob in
+        if len > 0 then begin
+          messages_sent := !messages_sent + len;
+          bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
+          if Bytes.length !omit_scratch < len then
+            omit_scratch := Bytes.create len;
+          let verdicts =
+            match plan.omit with
+            | View.Masks verdict when fast ->
+                mask_verdicts ~sink:msg_sink ~round:r pid ob (verdict pid)
+            | _ ->
+                src := pid;
+                at := 0;
+                Mailbox.iter ob decide;
+                !omit_scratch
           in
-          for pid = 0 to n - 1 do
-            let ob = outboxes.(pid) in
-            let len = Mailbox.length ob in
-            if len > 0 then begin
-              messages_sent := !messages_sent + len;
-              bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
-              if Bytes.length !omit_scratch < len then
-                omit_scratch := Bytes.create len;
-              src := pid;
-              at := 0;
-              Mailbox.iter ob decide;
-              let verdicts = !omit_scratch in
-              if via_table ob then
-                Mailbox.rshare_verdicts ob bcast ~src:pid ~verdicts
-              else Mailbox.rdeliver_verdicts ob inboxes ~peer:pid ~verdicts
-            end
-          done;
-          messages_omitted := !messages_omitted + !omitted);
+          messages_omitted :=
+            !messages_omitted
+            +
+            if via_table ob then Mailbox.rshare ob bcast ~src:pid ~verdicts
+            else Mailbox.rdeliver ob inboxes ~peer:pid ~verdicts
+        end
+      done;
       (* The backward survivor push fills every inbox sorted by ascending
          sender already; assert the contract in debug builds instead of
          paying an O(n + len) re-sort scan on the steady-state hot path. *)

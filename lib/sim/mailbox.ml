@@ -32,10 +32,9 @@
     and an optional per-destination omission mask — appended once by the
     engine's delivery phase and read by {e every} receiver's inbox
     iteration, which filters the table down to the entries covering its
-    own pid. Both delivery routes fill it: the mask route with the plan's
-    per-sender mask ({!rshare}), the general route with each segment's
-    own per-message verdicts ({!rshare_verdicts}), whose masks live in
-    buffers the table owns and reuses across rounds. Delivery work per
+    own pid. {!rshare} fills it on both delivery routes, masking each
+    segment by its own per-message verdicts in buffers the table owns
+    and reuses across rounds. Delivery work per
     broadcast drops from O(destinations) scattered writes to O(1), and
     all receivers scan the same compact, cache-resident arrays. *)
 type 'm shared = {
@@ -49,7 +48,7 @@ type 'm shared = {
           non-['\000'] byte at [dst] suppresses that destination *)
   mutable s_len : int;
   mutable s_pool : Bytes.t array;
-      (** mask buffers {!rshare_verdicts} fills, reused across rounds *)
+      (** mask buffers {!rshare} fills, reused across rounds *)
   mutable s_pooled : int;  (** pool buffers in use since {!shared_clear} *)
 }
 
@@ -327,11 +326,6 @@ let[@inline] deliver_row inboxes ~peer dst m =
   Array.unsafe_set ib.msgs len m;
   ib.len <- len + 1
 
-(* [mask] lets [dst] through: [Bytes.empty] lets every destination
-   through, as in {!shared_push}. *)
-let[@inline] passes mask dst =
-  Bytes.length mask = 0 || Bytes.unsafe_get mask dst = '\000'
-
 (** [total_bits t f]: the expanded bit total
     [fold t ~init:0 (fun acc _ m -> acc + max 1 (f m))] of a buffer
     without an attached broadcast table, with one [f] call per segment and
@@ -357,42 +351,53 @@ let total_bits t f =
   done;
   !bits
 
-(** Bulk delivery in reverse emission order, restricted to the rows whose
-    [mask] byte at [dst] is ['\000'] ([Bytes.empty] delivers every row):
-    exactly [riter t (fun dst m -> if passes then push inboxes.(dst) ~peer
-    m)] without a closure — the engine's fast-path blit. A non-empty
-    [mask] must cover every destination in the buffer. *)
-let rdeliver t inboxes ~peer ~mask =
+(* Verdict byte [i] of [verdicts] (as in {!rdeliver}); [Bytes.empty]
+   reads ['\000'] everywhere. *)
+let[@inline] verdict_at verdicts i =
+  if Bytes.length verdicts = 0 then '\000' else Bytes.get verdicts i
+
+(** Bulk delivery of one sender's survivors in reverse emission order,
+    the order of {!riter}, without a closure. [verdicts] holds one byte
+    per expanded entry of [t] in emission order: ['\000'] delivers,
+    ['\001'] (an omission) and ['\002'] (a link loss) drop;
+    [Bytes.empty] delivers every entry. Returns the number of ['\001']
+    bytes: the omissions, link losses excluded. *)
+let rdeliver t inboxes ~peer ~verdicts =
+  let omitted = ref 0 in
+  let at = ref (t.len + t.seg_total) in
   let s = ref (t.seg_len - 1) in
   for i = t.len - 1 downto -1 do
     (* segments pushed after slot [i] come after it in emission order,
        so in reverse order they are delivered first *)
     while !s >= 0 && t.seg_pos.(!s) > i do
       let j = !s in
+      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
       let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
-      (* a segment gives each destination one row, so its direction
-         changes no inbox *)
-      for dst = t.seg_lo.(j) to t.seg_hi.(j) do
-        if dst <> skip && passes mask dst then deliver_row inboxes ~peer dst m
+      let desc = t.seg_desc.(j) in
+      for k = 0 to hi - lo do
+        let dst = if desc then lo + k else hi - k in
+        if dst <> skip then begin
+          decr at;
+          match verdict_at verdicts !at with
+          | '\000' -> deliver_row inboxes ~peer dst m
+          | '\001' -> incr omitted
+          | _ -> ()
+        end
       done;
       decr s
     done;
     if i >= 0 then begin
-      let dst = Array.unsafe_get t.peers i in
-      if passes mask dst then
-        deliver_row inboxes ~peer dst (Array.unsafe_get t.msgs i)
+      decr at;
+      match verdict_at verdicts !at with
+      | '\000' ->
+          deliver_row inboxes ~peer
+            (Array.unsafe_get t.peers i)
+            (Array.unsafe_get t.msgs i)
+      | '\001' -> incr omitted
+      | _ -> ()
     end
-  done
-
-(** Append every segment of [t], which holds no pointwise slots, to the
-    round-shared table [sh] as one entry from [src] with [mask], in reverse
-    emission order — the order {!rdeliver} would fill the inboxes in. *)
-let rshare t sh ~src ~mask =
-  assert (t.len = 0);
-  for j = t.seg_len - 1 downto 0 do
-    shared_push sh ~src ~lo:t.seg_lo.(j) ~hi:t.seg_hi.(j) ~skip:t.seg_skip.(j)
-      ~mask t.seg_msg.(j)
-  done
+  done;
+  !omitted
 
 (* A table-owned mask buffer covering destinations [0 .. width - 1],
    free until the next {!shared_clear}. Its bytes are stale: the caller
@@ -405,119 +410,83 @@ let pooled_mask sh ~width =
   sh.s_pooled <- k + 1;
   sh.s_pool.(k)
 
-(** {!rshare} with one verdict per message instead of one mask per
-    sender: [verdicts] holds a byte per expanded entry of [t], which holds
-    no pointwise slots, in emission order — ['\000'] delivers, any other
-    byte drops (an omission or a link loss). Each segment becomes one
-    table entry, in reverse emission order, whose mask is the segment's
-    own verdicts indexed by destination: {!Bytes.empty} when the segment
-    drops nothing, otherwise a buffer from the table's pool. *)
-let rshare_verdicts t sh ~src ~verdicts =
+(** {!rdeliver} through the round-shared table, for a [t] that holds no
+    pointwise slots: each segment becomes one table entry from [src], in
+    reverse emission order, whose mask is the segment's own verdicts
+    indexed by destination: {!Bytes.empty} when the segment drops
+    nothing (always so for an empty [verdicts], at O(1) per segment),
+    otherwise a buffer from the table's pool. A segment that delivers
+    nothing adds no entry. Returns the number of omissions, as
+    {!rdeliver} does. *)
+let rshare t sh ~src ~verdicts =
   assert (t.len = 0);
-  let stop = ref t.seg_total in
+  let omitted = ref 0 and stop = ref t.seg_total in
   for j = t.seg_len - 1 downto 0 do
     let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) and skip = t.seg_skip.(j) in
     let start = !stop - seg_size ~lo ~hi ~skip in
-    let dropped = ref false in
-    for i = start to !stop - 1 do
-      if Bytes.get verdicts i <> '\000' then dropped := true
-    done;
-    let mask =
-      if not !dropped then Bytes.empty
-      else begin
-        let mask = pooled_mask sh ~width:(hi + 1) in
-        let desc = t.seg_desc.(j) and i = ref start in
-        for k = 0 to hi - lo do
-          let dst = if desc then hi - k else lo + k in
-          if dst <> skip then begin
-            Bytes.set mask dst (Bytes.get verdicts !i);
-            incr i
-          end
-        done;
-        mask
-      end
-    in
-    shared_push sh ~src ~lo ~hi ~skip ~mask t.seg_msg.(j);
-    stop := start
-  done
-
-(** {!rdeliver} with one verdict per message instead of one mask per
-    sender: [verdicts] holds a byte per expanded entry of [t] in emission
-    order, and an entry is delivered when its byte is ['\000']. The walk
-    reads them by index in reverse emission order, the order of {!riter},
-    without a closure. *)
-let rdeliver_verdicts t inboxes ~peer ~verdicts =
-  let at = ref (t.len + t.seg_total) in
-  let s = ref (t.seg_len - 1) in
-  for i = t.len - 1 downto -1 do
-    while !s >= 0 && t.seg_pos.(!s) > i do
-      let j = !s in
-      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
-      let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
-      let desc = t.seg_desc.(j) in
+    let dropped = ref 0 in
+    if Bytes.length verdicts > 0 then
+      for i = start to !stop - 1 do
+        match Bytes.get verdicts i with
+        | '\000' -> ()
+        | '\001' ->
+            incr dropped;
+            incr omitted
+        | _ -> incr dropped
+      done;
+    if !dropped = 0 then
+      shared_push sh ~src ~lo ~hi ~skip ~mask:Bytes.empty t.seg_msg.(j)
+    else if !dropped < !stop - start then begin
+      let mask = pooled_mask sh ~width:(hi + 1) in
+      let desc = t.seg_desc.(j) and i = ref start in
       for k = 0 to hi - lo do
-        let dst = if desc then lo + k else hi - k in
+        let dst = if desc then hi - k else lo + k in
         if dst <> skip then begin
-          decr at;
-          if Bytes.get verdicts !at = '\000' then
-            deliver_row inboxes ~peer dst m
+          Bytes.set mask dst (Bytes.get verdicts !i);
+          incr i
         end
       done;
-      decr s
-    done;
-    if i >= 0 then begin
-      decr at;
-      if Bytes.get verdicts !at = '\000' then
-        deliver_row inboxes ~peer
-          (Array.unsafe_get t.peers i)
-          (Array.unsafe_get t.msgs i)
-    end
-  done
-
-(** Number of expanded entries whose [mask] byte at [dst] is set. *)
-let count_masked t ~mask =
-  let c = ref 0 in
-  for i = 0 to t.len - 1 do
-    if Bytes.get mask t.peers.(i) <> '\000' then incr c
+      shared_push sh ~src ~lo ~hi ~skip ~mask t.seg_msg.(j)
+    end;
+    stop := start
   done;
-  for j = 0 to t.seg_len - 1 do
-    let skip = t.seg_skip.(j) in
-    for dst = t.seg_lo.(j) to t.seg_hi.(j) do
-      if dst <> skip && Bytes.get mask dst <> '\000' then incr c
-    done
-  done;
-  !c
+  !omitted
 
 (* One entry of {!verdicts}: [true] when omitting [dst] is illegal;
-   otherwise the verdict is reported when [traced]. *)
+   otherwise the verdict goes into [out] at [i], unless [mask] is empty,
+   and is reported when [traced]. *)
 let[@inline] verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src
-    dst =
-  if passes mask dst then begin
+    ~out i dst =
+  if Bytes.length mask = 0 || Bytes.unsafe_get mask dst = '\000' then begin
+    if Bytes.length mask > 0 then Bytes.set out i '\000';
     if traced then deliver ~round ~src ~dst;
     false
   end
   else if checked && not (Array.unsafe_get faulty dst) then true
   else begin
+    Bytes.set out i '\001';
     if traced then omit ~round ~src ~dst;
     false
   end
 
 (** The mask route's verdict walk over a buffer without an attached
     broadcast table, in emission order and without a closure of its own
-    (the sink's entry points are bound once per call): each
-    destination [mask] lets through (as in {!rdeliver}) goes to [sink] as
-    a [Deliver] from [src] at [round], each masked one as an [Omit].
-    When [checked] (the sender is non-faulty), omitting towards a
-    destination whose [faulty] flag is false is illegal: the walk stops
-    there, before reporting it, and returns that destination. [-1] when
-    the walk reached the end. With no sink it is the legality scan
-    alone. *)
-let verdicts t ~mask ~checked ~faulty ~sink ~round ~src =
+    (the sink's entry points are bound once per call). Each destination
+    [mask] lets through gets ['\000'] in [out], at the entry's index in
+    emission order, and goes to [sink] as a [Deliver] from [src] at
+    [round]; each masked one gets ['\001'] and goes as an [Omit]. [out]
+    is then the [verdicts] of {!rdeliver} and {!rshare}; an empty [mask]
+    lets every destination through and writes nothing, its verdicts
+    being [Bytes.empty]. When [checked] (the sender is non-faulty),
+    omitting towards a destination whose [faulty] flag is false is
+    illegal: the walk stops there, before writing or reporting it, and
+    returns that destination. [-1] when the walk reached the end. *)
+let verdicts t ~mask ~checked ~faulty ~sink ~round ~src ~out =
   let traced = Option.is_some sink in
   let events = Option.value sink ~default:Trace.Sink.null in
   let deliver = Trace.Sink.deliver events and omit = Trace.Sink.omit events in
   let found = ref (-1) in
-  let s = ref 0 and i = ref 0 in
+  let s = ref 0 and i = ref 0 and at = ref 0 in
   while !found < 0 && !i <= t.len do
     while !found < 0 && !s < t.seg_len && t.seg_pos.(!s) <= !i do
       let j = !s in
@@ -526,19 +495,24 @@ let verdicts t ~mask ~checked ~faulty ~sink ~round ~src =
       let k = ref 0 in
       while !found < 0 && !k <= hi - lo do
         let dst = if desc then hi - !k else lo + !k in
-        if
-          dst <> skip
-          && verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round
-               ~src dst
-        then found := dst;
+        if dst <> skip then begin
+          if
+            verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src
+              ~out !at dst
+          then found := dst;
+          incr at
+        end;
         incr k
       done;
       incr s
     done;
     if !found < 0 && !i < t.len then begin
       let dst = Array.unsafe_get t.peers !i in
-      if verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src dst
-      then found := dst
+      if
+        verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src ~out
+          !at dst
+      then found := dst;
+      incr at
     end;
     incr i
   done;

@@ -54,8 +54,9 @@ type mask = Deliver_all | Omit_all | Omit_mask of Bytes.t
 (** This round's omissions, stated once.
     - [Masks m]: [m src] is the verdict for every message [src] sends. It
       must not draw randomness or otherwise depend on call order. Without
-      a link the engine delivers by it directly (mask-blit delivery with
-      aggregate counters), traced or not.
+      a link the engine takes it once per sender and writes its
+      per-message verdicts in one closure-free walk (none for an
+      untraced [Deliver_all]), traced or not.
     - [Predicate p]: [p src dst] drops this round's message from [src] to
       [dst]. The engine asks it once per message, senders ascending and
       each sender's messages in emission order — strategies that draw

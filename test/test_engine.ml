@@ -583,6 +583,100 @@ let test_general_route_table () =
   Alcotest.(check bool) "some message delivered from round 2" true
     (!delivered > 0)
 
+(* Link losses are never counted as omissions. Even pids send pointwise
+   rows, odd pids one wide broadcast segment, whose survivors go through
+   the round-shared table. Pids 1 and 2 are corrupted in round 1; a
+   [Masks] plan gives them [Omit_mask]/[Omit_all] verdicts, and gives
+   non-faulty pids 0 and 3 masks towards them. A test link loses every
+   message it carries with [(round + src + dst) mod 3 = 0]. With the
+   link (general route) and without it (mask route), [messages_omitted]
+   is exactly the plan's 24 omissions and [messages_sent] all 168
+   messages; what the inboxes hold is what neither dropped. *)
+module Mixed = struct
+  type state = { pid : int; n : int; mutable decided : int option }
+  type msg = int
+
+  let name = "mixed"
+  let init (cfg : Sim.Config.t) ~pid ~input:_ = { pid; n = cfg.n; decided = None }
+  let heard = ref 0
+
+  let step_into _cfg st ~round ~inbox ~rand:_ ~emit ~emit_all =
+    heard := !heard + Sim.Mailbox.length inbox;
+    if round = 4 then st.decided <- Some 0
+    else if st.pid mod 2 = 0 then
+      for dst = 0 to st.n - 1 do
+        if dst <> st.pid then emit dst round
+      done
+    else emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false round;
+    st
+
+  let observe st =
+    { Sim.View.candidate = None; operative = true; decided = st.decided }
+
+  let msg_bits _ = 1
+  let msg_hint _ = None
+end
+
+let test_link_losses_not_omissions () =
+  let n = 8 in
+  let omit dsts =
+    let b = Bytes.make n '\000' in
+    List.iter (fun d -> Bytes.set b d '\001') dsts;
+    Sim.View.Omit_mask b
+  in
+  (* per round: 13, 10 and 1 omissions *)
+  let verdict round src =
+    match (round, src) with
+    | 1, 0 -> omit [ 1 ]
+    | 1, 1 -> omit [ 0; 3; 4 ]
+    | 1, 2 -> Sim.View.Omit_all
+    | 1, 3 -> omit [ 1; 2 ]
+    | 2, 1 -> Sim.View.Omit_all
+    | 2, 2 -> omit [ 5; 6; 7 ]
+    | 3, 2 -> omit [ 1 ]
+    | _ -> Sim.View.Deliver_all
+  in
+  let adversary =
+    {
+      Sim.Adversary_intf.name = "masks";
+      create =
+        (fun _ _ view ->
+          let r = view.Sim.View.round in
+          {
+            Sim.View.new_faults = (if r = 1 then [ 1; 2 ] else []);
+            omit = Sim.View.Masks (verdict r);
+          });
+    }
+  in
+  let lost = ref 0 in
+  let link =
+    {
+      Sim.Link_intf.name = "lossy";
+      reset = (fun ~seed:_ -> lost := 0);
+      begin_round = (fun ~round:_ -> ());
+      transmit =
+        (fun ~trace:_ ~round ~src ~dst ->
+          if (round + src + dst) mod 3 = 0 then begin
+            incr lost;
+            Sim.Link_intf.Lost
+          end
+          else Sim.Link_intf.Delivered);
+    }
+  in
+  List.iter
+    (fun (what, link) ->
+      Mixed.heard := 0;
+      let o =
+        Sim.Engine.run ?link (module Mixed) (cfg ~n ()) ~adversary
+          ~inputs:(Array.make n 0)
+      in
+      let lost = if Option.is_some link then !lost else 0 in
+      Alcotest.(check int) (what ^ ": sent") 168 o.Sim.Engine.messages_sent;
+      Alcotest.(check int) (what ^ ": omitted") 24 o.messages_omitted;
+      Alcotest.(check int) (what ^ ": heard") (168 - 24 - lost) !Mixed.heard)
+    [ ("mask route", None); ("general route", Some link) ];
+  Alcotest.(check bool) "the link lost some messages" true (!lost > 0)
+
 (* A reused instance outlives its runs: once a traced run returns, the
    instance must hold nothing that keeps the run's sink (and the events
    it buffers) alive, or every later run pays for the last one's trace. *)
@@ -813,6 +907,8 @@ let suite =
       test_general_route_emission_order;
     Alcotest.test_case "general route delivers broadcasts via the table" `Quick
       test_general_route_table;
+    Alcotest.test_case "link losses are not omissions" `Quick
+      test_link_losses_not_omissions;
     Alcotest.test_case "instance keeps no run's sink alive" `Quick
       test_instance_releases_sink;
     Alcotest.test_case "outcome helpers" `Quick test_agreed_decision_helpers;

@@ -12,9 +12,9 @@
      with [Illegal_plan] (the grid deliberately includes over-budget
      strategies) must abort with the same message after the same trace
      prefix;
-   - the untraced mask route (mask-blit delivery and the shared broadcast
-     table) against the untraced general route (decoded masks, per-message
-     predicate): outcomes equal, and equal to the traced run's;
+   - the untraced mask route (per-sender masks) against the untraced
+     general route (decoded masks, per-message predicate): outcomes
+     equal, and equal to the traced run's;
    - one reusable {!Sim.Engine.instance} run twice: each run byte-identical
      to the fresh traced run, so cross-run buffer reuse leaks no state;
    - a round-level sink ({!Trace.Sink.rounds}): its stream must be

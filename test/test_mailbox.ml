@@ -232,10 +232,8 @@ let test_riter_refuses_table () =
     (Invalid_argument "Mailbox.riter: buffer has an attached broadcast table")
     (fun () -> Sim.Mailbox.riter ib (fun _ _ -> ()))
 
-(* The engine's closure-free fast-path walks against their references
-   through [riter]/[iter]: masked delivery, table sharing, omission count,
-   legality scan and bit total. Masks cover destinations 0..7; [None] is
-   [Bytes.empty] (deliver to all). *)
+(* Masks for the mask route's verdict walk cover destinations 0..7;
+   [None] is [Bytes.empty] (deliver to all). *)
 let mask_gen = QCheck.(option (list_of_size (Gen.return 8) bool))
 
 let bytes_of_flags l =
@@ -287,9 +285,13 @@ let priced_per_record ops runs =
   = Sim.Mailbox.fold mb ~init:0 (fun acc _ r -> acc + max 1 (r.v mod 5))
   && !calls = records
 
-let qcheck_rdeliver_mask =
+(* The verdict walk and the bit total against their references through
+   [to_list]/[fold]: the walk writes and reports every entry in emission
+   order, stopping before the first omission towards a non-[faulty]
+   destination when checked, and returns that destination. *)
+let qcheck_walk_and_bits =
   QCheck.Test.make
-    ~name:"rdeliver ~mask = riter + filtered push; bit total = fold; verdict walk"
+    ~name:"verdicts walk and total_bits = list model, fold"
     ~count:500
     QCheck.(
       quad mixed_load mask_gen (list_of_size (Gen.return 8) bool) runs_gen)
@@ -300,94 +302,82 @@ let qcheck_rdeliver_mask =
         match flags with None -> Bytes.empty | Some l -> bytes_of_flags l
       in
       let passes dst = Bytes.length mask = 0 || Bytes.get mask dst = '\000' in
-      let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
-      let expected = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
-      (* one earlier row per inbox: delivery appends *)
-      Array.iter (fun ib -> Sim.Mailbox.push ib ~peer:0 (-1)) inboxes;
-      Array.iter (fun ib -> Sim.Mailbox.push ib ~peer:0 (-1)) expected;
-      Sim.Mailbox.rdeliver mb inboxes ~peer:9 ~mask;
-      Sim.Mailbox.riter mb (fun dst m ->
-          if passes dst then Sim.Mailbox.push expected.(dst) ~peer:9 m);
-      let rows = Array.map Sim.Mailbox.to_list in
       let all = Sim.Mailbox.to_list mb in
       let f m = m mod 5 in
-      let masked_ok =
-        Bytes.length mask = 0
-        || Sim.Mailbox.count_masked mb ~mask
-           = List.length (List.filter (fun (d, _) -> not (passes d)) all)
-      in
-      (* the verdict walk reports every entry in emission order, stopping
-         before the first omission towards a non-[faulty] destination
-         when checked, and returns that destination *)
-      let verdicts_ok =
-        let faulty = Array.of_list except in
-        let walk ~checked ~traced =
-          let sink, events = Trace.Sink.memory () in
-          let sink = if traced then Some sink else None in
-          let dst =
-            Sim.Mailbox.verdicts mb ~mask ~checked ~faulty ~sink ~round:3
-              ~src:9
-          in
-          (dst, events ())
+      let faulty = Array.of_list except in
+      let walk ~checked ~traced =
+        let sink, events = Trace.Sink.memory () in
+        let sink = if traced then Some sink else None in
+        let out = Bytes.make (List.length all) '\255' in
+        let dst =
+          Sim.Mailbox.verdicts mb ~mask ~checked ~faulty ~sink ~round:3 ~src:9
+            ~out
         in
-        let reported ~checked =
-          let rec go = function
-            | [] -> ([], -1)
-            | (d, _) :: rest ->
-                if passes d then
-                  let evs, stop = go rest in
-                  (Trace.Event.Deliver { round = 3; src = 9; dst = d } :: evs, stop)
-                else if checked && not faulty.(d) then ([], d)
-                else
-                  let evs, stop = go rest in
-                  (Trace.Event.Omit { round = 3; src = 9; dst = d } :: evs, stop)
-          in
-          let evs, stop = go all in
-          (stop, evs)
+        (dst, events (), out)
+      in
+      let reported ~checked =
+        let rec go = function
+          | [] -> ([], -1)
+          | (d, _) :: rest ->
+              if passes d then
+                let evs, stop = go rest in
+                (Trace.Event.Deliver { round = 3; src = 9; dst = d } :: evs, stop)
+              else if checked && not faulty.(d) then ([], d)
+              else
+                let evs, stop = go rest in
+                (Trace.Event.Omit { round = 3; src = 9; dst = d } :: evs, stop)
         in
-        walk ~checked:true ~traced:true = reported ~checked:true
-        && walk ~checked:false ~traced:true = reported ~checked:false
-        && fst (walk ~checked:true ~traced:false) = fst (reported ~checked:true)
+        go all
       in
-      (* a pure-broadcast buffer shared through the round table reads, at
-         every receiver, exactly as its rdeliver rows *)
-      let shared_ok =
-        let bcast = Sim.Mailbox.create () in
-        apply_ops bcast
-          (List.filter (function `B _ -> true | `P _ -> false) ops);
-        let sh = Sim.Mailbox.shared_create () in
-        Sim.Mailbox.rshare bcast sh ~src:9 ~mask;
-        let direct = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
-        Sim.Mailbox.rdeliver bcast direct ~peer:9 ~mask;
-        List.for_all
-          (fun dst ->
-            let ib = Sim.Mailbox.create () in
-            Sim.Mailbox.attach_shared ib sh ~owner:dst;
-            Sim.Mailbox.to_list ib = Sim.Mailbox.to_list direct.(dst))
-          (List.init 8 Fun.id)
+      (* the bytes of the walked entries, the rest (all of them for an
+         empty mask) untouched *)
+      let written evs =
+        Bytes.init (List.length all) (fun i ->
+            match List.nth_opt evs i with
+            | Some (Trace.Event.Deliver _) when Bytes.length mask > 0 -> '\000'
+            | Some (Trace.Event.Omit _) -> '\001'
+            | _ -> '\255')
       in
-      rows inboxes = rows expected
+      let walk_ok ~checked ~traced =
+        let evs, stop = reported ~checked in
+        let dst, got, out = walk ~checked ~traced in
+        dst = stop && ((not traced) || got = evs) && Bytes.equal out (written evs)
+      in
+      walk_ok ~checked:true ~traced:true
+      && walk_ok ~checked:false ~traced:true
+      && walk_ok ~checked:true ~traced:false
       && Sim.Mailbox.total_bits mb f
          = Sim.Mailbox.fold mb ~init:0 (fun acc _ m -> acc + max 1 (f m))
-      && priced_per_record ops runs
-      && masked_ok && verdicts_ok && shared_ok)
+      && priced_per_record ops runs)
 
-(* The general route's delivery: each sender's forward walk leaves one
-   verdict byte per expanded entry, in emission order ('\000' delivers,
-   '\001' an omission and '\002' a link loss both drop). A pure-segment
-   sender goes through the round-shared table with per-segment masks
-   built from those bytes ({!Sim.Mailbox.rshare_verdicts}); any other
-   sender is pushed by the closure-free index walk
-   ({!Sim.Mailbox.rdeliver_verdicts}). Either way every inbox must read
-   as the list model: senders ascending, each sender's survivors towards
-   the inbox in reverse emission order. Two rounds run through the same
-   table and inboxes, so the second reads masks from reused pool buffers
-   with stale bytes. *)
+(* The delivery pair on verdict bytes, one per expanded entry in
+   emission order ('\000' delivers, '\001' an omission and '\002' a link
+   loss both drop), from each of the engine's sources: codes as the
+   general route writes them, the mask route's {!Sim.Mailbox.verdicts}
+   walk over a per-sender mask, or [Bytes.empty] (deliver everything). A
+   pure-segment sender goes through the round-shared table
+   ({!Sim.Mailbox.rshare}); any other sender is pushed by the
+   closure-free index walk ({!Sim.Mailbox.rdeliver}). Either way every
+   inbox must read as the list model, senders ascending and each
+   sender's survivors towards the inbox in reverse emission order, and
+   each call returns the number of '\001' entries. Two rounds run
+   through the same table and inboxes, so the second reads masks from
+   reused pool buffers with stale bytes. *)
+type source = Codes of int list | Mask of bool list | Deliver_all
+
+let source =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun l -> Codes l) (list_size (return 64) (int_range 0 2));
+        map (fun l -> Mask l) (list_size (return 8) bool);
+        return Deliver_all;
+      ])
+
 let verdict_round_gen ops_gen =
-  (* up to four senders, each with its outbox and 64 verdict codes *)
+  (* up to four senders, each with its outbox and verdict source *)
   QCheck.(
-    list_of_size (Gen.int_range 1 4)
-      (pair ops_gen (list_of_size (Gen.return 64) (int_range 0 2))))
+    list_of_size (Gen.int_range 1 4) (pair ops_gen (make source)))
 
 let segment_ops =
   QCheck.map
@@ -396,23 +386,42 @@ let segment_ops =
       | b -> b))
     mixed_load
 
-(* the verdict code of entry [i]; a long outbox repeats the 64 codes *)
-let code codes i = List.nth codes (i mod 64)
+(* The verdict code of each expanded entry; a long outbox repeats the
+   64 codes. *)
+let entry_codes ops source =
+  List.mapi
+    (fun i (dst, _) ->
+      match source with
+      | Codes codes -> List.nth codes (i mod 64)
+      | Mask flags -> if List.nth flags dst then 1 else 0
+      | Deliver_all -> 0)
+    (expand_ops ops)
 
-let verdict_bytes ops codes =
-  let len = List.length (expand_ops ops) in
-  Bytes.init len (fun i -> Char.chr (code codes i))
+let verdict_bytes ob ops source ~src =
+  match source with
+  | Codes _ ->
+      Bytes.of_seq
+        (Seq.map Char.chr (List.to_seq (entry_codes ops source)))
+  | Mask flags ->
+      let out = Bytes.create (Sim.Mailbox.length ob) in
+      let stop =
+        Sim.Mailbox.verdicts ob ~mask:(bytes_of_flags flags) ~checked:false
+          ~faulty:[||] ~sink:None ~round:1 ~src ~out
+      in
+      assert (stop = -1);
+      out
+  | Deliver_all -> Bytes.empty
 
 let model senders =
   Array.init 8 (fun dst ->
       List.concat
         (List.mapi
-           (fun src (ops, codes) ->
-             let entries = expand_ops ops in
+           (fun src (ops, source) ->
+             let codes = entry_codes ops source in
              List.rev
                (List.filteri
-                  (fun i (d, _) -> d = dst && code codes i = 0)
-                  entries)
+                  (fun i (d, _) -> d = dst && List.nth codes i = 0)
+                  (expand_ops ops))
              |> List.map (fun (_, m) -> (src, m)))
            senders))
 
@@ -424,27 +433,33 @@ let deliver_rounds ~table rounds =
     (fun senders ->
       Sim.Mailbox.shared_clear sh;
       Array.iter Sim.Mailbox.clear inboxes;
-      List.iteri
-        (fun src (ops, codes) ->
-          let ob = Sim.Mailbox.create () in
-          apply_ops ob ops;
-          let verdicts = verdict_bytes ops codes in
-          if table then Sim.Mailbox.rshare_verdicts ob sh ~src ~verdicts
-          else Sim.Mailbox.rdeliver_verdicts ob inboxes ~peer:src ~verdicts)
-        senders;
-      Array.map Sim.Mailbox.to_list inboxes = model senders
+      let counts =
+        List.mapi
+          (fun src (ops, source) ->
+            let ob = Sim.Mailbox.create () in
+            apply_ops ob ops;
+            let verdicts = verdict_bytes ob ops source ~src in
+            let omitted =
+              if table then Sim.Mailbox.rshare ob sh ~src ~verdicts
+              else Sim.Mailbox.rdeliver ob inboxes ~peer:src ~verdicts
+            in
+            omitted
+            = List.length (List.filter (( = ) 1) (entry_codes ops source)))
+          senders
+      in
+      List.for_all Fun.id counts
+      && Array.map Sim.Mailbox.to_list inboxes = model senders
       && (table || Array.for_all Sim.Mailbox.is_sorted_by_peer inboxes))
     rounds
 
-let qcheck_verdicts_to_table =
-  QCheck.Test.make
-    ~name:"rshare_verdicts: table inboxes = survivors model" ~count:500
+let qcheck_rshare =
+  QCheck.Test.make ~name:"rshare: table inboxes = survivors model" ~count:500
     QCheck.(pair (verdict_round_gen segment_ops) (verdict_round_gen segment_ops))
     (fun (r1, r2) -> deliver_rounds ~table:true [ r1; r2 ])
 
-let qcheck_verdicts_push =
-  QCheck.Test.make
-    ~name:"rdeliver_verdicts: pushed inboxes = survivors model" ~count:500
+let qcheck_rdeliver =
+  QCheck.Test.make ~name:"rdeliver: pushed inboxes = survivors model"
+    ~count:500
     QCheck.(pair (verdict_round_gen mixed_load) (verdict_round_gen mixed_load))
     (fun (r1, r2) -> deliver_rounds ~table:false [ r1; r2 ])
 
@@ -462,7 +477,7 @@ let suite =
       test_broadcast_identity;
     Alcotest.test_case "riter refuses a non-empty attached table" `Quick
       test_riter_refuses_table;
-    qcheck qcheck_rdeliver_mask;
-    qcheck qcheck_verdicts_to_table;
-    qcheck qcheck_verdicts_push;
+    qcheck qcheck_walk_and_bits;
+    qcheck qcheck_rshare;
+    qcheck qcheck_rdeliver;
   ]
