@@ -11,11 +11,19 @@ val sign : signer:int -> payload:int -> chain:signature list -> signature list
 
 val signer : signature -> int
 
-val valid_chain : payload:int -> signature list -> bool
-(** Every link checks out over its suffix and all signers are distinct. *)
+val digest : signature -> int
+(** The digest over signer, payload and prefix, as a verifier reads it. *)
 
-val origin : signature list -> int option
-(** The first signer (chain creator), if any. *)
+val valid_chain : payload:int -> signature list -> bool
+(** Every link checks out over its suffix and all signers are distinct.
+    O(L) and allocation-free for a chain of L links made by {!sign}. *)
+
+val origin : signature list -> int
+(** The first signer (chain creator); [-1] for the empty chain. Does not
+    allocate. *)
+
+val signed_by : int -> signature list -> bool
+(** Does [pid] sign some link of the chain? Does not allocate. *)
 
 val length : signature list -> int
 

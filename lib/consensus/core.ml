@@ -84,6 +84,18 @@ type shared = {
   b_group : int;  (** bits of a group index: ceil(log2 (groups + 1)) *)
 }
 
+(* Relay stages, spreading rounds and epochs of an [m]-member instance:
+   the schedule's shape, which depends on the member count alone. *)
+let shape ~params ~t_max m =
+  let stages = Groups.stages (Groups.sqrt_size m) in
+  let spread_rounds = Params.spread_rounds params ~n:m in
+  let epochs = if m = 1 then 0 else Params.epoch_count params ~n:m ~t_max in
+  (stages, spread_rounds, epochs)
+
+let schedule_length ~params ~t_max m =
+  let stages, spread_rounds, epochs = shape ~params ~t_max m in
+  (epochs * ((3 * stages) + spread_rounds)) + 1
+
 let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_max () =
   let m = Array.length members in
   if m = 0 then invalid_arg "Core.make_shared: empty member set";
@@ -102,26 +114,25 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
     end
   in
   let delta = match graph with Some g -> Expander.delta g | None -> 0 in
-  let stages = Groups.stages part.Groups.group_size in
-  let spread_rounds = Params.spread_rounds params ~n:m in
-  let epochs = if m = 1 then 0 else Params.epoch_count params ~n:m ~t_max in
+  let stages, spread_rounds, epochs = shape ~params ~t_max m in
   let epoch_len = (3 * stages) + spread_rounds in
   let contig =
     let ok = ref true in
     Array.iteri (fun i pid -> if pid <> members.(0) + i then ok := false) members;
     !ok
   in
+  (* Each epoch: stages x (A, B, C), then the spreading rounds; the
+     broadcast slot last. *)
   let schedule =
-    let slots = ref [ Bcast ] in
-    for _ = 1 to epochs do
-      for k = spread_rounds downto 1 do
-        slots := Spread k :: !slots
-      done;
-      for s = stages downto 1 do
-        slots := Agg_a s :: Agg_b s :: Agg_c s :: !slots
-      done
-    done;
-    Array.of_list !slots
+    let len = schedule_length ~params ~t_max m in
+    Array.init len (fun i ->
+        if i = len - 1 then Bcast
+        else
+          let k = i mod epoch_len in
+          if k >= 3 * stages then Spread (k - (3 * stages) + 1)
+          else
+            let s = (k / 3) + 1 in
+            match k mod 3 with 0 -> Agg_a s | 1 -> Agg_b s | _ -> Agg_c s)
   in
   {
     members;

@@ -77,6 +77,11 @@ val make_shared :
 val rounds : shared -> int
 (** Schedule length: epochs * epoch_len + 1 (the broadcast slot). *)
 
+val schedule_length : params:Params.t -> t_max:int -> int -> int
+(** [schedule_length ~params ~t_max m] is {!rounds} of a {!make_shared}
+    over [m] members with these [params] and [t_max], computed without
+    building the partition or the expander. *)
+
 type t
 
 val create : shared -> pid:int -> input:int -> t

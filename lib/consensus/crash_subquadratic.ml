@@ -237,12 +237,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
   (module M : Sim.Protocol_intf.BUFFERED)
 
 let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
-  let members = Array.init cfg.Sim.Config.n (fun i -> i) in
-  let shared =
-    Core.make_shared ~final_broadcast:false ~members ~seed:cfg.Sim.Config.seed
-      ~params ~t_max:cfg.Sim.Config.t_max ()
-  in
-  Core.rounds shared
+  Core.schedule_length ~params ~t_max:cfg.Sim.Config.t_max cfg.Sim.Config.n
   + (4 * Params.log2_ceil cfg.Sim.Config.n)
   + Phase_king.rounds ~t_max:cfg.Sim.Config.t_max
   + 8

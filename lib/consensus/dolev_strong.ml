@@ -52,27 +52,26 @@ module M = struct
     st
 
   let accept st ~round ~value ~chain =
-    match Auth.origin chain with
-    | None -> ()
-    | Some origin ->
-        if
-          Auth.valid_chain ~payload:value chain
-          && Auth.length chain = round - 1
-          && not (List.mem st.pid (List.map Auth.signer chain))
-        then begin
-          let known =
-            match Hashtbl.find_opt st.accepted origin with
-            | Some vs -> vs
-            | None -> []
-          in
-          if (not (List.mem value known)) && List.length known < 2 then begin
-            Hashtbl.replace st.accepted origin (value :: known);
-            if round <= st.t_max + 1 then
-              st.to_relay <-
-                (value, Auth.sign ~signer:st.pid ~payload:value ~chain)
-                :: st.to_relay
-          end
-        end
+    let origin = Auth.origin chain in
+    if
+      origin >= 0
+      && Auth.length chain = round - 1
+      && (not (Auth.signed_by st.pid chain))
+      && Auth.valid_chain ~payload:value chain
+    then begin
+      let known =
+        match Hashtbl.find_opt st.accepted origin with
+        | Some vs -> vs
+        | None -> []
+      in
+      if (not (List.mem value known)) && List.length known < 2 then begin
+        Hashtbl.replace st.accepted origin (value :: known);
+        if round <= st.t_max + 1 then
+          st.to_relay <-
+            (value, Auth.sign ~signer:st.pid ~payload:value ~chain)
+            :: st.to_relay
+      end
+    end
 
   let decide st =
     (* per origin: a uniquely-attested value counts; equivocation (never

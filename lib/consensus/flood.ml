@@ -62,9 +62,11 @@ module M = struct
     end
 
   let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
+    (* Test the known flag first: once a value is known, the branch no
+       longer depends on the message's bits, which are random per sender. *)
     Sim.Mailbox.iter inbox (fun _src (Values { zero; one }) ->
-        if zero then st.zero <- true;
-        if one then st.one <- true);
+        if (not st.zero) && zero then st.zero <- true;
+        if (not st.one) && one then st.one <- true);
     (match absorb st ~round with
     | None -> ()
     | Some (zero, one) ->

@@ -182,12 +182,9 @@ let protocol_buffered ?(params = Params.default) ?vote_log
 (** Rounds the full schedule can occupy (voting + fallback), for sizing
     [Config.max_rounds]. *)
 let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
-  let members = Array.init cfg.Sim.Config.n (fun i -> i) in
-  let shared =
-    Core.make_shared ~members ~seed:cfg.Sim.Config.seed ~params
-      ~t_max:cfg.Sim.Config.t_max ()
-  in
-  Core.rounds shared + Phase_king.rounds ~t_max:cfg.Sim.Config.t_max + 4
+  let t_max = cfg.Sim.Config.t_max in
+  Core.schedule_length ~params ~t_max cfg.Sim.Config.n
+  + Phase_king.rounds ~t_max + 4
 
 let builder ?params () : Sim.Protocol_intf.builder =
   (module struct

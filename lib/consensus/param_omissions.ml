@@ -50,56 +50,66 @@ type state = {
 
 let log2_ceil = Params.log2_ceil
 
-type plan = {
+let sub_t_max sp = max 1 (Array.length sp / 30)
+
+(* The run's round layout, by arithmetic alone: sizing a run
+   ({!rounds_needed}) builds no expander. *)
+type layout = {
   x : int;
-  sub_shared : Core.shared array;
-  core_len : int array;
+  sps : Groups.t;
+  core_len : int array;  (** sub-run schedule length, per super-process *)
   phase_core_len : int;
-  flood_rounds : int;
   phase_len : int;
-  graph : Expander.t;
-  op_threshold : int;
   pk_rounds : int;
   safety_start : int;  (** global round of the safety-vote emission *)
-  sps : Groups.t;
+}
+
+let layout ~params (cfg : Sim.Config.t) ~x =
+  let n = cfg.Sim.Config.n in
+  let sps = Groups.partition_into (Array.init n Fun.id) x in
+  let x = Groups.group_count sps in
+  let core_len =
+    Array.map
+      (fun sp ->
+        Core.schedule_length ~params ~t_max:(sub_t_max sp) (Array.length sp))
+      sps.Groups.groups
+  in
+  let phase_core_len = Array.fold_left max 0 core_len in
+  (* each phase ends with the decision flood *)
+  let phase_len = phase_core_len + (2 * log2_ceil n) in
+  {
+    x;
+    sps;
+    core_len;
+    phase_core_len;
+    phase_len;
+    pk_rounds = Phase_king.rounds ~t_max:cfg.Sim.Config.t_max;
+    safety_start = (x * phase_len) + 1;
+  }
+
+type plan = {
+  lay : layout;
+  sub_shared : Core.shared array;
+  graph : Expander.t;
+  op_threshold : int;
 }
 
 let make_plan ~params (cfg : Sim.Config.t) ~x =
   let n = cfg.Sim.Config.n in
-  let members = Array.init n (fun i -> i) in
-  let sps = Groups.partition_into members x in
-  let x = Groups.group_count sps in
+  let lay = layout ~params cfg ~x in
   let sub_shared =
-    Array.init x (fun i ->
-        let sp = Groups.group sps i in
+    Array.init lay.x (fun i ->
+        let sp = Groups.group lay.sps i in
         Core.make_shared ~members:sp
           ~seed:(cfg.Sim.Config.seed + (1000003 * (i + 1)))
-          ~params
-          ~t_max:(max 1 (Array.length sp / 30))
-          ())
+          ~params ~t_max:(sub_t_max sp) ())
   in
-  let core_len = Array.map Core.rounds sub_shared in
-  let phase_core_len = Array.fold_left max 0 core_len in
-  let flood_rounds = 2 * log2_ceil n in
-  let phase_len = phase_core_len + flood_rounds in
   let delta = Params.delta params ~n in
   let graph =
     Expander.create_good ~attempts:params.Params.graph_attempts ~n ~delta
       ~seed:(Int64.of_int (cfg.Sim.Config.seed + 0xF100D)) ()
   in
-  {
-    x;
-    sub_shared;
-    core_len;
-    phase_core_len;
-    flood_rounds;
-    phase_len;
-    graph;
-    op_threshold = Expander.delta graph / 3;
-    pk_rounds = Phase_king.rounds ~t_max:cfg.Sim.Config.t_max;
-    safety_start = (x * phase_len) + 1;
-    sps;
-  }
+  { lay; sub_shared; graph; op_threshold = Expander.delta graph / 3 }
 
 let iter_empty _f = ()
 
@@ -109,15 +119,16 @@ let emit_all_pk emit_all ~lo ~hi ~skip ~desc m =
 let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
     Sim.Protocol_intf.buffered =
   let p = make_plan ~params cfg ~x in
+  let l = p.lay in
   let n = cfg.Sim.Config.n in
   let module M = struct
     type nonrec state = state
     type nonrec msg = msg
 
-    let name = Printf.sprintf "param-omissions(x=%d)" p.x
+    let name = Printf.sprintf "param-omissions(x=%d)" l.x
 
     let init _cfg ~pid ~input =
-      let my_phase = Groups.group_of p.sps pid in
+      let my_phase = Groups.group_of l.sps pid in
       {
         pid;
         my_phase;
@@ -256,14 +267,14 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
     let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
       let iter f = Sim.Mailbox.iter inbox f in
       if st.decision <> None then ()
-      else if round < p.safety_start then begin
+      else if round < l.safety_start then begin
         (* round-robin stage: phase-local slots 1..phase_len; the core runs
            in slots 1..core_len for the phase's super-process, flooding in
-           the last flood_rounds slots *)
-        let phase = (round - 1) / p.phase_len in
-        let ls = round - (phase * p.phase_len) in
+           the phase's last 2 * ceil(log2 n) slots *)
+        let phase = (round - 1) / l.phase_len in
+        let ls = round - (phase * l.phase_len) in
         let in_my_phase = phase = st.my_phase && st.operative in
-        let cl = p.core_len.(st.my_phase) in
+        let cl = l.core_len.(st.my_phase) in
         (* entry processing (consume slot ls-1's messages) *)
         if ls = 1 then begin
           if phase > 0 then begin
@@ -274,16 +285,16 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
           if in_my_phase then Core.set_candidate st.core st.b
         end
         else if in_my_phase && ls = cl + 1 then finalize_sub st ~iter
-        else if ls > p.phase_core_len + 1 then process_flood st ~iter;
+        else if ls > l.phase_core_len + 1 then process_flood st ~iter;
         (* emission *)
         if in_my_phase && ls <= cl then
           Core.step_into st.core ~slot:ls ~iter:(sub_iter ~phase iter) ~rand
             ~wrap:(fun m -> Sub (phase, m))
             ~emit ~emit_all
-        else if ls > p.phase_core_len then flood_emission_into st ~emit
+        else if ls > l.phase_core_len then flood_emission_into st ~emit
       end
       else begin
-        let s = round - p.safety_start in
+        let s = round - l.safety_start in
         if s = 0 then begin
           (* entry: close the last phase; emission: safety vote (line 17) *)
           process_flood st ~iter;
@@ -312,10 +323,10 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         end
         else begin
           match st.pk with
-          | Some pk when s <= p.pk_rounds + 1 ->
+          | Some pk when s <= l.pk_rounds + 1 ->
               Phase_king.step_into pk ~local_round:(s - 1)
                 ~iter:(pk_iter iter) ~emit_all:(emit_all_pk emit_all)
-          | Some pk when s = p.pk_rounds + 2 -> (
+          | Some pk when s = l.pk_rounds + 2 -> (
               let pk = Phase_king.finalize_into pk ~iter:(pk_iter iter) in
               st.pk <- Some pk;
               match Phase_king.decision pk with
@@ -323,7 +334,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
                   st.decision <- Some v;
                   broadcast_into st (Decided v) ~emit_all
               | None -> ())
-          | Some pk when s = p.pk_rounds + 3 ->
+          | Some pk when s = l.pk_rounds + 3 ->
               (* undecided residue: the safety-rule deciders of line 26
                  never broadcast again, so adopt a fallback decider's
                  [Decided] if one arrived, else self-decide the phase-king
@@ -362,8 +373,8 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
 
 (** Total schedule length, for sizing [Config.max_rounds]. *)
 let rounds_needed ?(params = Params.default) ~x (cfg : Sim.Config.t) =
-  let p = make_plan ~params cfg ~x in
-  p.safety_start + 2 + p.pk_rounds + 4
+  let l = layout ~params cfg ~x in
+  l.safety_start + 2 + l.pk_rounds + 4
 
 let builder ?params ~x () : Sim.Protocol_intf.builder =
   (module struct

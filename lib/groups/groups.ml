@@ -41,12 +41,14 @@ let partition_with_size members size =
     groups;
   { members; group_size = size; group_count; group_of; rank_of; groups }
 
+(** The group size of {!sqrt_partition} over [m] members: ceil(sqrt m),
+    at least 1. *)
+let sqrt_size m = max 1 (int_of_float (ceil (sqrt (float_of_int m))))
+
 (** The paper's sqrt-decomposition: ceil(sqrt m) groups of size at most
     ceil(sqrt m). *)
 let sqrt_partition members =
-  let m = Array.length members in
-  let s = int_of_float (ceil (sqrt (float_of_int m))) in
-  partition_with_size members (max 1 s)
+  partition_with_size members (sqrt_size (Array.length members))
 
 (** Partition into exactly [parts] groups of size at most ceil(m/parts) —
     the super-processes SP_1..SP_x of Algorithm 4. *)

@@ -16,6 +16,10 @@ val partition_with_size : int array -> int -> t
 (** Contiguous groups of at most the given size. Member pids must be
     non-negative: the pid-indexed tables are sized by the largest one. *)
 
+val sqrt_size : int -> int
+(** The group size of {!sqrt_partition} over [m] members: ceil(sqrt m),
+    at least 1. *)
+
 val sqrt_partition : int array -> t
 (** The paper's sqrt-decomposition: ceil(sqrt m) groups of size at most
     ceil(sqrt m). *)

@@ -144,6 +144,19 @@ type instance = {
     outcome;
 }
 
+(* [Array.init n f] without a forced minor collection. An array of more
+   than 256 words goes straight to the major heap, and [Array.init] seeds
+   it with the young [f 0], which makes the runtime empty the minor heap
+   first. Young chunks of at most 256 values, concatenated, are copied
+   into the major heap instead. *)
+let init_major n f =
+  if n <= 256 then Array.init n f
+  else
+    Array.concat
+      (List.init ((n + 255) / 256) (fun c ->
+           let lo = c * 256 in
+           Array.init (min 256 (n - lo)) (fun i -> f (lo + i))))
+
 (* The engine proper. Event and metric ordering deliberately reproduces
    the original list-based engine bit for bit, so traces and outcomes stay
    comparable with every earlier version:
@@ -167,20 +180,20 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
      O(n); the few doubling steps on the first heavy round are amortised
      away by reuse. *)
   let inboxes : P.msg Mailbox.t array =
-    Array.init n (fun _ -> Mailbox.create ())
+    init_major n (fun _ -> Mailbox.create ())
   in
   (* Round-shared broadcast table: both routes deliver a surviving
      broadcast as one table entry instead of one row per destination;
      every inbox merges the table back in at read time. *)
-  let bcast = Mailbox.shared_create () in
+  let bcast = Mailbox.shared_create ~n in
   Array.iteri (fun pid ib -> Mailbox.attach_shared ib bcast ~owner:pid) inboxes;
   let outboxes : P.msg Mailbox.t array =
-    Array.init n (fun _ -> Mailbox.create ())
+    init_major n (fun _ -> Mailbox.create ())
   in
   (* One emit / emit_all closure pair per sender, allocated once. The
      destination-range check lives here, at emission. *)
   let emits =
-    Array.init n (fun pid ->
+    init_major n (fun pid ->
         let ob = outboxes.(pid) in
         fun dst m ->
           if dst < 0 || dst >= n then
@@ -188,7 +201,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
           Mailbox.push ob ~peer:dst m)
   in
   let emit_alls =
-    Array.init n (fun pid ->
+    init_major n (fun pid ->
         let ob = outboxes.(pid) in
         fun ~lo ~hi ~skip ~desc m ->
           if hi >= lo then begin
@@ -237,7 +250,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   let iter_envelopes f = walk_pending (Envelopes f) in
   (* The single adversary view, refreshed in place each round. *)
   let view_obs =
-    Array.init n (fun pid ->
+    init_major n (fun pid ->
         {
           View.pid;
           core = { View.candidate = None; operative = false; decided = None };

@@ -6,7 +6,7 @@ let test_sign_verify () =
     (Consensus.Auth.valid_chain ~payload:1 chain);
   Alcotest.(check bool) "wrong payload invalid" false
     (Consensus.Auth.valid_chain ~payload:0 chain);
-  Alcotest.(check (option int)) "origin" (Some 3)
+  Alcotest.(check int) "origin" 3
     (Consensus.Auth.origin chain)
 
 let test_chain_growth () =
@@ -16,7 +16,7 @@ let test_chain_growth () =
   Alcotest.(check int) "length" 3 (Consensus.Auth.length c3);
   Alcotest.(check bool) "full chain valid" true
     (Consensus.Auth.valid_chain ~payload:1 c3);
-  Alcotest.(check (option int)) "origin preserved" (Some 0)
+  Alcotest.(check int) "origin preserved" 0
     (Consensus.Auth.origin c3);
   Alcotest.(check (list int)) "signers newest-first" [ 9; 5; 0 ]
     (List.map Consensus.Auth.signer c3)
@@ -49,6 +49,77 @@ let test_bits_positive () =
     (Consensus.Auth.bits c > 0
     && Consensus.Auth.bits (Consensus.Auth.sign ~signer:1 ~payload:1 ~chain:c)
        > Consensus.Auth.bits c)
+
+(* Today's verifier before chains kept what they were signed over: each
+   link's digest recomputed over its whole suffix, signers distinct, the
+   origin the last link's signer. The chain checks must give the same
+   verdicts on chains made by [sign] (honest relays, repeated signers,
+   links signed over other payloads), on random splices and truncations
+   of them, and for a wrong payload. *)
+module Reference = struct
+  module A = Consensus.Auth
+
+  let digest_of ~signer ~payload ~prefix =
+    Hashtbl.hash
+      (signer, payload, List.map (fun s -> (A.signer s, A.digest s)) prefix)
+
+  let valid_chain ~payload chain =
+    let rec go seen = function
+      | [] -> true
+      | s :: rest ->
+          (not (List.mem (A.signer s) seen))
+          && A.digest s = digest_of ~signer:(A.signer s) ~payload ~prefix:rest
+          && go (A.signer s :: seen) rest
+    in
+    go [] chain
+
+  let origin chain =
+    match List.rev chain with [] -> -1 | s :: _ -> A.signer s
+end
+
+(* A chain made by [sign]: (signer, payload) per link, oldest first. *)
+let signed links =
+  List.fold_left
+    (fun chain (signer, payload) -> Consensus.Auth.sign ~signer ~payload ~chain)
+    [] links
+
+let links_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 6)
+      (pair (int_range 0 7) (frequency [ (5, return 1); (1, return 0) ])))
+
+(* Splice: the first [k] links of [a] on top of the last links of [b];
+   truncation: keep the links [drop] past, up to [keep] of them. *)
+let mangle_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        return `Plain;
+        map2 (fun b k -> `Splice (b, k)) links_gen (int_range 0 6);
+        map2 (fun d k -> `Truncate (d, k)) (int_range 0 6) (int_range 0 6);
+      ])
+
+let mangled chain = function
+  | `Plain -> chain
+  | `Splice (b, k) ->
+      List.filteri (fun i _ -> i < k) chain @ signed b
+  | `Truncate (drop, keep) ->
+      List.filteri (fun i _ -> i >= drop && i < drop + keep) chain
+
+let qcheck_chain_checks =
+  QCheck.Test.make ~name:"valid_chain, origin, signed_by = reference"
+    ~count:2000
+    QCheck.(
+      make
+        Gen.(
+          quad links_gen mangle_gen (int_range 0 1) (int_range 0 7)))
+    (fun (links, how, payload, pid) ->
+      let chain = mangled (signed links) how in
+      Consensus.Auth.valid_chain ~payload chain
+      = Reference.valid_chain ~payload chain
+      && Consensus.Auth.origin chain = Reference.origin chain
+      && Consensus.Auth.signed_by pid chain
+         = List.mem pid (List.map Consensus.Auth.signer chain))
 
 (* --- Dolev-Strong protocol --- *)
 
@@ -115,6 +186,8 @@ let suite =
     Alcotest.test_case "truncation rejected" `Quick test_truncation_rejected;
     Alcotest.test_case "splice rejected" `Quick test_splice_rejected;
     Alcotest.test_case "signature bits" `Quick test_bits_positive;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xa07 |])
+      qcheck_chain_checks;
     Alcotest.test_case "dolev-strong validity" `Quick test_ds_validity;
     Alcotest.test_case "dolev-strong t+2 rounds" `Quick test_ds_rounds;
     Alcotest.test_case "dolev-strong vs adversaries" `Quick

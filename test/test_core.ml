@@ -375,6 +375,49 @@ let test_log2_ceil_reference () =
         (Consensus.Params.log2_ceil n) (reference n)
   done
 
+(* [schedule_length] sizes a schedule without building the instance:
+   it must equal [rounds] of the built one, and the built schedule must
+   be the reference layout — per epoch, stages x (A, B, C) then the
+   spreading rounds — with the broadcast slot last. Every m in 1..300
+   under two t values; the [Params] values take turns over m, since each
+   [make_shared] builds an expander. *)
+let test_schedule_length () =
+  let module P = Consensus.Params in
+  let params =
+    [|
+      P.default;
+      { P.default with P.spread_c = 3 };
+      { P.default with P.epochs = P.Fixed 2 };
+      { P.default with P.epochs = P.Auto 0.4 };
+    |]
+  in
+  let reference (sh : Core.shared) =
+    let slots = ref [ Core.Bcast ] in
+    for _ = 1 to sh.Core.epochs do
+      for k = sh.Core.spread_rounds downto 1 do
+        slots := Core.Spread k :: !slots
+      done;
+      for s = sh.Core.stages downto 1 do
+        slots := Core.Agg_a s :: Core.Agg_b s :: Core.Agg_c s :: !slots
+      done
+    done;
+    Array.of_list !slots
+  in
+  for m = 1 to 300 do
+    let params = params.(m mod Array.length params) in
+    List.iter
+      (fun t_max ->
+        let sh =
+          Core.make_shared ~members:(Array.init m Fun.id) ~seed:m ~params
+            ~t_max ()
+        in
+        let len = Core.schedule_length ~params ~t_max m in
+        if len <> Core.rounds sh || sh.Core.schedule <> reference sh then
+          Alcotest.failf "m = %d, t_max = %d: %d vs %d rounds" m t_max len
+            (Core.rounds sh))
+      [ 1; max 1 (m / 3) ]
+  done
+
 let suite =
   [
     Alcotest.test_case "clean run decides" `Quick test_clean_run_decides;
@@ -398,4 +441,6 @@ let suite =
     Alcotest.test_case "message bits" `Quick test_msg_bits;
     Alcotest.test_case "log2_ceil = recursive reference" `Quick
       test_log2_ceil_reference;
+    Alcotest.test_case "schedule_length = rounds of make_shared" `Quick
+      test_schedule_length;
   ]

@@ -789,6 +789,20 @@ let test_instance_construction_linear () =
     true
     (words <= 200. *. float_of_int n)
 
+let test_instance_no_forced_minor () =
+  (* An array of more than 256 words seeded with a young value makes the
+     runtime empty the minor heap before allocating it: construction at
+     n = 1024 must build its per-pid arrays without one. *)
+  let n = 1024 in
+  let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds:8 () in
+  let proto = Consensus.Flood.protocol_buffered cfg in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let inst = Sim.Engine.instance proto cfg in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  ignore inst;
+  Alcotest.(check int) "minor collections during instance" before after
+
 let test_alg1_allocation_per_message () =
   (* Algorithm 1's round allocates per message record and per process,
      never once per message sent: pricing, emission and delivery build no
@@ -878,6 +892,8 @@ let test_input_validation () =
 let suite =
   [
     Alcotest.test_case "full delivery and accounting" `Quick test_full_delivery;
+    Alcotest.test_case "instance forces no minor collection" `Quick
+      test_instance_no_forced_minor;
     Alcotest.test_case "randomness accounting" `Quick test_randomness_accounting;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "determinism is bit-identical under adversary" `Quick

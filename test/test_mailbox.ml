@@ -220,7 +220,7 @@ let test_broadcast_identity () =
 let test_riter_refuses_table () =
   let ib = Sim.Mailbox.create () in
   Sim.Mailbox.push ib ~peer:0 "row";
-  let sh = Sim.Mailbox.shared_create () in
+  let sh = Sim.Mailbox.shared_create ~n:8 in
   Sim.Mailbox.attach_shared ib sh ~owner:1;
   let rows = ref [] in
   Sim.Mailbox.riter ib (fun p m -> rows := (p, m) :: !rows);
@@ -426,7 +426,7 @@ let model senders =
            senders))
 
 let deliver_rounds ~table rounds =
-  let sh = Sim.Mailbox.shared_create () in
+  let sh = Sim.Mailbox.shared_create ~n:8 in
   let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
   Array.iteri (fun dst ib -> Sim.Mailbox.attach_shared ib sh ~owner:dst) inboxes;
   List.for_all
@@ -463,6 +463,107 @@ let qcheck_rdeliver =
     QCheck.(pair (verdict_round_gen mixed_load) (verdict_round_gen mixed_load))
     (fun (r1, r2) -> deliver_rounds ~table:false [ r1; r2 ])
 
+(* Reading the round-shared table against a list model, on an 8-pid
+   table. A sender either pushes table entries or pointwise rows, never
+   both (the engine's merge contract), and senders ascend. An entry is
+   full-range or partial, with or without a skip (including skips
+   outside its range, which skip nothing), masked or not; pointwise rows
+   from other senders put inboxes on the merge path, and an inbox
+   without rows takes the row-free loop. Every inbox must read as the
+   model through [iter], [fold], [to_list] and [length]. Two rounds go
+   through the same table and inboxes. *)
+type entry = { e_lo : int; e_hi : int; e_skip : int; e_mask : bool list option }
+
+let entry_gen =
+  QCheck.Gen.(
+    let range =
+      oneof
+        [
+          return (0, 7);
+          (int_range 0 7 >>= fun lo ->
+           int_range lo 7 >|= fun hi -> (lo, hi));
+        ]
+    in
+    range >>= fun (e_lo, e_hi) ->
+    oneof [ return (-1); int_range (-3) 9 ] >>= fun e_skip ->
+    option (list_size (return 8) bool) >|= fun e_mask ->
+    { e_lo; e_hi; e_skip; e_mask })
+
+(* A sender: table entries, or pointwise rows as destinations. *)
+type sender = Entries of entry list | Rows of int list
+
+let sender_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun l -> Entries l) (list_size (int_range 0 4) entry_gen);
+        map (fun l -> Rows l) (list_size (int_range 0 6) (int_range 0 7));
+      ])
+
+let table_round_gen =
+  QCheck.make QCheck.Gen.(list_size (int_range 1 6) sender_gen)
+
+let covers_model e me =
+  me >= e.e_lo && me <= e.e_hi && me <> e.e_skip
+  && match e.e_mask with None -> true | Some l -> not (List.nth l me)
+
+let table_model senders me =
+  List.concat
+    (List.mapi
+       (fun src -> function
+         | Entries es ->
+             List.concat
+               (List.mapi
+                  (fun k e -> if covers_model e me then [ (src, (src, k)) ] else [])
+                  es)
+         | Rows ds ->
+             List.concat
+               (List.mapi (fun k d -> if d = me then [ (src, (src, k)) ] else []) ds))
+       senders)
+
+let qcheck_table_read =
+  QCheck.Test.make ~name:"table read: iter/fold/to_list/length = list model"
+    ~count:500 (QCheck.pair table_round_gen table_round_gen)
+    (fun (r1, r2) ->
+      let sh = Sim.Mailbox.shared_create ~n:8 in
+      let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
+      Array.iteri (fun me ib -> Sim.Mailbox.attach_shared ib sh ~owner:me) inboxes;
+      List.for_all
+        (fun senders ->
+          Sim.Mailbox.shared_clear sh;
+          Array.iter Sim.Mailbox.clear inboxes;
+          List.iteri
+            (fun src -> function
+              | Entries es ->
+                  List.iteri
+                    (fun k e ->
+                      let mask =
+                        match e.e_mask with
+                        | None -> Bytes.empty
+                        | Some l -> bytes_of_flags l
+                      in
+                      Sim.Mailbox.shared_push sh ~src ~lo:e.e_lo ~hi:e.e_hi
+                        ~skip:e.e_skip ~mask (src, k))
+                    es
+              | Rows ds ->
+                  List.iteri
+                    (fun k d -> Sim.Mailbox.push inboxes.(d) ~peer:src (src, k))
+                    ds)
+            senders;
+          Array.for_all Fun.id
+            (Array.mapi
+               (fun me ib ->
+                 let want = table_model senders me in
+                 let via_iter = ref [] in
+                 Sim.Mailbox.iter ib (fun p m -> via_iter := (p, m) :: !via_iter);
+                 List.rev !via_iter = want
+                 && Sim.Mailbox.to_list ib = want
+                 && Sim.Mailbox.fold ib ~init:[] (fun acc p m -> (p, m) :: acc)
+                    = List.rev want
+                 && Sim.Mailbox.length ib = List.length want)
+               inboxes))
+        [ r1; r2 ])
+
 let suite =
   [
     qcheck qcheck_order;
@@ -480,4 +581,5 @@ let suite =
     qcheck qcheck_walk_and_bits;
     qcheck qcheck_rshare;
     qcheck qcheck_rdeliver;
+    qcheck qcheck_table_read;
   ]
