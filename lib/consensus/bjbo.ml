@@ -69,7 +69,10 @@ let protocol_buffered ?(coin_set_size = max_int) ?(theta_factor = 0.5)
       (* a decision announcement overrides counting *)
       let final = ref None in
       Sim.Mailbox.iter inbox (fun _src (Vote { b; final = fin }) ->
-          if fin && !final = None then final := Some b);
+          if fin then begin
+            final := Some b;
+            raise_notrace Sim.Mailbox.Stop
+          end);
       match !final with
       | Some v ->
           st.b <- v;

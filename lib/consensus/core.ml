@@ -596,11 +596,14 @@ let finalize_into st ~iter =
   if st.operative && st.decided then st.got_decision <- true
   else begin
     let adopted = ref None in
-    iter (fun src m ->
-        match m with
-        | Final v when !adopted = None && index_in st.sh src >= 0 ->
-            adopted := Some v
-        | Counts _ | Confirm _ | Result _ | Spread_delta _ | Final _ -> ());
+    (try
+       iter (fun src m ->
+           match m with
+           | Final v when index_in st.sh src >= 0 ->
+               adopted := Some v;
+               raise_notrace Sim.Mailbox.Stop
+           | Counts _ | Confirm _ | Result _ | Spread_delta _ | Final _ -> ())
+     with Sim.Mailbox.Stop -> ());
     match !adopted with
     | Some v ->
         st.b <- v;

@@ -126,8 +126,10 @@ val step_into :
 
 val finalize_into : t -> iter:((int -> msg -> unit) -> unit) -> unit
 (** Consume the broadcast slot's inbox (lines 15-16); same [iter] contract
-    as {!step_into}. Call exactly once, on the round after the schedule
-    ends. *)
+    as {!step_into}. The read ends at the first [Final] from a member,
+    which is adopted: [f] raises {!Sim.Mailbox.Stop} there, caught by a
+    mailbox's [iter] or else by [finalize_into]. Call exactly once, on
+    the round after the schedule ends. *)
 
 val line16_decision : t -> int option
 (** The decision line 16 permits right after {!finalize_into}: the own value if

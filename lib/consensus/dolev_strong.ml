@@ -24,11 +24,16 @@ type state = {
   pid : int;
   n : int;
   t_max : int;
-  (* values accepted per origin (at most 2 kept) *)
-  accepted : (int, int list) Hashtbl.t;
+  accepted : Bytes.t;
+      (** per origin, a bit set of the values accepted: bit [v] for
+          value [v], so at most two values; ['\001'] = {0}, ['\002'] =
+          {1}, ['\003'] = both *)
   mutable to_relay : (int * Auth.signature list) list;  (** (value, chain) *)
   mutable decided : int option;
 }
+
+let some0 = Some 0
+let some1 = Some 1
 
 module M = struct
   type nonrec state = state
@@ -42,12 +47,12 @@ module M = struct
         pid;
         n = cfg.n;
         t_max = cfg.t_max;
-        accepted = Hashtbl.create 16;
+        accepted = Bytes.make cfg.n '\000';
         to_relay = [];
         decided = None;
       }
     in
-    Hashtbl.replace st.accepted pid [ input ];
+    Bytes.set st.accepted pid (Char.chr (1 lsl input));
     st.to_relay <- [ (input, Auth.sign ~signer:pid ~payload:input ~chain:[]) ];
     st
 
@@ -59,13 +64,10 @@ module M = struct
       && (not (Auth.signed_by st.pid chain))
       && Auth.valid_chain ~payload:value chain
     then begin
-      let known =
-        match Hashtbl.find_opt st.accepted origin with
-        | Some vs -> vs
-        | None -> []
-      in
-      if (not (List.mem value known)) && List.length known < 2 then begin
-        Hashtbl.replace st.accepted origin (value :: known);
+      let known = Char.code (Bytes.get st.accepted origin) in
+      let bit = 1 lsl value in
+      if known land bit = 0 then begin
+        Bytes.set st.accepted origin (Char.chr (known lor bit));
         if round <= st.t_max + 1 then
           st.to_relay <-
             (value, Auth.sign ~signer:st.pid ~payload:value ~chain)
@@ -76,11 +78,11 @@ module M = struct
   let decide st =
     (* per origin: a uniquely-attested value counts; equivocation (never
        produced by omission faults) or silence contributes nothing *)
-    let c = [| 0; 0 |] in
-    Hashtbl.iter
-      (fun _ vs -> match vs with [ v ] -> c.(v) <- c.(v) + 1 | _ -> ())
+    let c0 = ref 0 and c1 = ref 0 in
+    Bytes.iter
+      (function '\001' -> incr c0 | '\002' -> incr c1 | _ -> ())
       st.accepted;
-    st.decided <- Some (if c.(1) > c.(0) then 1 else 0)
+    st.decided <- (if !c1 > !c0 then some1 else some0)
 
   let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
     Sim.Mailbox.iter inbox (fun _src (Relay { value; chain }) ->
@@ -104,8 +106,9 @@ module M = struct
   let observe st =
     {
       Sim.View.candidate =
-        (match Hashtbl.find_opt st.accepted st.pid with
-        | Some [ v ] -> Some v
+        (match Bytes.get st.accepted st.pid with
+        | '\001' -> some0
+        | '\002' -> some1
         | _ -> None);
       operative = true;
       decided = st.decided;

@@ -51,11 +51,15 @@ module M = struct
     emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false m
 
   (* Two passes over the inbox: first scan for a decision announcement,
-     then — absent one — collect the heard-from set and the minimum. *)
+     stopping at the first, then — absent one — collect the heard-from
+     set and the minimum. *)
   let process st ~round ~inbox =
     let final = ref None in
     Sim.Mailbox.iter inbox (fun _src (Val { v; final = fin }) ->
-        if fin && !final = None then final := Some v);
+        if fin then begin
+          final := Some v;
+          raise_notrace Sim.Mailbox.Stop
+        end);
     match !final with
     | Some v ->
         st.v <- v;

@@ -26,6 +26,18 @@ type state = {
 let some0 = Some 0
 let some1 = Some 1
 
+(* The six observations a flood process can make, built once:
+   candidate 0 or 1, undecided or decided 0 or 1. *)
+let obs candidate decided =
+  { Sim.View.candidate; operative = true; decided }
+
+let obs0 = obs some0 None
+let obs1 = obs some1 None
+let obs0_d0 = obs some0 some0
+let obs0_d1 = obs some0 some1
+let obs1_d0 = obs some1 some0
+let obs1_d1 = obs some1 some1
+
 module M = struct
   type nonrec state = state
   type nonrec msg = msg
@@ -50,7 +62,7 @@ module M = struct
      amortized). *)
   let absorb st ~round =
     if round > st.rounds then begin
-      if st.decided = None then st.decided <- Some (if st.zero then 0 else 1);
+      if st.decided = None then st.decided <- (if st.zero then some0 else some1);
       None
     end
     else begin
@@ -62,11 +74,15 @@ module M = struct
     end
 
   let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
-    (* Test the known flag first: once a value is known, the branch no
-       longer depends on the message's bits, which are random per sender. *)
-    Sim.Mailbox.iter inbox (fun _src (Values { zero; one }) ->
-        if (not st.zero) && zero then st.zero <- true;
-        if (not st.one) && one then st.one <- true);
+    (* A process that knows both values learns nothing from its inbox:
+       it skips the read, and stops it as soon as both are known. Test
+       the known flag first: once a value is known, the branch no longer
+       depends on the message's bits, which are random per sender. *)
+    if not (st.zero && st.one) then
+      Sim.Mailbox.iter inbox (fun _src (Values { zero; one }) ->
+          if (not st.zero) && zero then st.zero <- true;
+          if (not st.one) && one then st.one <- true;
+          if st.zero && st.one then raise_notrace Sim.Mailbox.Stop);
     (match absorb st ~round with
     | None -> ()
     | Some (zero, one) ->
@@ -75,13 +91,15 @@ module M = struct
           (Values { zero; one }));
     st
 
+  (* Candidate 0 unless only 1 is known. *)
   let observe st =
-    {
-      Sim.View.candidate =
-        (if st.zero then some0 else if st.one then some1 else some0);
-      operative = true;
-      decided = st.decided;
-    }
+    match (st.zero || not st.one, st.decided) with
+    | true, None -> obs0
+    | true, Some 0 -> obs0_d0
+    | true, Some _ -> obs0_d1
+    | false, None -> obs1
+    | false, Some 0 -> obs1_d0
+    | false, Some _ -> obs1_d1
 
   let msg_bits (Values _) = 2
   let msg_hint (Values { zero; _ }) = if zero then some0 else some1

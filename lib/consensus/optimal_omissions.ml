@@ -66,10 +66,14 @@ let iter_pk inbox f =
       match m with Pk_msg pm -> f src pm | Core_msg _ | Decided _ -> ())
 
 let first_decided inbox =
-  Sim.Mailbox.fold inbox ~init:None (fun acc _src m ->
-      match (acc, m) with
-      | None, Decided v -> Some v
-      | _, (Decided _ | Core_msg _ | Pk_msg _) -> acc)
+  let first = ref None in
+  Sim.Mailbox.iter inbox (fun _src m ->
+      match m with
+      | Decided v ->
+          first := Some v;
+          raise_notrace Sim.Mailbox.Stop
+      | Core_msg _ | Pk_msg _ -> ());
+  !first
 
 let iter_empty _f = ()
 

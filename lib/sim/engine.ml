@@ -212,6 +212,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
   in
   let faulty = Array.make n false in
   let used_randomness = Array.make n false in
+  (* Every process's state, built by the first run and refilled in place
+     by each later one: a fresh array would start from a young [P.init]
+     value and, past 256 pids, force a minor collection every run. *)
+  let states = ref [||] in
   (* The one pending-message walk: every outbox, broadcast segments
      expanded, each sender in reverse emission order (the ordering note
      above). It feeds both {!View.iter_envelopes} and the [Send] events.
@@ -335,7 +339,13 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
     let step_rand = Rand.derive root 0 in
     let adv_rand = Rand.create ~seed:(Int64.of_int (cfg.seed + 0x5eed)) () in
     let adv = adversary.create cfg adv_rand in
-    let states = Array.init n (fun pid -> P.init cfg ~pid ~input:inputs.(pid)) in
+    let init pid = P.init cfg ~pid ~input:inputs.(pid) in
+    if Array.length !states = 0 then states := init_major n init
+    else
+      for pid = 0 to n - 1 do
+        !states.(pid) <- init pid
+      done;
+    let states = !states in
     Array.iter Mailbox.clear inboxes;
     Array.iter Mailbox.clear outboxes;
     Mailbox.shared_clear bcast;
@@ -505,29 +515,34 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
             let omit = View.omits omission in
             fun dst _ ->
               let pid = !src and i = !at in
-              at := i + 1;
-              if omit pid dst then begin
-                if (not faulty.(pid)) && not faulty.(dst) then
-                  illegal "omission between non-faulty %d -> %d at round %d"
-                    pid dst r;
-                Bytes.unsafe_set !omit_scratch i '\001';
-                match msg_sink with
-                | None -> ()
-                | Some s -> Trace.Sink.omit s ~round:r ~src:pid ~dst
-              end
-              else if
-                match link with
-                | None -> true
-                | Some l ->
-                    l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
-                    = Link_intf.Delivered
-              then begin
-                Bytes.unsafe_set !omit_scratch i '\000';
-                match msg_sink with
-                | None -> ()
-                | Some s -> Trace.Sink.deliver s ~round:r ~src:pid ~dst
-              end
-              else Bytes.unsafe_set !omit_scratch i '\002'
+              let v =
+                if omit pid dst then begin
+                  if (not faulty.(pid)) && not faulty.(dst) then
+                    illegal "omission between non-faulty %d -> %d at round %d"
+                      pid dst r;
+                  (match msg_sink with
+                  | None -> ()
+                  | Some s -> Trace.Sink.omit s ~round:r ~src:pid ~dst);
+                  '\001'
+                end
+                else if
+                  match link with
+                  | None -> true
+                  | Some l ->
+                      l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
+                      = Link_intf.Delivered
+                then begin
+                  (match msg_sink with
+                  | None -> ()
+                  | Some s -> Trace.Sink.deliver s ~round:r ~src:pid ~dst);
+                  '\000'
+                end
+                else '\002'
+              in
+              Bytes.unsafe_set !omit_scratch i v;
+              (* counted once the verdict is written, for the check
+                 below *)
+              at := i + 1
       in
       for pid = 0 to n - 1 do
         let ob = outboxes.(pid) in
@@ -545,6 +560,11 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                 src := pid;
                 at := 0;
                 Mailbox.iter ob decide;
+                (* [iter] ends quietly on {!Mailbox.Stop}: a predicate,
+                   link or sink that raised it would leave stale
+                   verdict bytes behind *)
+                if !at < len then
+                  invalid_arg "Engine.run: a verdict walk raised Mailbox.Stop";
                 !omit_scratch
           in
           messages_omitted :=
@@ -593,8 +613,12 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
           then stop_flag := true);
       incr round
     done;
+    let decisions = init_major n (fun pid -> (P.observe states.(pid)).decided) in
+    (* The instance outlives the run and must not keep its states alive:
+       every slot but the first now shares one state. *)
+    if n > 1 then Array.fill states 1 (n - 1) states.(0);
     {
-      decisions = Array.map (fun s -> (P.observe s).decided) states;
+      decisions;
       faulty;
       rounds_total = !rounds_total;
       decided_round = !decided_round;

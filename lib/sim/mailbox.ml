@@ -253,24 +253,25 @@ let push_all t ~lo ~hi ?(skip = -1) ?(desc = false) m =
     t.seg_total <- t.seg_total + size
   end
 
-(* Inbox walks when a round-shared broadcast table is attached and
-   non-empty. Both bind the arrays they read once: [f] is opaque, but
-   neither the table nor the inbox changes while a receiver reads it.
-   [iter_table] reads an inbox without pointwise rows (every inbox on
-   a table-only round, such as flood's masked rounds, where it reads
-   about 13% faster than [iter_merged] with nothing to merge); [iter_merged]
-   merges the pointwise rows (sorted by ascending peer) with the table
-   entries covering this receiver (sorted by ascending src). The engine
-   keeps the two sender sets disjoint — a sender delivers a round either
-   through the table or through pointwise rows, never both — so the
-   merge needs no tie-break. *)
-let iter_table t sh f =
-  let me = t.owner and key = sh.s_key and src = sh.s_src and msg = sh.s_msg in
-  for j = 0 to sh.s_len - 1 do
-    if covers sh j me (Array.unsafe_get key j) then
-      f (Array.unsafe_get src j) (Array.unsafe_get msg j)
-  done
+(** Raised by a reader's [f] to end {!iter} or {!fold} after the
+    current entry: the read stops there and returns normally, [fold]
+    with the accumulator of the last entry whose [f] returned. Raise it
+    with [raise_notrace]: a protocol that has learned all an inbox can
+    tell it skips the rest. Any other exception propagates. The engine's
+    own walks never stop early: {!riter} does not catch it, and the
+    engine checks that its verdict walk over {!iter} reached the end. *)
+exception Stop
 
+(* The inbox walk when a round-shared broadcast table is attached and
+   non-empty: it merges the pointwise rows (sorted by ascending peer)
+   with the table entries covering this receiver (sorted by ascending
+   src), binding the arrays it reads once: [f] is opaque, but neither
+   the table nor the inbox changes while a receiver reads it. Without
+   rows (every inbox on a table-only round, such as flood's masked
+   rounds) the tail loop finds nothing to merge. The engine keeps the
+   two sender sets disjoint — a sender delivers a round either through
+   the table or through pointwise rows, never both — so the merge needs
+   no tie-break. *)
 let iter_merged t sh f =
   let me = t.owner and key = sh.s_key and src = sh.s_src and msg = sh.s_msg in
   let peers = t.peers and msgs = t.msgs and len = t.len in
@@ -290,34 +291,40 @@ let iter_merged t sh f =
     incr i
   done
 
-(* [iter] and [riter] are plain loops over the arrays, like {!rdeliver}:
-   they allocate nothing per sender or per segment. Segment [j] sits just
-   before pointwise slot [seg_pos.(j)] in emission order. *)
-let iter t f =
-  match t.shared with
-  | Some sh when sh.s_len > 0 ->
-      assert (t.seg_len = 0);
-      if t.len = 0 then iter_table t sh f else iter_merged t sh f
-  | _ ->
-      let s = ref 0 in
-      for i = 0 to t.len do
-        while !s < t.seg_len && t.seg_pos.(!s) <= i do
-          let j = !s in
-          let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
-          let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
-          if t.seg_desc.(j) then
-            for dst = hi downto lo do
-              if dst <> skip then f dst m
-            done
-          else
-            for dst = lo to hi do
-              if dst <> skip then f dst m
-            done;
-          incr s
+(* The walk of a buffer without a non-empty attached table: a plain loop
+   over the arrays, like {!rdeliver}, allocating nothing per sender or
+   per segment. Segment [j] sits just before pointwise slot
+   [seg_pos.(j)] in emission order. *)
+let iter_segments t f =
+  let s = ref 0 in
+  for i = 0 to t.len do
+    while !s < t.seg_len && t.seg_pos.(!s) <= i do
+      let j = !s in
+      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
+      let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
+      if t.seg_desc.(j) then
+        for dst = hi downto lo do
+          if dst <> skip then f dst m
+        done
+      else
+        for dst = lo to hi do
+          if dst <> skip then f dst m
         done;
-        if i < t.len then
-          f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
-      done
+      incr s
+    done;
+    if i < t.len then f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
+  done
+
+(** Expanded walk in emission order, the attached table's entries merged
+    in. [f] may end it early with {!Stop}. *)
+let iter t f =
+  try
+    match t.shared with
+    | Some sh when sh.s_len > 0 ->
+        assert (t.seg_len = 0);
+        iter_merged t sh f
+    | _ -> iter_segments t f
+  with Stop -> ()
 
 (** Expanded walk in reverse emission order — the engine's
     pending-message walk. Raises [Invalid_argument]
@@ -564,6 +571,8 @@ let min_seg_span t =
   done;
   !m
 
+(** [iter] as a fold; a {!Stop} from [f] ends it with the accumulator
+    [f] last returned. *)
 let fold t ~init f =
   let acc = ref init in
   iter t (fun peer m -> acc := f !acc peer m);

@@ -28,4 +28,5 @@ let () =
     ("cache", Test_cache.suite);
     ("jsonl", Test_jsonl.suite);
     ("codec", Test_codec.suite);
+    ("reference", Test_reference.suite);
     ]

@@ -679,10 +679,23 @@ let test_link_losses_not_omissions () =
 
 (* A reused instance outlives its runs: once a traced run returns, the
    instance must hold nothing that keeps the run's sink (and the events
-   it buffers) alive, or every later run pays for the last one's trace. *)
+   it buffers) alive, or every later run pays for the last one's trace.
+   It keeps its states array across runs, but not the states: at most
+   one of a finished run's eight states survives. *)
 let test_instance_releases_sink () =
   let cfg = cfg () in
-  let inst = Sim.Engine.instance (module Echo) cfg in
+  let states = Weak.create 8 in
+  let proto : Sim.Protocol_intf.buffered =
+    (module struct
+      include Echo
+
+      let init cfg ~pid ~input =
+        let st = Echo.init cfg ~pid ~input in
+        Weak.set states pid (Some st);
+        st
+    end)
+  in
+  let inst = Sim.Engine.instance proto cfg in
   let inputs = Array.init 8 (fun i -> i mod 2) in
   let weak = Weak.create 1 in
   let traced_run () =
@@ -695,6 +708,13 @@ let test_instance_releases_sink () =
   (Sys.opaque_identity traced_run) ();
   Gc.full_major ();
   Alcotest.(check bool) "sink collected" false (Weak.check weak 0);
+  let live = ref 0 in
+  for pid = 0 to 7 do
+    if Weak.check states pid then incr live
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 8 states kept <= 1" !live)
+    true (!live <= 1);
   (* the instance is still in use *)
   let o =
     Sim.Engine.run_instance inst ~adversary:Sim.Adversary_intf.none ~inputs
@@ -803,6 +823,55 @@ let test_instance_no_forced_minor () =
   ignore inst;
   Alcotest.(check int) "minor collections during instance" before after
 
+(* A run on a warmed instance at n = 1024 forces no minor collection:
+   the per-process states are refilled in place, and the outcome's
+   decisions are built without a young seed value. *)
+let test_run_no_forced_minor () =
+  let n = 1024 in
+  let cfg = Sim.Config.make ~n ~t_max:1 ~seed:1 ~max_rounds:8 () in
+  let inst = Sim.Engine.instance (Consensus.Flood.protocol_buffered cfg) cfg in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  let run () =
+    Sim.Engine.run_instance inst ~adversary:Sim.Adversary_intf.none ~inputs
+  in
+  let warm = run () in
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  let o = run () in
+  let after = (Gc.quick_stat ()).Gc.minor_collections in
+  Alcotest.(check bool) "same outcome as the warming run" true (o = warm);
+  Alcotest.(check bool) "decided" true (o.Sim.Engine.decided_round <> None);
+  Alcotest.(check int) "minor collections during a run" before after
+
+(* The engine's verdict walk must write one verdict per message: a
+   predicate that raises [Mailbox.Stop] must not end the walk quietly
+   and deliver the sender's remaining messages on stale verdict bytes.
+   Flood's first round at n = 8 has sender 0 broadcast to 1..7; the
+   predicate stops at its first, a middle and its last message. *)
+let test_verdict_walk_refuses_stop () =
+  let cfg = Sim.Config.make ~n:8 ~t_max:1 ~seed:1 ~max_rounds:6 () in
+  let stop_at dst =
+    {
+      Sim.Adversary_intf.name = "stop";
+      create =
+        (fun _ _ _ ->
+          Sim.View.pointwise ~new_faults:[] ~omit:(fun s d ->
+              if s = 0 && d = dst then raise_notrace Sim.Mailbox.Stop;
+              false));
+    }
+  in
+  List.iter
+    (fun dst ->
+      Alcotest.check_raises
+        (Printf.sprintf "Stop at 0 -> %d" dst)
+        (Invalid_argument "Engine.run: a verdict walk raised Mailbox.Stop")
+        (fun () ->
+          ignore
+            (Sim.Engine.run (Consensus.Flood.protocol_buffered cfg) cfg
+               ~adversary:(stop_at dst)
+               ~inputs:(Array.init 8 (fun i -> i mod 2)))))
+    [ 1; 4; 7 ]
+
 let test_alg1_allocation_per_message () =
   (* Algorithm 1's round allocates per message record and per process,
      never once per message sent: pricing, emission and delivery build no
@@ -894,6 +963,10 @@ let suite =
     Alcotest.test_case "full delivery and accounting" `Quick test_full_delivery;
     Alcotest.test_case "instance forces no minor collection" `Quick
       test_instance_no_forced_minor;
+    Alcotest.test_case "warmed run forces no minor collection" `Quick
+      test_run_no_forced_minor;
+    Alcotest.test_case "verdict walk refuses Mailbox.Stop" `Quick
+      test_verdict_walk_refuses_stop;
     Alcotest.test_case "randomness accounting" `Quick test_randomness_accounting;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "determinism is bit-identical under adversary" `Quick

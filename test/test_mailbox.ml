@@ -521,35 +521,43 @@ let table_model senders me =
                (List.mapi (fun k d -> if d = me then [ (src, (src, k)) ] else []) ds))
        senders)
 
+(* Eight inboxes attached to one table, refilled with one round. *)
+let table_inboxes () =
+  let sh = Sim.Mailbox.shared_create ~n:8 in
+  let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
+  Array.iteri (fun me ib -> Sim.Mailbox.attach_shared ib sh ~owner:me) inboxes;
+  (sh, inboxes)
+
+let fill_table_round sh inboxes senders =
+  Sim.Mailbox.shared_clear sh;
+  Array.iter Sim.Mailbox.clear inboxes;
+  List.iteri
+    (fun src -> function
+      | Entries es ->
+          List.iteri
+            (fun k e ->
+              let mask =
+                match e.e_mask with
+                | None -> Bytes.empty
+                | Some l -> bytes_of_flags l
+              in
+              Sim.Mailbox.shared_push sh ~src ~lo:e.e_lo ~hi:e.e_hi
+                ~skip:e.e_skip ~mask (src, k))
+            es
+      | Rows ds ->
+          List.iteri
+            (fun k d -> Sim.Mailbox.push inboxes.(d) ~peer:src (src, k))
+            ds)
+    senders
+
 let qcheck_table_read =
   QCheck.Test.make ~name:"table read: iter/fold/to_list/length = list model"
     ~count:500 (QCheck.pair table_round_gen table_round_gen)
     (fun (r1, r2) ->
-      let sh = Sim.Mailbox.shared_create ~n:8 in
-      let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
-      Array.iteri (fun me ib -> Sim.Mailbox.attach_shared ib sh ~owner:me) inboxes;
+      let sh, inboxes = table_inboxes () in
       List.for_all
         (fun senders ->
-          Sim.Mailbox.shared_clear sh;
-          Array.iter Sim.Mailbox.clear inboxes;
-          List.iteri
-            (fun src -> function
-              | Entries es ->
-                  List.iteri
-                    (fun k e ->
-                      let mask =
-                        match e.e_mask with
-                        | None -> Bytes.empty
-                        | Some l -> bytes_of_flags l
-                      in
-                      Sim.Mailbox.shared_push sh ~src ~lo:e.e_lo ~hi:e.e_hi
-                        ~skip:e.e_skip ~mask (src, k))
-                    es
-              | Rows ds ->
-                  List.iteri
-                    (fun k d -> Sim.Mailbox.push inboxes.(d) ~peer:src (src, k))
-                    ds)
-            senders;
+          fill_table_round sh inboxes senders;
           Array.for_all Fun.id
             (Array.mapi
                (fun me ib ->
@@ -563,6 +571,56 @@ let qcheck_table_read =
                  && Sim.Mailbox.length ib = List.length want)
                inboxes))
         [ r1; r2 ])
+
+(* The stop contract on all three read paths, against the list model:
+   segments (no table), table-only inboxes and table-plus-rows inboxes.
+   An [f] that raises [Stop] at entry [k] must have seen exactly the
+   model's first [k] entries; a [fold] stopped at entry [k] returns the
+   accumulator of the first [k - 1]; another exception propagates. [k]
+   ranges past the end, where nothing stops. *)
+let stop_reads_agree mb want k =
+  let len = List.length want in
+  let first j = List.filteri (fun i _ -> i < j) want in
+  let read_until exn =
+    let seen = ref [] in
+    match
+      Sim.Mailbox.iter mb (fun p m ->
+          seen := (p, m) :: !seen;
+          if List.length !seen = k then raise_notrace exn)
+    with
+    | () -> Ok (List.rev !seen)
+    | exception e -> Error (e, List.rev !seen)
+  in
+  let folded =
+    Sim.Mailbox.fold mb ~init:[] (fun acc p m ->
+        if List.length acc + 1 = k then raise_notrace Sim.Mailbox.Stop;
+        (p, m) :: acc)
+  in
+  read_until Sim.Mailbox.Stop = Ok (first k)
+  && List.rev folded = first (k - 1)
+  && read_until Exit = if k <= len then Error (Exit, first k) else Ok want
+
+let qcheck_stop_segments =
+  QCheck.Test.make ~name:"Stop ends a segment read after entry k" ~count:500
+    QCheck.(pair mixed_load (int_range 1 40))
+    (fun (ops, k) ->
+      let mb = Sim.Mailbox.create () in
+      apply_ops mb ops;
+      stop_reads_agree mb (expand_ops ops) k)
+
+(* Inboxes without rows read the table alone; the others merge, and stop
+   in the tail loop when rows come after the last covering entry. *)
+let qcheck_stop_table =
+  QCheck.Test.make ~name:"Stop ends a table or merged read after entry k"
+    ~count:500
+    QCheck.(pair table_round_gen (int_range 1 30))
+    (fun (senders, k) ->
+      let sh, inboxes = table_inboxes () in
+      fill_table_round sh inboxes senders;
+      Array.for_all Fun.id
+        (Array.mapi
+           (fun me ib -> stop_reads_agree ib (table_model senders me) k)
+           inboxes))
 
 let suite =
   [
@@ -582,4 +640,6 @@ let suite =
     qcheck qcheck_rshare;
     qcheck qcheck_rdeliver;
     qcheck qcheck_table_read;
+    qcheck qcheck_stop_segments;
+    qcheck qcheck_stop_table;
   ]
