@@ -23,14 +23,11 @@
       fewer than floor(|W|/2)+1 relayed results, becomes inoperative but
       keeps serving as a transmitter for the remainder of the current
       epoch's aggregation;
-    - a spreading process that receives fewer than Delta/3 messages from
-      its non-disregarded neighbors becomes inoperative;
+    - spreading follows {!Links}: a silent neighbor is disregarded
+      permanently, and a process hearing fewer than Delta/3 live
+      neighbors becomes inoperative;
     - inoperative processes stay idle from then on, in this and all future
-      epochs (they only wait for a decision);
-    - a neighbor that fails to deliver during spreading is disregarded
-      permanently — silent links belong to faulty processes, so pruning
-      them is conservative (the paper's "refuses to accept messages from
-      them in any future round"). *)
+      epochs (they only wait for a decision). *)
 
 type counts = { ones : int; zeros : int }
 
@@ -64,8 +61,6 @@ type shared = {
           largest member pid *)
   part : Groups.t;  (** sqrt-decomposition over local indices *)
   graph : Expander.t option;  (** spreading graph over local indices *)
-  delta : int;
-  op_threshold : int;  (** spreading operative threshold, Delta/3 *)
   stages : int;
   spread_rounds : int;
   epochs : int;
@@ -113,7 +108,6 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
            ~delta ~seed:(Int64.of_int (seed + 0xA11CE)) ())
     end
   in
-  let delta = match graph with Some g -> Expander.delta g | None -> 0 in
   let stages, spread_rounds, epochs = shape ~params ~t_max m in
   let epoch_len = (3 * stages) + spread_rounds in
   let contig =
@@ -140,8 +134,6 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
     index_of;
     part;
     graph;
-    delta;
-    op_threshold = delta / 3;
     stages;
     spread_rounds;
     epochs;
@@ -182,24 +174,11 @@ type t = {
       (** child bag -> first counts heard; a stage's bag indices are below
           the group size *)
   (* --- spreading state --- *)
-  nbrs : int array;  (** my expander neighbors (local indices), ascending *)
+  links : Links.t;  (** my expander links, addressed by global pid *)
   bitpacks : counts option array;
   sent : bool array;
-      (** group -> its counts already went out this phase. This one flag
-          per group stands for the per-(neighbor, group) bookkeeping: an
-          operative process emits to every non-disregarded neighbor at
-          every spreading slot, disregarding and inoperativity are
-          permanent, and [bitpacks] only grows within a phase, so a live
-          neighbor has been sent exactly the groups known at the previous
-          emission. *)
-  disregarded : bool array;
-      (** by position in [nbrs]: silent neighbors, permanent *)
-  heard : bool array;
-      (** by position in [nbrs]: scratch for one spreading slot *)
-  mutable cursor : int;
-      (** scratch for one spreading slot: how far the sorted inbox has
-          moved the neighbour lookup through [nbrs] *)
-  mutable heard_count : int;  (** distinct live neighbours heard this slot *)
+      (** group -> its counts already went out this phase: one flag per
+          group stands for every live link (DESIGN.md §6) *)
 }
 
 (* Local index of a global pid, or -1 for non-members. Bounds-checked:
@@ -225,10 +204,12 @@ let create sh ~pid ~input =
   in
   let group_lo = if group_size > 0 then sh.members.(group_locals.(0)) else 0 in
   let group_hi = group_lo + group_size - 1 in
-  let nbrs =
-    match sh.graph with Some g -> Expander.neighbors g me | None -> [||]
+  let links =
+    match sh.graph with
+    | Some g when sh.contig && sh.members.(0) = 0 -> Links.create g me
+    | Some g -> Links.create ~pids:sh.members g me
+    | None -> Links.none ()
   in
-  let degree = Array.length nbrs in
   {
     sh;
     pid;
@@ -250,13 +231,9 @@ let create sh ~pid ~input =
     agg = counts_zero;
     sourced = false;
     relay = Array.make group_size None;
-    nbrs;
+    links;
     bitpacks = Array.make (Groups.group_count sh.part) None;
     sent = Array.make (Groups.group_count sh.part) false;
-    disregarded = Array.make degree false;
-    heard = Array.make degree false;
-    cursor = 0;
-    heard_count = 0;
   }
 
 let candidate st = st.b
@@ -411,9 +388,7 @@ let spread_init st =
   if st.operative then st.bitpacks.(st.grp) <- Some st.agg
 
 (* Every live neighbor gets the same delta (see [sent]), so it is built
-   and wrapped once per slot, groups ascending, and shared. The neighbor
-   array is walked backwards to match the old fold-left-consed wire
-   order. *)
+   and wrapped once per slot, groups ascending, and shared. *)
 let spread_emit_into st ~wrap ~emit =
   if st.operative then begin
     let entries = ref [] in
@@ -424,10 +399,7 @@ let spread_emit_into st ~wrap ~emit =
           entries := (grp, c) :: !entries
       | Some _ | None -> ()
     done;
-    let wm = wrap (Spread_delta !entries) in
-    for i = Array.length st.nbrs - 1 downto 0 do
-      if not st.disregarded.(i) then emit (global st st.nbrs.(i)) wm
-    done
+    Links.emit_live st.links emit (wrap (Spread_delta !entries))
   end
 
 (* Record the first counts heard per group. Top level, so absorbing a
@@ -441,49 +413,17 @@ let rec absorb_delta bitpacks = function
          | Some _ -> ());
       absorb_delta bitpacks rest
 
-(* Position of local index [l] in [st.nbrs], or -1. Senders arrive in
-   ascending order, so a cursor that only moves forward finds each
-   neighbour in O(1) amortised, and a repeated sender stays on it. A
-   sender not above the entry before the cursor is out of order and
-   falls back to the binary search. *)
-let nbr_position st g l =
-  let nbrs = st.nbrs in
-  let deg = Array.length nbrs in
-  let c = ref st.cursor in
-  while !c < deg && Array.unsafe_get nbrs !c < l do
-    incr c
-  done;
-  let c = !c in
-  st.cursor <- c;
-  if c < deg && Array.unsafe_get nbrs c = l then c
-  else if c = 0 || Array.unsafe_get nbrs (c - 1) < l then -1
-  else Expander.neighbor_index g st.me l
-
-let spread_receive st g src = function
+let spread_receive st src = function
   | Spread_delta entries ->
-      let l = index_in st.sh src in
-      let i = if l >= 0 then nbr_position st g l else -1 in
-      if i >= 0 && not st.disregarded.(i) then begin
-        if not st.heard.(i) then begin
-          st.heard.(i) <- true;
-          st.heard_count <- st.heard_count + 1
-        end;
-        absorb_delta st.bitpacks entries
-      end
+      if Links.hear st.links src then absorb_delta st.bitpacks entries
   | Counts _ | Confirm _ | Result _ | Final _ -> ()
 
 let spread_process st ~slot ~iter =
-  match st.sh.graph with
-  | Some g when st.operative ->
-      Array.fill st.heard 0 (Array.length st.heard) false;
-      st.cursor <- 0;
-      st.heard_count <- 0;
-      iter (spread_receive st g);
-      for i = 0 to Array.length st.heard - 1 do
-        if not st.heard.(i) then st.disregarded.(i) <- true
-      done;
-      if st.heard_count < st.sh.op_threshold then become_inoperative st ~slot
-  | Some _ | None -> ()
+  if st.operative then begin
+    Links.start st.links;
+    iter (spread_receive st);
+    if not (Links.close st.links) then become_inoperative st ~slot
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Vote update (lines 9-12)                                            *)

@@ -44,8 +44,6 @@ type shared = {
           largest member pid *)
   part : Groups.t;
   graph : Expander.t option;
-  delta : int;
-  op_threshold : int;
   stages : int;
   spread_rounds : int;
   epochs : int;

@@ -37,7 +37,7 @@ type state = {
   core : Core.t;
   mutable phase : phase;
   mutable value : int option;  (** disseminated decision, once known *)
-  sent_gossip_to : (int, unit) Hashtbl.t;
+  mutable gossip_sent : bool;  (** the value went to every neighbour *)
   mutable pending_replies : int list;  (** Help senders to answer *)
   mutable broadcast_help : bool;  (** last-resort full Help already sent *)
 }
@@ -82,7 +82,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
         core = Core.create shared ~pid ~input;
         phase = Voting;
         value = None;
-        sent_gossip_to = Hashtbl.create 16;
+        gossip_sent = false;
         pending_replies = [];
         broadcast_help = false;
       }
@@ -124,21 +124,17 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
        gossip sends only the value, once per link: O(n Delta) messages in
        total instead of the omission model's quadratic broadcast. The
        neighbor array is walked backwards to keep the old fold-left-consed
-       wire order; the once-per-link bookkeeping is per-neighbor, so the
-       direction does not change what is sent. *)
+       wire order. *)
     let gossip_emission_into st ~emit =
       match st.value with
-      | None -> ()
-      | Some v ->
+      | Some v when not st.gossip_sent ->
+          st.gossip_sent <- true;
           let gm = Gossip v in
           let nb = Expander.neighbors graph st.pid in
           for i = Array.length nb - 1 downto 0 do
-            let q = nb.(i) in
-            if not (Hashtbl.mem st.sent_gossip_to q) then begin
-              Hashtbl.replace st.sent_gossip_to q ();
-              emit q gm
-            end
+            emit nb.(i) gm
           done
+      | Some _ | None -> ()
 
     let broadcast_into st m ~emit_all =
       emit_all ~lo:0 ~hi:(n - 1) ~skip:st.pid ~desc:false m

@@ -18,14 +18,13 @@
 
 type msg = Val of { v : int; final : bool }
 
-module Int_set = Set.Make (Int)
-
 type state = {
   pid : int;
   n : int;
   t_max : int;
   mutable v : int;
-  mutable heard_prev : Int_set.t option;  (** heard-from set, last round *)
+  mutable heard : Bytes.t;  (** heard-from set, last round, by pid *)
+  mutable spare : Bytes.t;  (** the other set, filled by the next round *)
   mutable decided : int option;
   mutable announced : bool;
 }
@@ -42,7 +41,8 @@ module M = struct
       n = cfg.n;
       t_max = cfg.t_max;
       v = input;
-      heard_prev = None;
+      heard = Bytes.make cfg.n '\000';
+      spare = Bytes.make cfg.n '\000';
       decided = None;
       announced = false;
     }
@@ -50,9 +50,16 @@ module M = struct
   let broadcast_into st m ~emit_all =
     emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false m
 
+  (* Every pid heard in [prev] from byte [i] on is heard in [cur]. *)
+  let rec subset prev cur i =
+    i = Bytes.length prev
+    || Bytes.unsafe_get prev i <= Bytes.unsafe_get cur i
+       && subset prev cur (i + 1)
+
   (* Two passes over the inbox: first scan for a decision announcement,
      stopping at the first, then — absent one — collect the heard-from
-     set and the minimum. *)
+     set and the minimum into the spare set, which then swaps with the
+     last round's. Round 2, the first processed, has no last round. *)
   let process st ~round ~inbox =
     let final = ref None in
     Sim.Mailbox.iter inbox (fun _src (Val { v; final = fin }) ->
@@ -65,16 +72,15 @@ module M = struct
         st.v <- v;
         st.decided <- Some v
     | None ->
-        let heard = ref (Int_set.singleton st.pid) in
+        let cur = st.spare in
+        Bytes.fill cur 0 st.n '\000';
+        Bytes.set cur st.pid '\001';
         Sim.Mailbox.iter inbox (fun src (Val { v; _ }) ->
-            heard := Int_set.add src !heard;
+            Bytes.set cur src '\001';
             if v < st.v then st.v <- v);
-        let clean =
-          match st.heard_prev with
-          | Some prev -> Int_set.subset prev !heard
-          | None -> false
-        in
-        st.heard_prev <- Some !heard;
+        let clean = round > 2 && subset st.heard cur 0 in
+        st.spare <- st.heard;
+        st.heard <- cur;
         if clean || round > st.t_max + 2 then st.decided <- Some st.v
 
   (* One shared message record per broadcast, in ascending destination

@@ -22,15 +22,11 @@
 type msg = Gossip of int  (** the source's value *) | Heartbeat
 
 type state = {
-  pid : int;
-  source : int;
-  rounds : int;
-  graph : Expander.t;
-  op_threshold : int;
+  links : Links.t;
   mutable value : int option;
   mutable operative : bool;
-  sent_value_to : (int, unit) Hashtbl.t;
-  disregarded : (int, unit) Hashtbl.t;
+  mutable value_sent : bool;
+      (** to every live neighbour: see DESIGN.md §6, "one flag per group" *)
   mutable decided : int option;
 }
 
@@ -51,62 +47,40 @@ let protocol_buffered ?(params = Params.default) ?(source = 0)
 
     let init _cfg ~pid ~input =
       {
-        pid;
-        source;
-        rounds;
-        graph;
-        op_threshold = Expander.delta graph / 3;
+        links = Links.create graph pid;
         value = (if pid = source then Some input else None);
         operative = true;
-        sent_value_to = Hashtbl.create 16;
-        disregarded = Hashtbl.create 8;
+        value_sent = false;
         decided = None;
       }
 
+    (* Unlike the spreading of {!Core}, an inoperative process keeps
+       hearing, adopting the value and disregarding silent links. *)
     let receive st ~inbox =
-      let received = Hashtbl.create 16 in
+      Links.start st.links;
       Sim.Mailbox.iter inbox (fun src m ->
-          if
-            Expander.mem_edge st.graph st.pid src
-            && not (Hashtbl.mem st.disregarded src)
-          then begin
-            Hashtbl.replace received src ();
+          if Links.hear st.links src then
             match m with
             | Gossip v -> if st.value = None then st.value <- Some v
-            | Heartbeat -> ()
-          end);
-      Array.iter
-        (fun q ->
-          if
-            (not (Hashtbl.mem st.disregarded q))
-            && not (Hashtbl.mem received q)
-          then Hashtbl.replace st.disregarded q ())
-        (Expander.neighbors st.graph st.pid);
-      if Hashtbl.length received < st.op_threshold then st.operative <- false
+            | Heartbeat -> ());
+      if not (Links.close st.links) then st.operative <- false
 
-    (* The neighbor array is walked backwards to keep the old consed wire
-       order; the once-per-link bookkeeping is per-neighbor, so the
-       direction does not change what each neighbor receives. *)
     let step_into _cfg st ~round ~inbox ~rand:_ ~emit ~emit_all:_ =
       if round > 1 then receive st ~inbox;
-      if round > st.rounds then begin
+      if round > rounds then begin
         if st.decided = None then
           st.decided <- Some (match st.value with Some v -> v | None -> 0)
       end
       else if st.operative then begin
-        (* one shared Gossip record for every first-time link this round *)
-        let gm = match st.value with Some v -> Gossip v | None -> Heartbeat in
-        let nb = Expander.neighbors st.graph st.pid in
-        for i = Array.length nb - 1 downto 0 do
-          let q = nb.(i) in
-          if not (Hashtbl.mem st.disregarded q) then begin
-            match st.value with
-            | Some _ when not (Hashtbl.mem st.sent_value_to q) ->
-                Hashtbl.replace st.sent_value_to q ();
-                emit q gm
-            | Some _ | None -> emit q Heartbeat
-          end
-        done
+        (* one shared record for every live neighbour *)
+        let m =
+          match st.value with
+          | Some v when not st.value_sent ->
+              st.value_sent <- true;
+              Gossip v
+          | Some _ | None -> Heartbeat
+        in
+        Links.emit_live st.links emit m
       end;
       st
 

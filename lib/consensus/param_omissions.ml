@@ -41,7 +41,7 @@ type state = {
   mutable consensus_decision : int option;
   mutable b : int;
   mutable operative : bool;
-  disregarded : (int, unit) Hashtbl.t;
+  links : Links.t;  (** decision-flood links on the global expander *)
   mutable decided_flag : bool;
   mutable got_final : bool;
   mutable pk : Phase_king.t option;
@@ -91,7 +91,6 @@ type plan = {
   lay : layout;
   sub_shared : Core.shared array;
   graph : Expander.t;
-  op_threshold : int;
 }
 
 let make_plan ~params (cfg : Sim.Config.t) ~x =
@@ -109,7 +108,7 @@ let make_plan ~params (cfg : Sim.Config.t) ~x =
     Expander.create_good ~attempts:params.Params.graph_attempts ~n ~delta
       ~seed:(Int64.of_int (cfg.Sim.Config.seed + 0xF100D)) ()
   in
-  { lay; sub_shared; graph; op_threshold = Expander.delta graph / 3 }
+  { lay; sub_shared; graph }
 
 let iter_empty _f = ()
 
@@ -136,7 +135,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         consensus_decision = None;
         b = input;
         operative = true;
-        disregarded = Hashtbl.create 8;
+        links = Links.create p.graph pid;
         decided_flag = false;
         got_final = false;
         pk = None;
@@ -162,50 +161,28 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
           | Pk_msg pm -> f src pm
           | Sub _ | Flood _ | Safety_vote _ | Safety_final _ | Decided _ -> ())
 
-    (* Flood-round inbox processing: adopt the first flooded decision,
-       disregard silent neighbors, drop to inoperative below Delta/3
-       (lines 9-12 of Algorithm 4). *)
+    (* Flood-round inbox processing (lines 9-12 of Algorithm 4): adopt
+       the first flooded decision under the link rule of {!Links}. *)
     let process_flood st ~iter =
       if st.operative then begin
-        let received = Hashtbl.create 16 in
+        Links.start st.links;
         iter (fun src m ->
             match m with
-            | Flood d ->
-                if
-                  Expander.mem_edge p.graph st.pid src
-                  && not (Hashtbl.mem st.disregarded src)
-                then begin
-                  Hashtbl.replace received src ();
+            | Flood d -> (
+                if Links.hear st.links src then
                   match (st.consensus_decision, d) with
                   | None, Some v -> st.consensus_decision <- Some v
-                  | _ -> ()
-                end
+                  | _ -> ())
             | Sub _ | Safety_vote _ | Safety_final _ | Pk_msg _ | Decided _
               ->
                 ());
-        Array.iter
-          (fun q ->
-            if
-              (not (Hashtbl.mem st.disregarded q))
-              && not (Hashtbl.mem received q)
-            then Hashtbl.replace st.disregarded q ())
-          (Expander.neighbors p.graph st.pid);
-        if Hashtbl.length received < p.op_threshold then
-          st.operative <- false
+        if not (Links.close st.links) then st.operative <- false
       end
 
-    (* The neighbor array is walked backwards to keep the old fold-consed
-       wire order; the disregarded test is per-neighbor, so the direction
-       does not change what each neighbor receives. One shared record. *)
+    (* One shared record for every live neighbour. *)
     let flood_emission_into st ~emit =
-      if st.operative then begin
-        let fm = Flood st.consensus_decision in
-        let nb = Expander.neighbors p.graph st.pid in
-        for i = Array.length nb - 1 downto 0 do
-          let q = nb.(i) in
-          if not (Hashtbl.mem st.disregarded q) then emit q fm
-        done
-      end
+      if st.operative then
+        Links.emit_live st.links emit (Flood st.consensus_decision)
 
     (* Line 13: adopt the flooded decision as the candidate for the next
        phase; reset the per-phase flood slate. *)

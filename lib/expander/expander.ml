@@ -26,8 +26,7 @@ let degree t v = Array.length t.adj.(v)
 (* Binary search as a loop: a local [let rec] capturing [a] and [v]
    would allocate a closure per call, once per received spreading
    message. *)
-let neighbor_index t u v =
-  let a = t.adj.(u) in
+let index_sorted a v =
   let lo = ref 0 and hi = ref (Array.length a) and found = ref (-1) in
   while !found < 0 && !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -36,6 +35,7 @@ let neighbor_index t u v =
   done;
   !found
 
+let neighbor_index t u v = index_sorted t.adj.(u) v
 let mem_edge t u v = neighbor_index t u v >= 0
 
 let edge_count t =

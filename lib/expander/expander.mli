@@ -19,9 +19,12 @@ val neighbors : t -> int -> int array
 
 val degree : t -> int -> int
 
+val index_sorted : int array -> int -> int
+(** Position of [v] in the ascending array, or -1; binary search. *)
+
 val neighbor_index : t -> int -> int -> int
 (** [neighbor_index g u v] — the position of [v] in [neighbors g u], or -1
-    if there is no edge; binary search, O(log degree). *)
+    if there is no edge: {!index_sorted} on the adjacency list. *)
 
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v] is [neighbor_index g u v >= 0]. *)

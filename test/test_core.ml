@@ -301,10 +301,15 @@ let test_msg_bits () =
    its neighbours (every other one, enough to stay operative) in
    ascending, descending and shuffled order, each time with one sender
    repeated, one member that is not a neighbour and one pid outside the
-   instance. Its next emission must go to exactly [s]. *)
+   instance. Its next emission must go to exactly [s]. The same senders
+   go straight into a [Links.t] of that process, addressed through a
+   scattered pid map: [hear] must accept exactly [s], and [emit_live]
+   must reach [s] in descending order, also after a second slot in which
+   every neighbour speaks. *)
 let test_spread_lookup_order () =
   let m = 96 and target = 5 in
   let sh = make_shared m in
+  let g = Option.get sh.Core.graph in
   let first_spread =
     let k = ref 0 in
     while sh.Core.schedule.(!k) <> Core.Spread 1 do
@@ -312,29 +317,26 @@ let test_spread_lookup_order () =
     done;
     !k + 1
   in
-  let nbrs =
-    Expander.neighbors (Option.get sh.Core.graph) target |> Array.to_list
-  in
+  let nbrs = Expander.neighbors g target |> Array.to_list in
   let s = List.filteri (fun i _ -> i mod 2 = 0) nbrs in
   let stranger =
     List.find
       (fun q -> q <> target && not (List.mem q nbrs))
       (List.init m Fun.id)
   in
+  let senders order =
+    let srcs = order s in
+    let dup = List.nth srcs (List.length srcs / 2) in
+    List.concat_map
+      (fun q -> if q = dup then [ q; q; stranger ] else [ q ])
+      srcs
+    @ [ m + 3 ]
+  in
   let emitted order =
     let sts, _, rand =
       run_slots sh ~inputs:(fun pid -> pid mod 2) ~upto:first_spread
     in
-    let hb src = (src, Core.Spread_delta []) in
-    let srcs = order s in
-    let dup = List.nth srcs (List.length srcs / 2) in
-    let inbox =
-      List.concat_map
-        (fun q ->
-          if q = dup then [ hb q; hb q; hb stranger ] else [ hb q ])
-        srcs
-      @ [ hb (m + 3) ]
-    in
+    let inbox = List.map (fun q -> (q, Core.Spread_delta [])) (senders order) in
     let out = ref [] in
     let emit dst _ = out := dst :: !out in
     Core.step_into sts.(target) ~slot:(first_spread + 1) ~iter:(iter inbox)
@@ -342,6 +344,25 @@ let test_spread_lookup_order () =
       ~emit_all:(Sim.Protocol_intf.emit_all_pointwise emit);
     Alcotest.(check bool) "still operative" true (Core.operative sts.(target));
     List.sort compare !out
+  in
+  let pid u = (3 * u) + 1 in
+  let linked order =
+    let l = Consensus.Links.create ~pids:(Array.init m pid) g target in
+    let slot srcs =
+      Consensus.Links.start l;
+      let heard =
+        List.filter (fun q -> Consensus.Links.hear l (pid q)) srcs
+      in
+      Alcotest.(check bool) "keeps the status" true (Consensus.Links.close l);
+      Alcotest.(check (list int)) "hears the live senders" s
+        (List.sort_uniq compare heard);
+      let out = ref [] in
+      Consensus.Links.emit_live l (fun dst () -> out := dst :: !out) ();
+      Alcotest.(check (list int)) "emits to the live links, descending"
+        (List.map pid s) !out
+    in
+    slot (senders order);
+    slot nbrs
   in
   let shuffle l =
     let a = Array.of_list l in
@@ -357,7 +378,8 @@ let test_spread_lookup_order () =
   List.iter
     (fun (what, order) ->
       Alcotest.(check (list int)) (what ^ ": emits to the senders heard") s
-        (emitted order))
+        (emitted order);
+      linked order)
     [ ("ascending", Fun.id); ("descending", List.rev); ("shuffled", shuffle) ]
 
 (* The loop form of [Params.log2_ceil] against its former recursive
