@@ -29,4 +29,5 @@ let () =
     ("jsonl", Test_jsonl.suite);
     ("codec", Test_codec.suite);
     ("reference", Test_reference.suite);
+    ("fallback", Test_fallback.suite);
     ]
