@@ -20,10 +20,9 @@
 
 type msg =
   | Core_msg of Core.msg
-  | Gossip of int  (** disseminated decision *)
+  | Gossip of int  (** disseminated decision, also the reply to Help *)
   | Help  (** straggler request *)
-  | Pk_msg of Phase_king.msg
-  | Decided of int
+  | Pk_msg of Phase_king.msg  (** the fallback tail *)
 
 type phase =
   | Voting
@@ -45,10 +44,17 @@ type state = {
 let iter_empty _f = ()
 
 (* Top level, so the voting path passes [core_msg] without building a
-   closure; the fallback's [emit_all_pk emit_all] builds one per step. *)
+   closure. *)
 let core_msg m = Core_msg m
-let emit_all_pk emit_all ~lo ~hi ~skip ~desc m =
-  emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
+
+let wire =
+  {
+    Phase_king.wrap = (fun m -> Pk_msg m);
+    unwrap =
+      (function
+      | Pk_msg m -> m
+      | Core_msg _ | Gossip _ | Help -> Phase_king.Other);
+  }
 
 let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
     Sim.Protocol_intf.buffered =
@@ -62,7 +68,6 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
   let core_rounds = Core.rounds shared in
   let gossip_rounds = 2 * Params.log2_ceil n in
   let help_rounds = 2 * Params.log2_ceil n in
-  let pk_rounds = Phase_king.rounds ~t_max in
   let decide_round = core_rounds + gossip_rounds + 1 in
   let graph =
     match shared.Core.graph with
@@ -93,20 +98,15 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
       iter (fun src m ->
           match m with
           | Core_msg cm -> f src cm
-          | Gossip _ | Help | Pk_msg _ | Decided _ -> ())
-
-    let pk_iter iter f =
-      iter (fun src m ->
-          match m with
-          | Pk_msg pm -> f src pm
-          | Core_msg _ | Gossip _ | Help | Decided _ -> ())
+          | Gossip _ | Help | Pk_msg _ -> ())
 
     (* Adopt gossiped/decided values and collect Help requests, at any
        point of the run. *)
     let absorb st ~iter =
       iter (fun src m ->
           match m with
-          | Gossip v | Decided v -> if st.value = None then st.value <- Some v
+          | Gossip v | Pk_msg (Phase_king.Decided v) ->
+              if st.value = None then st.value <- Some v
           | Help -> st.pending_replies <- src :: st.pending_replies
           | Core_msg _ | Pk_msg _ -> ())
 
@@ -116,7 +116,7 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
       | Some v ->
           (* pending_replies holds Help senders newest-first — the order
              the old list path answered them in; one shared reply record *)
-          let reply = Decided v in
+          let reply = Gossip v in
           List.iter (fun dst -> emit dst reply) st.pending_replies);
       st.pending_replies <- []
 
@@ -163,33 +163,23 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
           match st.value with
           | Some v -> st.phase <- Done v
           | None ->
-              if Core.operative st.core then begin
-                let pk =
-                  Phase_king.create ~n ~t_max ~pid:st.pid ~participating:true
-                    ~input:(Core.candidate st.core)
-                in
-                Phase_king.step_into pk ~local_round:1 ~iter:iter_empty
-                  ~emit_all:(emit_all_pk emit_all);
-                st.phase <- Fallback pk
-              end
-              else st.phase <- Waiting)
-      | Fallback pk ->
-          let local_round = round - decide_round in
-          if local_round <= pk_rounds - 1 then
-            Phase_king.step_into pk ~local_round:(local_round + 1)
-              ~iter:(pk_iter iter) ~emit_all:(emit_all_pk emit_all)
-          else begin
-            let pk = Phase_king.finalize_into pk ~iter:(pk_iter iter) in
-            match Phase_king.decision pk with
-            | Some v ->
-                st.value <- Some v;
-                st.phase <- Done v;
-                broadcast_into st (Decided v) ~emit_all
-            | None ->
-                (* terminal hand-off: the help/reply exchange recovers the
-                   value — a decided process always exists in-model *)
-                st.phase <- Waiting
-          end
+              st.phase <-
+                (if Core.operative st.core then
+                   Fallback
+                     (Phase_king.start wire ~n ~t_max ~pid:st.pid
+                        ~participating:true ~input:(Core.candidate st.core)
+                        ~emit_all)
+                 else Waiting))
+      | Fallback pk -> (
+          match Phase_king.advance wire pk ~inbox ~emit_all with
+          | Decides v ->
+              st.value <- Some v;
+              st.phase <- Done v
+          | Undecided ->
+              (* terminal hand-off: the help/reply exchange recovers the
+                 value — a decided process always exists in-model *)
+              st.phase <- Waiting
+          | Running -> ())
       | Waiting -> (
           match st.value with
           | Some v -> st.phase <- Done v
@@ -220,14 +210,14 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
 
     let msg_bits = function
       | Core_msg m -> Core.msg_bits shared m
-      | Gossip _ | Decided _ -> 2
+      | Gossip _ -> 2
       | Help -> 1
       | Pk_msg m -> Phase_king.msg_bits m
 
     let msg_hint = function
       | Core_msg m -> Core.msg_hint m
-      | Gossip v | Decided v -> Some v
-      | Pk_msg (Phase_king.Value v) | Pk_msg (Phase_king.King v) -> Some v
+      | Gossip v -> Some v
+      | Pk_msg m -> Phase_king.msg_hint m
       | Help -> None
   end in
   (module M : Sim.Protocol_intf.BUFFERED)

@@ -56,17 +56,19 @@ module M = struct
     st.to_relay <- [ (input, Auth.sign ~signer:pid ~payload:input ~chain:[]) ];
     st
 
+  (* Only an unseen (origin, value) pair can change the state, so the
+     accepted byte is tested before the O(L) chain checks. *)
   let accept st ~round ~value ~chain =
     let origin = Auth.origin chain in
-    if
-      origin >= 0
-      && Auth.length chain = round - 1
-      && (not (Auth.signed_by st.pid chain))
-      && Auth.valid_chain ~payload:value chain
-    then begin
+    if origin >= 0 then begin
       let known = Char.code (Bytes.get st.accepted origin) in
       let bit = 1 lsl value in
-      if known land bit = 0 then begin
+      if
+        known land bit = 0
+        && Auth.length chain = round - 1
+        && (not (Auth.signed_by st.pid chain))
+        && Auth.valid_chain ~payload:value chain
+      then begin
         Bytes.set st.accepted origin (Char.chr (known lor bit));
         if round <= st.t_max + 1 then
           st.to_relay <-

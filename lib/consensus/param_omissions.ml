@@ -15,12 +15,8 @@
     turns that whp-agreement into probability-1 agreement, falling back to
     the deterministic {!Phase_king} in the polynomially-unlikely residue.
 
-    The phase-king residue (a fallback participant that heard nothing —
-    only an eclipsed faulty process in-model) is resolved one round after
-    the fallback finalize: adopt the first [Decided] broadcast, otherwise
-    self-decide the phase-king working value. Without that step an
-    undecided participant would never terminate, since the safety-rule
-    deciders of line 26 broadcast nothing further.
+    The fallback, its line-18 broadcast and its residue round are the
+    {!Phase_king} tail.
 
     Randomness: only the sub-runs flip coins — x runs of size n/x cost
     ~x (n/x)^{3/2} = n^2 / T random bits at T ~ sqrt(n x) rounds, the
@@ -31,8 +27,7 @@ type msg =
   | Flood of int option  (** flooded consensus decision; None = heartbeat *)
   | Safety_vote of int
   | Safety_final of int
-  | Pk_msg of Phase_king.msg
-  | Decided of int
+  | Pk_msg of Phase_king.msg  (** the fallback tail, line 28 on *)
 
 type state = {
   pid : int;
@@ -44,7 +39,7 @@ type state = {
   links : Links.t;  (** decision-flood links on the global expander *)
   mutable decided_flag : bool;
   mutable got_final : bool;
-  mutable pk : Phase_king.t option;
+  mutable fallback : Phase_king.t option;
   mutable decision : int option;
 }
 
@@ -60,7 +55,6 @@ type layout = {
   core_len : int array;  (** sub-run schedule length, per super-process *)
   phase_core_len : int;
   phase_len : int;
-  pk_rounds : int;
   safety_start : int;  (** global round of the safety-vote emission *)
 }
 
@@ -83,7 +77,6 @@ let layout ~params (cfg : Sim.Config.t) ~x =
     core_len;
     phase_core_len;
     phase_len;
-    pk_rounds = Phase_king.rounds ~t_max:cfg.Sim.Config.t_max;
     safety_start = (x * phase_len) + 1;
   }
 
@@ -110,10 +103,14 @@ let make_plan ~params (cfg : Sim.Config.t) ~x =
   in
   { lay; sub_shared; graph }
 
-let iter_empty _f = ()
-
-let emit_all_pk emit_all ~lo ~hi ~skip ~desc m =
-  emit_all ~lo ~hi ~skip ~desc (Pk_msg m)
+let wire =
+  {
+    Phase_king.wrap = (fun m -> Pk_msg m);
+    unwrap =
+      (function
+      | Pk_msg m -> m
+      | Sub _ | Flood _ | Safety_vote _ | Safety_final _ -> Phase_king.Other);
+  }
 
 let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
     Sim.Protocol_intf.buffered =
@@ -138,7 +135,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         links = Links.create p.graph pid;
         decided_flag = false;
         got_final = false;
-        pk = None;
+        fallback = None;
         decision = None;
       }
 
@@ -151,15 +148,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
       iter (fun src m ->
           match m with
           | Sub (i, cm) when i = phase -> f src cm
-          | Sub _ | Flood _ | Safety_vote _ | Safety_final _ | Pk_msg _
-          | Decided _ ->
-              ())
-
-    let pk_iter iter f =
-      iter (fun src m ->
-          match m with
-          | Pk_msg pm -> f src pm
-          | Sub _ | Flood _ | Safety_vote _ | Safety_final _ | Decided _ -> ())
+          | Sub _ | Flood _ | Safety_vote _ | Safety_final _ | Pk_msg _ -> ())
 
     (* Flood-round inbox processing (lines 9-12 of Algorithm 4): adopt
        the first flooded decision under the link rule of {!Links}. *)
@@ -173,9 +162,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
                   match (st.consensus_decision, d) with
                   | None, Some v -> st.consensus_decision <- Some v
                   | _ -> ())
-            | Sub _ | Safety_vote _ | Safety_final _ | Pk_msg _ | Decided _
-              ->
-                ());
+            | Sub _ | Safety_vote _ | Safety_final _ | Pk_msg _ -> ());
         if not (Links.close st.links) then st.operative <- false
       end
 
@@ -211,7 +198,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         iter (fun _src m ->
             match m with
             | Safety_vote v -> c.(v) <- c.(v) + 1
-            | Sub _ | Flood _ | Safety_final _ | Pk_msg _ | Decided _ -> ());
+            | Sub _ | Flood _ | Safety_final _ | Pk_msg _ -> ());
         st.b <- Voting.update_deterministic ~ones:c.(1) ~zeros:c.(0) ~current:st.b;
         if Voting.ready ~ones:c.(1) ~zeros:c.(0) then st.decided_flag <- true
       end
@@ -222,8 +209,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         iter (fun _src m ->
             match m with
             | Safety_final v when !adopted = None -> adopted := Some v
-            | Safety_final _ | Sub _ | Flood _ | Safety_vote _ | Pk_msg _
-            | Decided _ ->
+            | Safety_final _ | Sub _ | Flood _ | Safety_vote _ | Pk_msg _ ->
                 ());
         match !adopted with
         | Some v ->
@@ -232,14 +218,6 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
         | None -> ()
       end
       else st.got_final <- true
-
-    let adopt_decided st ~iter =
-      iter (fun _src m ->
-          match m with
-          | Decided v when st.decision = None -> st.decision <- Some v
-          | Decided _ | Sub _ | Flood _ | Safety_vote _ | Safety_final _
-          | Pk_msg _ ->
-              ())
 
     let step_into _cfg st ~round ~inbox ~rand ~emit ~emit_all =
       let iter f = Sim.Mailbox.iter inbox f in
@@ -287,41 +265,22 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
           process_safety_final st ~iter;
           if st.decided_flag || ((not st.operative) && st.got_final) then
             st.decision <- Some st.b
-          else if st.operative then begin
-            (* line 28: deterministic fallback among operative undecided *)
-            let pk =
-              Phase_king.create ~n ~t_max:cfg.Sim.Config.t_max ~pid:st.pid
-                ~participating:true ~input:st.b
-            in
-            Phase_king.step_into pk ~local_round:1 ~iter:iter_empty
-              ~emit_all:(emit_all_pk emit_all);
-            st.pk <- Some pk
-          end
+          else
+            (* line 28: deterministic fallback among operative undecided;
+               the rest wait for its line-18 decision *)
+            st.fallback <-
+              Some
+                (Phase_king.start wire ~n ~t_max:cfg.Sim.Config.t_max
+                   ~pid:st.pid ~participating:st.operative ~input:st.b
+                   ~emit_all)
         end
-        else begin
-          match st.pk with
-          | Some pk when s <= l.pk_rounds + 1 ->
-              Phase_king.step_into pk ~local_round:(s - 1)
-                ~iter:(pk_iter iter) ~emit_all:(emit_all_pk emit_all)
-          | Some pk when s = l.pk_rounds + 2 -> (
-              let pk = Phase_king.finalize_into pk ~iter:(pk_iter iter) in
-              st.pk <- Some pk;
-              match Phase_king.decision pk with
-              | Some v ->
-                  st.decision <- Some v;
-                  broadcast_into st (Decided v) ~emit_all
-              | None -> ())
-          | Some pk when s = l.pk_rounds + 3 ->
-              (* undecided residue: the safety-rule deciders of line 26
-                 never broadcast again, so adopt a fallback decider's
-                 [Decided] if one arrived, else self-decide the phase-king
-                 working value — fallback decisions come from the same
-                 line-15 adoption, so the values agree *)
-              adopt_decided st ~iter;
-              if st.decision = None then
-                st.decision <- Some (Phase_king.value pk)
-          | Some _ | None -> adopt_decided st ~iter
-        end
+        else
+          match st.fallback with
+          | Some pk -> (
+              match Phase_king.advance wire pk ~inbox ~emit_all with
+              | Decides v -> st.decision <- Some v
+              | Running | Undecided -> ())
+          | None -> ()
       end;
       st
 
@@ -338,20 +297,19 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
       | Safety_vote _ -> 2
       | Safety_final _ -> 2
       | Pk_msg m -> Phase_king.msg_bits m
-      | Decided _ -> 2
 
     let msg_hint = function
       | Sub (_, m) -> Core.msg_hint m
       | Flood d -> d
-      | Safety_vote v | Safety_final v | Decided v -> Some v
-      | Pk_msg (Phase_king.Value v) | Pk_msg (Phase_king.King v) -> Some v
+      | Safety_vote v | Safety_final v -> Some v
+      | Pk_msg m -> Phase_king.msg_hint m
   end in
   (module M : Sim.Protocol_intf.BUFFERED)
 
 (** Total schedule length, for sizing [Config.max_rounds]. *)
 let rounds_needed ?(params = Params.default) ~x (cfg : Sim.Config.t) =
   let l = layout ~params cfg ~x in
-  l.safety_start + 2 + l.pk_rounds + 4
+  l.safety_start + 2 + Phase_king.rounds ~t_max:cfg.Sim.Config.t_max + 4
 
 let builder ?params ~x () : Sim.Protocol_intf.builder =
   (module struct

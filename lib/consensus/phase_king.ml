@@ -24,13 +24,11 @@
 
     A participant that hears *nothing* for the whole run (possible only for
     a faulty process fully eclipsed by the adversary) ends with
-    [decision = None] rather than fabricating a decision from its own echo —
-    the caller owns the residue (Algorithm 1 lines 18-19 resolve it by
-    adopting a broadcast decision). Inboxes are consumed through iterators,
-    so a caller can hand in a filtered view of its own mailbox without
-    building an intermediate list. *)
+    [decision = None] rather than fabricating a decision from its own echo;
+    the tail below ({!start}, {!advance}) resolves it. Inboxes are consumed
+    through iterators, so no intermediate list is built. *)
 
-type msg = Value of int | King of int
+type msg = Value of int | King of int | Decided of int | Other
 
 type t = {
   n : int;
@@ -42,6 +40,7 @@ type t = {
   mutable strong : bool;
   mutable heard : bool;  (** received any fallback message this run *)
   mutable decision : int option;
+  mutable round : int;  (** the tail's local round; 0 outside a tail *)
 }
 
 let phases ~t_max = (4 * t_max) + 2
@@ -62,12 +61,13 @@ let create ~n ~t_max ~pid ~participating ~input =
     strong = false;
     heard = false;
     decision = None;
+    round = 0;
   }
 
 let king_of_phase st phase = phase mod st.n
 
-let broadcast_into st m ~emit_all =
-  emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false m
+let broadcast_into st m ~wrap ~emit_all =
+  emit_all ~lo:0 ~hi:(st.n - 1) ~skip:st.pid ~desc:false (wrap m)
 
 (* Adoption rule executed on entry to a phase, consuming the previous
    phase's king message. *)
@@ -82,7 +82,7 @@ let adopt st ~prev_phase ~iter =
           | King v when src = king ->
               st.heard <- true;
               if !acc = None then acc := Some v
-          | King _ | Value _ -> ());
+          | King _ | Value _ | Decided _ | Other -> ());
       !acc
     end
   in
@@ -101,7 +101,7 @@ let count st ~iter =
       | Value v ->
           st.heard <- true;
           c.(v) <- c.(v) + 1
-      | King _ -> ());
+      | King _ | Decided _ | Other -> ());
   let m_p = c.(0) + c.(1) in
   let maj = if c.(1) >= c.(0) then 1 else 0 in
   st.maj <- (if m_p = 0 then st.v else maj);
@@ -111,18 +111,18 @@ let count st ~iter =
     broadcast values (and first apply the previous king's verdict); even
     rounds count and let the king speak. The inbox is consumed through
     [iter]; every emission is a full broadcast (ascending destination
-    order, one shared message record) handed to [emit_all]. *)
-let step_into st ~local_round ~iter ~emit_all =
+    order, one shared message record) of one [wrap]ped record. *)
+let step_into st ~local_round ~iter ~wrap ~emit_all =
   if st.participating then begin
     let phase = (local_round - 1) / 2 in
     if local_round mod 2 = 1 then begin
       if phase > 0 then adopt st ~prev_phase:(phase - 1) ~iter;
-      broadcast_into st (Value st.v) ~emit_all
+      broadcast_into st (Value st.v) ~wrap ~emit_all
     end
     else begin
       count st ~iter;
       if king_of_phase st phase = st.pid then
-        broadcast_into st (King st.maj) ~emit_all
+        broadcast_into st (King st.maj) ~wrap ~emit_all
     end
   end
 
@@ -136,10 +136,67 @@ let finalize_into st ~iter =
   end;
   st
 
+(* The step-or-finalize choice: local rounds 1 .. [rounds] step, the
+   round after them finalizes, later rounds do nothing. *)
+let drive st ~local_round ~iter ~wrap ~emit_all =
+  let last = rounds ~t_max:st.t_max in
+  if local_round <= last then step_into st ~local_round ~iter ~wrap ~emit_all
+  else if local_round = last + 1 then ignore (finalize_into st ~iter : t)
+
 let decision st = st.decision
 let value st = st.v
 let heard st = st.heard
-let msg_bits = function Value _ -> 2 | King _ -> 2
+let msg_bits = function Value _ | King _ | Decided _ -> 2 | Other -> 0
+
+let msg_hint = function
+  | Value v | King v | Decided v -> Some v
+  | Other -> None
+
+(* --- the tail of Algorithm 1 (lines 17-19) --- *)
+
+type 'm wire = { wrap : msg -> 'm; unwrap : 'm -> msg }
+type outcome = Running | Decides of int | Undecided
+
+let no_messages _f = ()
+
+let start w ~n ~t_max ~pid ~participating ~input ~emit_all =
+  let st = create ~n ~t_max ~pid ~participating ~input in
+  st.round <- 1;
+  drive st ~local_round:1 ~iter:no_messages ~wrap:w.wrap ~emit_all;
+  st
+
+(* Line 19: the first [Decided] in the inbox; the read stops there. *)
+let first_decided w inbox =
+  let first = ref None in
+  Sim.Mailbox.iter inbox (fun _src m ->
+      match w.unwrap m with
+      | Decided v ->
+          first := Some v;
+          raise_notrace Sim.Mailbox.Stop
+      | Value _ | King _ | Other -> ());
+  !first
+
+let advance w st ~inbox ~emit_all =
+  st.round <- st.round + 1;
+  let last = rounds ~t_max:st.t_max in
+  if not st.participating then
+    match first_decided w inbox with Some v -> Decides v | None -> Running
+  else if st.round <= last + 1 then begin
+    let iter f = Sim.Mailbox.iter inbox (fun src m -> f src (w.unwrap m)) in
+    drive st ~local_round:st.round ~iter ~wrap:w.wrap ~emit_all;
+    if st.round <= last then Running
+    else
+      match st.decision with
+      | Some v ->
+          (* line 18: the fallback decider broadcasts its decision *)
+          broadcast_into st (Decided v) ~wrap:w.wrap ~emit_all;
+          Decides v
+      | None -> Undecided
+  end
+  else
+    (* the residue round: adopt a line-18 decision if one arrived, else
+       self-decide the working value *)
+    Decides (Option.value (first_decided w inbox) ~default:st.v)
 
 (* --- standalone protocol wrapper --- *)
 
@@ -160,12 +217,9 @@ module M = struct
   let init (cfg : Sim.Config.t) ~pid ~input =
     create ~n:cfg.n ~t_max:cfg.t_max ~pid ~participating:true ~input
 
-  let step_into (cfg : Sim.Config.t) st ~round ~inbox ~rand:_ ~emit:_
-      ~emit_all =
-    let last = rounds ~t_max:cfg.t_max in
+  let step_into _cfg st ~round ~inbox ~rand:_ ~emit:_ ~emit_all =
     let iter f = Sim.Mailbox.iter inbox f in
-    if round <= last then step_into st ~local_round:round ~iter ~emit_all
-    else if round = last + 1 then ignore (finalize_into st ~iter : t);
+    drive st ~local_round:round ~iter ~wrap:Fun.id ~emit_all;
     st
 
   let observe st =
@@ -176,7 +230,7 @@ module M = struct
     }
 
   let msg_bits = msg_bits
-  let msg_hint = function Value v -> Some v | King v -> Some v
+  let msg_hint = msg_hint
 end
 
 let protocol_buffered (_cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =

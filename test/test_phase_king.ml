@@ -91,20 +91,42 @@ let test_pk_survives_vote_splitter () =
 let iter inbox f = List.iter (fun (src, m) -> f src m) inbox
 let ignore_all ~lo:_ ~hi:_ ~skip:_ ~desc:_ _ = ()
 
-let test_pk_undecided_residue () =
-  (* a participant that hears nothing across the whole fallback run ends
-     with [decision = None] instead of echoing its own input — the caller
-     owns that residue (Algorithm 1 lines 18-19) *)
+(* A lone participant (pid 3 of 7, t = 1, input 1) run through every
+   local round on [inbox lr], then finalized on an empty inbox. *)
+let lone_participant inbox =
   let t_max = 1 in
   let pk =
     Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
       ~input:1
   in
   for lr = 1 to Consensus.Phase_king.rounds ~t_max do
-    Consensus.Phase_king.step_into pk ~local_round:lr ~iter:(iter [])
-      ~emit_all:ignore_all
+    Consensus.Phase_king.step_into pk ~local_round:lr ~iter:(iter (inbox lr))
+      ~wrap:Fun.id ~emit_all:ignore_all
   done;
-  let fin = Consensus.Phase_king.finalize_into pk ~iter:(iter []) in
+  Consensus.Phase_king.finalize_into pk ~iter:(iter [])
+
+let test_pk_undecided_residue () =
+  (* a participant that hears nothing across the whole fallback run ends
+     with [decision = None] instead of echoing its own input — the tail's
+     residue round resolves it (Algorithm 1 lines 18-19) *)
+  let fin = lone_participant (fun _ -> []) in
+  Alcotest.(check bool) "never heard" false (Consensus.Phase_king.heard fin);
+  Alcotest.(check (option int))
+    "undecided residue" None
+    (Consensus.Phase_king.decision fin);
+  Alcotest.(check int) "working value preserved" 1
+    (Consensus.Phase_king.value fin)
+
+let test_pk_decided_not_heard () =
+  (* line-18 [Decided] broadcasts and a caller's own messages ([Other])
+     share the inbox with the phase-king run but are not part of it: they
+     must not count as heard, or the residue would change *)
+  let fin =
+    lone_participant (fun _ ->
+        [
+          (0, Consensus.Phase_king.Decided 0); (1, Consensus.Phase_king.Other);
+        ])
+  in
   Alcotest.(check bool) "never heard" false (Consensus.Phase_king.heard fin);
   Alcotest.(check (option int))
     "undecided residue" None
@@ -114,17 +136,10 @@ let test_pk_undecided_residue () =
 
 let test_pk_heard_decides () =
   (* a single received fallback message is enough to clear the residue *)
-  let t_max = 1 in
-  let pk =
-    Consensus.Phase_king.create ~n:7 ~t_max ~pid:3 ~participating:true
-      ~input:1
+  let fin =
+    lone_participant (fun lr ->
+        if lr = 2 then [ (0, Consensus.Phase_king.Value 0) ] else [])
   in
-  for lr = 1 to Consensus.Phase_king.rounds ~t_max do
-    let inbox = if lr = 2 then [ (0, Consensus.Phase_king.Value 0) ] else [] in
-    Consensus.Phase_king.step_into pk ~local_round:lr ~iter:(iter inbox)
-      ~emit_all:ignore_all
-  done;
-  let fin = Consensus.Phase_king.finalize_into pk ~iter:(iter []) in
   Alcotest.(check bool) "heard" true (Consensus.Phase_king.heard fin);
   Alcotest.(check bool) "decided" true
     (Consensus.Phase_king.decision fin <> None)
@@ -188,6 +203,8 @@ let suite =
       test_pk_survives_vote_splitter;
     Alcotest.test_case "phase-king undecided residue" `Quick
       test_pk_undecided_residue;
+    Alcotest.test_case "phase-king ignores Decided and Other" `Quick
+      test_pk_decided_not_heard;
     Alcotest.test_case "phase-king heard clears residue" `Quick
       test_pk_heard_decides;
     Alcotest.test_case "dolev-strong fault-free rounds" `Quick

@@ -113,7 +113,7 @@ let run_phase_king ~n ~t_max ~participating ~inputs =
     let next = Array.make n [] in
     Array.iteri
       (fun pid st ->
-        Consensus.Phase_king.step_into st ~local_round:r
+        Consensus.Phase_king.step_into st ~local_round:r ~wrap:Fun.id
           ~iter:(iter inboxes.(pid))
           ~emit_all:
             (Sim.Protocol_intf.emit_all_pointwise (fun dst m ->
