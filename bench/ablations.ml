@@ -138,11 +138,9 @@ let abl_epochs ~quick () =
             ~adversary:(Adversary.vote_splitter ())
         in
         (* compute the voting-phase length for this parameterization *)
-        let members = Array.init n (fun i -> i) in
-        let sh =
-          Consensus.Core.make_shared ~members ~seed:1 ~params ~t_max:t ()
+        let voting_end =
+          Consensus.Core.schedule_length ~params ~t_max:t n + 1
         in
-        let voting_end = Consensus.Core.rounds sh + 1 in
         (m, m.rounds > voting_end))
   in
   List.iter

@@ -437,10 +437,10 @@ let b3 ~quick () =
         let inputs = Array.init n (fun i -> i mod 2) in
         let adversary = Adversary.staggered_crash ~per_round:1 in
         (* Algorithm 1: dissemination = the line-14 broadcast slot *)
-        let members = Array.init n (fun i -> i) in
-        let params = Consensus.Params.default in
-        let sh = Consensus.Core.make_shared ~members ~seed ~params ~t_max:t () in
-        let v = Consensus.Core.rounds sh in
+        let v =
+          Consensus.Core.schedule_length ~params:Consensus.Params.default
+            ~t_max:t n
+        in
         let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
         (* the run's measure and the bits sent from round v on *)
         let dissem proto =

@@ -15,7 +15,7 @@ let f1 ~quick () =
     "degree min/max" "edges";
   Exec.map
     (fun n ->
-      let part = Groups.sqrt_partition (Array.init n (fun i -> i)) in
+      let part = Groups.sqrt_partition n in
       let delta = Expander.default_delta n in
       let g = Expander.create_good ~n ~delta ~seed:11L () in
       let dmin = ref max_int and dmax = ref 0 in
@@ -51,7 +51,7 @@ let f2 ~quick:_ () =
   let t = max 1 (n / 31) in
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:4 ~max_rounds:20000 () in
   let inputs = Array.init n (fun i -> i mod 2) in
-  let part = Groups.sqrt_partition (Array.init n (fun i -> i)) in
+  let part = Groups.sqrt_partition n in
   let s = part.Groups.group_size in
   let stages = Groups.stages s in
   let spread = Consensus.Params.spread_rounds Consensus.Params.default ~n in

@@ -113,17 +113,15 @@ let group_killer ?(group = 0) () =
     create =
       (fun cfg _rand ->
         let n = cfg.Sim.Config.n in
-        let part = Groups.sqrt_partition (Array.init n (fun i -> i)) in
-        let members = Groups.group part group in
-        let victims_wanted = (Array.length members / 2) + 1 in
+        let lo, hi = Groups.group (Groups.sqrt_partition n) group in
+        let victims_wanted = ((hi - lo) / 2) + 1 in
         let victims =
-          take (min victims_wanted cfg.Sim.Config.t_max)
-            (Array.to_list members)
+          List.init (min victims_wanted cfg.Sim.Config.t_max) (( + ) lo)
         in
         let victim_b = Bytes.make n '\000' in
         List.iter (fun pid -> Bytes.set victim_b pid '\001') victims;
         let member_b = Bytes.make n '\000' in
-        Array.iter (fun pid -> Bytes.set member_b pid '\001') members;
+        Bytes.fill member_b lo (hi - lo) '\001';
         (* static fault structure, so the per-sender verdict is built once:
            a victim silences its whole group (victims included), a
            non-victim member loses exactly its victim links, outsiders are

@@ -1,6 +1,6 @@
 (** The voting core of OptimalOmissionsConsensus (Algorithm 1, lines 1-16),
-    reusable over an arbitrary member set so that Algorithm 4 can run it
-    inside each super-process.
+    run over a pid range [lo, lo+m) so that Algorithm 4 can run it inside
+    each super-process.
 
     An *epoch* consists of:
     - GroupBitsAggregation (Algorithm 2): ceil(log2 S) stages of the 3-round
@@ -54,11 +54,8 @@ type vote_event = {
 }
 
 type shared = {
-  members : int array;  (** global pids, ascending *)
+  lo : int;  (** first member pid: local index [l] is pid [lo + l] *)
   m : int;
-  index_of : int array;
-      (** global pid -> local index, -1 for non-members; sized by the
-          largest member pid *)
   part : Groups.t;  (** sqrt-decomposition over local indices *)
   graph : Expander.t option;  (** spreading graph over local indices *)
   stages : int;
@@ -67,9 +64,6 @@ type shared = {
   epoch_len : int;
   schedule : slot array;
   vote_log : vote_event list ref option;  (** optional trace for benches *)
-  contig : bool;
-      (** the member pids form a contiguous ascending range — broadcasts to
-          the whole instance can then go out as one range entry *)
   final_broadcast : bool;
       (** emit the line-14 all-to-all broadcast (Algorithm 1). The
           crash-model variant of Appendix B.3 disables it and disseminates
@@ -91,14 +85,11 @@ let schedule_length ~params ~t_max m =
   let stages, spread_rounds, epochs = shape ~params ~t_max m in
   (epochs * ((3 * stages) + spread_rounds)) + 1
 
-let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_max () =
-  let m = Array.length members in
-  if m = 0 then invalid_arg "Core.make_shared: empty member set";
-  if Array.exists (fun pid -> pid < 0) members then
-    invalid_arg "Core.make_shared: negative pid";
-  let index_of = Array.make (Array.fold_left max 0 members + 1) (-1) in
-  Array.iteri (fun i pid -> index_of.(pid) <- i) members;
-  let part = Groups.sqrt_partition (Array.init m (fun i -> i)) in
+let make_shared ?vote_log ?(final_broadcast = true) ~lo ~m ~seed ~params ~t_max
+    () =
+  if m <= 0 then invalid_arg "Core.make_shared: empty member set";
+  if lo < 0 then invalid_arg "Core.make_shared: negative pid";
+  let part = Groups.sqrt_partition m in
   let graph =
     if m < 2 then None
     else begin
@@ -110,11 +101,6 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
   in
   let stages, spread_rounds, epochs = shape ~params ~t_max m in
   let epoch_len = (3 * stages) + spread_rounds in
-  let contig =
-    let ok = ref true in
-    Array.iteri (fun i pid -> if pid <> members.(0) + i then ok := false) members;
-    !ok
-  in
   (* Each epoch: stages x (A, B, C), then the spreading rounds; the
      broadcast slot last. *)
   let schedule =
@@ -129,9 +115,8 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
             match k mod 3 with 0 -> Agg_a s | 1 -> Agg_b s | _ -> Agg_c s)
   in
   {
-    members;
+    lo;
     m;
-    index_of;
     part;
     graph;
     stages;
@@ -140,7 +125,6 @@ let make_shared ?vote_log ?(final_broadcast = true) ~members ~seed ~params ~t_ma
     epoch_len;
     schedule;
     vote_log;
-    contig;
     final_broadcast;
     b_count = Params.log2_ceil (part.Groups.group_size + 1);
     b_stage = Params.log2_ceil (stages + 1);
@@ -152,15 +136,9 @@ let rounds sh = Array.length sh.schedule
 type t = {
   sh : shared;
   pid : int;  (** global pid *)
-  me : int;  (** local index *)
   grp : int;
   rank : int;
-  group_locals : int array;  (** local indices of my group, ascending *)
   group_size : int;
-  group_contig : bool;
-      (** the group's global pids are a contiguous ascending range *)
-  group_lo : int;  (** global pid range of the group when [group_contig] *)
-  group_hi : int;
   quorum : int;
   mutable b : int;
   mutable operative : bool;
@@ -181,46 +159,26 @@ type t = {
           group stands for every live link (DESIGN.md §6) *)
 }
 
-(* Local index of a global pid, or -1 for non-members. Bounds-checked:
-   negative pids, pids past the largest member and gaps in a scattered
-   member set all read -1. *)
-let index_in sh pid =
-  if pid >= 0 && pid < Array.length sh.index_of then sh.index_of.(pid) else -1
+let is_member sh pid = pid >= sh.lo && pid < sh.lo + sh.m
 
 let create sh ~pid ~input =
   if input <> 0 && input <> 1 then invalid_arg "Core.create: input bit";
-  let me = index_in sh pid in
-  if me < 0 then invalid_arg "Core.create: pid not a member";
+  if not (is_member sh pid) then invalid_arg "Core.create: pid not a member";
+  let me = pid - sh.lo in
   let grp = Groups.group_of sh.part me in
-  let group_locals = Groups.group sh.part grp in
-  let group_size = Array.length group_locals in
-  let group_contig =
-    let ok = ref (group_size > 0) in
-    let base = sh.members.(group_locals.(0)) in
-    Array.iteri
-      (fun i l -> if sh.members.(l) <> base + i then ok := false)
-      group_locals;
-    !ok
-  in
-  let group_lo = if group_size > 0 then sh.members.(group_locals.(0)) else 0 in
-  let group_hi = group_lo + group_size - 1 in
+  let glo, ghi = Groups.group sh.part grp in
+  let group_size = ghi - glo in
   let links =
     match sh.graph with
-    | Some g when sh.contig && sh.members.(0) = 0 -> Links.create g me
-    | Some g -> Links.create ~pids:sh.members g me
+    | Some g -> Links.create ~offset:sh.lo g me
     | None -> Links.none ()
   in
   {
     sh;
     pid;
-    me;
     grp;
     rank = Groups.rank_of sh.part me;
-    group_locals;
     group_size;
-    group_contig;
-    group_lo;
-    group_hi;
     quorum = (group_size / 2) + 1;
     b = input;
     operative = true;
@@ -248,11 +206,8 @@ let operative st = st.operative
 let decided_flag st = st.decided
 let got_decision st = st.got_decision
 let epoch_of st ~slot = (slot - 1) / st.sh.epoch_len
-let global st local = st.sh.members.(local)
-
 let local_of st pid =
-  let l = index_in st.sh pid in
-  if l >= 0 then Some l else None
+  if is_member st.sh pid then Some (pid - st.sh.lo) else None
 
 let become_inoperative st ~slot =
   if st.operative then begin
@@ -265,9 +220,12 @@ let become_inoperative st ~slot =
 let transmits st ~slot =
   st.operative || (st.inop_epoch >= 0 && st.inop_epoch = epoch_of st ~slot)
 
+(* The first pid of my group: its members are the next [group_size]. *)
+let group_base st = st.pid - st.rank
+
 let in_my_group st pid =
-  let l = index_in st.sh pid in
-  l >= 0 && Groups.group_of st.sh.part l = st.grp
+  let r = pid - group_base st in
+  r >= 0 && r < st.group_size
 
 (* First counts heard per child bag; out-of-range bags read [None]. *)
 let relayed st bag =
@@ -291,7 +249,8 @@ let clear_relay st = Array.fill st.relay 0 (Array.length st.relay) None
 let agg_process_a st ~slot ~s ~iter ~emit ~cm =
   if transmits st ~slot then begin
     clear_relay st;
-    if st.sourced then st.relay.(st.rank lsr (s - 1)) <- Some st.agg;
+    if st.sourced then
+      st.relay.(Groups.bag_at ~layer:s ~rank:st.rank) <- Some st.agg;
     iter (fun src m ->
         match m with
         | Counts { stage; bag; c } when stage = s && in_my_group st src ->
@@ -325,10 +284,9 @@ let agg_process_b st ~slot ~s ~iter =
    first and fill missing children from the others in sender order. *)
 let agg_finalize_stage st ~slot ~s ~iter =
   if st.operative then begin
-    let k = st.rank lsr s in
-    let left_bag = 2 * k and right_bag = (2 * k) + 1 in
-    let left = ref (relayed st left_bag) in
-    let right = ref (relayed st right_bag) in
+    let k = Groups.bag_at ~layer:(s + 1) ~rank:st.rank in
+    let left = ref (relayed st (Groups.left_child ~bag:k)) in
+    let right = ref (relayed st (Groups.right_child ~bag:k)) in
     let results = ref 1 in
     iter (fun src m ->
         match m with
@@ -345,35 +303,28 @@ let agg_finalize_stage st ~slot ~s ~iter =
     end
   end
 
-(* Group broadcast of one shared, already-wrapped message record [wm].
-   Emission walks the member array backwards: the old list path built its
-   output by fold-left consing, so the wire order (and hence the trace) is
-   the reverse of the array — kept bit-identical here. A contiguous group
-   goes out as one descending broadcast entry; scattered member sets
-   (possible under Algorithm 4's sub-instances) fall back to pointwise
-   emission. *)
-let to_group_into st wm ~emit ~emit_all =
-  if st.group_contig then
-    emit_all ~lo:st.group_lo ~hi:st.group_hi ~skip:st.pid ~desc:true wm
-  else
-    for i = Array.length st.group_locals - 1 downto 0 do
-      let l = st.group_locals.(i) in
-      if l <> st.me then emit (global st l) wm
-    done
+(* Group broadcast of one shared, already-wrapped message record [wm], as
+   one descending range entry: the old list path built its output by
+   fold-left consing over the ascending members, so the wire order (and
+   hence the trace) is descending — kept bit-identical here. *)
+let to_group_into st wm ~emit_all =
+  let base = group_base st in
+  emit_all ~lo:base ~hi:(base + st.group_size - 1) ~skip:st.pid ~desc:true wm
 
 (* Emission at a stage's C slot: the transmitter sends each group member the
-   result pair for that member's parent bag. A member's rank is its
-   position in [group_locals], so parent bag [k] is the positions
-   [k lsl s ..] and its members share one wrapped record. *)
+   result pair for that member's parent bag at layer [s + 1], whose members
+   share one wrapped record; descending, as in [to_group_into]. *)
 let agg_emit_results_into st ~slot ~s ~wrap ~emit =
   if transmits st ~slot then begin
-    let last = Array.length st.group_locals - 1 in
-    for k = last lsr s downto 0 do
-      let left = relayed st (2 * k) and right = relayed st ((2 * k) + 1) in
+    let size = st.group_size and layer = s + 1 in
+    let base = group_base st in
+    for k = Groups.bag_at ~layer ~rank:(size - 1) downto 0 do
+      let left = relayed st (Groups.left_child ~bag:k)
+      and right = relayed st (Groups.right_child ~bag:k) in
       let wm = wrap (Result { stage = s; left; right }) in
-      for i = min last (((k + 1) lsl s) - 1) downto k lsl s do
-        let l = st.group_locals.(i) in
-        if l <> st.me then emit (global st l) wm
+      for r = Groups.bag_hi ~size ~layer ~bag:k - 1
+          downto Groups.bag_lo ~size ~layer ~bag:k do
+        if r <> st.rank then emit (base + r) wm
       done
     done
   end
@@ -475,17 +426,10 @@ let epoch_begin st =
       (if st.b = 1 then { ones = 1; zeros = 0 } else { ones = 0; zeros = 1 })
 
 (* line 14 broadcasts to every member of the instance, not just the group;
-   reverse member order for the same wire-order reason as [to_group_into] *)
-let to_group_all_into st wm ~emit ~emit_all =
-  if st.sh.contig then
-    emit_all ~lo:st.sh.members.(0)
-      ~hi:st.sh.members.(st.sh.m - 1)
-      ~skip:st.pid ~desc:true wm
-  else
-    for i = Array.length st.sh.members - 1 downto 0 do
-      let pid = st.sh.members.(i) in
-      if pid <> st.pid then emit pid wm
-    done
+   descending for the same wire-order reason as [to_group_into] *)
+let to_group_all_into st wm ~emit_all =
+  emit_all ~lo:st.sh.lo ~hi:(st.sh.lo + st.sh.m - 1) ~skip:st.pid ~desc:true
+    wm
 
 (** Run local slot [slot] (1-based, up to [rounds sh]), mutating the
     state. [iter f] must call [f src m] for every message of the previous
@@ -515,9 +459,9 @@ let step_into st ~slot ~iter ~rand ~wrap ~emit ~emit_all =
       if s = 1 then epoch_begin st;
       if st.operative then begin
         st.sourced <- true;
-        to_group_into st
-          (wrap (Counts { stage = s; bag = st.rank lsr (s - 1); c = st.agg }))
-          ~emit ~emit_all
+        let bag = Groups.bag_at ~layer:s ~rank:st.rank in
+        to_group_into st (wrap (Counts { stage = s; bag; c = st.agg }))
+          ~emit_all
       end
       else st.sourced <- false
   | Agg_b _ -> () (* the Confirms went out during the entry pass above *)
@@ -527,7 +471,7 @@ let step_into st ~slot ~iter ~rand ~wrap ~emit ~emit_all =
       spread_emit_into st ~wrap ~emit
   | Bcast ->
       if st.sh.final_broadcast && st.operative && st.decided then
-        to_group_all_into st (wrap (Final st.b)) ~emit ~emit_all
+        to_group_all_into st (wrap (Final st.b)) ~emit_all
 
 (** Consume the Bcast slot's inbox (lines 15-16); same [iter] contract as
     {!step_into}. Must be called exactly once, on the round after
@@ -539,7 +483,7 @@ let finalize_into st ~iter =
     (try
        iter (fun src m ->
            match m with
-           | Final v when index_in st.sh src >= 0 ->
+           | Final v when is_member st.sh src ->
                adopted := Some v;
                raise_notrace Sim.Mailbox.Stop
            | Counts _ | Confirm _ | Result _ | Spread_delta _ | Final _ -> ())

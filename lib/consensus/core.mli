@@ -1,6 +1,6 @@
 (** The voting core of OptimalOmissionsConsensus (Algorithm 1, lines 1-16),
-    reusable over an arbitrary member set so that Algorithm 4 can run it
-    inside each super-process.
+    run over the pid range [lo, lo+m) so that Algorithm 4 can run it inside
+    each super-process.
 
     Each epoch = GroupBitsAggregation (Algorithm 2: ceil(log2 S) stages of
     the 3-round GroupRelay over the sqrt-decomposition, Figure 2) followed
@@ -37,12 +37,9 @@ type vote_event = {
 }
 
 type shared = {
-  members : int array;
+  lo : int;  (** first member pid: local index [l] is pid [lo + l] *)
   m : int;
-  index_of : int array;
-      (** global pid -> local index, -1 for non-members; sized by the
-          largest member pid *)
-  part : Groups.t;
+  part : Groups.t;  (** over local indices 0..m-1 *)
   graph : Expander.t option;
   stages : int;
   spread_rounds : int;
@@ -50,9 +47,6 @@ type shared = {
   epoch_len : int;
   schedule : slot array;
   vote_log : vote_event list ref option;
-  contig : bool;
-      (** member pids form a contiguous ascending range — whole-instance
-          broadcasts then go out as one range entry *)
   final_broadcast : bool;
   b_count : int;  (** bits of one count: ceil(log2 (group size + 1)) *)
   b_stage : int;  (** bits of a stage index: ceil(log2 (stages + 1)) *)
@@ -62,15 +56,16 @@ type shared = {
 val make_shared :
   ?vote_log:vote_event list ref ->
   ?final_broadcast:bool ->
-  members:int array ->
+  lo:int ->
+  m:int ->
   seed:int ->
   params:Params.t ->
   t_max:int ->
   unit ->
   shared
-(** Shared structures (partition, trees, Theorem-4 expander, schedule) — a
-    pure function of (members, seed, params), hence identical at every
-    process without communication. *)
+(** Shared structures of the instance over pids [lo, lo+m) (partition,
+    trees, Theorem-4 expander, schedule) — a pure function of (lo, m, seed,
+    params), hence identical at every process without communication. *)
 
 val rounds : shared -> int
 (** Schedule length: epochs * epoch_len + 1 (the broadcast slot). *)
@@ -83,10 +78,10 @@ val schedule_length : params:Params.t -> t_max:int -> int -> int
 type t
 
 val create : shared -> pid:int -> input:int -> t
-(** Raises [Invalid_argument] if [pid] is not a member. *)
+(** Raises [Invalid_argument] if [pid] is outside [lo, lo+m). *)
 
 val local_of : t -> int -> int option
-(** Local index of a global pid; [None] for non-members. *)
+(** Local index [pid - lo] of a global pid; [None] outside [lo, lo+m). *)
 
 val candidate : t -> int
 
@@ -118,9 +113,8 @@ val step_into :
     once: a broadcast or a spreading delta goes to all its destinations
     as one wrapped record.
     Full-group and full-instance broadcasts of one shared record go
-    through [emit_all] (descending ranges, matching the historical
-    reverse-member wire order) whenever the relevant pid set is
-    contiguous. *)
+    through [emit_all] as descending ranges, matching the historical
+    reverse-member wire order. *)
 
 val finalize_into : t -> iter:((int -> msg -> unit) -> unit) -> unit
 (** Consume the broadcast slot's inbox (lines 15-16); same [iter] contract

@@ -60,10 +60,9 @@ let protocol_buffered ?(params = Params.default) (cfg : Sim.Config.t) :
     Sim.Protocol_intf.buffered =
   let n = cfg.Sim.Config.n in
   let t_max = cfg.Sim.Config.t_max in
-  let members = Array.init n (fun i -> i) in
   let shared =
-    Core.make_shared ~final_broadcast:false ~members ~seed:cfg.Sim.Config.seed
-      ~params ~t_max ()
+    Core.make_shared ~final_broadcast:false ~lo:0 ~m:n
+      ~seed:cfg.Sim.Config.seed ~params ~t_max ()
   in
   let core_rounds = Core.rounds shared in
   let gossip_rounds = 2 * Params.log2_ceil n in

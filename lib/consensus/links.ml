@@ -16,11 +16,9 @@ let make nbrs threshold =
   let disregarded = Bytes.make deg '\000' and heard = Bytes.make deg '\000' in
   { nbrs; disregarded; heard; threshold; cursor = 0; heard_count = 0 }
 
-let create ?pids g v =
+let create ?(offset = 0) g v =
   let nbrs = Expander.neighbors g v in
-  let nbrs =
-    match pids with Some p -> Array.map (Array.get p) nbrs | None -> nbrs
-  in
+  let nbrs = if offset = 0 then nbrs else Array.map (( + ) offset) nbrs in
   make nbrs (Expander.delta g / 3)
 
 let none () = make [||] 0

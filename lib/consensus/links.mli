@@ -8,9 +8,9 @@
 
 type t
 
-val create : ?pids:int array -> Expander.t -> int -> t
-(** [create g v]: the links of vertex [v]. Vertex [u] is pid [pids.(u)],
-    ascending in [u], or [u] without [pids]. *)
+val create : ?offset:int -> Expander.t -> int -> t
+(** [create g v]: the links of vertex [v]. Vertex [u] is pid
+    [offset + u] ([offset] defaults to 0). *)
 
 val none : unit -> t
 (** No links: {!close} always keeps the status. *)

@@ -50,10 +50,9 @@ let iter_core inbox f =
     without communication. *)
 let protocol_buffered ?(params = Params.default) ?vote_log
     (cfg : Sim.Config.t) : Sim.Protocol_intf.buffered =
-  let members = Array.init cfg.Sim.Config.n (fun i -> i) in
   let shared =
-    Core.make_shared ?vote_log ~members ~seed:cfg.Sim.Config.seed ~params
-      ~t_max:cfg.Sim.Config.t_max ()
+    Core.make_shared ?vote_log ~lo:0 ~m:cfg.Sim.Config.n
+      ~seed:cfg.Sim.Config.seed ~params ~t_max:cfg.Sim.Config.t_max ()
   in
   let core_rounds = Core.rounds shared in
   let module M = struct

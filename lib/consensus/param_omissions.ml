@@ -45,7 +45,7 @@ type state = {
 
 let log2_ceil = Params.log2_ceil
 
-let sub_t_max sp = max 1 (Array.length sp / 30)
+let sub_t_max m = max 1 (m / 30)
 
 (* The run's round layout, by arithmetic alone: sizing a run
    ({!rounds_needed}) builds no expander. *)
@@ -60,13 +60,13 @@ type layout = {
 
 let layout ~params (cfg : Sim.Config.t) ~x =
   let n = cfg.Sim.Config.n in
-  let sps = Groups.partition_into (Array.init n Fun.id) x in
+  let sps = Groups.partition_into n x in
   let x = Groups.group_count sps in
   let core_len =
-    Array.map
-      (fun sp ->
-        Core.schedule_length ~params ~t_max:(sub_t_max sp) (Array.length sp))
-      sps.Groups.groups
+    Array.init x (fun i ->
+        let lo, hi = Groups.group sps i in
+        let m = hi - lo in
+        Core.schedule_length ~params ~t_max:(sub_t_max m) m)
   in
   let phase_core_len = Array.fold_left max 0 core_len in
   (* each phase ends with the decision flood *)
@@ -91,10 +91,11 @@ let make_plan ~params (cfg : Sim.Config.t) ~x =
   let lay = layout ~params cfg ~x in
   let sub_shared =
     Array.init lay.x (fun i ->
-        let sp = Groups.group lay.sps i in
-        Core.make_shared ~members:sp
+        let lo, hi = Groups.group lay.sps i in
+        let m = hi - lo in
+        Core.make_shared ~lo ~m
           ~seed:(cfg.Sim.Config.seed + (1000003 * (i + 1)))
-          ~params ~t_max:(sub_t_max sp) ())
+          ~params ~t_max:(sub_t_max m) ())
   in
   let delta = Params.delta params ~n in
   let graph =

@@ -1,45 +1,23 @@
 (** Deterministic partitions of the process set and the binary-tree bag
     decomposition used by GroupBitsAggregation (Figures 1-2 of the paper).
 
-    Everything here is a pure function of the member list, so all processes
+    Everything here is arithmetic on the member count, so all processes
     compute identical structures locally without communication — exactly the
-    paper's "predefined partition". *)
+    paper's "predefined partition". The members are pids 0..m-1 and group
+    [g] is the pid range [g * group_size, min m ((g + 1) * group_size)). *)
 
 type t = {
-  members : int array;  (** the processes being partitioned, in order *)
+  m : int;  (** member count: the members are pids 0..m-1 *)
   group_size : int;  (** maximum group size S *)
   group_count : int;
-  group_of : int array;  (** pid -> group index, -1 for non-members *)
-  rank_of : int array;  (** pid -> rank within its group, -1 for non-members *)
-  groups : int array array;  (** group index -> member pids *)
 }
 
-(** Partition [members] into [ceil (m / size)] contiguous groups of at most
-    [size] members each. *)
-let partition_with_size members size =
-  let m = Array.length members in
-  if m = 0 then invalid_arg "Groups.partition_with_size: no members";
+(** Partition pids 0..m-1 into [ceil (m / size)] consecutive groups of at
+    most [size] members each. *)
+let partition_with_size m size =
+  if m <= 0 then invalid_arg "Groups.partition_with_size: no members";
   if size <= 0 then invalid_arg "Groups.partition_with_size: size <= 0";
-  let group_count = (m + size - 1) / size in
-  let groups =
-    Array.init group_count (fun g ->
-        let start = g * size in
-        let len = min size (m - start) in
-        Array.sub members start len)
-  in
-  if Array.exists (fun pid -> pid < 0) members then
-    invalid_arg "Groups.partition_with_size: negative pid";
-  let bound = Array.fold_left max 0 members + 1 in
-  let group_of = Array.make bound (-1) and rank_of = Array.make bound (-1) in
-  Array.iteri
-    (fun g grp ->
-      Array.iteri
-        (fun rank pid ->
-          group_of.(pid) <- g;
-          rank_of.(pid) <- rank)
-        grp)
-    groups;
-  { members; group_size = size; group_count; group_of; rank_of; groups }
+  { m; group_size = size; group_count = (m + size - 1) / size }
 
 (** The group size of {!sqrt_partition} over [m] members: ceil(sqrt m),
     at least 1. *)
@@ -47,29 +25,29 @@ let sqrt_size m = max 1 (int_of_float (ceil (sqrt (float_of_int m))))
 
 (** The paper's sqrt-decomposition: ceil(sqrt m) groups of size at most
     ceil(sqrt m). *)
-let sqrt_partition members =
-  partition_with_size members (sqrt_size (Array.length members))
+let sqrt_partition m = partition_with_size m (sqrt_size m)
 
 (** Partition into exactly [parts] groups of size at most ceil(m/parts) —
     the super-processes SP_1..SP_x of Algorithm 4. *)
-let partition_into members parts =
-  let m = Array.length members in
+let partition_into m parts =
   if parts <= 0 || parts > m then
     invalid_arg "Groups.partition_into: parts must be in [1, m]";
-  partition_with_size members ((m + parts - 1) / parts)
+  partition_with_size m ((m + parts - 1) / parts)
 
-(* Bounds-checked lookup in a pid-indexed table: negative pids, pids past
-   the largest member and pids in a gap of a non-contiguous member set all
-   read as non-members. *)
-let lookup name tbl pid =
-  let v = if pid >= 0 && pid < Array.length tbl then tbl.(pid) else -1 in
-  if v < 0 then invalid_arg (name ^ ": pid not a member");
-  v
+let check name t pid =
+  if pid < 0 || pid >= t.m then invalid_arg (name ^ ": pid not a member")
 
-let group_of t pid = lookup "Groups.group_of" t.group_of pid
-let rank_of t pid = lookup "Groups.rank_of" t.rank_of pid
+let group_of t pid =
+  check "Groups.group_of" t pid;
+  pid / t.group_size
 
-let group t g = t.groups.(g)
+let rank_of t pid =
+  check "Groups.rank_of" t pid;
+  pid mod t.group_size
+
+let group t g =
+  if g < 0 || g >= t.group_count then invalid_arg "Groups.group: no such group";
+  (g * t.group_size, min t.m ((g + 1) * t.group_size))
 let group_count t = t.group_count
 
 (* ------------------------------------------------------------------ *)
@@ -98,16 +76,11 @@ let bag_at ~layer ~rank =
   rank lsr (layer - 1)
 
 (** Children bag indices of bag [k] at layer [j] (they live at layer j-1). *)
-let children ~bag = (2 * bag, (2 * bag) + 1)
+let left_child ~bag = 2 * bag
+let right_child ~bag = (2 * bag) + 1
 
-(** Ranks covered by bag [k] of layer [j], clipped to the group [size]. The
-    range may be empty (the paper's empty bags). *)
-let bag_ranks ~size ~layer ~bag =
-  let lo = bag lsl (layer - 1) in
-  let hi = min size (lo + (1 lsl (layer - 1))) in
-  if lo >= size then (size, size) else (lo, hi)
-
-let bag_members t ~group:g ~layer ~bag =
-  let grp = t.groups.(g) in
-  let lo, hi = bag_ranks ~size:(Array.length grp) ~layer ~bag in
-  Array.sub grp lo (hi - lo)
+(** Ranks covered by bag [k] of layer [j]: [[bag_lo, bag_hi)], clipped to
+    the group [size]. The range may be empty (the paper's empty bags). Two
+    functions rather than one pair, so the relay loop allocates nothing. *)
+let bag_lo ~size ~layer ~bag = min size (bag lsl (layer - 1))
+let bag_hi ~size ~layer ~bag = min size ((bag + 1) lsl (layer - 1))

@@ -1,41 +1,43 @@
-(** Deterministic partitions of a member set and the binary-tree bag
+(** Deterministic partitions of pids 0..m-1 and the binary-tree bag
     decomposition of GroupBitsAggregation (Figures 1-2 of the paper).
-    Everything is a pure function of the member array, so all processes
-    compute identical structures without communication. *)
+    Everything is arithmetic on the member count, so all processes
+    compute identical structures without communication. A group is a
+    range of consecutive pids. *)
 
 type t = {
-  members : int array;
+  m : int;  (** member count: the members are pids 0..m-1 *)
   group_size : int;  (** maximum group size S *)
   group_count : int;
-  group_of : int array;  (** indexed by pid; -1 for non-members *)
-  rank_of : int array;  (** indexed by pid; -1 for non-members *)
-  groups : int array array;
 }
 
-val partition_with_size : int array -> int -> t
-(** Contiguous groups of at most the given size. Member pids must be
-    non-negative: the pid-indexed tables are sized by the largest one. *)
+val partition_with_size : int -> int -> t
+(** [partition_with_size m size]: consecutive groups of at most [size]
+    members over pids 0..m-1. *)
 
 val sqrt_size : int -> int
 (** The group size of {!sqrt_partition} over [m] members: ceil(sqrt m),
     at least 1. *)
 
-val sqrt_partition : int array -> t
-(** The paper's sqrt-decomposition: ceil(sqrt m) groups of size at most
-    ceil(sqrt m). *)
+val sqrt_partition : int -> t
+(** The paper's sqrt-decomposition of [m] members: ceil(sqrt m) groups of
+    size at most ceil(sqrt m). *)
 
-val partition_into : int array -> int -> t
-(** Exactly [parts] groups of size at most ceil(m/parts) — the
-    super-processes of Algorithm 4. *)
+val partition_into : int -> int -> t
+(** [partition_into m parts]: exactly [parts] groups of size at most
+    ceil(m/parts) — the super-processes of Algorithm 4. *)
 
 val group_of : t -> int -> int
-(** Group index of a member pid. Raises [Invalid_argument] on non-members. *)
+(** Group index of a member pid: [pid / group_size]. Raises
+    [Invalid_argument] outside 0..m-1. *)
 
 val rank_of : t -> int -> int
-(** Rank of a member within its group. Raises [Invalid_argument] on
-    non-members. *)
+(** Rank of a member within its group: [pid mod group_size]. Raises
+    [Invalid_argument] outside 0..m-1. *)
 
-val group : t -> int -> int array
+val group : t -> int -> int * int
+(** The half-open pid range [[lo, hi)] of a group. Raises
+    [Invalid_argument] outside 0..group_count-1. *)
+
 val group_count : t -> int
 
 (** {1 Binary-tree bags}
@@ -53,11 +55,12 @@ val stages : int -> int
 val bag_at : layer:int -> rank:int -> int
 (** Bag containing the member of [rank] at [layer]. *)
 
-val children : bag:int -> int * int
+val left_child : bag:int -> int
+val right_child : bag:int -> int
 (** Children bag indices (they live one layer down). *)
 
-val bag_ranks : size:int -> layer:int -> bag:int -> int * int
-(** Rank half-open interval [lo, hi) a bag covers, clipped to the group
-    size (possibly empty — the paper's empty bags). *)
-
-val bag_members : t -> group:int -> layer:int -> bag:int -> int array
+val bag_lo : size:int -> layer:int -> bag:int -> int
+val bag_hi : size:int -> layer:int -> bag:int -> int
+(** The rank half-open interval [[bag_lo, bag_hi)] a bag covers, clipped
+    to the group size (possibly empty — the paper's empty bags). Two
+    functions, not a pair, so that Algorithm 2's relay allocates nothing. *)

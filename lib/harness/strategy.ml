@@ -368,10 +368,10 @@ let eval_target ctx = function
       take k (List.rev !l)
   | Group g ->
       let n = ctx.cfg.Sim.Config.n in
-      let part = Groups.sqrt_partition (Array.init n (fun i -> i)) in
+      let part = Groups.sqrt_partition n in
       let count = Groups.group_count part in
-      let members = Groups.group part (((g mod count) + count) mod count) in
-      take ((Array.length members / 2) + 1) (Array.to_list members)
+      let lo, hi = Groups.group part (((g mod count) + count) mod count) in
+      List.init (((hi - lo) / 2) + 1) (( + ) lo)
 
 (* Corrupt the targets of a strike within the budget; pids that are already
    faulty join the victim set for free (omitting at their edges is legal). *)

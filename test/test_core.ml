@@ -13,7 +13,7 @@ module Core = Consensus.Core
 let iter inbox f = List.iter (fun (src, m) -> f src m) inbox
 
 let make_shared m =
-  Core.make_shared ~members:(Array.init m (fun i -> i)) ~seed:42
+  Core.make_shared ~lo:0 ~m ~seed:42
     ~params:Consensus.Params.default ~t_max:(max 1 (m / 31)) ()
 
 (* Step every member through slots 1..[upto] over a network where
@@ -110,12 +110,9 @@ let test_quorum_kill_one_group () =
      whole group must become inoperative, everyone else must stay
      operative and still decide *)
   let m = 49 in
-  let members = Array.init m (fun i -> i) in
-  let part = Groups.sqrt_partition members in
-  let g0 = Groups.group part 0 in
-  let g0_size = Array.length g0 in
-  let silenced = Array.to_list (Array.sub g0 0 ((g0_size / 2) + 1)) in
-  let in_g0 pid = Array.exists (fun q -> q = pid) g0 in
+  let g0_lo, g0_hi = Groups.group (Groups.sqrt_partition m) 0 in
+  let silenced = List.init (((g0_hi - g0_lo) / 2) + 1) (( + ) g0_lo) in
+  let in_g0 pid = pid >= g0_lo && pid < g0_hi in
   let omit ~slot:_ ~src ~dst =
     (List.mem src silenced && in_g0 dst) || (List.mem dst silenced && in_g0 src)
   in
@@ -152,10 +149,8 @@ let test_spreading_completeness () =
      but the global fraction is below half: if a process only saw its own
      group it would choose 1, globally it must choose 0 *)
   let m = 49 in
-  let members = Array.init m (fun i -> i) in
-  let part = Groups.sqrt_partition members in
-  let g0 = Groups.group part 0 in
-  let in_g0 pid = Array.exists (fun q -> q = pid) g0 in
+  let g0_lo, g0_hi = Groups.group (Groups.sqrt_partition m) 0 in
+  let in_g0 pid = pid >= g0_lo && pid < g0_hi in
   (* group 0 all ones; everyone else zero: global ones = |g0| = 7/49 < 1/2 *)
   let _, sts = drive ~m ~inputs:(fun i -> if in_g0 i then 1 else 0) () in
   Array.iter
@@ -176,9 +171,8 @@ let test_inoperative_idles () =
     src = victim || dst = victim
   in
   (* cut all but the last slot *)
-  let members = Array.init m (fun i -> i) in
   let sh =
-    Core.make_shared ~members ~seed:42 ~params:Consensus.Params.default
+    Core.make_shared ~lo:0 ~m ~seed:42 ~params:Consensus.Params.default
       ~t_max:1 ()
   in
   let last = Core.rounds sh in
@@ -204,9 +198,8 @@ let test_two_member_core () =
     sts
 
 let test_set_candidate () =
-  let members = [| 0; 1; 2; 3 |] in
   let sh =
-    Core.make_shared ~members ~seed:1 ~params:Consensus.Params.default
+    Core.make_shared ~lo:0 ~m:4 ~seed:1 ~params:Consensus.Params.default
       ~t_max:1 ()
   in
   let st = Core.create sh ~pid:0 ~input:0 in
@@ -216,20 +209,21 @@ let test_set_candidate () =
     (Invalid_argument "Core.set_candidate: bit expected") (fun () ->
       Core.set_candidate st 2)
 
-(* Pid lookups are bounds-checked arrays: a negative pid, one past the
-   largest member and one in a gap of a scattered member set must all read
-   as non-members rather than index out of bounds or alias a member. *)
+(* An instance over [lo, lo+m) with lo > 0, as Algorithm 4's later
+   super-processes run: the pid just below the range, the one just past it
+   and a negative pid must all read as non-members rather than alias a
+   local index. *)
 let test_non_members () =
-  let members = [| 2; 3; 7; 10 |] in
+  let lo = 5 and m = 4 in
   let sh =
-    Core.make_shared ~members ~seed:1 ~params:Consensus.Params.default
+    Core.make_shared ~lo ~m ~seed:1 ~params:Consensus.Params.default
       ~t_max:1 ()
   in
   let st = Core.create sh ~pid:7 ~input:1 in
-  Array.iteri
-    (fun i pid ->
-      Alcotest.(check (option int)) "member" (Some i) (Core.local_of st pid))
-    members;
+  for i = 0 to m - 1 do
+    Alcotest.(check (option int)) "member" (Some i)
+      (Core.local_of st (lo + i))
+  done;
   List.iter
     (fun pid ->
       Alcotest.check_raises
@@ -239,12 +233,11 @@ let test_non_members () =
       Alcotest.(check (option int))
         (Printf.sprintf "local_of %d" pid)
         None (Core.local_of st pid))
-    [ -1; 11; 5 ]
+    [ lo - 1; lo + m; -1 ]
 
 let test_msg_bits () =
-  let members = Array.init 16 (fun i -> i) in
   let sh =
-    Core.make_shared ~members ~seed:1 ~params:Consensus.Params.default
+    Core.make_shared ~lo:0 ~m:16 ~seed:1 ~params:Consensus.Params.default
       ~t_max:1 ()
   in
   let c = { Core.ones = 3; zeros = 2 } in
@@ -272,8 +265,8 @@ let test_msg_bits () =
   List.iter
     (fun m ->
       let sh =
-        Core.make_shared ~members:(Array.init m (fun i -> i)) ~seed:1
-          ~params:Consensus.Params.default ~t_max:1 ()
+        Core.make_shared ~lo:0 ~m ~seed:1 ~params:Consensus.Params.default
+          ~t_max:1 ()
       in
       let b_count = log2_ceil (sh.Core.part.Groups.group_size + 1) in
       let b_stage = log2_ceil (sh.Core.stages + 1) in
@@ -302,10 +295,10 @@ let test_msg_bits () =
    ascending, descending and shuffled order, each time with one sender
    repeated, one member that is not a neighbour and one pid outside the
    instance. Its next emission must go to exactly [s]. The same senders
-   go straight into a [Links.t] of that process, addressed through a
-   scattered pid map: [hear] must accept exactly [s], and [emit_live]
-   must reach [s] in descending order, also after a second slot in which
-   every neighbour speaks. *)
+   go straight into a [Links.t] of that process at a pid offset, as an
+   instance over [lo, lo+m) with lo > 0 builds it: [hear] must accept
+   exactly [s], and [emit_live] must reach [s] in descending order, also
+   after a second slot in which every neighbour speaks. *)
 let test_spread_lookup_order () =
   let m = 96 and target = 5 in
   let sh = make_shared m in
@@ -345,9 +338,10 @@ let test_spread_lookup_order () =
     Alcotest.(check bool) "still operative" true (Core.operative sts.(target));
     List.sort compare !out
   in
-  let pid u = (3 * u) + 1 in
+  let offset = 40 in
+  let pid u = u + offset in
   let linked order =
-    let l = Consensus.Links.create ~pids:(Array.init m pid) g target in
+    let l = Consensus.Links.create ~offset g target in
     let slot srcs =
       Consensus.Links.start l;
       let heard =
@@ -430,8 +424,7 @@ let test_schedule_length () =
     List.iter
       (fun t_max ->
         let sh =
-          Core.make_shared ~members:(Array.init m Fun.id) ~seed:m ~params
-            ~t_max ()
+          Core.make_shared ~lo:0 ~m ~seed:m ~params ~t_max ()
         in
         let len = Core.schedule_length ~params ~t_max m in
         if len <> Core.rounds sh || sh.Core.schedule <> reference sh then

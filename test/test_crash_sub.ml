@@ -57,9 +57,8 @@ let test_dissemination_cheaper () =
      broadcast Algorithm 1 pays *)
   let n = 144 in
   let t = max 1 (n / 31) in
-  let members = Array.init n (fun i -> i) in
   let sh =
-    Consensus.Core.make_shared ~members ~seed:1
+    Consensus.Core.make_shared ~lo:0 ~m:n ~seed:1
       ~params:Consensus.Params.default ~t_max:t ()
   in
   let v = Consensus.Core.rounds sh in

@@ -1,53 +1,54 @@
 (* Tests for the sqrt-decomposition and binary-tree bag structure. *)
 
+(* The number of pids in group [g]. *)
+let size p g =
+  let lo, hi = Groups.group p g in
+  hi - lo
+
 let test_sqrt_partition_sizes () =
   List.iter
     (fun m ->
-      let members = Array.init m (fun i -> i * 3) in
-      let p = Groups.sqrt_partition members in
+      let p = Groups.sqrt_partition m in
       let s = int_of_float (ceil (sqrt (float_of_int m))) in
       Alcotest.(check bool) "group count <= ceil(sqrt m)+1" true
         (Groups.group_count p <= s + 1);
       for g = 0 to Groups.group_count p - 1 do
         Alcotest.(check bool) "group size <= ceil(sqrt m)" true
-          (Array.length (Groups.group p g) <= s)
+          (size p g <= s)
       done)
     [ 1; 2; 5; 16; 17; 64; 100; 101; 144 ]
 
 let test_partition_cover_disjoint () =
   let m = 97 in
-  let members = Array.init m (fun i -> i) in
-  let p = Groups.sqrt_partition members in
+  let p = Groups.sqrt_partition m in
   let seen = Hashtbl.create 97 in
   for g = 0 to Groups.group_count p - 1 do
-    Array.iter
-      (fun pid ->
-        Alcotest.(check bool) "pid not seen twice" false (Hashtbl.mem seen pid);
-        Hashtbl.replace seen pid ())
-      (Groups.group p g)
+    let lo, hi = Groups.group p g in
+    for pid = lo to hi - 1 do
+      Alcotest.(check bool) "pid not seen twice" false (Hashtbl.mem seen pid);
+      Hashtbl.replace seen pid ()
+    done
   done;
   Alcotest.(check int) "covers all members" m (Hashtbl.length seen)
 
 let test_group_of_rank_of () =
-  let members = Array.init 50 (fun i -> 100 + i) in
-  let p = Groups.sqrt_partition members in
+  let p = Groups.sqrt_partition 50 in
   for g = 0 to Groups.group_count p - 1 do
-    Array.iteri
-      (fun rank pid ->
-        Alcotest.(check int) "group_of" g (Groups.group_of p pid);
-        Alcotest.(check int) "rank_of" rank (Groups.rank_of p pid))
-      (Groups.group p g)
+    let lo, hi = Groups.group p g in
+    for pid = lo to hi - 1 do
+      Alcotest.(check int) "group_of" g (Groups.group_of p pid);
+      Alcotest.(check int) "rank_of" (pid - lo) (Groups.rank_of p pid)
+    done
   done
 
 let test_group_of_nonmember () =
-  let p = Groups.sqrt_partition (Array.init 10 (fun i -> i)) in
+  let p = Groups.sqrt_partition 10 in
   Alcotest.check_raises "nonmember rejected"
     (Invalid_argument "Groups.group_of: pid not a member") (fun () ->
       ignore (Groups.group_of p 11));
-  (* scattered members: a negative pid, one past the largest member and one
-     in a gap are all rejected by both pid-indexed lookups *)
-  let p = Groups.sqrt_partition [| 2; 3; 7; 10 |] in
-  Alcotest.(check int) "member in a later group" 1 (Groups.group_of p 7);
+  (* the members are pids 0..m-1: -1 and m are rejected by both lookups,
+     while m-1 sits in the last group *)
+  Alcotest.(check int) "last member in the last group" 2 (Groups.group_of p 9);
   List.iter
     (fun pid ->
       Alcotest.check_raises
@@ -58,16 +59,15 @@ let test_group_of_nonmember () =
         (Printf.sprintf "rank_of %d" pid)
         (Invalid_argument "Groups.rank_of: pid not a member")
         (fun () -> ignore (Groups.rank_of p pid)))
-    [ -1; 11; 5 ]
+    [ -1; 10 ]
 
 let test_partition_into () =
-  let members = Array.init 64 (fun i -> i) in
-  let p = Groups.partition_into members 4 in
+  let p = Groups.partition_into 64 4 in
   Alcotest.(check int) "exactly 4 parts" 4 (Groups.group_count p);
   for g = 0 to 3 do
-    Alcotest.(check int) "equal sizes" 16 (Array.length (Groups.group p g))
+    Alcotest.(check int) "equal sizes" 16 (size p g)
   done;
-  let p = Groups.partition_into members 5 in
+  let p = Groups.partition_into 64 5 in
   Alcotest.(check int) "ceil sizes" 5 (Groups.group_count p)
 
 let test_layers_and_stages () =
@@ -87,10 +87,13 @@ let test_bag_structure () =
   for j = 2 to layers do
     let bag_count = (size + (1 lsl (j - 1)) - 1) / (1 lsl (j - 1)) in
     for k = 0 to bag_count - 1 do
-      let lo, hi = Groups.bag_ranks ~size ~layer:j ~bag:k in
-      let lc, rc = Groups.children ~bag:k in
-      let llo, lhi = Groups.bag_ranks ~size ~layer:(j - 1) ~bag:lc in
-      let rlo, rhi = Groups.bag_ranks ~size ~layer:(j - 1) ~bag:rc in
+      let lo = Groups.bag_lo ~size ~layer:j ~bag:k
+      and hi = Groups.bag_hi ~size ~layer:j ~bag:k in
+      let lc = Groups.left_child ~bag:k and rc = Groups.right_child ~bag:k in
+      let llo = Groups.bag_lo ~size ~layer:(j - 1) ~bag:lc
+      and lhi = Groups.bag_hi ~size ~layer:(j - 1) ~bag:lc in
+      let rlo = Groups.bag_lo ~size ~layer:(j - 1) ~bag:rc
+      and rhi = Groups.bag_hi ~size ~layer:(j - 1) ~bag:rc in
       Alcotest.(check int) "left child starts the bag" lo llo;
       Alcotest.(check bool) "children adjacent" true
         (lhi = rlo || (rlo = rhi && lhi = hi));
@@ -109,41 +112,41 @@ let test_bag_at_root () =
     [ 1; 2; 7; 8; 13; 16 ]
 
 let test_bag_members () =
-  let members = Array.init 20 (fun i -> 1000 + i) in
-  let p = Groups.sqrt_partition members in
+  let p = Groups.sqrt_partition 20 in
+  let ranks ~layer ~bag =
+    let size = size p 0 in
+    (Groups.bag_lo ~size ~layer ~bag, Groups.bag_hi ~size ~layer ~bag)
+  in
   (* layer-1 bags of group 0 are singletons in rank order *)
-  let g0 = Groups.group p 0 in
-  Array.iteri
-    (fun rank pid ->
-      let bag = Groups.bag_members p ~group:0 ~layer:1 ~bag:rank in
-      Alcotest.(check (array int)) "singleton bag" [| pid |] bag)
-    g0;
+  for rank = 0 to size p 0 - 1 do
+    Alcotest.(check (pair int int)) "singleton bag" (rank, rank + 1)
+      (ranks ~layer:1 ~bag:rank)
+  done;
   (* top-layer bag 0 is the whole group *)
-  let top = Groups.layers (Array.length g0) in
-  Alcotest.(check (array int)) "root bag is group" g0
-    (Groups.bag_members p ~group:0 ~layer:top ~bag:0)
+  let top = Groups.layers (size p 0) in
+  Alcotest.(check (pair int int)) "root bag is group" (0, size p 0)
+    (ranks ~layer:top ~bag:0)
 
 let qcheck_bag_at_consistent =
-  QCheck.Test.make ~name:"bag_at matches bag_ranks" ~count:300
+  QCheck.Test.make ~name:"bag_at matches bag_lo/bag_hi" ~count:300
     QCheck.(triple (int_range 1 64) (int_range 1 8) (int_range 0 63))
     (fun (size, layer, rank) ->
       QCheck.assume (rank < size);
       QCheck.assume (layer <= Groups.layers size);
       let bag = Groups.bag_at ~layer ~rank in
-      let lo, hi = Groups.bag_ranks ~size ~layer ~bag in
-      rank >= lo && rank < hi)
+      rank >= Groups.bag_lo ~size ~layer ~bag
+      && rank < Groups.bag_hi ~size ~layer ~bag)
 
 let qcheck_partition_into_cover =
   QCheck.Test.make ~name:"partition_into covers exactly" ~count:100
     QCheck.(pair (int_range 1 100) (int_range 1 100))
     (fun (m, parts) ->
       QCheck.assume (parts <= m);
-      let members = Array.init m (fun i -> i) in
-      let p = Groups.partition_into members parts in
+      let p = Groups.partition_into m parts in
       let total =
         let acc = ref 0 in
         for g = 0 to Groups.group_count p - 1 do
-          acc := !acc + Array.length (Groups.group p g)
+          acc := !acc + size p g
         done;
         !acc
       in

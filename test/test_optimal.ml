@@ -3,11 +3,11 @@
    randomness accounting, and determinism — across the adversary suite. *)
 
 let run ?(n = 64) ?t ?(seed = 1) ?(adversary = Sim.Adversary_intf.none)
-    ?(params = Consensus.Params.default) inputs =
+    ?(params = Consensus.Params.default) ?trace inputs =
   let t = match t with Some t -> t | None -> max 1 (n / 31) in
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:4000 () in
   let proto = Consensus.Optimal_omissions.protocol_buffered ~params cfg in
-  Sim.Engine.run proto cfg ~adversary ~inputs
+  Sim.Engine.run proto cfg ?trace ~adversary ~inputs
 
 let check_consensus ~what ~inputs o =
   Alcotest.(check bool)
@@ -206,9 +206,9 @@ let test_fixed_epoch_params () =
    nothing. It must not fabricate a decision from its own candidate — the
    old code finalized the phase-king state into an unconditional decision
    (and then kept re-finalizing it), letting the eclipsed process decide a
-   value that can differ from the agreed one. Post-fix it either adopts a
-   line-18 [Decided] broadcast or stays undecided (it is faulty; faulty
-   processes need not terminate) — never disagrees. *)
+   value that can differ from the agreed one. Post-fix it leaves the tail
+   undecided and, in the residue round after the finalize round, adopts
+   the first line-18 [Decided] broadcast in its inbox — never disagrees. *)
 let eclipse_fallback ~victim ~from_round ~to_round =
   {
     Sim.Adversary_intf.name = "eclipse-fallback";
@@ -222,39 +222,70 @@ let eclipse_fallback ~victim ~from_round ~to_round =
             ~omit:(fun _src dst -> dst = victim));
   }
 
+(* The engine stops once every non-faulty process has decided, so the
+   residue round runs only while some non-faulty process is still
+   undecided after the finalize round. [eclipse_fallback] plus pids 0-2
+   silenced for the whole run arranges that: their non-faulty group mates
+   3-5 lose the aggregation quorum, turn inoperative and idle until a
+   line-18 [Decided] reaches them, in the residue round itself. *)
+let idle_group_eclipse ~victim ~from_round ~to_round =
+  let silenced p = p <= 2 in
+  {
+    Sim.Adversary_intf.name = "idle-group-eclipse";
+    create =
+      (fun _cfg _rand view ->
+        let r = view.Sim.View.round in
+        let eclipsed = r >= from_round && r <= to_round in
+        Sim.View.pointwise
+          ~new_faults:
+            ((if r = 1 then [ 0; 1; 2 ] else [])
+            @ if r = from_round then [ victim ] else [])
+          ~omit:(fun src dst ->
+            silenced src || silenced dst || (eclipsed && dst = victim)));
+  }
+
 let test_undecided_fallback_regression () =
   let n = 36 in
-  let t = 1 in
+  let t = 4 in
   (* one epoch keeps the whp-decision from firing, forcing the fallback *)
   let params =
     { Consensus.Params.default with
       Consensus.Params.epochs = Consensus.Params.Fixed 1
     }
   in
-  let members = Array.init n (fun i -> i) in
+  let v_rounds = Consensus.Core.schedule_length ~params ~t_max:t n in
+  let p_rounds = Consensus.Phase_king.rounds ~t_max:t in
+  (* the tail's local round 1 is V+1, its finalize round V+P+1 *)
+  let residue_round = v_rounds + p_rounds + 2 in
+  let victim = 20 in
   let fallback_runs = ref 0 in
   List.iter
     (fun seed ->
-      let shared =
-        Consensus.Core.make_shared ~members ~seed ~params ~t_max:t ()
-      in
-      let v_rounds = Consensus.Core.rounds shared in
-      let p_rounds = Consensus.Phase_king.rounds ~t_max:t in
-      let victim = 1 in
       (* the fallback exchanges messages sent in rounds V+1 .. V+P *)
       let adversary =
-        eclipse_fallback ~victim ~from_round:(v_rounds + 1)
+        idle_group_eclipse ~victim ~from_round:(v_rounds + 1)
           ~to_round:(v_rounds + p_rounds)
       in
+      let participant = ref false and victim_decided_at = ref 0 in
+      let probe =
+        Trace.Sink.make ~close:ignore ~emit:(function
+          | Trace.Event.Send { round; src; _ }
+            when round = v_rounds + 1 && src = victim ->
+              participant := true
+          | Trace.Event.Decide { round; pid; _ } when pid = victim ->
+              victim_decided_at := round
+          | _ -> ())
+      in
       let inputs = mixed n in
-      let o = run ~n ~t ~seed ~adversary ~params inputs in
+      let o = run ~n ~t ~seed ~adversary ~params ~trace:probe inputs in
       Alcotest.(check bool)
         (Printf.sprintf "non-faulty decided (seed %d)" seed)
         true
         (Sim.Engine.all_nonfaulty_decided o);
-      (match o.decided_round with
-      | Some r when r > v_rounds + 1 -> incr fallback_runs
-      | _ -> ());
+      let fallback =
+        match o.decided_round with Some r -> r > v_rounds + 1 | None -> false
+      in
+      if fallback then incr fallback_runs;
       match Sim.Engine.agreed_decision o with
       | None ->
           Alcotest.failf "agreement violated among non-faulty (seed %d)" seed
@@ -269,7 +300,20 @@ let test_undecided_fallback_regression () =
                        seed)
                     agreed dv
               | None -> ())
-            o.decisions)
+            o.decisions;
+          if fallback then begin
+            Alcotest.(check bool)
+              (Printf.sprintf "victim is a tail participant (seed %d)" seed)
+              true !participant;
+            Alcotest.(check int)
+              (Printf.sprintf "victim resolves in the residue round (seed %d)"
+                 seed)
+              residue_round !victim_decided_at;
+            Alcotest.(check (option int))
+              (Printf.sprintf "victim adopts the line-18 decision (seed %d)"
+                 seed)
+              (Some agreed) o.decisions.(victim)
+          end)
     [ 1; 2; 3; 4; 5 ];
   Alcotest.(check bool) "the fallback window was actually exercised" true
     (!fallback_runs > 0)
