@@ -39,36 +39,30 @@ let abl_delta ~quick () =
   let t = max 1 (n / 31) in
   row "%8s %8s %10s %14s %14s %8s\n" "c" "Delta" "rounds" "comm bits"
     "min operative" "n-3t";
-  Supervise.Cached.map ~budget:!budget
-    ~describe:(fun _ c ->
-      {
-        Supervise.d_label = Printf.sprintf "abl-delta/c=%d" c;
-        d_seed = Some 1;
-        d_replay = Some "dune exec bench/main.exe -- --only abl-delta";
-      })
-    ?store:!store
-    ~key:(fun c -> Printf.sprintf "abl-delta|n=%d|c=%d" n c)
-    ~codec:Cache.Codec.(triple (pair int int) measure_codec int)
-    (fun c ->
-      let params = { Consensus.Params.default with Consensus.Params.delta_c = c } in
-      let m, min_ops =
-        run_with_params ~params ~n ~t ~seed:1
-          ~adversary:(Adversary.random_omission ~p_omit:1.0)
-      in
-      ((c, Consensus.Params.delta params ~n), m, min_ops))
-    [| 2; 4; 8; 12 |]
-  |> Array.iter (function
-       | Error fl -> quarantine fl
-       | Ok ((c, delta), m, min_ops) ->
-           row "%8d %8d %10d %14d %14d %8d\n" c delta m.rounds m.bits min_ops
-             (n - (3 * t));
-           Out.emit
-             [
-               ("c", Out.I c); ("delta", Out.I delta);
-               ("rounds", Out.I m.rounds); ("comm_bits", Out.I m.bits);
-               ("min_operative", Out.I min_ops);
-               ("operative_bound", Out.I (n - (3 * t)));
-             ])
+  let with_c c =
+    { Consensus.Params.default with Consensus.Params.delta_c = c }
+  in
+  sweep ~codec:Cache.Codec.(pair measure_codec int)
+    ~point:(fun c -> Printf.sprintf "n=%d/c=%d" n c)
+    ~params:[ 2; 4; 8; 12 ] ~seeds:[ 1 ]
+    (fun c seed ->
+      run_with_params ~params:(with_c c) ~n ~t ~seed
+        ~adversary:(Adversary.random_omission ~p_omit:1.0))
+  |> List.iter (fun (c, rs) ->
+         List.iter
+           (fun (m, min_ops) ->
+             let delta = Consensus.Params.delta (with_c c) ~n in
+             row "%8d %8d %10d %14d %14d %8d\n" c delta m.rounds m.bits
+               min_ops
+               (n - (3 * t));
+             Out.emit
+               [
+                 ("c", Out.I c); ("delta", Out.I delta);
+                 ("rounds", Out.I m.rounds); ("comm_bits", Out.I m.bits);
+                 ("min_operative", Out.I min_ops);
+                 ("operative_bound", Out.I (n - (3 * t)));
+               ])
+           rs)
 
 (* A2: spreading rounds multiplier. *)
 let abl_spread ~quick () =
@@ -81,34 +75,27 @@ let abl_spread ~quick () =
   let t = max 1 (n / 31) in
   row "%8s %10s %10s %14s %14s\n" "c" "rounds" "decided" "comm bits"
     "min operative";
-  Supervise.Cached.map ~budget:!budget
-    ~describe:(fun _ c ->
-      {
-        Supervise.d_label = Printf.sprintf "abl-spread/c=%d" c;
-        d_seed = Some 1;
-        d_replay = Some "dune exec bench/main.exe -- --only abl-spread";
-      })
-    ?store:!store
-    ~key:(fun c -> Printf.sprintf "abl-spread|n=%d|c=%d" n c)
-    ~codec:Cache.Codec.(triple int measure_codec int)
-    (fun c ->
-      let params = { Consensus.Params.default with Consensus.Params.spread_c = c } in
-      let m, min_ops =
-        run_with_params ~params ~n ~t ~seed:1
-          ~adversary:(Adversary.vote_splitter ())
+  sweep ~codec:Cache.Codec.(pair measure_codec int)
+    ~point:(fun c -> Printf.sprintf "n=%d/c=%d" n c)
+    ~params:[ 1; 2; 4 ] ~seeds:[ 1 ]
+    (fun c seed ->
+      let params =
+        { Consensus.Params.default with Consensus.Params.spread_c = c }
       in
-      (c, m, min_ops))
-    [| 1; 2; 4 |]
-  |> Array.iter (function
-       | Error fl -> quarantine fl
-       | Ok (c, m, min_ops) ->
-           row "%8d %10d %10b %14d %14d\n" c m.rounds m.decided m.bits min_ops;
-           Out.emit
-             [
-               ("c", Out.I c); ("rounds", Out.I m.rounds);
-               ("decided", Out.B m.decided); ("comm_bits", Out.I m.bits);
-               ("min_operative", Out.I min_ops);
-             ])
+      run_with_params ~params ~n ~t ~seed
+        ~adversary:(Adversary.vote_splitter ()))
+  |> List.iter (fun (c, rs) ->
+         List.iter
+           (fun (m, min_ops) ->
+             row "%8d %10d %10b %14d %14d\n" c m.rounds m.decided m.bits
+               min_ops;
+             Out.emit
+               [
+                 ("c", Out.I c); ("rounds", Out.I m.rounds);
+                 ("decided", Out.B m.decided); ("comm_bits", Out.I m.bits);
+                 ("min_operative", Out.I min_ops);
+               ])
+           rs)
 
 (* A3: epoch count vs fallback engagement. *)
 let abl_epochs ~quick () =

@@ -456,12 +456,18 @@ let avg_runs ?(label = "") ms =
    quarantined (reported + counted, with a replay command when [replay] is
    given), so the sweep always completes its surviving points.
 
-   [point] names a parameter for cache keys and quarantine labels. The
+   [point] names a parameter, with every input that differs between
+   quick and full campaigns, for cache keys and quarantine labels. The
    sweep runs through [Supervise.Cached.map] keyed by
    "experiment|point|seed=N" and stored with [codec]: with the store on,
    finished tasks are served from it — bit-identical, since every task is
    a pure function of its (param, seed) — which is how a killed campaign
-   resumes. *)
+   resumes.
+
+   This is the one way an experiment runs a task, so every task is
+   quarantined on failure and served from --cache. The two timing
+   sections, micro-engine and scale, stay outside it and run serially:
+   they time runs, which must not share the CPU with pool tasks. *)
 let sweep ~codec ?replay ~point ~params ~seeds f =
   let tasks =
     Array.of_list
@@ -501,32 +507,11 @@ let sweep ~codec ?replay ~point ~params ~seeds f =
       (p, !ok))
     params
 
-(* Run one supervised task outside a sweep (the single-run figures); a
-   failure is quarantined and the caller gets [None]. With the store on, a
-   successful result is memoized under [cache_key] with [codec] and a
-   later campaign gets it without running — failures are never cached. *)
-let protected ~cache_key ~codec ~label f =
-  let descriptor =
-    {
-      Supervise.d_label = label;
-      d_seed = None;
-      d_replay =
-        Some
-          (Printf.sprintf "dune exec bench/main.exe -- --only %s"
-             !Out.experiment);
-    }
-  in
-  match
-    (Supervise.Cached.map ~jobs:1 ~budget:!budget
-       ~describe:(fun _ () -> descriptor)
-       ?store:!store
-       ~key:(fun () -> cache_key)
-       ~codec f [| () |]).(0)
-  with
-  | Ok v -> Some v
-  | Error fl ->
-      quarantine fl;
-      None
+(* The registry builder of protocol [id]; raises on an unknown id. *)
+let registry_build id =
+  match Harness.Registry.find id with
+  | Ok e -> Harness.Registry.build e
+  | Error msg -> invalid_arg msg
 
 let optimal_run ?(adversary = Adversary.vote_splitter ()) ~n ~t ~seed () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in

@@ -235,87 +235,68 @@ let t1_abraham ~quick () =
   in
   let n_ds = min n 100 in
   let t_ds = n_ds / 8 in
-  (* five independent single runs: fan them across the pool, print in order *)
-  let tasks =
-    [|
-      (fun () ->
-        let cfg = Sim.Config.make ~n ~t_max:t_opt ~seed:1 ~max_rounds:20000 () in
-        (measure (Consensus.Optimal_omissions.protocol_buffered cfg) cfg
-           ~adversary:(Adversary.vote_splitter ())
-           ~inputs:(Array.init n (fun i -> i mod 2)))
-          .messages);
-      (fun () ->
-        let cfg0 = Sim.Config.make ~n ~t_max:t_opt ~seed:1 () in
-        let max_rounds = Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5 in
-        let cfg = Sim.Config.make ~n ~t_max:t_opt ~seed:1 ~max_rounds () in
-        (measure (Consensus.Param_omissions.protocol_buffered ~x:4 cfg) cfg
-           ~adversary:(Adversary.staggered_crash ~per_round:1)
-           ~inputs:(Array.init n (fun i -> i mod 2)))
-          .messages);
-      (fun () ->
-        let cfg = Sim.Config.make ~n ~t_max:t_big ~seed:1 ~max_rounds:5000 () in
-        (measure (Consensus.Bjbo.protocol_buffered cfg) cfg
-           ~adversary:(Adversary.vote_splitter ())
-           ~inputs:(Array.init n (fun i -> i mod 2)))
-          .messages);
-      (fun () ->
-        let cfg = Sim.Config.make ~n ~t_max:t_big ~seed:1 ~max_rounds:5000 () in
-        (measure (Consensus.Flood.protocol_buffered cfg) cfg
-           ~adversary:(Adversary.staggered_crash ~per_round:2)
-           ~inputs:(Array.init n (fun i -> i mod 2)))
-          .messages);
-      (fun () ->
-        let cfg =
-          Sim.Config.make ~n:n_ds ~t_max:t_ds ~seed:1 ~max_rounds:(t_ds + 5) ()
-        in
-        (measure (Consensus.Dolev_strong.protocol_buffered cfg) cfg
-           ~adversary:(Adversary.random_omission ~p_omit:0.8)
-           ~inputs:(Array.init n_ds (fun i -> i mod 2)))
-          .messages);
-    |]
+  let messages ~n ~t ~max_rounds ~adversary buffered seed =
+    let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds () in
+    (measure (buffered cfg) cfg ~adversary
+       ~inputs:(Array.init n (fun i -> i mod 2)))
+      .messages
   in
-  let labels =
-    [|
-      "optimal-omissions"; "param-omissions(x=4)"; "bjbo (crash baseline)";
-      "flood-min (deterministic)"; "dolev-strong [15]";
-    |]
-  in
-  (* mapped over indices (not the thunks) so the cache key can name the
-     protocol; the message count is a pure function of (label, n) *)
-  let msgs =
-    Supervise.Cached.map ~budget:!budget
-      ~describe:(fun i _ ->
-        { Supervise.d_label = labels.(i); d_seed = Some 1; d_replay = None })
-      ?store:!store
-      ~key:(fun i -> Printf.sprintf "t1-abraham|%s|n=%d" labels.(i) n)
-      ~codec:Cache.Codec.int
-      (fun i -> tasks.(i) ())
-      (Array.init (Array.length tasks) Fun.id)
+  (* five independent single runs, one sweep point each; [Some n_ds]
+     marks the row run at its own size *)
+  let cases =
+    [
+      ( "optimal-omissions", t_opt, None,
+        messages ~n ~t:t_opt ~max_rounds:20000
+          ~adversary:(Adversary.vote_splitter ())
+          (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg) );
+      ( "param-omissions(x=4)", t_opt, None,
+        fun seed ->
+          let cfg0 = Sim.Config.make ~n ~t_max:t_opt ~seed () in
+          messages ~n ~t:t_opt
+            ~max_rounds:(Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5)
+            ~adversary:(Adversary.staggered_crash ~per_round:1)
+            (Consensus.Param_omissions.protocol_buffered ~x:4)
+            seed );
+      ( "bjbo (crash baseline)", t_big, None,
+        messages ~n ~t:t_big ~max_rounds:5000
+          ~adversary:(Adversary.vote_splitter ())
+          (fun cfg -> Consensus.Bjbo.protocol_buffered cfg) );
+      ( "flood-min (deterministic)", t_big, None,
+        messages ~n ~t:t_big ~max_rounds:5000
+          ~adversary:(Adversary.staggered_crash ~per_round:2)
+          Consensus.Flood.protocol_buffered );
+      ( "dolev-strong [15]", t_ds, Some n_ds,
+        messages ~n:n_ds ~t:t_ds ~max_rounds:(t_ds + 5)
+          ~adversary:(Adversary.random_omission ~p_omit:0.8)
+          Consensus.Dolev_strong.protocol_buffered );
+    ]
   in
   (* a quarantined protocol loses its row; the others still print *)
-  let entry_ok i name t =
-    match msgs.(i) with
-    | Ok m -> entry name t m
-    | Error fl -> quarantine fl
-  in
-  entry_ok 0 "optimal-omissions" t_opt;
-  entry_ok 1 "param-omissions(x=4)" t_opt;
-  entry_ok 2 "bjbo (crash baseline)" t_big;
-  entry_ok 3 "flood-min (deterministic)" t_big;
-  (match msgs.(4) with
-  | Error fl -> quarantine fl
-  | Ok m ->
-      row "%-24s %5d %12d %12d %10.0f   (n=%d: n parallel broadcasts)\n"
-        "dolev-strong [15]" t_ds m (t_ds * t_ds)
-        (float_of_int m /. float_of_int (t_ds * t_ds))
-        n_ds;
-      Out.emit
-        [
-          ("protocol", Out.S "dolev-strong"); ("t", Out.I t_ds);
-          ("messages", Out.I m); ("t_squared", Out.I (t_ds * t_ds));
-          ("msgs_per_t2", Out.F (float_of_int m /. float_of_int (t_ds * t_ds)));
-          ("n", Out.I n_ds);
-        ]);
+  sweep ~codec:Cache.Codec.int
+    ~point:(fun (name, _, _, _) -> Printf.sprintf "%s/n=%d" name n)
+    ~params:cases ~seeds:[ 1 ]
+    (fun (_, _, _, run) seed -> run seed)
+  |> List.iter (fun ((name, t, own_n, _), ms) ->
+         List.iter
+           (fun m ->
+             match own_n with
+             | None -> entry name t m
+             | Some n_ds ->
+                 row
+                   "%-24s %5d %12d %12d %10.0f   (n=%d: n parallel \
+                    broadcasts)\n"
+                   name t m (t * t)
+                   (float_of_int m /. float_of_int (t * t))
+                   n_ds;
+                 Out.emit
+                   [
+                     ("protocol", Out.S "dolev-strong"); ("t", Out.I t);
+                     ("messages", Out.I m); ("t_squared", Out.I (t * t));
+                     ("msgs_per_t2",
+                      Out.F (float_of_int m /. float_of_int (t * t)));
+                     ("n", Out.I n_ds);
+                   ])
+           ms);
   Printf.printf
     "\nrounds comparison at the same (n, t): dolev-strong takes t+2 rounds \
      (Theta(n) at t = Theta(n))\nwhile Algorithm 1's schedule is \
@@ -415,72 +396,58 @@ let b3 ~quick () =
   let ns = if quick then [ 64; 144; 256 ] else [ 64; 144; 256; 400 ] in
   row "%6s %5s %14s %14s %13s %13s %7s\n" "n" "t" "om total" "cr total"
     "om dissem" "cr dissem" "ratio";
-  let results =
-    Supervise.Cached.map ~budget:!budget
-      ~describe:(fun _ n ->
-        {
-          Supervise.d_label = Printf.sprintf "b3/n=%d" n;
-          d_seed = Some 1;
-          d_replay =
-            Some "dune exec bench/main.exe -- --only b3";
-        })
-      ?store:!store
-      ~key:(fun n -> Printf.sprintf "b3|n=%d" n)
-      ~codec:
-        Cache.Codec.(
-          triple (pair int int)
-            (pair measure_codec measure_codec)
-            (pair int int))
-      (fun n ->
-        let t = max 1 (n / 31) in
-        let seed = 1 in
-        let inputs = Array.init n (fun i -> i mod 2) in
-        let adversary = Adversary.staggered_crash ~per_round:1 in
-        (* Algorithm 1: dissemination = the line-14 broadcast slot *)
-        let v =
-          Consensus.Core.schedule_length ~params:Consensus.Params.default
-            ~t_max:t n
+  sweep ~codec:Cache.Codec.(pair (pair int int) (pair int int))
+    ~point:(fun n -> Printf.sprintf "n=%d" n)
+    ~params:ns ~seeds:[ 1 ]
+    (fun n seed ->
+      let t = max 1 (n / 31) in
+      let inputs = Array.init n (fun i -> i mod 2) in
+      let adversary = Adversary.staggered_crash ~per_round:1 in
+      (* Algorithm 1: dissemination = the line-14 broadcast slot *)
+      let v =
+        Consensus.Core.schedule_length ~params:Consensus.Params.default
+          ~t_max:t n
+      in
+      let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
+      (* the run's total bits and the bits sent from round v on *)
+      let dissem proto =
+        let trace, summary =
+          Trace.Metrics.collector ~clock:(fun () -> 0.) ()
         in
-        let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-        (* the run's measure and the bits sent from round v on *)
-        let dissem proto =
-          let trace, summary =
-            Trace.Metrics.collector ~clock:(fun () -> 0.) ()
-          in
-          let m = measure ~trace proto cfg ~adversary ~inputs in
-          ( m,
-            List.fold_left
-              (fun a (r : Trace.Metrics.per_round) ->
-                if r.round >= v then a + r.bits else a)
-              0 (summary ()).per_round )
-        in
-        let m_om, om_dissem =
-          dissem (Consensus.Optimal_omissions.protocol_buffered cfg)
-        in
-        (* crash variant: dissemination = the gossip + help slots *)
-        let m_cr, cr_dissem =
-          dissem (Consensus.Crash_subquadratic.protocol_buffered cfg)
-        in
-        ((n, t), (m_om, m_cr), (om_dissem, cr_dissem)))
-      (Array.of_list ns)
-  in
-  Array.iter
-    (function
-      | Error fl -> quarantine fl
-      | Ok ((n, t), (m_om, m_cr), (om_dissem, cr_dissem)) ->
-      row "%6d %5d %14d %14d %13d %13d %7.1f\n" n t m_om.bits m_cr.bits
-        om_dissem cr_dissem
-        (float_of_int om_dissem /. float_of_int (max 1 cr_dissem));
-      Out.emit
-        [
-          ("n", Out.I n); ("t", Out.I t);
-          ("omission_bits", Out.I m_om.bits); ("crash_bits", Out.I m_cr.bits);
-          ("omission_dissem_bits", Out.I om_dissem);
-          ("crash_dissem_bits", Out.I cr_dissem);
-          ("ratio",
-           Out.F (float_of_int om_dissem /. float_of_int (max 1 cr_dissem)));
-        ])
-    results;
+        let m = measure ~trace proto cfg ~adversary ~inputs in
+        ( m.bits,
+          List.fold_left
+            (fun a (r : Trace.Metrics.per_round) ->
+              if r.round >= v then a + r.bits else a)
+            0 (summary ()).per_round )
+      in
+      let om_bits, om_dissem =
+        dissem (Consensus.Optimal_omissions.protocol_buffered cfg)
+      in
+      (* crash variant: dissemination = the gossip + help slots *)
+      let cr_bits, cr_dissem =
+        dissem (Consensus.Crash_subquadratic.protocol_buffered cfg)
+      in
+      ((om_bits, cr_bits), (om_dissem, cr_dissem)))
+  |> List.iter (fun (n, rs) ->
+         let t = max 1 (n / 31) in
+         List.iter
+           (fun ((om_bits, cr_bits), (om_dissem, cr_dissem)) ->
+             row "%6d %5d %14d %14d %13d %13d %7.1f\n" n t om_bits cr_bits
+               om_dissem cr_dissem
+               (float_of_int om_dissem /. float_of_int (max 1 cr_dissem));
+             Out.emit
+               [
+                 ("n", Out.I n); ("t", Out.I t);
+                 ("omission_bits", Out.I om_bits);
+                 ("crash_bits", Out.I cr_bits);
+                 ("omission_dissem_bits", Out.I om_dissem);
+                 ("crash_dissem_bits", Out.I cr_dissem);
+                 ("ratio",
+                  Out.F
+                    (float_of_int om_dissem /. float_of_int (max 1 cr_dissem)));
+               ])
+           rs);
   Printf.printf
     "(the dissemination ratio grows ~n/log^2 n: the crash variant sheds the \
      quadratic term,\n which the omission model provably cannot)\n"

@@ -13,30 +13,36 @@ let f1 ~quick () =
   let ns = if quick then [ 64; 256; 1024 ] else [ 64; 256; 1024; 4096 ] in
   row "%6s %8s %10s %7s %16s %10s\n" "n" "groups" "group sz" "Delta"
     "degree min/max" "edges";
-  Exec.map
-    (fun n ->
+  sweep
+    ~codec:Cache.Codec.(triple (pair int int) (pair int int) (pair int int))
+    ~point:(fun n -> Printf.sprintf "n=%d" n)
+    ~params:ns ~seeds:[ 11 ]
+    (fun n seed ->
       let part = Groups.sqrt_partition n in
       let delta = Expander.default_delta n in
-      let g = Expander.create_good ~n ~delta ~seed:11L () in
+      let g = Expander.create_good ~n ~delta ~seed:(Int64.of_int seed) () in
       let dmin = ref max_int and dmax = ref 0 in
       for v = 0 to n - 1 do
         let d = Expander.degree g v in
         if d < !dmin then dmin := d;
         if d > !dmax then dmax := d
       done;
-      (n, Groups.group_count part, part.Groups.group_size, delta, !dmin, !dmax,
-       Expander.edge_count g))
-    (Array.of_list ns)
-  |> Array.iter (fun (n, groups, gsize, delta, dmin, dmax, edges) ->
-         row "%6d %8d %10d %7d %10d/%-5d %10d\n" n groups gsize delta dmin
-           dmax edges;
-         Out.emit
-           [
-             ("n", Out.I n); ("groups", Out.I groups);
-             ("group_size", Out.I gsize); ("delta", Out.I delta);
-             ("degree_min", Out.I dmin); ("degree_max", Out.I dmax);
-             ("edges", Out.I edges);
-           ]);
+      ( (Groups.group_count part, part.Groups.group_size),
+        (delta, !dmin),
+        (!dmax, Expander.edge_count g) ))
+  |> List.iter (fun (n, rs) ->
+         List.iter
+           (fun ((groups, gsize), (delta, dmin), (dmax, edges)) ->
+             row "%6d %8d %10d %7d %10d/%-5d %10d\n" n groups gsize delta
+               dmin dmax edges;
+             Out.emit
+               [
+                 ("n", Out.I n); ("groups", Out.I groups);
+                 ("group_size", Out.I gsize); ("delta", Out.I delta);
+                 ("degree_min", Out.I dmin); ("degree_max", Out.I dmax);
+                 ("edges", Out.I edges);
+               ])
+           rs);
   Printf.printf
     "(the overlay graph is independent of the decomposition, exactly as in \
      the figure)\n"
@@ -49,7 +55,6 @@ let f2 ~quick:_ () =
   section "F2: Figure 2 — binary-tree aggregation trace (one epoch)";
   let n = 256 in
   let t = max 1 (n / 31) in
-  let cfg = Sim.Config.make ~n ~t_max:t ~seed:4 ~max_rounds:20000 () in
   let inputs = Array.init n (fun i -> i mod 2) in
   let part = Groups.sqrt_partition n in
   let s = part.Groups.group_size in
@@ -62,29 +67,29 @@ let f2 ~quick:_ () =
     n s stages spread;
   row "%6s %-12s %10s %12s %14s\n" "slot" "kind" "messages" "bits"
     "bits/group";
-  (* the per-slot trace is collected inside the task and returned with
-     the measure, so a cache hit restores the whole figure without a run *)
+  (* the per-slot trace is collected inside the task and returned as its
+     result, so a cache hit restores the whole figure without a run *)
   match
-    protected ~cache_key:"f2|n=256" ~label:"f2/n=256"
-      ~codec:Cache.Codec.(pair measure_codec (list (triple int int int)))
-      (fun () ->
+    sweep ~codec:Cache.Codec.(list (triple int int int))
+      ~point:(fun n -> Printf.sprintf "n=%d" n)
+      ~params:[ n ] ~seeds:[ 4 ]
+      (fun n seed ->
+        let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
         let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
         let trace, summary = Trace.Metrics.collector ~clock:(fun () -> 0.) () in
-        let m =
+        let (_ : run_measure) =
           measure ~trace proto cfg ~adversary:(Adversary.group_killer ())
             ~inputs
         in
-        let slots =
-          List.filter_map
-            (fun (r : Trace.Metrics.per_round) ->
-              if r.round <= epoch_len then Some (r.round, r.messages, r.bits)
-              else None)
-            (summary ()).per_round
-        in
-        (m, slots))
+        List.filter_map
+          (fun (r : Trace.Metrics.per_round) ->
+            if r.round <= epoch_len then Some (r.round, r.messages, r.bits)
+            else None)
+          (summary ()).per_round)
+    |> List.concat_map snd
   with
-  | None -> ()
-  | Some ((_ : run_measure), slots) ->
+  | [] -> ()
+  | slots :: _ ->
   let trace = Hashtbl.create 64 in
   List.iter (fun (s, msgs, bits) -> Hashtbl.replace trace s (msgs, bits)) slots;
   for slot = 1 to epoch_len do
@@ -145,9 +150,9 @@ let f3 ~quick () =
   let t = max 1 (n / 31) in
   (* the task runs the protocol with the vote log attached and reduces
      the log to per-epoch aggregates — the cacheable figure content *)
-  let task () =
+  let task n seed =
     let log = ref [] in
-    let cfg = Sim.Config.make ~n ~t_max:t ~seed:12 ~max_rounds:20000 () in
+    let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
     let proto = Consensus.Optimal_omissions.protocol_buffered ~vote_log:log cfg in
     let inputs = Array.init n (fun i -> i mod 2) in
     let (_ : run_measure) =
@@ -186,16 +191,16 @@ let f3 ~quick () =
       epochs
   in
   match
-    protected
-      ~cache_key:(Printf.sprintf "f3|n=%d" n)
+    sweep
       ~codec:
         Cache.Codec.(
           list (triple (pair int float) (pair int int) (pair int int)))
-      ~label:(Printf.sprintf "f3/n=%d" n)
-      task
+      ~point:(fun n -> Printf.sprintf "n=%d" n)
+      ~params:[ n ] ~seeds:[ 12 ] task
+    |> List.concat_map snd
   with
-  | None -> ()
-  | Some rows ->
+  | [] -> ()
+  | rows :: _ ->
   Printf.printf
     "n=%d under the vote-splitting adversary; per epoch: the ones-fraction \
      each operative\nprocess computed and which Figure-3 rule fired.\n\n" n;
@@ -228,10 +233,15 @@ let g4 ~quick () =
   let ns = if quick then [ 128; 512 ] else [ 128; 512; 2048 ] in
   row "%6s %7s %9s %9s %9s %11s %7s\n" "n" "Delta" "deg-ok" "sparse"
     "expand" "core(n/15)" "ecc";
-  Exec.map
-    (fun n ->
+  sweep
+    ~codec:
+      Cache.Codec.(
+        triple (pair int bool) (pair bool bool) (pair int string))
+    ~point:(fun n -> Printf.sprintf "n=%d" n)
+    ~params:ns ~seeds:[ 21 ]
+    (fun n seed ->
       let delta = Expander.default_delta n in
-      let g = Expander.create_good ~n ~delta ~seed:21L () in
+      let g = Expander.create_good ~n ~delta ~seed:(Int64.of_int seed) () in
       let deg = Expander.degree_bounds_ok g ~lo:0.5 ~hi:1.6 in
       let sparse =
         Expander.edge_sparsity_ok g ~samples:40 ~max_size:(n / 10)
@@ -253,21 +263,23 @@ let g4 ~quick () =
         | Some e -> string_of_int e
         | None -> "disc"
       in
-      (n, delta, deg, sparse, expand, size, ecc))
-    (Array.of_list ns)
-  |> Array.iter (fun (n, delta, deg, sparse, expand, size, ecc) ->
-         row "%6d %7d %9b %9b %9b %6d/%-4d %7s\n" n delta deg sparse expand
-           size
-           (n - (4 * (n / 15) / 3))
-           ecc;
-         Out.emit
-           [
-             ("n", Out.I n); ("delta", Out.I delta);
-             ("degree_ok", Out.B deg); ("sparse_ok", Out.B sparse);
-             ("expansion_ok", Out.B expand); ("core_size", Out.I size);
-             ("core_bound", Out.I (n - (4 * (n / 15) / 3)));
-             ("eccentricity", Out.S ecc);
-           ]);
+      ((delta, deg), (sparse, expand), (size, ecc)))
+  |> List.iter (fun (n, rs) ->
+         List.iter
+           (fun ((delta, deg), (sparse, expand), (size, ecc)) ->
+             row "%6d %7d %9b %9b %9b %6d/%-4d %7s\n" n delta deg sparse
+               expand size
+               (n - (4 * (n / 15) / 3))
+               ecc;
+             Out.emit
+               [
+                 ("n", Out.I n); ("delta", Out.I delta);
+                 ("degree_ok", Out.B deg); ("sparse_ok", Out.B sparse);
+                 ("expansion_ok", Out.B expand); ("core_size", Out.I size);
+                 ("core_bound", Out.I (n - (4 * (n / 15) / 3)));
+                 ("eccentricity", Out.S ecc);
+               ])
+           rs);
   Printf.printf
     "(core column: Lemma 4 survivor count vs its n - 4/3 |T| bound; ecc: \
      the 'shallow'\n property — the pruned core keeps O(log n) diameter)\n"
@@ -287,22 +299,28 @@ let l12 ~quick () =
       (fun k -> List.map (fun alpha -> (k, alpha)) [ 0.25; 0.05; 0.01 ])
       ks
   in
-  Exec.map
-    (fun (k, alpha) ->
-      let rand = Sim.Rand.create ~seed:55L () in
-      let h = Lowerbound.Coin_game.required_hides rand ~k ~alpha ~trials in
-      (k, alpha, h))
-    (Array.of_list grid)
-  |> Array.iter (fun (k, alpha, h) ->
-         let budget = Lowerbound.Coin_game.talagrand_budget ~k ~alpha in
-         row "%6d %9.3f %12d %12.1f %14.2f\n" k alpha h budget
-           (float_of_int h /. sqrt (float_of_int k));
-         Out.emit
-           [
-             ("k", Out.I k); ("alpha", Out.F alpha); ("hides", Out.I h);
-             ("talagrand_budget", Out.F budget);
-             ("hides_per_sqrt_k", Out.F (float_of_int h /. sqrt (float_of_int k)));
-           ]);
+  sweep ~codec:Cache.Codec.int
+    (* trials in the point: quick and full campaigns share grid cells *)
+    ~point:(fun (k, alpha) ->
+      Printf.sprintf "k=%d/alpha=%g/trials=%d" k alpha trials)
+    ~params:grid ~seeds:[ 55 ]
+    (fun (k, alpha) seed ->
+      let rand = Sim.Rand.create ~seed:(Int64.of_int seed) () in
+      Lowerbound.Coin_game.required_hides rand ~k ~alpha ~trials)
+  |> List.iter (fun ((k, alpha), hs) ->
+         List.iter
+           (fun h ->
+             let budget = Lowerbound.Coin_game.talagrand_budget ~k ~alpha in
+             row "%6d %9.3f %12d %12.1f %14.2f\n" k alpha h budget
+               (float_of_int h /. sqrt (float_of_int k));
+             Out.emit
+               [
+                 ("k", Out.I k); ("alpha", Out.F alpha); ("hides", Out.I h);
+                 ("talagrand_budget", Out.F budget);
+                 ("hides_per_sqrt_k",
+                  Out.F (float_of_int h /. sqrt (float_of_int k)));
+               ])
+           hs);
   Printf.printf
     "(empirical hides needed to bias with prob 1-alpha scale as sqrt(k \
      log(1/alpha)),\n inside the paper's 8 sqrt(k log(1/alpha)) budget — \
@@ -319,6 +337,16 @@ let all ~quick () =
 (* VAL: Lemma 13 / Appendix C valency classification, exactly.         *)
 (* ------------------------------------------------------------------ *)
 
+(* cache codec for the valency analysis record *)
+let analysis_codec =
+  Cache.Codec.(
+    conv
+      (fun (a : Lowerbound.Valency.analysis) ->
+        ((a.force1, a.force0), (a.stall, a.disagree)))
+      (fun ((force1, force0), (stall, disagree)) ->
+        { Lowerbound.Valency.force1; force0; stall; disagree })
+      (pair (pair float float) (pair float float)))
+
 let valency ~quick:_ () =
   section "VAL: Lemma 13 — exact valency of every initial state (toy game)";
   Printf.printf
@@ -326,45 +354,59 @@ let valency ~quick:_ () =
      probabilities\ncomputed exhaustively over all adaptive crash \
      strategies and coins.\n\n";
   let game = { Lowerbound.Valency.n = 3; t = 1; horizon = 6 } in
+  (* one task per (game, inputs); the analysis is exhaustive and draws no
+     coins, so seed 0 only fills the key *)
+  let analyze params =
+    sweep ~codec:analysis_codec
+      ~point:(fun ((g : Lowerbound.Valency.game), inputs) ->
+        Printf.sprintf "n=%d/t=%d/horizon=%d/inputs=%s" g.n g.t g.horizon
+          (String.concat "" (Array.to_list (Array.map string_of_int inputs))))
+      ~params ~seeds:[ 0 ]
+      (fun (g, inputs) _ -> Lowerbound.Valency.analyze g ~inputs)
+  in
   row "%10s %8s %8s %8s %10s %12s\n" "inputs" "force1" "force0" "stall"
     "disagree" "valence";
-  Exec.init 8 (fun mask ->
-      let inputs = Array.init 3 (fun p -> (mask lsr p) land 1) in
-      let a = Lowerbound.Valency.analyze game ~inputs in
-      (inputs, a))
-  |> Array.iter (fun (inputs, a) ->
-         let v =
-           match Lowerbound.Valency.classify ~threshold:0.4 a with
-           | Lowerbound.Valency.Zero_valent -> "0-valent"
-           | One_valent -> "1-valent"
-           | Null_valent -> "null"
-           | Bivalent -> "bivalent"
-         in
-         row "%9d%d%d %8.3f %8.3f %8.3f %10.3f %12s\n" inputs.(0) inputs.(1)
-           inputs.(2) a.Lowerbound.Valency.force1 a.force0 a.stall a.disagree
-           v;
-         Out.emit
-           [
-             ("inputs",
-              Out.S (Printf.sprintf "%d%d%d" inputs.(0) inputs.(1) inputs.(2)));
-             ("force1", Out.F a.Lowerbound.Valency.force1);
-             ("force0", Out.F a.force0); ("stall", Out.F a.stall);
-             ("disagree", Out.F a.disagree); ("valence", Out.S v);
-           ]);
+  analyze
+    (List.init 8 (fun mask ->
+         (game, Array.init 3 (fun p -> (mask lsr p) land 1))))
+  |> List.iter (fun ((_, inputs), rs) ->
+         List.iter
+           (fun a ->
+             let v =
+               match Lowerbound.Valency.classify ~threshold:0.4 a with
+               | Lowerbound.Valency.Zero_valent -> "0-valent"
+               | One_valent -> "1-valent"
+               | Null_valent -> "null"
+               | Bivalent -> "bivalent"
+             in
+             row "%9d%d%d %8.3f %8.3f %8.3f %10.3f %12s\n" inputs.(0)
+               inputs.(1) inputs.(2) a.Lowerbound.Valency.force1 a.force0
+               a.stall a.disagree v;
+             Out.emit
+               [
+                 ("inputs",
+                  Out.S
+                    (Printf.sprintf "%d%d%d" inputs.(0) inputs.(1)
+                       inputs.(2)));
+                 ("force1", Out.F a.Lowerbound.Valency.force1);
+                 ("force0", Out.F a.force0); ("stall", Out.F a.stall);
+                 ("disagree", Out.F a.disagree); ("valence", Out.S v);
+               ])
+           rs);
   Printf.printf
     "\n(unanimous inputs are uni-valent — validity, proved exhaustively; \
      mixed inputs are\nbivalent — the Lemma 13 starting point; disagree = 0 \
      everywhere — exhaustive safety)\n";
   Printf.printf "\nstall probability vs crash budget (inputs 101):\n";
   row "%6s %10s\n" "t" "stall";
-  Exec.map
-    (fun t ->
-      let a =
-        Lowerbound.Valency.analyze { game with Lowerbound.Valency.t }
-          ~inputs:[| 1; 0; 1 |]
-      in
-      (t, a.Lowerbound.Valency.stall))
-    [| 0; 1; 2 |]
-  |> Array.iter (fun (t, stall) ->
-         row "%6d %10.3f\n" t stall;
-         Out.emit ~kind:"stall" [ ("t", Out.I t); ("stall", Out.F stall) ])
+  analyze
+    (List.map
+       (fun t -> ({ game with Lowerbound.Valency.t }, [| 1; 0; 1 |]))
+       [ 0; 1; 2 ])
+  |> List.iter (fun (((g : Lowerbound.Valency.game), _), rs) ->
+         List.iter
+           (fun (a : Lowerbound.Valency.analysis) ->
+             row "%6d %10.3f\n" g.t a.stall;
+             Out.emit ~kind:"stall"
+               [ ("t", Out.I g.t); ("stall", Out.F a.stall) ])
+           rs)

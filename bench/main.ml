@@ -29,9 +29,12 @@
                                               # hits skip the protocol run,
                                               # results stay byte-identical
 
-   A sweep task that crashes, times out, or breaches a budget is quarantined
-   (a JSON record with a replay command, kind="quarantine"), the sweep keeps
-   going, and the campaign exits non-zero with a partial-results summary. *)
+   Every experiment except the two timing sections (micro-engine, scale)
+   runs its tasks through Bench_util.sweep: each task is served from
+   --cache when it can be, and a task that crashes, times out, or breaches
+   a budget is quarantined (a JSON record with a replay command,
+   kind="quarantine"), the sweep keeps going, and the campaign exits
+   non-zero with a partial-results summary. *)
 
 let experiments =
   [

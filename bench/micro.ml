@@ -92,19 +92,21 @@ let measure_path ~name ~path ~n ~t ~runs f =
     | _ -> ());
   wpr
 
-(* One instance, one adversary and one [path] column name. The
+(* One instance of registry protocol [name], one adversary and one
+   [path] column name. The
    adversary is rebuilt per run: strategies close over mutable schedule
    state, as is [trace], the run's sink. Which delivery route a run
    takes depends on the adversary's plan: [Sim.Adversary_intf.none] and
    crash schedules give per-sender masks (the mask route,
    path="buffered", "masked" and "tail"), a randomized predicate
    takes the general per-message route (path="pointwise"). *)
-let case ?(trace = fun () -> None) ~name ~path ~n ~t ~runs ~buffered
-    ~adversary () =
+let case ?(trace = fun () -> None) ~name ~path ~n ~t ~runs ~adversary () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds:20000 () in
   let inputs = Array.init n (fun i -> i mod 2) in
   (* lazy so a fully cache-served case never constructs its protocol *)
-  let inst = lazy (Sim.Engine.instance (buffered cfg) cfg) in
+  let inst =
+    lazy (Sim.Engine.instance (Bench_util.registry_build name cfg) cfg)
+  in
   let w =
     measure_path ~name ~path ~n ~t ~runs (fun () ->
         Sim.Engine.run_instance ?trace:(trace ()) (Lazy.force inst)
@@ -112,8 +114,8 @@ let case ?(trace = fun () -> None) ~name ~path ~n ~t ~runs ~buffered
   in
   Bench_util.row "%-14s n=%-4d t=%-3d %12.0f w/rnd %s\n" name n t w path
 
-let engine_case ~name ~n ~t ~runs ~buffered =
-  case ~name ~path:"buffered" ~n ~t ~runs ~buffered
+let engine_case ~name ~n ~t ~runs =
+  case ~name ~path:"buffered" ~n ~t ~runs
     ~adversary:(fun () -> Sim.Adversary_intf.none)
     ()
 
@@ -127,24 +129,20 @@ let three_crashes () =
 let engine_bench ~quick () =
   Bench_util.section "Engine path: allocated words/round (reusable instance)";
   let runs = if quick then 3 else 6 in
-  List.iter
-    (fun n ->
-      engine_case ~name:"flood" ~n ~t:8 ~runs
-        ~buffered:Consensus.Flood.protocol_buffered)
+  List.iter (fun n -> engine_case ~name:"flood" ~n ~t:8 ~runs)
     (if quick then [ 64; 256 ] else [ 64; 256; 512 ]);
   (* flood under a mask-plan crash schedule at the sizes the scale
      sweep gates: allocation on the mask route, both modes *)
   List.iter
     (fun n ->
       case ~name:"flood" ~path:"masked" ~n ~t:8 ~runs
-        ~buffered:Consensus.Flood.protocol_buffered ~adversary:three_crashes ())
+        ~adversary:three_crashes ())
     [ 256; 1024 ];
   (* the same runs recording a 5-round trace tail: message-level events
      from both walks of the mask route, stored without allocation *)
   List.iter
     (fun n ->
-      case ~name:"flood" ~path:"tail" ~n ~t:8 ~runs
-        ~buffered:Consensus.Flood.protocol_buffered ~adversary:three_crashes
+      case ~name:"flood" ~path:"tail" ~n ~t:8 ~runs ~adversary:three_crashes
         ~trace:(fun () ->
           Some (Trace.Tail.sink (Trace.Tail.create ~rounds:5 ())))
         ())
@@ -154,54 +152,27 @@ let engine_bench ~quick () =
   List.iter
     (fun n ->
       case ~name:"flood" ~path:"pointwise" ~n ~t:8 ~runs
-        ~buffered:Consensus.Flood.protocol_buffered
         ~adversary:(fun () -> Adversary.random_omission ~p_omit:0.5)
         ())
     [ 256; 1024 ];
-  List.iter
-    (fun n ->
-      engine_case ~name:"dolev-strong" ~n ~t:4 ~runs
-        ~buffered:Consensus.Dolev_strong.protocol_buffered)
+  List.iter (fun n -> engine_case ~name:"dolev-strong" ~n ~t:4 ~runs)
     (if quick then [ 32 ] else [ 32; 64 ]);
-  List.iter
-    (fun n ->
-      engine_case ~name:"optimal" ~n ~t:2 ~runs
-        ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg))
+  List.iter (fun n -> engine_case ~name:"optimal" ~n ~t:2 ~runs)
     (if quick then [ 24 ] else [ 24; 48 ]);
   (* n = 96 is past the complete-graph range (Delta = 56 < 95), so this row
      gates the sparse spreading path: neighbour positions, disregarding and
      per-group deltas *)
-  engine_case ~name:"optimal" ~n:96 ~t:3 ~runs
-    ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg);
-  List.iter
-    (fun n ->
-      engine_case ~name:"early-stopping" ~n ~t:8 ~runs
-        ~buffered:Consensus.Early_stopping.protocol_buffered)
+  engine_case ~name:"optimal" ~n:96 ~t:3 ~runs;
+  List.iter (fun n -> engine_case ~name:"early-stopping" ~n ~t:8 ~runs)
     (if quick then [ 64 ] else [ 64; 128 ]);
-  List.iter
-    (fun n ->
-      engine_case ~name:"bjbo" ~n ~t:8 ~runs
-        ~buffered:(fun cfg -> Consensus.Bjbo.protocol_buffered cfg))
+  List.iter (fun n -> engine_case ~name:"bjbo" ~n ~t:8 ~runs)
     (if quick then [ 64 ] else [ 64; 128 ]);
-  List.iter
-    (fun n ->
-      engine_case ~name:"phase-king" ~n ~t:2 ~runs
-        ~buffered:Consensus.Phase_king.protocol_buffered)
+  List.iter (fun n -> engine_case ~name:"phase-king" ~n ~t:2 ~runs)
     (if quick then [ 24 ] else [ 24; 48 ]);
-  List.iter
-    (fun n ->
-      engine_case ~name:"crash-sub" ~n ~t:2 ~runs
-        ~buffered:(fun cfg -> Consensus.Crash_subquadratic.protocol_buffered cfg))
+  List.iter (fun n -> engine_case ~name:"crash-sub" ~n ~t:2 ~runs)
     (if quick then [ 64 ] else [ 64; 128 ]);
-  List.iter
-    (fun n ->
-      engine_case ~name:"param-x2" ~n ~t:1 ~runs
-        ~buffered:(fun cfg -> Consensus.Param_omissions.protocol_buffered ~x:2 cfg))
+  List.iter (fun n -> engine_case ~name:"param-x2" ~n ~t:1 ~runs)
     (if quick then [ 36 ] else [ 36; 72 ]);
-  List.iter
-    (fun n ->
-      engine_case ~name:"operative-broadcast" ~n ~t:8 ~runs
-        ~buffered:(fun cfg ->
-          Consensus.Operative_broadcast.protocol_buffered ~source:0 cfg))
+  List.iter (fun n -> engine_case ~name:"operative-broadcast" ~n ~t:8 ~runs)
     (if quick then [ 64 ] else [ 64; 128 ])
 

@@ -8,36 +8,18 @@
 
 open Bench_util
 
-type case = {
-  id : string;
-  n : int;
-  t : int;
-  build : Sim.Config.t -> Sim.Protocol_intf.buffered;
-  rounds_for : Sim.Config.t -> int;
-}
+(* [id] is the registry id: a run is the [Run_spec] of (id, n, t), whose
+   builder sizes max_rounds *)
+type case = { id : string; n : int; t : int }
 
 let cases ~quick =
   [
-    {
-      id = "flood";
-      n = (if quick then 32 else 48);
-      t = 4;
-      build = Consensus.Flood.protocol_buffered;
-      rounds_for = (fun cfg -> cfg.Sim.Config.t_max + 3);
-    };
-    {
-      id = "dolev-strong";
-      n = (if quick then 16 else 24);
-      t = 2;
-      build = Consensus.Dolev_strong.protocol_buffered;
-      rounds_for = (fun cfg -> cfg.Sim.Config.t_max + 3);
-    };
+    { id = "flood"; n = (if quick then 32 else 48); t = 4 };
+    { id = "dolev-strong"; n = (if quick then 16 else 24); t = 2 };
     {
       id = "optimal";
       n = (if quick then 31 else 62);
       t = (if quick then 1 else 2);
-      build = (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg);
-      rounds_for = (fun cfg -> Consensus.Optimal_omissions.rounds_needed cfg + 10);
     };
   ]
 
@@ -78,16 +60,14 @@ let base_spec () =
   | Some s -> s
   | None -> { Net.Spec.default with Net.Spec.retries = 8 }
 
+(* the run a point makes, and the replay line its quarantine prints *)
+let run_spec case drop seed =
+  Run_spec.make ~protocol:case.id ~n:case.n ~t_max:case.t ~seed
+    ~net:{ (base_spec ()) with Net.Spec.drop }
+    ~budget:!budget ()
+
 let run_case case drop seed =
-  let spec = { (base_spec ()) with Net.Spec.drop } in
-  let cfg0 = Sim.Config.make ~n:case.n ~t_max:case.t ~seed () in
-  let cfg = { cfg0 with Sim.Config.max_rounds = case.rounds_for cfg0 } in
-  let proto = case.build cfg in
-  let inputs = Array.init case.n (fun i -> i mod 2) in
-  match
-    Supervise.run ~budget:!budget ~net:spec ~property:Consensus proto cfg
-      ~adversary:Adversary.none ~inputs
-  with
+  match Run_spec.execute (run_spec case drop seed) with
   | Error (kind, _) -> raise (Supervise.Breach kind)
   | Ok (o, d) ->
       (* a run over a net always carries its report *)
@@ -133,10 +113,7 @@ let net ~quick () =
           ~point:(fun drop ->
             Printf.sprintf "%s/n=%d/t=%d/%s" case.id case.n case.t
               (Net.Spec.to_string { (base_spec ()) with Net.Spec.drop }))
-          ~replay:(fun drop seed ->
-            Run_spec.to_command
-              (Run_spec.make ~protocol:case.id ~n:case.n ~t_max:case.t ~seed
-                 ~net:{ (base_spec ()) with Net.Spec.drop } ()))
+          ~replay:(fun drop seed -> Run_spec.to_command (run_spec case drop seed))
           ~params:drops ~seeds
           (fun drop seed -> run_case case drop seed)
       in

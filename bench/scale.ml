@@ -70,7 +70,7 @@ let emit_scale ~protocol ~n ~t (o : Sim.Engine.outcome) =
       ("faults_used", Out.I o.faults_used);
     ]
 
-(* One (protocol, n) point. The adversary strategy is rebuilt per run:
+(* One (registry protocol, n) point. The adversary strategy is rebuilt per run:
    strategies close over mutable per-run state (crash schedules tick),
    and the classic run must not see the fast run's leftovers.
 
@@ -78,9 +78,9 @@ let emit_scale ~protocol ~n ~t (o : Sim.Engine.outcome) =
    column: optimal-omissions' fast/classic ratio is already measured at
    n = 512 and 1024 (1.4-1.7x), and the classic twins above that would
    add the sweep's longest runs without changing the reading. *)
-let case ~protocol ~buffered ~adversary ~t ~max_rounds ?(classic_cap = max_int)
-    n =
+let case ~protocol ~adversary ~t ~max_rounds ?(classic_cap = max_int) n =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed:1 ~max_rounds () in
+  let buffered = registry_build protocol in
   let inputs = Array.init n (fun i -> i mod 2) in
   let ((o, fast_wall) as fast) =
     let inst = Sim.Engine.instance (buffered cfg) cfg in
@@ -134,7 +134,6 @@ let scale ~quick () =
   List.iter
     (fun n ->
       case n ~protocol:"flood" ~t:8 ~max_rounds:20
-        ~buffered:Consensus.Flood.protocol_buffered
         ~adversary:(fun () ->
           Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]); (3, [ 2 ]) ]))
     ns;
@@ -143,7 +142,6 @@ let scale ~quick () =
   List.iter
     (fun n ->
       case n ~protocol:"dolev-strong" ~t:0 ~max_rounds:10
-        ~buffered:Consensus.Dolev_strong.protocol_buffered
         ~adversary:(fun () -> Sim.Adversary_intf.none))
     ns;
   List.iter
@@ -151,7 +149,6 @@ let scale ~quick () =
       let cfg0 = Sim.Config.make ~n ~t_max:2 ~seed:1 () in
       let max_rounds = Consensus.Optimal_omissions.rounds_needed cfg0 + 10 in
       case n ~protocol:"optimal" ~t:2 ~max_rounds ~classic_cap:1024
-        ~buffered:(fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg)
         ~adversary:(fun () ->
           Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]) ]))
     ns

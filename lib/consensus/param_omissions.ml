@@ -293,7 +293,7 @@ let protocol_buffered ?(params = Params.default) ~x (cfg : Sim.Config.t) :
       }
 
     let msg_bits = function
-      | Sub (_, m) -> 2 + Core.msg_bits p.sub_shared.(0) m
+      | Sub (i, m) -> 2 + Core.msg_bits p.sub_shared.(i) m
       | Flood _ -> 2
       | Safety_vote _ -> 2
       | Safety_final _ -> 2

@@ -71,9 +71,3 @@ let mapi ?jobs f xs =
   end
 
 let map ?jobs f xs = mapi ?jobs (fun _ x -> f x) xs
-
-let map_list ?jobs f xs = Array.to_list (map ?jobs f (Array.of_list xs))
-
-let init ?jobs n f =
-  if n < 0 then invalid_arg "Exec.init: negative size";
-  mapi ?jobs (fun i () -> f i) (Array.make n ())

@@ -39,10 +39,3 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a array -> 'b array
 
 val mapi : ?jobs:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
 (** Like {!map}, passing each task its index. *)
-
-val map_list : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map} over lists, preserving order. *)
-
-val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
-(** [init ~jobs n f] is [Array.init n f] with the [f i] evaluated by the
-    pool. [n] must be non-negative. *)

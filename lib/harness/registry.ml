@@ -23,9 +23,6 @@ type entry = {
   builder : Sim.Protocol_intf.builder;
 }
 
-let pp_model ppf m =
-  Fmt.string ppf (match m with Crash -> "crash" | Omission -> "omission")
-
 let make ~model ~kind ~max_t ~min_n builder =
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
   { id = B.name; model; kind; max_t; min_n; builder }

@@ -40,7 +40,6 @@ val rounds_bound : entry -> Sim.Config.t -> int
 (** Schedule length to use as [max_rounds]; termination is expected within
     it. *)
 
-val pp_model : Format.formatter -> model -> unit
 val all : entry list
 val find : string -> (entry, string) result
 (** Look up a protocol by registry id. [Error] carries a one-line

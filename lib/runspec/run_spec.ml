@@ -240,8 +240,6 @@ let execute ?trace ?store spec =
 module Cli = struct
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }
 
-  let no_budget = { wall = 0.; rounds = 0; msgs = 0; rand = 0 }
-
   let budget_of_flags b =
     let posf v = if v <= 0. then None else Some v in
     let posi v = if v <= 0 then None else Some v in

@@ -102,9 +102,6 @@ val execute :
 module Cli : sig
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }
 
-  val no_budget : budget_flags
-  (** All zero — every limit off. *)
-
   val budget_of_flags : budget_flags -> Supervise.Budget.t
   (** Zero or negative means unlimited, matching the historical flag
       semantics on both binaries. *)

@@ -90,7 +90,3 @@ let growth_exponent ?(log_power = 0) ns ys =
   let adjust n y = y /. (log n ** float_of_int log_power) in
   let ys' = Array.mapi (fun i y -> adjust ns.(i) y) ys in
   (loglog_fit ns ys').slope
-
-let pp_fit ppf f =
-  Format.fprintf ppf "slope=%.3f intercept=%.3f r2=%.3f" f.slope f.intercept
-    f.r2

@@ -35,5 +35,3 @@ val growth_exponent : ?log_power:int -> float array -> float array -> float
     compares a measured series against a claim like O(sqrt n * log^2 n).
     With [log_power > 0], any [n <= 1] raises [Invalid_argument]
     ([log 1 = 0] would otherwise divide to infinity and corrupt the fit). *)
-
-val pp_fit : Format.formatter -> fit -> unit

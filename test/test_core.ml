@@ -235,6 +235,30 @@ let test_non_members () =
         None (Core.local_of st pid))
     [ lo - 1; lo + m; -1 ]
 
+(* The line-15 adoption reads [Final] from members only. A fresh member
+   of an instance over [5, 9) is operative with its decided flag unarmed,
+   so it adopts the first member's [Final] and ignores the pids just
+   outside the range. *)
+let test_final_from_members_only () =
+  let lo = 5 and m = 4 in
+  let sh =
+    Core.make_shared ~lo ~m ~seed:1 ~params:Consensus.Params.default
+      ~t_max:1 ()
+  in
+  let fresh () = Core.create sh ~pid:6 ~input:0 in
+  let st = fresh () in
+  Core.finalize_into st
+    ~iter:(iter [ (lo - 1, Core.Final 1); (lo + m, Core.Final 1) ]);
+  Alcotest.(check bool) "non-members adopt nothing" false
+    (Core.got_decision st);
+  Alcotest.(check int) "candidate unchanged" 0 (Core.candidate st);
+  let st = fresh () in
+  Core.finalize_into st
+    ~iter:(iter [ (lo + m, Core.Final 1); (lo + m - 1, Core.Final 1) ]);
+  Alcotest.(check bool) "member's Final adopted" true (Core.got_decision st);
+  Alcotest.(check int) "candidate is the member's value" 1
+    (Core.candidate st)
+
 let test_msg_bits () =
   let sh =
     Core.make_shared ~lo:0 ~m:16 ~seed:1 ~params:Consensus.Params.default
@@ -451,6 +475,8 @@ let suite =
     Alcotest.test_case "two-member core" `Quick test_two_member_core;
     Alcotest.test_case "set_candidate" `Quick test_set_candidate;
     Alcotest.test_case "non-members rejected" `Quick test_non_members;
+    Alcotest.test_case "Final adopted from members only" `Quick
+      test_final_from_members_only;
     Alcotest.test_case "spreading lookup in any sender order" `Quick
       test_spread_lookup_order;
     Alcotest.test_case "message bits" `Quick test_msg_bits;

@@ -21,11 +21,11 @@ let test_seeded_sweep_equality () =
     let inputs = Array.init n (fun i -> i mod 2) in
     Sim.Engine.run proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs
   in
-  let seeds = List.init 8 (fun i -> i + 1) in
-  let serial = Exec.map_list ~jobs:1 run seeds in
-  let parallel = Exec.map_list ~jobs:4 run seeds in
+  let seeds = Array.init 8 (fun i -> i + 1) in
+  let serial = Exec.map ~jobs:1 run seeds in
+  let parallel = Exec.map ~jobs:4 run seeds in
   Alcotest.(check bool) "outcome records bit-identical" true (serial = parallel);
-  List.iter2
+  Array.iter2
     (fun (a : Sim.Engine.outcome) b ->
       Alcotest.(check int) "same rand_bits" a.Sim.Engine.rand_bits
         b.Sim.Engine.rand_bits)
@@ -44,7 +44,7 @@ let test_ordering_stable () =
     ignore !acc;
     i
   in
-  let got = Exec.init ~jobs:4 n f in
+  let got = Exec.map ~jobs:4 f (Array.init n Fun.id) in
   Alcotest.(check (array int)) "results in task order"
     (Array.init n (fun i -> i))
     got
@@ -54,9 +54,9 @@ let test_exception_propagation () =
      the caller, deterministically *)
   let f i = if i = 11 || i = 37 then raise (Boom i) else i in
   Alcotest.check_raises "lowest-indexed exception wins" (Boom 11) (fun () ->
-      ignore (Exec.init ~jobs:4 64 f));
+      ignore (Exec.map ~jobs:4 f (Array.init 64 Fun.id)));
   Alcotest.check_raises "serial path raises too" (Boom 11) (fun () ->
-      ignore (Exec.init ~jobs:1 64 f))
+      ignore (Exec.map ~jobs:1 f (Array.init 64 Fun.id)))
 
 let test_early_cancel () =
   (* once a failure is noted, higher-indexed tasks still pending are
@@ -76,7 +76,7 @@ let test_early_cancel () =
     i
   in
   Alcotest.check_raises "task 0 failure propagates" (Boom 0) (fun () ->
-      ignore (Exec.init ~jobs:4 n f));
+      ignore (Exec.map ~jobs:4 f (Array.init n Fun.id)));
   Alcotest.(check bool) "pending tasks were cancelled" true
     (Atomic.get executed < n);
   (* determinism of the propagated exception is untouched: a failure at
@@ -88,7 +88,8 @@ let test_early_cancel () =
     if i = n - 1 then raise (Boom (n - 1)) else i
   in
   Alcotest.check_raises "highest-index failure cancels nothing"
-    (Boom (n - 1)) (fun () -> ignore (Exec.init ~jobs:4 n g));
+    (Boom (n - 1))
+    (fun () -> ignore (Exec.map ~jobs:4 g (Array.init n Fun.id)));
   Alcotest.(check int) "every task attempted" n (Atomic.get executed)
 
 let test_empty_and_small () =
@@ -96,8 +97,8 @@ let test_empty_and_small () =
     (Exec.map ~jobs:4 (fun x -> x) [||]);
   Alcotest.(check (array int)) "single task" [| 9 |]
     (Exec.map ~jobs:4 (fun x -> x * 9) [| 1 |]);
-  Alcotest.(check (list int)) "map_list order" [ 2; 4; 6 ]
-    (Exec.map_list ~jobs:3 (fun x -> 2 * x) [ 1; 2; 3 ])
+  Alcotest.(check (array int)) "three tasks in order" [| 2; 4; 6 |]
+    (Exec.map ~jobs:3 (fun x -> 2 * x) [| 1; 2; 3 |])
 
 let test_jobs_validation () =
   Alcotest.check_raises "jobs=0 rejected"

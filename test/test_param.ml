@@ -105,6 +105,68 @@ let test_sub_runs_confined () =
   Alcotest.(check bool) "traffic below all-to-all" true
     (o.messages_sent < all_to_all / 4)
 
+(* Each super-process's records are priced with its own bit widths. At
+   n = 10, x = 3 the super-processes hold 4, 4 and 2 members; the last
+   one is a single group, so a spreading entry's group index takes 1 bit
+   where the 4-member ones take 2. *)
+let test_sub_pricing_per_super_process () =
+  let n = 10 and x = 3 in
+  let cfg0 = Sim.Config.make ~n ~t_max:0 ~seed:1 () in
+  let cfg =
+    {
+      cfg0 with
+      Sim.Config.max_rounds =
+        Consensus.Param_omissions.rounds_needed ~x cfg0 + 10;
+    }
+  in
+  let sink, events = Trace.Sink.memory () in
+  let (_ : Sim.Engine.outcome) =
+    Sim.Engine.run ~trace:sink
+      (Consensus.Param_omissions.protocol_buffered ~x cfg)
+      cfg ~adversary:Sim.Adversary_intf.none ~inputs:(mixed n)
+  in
+  (* phase 2 runs the core of super-process 2 = pids [8, 10) *)
+  let params = Consensus.Params.default in
+  let core_len m =
+    Consensus.Core.schedule_length ~params ~t_max:(max 1 (m / 30)) m
+  in
+  let phase_len =
+    max (core_len 4) (core_len 2) + (2 * Consensus.Params.log2_ceil n)
+  in
+  let sh = Consensus.Core.make_shared ~lo:8 ~m:2 ~seed:0 ~params ~t_max:1 () in
+  let spreading round =
+    let ls = round - (2 * phase_len) in
+    ls >= 1
+    && ls <= Array.length sh.Consensus.Core.schedule
+    &&
+    match sh.Consensus.Core.schedule.(ls - 1) with
+    | Consensus.Core.Spread _ -> true
+    | Agg_a _ | Agg_b _ | Agg_c _ | Bcast -> false
+  in
+  let sends =
+    List.filter_map
+      (function
+        | Trace.Event.Send { round; src; bits; _ } when spreading round ->
+            Some (src, bits)
+        | _ -> None)
+      (events ())
+  in
+  Alcotest.(check bool) "spreading slots carry messages" true (sends <> []);
+  List.iter
+    (fun (src, bits) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "pid %d is in super-process 2" src)
+        true
+        (src = 8 || src = 9);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d bits: a heartbeat (5) or a one-entry delta (10)"
+           bits)
+        true
+        (bits = 5 || bits = 10))
+    sends;
+  Alcotest.(check bool) "a one-entry delta is sent" true
+    (List.exists (fun (_, bits) -> bits = 10) sends)
+
 let suite =
   [
     Alcotest.test_case "consensus for each x" `Slow test_basic_each_x;
@@ -114,4 +176,6 @@ let suite =
     Alcotest.test_case "tiny super-processes" `Quick test_x_equals_n_over_2;
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "sub-runs confined" `Quick test_sub_runs_confined;
+    Alcotest.test_case "sub-runs priced per super-process" `Quick
+      test_sub_pricing_per_super_process;
   ]
