@@ -371,9 +371,10 @@ let run_term =
       value & opt string "optimal"
       & info [ "protocol"; "p" ]
           ~doc:
-            "Protocol (a registry id, or \"param\" which takes -x). \
-             Registered: optimal, param-x2, bjbo, flood, early-stopping, \
-             dolev-strong, phase-king, crash-sub, operative-broadcast.")
+            ("Protocol (a registry id, or \"param\" which takes -x). \
+              Registered: "
+            ^ String.concat ", " (Harness.Registry.ids ())
+            ^ "."))
   in
   let adversary =
     Arg.(
@@ -381,14 +382,19 @@ let run_term =
       & opt (enum (List.map (fun n -> (n, n)) Run_spec.Cli.adversary_names))
           "none"
       & info [ "adversary"; "a" ]
-          ~doc:"Adversary: none, crash, random, group, splitter, staggered, eclipse.")
+          ~doc:
+            ("Adversary: "
+            ^ String.concat ", " Run_spec.Cli.adversary_names
+            ^ "."))
   in
   let inputs =
     Arg.(
       value
       & opt (enum (List.map (fun n -> (n, n)) Run_spec.Cli.inputs_names))
           "mixed"
-      & info [ "inputs"; "i" ] ~doc:"Inputs: mixed, ones, zeros, random.")
+      & info [ "inputs"; "i" ]
+          ~doc:
+            ("Inputs: " ^ String.concat ", " Run_spec.Cli.inputs_names ^ "."))
   in
   let net =
     Arg.(

@@ -4,61 +4,33 @@
     observations ({!Sim.View.obs}: candidate bit, operative flag, decided
     flag, coin usage this round) and the pending messages
     ([iter_envelopes]), and returns corruptions and omissions. Structured
-    strategies state their omissions as per-sender masks; the randomized
-    ones, whose per-message draw order is observable, as a predicate. The
-    engine enforces legality (budget, omissions only at faulty endpoints),
-    so strategies here express intent and stay within [t_max]
-    themselves. *)
+    strategies are {!Strategy} terms, compiled to per-sender masks; the
+    vote splitter is hand-written, and so are the randomized ones, whose
+    per-message draw order is observable and needs a predicate. The
+    engine enforces legality (budget, omissions only at faulty
+    endpoints), so strategies here express intent and stay within
+    [t_max] themselves. *)
+
+module Strategy = Strategy
 
 let none = Sim.Adversary_intf.none
 
-let take k l =
-  let rec go k acc = function
-    | [] -> List.rev acc
-    | _ when k = 0 -> List.rev acc
-    | x :: tl -> go (k - 1) (x :: acc) tl
-  in
-  go k [] l
-
-(* Shared helper: maintain a crash set; each round corrupt the newly chosen
-   victims and silence every message they send (classic crash semantics:
-   outgoing only). The set is one [Bytes] flag per pid, read once per
-   sender by the verdict. *)
-let crash_set_plan crashed_b new_victims =
-  List.iter (fun pid -> Bytes.set crashed_b pid '\001') new_victims;
-  {
-    Sim.View.new_faults = new_victims;
-    omit =
-      Masks
-        (fun src ->
-          if Bytes.get crashed_b src <> '\000' then Sim.View.Omit_all
-          else Sim.View.Deliver_all);
-  }
-
-(** Crash the given processes at the given rounds (permanently silent from
-    that round on). Schedule: [(round, pids); ...]. *)
 let crash_schedule schedule =
-  {
-    Sim.Adversary_intf.name = "crash-schedule";
-    create =
-      (fun cfg _rand ->
-        let crashed_b = Bytes.make cfg.Sim.Config.n '\000' in
-        fun view ->
-          let victims =
-            List.concat_map
-              (fun (r, pids) -> if r = view.Sim.View.round then pids else [])
-              schedule
-          in
-          let victims =
-            List.filter
-              (fun pid ->
-                Bytes.get crashed_b pid = '\000'
-                && not view.Sim.View.faulty.(pid))
-              victims
-          in
-          let budget = cfg.Sim.Config.t_max - view.faults_used in
-          crash_set_plan crashed_b (take budget victims));
-  }
+  Strategy.compile ~name:"crash-schedule"
+    (List.fold_right
+       (fun (r, pids) rest ->
+         Strategy.Both (From (r, Strike (Pids pids, Out)), rest))
+       schedule Idle)
+
+(* Omit each message with an endpoint marked in [faulty_b] independently
+   with probability [p]. A predicate, not masks: it draws one random float
+   per such message, and that draw order is part of the observable
+   bit-stream. *)
+let coin_at_faulty faulty_b rand p =
+  Sim.View.Predicate
+    (fun src dst ->
+      (Bytes.get faulty_b src <> '\000' || Bytes.get faulty_b dst <> '\000')
+      && Sim.Rand.float rand < p)
 
 (** Corrupt [t_max] processes chosen uniformly at round 1, then omit each of
     their incident messages independently with probability [p_omit] — noisy
@@ -73,7 +45,7 @@ let random_omission ~p_omit =
            hottest lookup in randomized runs *)
         let faulty_b = Bytes.make cfg.Sim.Config.n '\000' in
         let chosen = ref false in
-        fun view ->
+        fun _view ->
           let new_faults =
             if !chosen then []
             else begin
@@ -87,111 +59,18 @@ let random_omission ~p_omit =
               victims
             end
           in
-          ignore view;
-          {
-            (* a predicate, not masks: it draws one random float per
-               incident message, and that draw order is part of the
-               observable bit-stream *)
-            Sim.View.new_faults;
-            omit =
-              Predicate
-                (fun src dst ->
-                  (Bytes.get faulty_b src <> '\000'
-                  || Bytes.get faulty_b dst <> '\000')
-                  && Sim.Rand.float rand < p_omit);
-          });
+          { Sim.View.new_faults; omit = coin_at_faulty faulty_b rand p_omit });
   }
 
-(** Corrupt a majority of one sqrt-decomposition group (contiguous pids, as
-    the protocols partition them) and silence all their intra-group traffic:
-    the aggregation quorum of that group collapses and its survivors go
-    inoperative — the scenario of Figure 2's faulty process, scaled up. The
-    rest of the system must still decide. *)
 let group_killer ?(group = 0) () =
-  {
-    Sim.Adversary_intf.name = Printf.sprintf "group-killer(g=%d)" group;
-    create =
-      (fun cfg _rand ->
-        let n = cfg.Sim.Config.n in
-        let lo, hi = Groups.group (Groups.sqrt_partition n) group in
-        let victims_wanted = ((hi - lo) / 2) + 1 in
-        let victims =
-          List.init (min victims_wanted cfg.Sim.Config.t_max) (( + ) lo)
-        in
-        let victim_b = Bytes.make n '\000' in
-        List.iter (fun pid -> Bytes.set victim_b pid '\001') victims;
-        let member_b = Bytes.make n '\000' in
-        Bytes.fill member_b lo (hi - lo) '\001';
-        (* static fault structure, so the per-sender verdict is built once:
-           a victim silences its whole group (victims included), a
-           non-victim member loses exactly its victim links, outsiders are
-           untouched *)
-        let omit =
-          Sim.View.Masks
-            (fun src ->
-              if Bytes.get victim_b src <> '\000' then
-                Sim.View.Omit_mask member_b
-              else if Bytes.get member_b src <> '\000' then
-                Sim.View.Omit_mask victim_b
-              else Sim.View.Deliver_all)
-        in
-        let started = ref false in
-        fun _view ->
-          let new_faults =
-            if !started then []
-            else begin
-              started := true;
-              victims
-            end
-          in
-          { Sim.View.new_faults; omit });
-  }
+  Strategy.compile
+    ~name:(Printf.sprintf "group-killer(g=%d)" group)
+    (Strike (Group group, Local))
 
-(** Isolate [victim] by corrupting the processes that talk to it and
-    omitting exactly their messages to the victim (and the victim's
-    replies): with enough budget the victim's expander degree drops below
-    Delta/3 and it goes inoperative without a single fault of its own —
-    the non-faulty-but-inoperative case the paper's partition is built
-    around. Needs t_max above the victim's degree to fully eclipse. *)
 let eclipse ~victim =
-  {
-    Sim.Adversary_intf.name = Printf.sprintf "eclipse(victim=%d)" victim;
-    create =
-      (fun cfg _rand ->
-        let corrupted_b = Bytes.make cfg.Sim.Config.n '\000' in
-        let victim_b = Bytes.make cfg.Sim.Config.n '\000' in
-        Bytes.set victim_b victim '\001';
-        (* the two masks are maintained across rounds, so the verdict is a
-           static three-way dispatch: the victim loses its links to the
-           corrupted set, a corrupted process loses exactly its link to the
-           victim, everyone else is untouched *)
-        let omit =
-          Sim.View.Masks
-            (fun src ->
-              if src = victim then Sim.View.Omit_mask corrupted_b
-              else if Bytes.get corrupted_b src <> '\000' then
-                Sim.View.Omit_mask victim_b
-              else Sim.View.Deliver_all)
-        in
-        fun view ->
-          let budget = cfg.Sim.Config.t_max - view.Sim.View.faults_used in
-          (* corrupt the processes currently sending to the victim *)
-          let senders = Hashtbl.create 16 in
-          view.Sim.View.iter_envelopes (fun src dst _bits _hint ->
-              if dst = victim && src <> victim then
-                Hashtbl.replace senders src ());
-          let new_faults =
-            Hashtbl.fold
-              (fun src () acc ->
-                if Bytes.get corrupted_b src = '\000' && not view.faulty.(src)
-                then src :: acc
-                else acc)
-              senders []
-          in
-          let new_faults = take budget (List.sort compare new_faults) in
-          List.iter (fun pid -> Bytes.set corrupted_b pid '\001') new_faults;
-          { Sim.View.new_faults; omit });
-  }
+  Strategy.compile
+    ~name:(Printf.sprintf "eclipse(victim=%d)" victim)
+    (Again (Strike (Senders victim, Link victim)))
 
 (** The lower-bound adversary (Theorem 2, Lemmas 13-15), played with crash
     faults only — the weakest faults the bound covers. Each round, after the
@@ -251,7 +130,9 @@ let vote_splitter ?(slack = 0) () =
                 | _ -> compare p1 p2)
               holders.(side)
           in
-          let victims = List.map snd (take kills candidates) in
+          let victims =
+            List.map snd (List.filteri (fun i _ -> i < kills) candidates)
+          in
           budget := !budget - List.length victims;
           List.iter (fun pid -> Bytes.set crashed_b pid '\001') victims;
           (* Lemma 15 split: only meaningful when the kills reached exact
@@ -296,27 +177,10 @@ let vote_splitter ?(slack = 0) () =
               });
   }
 
-(** Crash a fixed number of random live processes every round until the
-    budget runs out — the blunt staggered-crash stresser. *)
 let staggered_crash ~per_round =
-  {
-    Sim.Adversary_intf.name = Printf.sprintf "staggered-crash(%d)" per_round;
-    create =
-      (fun cfg rand ->
-        let crashed_b = Bytes.make cfg.Sim.Config.n '\000' in
-        fun view ->
-          let budget = cfg.Sim.Config.t_max - view.Sim.View.faults_used in
-          let live = ref [] in
-          for pid = cfg.Sim.Config.n - 1 downto 0 do
-            if (not view.faulty.(pid)) && Bytes.get crashed_b pid = '\000' then
-              live := pid :: !live
-          done;
-          let live = Array.of_list !live in
-          Sim.Rand.shuffle rand live;
-          let k = min (min per_round budget) (Array.length live) in
-          let victims = Array.to_list (Array.sub live 0 k) in
-          crash_set_plan crashed_b victims);
-  }
+  Strategy.compile
+    ~name:(Printf.sprintf "staggered-crash(%d)" per_round)
+    (Again (Strike (Random per_round, Out)))
 
 (** All strategies exercised by the integration test grid, with feasible
     defaults. *)
@@ -365,17 +229,8 @@ let chaotic ?(corrupt_rate = 0.3) ?(omit_rate = 0.5) () =
             end
             else []
           in
-          {
-            (* a predicate for the same reason as random_omission: the
-               per-message randomness draw order is bit-observable *)
-            Sim.View.new_faults;
-            omit =
-              Predicate
-                (fun src dst ->
-                  (Bytes.get faulty_b src <> '\000'
-                  || Bytes.get faulty_b dst <> '\000')
-                  && Sim.Rand.float rand < omit_rate);
-          });
+          let omit = coin_at_faulty faulty_b rand omit_rate in
+          { Sim.View.new_faults; omit });
   }
 
 (** [pointwise a]: [a] with every plan's omissions decoded into a

@@ -3,11 +3,16 @@
     and return corruptions plus per-edge omissions. The engine enforces
     legality; strategies stay within the budget themselves. *)
 
+module Strategy = Strategy
+(** The strategy algebra: every structured adversary below is one
+    compiled term of it. *)
+
 val none : Sim.Adversary_intf.t
 
 val crash_schedule : (int * int list) list -> Sim.Adversary_intf.t
 (** [(round, pids); ...]: crash the pids at the given rounds (silent from
-    then on). Victims beyond the remaining budget are dropped. *)
+    then on). Victims beyond the remaining budget are dropped, and so are
+    out-of-range pids. *)
 
 val random_omission : p_omit:float -> Sim.Adversary_intf.t
 (** Corrupt [t_max] uniformly-chosen processes at round 1, then omit each
@@ -23,7 +28,8 @@ val eclipse : victim:int -> Sim.Adversary_intf.t
 (** Corrupt the processes observed sending to [victim] and omit exactly
     their exchanges with it: with enough budget the victim drops below
     Delta/3 live links and goes inoperative without being faulty itself —
-    the non-faulty-but-inoperative case the paper's partition handles. *)
+    the non-faulty-but-inoperative case the paper's partition handles.
+    Needs [t_max] above the victim's degree to fully eclipse. *)
 
 val vote_splitter : ?slack:int -> unit -> Sim.Adversary_intf.t
 (** The Theorem 2 lower-bound strategy (Lemmas 13-15), with crash faults

@@ -23,8 +23,8 @@ let scenario ?max_n ?crash_bias () =
 (** Arbitrary strategy term (for codec/compilation properties). *)
 let strategy ?(n = 16) ?(crash = false) () =
   QCheck.make
-    ~print:Strategy.to_string
-    ~shrink:(fun s -> QCheck.Iter.of_list (Strategy.shrink s))
+    ~print:Adversary.Strategy.to_string
+    ~shrink:(fun s -> QCheck.Iter.of_list (Adversary.Strategy.shrink s))
     (fun st ->
       let rand = rand_of st in
       Scenario.gen_strategy rand ~n ~crash

@@ -82,4 +82,4 @@ let find id =
     budget is clamped to the entry's tolerance by the runner. *)
 let in_model entry (s : Scenario.t) =
   s.Scenario.n >= entry.min_n
-  && (entry.model = Omission || Strategy.crash_compatible s.Scenario.strategy)
+  && (entry.model = Omission || Adversary.Strategy.crash_compatible s.Scenario.strategy)

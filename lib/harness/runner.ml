@@ -43,7 +43,7 @@ let config_for (entry : Registry.entry) (s : Scenario.t) =
 let probed_adversary strategy ~source =
   let final_operative = ref [||] in
   let source_operative = ref true in
-  let inner = Strategy.compile strategy in
+  let inner = Adversary.Strategy.compile strategy in
   let adversary =
     {
       inner with

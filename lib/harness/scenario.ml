@@ -9,7 +9,7 @@ type t = {
   t_max : int;
   seed : int;
   inputs : int array;  (** length [n], bits *)
-  strategy : Strategy.t;
+  strategy : Adversary.Strategy.t;
 }
 
 let make ~n ~t_max ~seed ~inputs ~strategy =
@@ -27,7 +27,7 @@ let make ~n ~t_max ~seed ~inputs ~strategy =
 let to_string s =
   let bits = String.init s.n (fun i -> if s.inputs.(i) = 1 then '1' else '0') in
   Printf.sprintf "%d/%d/%d/%s/%s" s.n s.t_max s.seed bits
-    (Strategy.to_string s.strategy)
+    (Adversary.Strategy.to_string s.strategy)
 
 let pp ppf s = Fmt.string ppf (to_string s)
 
@@ -57,8 +57,8 @@ let of_string str =
       in
       (* the strategy grammar contains no '/', but rejoin defensively *)
       let strategy =
-        try Strategy.of_string (String.concat "/" strategy)
-        with Strategy.Parse_error m -> fail "%s" m
+        try Adversary.Strategy.of_string (String.concat "/" strategy)
+        with Adversary.Strategy.Parse_error m -> fail "%s" m
       in
       (try make ~n ~t_max ~seed ~inputs ~strategy
        with Invalid_argument m -> fail "%s" m)
@@ -71,7 +71,7 @@ let gen_target rand ~n ~crash =
   match Sim.Rand.int_below rand (if crash then 6 else 7) with
   | 0 ->
       let len = 1 + Sim.Rand.int_below rand 3 in
-      Strategy.Pids (List.init len (fun _ -> Sim.Rand.int_below rand n))
+      Adversary.Strategy.Pids (List.init len (fun _ -> Sim.Rand.int_below rand n))
   | 1 -> Lowest (k ())
   | 2 -> Random (k ())
   | 3 -> Flippers (k ())
@@ -80,10 +80,10 @@ let gen_target rand ~n ~crash =
   | _ -> Group (Sim.Rand.int_below rand 3)
 
 let gen_drop rand ~crash =
-  if crash then if Sim.Rand.bit rand = 0 then Strategy.Out else All
+  if crash then if Sim.Rand.bit rand = 0 then Adversary.Strategy.Out else All
   else
     match Sim.Rand.int_below rand 7 with
-    | 0 -> Strategy.Out
+    | 0 -> Adversary.Strategy.Out
     | 1 -> In
     | 2 -> All
     | 3 -> Flip (25 * (1 + Sim.Rand.int_below rand 4))
@@ -94,10 +94,10 @@ let gen_drop rand ~crash =
 (** Random strategy term. [crash] restricts to the crash-compatible
     sub-algebra (tail-position outgoing/total strikes, no [Until]/[Seq]
     de-activation), so the generated term always satisfies
-    {!Strategy.crash_compatible}. *)
+    {!Adversary.Strategy.crash_compatible}. *)
 let rec gen_strategy rand ~n ~crash ~depth =
   let strike () =
-    Strategy.Strike (gen_target rand ~n ~crash, gen_drop rand ~crash)
+    Adversary.Strategy.Strike (gen_target rand ~n ~crash, gen_drop rand ~crash)
   in
   (* The vote-splitter archetype (cf. the paper's Lemma 15): corrupt [k]
      holders of bit [b] and deliver their votes only to the [b]-side, so the
@@ -107,17 +107,17 @@ let rec gen_strategy rand ~n ~crash ~depth =
   let splitter () =
     let b = Sim.Rand.bit rand in
     let k = 2 + Sim.Rand.int_below rand 3 in
-    Strategy.Strike (Holders (b, k), ToHolders (1 - b))
+    Adversary.Strategy.Strike (Holders (b, k), ToHolders (1 - b))
   in
   if depth <= 0 then
-    if Sim.Rand.int_below rand 4 = 0 then Strategy.Idle else strike ()
+    if Sim.Rand.int_below rand 4 = 0 then Adversary.Strategy.Idle else strike ()
   else
     let sub ?(crash = crash) () =
       gen_strategy rand ~n ~crash ~depth:(depth - 1)
     in
     (* crash mode only draws cases 0-7; the rest need the full algebra *)
     match Sim.Rand.int_below rand (if crash then 8 else 12) with
-    | 0 -> Strategy.Idle
+    | 0 -> Adversary.Strategy.Idle
     | 1 | 2 -> strike ()
     | 3 | 4 -> From (1 + Sim.Rand.int_below rand 8, sub ())
     | 5 -> Both (sub (), sub ())
@@ -180,7 +180,7 @@ let shrink s =
   (* smaller strategy *)
   List.iter
     (fun st -> add { s with strategy = st })
-    (Strategy.shrink s.strategy);
+    (Adversary.Strategy.shrink s.strategy);
   (* smaller budget *)
   if s.t_max > 0 then begin
     add { s with t_max = 0 };
@@ -202,7 +202,7 @@ let shrink s =
     the minimiser also caps its step count). *)
 let measure s =
   (s.n * 1000)
-  + (Strategy.size s.strategy * 50)
+  + (Adversary.Strategy.size s.strategy * 50)
   + (s.t_max * 5)
   + (if s.seed = 1 then 0 else 1)
   + Array.fold_left ( + ) 0 s.inputs

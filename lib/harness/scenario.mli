@@ -7,7 +7,7 @@ type t = {
   t_max : int;
   seed : int;
   inputs : int array;  (** length [n], bits *)
-  strategy : Strategy.t;
+  strategy : Adversary.Strategy.t;
 }
 
 val make :
@@ -15,7 +15,7 @@ val make :
   t_max:int ->
   seed:int ->
   inputs:int array ->
-  strategy:Strategy.t ->
+  strategy:Adversary.Strategy.t ->
   t
 (** Validates the same invariants as {!Sim.Config.make} plus the input
     vector; raises [Invalid_argument] otherwise. *)
@@ -28,10 +28,10 @@ exception Parse_error of string
 val of_string : string -> t
 (** Inverse of {!to_string}; raises {!Parse_error} on malformed input. *)
 
-val gen_strategy : Sim.Rand.t -> n:int -> crash:bool -> depth:int -> Strategy.t
+val gen_strategy : Sim.Rand.t -> n:int -> crash:bool -> depth:int -> Adversary.Strategy.t
 (** Random strategy term for an [n]-process system. [crash] restricts to
     the crash-compatible sub-algebra, so the result always satisfies
-    {!Strategy.crash_compatible}. *)
+    {!Adversary.Strategy.crash_compatible}. *)
 
 val generate : ?max_n:int -> ?crash_bias:float -> Sim.Rand.t -> t
 (** Draw a scenario: n in [4, max_n] (default 40), t below ~n/4, a seed,

@@ -42,9 +42,20 @@ let inputs_table =
         Array.init n (fun _ -> Sim.Rand.bit rand) );
   ]
 
+(* [p=param x=K] builds the registry's [param-xK]: one run, one canonical
+   string (and cache key), the registry id's. An out-of-range x stays for
+   [validate] to reject. *)
+let canonical spec =
+  let id = Printf.sprintf "param-x%d" (Option.value spec.x ~default:0) in
+  match spec.x with
+  | Some x when spec.protocol = "param" && x >= 1 && x <= spec.n
+                && List.mem id (Harness.Registry.ids ()) ->
+      { spec with protocol = id; x = None }
+  | Some _ | None -> spec
+
 let make ?x ?(adversary = "none") ?(inputs = "mixed") ?net
     ?(budget = Supervise.Budget.unlimited) ~protocol ~n ~t_max ~seed () =
-  { protocol; n; t_max; x; seed; adversary; inputs; net; budget }
+  canonical { protocol; n; t_max; x; seed; adversary; inputs; net; budget }
 
 let adversary spec =
   match List.assoc_opt spec.adversary adversaries with
@@ -180,6 +191,7 @@ let of_string s =
                (String.concat ", " (List.map fst inputs_table)))
       in
       validate
+        @@ canonical
         {
           protocol;
           n;

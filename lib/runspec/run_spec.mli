@@ -38,8 +38,10 @@ val make :
   unit ->
   t
 (** Defaults: no [x], adversary ["none"], inputs ["mixed"], no net spec,
-    unlimited budget. The result is not validated here; {!resolve} and
-    {!execute} refuse what {!of_string} would reject. *)
+    unlimited budget. ["param"] with an [x] in [[1, n]] whose
+    ["param-x<x>"] is a registry id becomes that id without [x]: the two
+    spellings build the same protocol. The result is not validated here;
+    {!resolve} and {!execute} refuse what {!of_string} would reject. *)
 
 val to_string : t -> string
 (** Canonical serialization: 12 space-separated [k=v] tokens in a fixed
@@ -52,8 +54,8 @@ val of_string : string -> (t, string) result
     field order and the adversary and inputs spellings, then validates
     the spec: [n >= 1], [0 <= t < n], [1 <= x <= n] for ["param"] and [x]
     absent for every other protocol (so one run has one canonical
-    string), every integer budget positive, and a wall budget finite and
-    positive. {!resolve} applies the same validation to specs assembled
+    string, ["param"] mapped onto a registry id as {!make} does), every
+    integer budget positive, and a wall budget finite and positive. {!resolve} applies the same validation to specs assembled
     with {!make}, such as the CLI's flag path. *)
 
 val digest : t -> string

@@ -436,6 +436,38 @@ let test_run_spec_roundtrip () =
     "replay one-liner embeds the canonical spec" true
     (contains cmd "run --spec 'p=flood n=8 t=1 ")
 
+(* p=param x=2 builds the registry's param-x2: both spellings name one
+   run, so they must give one canonical string and one cache key *)
+let test_run_spec_param_alias () =
+  let spelled p x =
+    Printf.sprintf
+      "p=%s n=64 t=1 x=%s seed=1 a=splitter i=mixed wall=- rounds=- msgs=- \
+       rand=- net=-"
+      p x
+  in
+  let parse s =
+    match Run_spec.of_string s with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "of_string rejected %S: %s" s e
+  in
+  let registry = parse (spelled "param-x2" "-") in
+  List.iter
+    (fun (what, spec) ->
+      Alcotest.(check string)
+        (what ^ ": canonical string")
+        (Run_spec.to_string registry) (Run_spec.to_string spec);
+      Alcotest.(check string)
+        (what ^ ": digest") (Run_spec.digest registry) (Run_spec.digest spec))
+    [
+      ("of_string", parse (spelled "param" "2"));
+      ( "make",
+        Run_spec.make ~protocol:"param" ~x:2 ~adversary:"splitter" ~n:64
+          ~t_max:1 ~seed:1 () );
+    ];
+  (* an x with no registry id keeps the param spelling *)
+  Alcotest.(check string) "param x=3 stays param" (spelled "param" "3")
+    (Run_spec.to_string (parse (spelled "param" "3")))
+
 let test_run_spec_errors () =
   let err s =
     match Run_spec.of_string s with
@@ -647,6 +679,8 @@ let suite =
       test_cached_map_merge;
     Alcotest.test_case "Run_spec canonical roundtrip" `Quick
       test_run_spec_roundtrip;
+    Alcotest.test_case "Run_spec param x=2 is param-x2" `Quick
+      test_run_spec_param_alias;
     Alcotest.test_case "Run_spec rejects malformed specs" `Quick
       test_run_spec_errors;
     Alcotest.test_case "Cli budget flags" `Quick test_cli_budget_flags;

@@ -144,8 +144,8 @@ let adversary c =
         (Run_spec.make ~adversary:a ~protocol:c.protocol ~n:c.n ~t_max:c.t
            ~seed:c.seed ())
   | a ->
-      Harness.Strategy.compile
-        (Harness.Strategy.of_string (substitute ~start ~last a))
+      Adversary.Strategy.compile
+        (Adversary.Strategy.of_string (substitute ~start ~last a))
 
 let inputs c =
   match c.inputs with

@@ -10,7 +10,7 @@ let qcheck t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xace5 |]
 let qcheck_strategy_roundtrip =
   QCheck.Test.make ~name:"strategy codec roundtrips" ~count:300
     (Harness.Qgen.strategy ~n:16 ())
-    (fun s -> Harness.Strategy.(of_string (to_string s)) = s)
+    (fun s -> Adversary.Strategy.(of_string (to_string s)) = s)
 
 let qcheck_scenario_roundtrip =
   QCheck.Test.make ~name:"scenario codec roundtrips" ~count:200
@@ -43,20 +43,20 @@ let qcheck_crash_subalgebra =
   QCheck.Test.make ~name:"crash-mode generator stays crash-compatible"
     ~count:300
     (Harness.Qgen.scenario ~crash_bias:1.0 ())
-    (fun s -> Harness.Strategy.crash_compatible s.Harness.Scenario.strategy)
+    (fun s -> Adversary.Strategy.crash_compatible s.Harness.Scenario.strategy)
 
 let qcheck_strategy_shrink_decreases =
   QCheck.Test.make ~name:"strategy shrink strictly decreases size" ~count:300
     (Harness.Qgen.strategy ~n:16 ())
     (fun s ->
       List.for_all
-        (fun c -> Harness.Strategy.size c < Harness.Strategy.size s)
-        (Harness.Strategy.shrink s))
+        (fun c -> Adversary.Strategy.size c < Adversary.Strategy.size s)
+        (Adversary.Strategy.shrink s))
 
 let test_crash_compatible_examples () =
   let check str expect =
     Alcotest.(check bool) str expect
-      (Harness.Strategy.crash_compatible (Harness.Strategy.of_string str))
+      (Adversary.Strategy.crash_compatible (Adversary.Strategy.of_string str))
   in
   check "strike(low1,out)" true;
   check "strike(low1,all)" true;
@@ -65,7 +65,96 @@ let test_crash_compatible_examples () =
   check "strike(low1,half)" false;
   check "strike(low1,to1)" false;
   check "until(5,strike(low1,out))" false;
-  check "seq[strike(p0,out);idle]" false
+  check "seq[strike(p0,out);idle]" false;
+  check "again(strike(snd2,out))" true;
+  check "strike(grp0,local)" false;
+  check "again(strike(snd0,link0))" false
+
+(* The generator never draws the three constructors only the named
+   adversaries use (snd<v>, local, link<v>), so no property test reaches
+   them: each round-trips through the codec here, and each shrink
+   candidate is strictly smaller. *)
+let test_named_constructors () =
+  let open Adversary.Strategy in
+  List.iter
+    (fun str ->
+      let s = of_string str in
+      Alcotest.(check string) (str ^ " round-trips") str (to_string s);
+      Alcotest.(check bool) (str ^ " re-parses") true
+        (of_string (to_string s) = s);
+      let candidates = shrink s in
+      Alcotest.(check bool) (str ^ " shrinks") true (candidates <> []);
+      List.iter
+        (fun c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s -> %s is smaller" str (to_string c))
+            true
+            (size c < size s))
+        candidates)
+    [
+      "strike(snd3,out)";
+      "strike(low2,local)";
+      "strike(p1,link7)";
+      "strike(grp1,local)";
+      "again(strike(snd0,link0))";
+      "both(strike(snd12,in),from(2,strike(rnd1,link4)))";
+    ]
+
+(* --- compiled strategies: mask route = general route ---
+
+   A compiled strategy states its omissions as per-sender masks, which the
+   engine takes on its mask route; {!Adversary.pointwise} decodes the same
+   masks message by message, putting the engine on its general route. On
+   generated terms against every registered protocol the two traced runs
+   must agree outcome for outcome and event for event. Both routes count
+   omissions in the same delivery step, so each [Round_end] must also
+   total exactly its round's [Omit] events. *)
+
+let traced_strategy entry ~n ~seed adversary =
+  let cfg0 = Sim.Config.make ~n ~t_max:3 ~seed () in
+  let cfg =
+    {
+      cfg0 with
+      Sim.Config.max_rounds = Harness.Registry.rounds_bound entry cfg0;
+    }
+  in
+  let inputs = Array.init n (fun i -> (i + seed) / (1 + (seed mod 3)) mod 2) in
+  let sink, events = Trace.Sink.memory () in
+  let o =
+    Sim.Engine.run ~trace:sink (Harness.Registry.build entry cfg) cfg
+      ~adversary ~inputs
+  in
+  (o, events ())
+
+let omissions_counted events =
+  fst
+    (List.fold_left
+       (fun (ok, omits) (e : Trace.Event.t) ->
+         match e with
+         | Omit _ -> (ok, omits + 1)
+         | Round_end { omitted; _ } -> (ok && omitted = omits, 0)
+         | _ -> (ok, omits))
+       (true, 0) events)
+
+let qcheck_mask_route_equals_pointwise =
+  QCheck.Test.make ~name:"compiled strategy: mask route = pointwise"
+    ~count:60
+    QCheck.(
+      triple (Harness.Qgen.strategy ~n:24 ()) (int_range 1 1000)
+        (int_range 8 24))
+    (fun (s, seed, n) ->
+      let compiled () = Adversary.Strategy.compile s in
+      List.for_all
+        (fun entry ->
+          n < entry.Harness.Registry.min_n
+          ||
+          let ((_, events) as masked) =
+            traced_strategy entry ~n ~seed (compiled ())
+          in
+          masked
+          = traced_strategy entry ~n ~seed (Adversary.pointwise (compiled ()))
+          && omissions_counted events)
+        Harness.Registry.all)
 
 (* --- differential conformance: the tentpole property ---
 
@@ -309,6 +398,9 @@ let suite =
     qcheck qcheck_strategy_shrink_decreases;
     Alcotest.test_case "crash-compatible examples" `Quick
       test_crash_compatible_examples;
+    Alcotest.test_case "snd, local and link codec and shrink" `Quick
+      test_named_constructors;
+    qcheck qcheck_mask_route_equals_pointwise;
     qcheck qcheck_conformance;
     Alcotest.test_case "broken protocol caught and shrunk" `Quick
       test_broken_protocol_caught;

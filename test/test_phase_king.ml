@@ -10,7 +10,7 @@ let run_entry id ~n ~t ~inputs ~strategy =
     | Ok e -> e
     | Error msg -> Alcotest.failf "%s" msg
   in
-  let strategy = Harness.Strategy.of_string strategy in
+  let strategy = Adversary.Strategy.of_string strategy in
   let inputs = Array.of_list inputs in
   let s = Harness.Scenario.make ~n ~t_max:t ~seed:1 ~inputs ~strategy in
   let res = Harness.Runner.run_entry entry s in
