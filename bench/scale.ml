@@ -106,7 +106,10 @@ let case ~protocol ~adversary ~t ~max_rounds ?(classic_cap = max_int) n =
            protocol n)
   | _ -> ());
   (match
-     Supervise.Oracle.violations ~termination:true Consensus cfg ~inputs o
+     (if o.decided_round = None then
+        [ ("termination", "a non-faulty process never decided") ]
+      else [])
+     @ Supervise.Oracle.violations Consensus cfg ~inputs o
    with
   | [] -> ()
   | (property, detail) :: _ ->

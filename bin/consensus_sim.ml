@@ -200,7 +200,7 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
         flush ch
   in
   let result =
-    Harness.Fuzz.run ~protocols ~count ~seed ~max_n ?time_budget ~jobs
+    Conformance.Fuzz.run ~protocols ~count ~seed ~max_n ?time_budget ~jobs
       ~progress:(fun m -> Fmt.pr "fuzz: %s@." m)
       ?store ()
   in
@@ -215,30 +215,30 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
       Fmt.pr
         "fuzz: OK — %d scenarios, %d protocol runs (%d conformance-checked), \
          %d determinism checks, 0 violations@."
-        stats.Harness.Fuzz.scenarios stats.runs stats.checked
+        stats.Conformance.Fuzz.scenarios stats.runs stats.checked
         stats.determinism_checks;
       emit_json
         Jsonl.
           [
             ("kind", S "fuzz-ok");
             ("schema_version", I schema_version);
-            ("scenarios", I stats.Harness.Fuzz.scenarios);
+            ("scenarios", I stats.Conformance.Fuzz.scenarios);
             ("runs", I stats.runs);
             ("checked", I stats.checked);
             ("determinism_checks", I stats.determinism_checks);
           ];
       Option.iter close_out json_ch
   | Error (f, stats) ->
-      Fmt.pr "fuzz: FAILED after %d scenarios@." stats.Harness.Fuzz.scenarios;
-      Fmt.pr "%a" Harness.Fuzz.pp_failure f;
+      Fmt.pr "fuzz: FAILED after %d scenarios@." stats.Conformance.Fuzz.scenarios;
+      Fmt.pr "%a" Conformance.Fuzz.pp_failure f;
       (* quarantine the counterexample with its trace: full trace file +
          last-K-rounds tail on the console and in the JSON record *)
       ensure_dir trace_dir;
       let q, path =
-        Harness.Fuzz.quarantine ~protocols ~tail_rounds:(max 1 trace_tail)
+        Conformance.Fuzz.quarantine ~tail_rounds:(max 1 trace_tail)
           ~dir:trace_dir f
       in
-      Option.iter (fun p -> Fmt.pr "fuzz: counterexample trace in %s@." p) path;
+      Fmt.pr "fuzz: counterexample trace in %s@." path;
       print_tail q.Supervise.trace;
       emit_json
         Jsonl.(
@@ -248,8 +248,8 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
               ("original", S (Harness.Scenario.to_string f.original));
               ("shrunk", S (Harness.Scenario.to_string f.shrunk));
               ("shrink_steps", I f.shrink_steps);
-            ]
-          @ match path with Some p -> [ ("trace_file", S p) ] | None -> []);
+              ("trace_file", S path);
+            ]);
       Option.iter close_out json_ch;
       exit 1
 
@@ -262,10 +262,10 @@ let replay_cmd scenario protocol all =
   in
   let protocols = fuzz_protocols protocol in
   let report =
-    Harness.Runner.run ~protocols ~include_out_of_model:all s
+    Conformance.Runner.run ~protocols ~include_out_of_model:all s
   in
-  Fmt.pr "%a" Harness.Runner.pp_report report;
-  if not (Harness.Runner.report_ok report) then exit 1
+  Fmt.pr "%a" Conformance.Runner.pp_report report;
+  if Conformance.Runner.report_violations report <> [] then exit 1
 
 (* --- trace diff / show --- *)
 
@@ -378,23 +378,20 @@ let run_term =
   in
   let adversary =
     Arg.(
-      value
-      & opt (enum (List.map (fun n -> (n, n)) Run_spec.Cli.adversary_names))
-          "none"
+      value & opt string "none"
       & info [ "adversary"; "a" ]
           ~doc:
             ("Adversary: "
             ^ String.concat ", " Run_spec.Cli.adversary_names
-            ^ "."))
+            ^ ", or a strategy term such as strike(hold0x2,to1)."))
   in
   let inputs =
     Arg.(
-      value
-      & opt (enum (List.map (fun n -> (n, n)) Run_spec.Cli.inputs_names))
-          "mixed"
+      value & opt string "mixed"
       & info [ "inputs"; "i" ]
           ~doc:
-            ("Inputs: " ^ String.concat ", " Run_spec.Cli.inputs_names ^ "."))
+            ("Inputs: " ^ String.concat ", " Run_spec.Cli.inputs_names
+           ^ ", or n bits, pid 0 first."))
   in
   let net =
     Arg.(
@@ -560,7 +557,10 @@ let replay_term =
       required
       & opt (some string) None
       & info [ "scenario"; "s" ]
-          ~doc:"Scenario to replay, as printed by fuzz (n/t/seed/bits/strategy).")
+          ~doc:
+            "Scenario to replay (n/t/seed/bits/strategy). Each protocol \
+             runs it as a run spec, printed under its row as a $(b,run \
+             --spec) replay line.")
   in
   let protocol =
     Arg.(
@@ -636,7 +636,7 @@ let cmds =
       fuzz_term;
     Cmd.v
       (Cmd.info "replay"
-         ~doc:"Replay a fuzz scenario and print the conformance report")
+         ~doc:"Run a scenario on the registry and print the conformance report")
       replay_term;
     trace_cmd;
   ]

@@ -162,7 +162,9 @@ let of_string s =
       incr pos
     done;
     if !pos = start then fail "expected integer";
-    int_of_string (String.sub s start (!pos - start))
+    match int_of_string_opt (String.sub s start (!pos - start)) with
+    | Some i -> i
+    | None -> fail "integer out of range"
   in
   let target () =
     if lit "low" then Lowest (int ())

@@ -11,9 +11,6 @@
 
 type counts = { ones : int; zeros : int }
 
-val counts_zero : counts
-val counts_add : counts -> counts -> counts
-
 type msg =
   | Counts of { stage : int; bag : int; c : counts }
       (** GroupRelay round A: a source broadcasts its bag's counts *)

@@ -45,9 +45,6 @@ val sample : n:int -> delta:int -> seed:int64 -> t
 val degree_bounds_ok : t -> lo:float -> hi:float -> bool
 (** Property (iii): every degree within [[lo*delta, hi*delta]]. *)
 
-val count_internal_edges : t -> bool array -> int
-(** Edges with both endpoints inside the mask. *)
-
 val edge_sparsity_ok :
   ?samples:int -> t -> max_size:int -> alpha:float -> seed:int64 -> bool
 (** Property (ii), sampled: random subsets of size at most [max_size] have

@@ -10,10 +10,6 @@ type t = {
   group_count : int;
 }
 
-val partition_with_size : int -> int -> t
-(** [partition_with_size m size]: consecutive groups of at most [size]
-    members over pids 0..m-1. *)
-
 val sqrt_size : int -> int
 (** The group size of {!sqrt_partition} over [m] members: ceil(sqrt m),
     at least 1. *)

@@ -8,12 +8,8 @@
 
 type model = Crash | Omission
 
-type kind = Supervise.Oracle.property =
-  | Consensus
-      (** agreement + weak validity + termination among non-faulty *)
-  | Broadcast of { source : int }
-      (** decisions are the source's bit or the default 0; full delivery is
-          only guaranteed while the source stays operative *)
+type kind = Supervise.Oracle.property
+(** what [Supervise.run] judges the protocol's runs against *)
 
 type entry = {
   id : string;  (** the builder's [name] — also the CLI spelling *)

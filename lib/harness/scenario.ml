@@ -24,9 +24,10 @@ let make ~n ~t_max ~seed ~inputs ~strategy =
     invalid_arg "Scenario.make: t_max must be in [0, n)";
   { n; t_max; seed; inputs; strategy }
 
+let bits s = String.init s.n (fun i -> if s.inputs.(i) = 1 then '1' else '0')
+
 let to_string s =
-  let bits = String.init s.n (fun i -> if s.inputs.(i) = 1 then '1' else '0') in
-  Printf.sprintf "%d/%d/%d/%s/%s" s.n s.t_max s.seed bits
+  Printf.sprintf "%d/%d/%d/%s/%s" s.n s.t_max s.seed (bits s)
     (Adversary.Strategy.to_string s.strategy)
 
 let pp ppf s = Fmt.string ppf (to_string s)

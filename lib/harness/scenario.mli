@@ -20,6 +20,9 @@ val make :
 (** Validates the same invariants as {!Sim.Config.make} plus the input
     vector; raises [Invalid_argument] otherwise. *)
 
+val bits : t -> string
+(** The input vector as [n] characters ['0'] / ['1'], pid 0 first. *)
+
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 

@@ -42,16 +42,31 @@ let inputs_table =
         Array.init n (fun _ -> Sim.Rand.bit rand) );
   ]
 
-(* [p=param x=K] builds the registry's [param-xK]: one run, one canonical
-   string (and cache key), the registry id's. An out-of-range x stays for
-   [validate] to reject. *)
+(* Beside the names, [a=] takes any strategy term and [i=] any n-bit
+   string; no name is either. *)
+let term spelling =
+  match Adversary.Strategy.of_string spelling with
+  | t -> Some t
+  | exception Adversary.Strategy.Parse_error _ -> None
+
+(* One run, one canonical string (and cache key): [p=param x=K] builds the
+   registry's [param-xK], so it takes the registry id, and a term takes
+   its printed spelling. An out-of-range x or an unknown spelling stays
+   for [validate] to reject. *)
 let canonical spec =
   let id = Printf.sprintf "param-x%d" (Option.value spec.x ~default:0) in
-  match spec.x with
-  | Some x when spec.protocol = "param" && x >= 1 && x <= spec.n
-                && List.mem id (Harness.Registry.ids ()) ->
-      { spec with protocol = id; x = None }
-  | Some _ | None -> spec
+  let spec =
+    match spec.x with
+    | Some x when spec.protocol = "param" && x >= 1 && x <= spec.n
+                  && List.mem id (Harness.Registry.ids ()) ->
+        { spec with protocol = id; x = None }
+    | Some _ | None -> spec
+  in
+  if List.mem_assoc spec.adversary adversaries then spec
+  else
+    match term spec.adversary with
+    | Some t -> { spec with adversary = Adversary.Strategy.to_string t }
+    | None -> spec
 
 let make ?x ?(adversary = "none") ?(inputs = "mixed") ?net
     ?(budget = Supervise.Budget.unlimited) ~protocol ~n ~t_max ~seed () =
@@ -60,12 +75,25 @@ let make ?x ?(adversary = "none") ?(inputs = "mixed") ?net
 let adversary spec =
   match List.assoc_opt spec.adversary adversaries with
   | Some f -> f ()
-  | None -> invalid_arg ("Run_spec.adversary: unknown name " ^ spec.adversary)
+  | None -> (
+      match term spec.adversary with
+      | Some t -> Adversary.Strategy.compile ~name:spec.adversary t
+      | None ->
+          Printf.ksprintf invalid_arg
+            "unknown adversary %S; one of %s, or a strategy term"
+            spec.adversary
+            (String.concat ", " (List.map fst adversaries)))
 
 let inputs spec =
-  match List.assoc_opt spec.inputs inputs_table with
+  let s = spec.inputs in
+  match List.assoc_opt s inputs_table with
   | Some f -> f ~n:spec.n ~seed:spec.seed
-  | None -> invalid_arg ("Run_spec.inputs: unknown pattern " ^ spec.inputs)
+  | None when String.length s = spec.n && String.for_all (String.contains "01") s ->
+      Array.init spec.n (fun i -> Char.code s.[i] - Char.code '0')
+  | None ->
+      Printf.ksprintf invalid_arg "unknown inputs %S; one of %s, or %d bits" s
+        (String.concat ", " (List.map fst inputs_table))
+        spec.n
 
 (* --- canonical serialization --- *)
 
@@ -105,6 +133,14 @@ let validate spec =
     if spec.t_max < 0 || spec.t_max >= spec.n then
       fail "t must be in [0, n) = [0, %d), not %d" spec.n spec.t_max
     else Ok ()
+  in
+  let* () =
+    match
+      ignore (adversary spec);
+      ignore (inputs spec)
+    with
+    | () -> Ok ()
+    | exception Invalid_argument m -> fail "%s" m
   in
   let* () =
     match (spec.protocol = "param", spec.x) with
@@ -175,21 +211,6 @@ let of_string s =
           | "-" -> Ok None
           | v -> Result.map Option.some (Net.Spec.of_string v))
       in
-      let* () =
-        if List.mem_assoc adversary adversaries then Ok ()
-        else
-          Error
-            (Printf.sprintf "run spec: unknown adversary %S; one of %s"
-               adversary
-               (String.concat ", " (List.map fst adversaries)))
-      in
-      let* () =
-        if List.mem_assoc inputs inputs_table then Ok ()
-        else
-          Error
-            (Printf.sprintf "run spec: unknown inputs %S; one of %s" inputs
-               (String.concat ", " (List.map fst inputs_table)))
-      in
       validate
         @@ canonical
         {
@@ -232,22 +253,25 @@ let config spec builder =
   let cfg0 = Sim.Config.make ~n:spec.n ~t_max:spec.t_max ~seed:spec.seed () in
   { cfg0 with Sim.Config.max_rounds = B.rounds_needed cfg0 }
 
+let supervise ?trace ?store ~property builder spec =
+  let module B = (val builder : Sim.Protocol_intf.BUILDER) in
+  let cfg = config spec builder in
+  Supervise.run ?trace ~budget:spec.budget ?net:spec.net
+    ?cache:(Option.map (fun st -> (st, to_string spec)) store)
+    ~property (B.build cfg) cfg ~adversary:(adversary spec)
+    ~inputs:(inputs spec)
+
 let execute ?trace ?store spec =
   match resolve spec with
   | Error msg -> invalid_arg ("Run_spec.execute: " ^ msg)
   | Ok builder ->
-      let module B = (val builder : Sim.Protocol_intf.BUILDER) in
-      let cfg = config spec builder in
       (* param, the one protocol outside the registry, is a consensus *)
       let property =
         Result.fold (Harness.Registry.find spec.protocol)
           ~ok:(fun e -> e.Harness.Registry.kind)
           ~error:(fun _ -> Supervise.Oracle.Consensus)
       in
-      Supervise.run ?trace ~budget:spec.budget ?net:spec.net
-        ?cache:(Option.map (fun st -> (st, to_string spec)) store)
-        ~property (B.build cfg) cfg ~adversary:(adversary spec)
-        ~inputs:(inputs spec)
+      supervise ?trace ?store ~property builder spec
 
 module Cli = struct
   type budget_flags = { wall : float; rounds : int; msgs : int; rand : int }

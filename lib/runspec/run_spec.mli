@@ -19,8 +19,8 @@ type t = {
   t_max : int;
   x : int option;  (** [param]'s generalization parameter *)
   seed : int;
-  adversary : string;  (** one of {!Cli.adversary_names} *)
-  inputs : string;  (** one of {!Cli.inputs_names} *)
+  adversary : string;  (** one of {!Cli.adversary_names}, or a term *)
+  inputs : string;  (** one of {!Cli.inputs_names}, or n bits *)
   net : Net.Spec.t option;
   budget : Supervise.Budget.t;
 }
@@ -40,8 +40,9 @@ val make :
 (** Defaults: no [x], adversary ["none"], inputs ["mixed"], no net spec,
     unlimited budget. ["param"] with an [x] in [[1, n]] whose
     ["param-x<x>"] is a registry id becomes that id without [x]: the two
-    spellings build the same protocol. The result is not validated here;
-    {!resolve} and {!execute} refuse what {!of_string} would reject. *)
+    spellings build the same protocol; a term takes its canonical
+    spelling. The result is not validated here; {!resolve} and {!execute}
+    refuse what {!of_string} would reject. *)
 
 val to_string : t -> string
 (** Canonical serialization: 12 space-separated [k=v] tokens in a fixed
@@ -51,12 +52,14 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 (** Inverse of {!to_string}; [Error] is a one-line message. Checks the
-    field order and the adversary and inputs spellings, then validates
-    the spec: [n >= 1], [0 <= t < n], [1 <= x <= n] for ["param"] and [x]
-    absent for every other protocol (so one run has one canonical
-    string, ["param"] mapped onto a registry id as {!make} does), every
-    integer budget positive, and a wall budget finite and positive. {!resolve} applies the same validation to specs assembled
-    with {!make}, such as the CLI's flag path. *)
+    field order, then validates the spec: [n >= 1], [0 <= t < n], the
+    adversary a name or a strategy term and the inputs a name or [n]
+    bits, [1 <= x <= n] for ["param"] and [x] absent for every other
+    protocol (so one run has one canonical string, ["param"] mapped onto
+    a registry id and a term respelled as {!make} does), every integer
+    budget positive, and a wall budget finite and positive. {!resolve}
+    applies the same validation to specs assembled with {!make}, such as
+    the CLI's flag path. *)
 
 val digest : t -> string
 (** Hex digest of {!to_string} — a stable short name for the run. *)
@@ -78,9 +81,23 @@ val adversary : t -> Sim.Adversary_intf.t
 (** Raises [Invalid_argument] on a spelling {!of_string} would reject. *)
 
 val inputs : t -> int array
-(** The input pattern instantiated at (n, seed); ["random"] draws from a
-    stream salted off the seed. Raises [Invalid_argument] on a bad
-    spelling. *)
+(** The input pattern instantiated at (n, seed), or the bits, pid 0
+    first; ["random"] draws from a stream salted off the seed. Raises
+    [Invalid_argument] on a bad spelling. *)
+
+val supervise :
+  ?trace:Trace.Sink.t ->
+  ?store:Cache.Store.t ->
+  property:Supervise.Oracle.property ->
+  Sim.Protocol_intf.builder ->
+  t ->
+  ( Sim.Engine.outcome * Net.Degradation.t option,
+    Supervise.failure_kind
+    * (Sim.Engine.outcome * Net.Degradation.t option) option )
+  result
+(** {!execute}'s run with the caller's builder and property, such as a
+    test protocol outside the registry. The spec is not validated; a bad
+    spelling raises [Invalid_argument]. *)
 
 val execute :
   ?trace:Trace.Sink.t ->

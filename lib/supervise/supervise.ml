@@ -98,11 +98,10 @@ module Oracle = struct
       o.decisions;
     List.rev !bad
 
-  (* The decisions of the pids the guarantees cover, in pid order, and
-     whether one of them is undecided. A pid is covered outside the
-     effective fault set on a lossy link (the faulty are allowed anything,
-     including their residual losses), outside the adversary's fault set
-     otherwise. *)
+  (* The covered pids with their decisions, in pid order: those outside
+     the effective fault set on a lossy link (the faulty are allowed
+     anything, including their residual losses), outside the adversary's
+     fault set otherwise. *)
   let covered ?degradation (o : Sim.Engine.outcome) =
     let faulty = Array.copy o.faulty in
     Option.iter
@@ -111,17 +110,15 @@ module Oracle = struct
           (fun p -> if p < Array.length faulty then faulty.(p) <- true)
           d.effective_faulty)
       degradation;
-    let decided = ref [] and undecided = ref false in
-    for pid = Array.length faulty - 1 downto 0 do
-      if not faulty.(pid) then
-        match o.decisions.(pid) with
-        | Some v -> decided := (pid, v) :: !decided
-        | None -> undecided := true
-    done;
-    (!decided, !undecided)
+    List.filter_map
+      (fun pid -> if faulty.(pid) then None else Some (pid, o.decisions.(pid)))
+      (List.init (Array.length faulty) Fun.id)
 
-  let violations ?degradation ?(termination = false) property cfg ~inputs o =
-    let decided, undecided = covered ?degradation o in
+  let violations ?degradation ?operative property cfg ~inputs o =
+    let covered = covered ?degradation o in
+    let decided =
+      List.filter_map (fun (p, d) -> Option.map (fun v -> (p, v)) d) covered
+    in
     let safety =
       match (property, decided) with
       | Consensus, [] -> []
@@ -138,27 +135,61 @@ module Oracle = struct
           | None -> [])
       | Broadcast { source }, _ ->
           let input = inputs.(source) in
+          (* Section 6: with the source covered and operative throughout,
+             every covered pid operative at the end delivers its bit *)
+          let owed =
+            match operative with
+            | Some operative when List.mem_assoc source covered -> operative
+            | Some _ | None -> Array.make (Array.length o.decisions) false
+          in
           List.filter_map
-            (fun (pid, v) ->
-              if v <> 0 && v <> input then
-                Some
-                  ( "broadcast-validity",
-                    Printf.sprintf "pid %d delivered %d, source sent %d" pid v
-                      input )
-              else None)
-            decided
+            (fun (pid, d) ->
+              match d with
+              | Some v when v <> 0 && v <> input ->
+                  Some
+                    ( "broadcast-validity",
+                      Printf.sprintf "pid %d delivered %d, source sent %d" pid
+                        v input )
+              | _ when owed.(pid) && d <> Some input ->
+                  Some
+                    ( "broadcast-delivery",
+                      Printf.sprintf
+                        "operative pid %d decided %s, not source bit %d" pid
+                        (match d with
+                        | Some v -> string_of_int v
+                        | None -> "nothing")
+                        input )
+              | _ -> None)
+            covered
     in
-    metrics cfg o
-    @ (if termination && undecided then
-         [ ("termination", "a non-faulty process never decided") ]
-       else [])
-    @ safety
+    metrics cfg o @ safety
 
   let decision ?degradation o =
     match covered ?degradation o with
-    | (_, v) :: rest, false when List.for_all (fun (_, w) -> w = v) rest ->
+    | (_, Some v) :: rest when List.for_all (fun (_, d) -> d = Some v) rest ->
         Some v
     | _ -> None
+
+  (* Wraps a broadcast's adversary to record the operative flags its
+     delivery check reads, as the adversary sees them, in a buffer
+     allocated once per run: the last round's, and whether the source was
+     operative in every round. The plan passes through, so the engine's
+     route and the outcome do not move. *)
+  let probe ~source ~n (adversary : Sim.Adversary_intf.t) =
+    let last = Array.make n false and held = ref true in
+    ( {
+        adversary with
+        Sim.Adversary_intf.create =
+          (fun cfg rand ->
+            let step = adversary.create cfg rand in
+            fun (view : Sim.View.t) ->
+              for pid = 0 to n - 1 do
+                last.(pid) <- view.obs.(pid).core.operative
+              done;
+              if not last.(source) then held := false;
+              step view);
+      },
+      fun () -> if !held then Some last else None )
 end
 
 type breach = { metric : string; limit : float; actual : float; at_round : int }
@@ -399,7 +430,7 @@ let watched ?trace ~budget ?net proto cfg ~adversary ~inputs =
    whose effective fault set exceeds t_max is degraded, never a consensus
    result computed over too many faults; one the oracle rejects is
    violated. *)
-let judge ~property cfg ~inputs ((o, d) as result) =
+let judge ?operative ~property cfg ~inputs ((o, d) as result) =
   match d with
   | Some (d : Net.Degradation.t) when d.beyond_model ->
       Error
@@ -412,22 +443,29 @@ let judge ~property cfg ~inputs ((o, d) as result) =
             },
           Some result )
   | _ -> (
-      match Oracle.violations ?degradation:d property cfg ~inputs o with
+      match Oracle.violations ?degradation:d ?operative property cfg ~inputs o with
       | [] -> Ok result
       | (property, detail) :: _ ->
           Error (Violated { property; detail }, Some result))
 
 (* Only successes are cached: failures, degraded and violated runs re-run
    (and re-report) every time — a quarantine served from a cache would
-   hide a flaky environment. A hit is judged like a fresh run, and an
+   hide a flaky environment. A hit is judged like a fresh run (bar the
+   delivery check, which needs the run's operative flags), and an
    undecodable payload (torn or hand-edited object) is dropped by the
    lookup and recomputed once. *)
 let run ?trace ?(budget = Budget.unlimited) ?net ?cache ~property
     proto cfg ~adversary ~inputs =
   let fresh () =
+    let adversary, operative =
+      match property with
+      | Oracle.Consensus -> (adversary, fun () -> None)
+      | Oracle.Broadcast { source } ->
+          Oracle.probe ~source ~n:cfg.Sim.Config.n adversary
+    in
     Result.bind
       (watched ?trace ~budget ?net proto cfg ~adversary ~inputs)
-      (judge ~property cfg ~inputs)
+      (fun r -> judge ?operative:(operative ()) ~property cfg ~inputs r)
   in
   match cache with
   | None -> fresh ()

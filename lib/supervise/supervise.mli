@@ -1,7 +1,7 @@
 (** Run supervision and fault containment for sweeps.
 
     The experiment campaigns in [bench/] and the fuzz soak
-    ([Harness.Fuzz.run], batches through {!Cached.map}) run thousands of
+    ([Conformance.Fuzz.run], batches through {!Cached.map}) run thousands of
     independent simulator tasks; at that scale stragglers and failures are
     expected, and one pathological run must not discard a whole campaign's
     work. This layer wraps {!Exec} and {!Sim.Engine.run} with:
@@ -53,15 +53,16 @@ module Budget : sig
 end
 
 (** What a finished run must satisfy: the paper's agreement and validity
-    among the non-faulty processes (Section 2), and the engine's metric
-    invariants. Termination is a measurement on supervised routes, so it
-    is checked only on request. *)
+    among the non-faulty processes (Section 2), a broadcast's conditional
+    delivery (Section 6), and the engine's metric invariants. Termination
+    is a measurement; a round budget ({!Budget}) makes it a failure. *)
 module Oracle : sig
   type property =
     | Consensus
-        (** agreement + weak validity (+ termination) among non-faulty *)
+        (** agreement + weak validity among non-faulty *)
     | Broadcast of { source : int }
-        (** decisions are the source's bit or the default 0 *)
+        (** decisions are the source's bit or the default 0, and the
+            source's bit while it stays operative *)
 
   val metrics : Sim.Config.t -> Sim.Engine.outcome -> (string * string) list
   (** The engine's metric invariants, as [(property, detail)] pairs named
@@ -69,20 +70,23 @@ module Oracle : sig
 
   val violations :
     ?degradation:Net.Degradation.t ->
-    ?termination:bool ->
+    ?operative:bool array ->
     property ->
     Sim.Config.t ->
     inputs:int array ->
     Sim.Engine.outcome ->
     (string * string) list
-  (** {!metrics}, then ["termination"] if asked (default [false]) and a
-      covered process never decided, then the safety half over the
-      decided covered processes: ["agreement"] or ["validity"] (the
-      decision is some process's input) for [Consensus], a
-      ["broadcast-validity"] per process deciding neither 0 nor the
-      source's input for [Broadcast]. The covered processes are the
-      non-faulty ones, or those outside a [degradation] report's
-      effective fault set. Empty for a correct run. *)
+  (** {!metrics}, then the safety half over the decided covered
+      processes: ["agreement"] or ["validity"] (the decision is some
+      process's input) for [Consensus], a ["broadcast-validity"] per
+      process deciding neither 0 nor the source's input for [Broadcast].
+      The covered processes are the non-faulty ones, or those outside a
+      [degradation] report's effective fault set. Empty for a correct run.
+
+      [operative] is each process's operative flag in the last round,
+      given ({!run} does) when the source was operative in every round:
+      then each covered operative process not deciding a covered source's
+      input is a ["broadcast-delivery"]. *)
 
   val decision : ?degradation:Net.Degradation.t -> Sim.Engine.outcome -> int option
   (** The common decision of the covered processes, or [None] if one is
@@ -193,12 +197,14 @@ val run :
     result. Every other finished run is checked with
     {!Oracle.violations} for [property] over [inputs] (over the effective
     fault set on a lossy link); the first violation is
-    [Error (Violated _, Some _)].
+    [Error (Violated _, Some _)]. A [Broadcast] run's adversary is wrapped
+    to record the operative flags for the delivery check; the plan and
+    the outcome are the unwrapped run's.
 
     [cache] is a store and the caller's canonical key for the run (a
     [Run_spec] string). A hit emits a {!Trace.Event.Cache_hit} event into
-    [trace] and is judged like a fresh run. Only [Ok] results are written
-    back. *)
+    [trace] and is judged like a fresh run, bar the delivery check it
+    passed when written: only [Ok] results are written back. *)
 
 val map :
   ?jobs:int ->

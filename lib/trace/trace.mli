@@ -148,8 +148,6 @@ module Sink : sig
   val tee : t -> t -> t
   (** Message-level when either side is. *)
 
-  val tee_all : t list -> t
-
   val memory : unit -> t * (unit -> Event.t list)
   (** In-memory sink for tests: the second component returns the events
       recorded so far, oldest first. *)
@@ -230,8 +228,6 @@ module Metrics : sig
     wall_total_s : float;
     per_round : per_round list;  (** chronological *)
   }
-
-  val empty_summary : summary
 
   val collector : ?clock:(unit -> float) -> unit -> Sink.t * (unit -> summary)
   (** A round-level sink that folds the stream into per-round counters;

@@ -436,6 +436,61 @@ let test_run_spec_roundtrip () =
     "replay one-liner embeds the canonical spec" true
     (contains cmd "run --spec 'p=flood n=8 t=1 ")
 
+(* a= takes a name or any strategy term, i= a name or n bits. One check
+   refuses a bad spelling on every surface: of_string, and resolve and
+   execute on a spec assembled with make. *)
+let test_run_spec_spellings () =
+  let make ?(adversary = "none") ?(inputs = "mixed") () =
+    Run_spec.make ~adversary ~inputs ~protocol:"flood" ~n:8 ~t_max:1 ~seed:1
+      ()
+  in
+  let refused what spec needle =
+    let says where m =
+      Alcotest.(check bool) (what ^ ": " ^ where ^ " says why") true
+        (contains m needle)
+    in
+    (match Run_spec.resolve spec with
+    | Ok _ -> Alcotest.failf "%s: resolve accepted it" what
+    | Error m -> says "resolve" m);
+    (match Run_spec.of_string (Run_spec.to_string spec) with
+    | Ok _ -> Alcotest.failf "%s: of_string accepted it" what
+    | Error m -> says "of_string" m);
+    match Run_spec.execute spec with
+    | exception Invalid_argument m -> says "execute" m
+    | _ -> Alcotest.failf "%s: execute ran it" what
+  in
+  refused "bogus adversary, nope inputs"
+    (make ~adversary:"bogus" ~inputs:"nope" ())
+    "unknown adversary";
+  refused "nope inputs" (make ~inputs:"nope" ()) "unknown inputs";
+  refused "4 bits for n = 8" (make ~inputs:"0101" ()) "or 8 bits";
+  refused "a non-bit" (make ~inputs:"01010102" ()) "unknown inputs";
+  refused "a malformed term" (make ~adversary:"strike(p0)" ()) "strategy term";
+  refused "an integer past max_int"
+    (make ~adversary:"strike(p99999999999999999999,out)" ())
+    "unknown adversary";
+  (* a term and a bit string print as themselves, a term in its canonical
+     spelling, and round-trip *)
+  let spec = make ~adversary:"strike(hold0x2,to01)" ~inputs:"00000111" () in
+  Alcotest.(check bool) "term and bits in the string" true
+    (contains (Run_spec.to_string spec) " a=strike(hold0x2,to1) i=00000111 ");
+  Alcotest.(check bool) "round-trips" true
+    (Run_spec.of_string (Run_spec.to_string spec) = Ok spec);
+  Alcotest.(check (array int)) "bits are pid 0 first"
+    [| 0; 0; 0; 0; 0; 1; 1; 1 |] (Run_spec.inputs spec);
+  (* and the spec runs the compiled term on those inputs *)
+  let cfg = Run_spec.config spec (Result.get_ok (Run_spec.resolve spec)) in
+  let direct =
+    Sim.Engine.run (Consensus.Flood.protocol_buffered cfg) cfg
+      ~adversary:
+        (Adversary.Strategy.compile
+           (Adversary.Strategy.of_string "strike(hold0x2,to1)"))
+      ~inputs:[| 0; 0; 0; 0; 0; 1; 1; 1 |]
+  in
+  match Run_spec.execute spec with
+  | Ok (o, None) -> Alcotest.(check bool) "same outcome" true (o = direct)
+  | _ -> Alcotest.fail "the term spec must run clean"
+
 (* p=param x=2 builds the registry's param-x2: both spellings name one
    run, so they must give one canonical string and one cache key *)
 let test_run_spec_param_alias () =
@@ -563,10 +618,10 @@ let test_fuzz_store_dedup () =
   with_store (fun _dir open_ ->
       let s = open_ () in
       let run () =
-        match Harness.Fuzz.run ~count:12 ~seed:11 ~jobs:1 ~store:s () with
+        match Conformance.Fuzz.run ~count:12 ~seed:11 ~jobs:1 ~store:s () with
         | Ok stats -> stats
         | Error (f, _) ->
-            Alcotest.failf "fuzz found a violation: %a" Harness.Fuzz.pp_failure
+            Alcotest.failf "fuzz found a violation: %a" Conformance.Fuzz.pp_failure
               f
       in
       let first = run () in
@@ -581,41 +636,41 @@ let test_fuzz_store_dedup () =
       Alcotest.(check int) "no new writes" w1
         (Cache.Store.stats s).Cache.Stats.writes;
       (* dedup is invisible in the reported stats *)
-      Alcotest.(check int) "scenarios" first.Harness.Fuzz.scenarios
-        second.Harness.Fuzz.scenarios;
-      Alcotest.(check int) "runs" first.Harness.Fuzz.runs
-        second.Harness.Fuzz.runs;
-      Alcotest.(check int) "checked" first.Harness.Fuzz.checked
-        second.Harness.Fuzz.checked;
+      Alcotest.(check int) "scenarios" first.Conformance.Fuzz.scenarios
+        second.Conformance.Fuzz.scenarios;
+      Alcotest.(check int) "runs" first.Conformance.Fuzz.runs
+        second.Conformance.Fuzz.runs;
+      Alcotest.(check int) "checked" first.Conformance.Fuzz.checked
+        second.Conformance.Fuzz.checked;
       Alcotest.(check int) "determinism checks"
-        first.Harness.Fuzz.determinism_checks
-        second.Harness.Fuzz.determinism_checks;
+        first.Conformance.Fuzz.determinism_checks
+        second.Conformance.Fuzz.determinism_checks;
       Cache.Store.close s);
   (* an interrupted soak: 6 scenarios land in the store, then the full
      12-scenario soak on the same store folds those 6 and runs the rest,
      reporting exactly the uninterrupted soak's stats *)
   let soak ?store count =
-    match Harness.Fuzz.run ~count ~seed:11 ~jobs:1 ?store () with
+    match Conformance.Fuzz.run ~count ~seed:11 ~jobs:1 ?store () with
     | Ok stats -> stats
     | Error (f, _) ->
-        Alcotest.failf "fuzz found a violation: %a" Harness.Fuzz.pp_failure f
+        Alcotest.failf "fuzz found a violation: %a" Conformance.Fuzz.pp_failure f
   in
   let uninterrupted = soak 12 in
   with_store (fun _dir open_ ->
       let s = open_ () in
-      ignore (soak ~store:s 6 : Harness.Fuzz.stats);
+      ignore (soak ~store:s 6 : Conformance.Fuzz.stats);
       Cache.Store.close s;
       let s = open_ () in
       let resumed = soak ~store:s 12 in
       Alcotest.(check int) "resume hits the 6 finished scenarios" 6
         (Cache.Store.stats s).Cache.Stats.hits;
       Alcotest.(check (list int)) "resumed stats = uninterrupted"
-        Harness.Fuzz.
+        Conformance.Fuzz.
           [
             uninterrupted.scenarios; uninterrupted.runs;
             uninterrupted.checked; uninterrupted.determinism_checks;
           ]
-        Harness.Fuzz.
+        Conformance.Fuzz.
           [
             resumed.scenarios; resumed.runs; resumed.checked;
             resumed.determinism_checks;
@@ -631,12 +686,12 @@ let test_fuzz_violation_not_cached () =
       let s = open_ () in
       let soak () =
         match
-          Harness.Fuzz.run ~protocols:[ Test_harness.selfish_entry ] ~count:4
+          Conformance.Fuzz.run ~protocols:[ Test_harness.selfish_entry ] ~count:4
             ~seed:3 ~jobs:1 ~store:s ()
         with
         | Ok _ -> Alcotest.fail "fuzzer missed the broken protocol"
         | Error (f, _) ->
-            ( Harness.Scenario.to_string f.Harness.Fuzz.original,
+            ( Harness.Scenario.to_string f.Conformance.Fuzz.original,
               Harness.Scenario.to_string f.shrunk,
               f.shrink_steps )
       in
@@ -683,6 +738,8 @@ let suite =
       test_run_spec_param_alias;
     Alcotest.test_case "Run_spec rejects malformed specs" `Quick
       test_run_spec_errors;
+    Alcotest.test_case "Run_spec spellings: names, terms, bits" `Quick
+      test_run_spec_spellings;
     Alcotest.test_case "Cli budget flags" `Quick test_cli_budget_flags;
     Alcotest.test_case "cache-hit event codecs" `Quick
       test_cache_hit_event_codec;

@@ -167,12 +167,54 @@ let qcheck_conformance =
   QCheck.Test.make ~name:"registry conforms on generated scenarios" ~count:40
     (Harness.Qgen.scenario ~max_n:24 ())
     (fun s ->
-      let report = Harness.Runner.run ~include_out_of_model:true s in
-      match Harness.Runner.report_violations report with
+      let report = Conformance.Runner.run ~include_out_of_model:true s in
+      match Conformance.Runner.report_violations report with
       | [] -> true
       | v :: _ ->
-          QCheck.Test.fail_reportf "%a on %a" Harness.Runner.pp_violation v
+          QCheck.Test.fail_reportf "%a on %a" Conformance.Runner.pp_violation v
             Harness.Scenario.pp s)
+
+(* The fuzz -> run --spec path: the spec the runner builds for an entry
+   survives its own serialization, and executing the parsed spec, as
+   [run --spec] does, gives the runner's outcome and, in model, its
+   verdict. *)
+let qcheck_runner_spec_replays =
+  QCheck.Test.make ~name:"runner spec replays through run --spec" ~count:25
+    (Harness.Qgen.scenario ~max_n:24 ())
+    (fun s ->
+      List.for_all
+        (fun (entry : Harness.Registry.entry) ->
+          s.Harness.Scenario.n < entry.min_n
+          ||
+          let r = Conformance.Runner.run_entry entry s in
+          let line = Run_spec.to_string r.spec in
+          match Run_spec.of_string line with
+          | Error e -> QCheck.Test.fail_reportf "%s: %s" line e
+          | Ok spec ->
+              let outcome, verdict =
+                match Run_spec.execute spec with
+                | Ok (o, _) -> (Some o, None)
+                | Error (Supervise.Violated { property; _ }, partial) ->
+                    (Option.map fst partial, Some property)
+                | Error (Supervise.Budget_exceeded { metric = "rounds"; _ }, partial) ->
+                    (Option.map fst partial, Some "termination")
+                | Error (kind, _) ->
+                    QCheck.Test.fail_reportf "%s: %a" line
+                      Supervise.pp_failure_kind kind
+              in
+              let expected =
+                match r.violations with
+                | v :: _ -> Some v.Conformance.Runner.property
+                | [] -> None
+              in
+              if spec <> r.spec then
+                QCheck.Test.fail_reportf "%s does not round-trip" line
+              else if outcome <> r.outcome then
+                QCheck.Test.fail_reportf "%s: outcome differs" line
+              else if r.checked && verdict <> expected then
+                QCheck.Test.fail_reportf "%s: verdict differs" line
+              else true)
+        Harness.Registry.all)
 
 (* --- failure detection and minimisation ---
 
@@ -219,49 +261,44 @@ let contains hay needle =
   go 0
 
 let test_broken_protocol_caught () =
-  match Harness.Fuzz.run ~protocols:[ selfish_entry ] ~count:50 ~seed:3 () with
+  match Conformance.Fuzz.run ~protocols:[ selfish_entry ] ~count:50 ~seed:3 () with
   | Ok _ -> Alcotest.fail "fuzzer missed the broken protocol"
   | Error (f, _) ->
       Alcotest.(check string) "agreement violated" "agreement"
-        f.Harness.Fuzz.violation.property;
+        f.Conformance.Fuzz.violation.property;
       Alcotest.(check bool) "shrunk is no larger" true
         (Harness.Scenario.measure f.shrunk
         <= Harness.Scenario.measure f.original);
       (* the shrunk scenario still reproduces the same violation *)
-      let report = Harness.Runner.run ~protocols:[ selfish_entry ] f.shrunk in
+      let report = Conformance.Runner.run ~protocols:[ selfish_entry ] f.shrunk in
       Alcotest.(check bool) "shrunk reproduces" true
         (List.exists
-           (fun v -> v.Harness.Runner.property = "agreement")
-           (Harness.Runner.report_violations report));
-      (* and the replay one-liner names exactly the shrunk scenario *)
-      let cmd = Harness.Fuzz.replay_command f.shrunk in
-      let sub = Harness.Scenario.to_string f.shrunk in
-      Alcotest.(check bool) "replay command mentions scenario" true
-        (contains cmd sub);
-      (* and runs as printed, like every other replay line *)
-      Alcotest.(check bool) "replay command is a dune exec line" true
-        (String.starts_with
-           ~prefix:"dune exec bin/consensus_sim.exe -- replay -s '" cmd)
+           (fun v -> v.Conformance.Runner.property = "agreement")
+           (Conformance.Runner.report_violations report));
+      (* and the replay line is the shrunk scenario's run on the
+         violating protocol *)
+      Alcotest.(check string) "violating protocol" "selfish" f.entry.id;
+      Alcotest.(check bool) "replay line is its run --spec" true
+        (contains
+           (Fmt.str "%a" Conformance.Fuzz.pp_failure f)
+           (Run_spec.to_command
+              (Conformance.Runner.spec selfish_entry f.shrunk)))
 
 (* The counterexample's quarantine record has the shape of every other
    one (Supervise.failure_json), with the replay line and the trace tail.
    The soak's counterexample itself is pinned. *)
 let test_counterexample_record () =
-  match Harness.Fuzz.run ~protocols:[ selfish_entry ] ~count:50 ~seed:3 () with
+  match Conformance.Fuzz.run ~protocols:[ selfish_entry ] ~count:50 ~seed:3 () with
   | Ok _ -> Alcotest.fail "fuzzer missed the broken protocol"
   | Error (f, _) -> (
       Alcotest.(check string) "original"
         "35/8/257032/00000000000000000100000000000000000/strike(hold0x2,to1)"
-        (Harness.Scenario.to_string f.Harness.Fuzz.original);
+        (Harness.Scenario.to_string f.Conformance.Fuzz.original);
       Alcotest.(check string) "shrunk" "18/0/1/000000000000000001/idle"
         (Harness.Scenario.to_string f.shrunk);
       Alcotest.(check int) "shrink steps" 20 f.shrink_steps;
       let dir = Filename.temp_dir "fuzz-quarantine" "" in
-      let q, path =
-        Harness.Fuzz.quarantine ~protocols:[ selfish_entry ] ~tail_rounds:3
-          ~dir f
-      in
-      let path = Option.get path in
+      let q, path = Conformance.Fuzz.quarantine ~tail_rounds:3 ~dir f in
       let events = Trace.File.read path in
       Sys.remove path;
       Sys.rmdir dir;
@@ -282,7 +319,7 @@ let test_counterexample_record () =
           {|"failure":"violated"|};
           {|"property":"agreement"|};
           {|"label":"fuzz-counterexample/selfish"|};
-          {|"replay":"dune exec bin/consensus_sim.exe -- replay -s '18/0/1/|};
+          {|"replay":"dune exec bin/consensus_sim.exe -- run --spec 'p=selfish n=18 t=0 x=- seed=1 a=idle i=000000000000000001 wall=- rounds=3 |};
         ];
       match Jsonl.read json with
       | None -> Alcotest.fail "record does not parse"
@@ -294,7 +331,9 @@ let test_counterexample_record () =
           Alcotest.(check (option int)) "seed" (Some 257032)
             (Jsonl.int fields "seed");
           Alcotest.(check (option string)) "replay"
-            (Some (Harness.Fuzz.replay_command f.shrunk))
+            (Some
+               (Run_spec.to_command
+                  (Conformance.Runner.spec selfish_entry f.shrunk)))
             (Jsonl.string fields "replay");
           Alcotest.(check bool) "non-empty trace tail" true
             (match List.assoc_opt "trace" fields with
@@ -305,10 +344,10 @@ let test_counterexample_record () =
    clean: same counterexample, shrink and stats. *)
 let test_fuzz_jobs_invariant () =
   let outcome ~protocols ~count ~seed jobs =
-    let counts (st : Harness.Fuzz.stats) =
+    let counts (st : Conformance.Fuzz.stats) =
       [ st.scenarios; st.runs; st.checked; st.determinism_checks ]
     in
-    match Harness.Fuzz.run ~protocols ~count ~seed ~jobs () with
+    match Conformance.Fuzz.run ~protocols ~count ~seed ~jobs () with
     | Ok st -> ([], counts st)
     | Error (f, st) ->
         ( [
@@ -386,7 +425,7 @@ let test_runner_determinism () =
       Alcotest.(check bool)
         (e.Harness.Registry.id ^ " deterministic")
         true
-        (Harness.Runner.determinism_violation e s = None))
+        (Conformance.Runner.determinism_violation e s = None))
     Harness.Registry.all
 
 let suite =
@@ -402,6 +441,7 @@ let suite =
       test_named_constructors;
     qcheck qcheck_mask_route_equals_pointwise;
     qcheck qcheck_conformance;
+    qcheck qcheck_runner_spec_replays;
     Alcotest.test_case "broken protocol caught and shrunk" `Quick
       test_broken_protocol_caught;
     Alcotest.test_case "counterexample quarantine record" `Quick

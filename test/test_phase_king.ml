@@ -13,10 +13,10 @@ let run_entry id ~n ~t ~inputs ~strategy =
   let strategy = Adversary.Strategy.of_string strategy in
   let inputs = Array.of_list inputs in
   let s = Harness.Scenario.make ~n ~t_max:t ~seed:1 ~inputs ~strategy in
-  let res = Harness.Runner.run_entry entry s in
+  let res = Conformance.Runner.run_entry entry s in
   List.iter
-    (fun v -> Alcotest.failf "%a" Harness.Runner.pp_violation v)
-    res.Harness.Runner.violations;
+    (fun v -> Alcotest.failf "%a" Conformance.Runner.pp_violation v)
+    res.Conformance.Runner.violations;
   match res.outcome with
   | Some o -> o
   | None -> Alcotest.failf "%s produced no outcome" id

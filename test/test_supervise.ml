@@ -235,6 +235,62 @@ let test_validity_violated () =
   | exception Supervise.Breach k ->
       Alcotest.failf "mixed inputs: %a" Supervise.pp_failure_kind k
 
+(* Operative-broadcast with one pid that turns every decision into 0: 0 is
+   the default, so validity holds and only the Section-6 delivery check
+   can tell. *)
+let keeps_zero ~victim (module P : Sim.Protocol_intf.BUFFERED) :
+    Sim.Protocol_intf.buffered =
+  (module struct
+    type state = { pid : int; inner : P.state }
+    type msg = P.msg
+
+    let name = P.name ^ "+keeps-zero"
+    let init cfg ~pid ~input = { pid; inner = P.init cfg ~pid ~input }
+
+    let step_into cfg st ~round ~inbox ~rand ~emit ~emit_all =
+      {
+        st with
+        inner = P.step_into cfg st.inner ~round ~inbox ~rand ~emit ~emit_all;
+      }
+
+    let observe st =
+      let o = P.observe st.inner in
+      if st.pid = victim then
+        { o with Sim.View.decided = Option.map (fun _ -> 0) o.decided }
+      else o
+
+    let msg_bits = P.msg_bits
+    let msg_hint = P.msg_hint
+  end)
+
+let test_broadcast_delivery_violated () =
+  let n = 16 in
+  let (module B) = Consensus.Operative_broadcast.builder ~source:0 () in
+  let cfg0 = Sim.Config.make ~n ~t_max:2 ~seed:1 () in
+  let cfg = { cfg0 with Sim.Config.max_rounds = B.rounds_needed cfg0 } in
+  let run ?(adversary = Sim.Adversary_intf.none) proto =
+    Supervise.run ~property:(Broadcast { source = 0 }) proto cfg ~adversary
+      ~inputs:(Array.make n 1)
+  in
+  (match run (B.build cfg) with
+  | Ok _ -> ()
+  | Error (k, _) -> Alcotest.failf "the real broadcast: %a" Supervise.pp_failure_kind k);
+  (match run (keeps_zero ~victim:5 (B.build cfg)) with
+  | Error (Supervise.Violated { property; detail }, Some _) ->
+      Alcotest.(check string) "property" "broadcast-delivery" property;
+      Alcotest.(check bool) "names the pid" true (contains detail "pid 5 ")
+  | Ok _ -> Alcotest.fail "an operative pid deciding 0 must be rejected"
+  | Error (k, _) -> Alcotest.failf "unexpected %a" Supervise.pp_failure_kind k);
+  (* the guarantee is conditional: with the source crashed, 0 is fine *)
+  match
+    run
+      ~adversary:(Adversary.crash_schedule [ (1, [ 0 ]) ])
+      (keeps_zero ~victim:5 (B.build cfg))
+  with
+  | Ok _ -> ()
+  | Error (k, _) ->
+      Alcotest.failf "crashed source: %a" Supervise.pp_failure_kind k
+
 (* --- quarantining map: the chaos containment proof --- *)
 
 (* a real seeded sweep task, pure in its index *)
@@ -428,6 +484,8 @@ let suite =
     Alcotest.test_case "violation quarantined, tail attached" `Quick
       test_violation_quarantined;
     Alcotest.test_case "validity mutant violated" `Quick test_validity_violated;
+    Alcotest.test_case "broadcast delivery mutant violated" `Quick
+      test_broadcast_delivery_violated;
     Alcotest.test_case "protocol crash contained" `Quick
       test_protocol_crash_contained;
     Alcotest.test_case "chaos pid filter" `Quick test_protocol_crash_pid_filter;

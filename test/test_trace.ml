@@ -396,9 +396,9 @@ let test_counterexample_trace_tail () =
   in
   let scenario = Harness.Scenario.of_string "8/2/3/01010101/idle" in
   let tail = Trace.Tail.create ~rounds:3 () in
-  let r = Harness.Runner.run_entry ~trace:(Trace.Tail.sink tail) entry scenario in
+  let r = Conformance.Runner.run_entry ~trace:(Trace.Tail.sink tail) entry scenario in
   Alcotest.(check bool) "the run violates a property" false
-    (r.Harness.Runner.violations = []);
+    (r.Conformance.Runner.violations = []);
   Alcotest.(check bool) "tail is non-empty" true (Trace.Tail.lines tail <> [])
 
 (* --- a run's observer sinks --- *)
