@@ -5,29 +5,29 @@
 
 open Bench_util
 
-let probe_min_operative adversary min_ops =
-  {
-    Sim.Adversary_intf.name = adversary.Sim.Adversary_intf.name;
-    create =
-      (fun cfg rand ->
-        let inner = adversary.Sim.Adversary_intf.create cfg rand in
-        fun view ->
-          let ops =
-            Array.fold_left
-              (fun a o -> if o.Sim.View.core.operative then a + 1 else a)
-              0 view.Sim.View.obs
-          in
-          if ops < !min_ops then min_ops := ops;
-          inner view);
-  }
+(* A round-level sink folding the Phase events into the fewest operative
+   processes at any round's end; every process starts operative. *)
+let min_operative n =
+  let operative = Array.make n true and count = ref n and low = ref n in
+  let emit = function
+    | Trace.Event.Phase { pid; operative = op; _ } when op <> operative.(pid) ->
+        operative.(pid) <- op;
+        count := !count + if op then 1 else -1
+    | Round_end _ -> low := min !low !count
+    | _ -> ()
+  in
+  (Trace.Sink.rounds (Trace.Sink.make ~emit ~close:ignore), fun () -> !low)
 
-let run_with_params ~params ~n ~t ~seed ~adversary =
-  let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-  let proto = Consensus.Optimal_omissions.protocol_buffered ~params cfg in
-  let inputs = Array.init n (fun i -> i mod 2) in
-  let min_ops = ref max_int in
-  let m = measure proto cfg ~adversary:(probe_min_operative adversary min_ops) ~inputs in
-  (m, !min_ops)
+(* Algorithm 1 under [params], which no spec names: the run passes its
+   own builder, so a failure replays as the campaign line. *)
+let run_with_params ~params ~n ~t ~seed adversary =
+  let trace, low = min_operative n in
+  let m =
+    measure ~trace
+      ~builder:(Consensus.Optimal_omissions.builder ~params ())
+      (spec ~protocol:"optimal" ~n ~t ~seed adversary)
+  in
+  (m, low ())
 
 (* A1: expander degree constant. *)
 let abl_delta ~quick () =
@@ -47,7 +47,7 @@ let abl_delta ~quick () =
     ~params:[ 2; 4; 8; 12 ] ~seeds:[ 1 ]
     (fun c seed ->
       run_with_params ~params:(with_c c) ~n ~t ~seed
-        ~adversary:(Adversary.random_omission ~p_omit:1.0))
+        (Printf.sprintf "strike(rnd%d,p100)" n))
   |> List.iter (fun (c, rs) ->
          List.iter
            (fun (m, min_ops) ->
@@ -82,8 +82,7 @@ let abl_spread ~quick () =
       let params =
         { Consensus.Params.default with Consensus.Params.spread_c = c }
       in
-      run_with_params ~params ~n ~t ~seed
-        ~adversary:(Adversary.vote_splitter ()))
+      run_with_params ~params ~n ~t ~seed "splitter")
   |> List.iter (fun (c, rs) ->
          List.iter
            (fun (m, min_ops) ->
@@ -120,10 +119,7 @@ let abl_epochs ~quick () =
         let params =
           { Consensus.Params.default with Consensus.Params.epochs = Consensus.Params.Fixed e }
         in
-        let m, _ =
-          run_with_params ~params ~n ~t ~seed
-            ~adversary:(Adversary.vote_splitter ())
-        in
+        let m, _ = run_with_params ~params ~n ~t ~seed "splitter" in
         (* compute the voting-phase length for this parameterization *)
         let voting_end =
           Consensus.Core.schedule_length ~params ~t_max:t n + 1

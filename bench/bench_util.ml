@@ -109,6 +109,9 @@ let tracing_on () =
    experiment (the sweep still varies the drop rate around it) *)
 let net_base : Net.Spec.t option ref = ref None
 
+(* --quick: smaller sweeps *)
+let quick = ref false
+
 (* --seeds N: override each experiment's default per-point seed list *)
 let seeds_override : int option ref = ref None
 
@@ -241,12 +244,29 @@ type run_measure = {
       (** per-round trace metrics, when --trace is on *)
 }
 
-let measure ?trace proto cfg ~adversary ~inputs =
+(* One bench run's spec: the campaign's budget and mixed inputs. The
+   adversary is a spelling: a name or a strategy term. *)
+let spec ?x ~protocol ~n ~t ~seed adversary =
+  Run_spec.make ?x ~adversary ~budget:!budget ~protocol ~n ~t_max:t ~seed ()
+
+(* Run [spec] through [Run_spec.supervise], judged as a consensus.
+   [builder] overrides the spec's protocol (a variant outside the
+   registry); [trace] is the caller's own sink, teed with the observers. *)
+let measure ?trace ?builder spec =
+  (* A run that fails reproduces as its spec, unless the builder was
+     overridden: the spec then does not name what ran. *)
+  let builder, replay =
+    match builder with
+    | Some b -> (b, None)
+    | None -> (
+        match Run_spec.resolve spec with
+        | Ok b -> (b, Some (Run_spec.to_command spec))
+        | Error msg -> invalid_arg msg)
+  in
   (* The run's observers stay off unless a trace flag is set, keeping the
      default path identical to the untraced one. Under --stable-json the
      collector gets a constant clock: per-round wall_s stays 0 and two
-     stable traced runs are byte-identical. [trace] is the caller's own
-     sink, teed with them. *)
+     stable traced runs are byte-identical. *)
   let obs =
     Trace.Observers.create ~tail:!trace_tail_rounds ~metrics:!trace_metrics
       ?clock:(if Out.is_stable () then Some (fun () -> 0.) else None)
@@ -258,21 +278,21 @@ let measure ?trace proto cfg ~adversary ~inputs =
     | s, None | None, s -> s
   in
   let result =
-    Supervise.run ?trace ~budget:!budget ~property:Consensus proto cfg
-      ~adversary ~inputs
+    Run_spec.supervise ?trace ~property:Consensus builder spec
   in
   Trace.Observers.close obs;
   (* Every bench sweep measures a consensus protocol. A run the oracle
      rejects is a protocol bug: it is quarantined like any other failure,
-     never averaged over, and re-raised with the tail attached so the
-     quarantine record ships with the last rounds of events. A run that
-     merely ran out of rounds surfaces as [decided = false] and is
+     never averaged over, and raised with its tail and replay line. A run
+     that merely ran out of rounds surfaces as [decided = false] and is
      excluded from averages by [avg_runs]. *)
   let o =
     match result with
     | Ok (o, _) -> o
     | Error (kind, _partial) ->
-        raise (Supervise.Breach_traced (kind, Trace.Observers.tail_lines obs))
+        raise
+          (Supervise.Breach
+             { kind; trace = Trace.Observers.tail_lines obs; replay })
   in
   {
     rounds =
@@ -450,11 +470,31 @@ let avg_runs ?(label = "") ms =
 (* Supervised parameter sweeps.                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The campaign line that reruns the current experiment, with every flag
+   that shapes its tasks: what a task that fails outside a spec run
+   replays as. *)
+let campaign_command () =
+  let b = !budget in
+  let flag name show = Option.map (fun v -> name ^ " " ^ show v) in
+  String.concat " "
+    (("dune exec bench/main.exe -- --only " ^ !Out.experiment)
+    :: List.filter_map Fun.id
+         [
+           (if !quick then Some "--quick" else None);
+           flag "--seeds" string_of_int !seeds_override;
+           flag "--wall-budget" (Printf.sprintf "%.17g")
+             b.Supervise.Budget.wall_s;
+           flag "--round-budget" string_of_int b.max_rounds;
+           flag "--msg-budget" string_of_int b.max_messages;
+           flag "--rand-budget" string_of_int b.max_rand_bits;
+         ])
+
 (* Parallel parameter sweep: one pool task per (param, seed) pair — finer
    grain than parallelizing over seeds alone — returning the per-param
    result lists in sweep order, successes only. Failed tasks are
-   quarantined (reported + counted, with a replay command when [replay] is
-   given), so the sweep always completes its surviving points.
+   quarantined (reported + counted, with a replay command: the failing
+   run's spec when [measure] raised it, else [campaign_command]), so the
+   sweep always completes its surviving points.
 
    [point] names a parameter, with every input that differs between
    quick and full campaigns, for cache keys and quarantine labels. The
@@ -468,7 +508,7 @@ let avg_runs ?(label = "") ms =
    quarantined on failure and served from --cache. The two timing
    sections, micro-engine and scale, stay outside it and run serially:
    they time runs, which must not share the CPU with pool tasks. *)
-let sweep ~codec ?replay ~point ~params ~seeds f =
+let sweep ~codec ~point ~params ~seeds f =
   let tasks =
     Array.of_list
       (List.concat_map (fun p -> List.map (fun s -> (p, s)) seeds) params)
@@ -477,13 +517,7 @@ let sweep ~codec ?replay ~point ~params ~seeds f =
     {
       Supervise.d_label = Printf.sprintf "%s/seed=%d" (point p) s;
       d_seed = Some s;
-      d_replay =
-        (match replay with
-        | Some r -> Some (r p s)
-        | None ->
-            Some
-              (Printf.sprintf "dune exec bench/main.exe -- --only %s"
-                 !Out.experiment));
+      d_replay = Some (campaign_command ());
     }
   in
   let run (p, s) = f p s in
@@ -512,12 +546,6 @@ let registry_build id =
   match Harness.Registry.find id with
   | Ok e -> Harness.Registry.build e
   | Error msg -> invalid_arg msg
-
-let optimal_run ?(adversary = Adversary.vote_splitter ()) ~n ~t ~seed () =
-  let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-  let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
-  let inputs = Array.init n (fun i -> i mod 2) in
-  measure proto cfg ~adversary ~inputs
 
 (* With quarantined points a sweep can shrink below a fittable sample;
    surface that as nan (emitted as JSON null) instead of raising. *)

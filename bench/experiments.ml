@@ -26,12 +26,10 @@ let t1_thm1 ~quick () =
   let per_n =
     sweep ~codec:measure_codec
       ~point:(fun n -> Printf.sprintf "n=%d" n)
-      ~replay:(fun n seed ->
-        Run_spec.to_command
-          (Run_spec.make ~protocol:"optimal" ~n ~t_max:(max 1 (n / 31)) ~seed
-             ~adversary:"splitter" ()))
       ~params:ns ~seeds
-      (fun n seed -> optimal_run ~n ~t:(max 1 (n / 31)) ~seed ())
+      (fun n seed ->
+        measure
+          (spec ~protocol:"optimal" ~n ~t:(max 1 (n / 31)) ~seed "splitter"))
   in
   (* points whose every run was quarantined or timed out are skipped; the
      fits below use only the surviving (n, avg) pairs *)
@@ -133,16 +131,9 @@ let t1_thm3 ~quick () =
         sweep ~codec:measure_codec
           ~point:(fun x -> Printf.sprintf "n=%d/x=%d" n x)
           ~params:xs ~seeds:(Bench_util.seed_list [ 1; 2; 3 ]) (fun x seed ->
-            let cfg0 = Sim.Config.make ~n ~t_max:t ~seed:0 () in
-            let max_rounds =
-              Consensus.Param_omissions.rounds_needed ~x cfg0 + 10
-            in
-            let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds () in
-            let proto = Consensus.Param_omissions.protocol_buffered ~x cfg in
-            let inputs = Array.init n (fun i -> i mod 2) in
-            measure proto cfg
-              ~adversary:(Adversary.staggered_crash ~per_round:1)
-              ~inputs)
+            measure
+              (spec ~x ~protocol:"param" ~n ~t ~seed
+                 "again(strike(rnd1,out))"))
       in
       List.iter
         (fun (x, ms) ->
@@ -175,17 +166,9 @@ let t1_bjbo ~quick () =
   let per_n =
     sweep ~codec:measure_codec
       ~point:(fun n -> Printf.sprintf "n=%d" n)
-      ~replay:(fun n seed ->
-        Run_spec.to_command
-          (Run_spec.make ~protocol:"bjbo" ~n ~t_max:(n / 4) ~seed
-             ~adversary:"splitter" ()))
       ~params:ns ~seeds:(Bench_util.seed_list [ 1; 2; 3; 4; 5 ])
       (fun n seed ->
-        let t = n / 4 in
-        let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:5000 () in
-        let proto = Consensus.Bjbo.protocol_buffered cfg in
-        let inputs = Array.init n (fun i -> i mod 2) in
-        measure proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs)
+        measure (spec ~protocol:"bjbo" ~n ~t:(n / 4) ~seed "splitter"))
   in
   List.iter
     (fun (n, ms) ->
@@ -235,40 +218,24 @@ let t1_abraham ~quick () =
   in
   let n_ds = min n 100 in
   let t_ds = n_ds / 8 in
-  let messages ~n ~t ~max_rounds ~adversary buffered seed =
-    let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds () in
-    (measure (buffered cfg) cfg ~adversary
-       ~inputs:(Array.init n (fun i -> i mod 2)))
-      .messages
+  let messages ?x ?(n = n) ~t protocol adversary seed =
+    (measure (spec ?x ~protocol ~n ~t ~seed adversary)).messages
   in
   (* five independent single runs, one sweep point each; [Some n_ds]
      marks the row run at its own size *)
   let cases =
     [
       ( "optimal-omissions", t_opt, None,
-        messages ~n ~t:t_opt ~max_rounds:20000
-          ~adversary:(Adversary.vote_splitter ())
-          (fun cfg -> Consensus.Optimal_omissions.protocol_buffered cfg) );
+        messages ~t:t_opt "optimal" "splitter" );
       ( "param-omissions(x=4)", t_opt, None,
-        fun seed ->
-          let cfg0 = Sim.Config.make ~n ~t_max:t_opt ~seed () in
-          messages ~n ~t:t_opt
-            ~max_rounds:(Consensus.Param_omissions.rounds_needed ~x:4 cfg0 + 5)
-            ~adversary:(Adversary.staggered_crash ~per_round:1)
-            (Consensus.Param_omissions.protocol_buffered ~x:4)
-            seed );
+        messages ~x:4 ~t:t_opt "param" "again(strike(rnd1,out))" );
       ( "bjbo (crash baseline)", t_big, None,
-        messages ~n ~t:t_big ~max_rounds:5000
-          ~adversary:(Adversary.vote_splitter ())
-          (fun cfg -> Consensus.Bjbo.protocol_buffered cfg) );
+        messages ~t:t_big "bjbo" "splitter" );
       ( "flood-min (deterministic)", t_big, None,
-        messages ~n ~t:t_big ~max_rounds:5000
-          ~adversary:(Adversary.staggered_crash ~per_round:2)
-          Consensus.Flood.protocol_buffered );
+        messages ~t:t_big "flood" "again(strike(rnd2,out))" );
       ( "dolev-strong [15]", t_ds, Some n_ds,
-        messages ~n:n_ds ~t:t_ds ~max_rounds:(t_ds + 5)
-          ~adversary:(Adversary.random_omission ~p_omit:0.8)
-          Consensus.Dolev_strong.protocol_buffered );
+        messages ~n:n_ds ~t:t_ds "dolev-strong"
+          (Printf.sprintf "strike(rnd%d,p80)" n_ds) );
     ]
   in
   (* a quarantined protocol loses its row; the others still print *)
@@ -401,33 +368,29 @@ let b3 ~quick () =
     ~params:ns ~seeds:[ 1 ]
     (fun n seed ->
       let t = max 1 (n / 31) in
-      let inputs = Array.init n (fun i -> i mod 2) in
-      let adversary = Adversary.staggered_crash ~per_round:1 in
       (* Algorithm 1: dissemination = the line-14 broadcast slot *)
       let v =
         Consensus.Core.schedule_length ~params:Consensus.Params.default
           ~t_max:t n
       in
-      let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
       (* the run's total bits and the bits sent from round v on *)
-      let dissem proto =
+      let dissem protocol =
         let trace, summary =
           Trace.Metrics.collector ~clock:(fun () -> 0.) ()
         in
-        let m = measure ~trace proto cfg ~adversary ~inputs in
+        let m =
+          measure ~trace
+            (spec ~protocol ~n ~t ~seed "again(strike(rnd1,out))")
+        in
         ( m.bits,
           List.fold_left
             (fun a (r : Trace.Metrics.per_round) ->
               if r.round >= v then a + r.bits else a)
             0 (summary ()).per_round )
       in
-      let om_bits, om_dissem =
-        dissem (Consensus.Optimal_omissions.protocol_buffered cfg)
-      in
+      let om_bits, om_dissem = dissem "optimal" in
       (* crash variant: dissemination = the gossip + help slots *)
-      let cr_bits, cr_dissem =
-        dissem (Consensus.Crash_subquadratic.protocol_buffered cfg)
-      in
+      let cr_bits, cr_dissem = dissem "crash-sub" in
       ((om_bits, cr_bits), (om_dissem, cr_dissem)))
   |> List.iter (fun (n, rs) ->
          let t = max 1 (n / 31) in

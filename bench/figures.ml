@@ -55,7 +55,6 @@ let f2 ~quick:_ () =
   section "F2: Figure 2 — binary-tree aggregation trace (one epoch)";
   let n = 256 in
   let t = max 1 (n / 31) in
-  let inputs = Array.init n (fun i -> i mod 2) in
   let part = Groups.sqrt_partition n in
   let s = part.Groups.group_size in
   let stages = Groups.stages s in
@@ -74,12 +73,9 @@ let f2 ~quick:_ () =
       ~point:(fun n -> Printf.sprintf "n=%d" n)
       ~params:[ n ] ~seeds:[ 4 ]
       (fun n seed ->
-        let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-        let proto = Consensus.Optimal_omissions.protocol_buffered cfg in
         let trace, summary = Trace.Metrics.collector ~clock:(fun () -> 0.) () in
         let (_ : run_measure) =
-          measure ~trace proto cfg ~adversary:(Adversary.group_killer ())
-            ~inputs
+          measure ~trace (spec ~protocol:"optimal" ~n ~t ~seed "group")
         in
         List.filter_map
           (fun (r : Trace.Metrics.per_round) ->
@@ -152,11 +148,10 @@ let f3 ~quick () =
      the log to per-epoch aggregates — the cacheable figure content *)
   let task n seed =
     let log = ref [] in
-    let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:20000 () in
-    let proto = Consensus.Optimal_omissions.protocol_buffered ~vote_log:log cfg in
-    let inputs = Array.init n (fun i -> i mod 2) in
     let (_ : run_measure) =
-      measure proto cfg ~adversary:(Adversary.vote_splitter ()) ~inputs
+      measure
+        ~builder:(Consensus.Optimal_omissions.builder ~vote_log:log ())
+        (spec ~protocol:"optimal" ~n ~t ~seed "splitter")
     in
     let events = List.rev !log in
     let epochs =

@@ -34,7 +34,11 @@
    --cache when it can be, and a task that crashes, times out, or breaches
    a budget is quarantined (a JSON record with a replay command,
    kind="quarantine"), the sweep keeps going, and the campaign exits
-   non-zero with a partial-results summary. *)
+   non-zero with a partial-results summary. Every engine run is a
+   Run_spec carrying the campaign's budget, so a failing run's replay
+   command is its own `run --spec` line; a task that ran no spec replays
+   as `bench/main.exe --only <id>` with --quick, --seeds and the budget
+   flags it ran under. *)
 
 let experiments =
   [
@@ -153,6 +157,7 @@ let () =
     \                [--cache DIR] [--no-cache]";
   Exec.set_default_jobs !jobs;
   Bench_util.Out.set_stable !stable;
+  Bench_util.quick := !quick;
   Bench_util.seeds_override := (if !seeds <= 0 then None else Some !seeds);
   if !net_spec <> "" then
     Bench_util.net_base := Some (Run_spec.Cli.net_or_die !net_spec);

@@ -67,8 +67,12 @@ let run_spec case drop seed =
     ~budget:!budget ()
 
 let run_case case drop seed =
-  match Run_spec.execute (run_spec case drop seed) with
-  | Error (kind, _) -> raise (Supervise.Breach kind)
+  let spec = run_spec case drop seed in
+  match Run_spec.execute spec with
+  | Error (kind, _) ->
+      raise
+        (Supervise.Breach
+           { kind; trace = []; replay = Some (Run_spec.to_command spec) })
   | Ok (o, d) ->
       (* a run over a net always carries its report *)
       let d = Option.get d in
@@ -113,7 +117,6 @@ let net ~quick () =
           ~point:(fun drop ->
             Printf.sprintf "%s/n=%d/t=%d/%s" case.id case.n case.t
               (Net.Spec.to_string { (base_spec ()) with Net.Spec.drop }))
-          ~replay:(fun drop seed -> Run_spec.to_command (run_spec case drop seed))
           ~params:drops ~seeds
           (fun drop seed -> run_case case drop seed)
       in

@@ -45,5 +45,6 @@ let () =
       Fmt.pr "%-26s rounds=%-5d faults=%-3d omitted=%-6d min-operative=%d  %s@."
         adv.Sim.Adversary_intf.name o.rounds_total o.faults_used
         o.messages_omitted !min_operative verdict)
-    (Adversary.standard_suite ~n @ [ Adversary.eclipse ~victim:7 ]);
+    (List.map Adversary.resolve (Adversary.standard_suite ~n)
+    @ [ Adversary.eclipse ~victim:7 ]);
   Fmt.pr "@.every storm weathered: agreement held throughout@."

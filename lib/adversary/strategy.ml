@@ -354,6 +354,8 @@ let take k l =
   in
   go k [] l
 
+let victim st p = Bytes.get st.victims p <> '\000'
+
 (** Compile to an engine adversary. The compiled strategy clamps itself to
     the corruption budget and omits only at victim (hence faulty) edges, so
     every plan it emits is legal. *)
@@ -505,18 +507,20 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
         end
       end
     in
+    (* No closure per message: [victim] is a plain function, and a Flip
+       round's predicate walks its strikes with a loop. *)
     let drops st src dst =
-      let mem p = Bytes.get st.victims p <> '\000' in
       match st.drop with
-      | Out -> mem src
-      | In -> mem dst
-      | All -> mem src || mem dst
-      | Intra -> mem src && mem dst
+      | Out -> victim st src
+      | In -> victim st dst
+      | All -> victim st src || victim st dst
+      | Intra -> victim st src && victim st dst
       | Flip p ->
-          (mem src || mem dst) && Sim.Rand.float rand < float_of_int p /. 100.
-      | Half | ToHolders _ -> mem src && Bytes.get st.aux dst <> '\000'
-      | Local -> (mem src || mem dst) && src / gs = dst / gs
-      | Link v -> (mem src && dst = v) || (src = v && mem dst)
+          (victim st src || victim st dst)
+          && Sim.Rand.float rand < float_of_int p /. 100.
+      | Half | ToHolders _ -> victim st src && Bytes.get st.aux dst <> '\000'
+      | Local -> (victim st src || victim st dst) && src / gs = dst / gs
+      | Link v -> (victim st src && dst = v) || (src = v && victim st dst)
     in
     (* [key] numbers the strikes in preorder; [on] says whether the
        round falls inside the enclosing windows *)
@@ -578,15 +582,22 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
         (* every strike with victims, asked in reverse preorder until one
            omits, so the coins are drawn as they always were *)
         let asked =
-          Array.fold_left
-            (fun l st -> if st.active && st.claimed > 0 then st :: l else l)
-            [] strikes
+          Array.of_list
+            (Array.fold_left
+               (fun l st -> if st.active && st.claimed > 0 then st :: l else l)
+               [] strikes)
         in
+        let k = Array.length asked in
         {
           new_faults;
           omit =
             Predicate
-              (fun src dst -> List.exists (fun st -> drops st src dst) asked);
+              (fun src dst ->
+                let i = ref 0 in
+                while !i < k && not (drops asked.(!i) src dst) do
+                  incr i
+                done;
+                !i < k);
         }
   in
   { Sim.Adversary_intf.name; create }

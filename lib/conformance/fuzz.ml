@@ -164,7 +164,11 @@ let run ?(protocols = Registry.all) ?(count = 500) ?(seed = 1) ?max_n
     | _, _, Some ((v : Runner.violation), _) ->
         raise
           (Supervise.Breach
-             (Violated { property = v.property; detail = v.detail }))
+             {
+               kind = Violated { property = v.property; detail = v.detail };
+               trace = [];
+               replay = None;
+             })
   in
   let add (runs, checked, det) =
     stats.scenarios <- stats.scenarios + 1;

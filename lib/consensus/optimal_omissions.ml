@@ -118,9 +118,9 @@ let rounds_needed ?(params = Params.default) (cfg : Sim.Config.t) =
   Core.schedule_length ~params ~t_max cfg.Sim.Config.n
   + Phase_king.rounds ~t_max + 4
 
-let builder ?params () : Sim.Protocol_intf.builder =
+let builder ?params ?vote_log () : Sim.Protocol_intf.builder =
   (module struct
     let name = "optimal"
-    let build cfg = protocol_buffered ?params cfg
+    let build cfg = protocol_buffered ?params ?vote_log cfg
     let rounds_needed cfg = rounds_needed ?params cfg + 10
   end)

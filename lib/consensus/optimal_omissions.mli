@@ -24,6 +24,11 @@ val rounds_needed : ?params:Params.t -> Sim.Config.t -> int
 (** Upper bound on the schedule length (voting + fallback), for sizing
     [Config.max_rounds]. *)
 
-val builder : ?params:Params.t -> unit -> Sim.Protocol_intf.builder
+val builder :
+  ?params:Params.t ->
+  ?vote_log:Core.vote_event list ref ->
+  unit ->
+  Sim.Protocol_intf.builder
 (** Registry constructor: id ["optimal"]; schedule bound
-    [rounds_needed + 10]. *)
+    [rounds_needed + 10]. Every protocol it builds logs into
+    [vote_log]. *)

@@ -25,7 +25,14 @@ let run ?(seed = 1) ~n ~t ~coin_set () =
   let proto = Consensus.Bjbo.protocol_buffered ~coin_set_size:coin_set cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   let adversary = Adversary.vote_splitter () in
-  let o = Sim.Engine.run proto cfg ~adversary ~inputs in
+  let o =
+    match
+      Supervise.run ~property:Consensus proto cfg ~adversary ~inputs
+    with
+    | Ok (o, _) -> o
+    | Error (kind, _) ->
+        raise (Supervise.Breach { kind; trace = []; replay = None })
+  in
   let rounds =
     match o.Sim.Engine.decided_round with
     | Some r -> r

@@ -14,6 +14,8 @@ type result = {
 }
 
 val run : ?seed:int -> n:int -> t:int -> coin_set:int -> unit -> result
+(** One run through {!Supervise.run}, judged as a consensus. Raises
+    {!Supervise.Breach} when the oracle rejects it. *)
 
 val run_avg :
   ?seeds:int -> n:int -> t:int -> coin_set:int -> unit -> float * float * float

@@ -16,20 +16,9 @@ type t = {
   budget : Supervise.Budget.t;
 }
 
-(* --- adversary / input-pattern spelling tables (the run subcommand's
-   historical vocabulary, now shared by every surface) --- *)
-
-let adversaries =
-  [
-    ("none", fun () -> Adversary.none);
-    ( "crash",
-      fun () -> Adversary.crash_schedule [ (1, [ 0 ]); (2, [ 1 ]); (5, [ 2; 3 ]) ] );
-    ("random", fun () -> Adversary.random_omission ~p_omit:0.7);
-    ("group", fun () -> Adversary.group_killer ());
-    ("splitter", fun () -> Adversary.vote_splitter ());
-    ("staggered", fun () -> Adversary.staggered_crash ~per_round:3);
-    ("eclipse", fun () -> Adversary.eclipse ~victim:0);
-  ]
+(* --- input-pattern spelling table (the adversary's is
+   [Adversary.names]; both are the run subcommand's historical
+   vocabulary, now shared by every surface) --- *)
 
 let inputs_table =
   [
@@ -41,13 +30,6 @@ let inputs_table =
         let rand = Sim.Rand.create ~seed:(Int64.of_int (seed + 99)) () in
         Array.init n (fun _ -> Sim.Rand.bit rand) );
   ]
-
-(* Beside the names, [a=] takes any strategy term and [i=] any n-bit
-   string; no name is either. *)
-let term spelling =
-  match Adversary.Strategy.of_string spelling with
-  | t -> Some t
-  | exception Adversary.Strategy.Parse_error _ -> None
 
 (* One run, one canonical string (and cache key): [p=param x=K] builds the
    registry's [param-xK], so it takes the registry id, and a term takes
@@ -62,27 +44,15 @@ let canonical spec =
         { spec with protocol = id; x = None }
     | Some _ | None -> spec
   in
-  if List.mem_assoc spec.adversary adversaries then spec
-  else
-    match term spec.adversary with
-    | Some t -> { spec with adversary = Adversary.Strategy.to_string t }
-    | None -> spec
+  match Adversary.canonical spec.adversary with
+  | Some adversary -> { spec with adversary }
+  | None -> spec
 
 let make ?x ?(adversary = "none") ?(inputs = "mixed") ?net
     ?(budget = Supervise.Budget.unlimited) ~protocol ~n ~t_max ~seed () =
   canonical { protocol; n; t_max; x; seed; adversary; inputs; net; budget }
 
-let adversary spec =
-  match List.assoc_opt spec.adversary adversaries with
-  | Some f -> f ()
-  | None -> (
-      match term spec.adversary with
-      | Some t -> Adversary.Strategy.compile ~name:spec.adversary t
-      | None ->
-          Printf.ksprintf invalid_arg
-            "unknown adversary %S; one of %s, or a strategy term"
-            spec.adversary
-            (String.concat ", " (List.map fst adversaries)))
+let adversary spec = Adversary.resolve spec.adversary
 
 let inputs spec =
   let s = spec.inputs in
@@ -306,6 +276,6 @@ module Cli = struct
     if no_cache || dir = "" then None
     else Some (Cache.Store.open_ ?fingerprint ~dir ())
 
-  let adversary_names = List.map fst adversaries
+  let adversary_names = Adversary.names
   let inputs_names = List.map fst inputs_table
 end

@@ -201,8 +201,11 @@ type failure_kind =
   | Degraded of { induced : int; adversarial : int; t_max : int; residual : int }
   | Violated of { property : string; detail : string }
 
-exception Breach of failure_kind
-exception Breach_traced of failure_kind * string list
+exception Breach of {
+  kind : failure_kind;
+  trace : string list;
+  replay : string option;
+}
 
 type descriptor = {
   d_label : string;
@@ -505,13 +508,13 @@ let map_at ?jobs ?(budget = Budget.unlimited) ?describe
       let d = describe i x in
       Domain.DLS.set label_key (Some d.d_label);
       let t0 = Unix.gettimeofday () in
-      let fail ?(trace = []) kind =
+      let fail ?(trace = []) ?replay kind =
         Error
           {
             index = i;
             label = d.d_label;
             seed = d.d_seed;
-            replay = d.d_replay;
+            replay = (match replay with Some _ -> replay | None -> d.d_replay);
             kind;
             elapsed_s = Unix.gettimeofday () -. t0;
             trace;
@@ -527,8 +530,7 @@ let map_at ?jobs ?(budget = Budget.unlimited) ?describe
                   fail (Timeout { limit_s = l; elapsed_s = elapsed })
                 else Ok v
             | None -> Ok v)
-        | exception Breach kind -> fail kind
-        | exception Breach_traced (kind, trace) -> fail ~trace kind
+        | exception Breach { kind; trace; replay } -> fail ~trace ?replay kind
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             fail

@@ -112,16 +112,18 @@ type failure_kind =
       (** the oracle rejected a finished run: [property] names the first
           violation ({!Oracle.violations}) *)
 
-exception Breach of failure_kind
-(** Tasks running under {!map} may raise [Breach kind] to report a
-    structured failure — {!run} errors are typically re-raised this way so
-    the quarantine record keeps the precise kind instead of a generic
-    [Crashed]. *)
-
-exception Breach_traced of failure_kind * string list
-(** Like {!Breach}, carrying the run's last-K-rounds trace tail as JSONL
-    event lines ({!Trace.Tail.lines}); {!map} stores them in
-    [failure.trace] so every quarantine record ships with its tail. *)
+exception Breach of {
+  kind : failure_kind;
+  trace : string list;
+  replay : string option;
+}
+(** Tasks running under {!map} raise [Breach] to report a structured
+    failure: {!run} errors are re-raised this way, so the quarantine
+    record keeps the precise kind instead of a generic [Crashed]. [trace]
+    is the run's last-K-rounds trace tail as JSONL event lines
+    ({!Trace.Tail.lines}), stored in [failure.trace]. [replay] is a
+    one-liner that reproduces this very run, such as a [Run_spec]
+    command; {!map} records it ahead of the descriptor's [d_replay]. *)
 
 (** What a task is, for the quarantine report: a human label, the seed it
     is a pure function of, and a shell one-liner that reproduces it. *)
@@ -135,12 +137,14 @@ type failure = {
   index : int;  (** task index within the supervised batch *)
   label : string;
   seed : int option;
-  replay : string option;  (** reproduction command, if the caller gave one *)
+  replay : string option;
+      (** reproduction command: the {!Breach}'s own, else the
+          descriptor's, if either gave one *)
   kind : failure_kind;
   elapsed_s : float;
   trace : string list;
       (** last-K-rounds trace tail as JSONL event lines, when the task
-          raised {!Breach_traced}; empty otherwise *)
+          raised a {!Breach} carrying one; empty otherwise *)
 }
 
 val current_label : unit -> string option

@@ -75,7 +75,7 @@ let test_eclipse_targets_victim_links () =
   Alcotest.(check bool) "neighbors corrupted" true (o.faults_used > 0)
 
 let test_standard_suite_runs () =
-  let suite = Adversary.standard_suite ~n:64 in
+  let suite = List.map Adversary.resolve (Adversary.standard_suite ~n:64) in
   Alcotest.(check bool) "several strategies" true (List.length suite >= 6);
   List.iter
     (fun adversary ->

@@ -163,7 +163,7 @@ let test_ds_adversaries () =
       let o = run_ds ~adversary inputs in
       ignore
         (check ~what:("ds vs " ^ adversary.Sim.Adversary_intf.name) ~inputs o))
-    (Adversary.standard_suite ~n:32)
+    (List.map Adversary.resolve (Adversary.standard_suite ~n:32))
 
 let test_ds_majority () =
   (* with no faults the decision is the true majority *)

@@ -69,7 +69,9 @@ let iter_grid entry f =
    {!Adversary.pointwise} form (masks decoded to a predicate), putting the
    engine on the per-message predicate path. *)
 let adversary_for ~strip ~n ~adv_idx =
-  let adversary = List.nth (Adversary.standard_suite ~n) adv_idx in
+  let adversary =
+    Adversary.resolve (List.nth (Adversary.standard_suite ~n) adv_idx)
+  in
   if strip then Adversary.pointwise adversary else adversary
 
 (* One traced run: outcome (or the Illegal_plan message) plus the trace.

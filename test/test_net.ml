@@ -141,7 +141,9 @@ let test_zero_fault_silent () =
 (* --- Zero-fault byte-identity over the whole registry --- *)
 
 let capture ~n ~adv_idx run =
-  let adversary = List.nth (Adversary.standard_suite ~n) adv_idx in
+  let adversary =
+    Adversary.resolve (List.nth (Adversary.standard_suite ~n) adv_idx)
+  in
   let sink, events = Trace.Sink.memory () in
   let res =
     try Ok (run ~adversary ~trace:sink)

@@ -56,7 +56,7 @@ let test_validity_under_all_adversaries () =
           in
           Alcotest.(check int) "validity" b v)
         [ 0; 1 ])
-    (Adversary.standard_suite ~n:50)
+    (List.map Adversary.resolve (Adversary.standard_suite ~n:50))
 
 let test_agreement_under_all_adversaries () =
   List.iter
@@ -72,7 +72,7 @@ let test_agreement_under_all_adversaries () =
                     adversary.Sim.Adversary_intf.name seed)
                ~inputs o))
         [ 1; 2; 3 ])
-    (Adversary.standard_suite ~n:64)
+    (List.map Adversary.resolve (Adversary.standard_suite ~n:64))
 
 let test_eclipse_adversary () =
   let inputs = thirds 64 in
@@ -125,7 +125,7 @@ let test_operative_lower_bound () =
            adversary.Sim.Adversary_intf.name !min_ops)
         true
         (!min_ops >= n - (3 * t)))
-    (Adversary.standard_suite ~n:90)
+    (List.map Adversary.resolve (Adversary.standard_suite ~n:90))
 
 let test_randomness_budget () =
   (* at most one coin per process per epoch: rand_calls <= n * epochs and

@@ -56,7 +56,7 @@ let test_adversaries () =
         (check_consensus
            ~what:("x=4 vs " ^ adversary.Sim.Adversary_intf.name)
            ~inputs o))
-    (Adversary.standard_suite ~n:60)
+    (List.map Adversary.resolve (Adversary.standard_suite ~n:60))
 
 let test_tradeoff_monotone () =
   (* more super-processes => no more randomness (Theorem 3's shape) *)

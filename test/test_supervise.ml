@@ -200,10 +200,9 @@ let oracle_task ?(tail = false) ?(inputs = fun i -> i mod 2) proto seed =
       ~adversary:Sim.Adversary_intf.none ~inputs:(Array.init n inputs)
   with
   | Ok (o, _) -> o
-  | Error (kind, _) -> (
-      match tail with
-      | Some t -> raise (Supervise.Breach_traced (kind, Trace.Tail.lines t))
-      | None -> raise (Supervise.Breach kind))
+  | Error (kind, _) ->
+      let trace = Option.fold ~none:[] ~some:Trace.Tail.lines tail in
+      raise (Supervise.Breach { kind; trace; replay = None })
 
 let test_violation_quarantined () =
   List.iter
@@ -227,13 +226,14 @@ let test_validity_violated () =
   let always_1 = decider (fun _ ~input:_ -> 1) in
   (match oracle_task ~inputs:(fun _ -> 0) always_1 1 with
   | _ -> Alcotest.fail "deciding 1 on all-zero inputs must be rejected"
-  | exception Supervise.Breach (Supervise.Violated { property; _ }) ->
+  | exception Supervise.Breach { kind = Supervise.Violated { property; _ }; _ }
+    ->
       Alcotest.(check string) "property" "validity" property);
   match oracle_task always_1 1 with
   | o -> Alcotest.(check (option int)) "valid on mixed inputs" (Some 1)
            (Sim.Engine.agreed_decision o)
-  | exception Supervise.Breach k ->
-      Alcotest.failf "mixed inputs: %a" Supervise.pp_failure_kind k
+  | exception Supervise.Breach { kind; _ } ->
+      Alcotest.failf "mixed inputs: %a" Supervise.pp_failure_kind kind
 
 (* Operative-broadcast with one pid that turns every decision into 0: 0 is
    the default, so validity holds and only the Section-6 delivery check
@@ -368,7 +368,10 @@ let test_map_breach_passthrough () =
   let kind = Supervise.Timeout { limit_s = 1.0; elapsed_s = 2.0 } in
   let r =
     Supervise.map ~jobs:1
-      (fun i -> if i = 1 then raise (Supervise.Breach kind) else i)
+      (fun i ->
+        if i = 1 then
+          raise (Supervise.Breach { kind; trace = []; replay = None })
+        else i)
       [| 0; 1; 2 |]
   in
   (match r.(1) with
@@ -378,6 +381,31 @@ let test_map_breach_passthrough () =
   match (r.(0), r.(2)) with
   | Ok 0, Ok 2 -> ()
   | _ -> Alcotest.fail "neighbours unaffected"
+
+let test_map_breach_replay () =
+  (* a breach's own replay line is recorded ahead of the descriptor's;
+     without one, the descriptor's stands *)
+  let kind = Supervise.Timeout { limit_s = 1.0; elapsed_s = 2.0 } in
+  let describe i _ =
+    {
+      Supervise.d_label = string_of_int i;
+      d_seed = None;
+      d_replay = Some "descriptor line";
+    }
+  in
+  let r =
+    Supervise.map ~jobs:1 ~describe
+      (fun replay -> raise (Supervise.Breach { kind; trace = []; replay }))
+      [| Some "run line"; None |]
+  in
+  match (r.(0), r.(1)) with
+  | Error own, Error fallback ->
+      Alcotest.(check (option string))
+        "the breach's line" (Some "run line") own.Supervise.replay;
+      Alcotest.(check (option string))
+        "the descriptor's line" (Some "descriptor line")
+        fallback.Supervise.replay
+  | _ -> Alcotest.fail "both tasks must be quarantined"
 
 let test_map_wall_timeout () =
   let budget = Supervise.Budget.make ~wall_s:0.005 () in
@@ -493,6 +521,7 @@ let suite =
       test_illegal_plan_contained;
     Alcotest.test_case "chaos containment: N-k bit-identical, k quarantined"
       `Quick test_chaos_containment;
+    Alcotest.test_case "Breach replay line wins" `Quick test_map_breach_replay;
     Alcotest.test_case "Breach kind passthrough" `Quick
       test_map_breach_passthrough;
     Alcotest.test_case "map wall timeout" `Quick test_map_wall_timeout;

@@ -340,9 +340,12 @@ let test_breach_traced_in_failure_record () =
     (Supervise.map
        (fun () ->
          raise
-           (Supervise.Breach_traced
-              ( Supervise.Crashed { exn_text = "boom"; backtrace = "" },
-                lines )))
+           (Supervise.Breach
+              {
+                kind = Supervise.Crashed { exn_text = "boom"; backtrace = "" };
+                trace = lines;
+                replay = None;
+              }))
        [| () |]).(0)
   with
   | Ok _ -> Alcotest.fail "expected failure"
