@@ -249,6 +249,34 @@ type run_measure = {
 let spec ?x ~protocol ~n ~t ~seed adversary =
   Run_spec.make ?x ~adversary ~budget:!budget ~protocol ~n ~t_max:t ~seed ()
 
+(* Run [f] under the run's observers, [trace] (the caller's own sink)
+   teed with them, and return its result with their metrics summary. The
+   observers stay off unless a trace flag is set, keeping the default
+   path identical to the untraced one. Under --stable-json the collector
+   gets a constant clock: per-round wall_s stays 0 and two stable traced
+   runs are byte-identical. A run that fails is quarantined like any
+   other failure, never averaged over: it raises with the observers'
+   tail and [replay]. *)
+let observed ?trace ~replay f =
+  let obs =
+    Trace.Observers.create ~tail:!trace_tail_rounds ~metrics:!trace_metrics
+      ?clock:(if Out.is_stable () then Some (fun () -> 0.) else None)
+      ?file:(trace_file_path ()) ()
+  in
+  let trace =
+    match (trace, Trace.Observers.sink obs) with
+    | Some a, Some b -> Some (Trace.Sink.tee a b)
+    | s, None | None, s -> s
+  in
+  let result = f trace in
+  Trace.Observers.close obs;
+  match result with
+  | Ok r -> (r, Trace.Observers.summary obs)
+  | Error (kind, _partial) ->
+      raise
+        (Supervise.Breach
+           { kind; trace = Trace.Observers.tail_lines obs; replay })
+
 (* Run [spec] through [Run_spec.supervise], judged as a consensus.
    [builder] overrides the spec's protocol (a variant outside the
    registry); [trace] is the caller's own sink, teed with the observers. *)
@@ -263,36 +291,13 @@ let measure ?trace ?builder spec =
         | Ok b -> (b, Some (Run_spec.to_command spec))
         | Error msg -> invalid_arg msg)
   in
-  (* The run's observers stay off unless a trace flag is set, keeping the
-     default path identical to the untraced one. Under --stable-json the
-     collector gets a constant clock: per-round wall_s stays 0 and two
-     stable traced runs are byte-identical. *)
-  let obs =
-    Trace.Observers.create ~tail:!trace_tail_rounds ~metrics:!trace_metrics
-      ?clock:(if Out.is_stable () then Some (fun () -> 0.) else None)
-      ?file:(trace_file_path ()) ()
-  in
-  let trace =
-    match (trace, Trace.Observers.sink obs) with
-    | Some a, Some b -> Some (Trace.Sink.tee a b)
-    | s, None | None, s -> s
-  in
-  let result =
-    Run_spec.supervise ?trace ~property:Consensus builder spec
-  in
-  Trace.Observers.close obs;
   (* Every bench sweep measures a consensus protocol. A run the oracle
-     rejects is a protocol bug: it is quarantined like any other failure,
-     never averaged over, and raised with its tail and replay line. A run
-     that merely ran out of rounds surfaces as [decided = false] and is
-     excluded from averages by [avg_runs]. *)
-  let o =
-    match result with
-    | Ok (o, _) -> o
-    | Error (kind, _partial) ->
-        raise
-          (Supervise.Breach
-             { kind; trace = Trace.Observers.tail_lines obs; replay })
+     rejects is a protocol bug, raised by [observed]. A run that merely
+     ran out of rounds surfaces as [decided = false] and is excluded from
+     averages by [avg_runs]. *)
+  let (o, _), metrics =
+    observed ?trace ~replay (fun trace ->
+        Run_spec.supervise ?trace ~property:Consensus builder spec)
   in
   {
     rounds =
@@ -305,7 +310,7 @@ let measure ?trace ?builder spec =
     rand_calls = o.rand_calls;
     rand_bits = o.rand_bits;
     faults = o.faults_used;
-    metrics = Trace.Observers.summary obs;
+    metrics;
   }
 
 (* cache codecs for run_measure, trace metrics included, so a warm

@@ -305,7 +305,8 @@ let t1_thm2 ~quick () =
         sweep ~codec:product_codec
           ~point:(fun k -> Printf.sprintf "n=%d/k=%d" n k)
           ~params:[ 1; 4; 16; n ] ~seeds
-          (fun k seed -> Lowerbound.Product.run ~seed ~n ~t ~coin_set:k ())
+          (fun k seed ->
+            Lowerbound.Product.run ~seed ~budget:!budget ~n ~t ~coin_set:k ())
       in
       List.iter
         (fun (k, rs) ->

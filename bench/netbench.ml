@@ -66,31 +66,31 @@ let run_spec case drop seed =
     ~net:{ (base_spec ()) with Net.Spec.drop }
     ~budget:!budget ()
 
+(* One lossy-link run under the bench's observers, so a quarantined run
+   ships its trace tail with its replay line. *)
 let run_case case drop seed =
   let spec = run_spec case drop seed in
-  match Run_spec.execute spec with
-  | Error (kind, _) ->
-      raise
-        (Supervise.Breach
-           { kind; trace = []; replay = Some (Run_spec.to_command spec) })
-  | Ok (o, d) ->
-      (* a run over a net always carries its report *)
-      let d = Option.get d in
-      {
-        rounds =
-          (match o.Sim.Engine.decided_round with
-          | Some r -> r
-          | None -> o.Sim.Engine.rounds_total);
-        decided = o.Sim.Engine.decided_round <> None;
-        messages = o.Sim.Engine.messages_sent;
-        delivered = o.Sim.Engine.messages_sent - o.Sim.Engine.messages_omitted;
-        attempts = d.Net.Degradation.attempts;
-        retransmits = d.Net.Degradation.retransmits;
-        residual = d.Net.Degradation.residual;
-        induced = List.length d.Net.Degradation.induced_faulty;
-        slots = d.Net.Degradation.slots;
-        net_rounds = d.Net.Degradation.active_rounds;
-      }
+  let (o, d), _ =
+    observed ~replay:(Some (Run_spec.to_command spec)) (fun trace ->
+        Run_spec.execute ?trace spec)
+  in
+  (* a run over a net always carries its report *)
+  let d = Option.get d in
+  {
+    rounds =
+      (match o.Sim.Engine.decided_round with
+      | Some r -> r
+      | None -> o.Sim.Engine.rounds_total);
+    decided = o.Sim.Engine.decided_round <> None;
+    messages = o.Sim.Engine.messages_sent;
+    delivered = o.Sim.Engine.messages_sent - o.Sim.Engine.messages_omitted;
+    attempts = d.Net.Degradation.attempts;
+    retransmits = d.Net.Degradation.retransmits;
+    residual = d.Net.Degradation.residual;
+    induced = List.length d.Net.Degradation.induced_faulty;
+    slots = d.Net.Degradation.slots;
+    net_rounds = d.Net.Degradation.active_rounds;
+  }
 
 let net ~quick () =
   section "NET: lossy-link transport — inflation and round overhead vs loss";

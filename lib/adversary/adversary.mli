@@ -18,8 +18,8 @@ val random_omission : p_omit:float -> Sim.Adversary_intf.t
 (** Corrupt [t_max] uniformly-chosen processes at round 1, then omit each
     of their incident messages independently with probability [p_omit].
     [strike(rnd<n>,p<100 p_omit>)] is the same run as a term; this
-    hand-written predicate is about 25% faster, so the name [random] and
-    the benchmark's pointwise flood use it. *)
+    hand-written predicate runs it in a little over half the time, so the
+    name [random] and the benchmark's pointwise flood use it. *)
 
 val group_killer : ?group:int -> unit -> Sim.Adversary_intf.t
 (** Corrupt a majority of one sqrt-decomposition group (contiguous pids)

@@ -517,7 +517,7 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
       | Intra -> victim st src && victim st dst
       | Flip p ->
           (victim st src || victim st dst)
-          && Sim.Rand.float rand < float_of_int p /. 100.
+          && Sim.Rand.chance rand (float_of_int p /. 100.)
       | Half | ToHolders _ -> victim st src && Bytes.get st.aux dst <> '\000'
       | Local -> (victim st src || victim st dst) && src / gs = dst / gs
       | Link v -> (victim st src && dst = v) || (src = v && victim st dst)

@@ -55,7 +55,7 @@ let sample ~n ~delta ~seed =
   let lists = Array.make n [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Sim.Rand.float rand < p then begin
+      if Sim.Rand.chance rand p then begin
         lists.(i) <- j :: lists.(i);
         lists.(j) <- i :: lists.(j)
       end

@@ -149,7 +149,7 @@ let generate ?(max_n = 40) ?(crash_bias = 0.5) rand =
   let n = 4 + Sim.Rand.int_below rand (max_n - 3) in
   let t_max = Sim.Rand.int_below rand (max 1 (min (n - 1) (1 + (n / 4)))) in
   let seed = 1 + Sim.Rand.int_below rand 1_000_000 in
-  let crash = Sim.Rand.float rand < crash_bias in
+  let crash = Sim.Rand.chance rand crash_bias in
   let strategy =
     gen_strategy rand ~n ~crash ~depth:(1 + Sim.Rand.int_below rand 3)
   in

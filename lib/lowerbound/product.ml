@@ -20,14 +20,14 @@ type result = {
   decided : bool;
 }
 
-let run ?(seed = 1) ~n ~t ~coin_set () =
+let run ?(seed = 1) ?budget ~n ~t ~coin_set () =
   let cfg = Sim.Config.make ~n ~t_max:t ~seed ~max_rounds:(40 * (t + 10)) () in
   let proto = Consensus.Bjbo.protocol_buffered ~coin_set_size:coin_set cfg in
   let inputs = Array.init n (fun i -> i mod 2) in
   let adversary = Adversary.vote_splitter () in
   let o =
     match
-      Supervise.run ~property:Consensus proto cfg ~adversary ~inputs
+      Supervise.run ?budget ~property:Consensus proto cfg ~adversary ~inputs
     with
     | Ok (o, _) -> o
     | Error (kind, _) ->

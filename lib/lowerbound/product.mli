@@ -13,9 +13,17 @@ type result = {
   decided : bool;
 }
 
-val run : ?seed:int -> n:int -> t:int -> coin_set:int -> unit -> result
-(** One run through {!Supervise.run}, judged as a consensus. Raises
-    {!Supervise.Breach} when the oracle rejects it. *)
+val run :
+  ?seed:int ->
+  ?budget:Supervise.Budget.t ->
+  n:int ->
+  t:int ->
+  coin_set:int ->
+  unit ->
+  result
+(** One run through {!Supervise.run}, judged as a consensus, under
+    [budget] (unlimited by default). Raises {!Supervise.Breach} when the
+    oracle rejects it or a budget is breached. *)
 
 val run_avg :
   ?seeds:int -> n:int -> t:int -> coin_set:int -> unit -> float * float * float

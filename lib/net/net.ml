@@ -235,7 +235,7 @@ module Transport = struct
   (* Zero-probability faults must not consume randomness, so a spec with all
      probabilities at 0 leaves the stream untouched and the run is
      draw-for-draw identical to a linkless one. *)
-  let hit t p = p > 0. && Sim.Rand.float t.rand < p
+  let hit t p = p > 0. && Sim.Rand.chance t.rand p
 
   let begin_round t ~round =
     ignore round;

@@ -16,31 +16,32 @@
     processes, or corruptions beyond the budget, raise {!Illegal_plan}.
 
     Delivery route: the link and the plan choose it, never the observer.
-    Without a link, a plan whose omissions are per-sender [Masks] takes
-    the mask route (one verdict per sender); a link or a [Predicate] plan
-    takes the general route, which asks a verdict per message. The routes
-    differ only in how they write a sender's verdict bytes. Delivery is
-    one step for both: a sender whose round is pure wide broadcast goes
-    into the round-shared broadcast table, any other sender is pushed row
-    by row, and the delivery counts the omissions. A message-level sink
-    only decides whether [Send]/[Omit]/[Deliver] events are reported, on
-    either route.
+    A plan whose omissions are per-sender [Masks] takes the mask route
+    (one verdict per sender, read byte by byte); a [Predicate] plan takes
+    the general route, which asks a verdict per message; a link is asked
+    after either. The routes differ only in where a message's verdict is
+    read. One closure-free verdict walk per sender serves both: it asks
+    in emission order, checks every omission's legality, reports
+    [Omit]/[Deliver] to a message-level sink, and counts the omissions.
+    A sender whose round is pure wide broadcast has its drops written
+    straight into the round-shared broadcast table's masks; any other
+    sender's verdict bytes are then pushed row by row. A message-level
+    sink only decides whether [Send]/[Omit]/[Deliver] events are
+    reported, on either route.
 
     Allocation discipline: the hot path runs on reusable buffers — per-pid
     {!Mailbox.t} outboxes/inboxes reset by count, one adversary {!View.t}
     whose observation and fault-snapshot arrays are reused across rounds,
-    and a single derived random stream reseeded per step. On the mask
+    and a single derived random stream reseeded per step. On either
     route the engine allocates nothing per message: a sender is priced by
-    one closure-free {!Mailbox.total_bits}, its verdicts come from one
-    closure-free {!Mailbox.verdicts} walk (skipped for an untraced sender
-    that omits nothing), and it is delivered by a closure-free table
-    entry per segment ({!Mailbox.rshare}, its masks from buffers the table
-    reuses across rounds) or reverse push ({!Mailbox.rdeliver}), so the
-    engine's own steady-state cost is O(n) words per round (fresh
-    [obs_core] observations). The general route writes its verdicts
-    through a forward {!Mailbox.iter} with one closure built once per
-    round, then delivers the same way. Protocols add what they allocate
-    per message record. A message-level sink is handed each event's
+    one closure-free {!Mailbox.total_bits}, and its verdict walk is
+    {!Mailbox.rshare} into table entries whose masks come from buffers
+    the table reuses across rounds, or {!Mailbox.deliver_rows}, verdict
+    bytes then a reverse push; an untraced, linkless sender that omits
+    nothing on the mask route skips the walk. The engine's own
+    steady-state cost is O(n) words per round (fresh [obs_core]
+    observations). Protocols and predicates add what they allocate per
+    message record or per call. A message-level sink is handed each event's
     fields ({!Trace.Sink.send}, {!Trace.Sink.omit},
     {!Trace.Sink.deliver}): the pending-message walk prices and hints a
     record once per run of entries sharing it, and a {!Trace.Tail} stores
@@ -271,38 +272,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       iter_envelopes;
     }
   in
-  (* Per-sender verdict bytes, grown to the largest outbox seen, and the
-     general route's cursor into them: the sender and the message index
-     its verdict walk has reached. *)
+  (* Verdict bytes of a sender delivered row by row, grown to the largest
+     such outbox seen, and the mask of an [Omit_all] verdict. *)
   let omit_scratch = ref Bytes.empty in
-  let src = ref 0 and at = ref 0 in
   let omit_every = Bytes.make n '\001' in
-  (* One sender's verdicts on the mask route: the closure-free
-     {!Mailbox.verdicts} walk writes them into [omit_scratch] ('\000'
-     deliver, '\001' omit), reports a message-level sink's
-     [Omit]/[Deliver] events, and checks that a non-faulty sender omits
-     only towards faulty destinations. It raises for the first other
-     omission in emission order, after the events before it, exactly as
-     the general route does. A sender that omits nothing is delivered
-     from [Bytes.empty], and without a sink it skips the walk. *)
-  let mask_verdicts ~sink ~round pid ob verdict =
-    let mask =
-      match verdict with
-      | View.Deliver_all -> Bytes.empty
-      | View.Omit_all -> omit_every
-      | View.Omit_mask b -> b
-    in
-    if Bytes.length mask > 0 || Option.is_some sink then begin
-      let dst =
-        Mailbox.verdicts ob ~mask ~checked:(not faulty.(pid)) ~faulty ~sink
-          ~round ~src:pid ~out:!omit_scratch
-      in
-      if dst >= 0 then
-        illegal "omission between non-faulty %d -> %d at round %d" pid dst
-          round
-    end;
-    if Bytes.length mask = 0 then Bytes.empty else !omit_scratch
-  in
   (* Does this sender deliver through the round-shared table? Only a
      sender whose round is pure wide broadcast does: O(1) per segment
      instead of one inbox row per destination. Mixed, pointwise or
@@ -383,7 +356,6 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
     let msg_sink =
       match trace with Some s when Trace.Sink.messages s -> trace | _ -> None
     in
-    let fast = Option.is_none link in
     let round = ref 1 in
     let stop_flag = ref false in
     while (not !stop_flag) && !round <= cfg.max_rounds do
@@ -485,64 +457,33 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
                 Trace.Sink.emit t.sink (Trace.Event.Corrupt { round = r; pid })
           end)
         plan.new_faults;
-      (* Phase 3: communication, one delivery step per sender on both
+      (* Phase 3: communication, one verdict walk per sender on both
          routes. Omitted messages still count as sent: the sender
-         transmitted them; the adversary suppressed delivery. A forward
-         pass writes one verdict byte per message in emission order
-         (omission predicates may draw randomness per call): the mask
-         route's [mask_verdicts], or the general route's [decide], built
-         here once per round and only on that route, which asks the
-         predicate and then the [link] (when one is plugged in). A
-         [Lost] verdict is a residual link loss, marked '\002': dropped
-         like an omission but not checked against the fault set. The
-         backward pass then delivers the survivors, through the table
-         ({!Mailbox.rshare}) or pushed ({!Mailbox.rdeliver}), so each
-         inbox comes out sorted by sender, and returns the sender's
-         '\001' count: [messages_omitted] is counted here alone and never
-         counts a link loss, which the transport accounts for as an
-         induced omission fault. An [Illegal_plan] aborts the run before
-         its sender's count. *)
+         transmitted them; the adversary suppressed delivery. The walk
+         asks each message's verdict in emission order (omission
+         predicates may draw randomness per call): the sender's mask
+         byte or the round's predicate, then the [link] (when one is
+         plugged in). A [Lost] verdict is a residual link loss, marked
+         '\002': dropped like an omission but not checked against the
+         fault set. A table sender's walk writes its drops into the
+         table's masks ({!Mailbox.rshare}); any other sender's walk
+         writes verdict bytes that a backward push delivers
+         ({!Mailbox.deliver_rows}), so each inbox comes out sorted by
+         sender. The walk returns the sender's omission count:
+         [messages_omitted] is counted here alone and never counts a
+         link loss, which the transport accounts for as an induced
+         omission fault. An illegal omission ends the walk, and raises
+         [Illegal_plan] before its sender's count. *)
       (match link with
       | None -> ()
       | Some l -> l.Link_intf.begin_round ~round:r);
       (* Last round's broadcast-table entries were consumed in phase 1;
          the table refills below, on either route. *)
       Mailbox.shared_clear bcast;
-      let decide =
+      let ask =
         match plan.omit with
-        | View.Masks _ when fast -> fun _ _ -> ()
-        | omission ->
-            let omit = View.omits omission in
-            fun dst _ ->
-              let pid = !src and i = !at in
-              let v =
-                if omit pid dst then begin
-                  if (not faulty.(pid)) && not faulty.(dst) then
-                    illegal "omission between non-faulty %d -> %d at round %d"
-                      pid dst r;
-                  (match msg_sink with
-                  | None -> ()
-                  | Some s -> Trace.Sink.omit s ~round:r ~src:pid ~dst);
-                  '\001'
-                end
-                else if
-                  match link with
-                  | None -> true
-                  | Some l ->
-                      l.Link_intf.transmit ~trace ~round:r ~src:pid ~dst
-                      = Link_intf.Delivered
-                then begin
-                  (match msg_sink with
-                  | None -> ()
-                  | Some s -> Trace.Sink.deliver s ~round:r ~src:pid ~dst);
-                  '\000'
-                end
-                else '\002'
-              in
-              Bytes.unsafe_set !omit_scratch i v;
-              (* counted once the verdict is written, for the check
-                 below *)
-              at := i + 1
+        | View.Predicate p -> Some p
+        | View.Masks _ -> None
       in
       for pid = 0 to n - 1 do
         let ob = outboxes.(pid) in
@@ -550,28 +491,34 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
         if len > 0 then begin
           messages_sent := !messages_sent + len;
           bits_sent := !bits_sent + Mailbox.total_bits ob P.msg_bits;
-          if Bytes.length !omit_scratch < len then
-            omit_scratch := Bytes.create len;
-          let verdicts =
+          let mask =
             match plan.omit with
-            | View.Masks verdict when fast ->
-                mask_verdicts ~sink:msg_sink ~round:r pid ob (verdict pid)
-            | _ ->
-                src := pid;
-                at := 0;
-                Mailbox.iter ob decide;
-                (* [iter] ends quietly on {!Mailbox.Stop}: a predicate,
-                   link or sink that raised it would leave stale
-                   verdict bytes behind *)
-                if !at < len then
-                  invalid_arg "Engine.run: a verdict walk raised Mailbox.Stop";
-                !omit_scratch
+            | View.Predicate _ -> Bytes.empty
+            | View.Masks m -> (
+                match m pid with
+                | View.Deliver_all -> Bytes.empty
+                | View.Omit_all -> omit_every
+                | View.Omit_mask b -> b)
           in
-          messages_omitted :=
-            !messages_omitted
-            +
-            if via_table ob then Mailbox.rshare ob bcast ~src:pid ~verdicts
-            else Mailbox.rdeliver ob inboxes ~peer:pid ~verdicts
+          let omitted =
+            try
+              if via_table ob then
+                Mailbox.rshare ob bcast ~faulty ~round:r ~ask ~link
+                  ~link_trace:trace ~sink:msg_sink ~mask ~src:pid
+              else
+                Mailbox.deliver_rows ob inboxes ~scratch:omit_scratch ~faulty
+                  ~round:r ~ask ~link ~link_trace:trace ~sink:msg_sink ~mask
+                  ~src:pid
+            with Mailbox.Stop ->
+              (* the walks do not catch it: a predicate, link or sink
+                 that raised it would otherwise end the round half
+                 delivered *)
+              invalid_arg "Engine.run: a verdict walk raised Mailbox.Stop"
+          in
+          if omitted < 0 then
+            illegal "omission between non-faulty %d -> %d at round %d" pid
+              (-1 - omitted) r;
+          messages_omitted := !messages_omitted + omitted
         end
       done;
       (* The backward survivor push fills every inbox sorted by ascending

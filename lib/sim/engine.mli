@@ -96,8 +96,8 @@ val run :
     drops the message like an omission but is {e not} model-checked (no
     {!Illegal_plan}) and not counted in [messages_omitted] — residual link
     losses are the transport layer's to account for as induced omission
-    faults. When [link] is absent the delivery loop is unchanged and
-    allocation-free (the link layer is zero-cost off).
+    faults. A [Masks] plan stays per-sender over a link. When [link] is
+    absent the walks ask no link (the link layer is zero-cost off).
 
     Raises [Invalid_argument] if [inputs] is not an n-vector of bits.
 

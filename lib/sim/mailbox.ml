@@ -32,9 +32,9 @@
     and an optional per-destination omission mask — appended once by the
     engine's delivery phase and read by {e every} receiver's inbox
     iteration, which filters the table down to the entries covering its
-    own pid. {!rshare} fills it on both delivery routes, masking each
-    segment by its own per-message verdicts in buffers the table owns
-    and reuses across rounds. Delivery work per
+    own pid. {!rshare} fills it for every plan, its verdict walk writing
+    each segment's drops straight into a destination-indexed mask from a
+    pool the table owns and reuses across rounds. Delivery work per
     broadcast drops from O(destinations) scattered writes to O(1), and
     all receivers scan the same compact, cache-resident arrays.
 
@@ -258,8 +258,9 @@ let push_all t ~lo ~hi ?(skip = -1) ?(desc = false) m =
     with the accumulator of the last entry whose [f] returned. Raise it
     with [raise_notrace]: a protocol that has learned all an inbox can
     tell it skips the rest. Any other exception propagates. The engine's
-    own walks never stop early: {!riter} does not catch it, and the
-    engine checks that its verdict walk over {!iter} reached the end. *)
+    own walks never stop early: neither {!riter} nor the verdict walks
+    ({!verdicts}, {!rshare}) catch it, and the engine refuses it when a
+    predicate, link or sink raises it in a verdict walk. *)
 exception Stop
 
 (* The inbox walk when a round-shared broadcast table is attached and
@@ -392,6 +393,107 @@ let total_bits t f =
   done;
   !bits
 
+(* Does every message go through, with nothing to ask, transmit or
+   report? Then a sender's walk is skipped: {!rshare} and {!deliver_rows}
+   deliver it whole. *)
+let[@inline] silent ~ask ~link ~sink ~mask =
+  Bytes.length mask = 0
+  && Option.is_none ask
+  && Option.is_none link
+  && Option.is_none sink
+
+(* The fate of [src]'s message to [dst] in [round]: ['\000'] delivered
+   (reported as a [Deliver]), ['\001'] omitted (reported as an [Omit]),
+   ['\002'] lost by the link, or ['\003'] for an illegal omission, one
+   from a [checked] (non-faulty) sender to a non-[faulty] [dst], which is
+   not reported. See {!verdicts} for the other arguments. *)
+let[@inline] fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
+    ~deliver ~mask ~checked ~src dst =
+  if
+    match ask with
+    | Some p -> p src dst
+    | None -> Bytes.length mask > 0 && Bytes.unsafe_get mask dst <> '\000'
+  then
+    if checked && not (Array.unsafe_get faulty dst) then '\003'
+    else begin
+      if traced then omit ~round ~src ~dst;
+      '\001'
+    end
+  else if
+    match link with
+    | None -> true
+    | Some l ->
+        l.Link_intf.transmit ~trace:link_trace ~round ~src ~dst
+        = Link_intf.Delivered
+  then begin
+    if traced then deliver ~round ~src ~dst;
+    '\000'
+  end
+  else '\002'
+
+(** The verdict walk of a sender [src] delivered row by row: one fate per
+    expanded entry of [t] (a buffer without an attached table), asked in
+    emission order and written into [out] at the entry's index in
+    emission order, as {!rdeliver} reads it. A message is omitted when
+    [ask] says so (a [Predicate] plan, asked once per message) or,
+    without [ask], when [mask] has a non-['\000'] byte at its
+    destination (['\001'] in [out]). A message not omitted goes to
+    [link], when there is one, whose [transmit] gets [link_trace] and may
+    lose it (['\002']); otherwise it is delivered (['\000']). [sink]
+    takes the [Omit]/[Deliver] events of [round]. When [src] is not
+    [faulty], omitting towards a non-[faulty] destination is illegal.
+    Returns the number of omissions (link losses excluded), or
+    [-1 - dst] for the first illegal omission, towards [dst]: the walk
+    stops there, before writing or reporting it. *)
+let verdicts t ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src ~out =
+  let checked = not faulty.(src) and traced = Option.is_some sink in
+  (* the sink's entry points, bound once per walk: applied whole, they
+     allocate nothing per message *)
+  let events = Option.value sink ~default:Trace.Sink.null in
+  let omit = Trace.Sink.omit events and deliver = Trace.Sink.deliver events in
+  let omitted = ref 0 and found = ref (-1) in
+  let s = ref 0 and i = ref 0 and at = ref 0 in
+  while !found < 0 && !i <= t.len do
+    while !found < 0 && !s < t.seg_len && t.seg_pos.(!s) <= !i do
+      let k = !s in
+      let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
+      let desc = t.seg_desc.(k) in
+      let d = ref 0 in
+      while !found < 0 && !d <= hi - lo do
+        let dst = if desc then hi - !d else lo + !d in
+        if dst <> skip then begin
+          let c =
+            fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit ~deliver
+              ~mask ~checked ~src dst
+          in
+          if c = '\003' then found := dst
+          else begin
+            Bytes.set out !at c;
+            if c = '\001' then incr omitted;
+            incr at
+          end
+        end;
+        incr d
+      done;
+      incr s
+    done;
+    if !found < 0 && !i < t.len then begin
+      let dst = Array.unsafe_get t.peers !i in
+      let c =
+        fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit ~deliver
+          ~mask ~checked ~src dst
+      in
+      if c = '\003' then found := dst
+      else begin
+        Bytes.set out !at c;
+        if c = '\001' then incr omitted;
+        incr at
+      end
+    end;
+    incr i
+  done;
+  if !found >= 0 then -1 - !found else !omitted
+
 (* Verdict byte [i] of [verdicts] (as in {!rdeliver}); [Bytes.empty]
    reads ['\000'] everywhere. *)
 let[@inline] verdict_at verdicts i =
@@ -399,12 +501,10 @@ let[@inline] verdict_at verdicts i =
 
 (** Bulk delivery of one sender's survivors in reverse emission order,
     the order of {!riter}, without a closure. [verdicts] holds one byte
-    per expanded entry of [t] in emission order: ['\000'] delivers,
-    ['\001'] (an omission) and ['\002'] (a link loss) drop;
-    [Bytes.empty] delivers every entry. Returns the number of ['\001']
-    bytes: the omissions, link losses excluded. *)
+    per expanded entry of [t] in emission order, as {!verdicts} writes
+    them: ['\000'] delivers, any other byte drops; [Bytes.empty]
+    delivers every entry. *)
 let rdeliver t inboxes ~peer ~verdicts =
-  let omitted = ref 0 in
   let at = ref (t.len + t.seg_total) in
   let s = ref (t.seg_len - 1) in
   for i = t.len - 1 downto -1 do
@@ -419,26 +519,41 @@ let rdeliver t inboxes ~peer ~verdicts =
         let dst = if desc then lo + k else hi - k in
         if dst <> skip then begin
           decr at;
-          match verdict_at verdicts !at with
-          | '\000' -> deliver_row inboxes ~peer dst m
-          | '\001' -> incr omitted
-          | _ -> ()
+          if verdict_at verdicts !at = '\000' then
+            deliver_row inboxes ~peer dst m
         end
       done;
       decr s
     done;
     if i >= 0 then begin
       decr at;
-      match verdict_at verdicts !at with
-      | '\000' ->
-          deliver_row inboxes ~peer
-            (Array.unsafe_get t.peers i)
-            (Array.unsafe_get t.msgs i)
-      | '\001' -> incr omitted
-      | _ -> ()
+      if verdict_at verdicts !at = '\000' then
+        deliver_row inboxes ~peer
+          (Array.unsafe_get t.peers i)
+          (Array.unsafe_get t.msgs i)
     end
-  done;
-  !omitted
+  done
+
+(** The delivery of a sender [src] pushed row by row: its {!verdicts}
+    walk into [scratch], grown to [t]'s length, then {!rdeliver} into
+    [inboxes]. A sender with nothing to ask, transmit or report and an
+    empty [mask] skips the walk. Returns what {!verdicts} returns; after
+    an illegal omission nothing is delivered. *)
+let deliver_rows t inboxes ~scratch ~faulty ~round ~ask ~link ~link_trace
+    ~sink ~mask ~src =
+  if silent ~ask ~link ~sink ~mask then begin
+    rdeliver t inboxes ~peer:src ~verdicts:Bytes.empty;
+    0
+  end
+  else begin
+    if Bytes.length !scratch < length t then scratch := Bytes.create (length t);
+    let out = !scratch in
+    let omitted =
+      verdicts t ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src ~out
+    in
+    if omitted >= 0 then rdeliver t inboxes ~peer:src ~verdicts:out;
+    omitted
+  end
 
 (* A table-owned mask buffer covering destinations [0 .. width - 1],
    free until the next {!shared_clear}. Its bytes are stale: the caller
@@ -451,113 +566,90 @@ let pooled_mask sh ~width =
   sh.s_pooled <- k + 1;
   sh.s_pool.(k)
 
-(** {!rdeliver} through the round-shared table, for a [t] that holds no
-    pointwise slots: each segment becomes one table entry from [src], in
-    reverse emission order, whose mask is the segment's own verdicts
-    indexed by destination: {!Bytes.empty} when the segment drops
-    nothing (always so for an empty [verdicts], at O(1) per segment),
-    otherwise a buffer from the table's pool. A segment that delivers
-    nothing adds no entry. Returns the number of omissions, as
-    {!rdeliver} does. *)
-let rshare t sh ~src ~verdicts =
+(* Reverse the table entries [first .. s_len - 1] in place. *)
+let shared_reverse sh first =
+  let swap a i k =
+    let x = a.(i) in
+    a.(i) <- a.(k);
+    a.(k) <- x
+  in
+  let i = ref first and k = ref (sh.s_len - 1) in
+  while !i < !k do
+    swap sh.s_src !i !k;
+    swap sh.s_msg !i !k;
+    swap sh.s_lo !i !k;
+    swap sh.s_hi !i !k;
+    swap sh.s_key !i !k;
+    swap sh.s_mask !i !k;
+    incr i;
+    decr k
+  done
+
+(** The verdict walk of a sender [src] delivered through the round-shared
+    table, for a [t] that holds no pointwise slots. It asks each
+    segment's fates in emission order, as {!verdicts} does, counts the
+    omissions, and writes each drop straight into a mask indexed by
+    destination, taken from the table's pool at the segment's first
+    drop. A segment that drops nothing becomes an unmasked entry; one
+    that drops everything gives its mask back and adds no entry; any
+    other becomes an entry with its mask. The sender's entries go in in
+    reverse emission order. A sender with nothing to ask, transmit or
+    report and an empty [mask] skips the walk: every segment becomes an
+    unmasked entry, at O(1) per segment. Returns what {!verdicts}
+    returns; after an illegal omission the sender's entries are partial,
+    and the round must be abandoned. *)
+let rshare t sh ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src =
   assert (t.len = 0);
-  let omitted = ref 0 and stop = ref t.seg_total in
-  for j = t.seg_len - 1 downto 0 do
-    let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) and skip = t.seg_skip.(j) in
-    let start = !stop - seg_size ~lo ~hi ~skip in
-    let dropped = ref 0 in
-    if Bytes.length verdicts > 0 then
-      for i = start to !stop - 1 do
-        match Bytes.get verdicts i with
-        | '\000' -> ()
-        | '\001' ->
-            incr dropped;
-            incr omitted
-        | _ -> incr dropped
-      done;
-    if !dropped = 0 then
-      shared_push sh ~src ~lo ~hi ~skip ~mask:Bytes.empty t.seg_msg.(j)
-    else if !dropped < !stop - start then begin
-      let mask = pooled_mask sh ~width:(hi + 1) in
-      let desc = t.seg_desc.(j) and i = ref start in
-      for k = 0 to hi - lo do
-        let dst = if desc then hi - k else lo + k in
-        if dst <> skip then begin
-          Bytes.set mask dst (Bytes.get verdicts !i);
-          incr i
-        end
-      done;
-      shared_push sh ~src ~lo ~hi ~skip ~mask t.seg_msg.(j)
-    end;
-    stop := start
-  done;
-  !omitted
-
-(* One entry of {!verdicts}: [true] when omitting [dst] is illegal;
-   otherwise the verdict goes into [out] at [i], unless [mask] is empty,
-   and is reported when [traced]. *)
-let[@inline] verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src
-    ~out i dst =
-  if Bytes.length mask = 0 || Bytes.unsafe_get mask dst = '\000' then begin
-    if Bytes.length mask > 0 then Bytes.set out i '\000';
-    if traced then deliver ~round ~src ~dst;
-    false
+  if silent ~ask ~link ~sink ~mask then begin
+    for k = t.seg_len - 1 downto 0 do
+      shared_push sh ~src ~lo:t.seg_lo.(k) ~hi:t.seg_hi.(k)
+        ~skip:t.seg_skip.(k) ~mask:Bytes.empty t.seg_msg.(k)
+    done;
+    0
   end
-  else if checked && not (Array.unsafe_get faulty dst) then true
   else begin
-    Bytes.set out i '\001';
-    if traced then omit ~round ~src ~dst;
-    false
-  end
-
-(** The mask route's verdict walk over a buffer without an attached
-    broadcast table, in emission order and without a closure of its own
-    (the sink's entry points are bound once per call). Each destination
-    [mask] lets through gets ['\000'] in [out], at the entry's index in
-    emission order, and goes to [sink] as a [Deliver] from [src] at
-    [round]; each masked one gets ['\001'] and goes as an [Omit]. [out]
-    is then the [verdicts] of {!rdeliver} and {!rshare}; an empty [mask]
-    lets every destination through and writes nothing, its verdicts
-    being [Bytes.empty]. When [checked] (the sender is non-faulty),
-    omitting towards a destination whose [faulty] flag is false is
-    illegal: the walk stops there, before writing or reporting it, and
-    returns that destination. [-1] when the walk reached the end. *)
-let verdicts t ~mask ~checked ~faulty ~sink ~round ~src ~out =
-  let traced = Option.is_some sink in
-  let events = Option.value sink ~default:Trace.Sink.null in
-  let deliver = Trace.Sink.deliver events and omit = Trace.Sink.omit events in
-  let found = ref (-1) in
-  let s = ref 0 and i = ref 0 and at = ref 0 in
-  while !found < 0 && !i <= t.len do
-    while !found < 0 && !s < t.seg_len && t.seg_pos.(!s) <= !i do
-      let j = !s in
-      let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) and skip = t.seg_skip.(j) in
-      let desc = t.seg_desc.(j) in
-      let k = ref 0 in
-      while !found < 0 && !k <= hi - lo do
-        let dst = if desc then hi - !k else lo + !k in
+    let first = sh.s_len in
+    let checked = not faulty.(src) and traced = Option.is_some sink in
+    let events = Option.value sink ~default:Trace.Sink.null in
+    let omit = Trace.Sink.omit events and deliver = Trace.Sink.deliver events in
+    let omitted = ref 0 and found = ref (-1) and s = ref 0 in
+    while !found < 0 && !s < t.seg_len do
+      let k = !s in
+      let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
+      let desc = t.seg_desc.(k) in
+      (* the mask is taken from the pool at the segment's first drop *)
+      let out = ref Bytes.empty in
+      let dropped = ref 0 and d = ref 0 in
+      while !found < 0 && !d <= hi - lo do
+        let dst = if desc then hi - !d else lo + !d in
         if dst <> skip then begin
-          if
-            verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src
-              ~out !at dst
-          then found := dst;
-          incr at
+          let c =
+            fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit ~deliver
+              ~mask ~checked ~src dst
+          in
+          if c = '\003' then found := dst
+          else if c <> '\000' then begin
+            if !dropped = 0 then begin
+              out := pooled_mask sh ~width:(hi + 1);
+              Bytes.fill !out lo (hi - lo + 1) '\000'
+            end;
+            Bytes.unsafe_set !out dst c;
+            incr dropped;
+            if c = '\001' then incr omitted
+          end
         end;
-        incr k
+        incr d
       done;
+      let size = seg_size ~lo ~hi ~skip in
+      if !dropped > 0 && (!found >= 0 || !dropped = size) then
+        sh.s_pooled <- sh.s_pooled - 1
+      else if !found < 0 && !dropped < size then
+        shared_push sh ~src ~lo ~hi ~skip ~mask:!out t.seg_msg.(k);
       incr s
     done;
-    if !found < 0 && !i < t.len then begin
-      let dst = Array.unsafe_get t.peers !i in
-      if
-        verdict ~mask ~checked ~faulty ~traced ~deliver ~omit ~round ~src ~out
-          !at dst
-      then found := dst;
-      incr at
-    end;
-    incr i
-  done;
-  !found
+    shared_reverse sh first;
+    if !found >= 0 then -1 - !found else !omitted
+  end
 
 (** Smallest destination-range width among the buffer's segments
     ([max_int] when it has none). The engine routes a sender through the

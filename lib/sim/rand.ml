@@ -99,9 +99,18 @@ let int_below t m =
   done;
   !v
 
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+
 let float t =
   Counter.charge t.counter 53;
-  Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+  unit_float t
+
+(* [float t < p] without boxing the draw: the comparison happens on the
+   unboxed value, and a [bool] is immediate. *)
+let[@inline] chance t p =
+  Counter.charge t.counter 53;
+  unit_float t < p
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

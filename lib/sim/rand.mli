@@ -51,6 +51,11 @@ val int_below : t -> int -> int
 val float : t -> float
 (** One call returning a uniform float in [0, 1). *)
 
+val chance : t -> float -> bool
+(** [chance t p] is [float t < p]: the same draw, the same charge and one
+    call, but nothing is allocated, where [float] boxes its result. Use it
+    for a coin that lands [true] with probability [p]. *)
+
 val shuffle : t -> 'a array -> unit
 (** Fisher-Yates shuffle; charges one call per element (plus any rejection
     re-draw bits, as in {!int_below}). *)

@@ -53,10 +53,10 @@ type mask = Deliver_all | Omit_all | Omit_mask of Bytes.t
 
 (** This round's omissions, stated once.
     - [Masks m]: [m src] is the verdict for every message [src] sends. It
-      must not draw randomness or otherwise depend on call order. Without
-      a link the engine takes it once per sender and writes its
-      per-message verdicts in one closure-free walk (none for an
-      untraced [Deliver_all]), traced or not.
+      must not draw randomness or otherwise depend on call order. The
+      engine takes it once per sender and reads its per-message verdicts
+      in the sender's closure-free walk (none for an untraced, linkless
+      [Deliver_all]), traced or not.
     - [Predicate p]: [p src dst] drops this round's message from [src] to
       [dst]. The engine asks it once per message, senders ascending and
       each sender's messages in emission order — strategies that draw

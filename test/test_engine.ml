@@ -906,6 +906,44 @@ let test_alg1_allocation_per_message () =
     (Printf.sprintf "%.1f minor words per message sent <= 8" per_msg)
     true (per_msg <= 8.)
 
+(* A coin is a draw, not an allocation. Flood under [random_omission]
+   draws one coin per message incident to a faulty process, and a warmed
+   instance must allocate fewer words a round than it draws coins: a
+   boxed draw alone costs two words. [t = 32] keeps the protocol's own
+   words per round well below the coins. The adversary's shuffle at
+   round 1 charges [n - 1] calls to the same counter, which are not
+   coins. *)
+let test_coin_draws_allocate_nothing () =
+  let n = 256 in
+  let cfg = Sim.Config.make ~n ~t_max:32 ~seed:1 () in
+  let inst = Sim.Engine.instance (Consensus.Flood.protocol_buffered cfg) cfg in
+  let counter = ref None in
+  let inner = Adversary.random_omission ~p_omit:0.5 in
+  let adversary =
+    {
+      inner with
+      Sim.Adversary_intf.create =
+        (fun cfg rand ->
+          counter := Some (Sim.Rand.counter rand);
+          inner.Sim.Adversary_intf.create cfg rand);
+    }
+  in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  let run () = Sim.Engine.run_instance inst ~adversary ~inputs in
+  ignore (run ());
+  let before = Gc.minor_words () in
+  let o = run () in
+  let words = Gc.minor_words () -. before in
+  let coins = Sim.Rand.Counter.calls (Option.get !counter) - (n - 1) in
+  let rounds = float_of_int o.Sim.Engine.rounds_total in
+  Alcotest.(check bool) "decided" true (o.Sim.Engine.decided_round <> None);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words per round < %.1f coins per round"
+       (words /. rounds)
+       (float_of_int coins /. rounds))
+    true
+    (words < float_of_int coins)
+
 let test_alg1_pricing_per_record () =
   (* Each spreading slot sends one shared delta record to every live
      neighbour, and each C slot one result record per parent bag: the
@@ -965,6 +1003,8 @@ let suite =
       test_instance_no_forced_minor;
     Alcotest.test_case "warmed run forces no minor collection" `Quick
       test_run_no_forced_minor;
+    Alcotest.test_case "coin draws allocate nothing" `Quick
+      test_coin_draws_allocate_nothing;
     Alcotest.test_case "verdict walk refuses Mailbox.Stop" `Quick
       test_verdict_walk_refuses_stop;
     Alcotest.test_case "randomness accounting" `Quick test_randomness_accounting;

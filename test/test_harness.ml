@@ -108,9 +108,12 @@ let test_named_constructors () =
    generated terms against every registered protocol the two traced runs
    must agree outcome for outcome and event for event. Both routes count
    omissions in the same delivery step, so each [Round_end] must also
-   total exactly its round's [Omit] events. *)
+   total exactly its round's [Omit] events. The untraced mask-route run
+   walks without a sink, where table senders' receive-side masks ([in],
+   [all], [local] strikes) are written with no event to compare: it must
+   be legal too, and its outcome must be the traced run's. *)
 
-let traced_strategy entry ~n ~seed adversary =
+let strategy_run ?trace entry ~n ~seed adversary =
   let cfg0 = Sim.Config.make ~n ~t_max:3 ~seed () in
   let cfg =
     {
@@ -119,12 +122,20 @@ let traced_strategy entry ~n ~seed adversary =
     }
   in
   let inputs = Array.init n (fun i -> (i + seed) / (1 + (seed mod 3)) mod 2) in
+  Sim.Engine.run ?trace (Harness.Registry.build entry cfg) cfg ~adversary
+    ~inputs
+
+let traced_strategy entry ~n ~seed adversary =
   let sink, events = Trace.Sink.memory () in
-  let o =
-    Sim.Engine.run ~trace:sink (Harness.Registry.build entry cfg) cfg
-      ~adversary ~inputs
-  in
+  let o = strategy_run ~trace:sink entry ~n ~seed adversary in
   (o, events ())
+
+(* The untraced run's outcome, or the message of its [Illegal_plan]; the
+   traced runs raise theirs out of the property. *)
+let untraced_strategy entry ~n ~seed adversary =
+  match strategy_run entry ~n ~seed adversary with
+  | o -> Ok o
+  | exception Sim.Engine.Illegal_plan msg -> Error msg
 
 let omissions_counted events =
   fst
@@ -148,12 +159,13 @@ let qcheck_mask_route_equals_pointwise =
         (fun entry ->
           n < entry.Harness.Registry.min_n
           ||
-          let ((_, events) as masked) =
+          let ((outcome, events) as masked) =
             traced_strategy entry ~n ~seed (compiled ())
           in
           masked
           = traced_strategy entry ~n ~seed (Adversary.pointwise (compiled ()))
-          && omissions_counted events)
+          && omissions_counted events
+          && untraced_strategy entry ~n ~seed (compiled ()) = Ok outcome)
         Harness.Registry.all)
 
 (* --- differential conformance: the tentpole property ---

@@ -288,7 +288,9 @@ let priced_per_record ops runs =
 (* The verdict walk and the bit total against their references through
    [to_list]/[fold]: the walk writes and reports every entry in emission
    order, stopping before the first omission towards a non-[faulty]
-   destination when checked, and returns that destination. *)
+   destination when checked, and returns the omission count or, for that
+   stop, [-1 - dst]. The mask's verdicts read the same asked of a
+   predicate, once per entry in emission order. *)
 let qcheck_walk_and_bits =
   QCheck.Test.make
     ~name:"verdicts walk and total_bits = list model, fold"
@@ -305,15 +307,24 @@ let qcheck_walk_and_bits =
       let all = Sim.Mailbox.to_list mb in
       let f m = m mod 5 in
       let faulty = Array.of_list except in
-      let walk ~checked ~traced =
+      let walk ~checked ~traced ~asked =
+        (* the sender, pid 9, is checked when it is not faulty *)
+        let faulty = Array.append faulty [| false; not checked |] in
         let sink, events = Trace.Sink.memory () in
         let sink = if traced then Some sink else None in
         let out = Bytes.make (List.length all) '\255' in
-        let dst =
-          Sim.Mailbox.verdicts mb ~mask ~checked ~faulty ~sink ~round:3 ~src:9
-            ~out
+        let asks = ref [] in
+        let ask src dst =
+          asks := (src, dst) :: !asks;
+          not (passes dst)
         in
-        (dst, events (), out)
+        let ask = if asked then Some ask else None in
+        let mask = if asked then Bytes.empty else mask in
+        let r =
+          Sim.Mailbox.verdicts mb ~faulty ~round:3 ~ask ~link:None
+            ~link_trace:None ~sink ~mask ~src:9 ~out
+        in
+        (r, events (), out, List.rev !asks)
       in
       let reported ~checked =
         let rec go = function
@@ -329,40 +340,55 @@ let qcheck_walk_and_bits =
         in
         go all
       in
-      (* the bytes of the walked entries, the rest (all of them for an
-         empty mask) untouched *)
+      (* the bytes of the walked entries, the rest untouched *)
       let written evs =
         Bytes.init (List.length all) (fun i ->
             match List.nth_opt evs i with
-            | Some (Trace.Event.Deliver _) when Bytes.length mask > 0 -> '\000'
+            | Some (Trace.Event.Deliver _) -> '\000'
             | Some (Trace.Event.Omit _) -> '\001'
             | _ -> '\255')
       in
-      let walk_ok ~checked ~traced =
+      let walk_ok ~checked ~traced ~asked =
         let evs, stop = reported ~checked in
-        let dst, got, out = walk ~checked ~traced in
-        dst = stop && ((not traced) || got = evs) && Bytes.equal out (written evs)
+        let r, got, out, asks = walk ~checked ~traced ~asked in
+        let omits =
+          List.length
+            (List.filter (function Trace.Event.Omit _ -> true | _ -> false) evs)
+        in
+        let stopped = if stop >= 0 then 1 else 0 in
+        r = (if stop >= 0 then -1 - stop else omits)
+        && ((not traced) || got = evs)
+        && Bytes.equal out (written evs)
+        && ((not asked)
+           || asks
+              = List.filteri
+                  (fun i _ -> i < List.length evs + stopped)
+                  (List.map (fun (d, _) -> (9, d)) all))
       in
-      walk_ok ~checked:true ~traced:true
-      && walk_ok ~checked:false ~traced:true
-      && walk_ok ~checked:true ~traced:false
+      List.for_all
+        (fun asked ->
+          walk_ok ~checked:true ~traced:true ~asked
+          && walk_ok ~checked:false ~traced:true ~asked
+          && walk_ok ~checked:true ~traced:false ~asked)
+        [ false; true ]
       && Sim.Mailbox.total_bits mb f
          = Sim.Mailbox.fold mb ~init:0 (fun acc _ m -> acc + max 1 (f m))
       && priced_per_record ops runs)
 
-(* The delivery pair on verdict bytes, one per expanded entry in
-   emission order ('\000' delivers, '\001' an omission and '\002' a link
-   loss both drop), from each of the engine's sources: codes as the
-   general route writes them, the mask route's {!Sim.Mailbox.verdicts}
-   walk over a per-sender mask, or [Bytes.empty] (deliver everything). A
-   pure-segment sender goes through the round-shared table
-   ({!Sim.Mailbox.rshare}); any other sender is pushed by the
-   closure-free index walk ({!Sim.Mailbox.rdeliver}). Either way every
-   inbox must read as the list model, senders ascending and each
-   sender's survivors towards the inbox in reverse emission order, and
-   each call returns the number of '\001' entries. Two rounds run
-   through the same table and inboxes, so the second reads masks from
-   reused pool buffers with stale bytes. *)
+(* The two delivery walks, one per expanded entry in emission order, from
+   each of the engine's verdict sources: codes, where a predicate omits
+   the '\001' entries and a link loses the '\002' ones (both drop,
+   only omissions count), a per-sender mask, or [Bytes.empty] (deliver
+   everything). A pure-segment sender goes through the round-shared
+   table ({!Sim.Mailbox.rshare}, its masks written as it walks); any
+   other sender goes row by row ({!Sim.Mailbox.deliver_rows}: its walk
+   writes verdict bytes that a closure-free index walk pushes).
+   Either way every inbox must read as the list model, senders
+   ascending and each sender's survivors towards the inbox in reverse
+   emission order, each walk asks every code once and returns the
+   number of '\001' entries. Two rounds run through the same table and
+   inboxes, so the second reads masks from reused pool buffers with
+   stale bytes. *)
 type source = Codes of int list | Mask of bool list | Deliver_all
 
 let source =
@@ -397,20 +423,33 @@ let entry_codes ops source =
       | Deliver_all -> 0)
     (expand_ops ops)
 
-let verdict_bytes ob ops source ~src =
+(* The predicate, link and per-sender mask that play [source]'s codes to
+   a walk, and the number of codes it has asked for so far. *)
+let verdict_source ops source =
+  let asked = ref 0 in
   match source with
   | Codes _ ->
-      Bytes.of_seq
-        (Seq.map Char.chr (List.to_seq (entry_codes ops source)))
-  | Mask flags ->
-      let out = Bytes.create (Sim.Mailbox.length ob) in
-      let stop =
-        Sim.Mailbox.verdicts ob ~mask:(bytes_of_flags flags) ~checked:false
-          ~faulty:[||] ~sink:None ~round:1 ~src ~out
+      let codes = Array.of_list (entry_codes ops source) in
+      let last = ref 0 in
+      let ask _ _ =
+        last := codes.(!asked);
+        incr asked;
+        !last = 1
       in
-      assert (stop = -1);
-      out
-  | Deliver_all -> Bytes.empty
+      let link =
+        {
+          Sim.Link_intf.name = "codes";
+          reset = (fun ~seed:_ -> ());
+          begin_round = (fun ~round:_ -> ());
+          transmit =
+            (fun ~trace:_ ~round:_ ~src:_ ~dst:_ ->
+              if !last = 2 then Sim.Link_intf.Lost
+              else Sim.Link_intf.Delivered);
+        }
+      in
+      (Some ask, Some link, Bytes.empty, asked)
+  | Mask flags -> (None, None, bytes_of_flags flags, asked)
+  | Deliver_all -> (None, None, Bytes.empty, asked)
 
 let model senders =
   Array.init 8 (fun dst ->
@@ -429,6 +468,8 @@ let deliver_rounds ~table rounds =
   let sh = Sim.Mailbox.shared_create ~n:8 in
   let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
   Array.iteri (fun dst ib -> Sim.Mailbox.attach_shared ib sh ~owner:dst) inboxes;
+  (* every pid faulty: no omission is illegal *)
+  let faulty = Array.make 8 true and scratch = ref Bytes.empty in
   List.for_all
     (fun senders ->
       Sim.Mailbox.shared_clear sh;
@@ -438,13 +479,20 @@ let deliver_rounds ~table rounds =
           (fun src (ops, source) ->
             let ob = Sim.Mailbox.create () in
             apply_ops ob ops;
-            let verdicts = verdict_bytes ob ops source ~src in
+            let ask, link, mask, asked = verdict_source ops source in
             let omitted =
-              if table then Sim.Mailbox.rshare ob sh ~src ~verdicts
-              else Sim.Mailbox.rdeliver ob inboxes ~peer:src ~verdicts
+              if table then
+                Sim.Mailbox.rshare ob sh ~faulty ~round:1 ~ask ~link
+                  ~link_trace:None ~sink:None ~mask ~src
+              else
+                Sim.Mailbox.deliver_rows ob inboxes ~scratch ~faulty ~round:1
+                  ~ask ~link ~link_trace:None ~sink:None ~mask ~src
             in
-            omitted
-            = List.length (List.filter (( = ) 1) (entry_codes ops source)))
+            let codes = entry_codes ops source in
+            omitted = List.length (List.filter (( = ) 1) codes)
+            && (match source with
+               | Codes _ -> !asked = List.length codes
+               | _ -> true))
           senders
       in
       List.for_all Fun.id counts

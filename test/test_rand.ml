@@ -189,7 +189,27 @@ let test_no_allocation () =
   check_flat "bit" (fun _ -> sink := !sink + Sim.Rand.bit r);
   check_flat "bits" (fun _ -> sink := !sink + Sim.Rand.bits r 20);
   check_flat "int_below" (fun i -> sink := !sink + Sim.Rand.int_below r (i + 1));
+  check_flat "chance" (fun _ -> if Sim.Rand.chance r 0.5 then incr sink);
   ignore (Sys.opaque_identity !sink)
+
+(* [chance t p] is [float t < p]: on two streams with one seed, every
+   draw lands the same way and leaves the same counter values. *)
+let test_chance_is_float_lt =
+  QCheck.Test.make ~name:"chance = float <" ~count:200
+    QCheck.(pair small_nat (float_range 0. 1.))
+    (fun (seed, p) ->
+      let a = Sim.Rand.create ~seed:(Int64.of_int seed) () in
+      let b = Sim.Rand.create ~seed:(Int64.of_int seed) () in
+      let counted r =
+        let c = Sim.Rand.counter r in
+        (Sim.Rand.Counter.calls c, Sim.Rand.Counter.bits c)
+      in
+      List.for_all
+        (fun _ ->
+          let x = Sim.Rand.chance a p in
+          let y = Sim.Rand.float b < p in
+          x = y && counted a = counted b)
+        (List.init 100 Fun.id))
 
 let suite =
   [
@@ -213,4 +233,5 @@ let suite =
     QCheck_alcotest.to_alcotest test_int_below_range;
     QCheck_alcotest.to_alcotest test_bits_bounds;
     QCheck_alcotest.to_alcotest test_shuffle_permutation;
+    QCheck_alcotest.to_alcotest test_chance_is_float_lt;
   ]
