@@ -25,9 +25,12 @@
     [Omit]/[Deliver] to a message-level sink, and counts the omissions.
     A sender whose round is pure wide broadcast has its drops written
     straight into the round-shared broadcast table's masks; any other
-    sender's verdict bytes are then pushed row by row. A message-level
-    sink only decides whether [Send]/[Omit]/[Deliver] events are
-    reported, on either route.
+    sender's verdict bytes are then pushed row by row. When the mask
+    alone decides (no predicate, no link), the walk steps over each
+    broadcast segment by runs of destinations the mask treats alike, so
+    a segment costs O(runs), traced or not. A message-level sink only
+    decides whether [Send]/[Omit]/[Deliver] events are reported, on
+    either route.
 
     Allocation discipline: the hot path runs on reusable buffers — per-pid
     {!Mailbox.t} outboxes/inboxes reset by count, one adversary {!View.t}
@@ -41,12 +44,17 @@
     nothing on the mask route skips the walk. The engine's own
     steady-state cost is O(n) words per round (fresh [obs_core]
     observations). Protocols and predicates add what they allocate per
-    message record or per call. A message-level sink is handed each event's
-    fields ({!Trace.Sink.send}, {!Trace.Sink.omit},
-    {!Trace.Sink.deliver}): the pending-message walk prices and hints a
+    message record or per call. A message-level sink is handed a
+    pointwise message's event fields ({!Trace.Sink.send},
+    {!Trace.Sink.omit}, {!Trace.Sink.deliver}) and a broadcast segment's
+    events as runs: its [Send]s as one {!Trace.Sink.sends} call, and each
+    stretch of destinations with one verdict as one {!Trace.Sink.fates}
+    call (a run of one message on the predicate route or over a link,
+    reported per message). The pending-message walk prices and hints a
     record once per run of entries sharing it, and a {!Trace.Tail} stores
-    the fields without allocating. A sink built with
-    {!Trace.Sink.make} builds each event. *)
+    each run in one or two slots without allocating, so a tail costs
+    O(1) a run, not a message. A sink built with {!Trace.Sink.make}
+    builds each event. *)
 
 exception Illegal_plan of string
 
@@ -92,14 +100,12 @@ type tracer = {
 
 (* What the pending-message walk feeds: an adversary's
    {!View.iter_envelopes} consumer, or a message-level sink's [Send]
-   entry point ({!Trace.Sink.send}, bound once per walk) for one
-   round. *)
+   events: {!Trace.Sink.send} for a pointwise slot, {!Trace.Sink.sends}
+   for a broadcast segment. *)
 type walk =
   | Idle
   | Envelopes of (int -> int -> int -> int option -> unit)
-  | Sends of
-      (round:int -> src:int -> dst:int -> bits:int -> hint:int option -> unit)
-      * int
+  | Sends of Trace.Sink.t * int
 
 let all_nonfaulty_decided outcome =
   let n = Array.length outcome.decisions in
@@ -217,36 +223,54 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
      by each later one: a fresh array would start from a young [P.init]
      value and, past 256 pids, force a minor collection every run. *)
   let states = ref [||] in
-  (* The one pending-message walk: every outbox, broadcast segments
-     expanded, each sender in reverse emission order (the ordering note
-     above). It feeds both {!View.iter_envelopes} and the [Send] events.
-     The per-message closure reads the sender and the consumer from these
-     cells, so it is built once per instance, not once per sender. A
-     record is priced and hinted once per run of consecutive [==]
-     entries (a broadcast segment is one run), through the [last] cache.
-     The consumer and the cache are emptied after each walk: the instance
-     outlives the run, and must not keep its trace sink, adversary or
-     messages alive. *)
+  (* The one pending-message walk: every outbox, each sender in reverse
+     emission order (the ordering note above). It feeds both
+     {!View.iter_envelopes}, segments expanded, and the [Send] events,
+     each segment as one run. The closures read the sender and the
+     consumer from these cells, so they are built once per instance, not
+     once per sender. A record is priced and hinted once per run of
+     consecutive [==] entries (a broadcast segment is one run), through
+     the [last] cache. The consumer and the cache are emptied after each
+     walk: the instance outlives the run, and must not keep its trace
+     sink, adversary or messages alive. *)
   let walk = ref Idle and walk_src = ref 0 in
   let last = ref None and last_bits = ref 0 and last_hint = ref None in
-  let walk_msg dst m =
-    (match !last with
+  let[@inline] price m =
+    match !last with
     | Some l when l == m -> ()
     | _ ->
         last := Some m;
         last_bits := max 1 (P.msg_bits m);
-        last_hint := P.msg_hint m);
+        last_hint := P.msg_hint m
+  in
+  let walk_msg dst m =
+    price m;
     match !walk with
     | Envelopes f -> f !walk_src dst !last_bits !last_hint
-    | Sends (send, round) ->
-        send ~round ~src:!walk_src ~dst ~bits:!last_bits ~hint:!last_hint
+    | Sends (sink, round) ->
+        (* bound first: applied whole, the entry point allocates nothing *)
+        let send = Trace.Sink.send sink in
+        send ~round ~src:!walk_src ~dst ~bits:!last_bits
+          ~hint:!last_hint
     | Idle -> ()
+  in
+  let walk_runs =
+    Some
+      (fun ~lo ~hi ~skip ~desc m ->
+        price m;
+        match !walk with
+        | Sends (sink, round) ->
+            let sends = Trace.Sink.sends sink in
+            sends ~round ~src:!walk_src ~lo ~hi ~skip ~desc
+              ~bits:!last_bits ~hint:!last_hint
+        | Envelopes _ | Idle -> ())
   in
   let walk_pending w =
     walk := w;
+    let run = match w with Sends _ -> walk_runs | Envelopes _ | Idle -> None in
     for pid = 0 to n - 1 do
       walk_src := pid;
-      Mailbox.riter outboxes.(pid) walk_msg
+      Mailbox.riter ?run outboxes.(pid) walk_msg
     done;
     walk := Idle;
     last := None;
@@ -441,7 +465,7 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
       done;
       (match msg_sink with
       | None -> ()
-      | Some sink -> walk_pending (Sends (Trace.Sink.send sink, r)));
+      | Some sink -> walk_pending (Sends (sink, r)));
       let plan = adv view in
       List.iter
         (fun pid ->

@@ -328,10 +328,14 @@ let iter t f =
   with Stop -> ()
 
 (** Expanded walk in reverse emission order — the engine's
-    pending-message walk. Raises [Invalid_argument]
-    on an inbox whose attached broadcast table is non-empty: the walk
-    does not merge table entries, so it would silently miss them. *)
-let riter t f =
+    pending-message walk. With [run], each broadcast segment is one call
+    [run ~lo ~hi ~skip ~desc m] instead of one [f] per destination: the
+    segment's destinations in reverse emission order are the
+    {!Trace.Run} [lo .. hi] but [skip], descending when [desc].
+    Pointwise slots always go to [f]. Raises [Invalid_argument] on an
+    inbox whose attached broadcast table is non-empty: the walk does not
+    merge table entries, so it would silently miss them. *)
+let riter ?run t f =
   (match t.shared with
   | Some sh when sh.s_len > 0 ->
       invalid_arg "Mailbox.riter: buffer has an attached broadcast table"
@@ -344,14 +348,17 @@ let riter t f =
       let j = !s in
       let lo = t.seg_lo.(j) and hi = t.seg_hi.(j) in
       let skip = t.seg_skip.(j) and m = t.seg_msg.(j) in
-      if t.seg_desc.(j) then
-        for dst = lo to hi do
-          if dst <> skip then f dst m
-        done
-      else
-        for dst = hi downto lo do
-          if dst <> skip then f dst m
-        done;
+      (match run with
+      | Some run -> run ~lo ~hi ~skip ~desc:(not t.seg_desc.(j)) m
+      | None ->
+          if t.seg_desc.(j) then
+            for dst = lo to hi do
+              if dst <> skip then f dst m
+            done
+          else
+            for dst = hi downto lo do
+              if dst <> skip then f dst m
+            done);
       decr s
     done;
     if i >= 0 then f (Array.unsafe_get t.peers i) (Array.unsafe_get t.msgs i)
@@ -402,6 +409,11 @@ let[@inline] silent ~ask ~link ~sink ~mask =
   && Option.is_none link
   && Option.is_none sink
 
+(* Does [mask] drop the message towards [dst]? [Bytes.empty] drops
+   nothing. *)
+let[@inline] masked mask dst =
+  Bytes.length mask > 0 && Bytes.unsafe_get mask dst <> '\000'
+
 (* The fate of [src]'s message to [dst] in [round]: ['\000'] delivered
    (reported as a [Deliver]), ['\001'] omitted (reported as an [Omit]),
    ['\002'] lost by the link, or ['\003'] for an illegal omission, one
@@ -412,7 +424,7 @@ let[@inline] fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
   if
     match ask with
     | Some p -> p src dst
-    | None -> Bytes.length mask > 0 && Bytes.unsafe_get mask dst <> '\000'
+    | None -> masked mask dst
   then
     if checked && not (Array.unsafe_get faulty dst) then '\003'
     else begin
@@ -431,6 +443,187 @@ let[@inline] fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
   end
   else '\002'
 
+(* Mask runs. Offset [o] of a segment [lo .. hi] is its [o]th destination
+   in emission order: [hi - o] when [desc], else [lo + o]. When the mask
+   alone decides (no predicate, no link), a segment is walked by maximal
+   runs of offsets whose destinations the mask treats alike, the
+   segment's [skip] stepped over: an empty mask is one run. *)
+let[@inline] at_offset ~lo ~hi ~desc o = if desc then hi - o else lo + o
+
+(* The first offset past the run that starts at offset [d]. *)
+let run_end ~mask ~lo ~hi ~skip ~desc d =
+  if Bytes.length mask = 0 then hi - lo + 1
+  else begin
+    let drop = masked mask (at_offset ~lo ~hi ~desc d) and e = ref (d + 1) in
+    while
+      !e <= hi - lo
+      &&
+      let dst = at_offset ~lo ~hi ~desc !e in
+      dst = skip || masked mask dst = drop
+    do
+      incr e
+    done;
+    !e
+  end
+
+(* The first offset in [d .. e - 1] whose destination is not [faulty],
+   else [e]: the legality check of a checked sender's drop run, in the
+   run's order. *)
+let first_nonfaulty ~faulty ~lo ~hi ~skip ~desc d e =
+  let o = ref d in
+  while
+    !o < e
+    &&
+    let dst = at_offset ~lo ~hi ~desc !o in
+    dst = skip || Array.unsafe_get faulty dst
+  do
+    incr o
+  done;
+  !o
+
+(* The number of destinations at offsets [d .. e - 1]. *)
+let[@inline] run_size ~lo ~hi ~skip ~desc d e =
+  let k = if desc then hi - skip else skip - lo in
+  e - d - if skip >= lo && skip <= hi && k >= d && k < e then 1 else 0
+
+(* Reports offsets [d .. e - 1] ([d < e]) as one run of [Omit]s ([drop])
+   or [Deliver]s. *)
+let report_run fates ~round ~src ~lo ~hi ~skip ~desc d e drop =
+  let a = at_offset ~lo ~hi ~desc d and b = at_offset ~lo ~hi ~desc (e - 1) in
+  fates ~round ~src ~lo:(min a b) ~hi:(max a b) ~skip ~desc ~omitted:drop
+
+(* A table-owned mask buffer covering destinations [0 .. width - 1],
+   free until the next {!shared_clear}. Its bytes are stale: the caller
+   writes every destination its entry covers. *)
+let pooled_mask sh ~width =
+  let k = sh.s_pooled in
+  if k = Array.length sh.s_pool then
+    sh.s_pool <- Array.append sh.s_pool (Array.make (max 4 k) Bytes.empty);
+  if Bytes.length sh.s_pool.(k) < width then sh.s_pool.(k) <- Bytes.create width;
+  sh.s_pooled <- k + 1;
+  sh.s_pool.(k)
+
+(* Reverse the table entries [first .. s_len - 1] in place. *)
+let shared_reverse sh first =
+  let swap a i k =
+    let x = a.(i) in
+    a.(i) <- a.(k);
+    a.(k) <- x
+  in
+  let i = ref first and k = ref (sh.s_len - 1) in
+  while !i < !k do
+    swap sh.s_src !i !k;
+    swap sh.s_msg !i !k;
+    swap sh.s_lo !i !k;
+    swap sh.s_hi !i !k;
+    swap sh.s_key !i !k;
+    swap sh.s_mask !i !k;
+    incr i;
+    decr k
+  done
+
+(** The verdict walk of a sender [src] delivered through the round-shared
+    table, for a [t] that holds no pointwise slots. It asks each
+    segment's fates in emission order, as {!verdicts} does (by runs when
+    the mask alone decides), counts the omissions, and writes each drop
+    straight into a mask indexed by destination, taken from the table's
+    pool at the segment's first drop that leaves some destination
+    delivered. A segment that drops nothing becomes an unmasked entry;
+    one that drops everything adds no entry; any other becomes an entry
+    with its mask. The sender's entries go in in reverse emission order.
+    A sender with nothing to ask, transmit or report and an empty [mask]
+    skips the walk: every segment becomes an unmasked entry, at O(1) per
+    segment. Returns what {!verdicts} returns; after an illegal omission
+    the sender's entries are partial, and the round must be
+    abandoned. *)
+let rshare t sh ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src =
+  assert (t.len = 0);
+  if silent ~ask ~link ~sink ~mask then begin
+    for k = t.seg_len - 1 downto 0 do
+      shared_push sh ~src ~lo:t.seg_lo.(k) ~hi:t.seg_hi.(k)
+        ~skip:t.seg_skip.(k) ~mask:Bytes.empty t.seg_msg.(k)
+    done;
+    0
+  end
+  else begin
+    let first = sh.s_len in
+    let checked = not faulty.(src) and traced = Option.is_some sink in
+    let by_runs = Option.is_none ask && Option.is_none link in
+    let events = Option.value sink ~default:Trace.Sink.null in
+    let omit = Trace.Sink.omit events and deliver = Trace.Sink.deliver events in
+    let omitted = ref 0 and found = ref (-1) and s = ref 0 in
+    while !found < 0 && !s < t.seg_len do
+      let k = !s in
+      let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
+      let desc = t.seg_desc.(k) in
+      (* the mask is taken from the pool at the segment's first drop,
+         unless that drop is the whole segment *)
+      let out = ref Bytes.empty and total = seg_size ~lo ~hi ~skip in
+      let dropped = ref 0 and d = ref 0 in
+      if not by_runs then
+        while !found < 0 && !d <= hi - lo do
+          let dst = if desc then hi - !d else lo + !d in
+          if dst <> skip then begin
+            let c =
+              fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
+                ~deliver ~mask ~checked ~src dst
+            in
+            if c = '\003' then found := dst
+            else if c <> '\000' then begin
+              if !dropped = 0 then begin
+                out := pooled_mask sh ~width:(hi + 1);
+                Bytes.fill !out lo (hi - lo + 1) '\000'
+              end;
+              Bytes.unsafe_set !out dst c;
+              incr dropped;
+              if c = '\001' then incr omitted
+            end
+          end;
+          incr d
+        done
+      else begin
+        let fates = Trace.Sink.fates events in
+        while !found < 0 && !d <= hi - lo do
+          let dst = at_offset ~lo ~hi ~desc !d in
+          if dst = skip then incr d
+          else begin
+            let e = run_end ~mask ~lo ~hi ~skip ~desc !d in
+            let drop = masked mask dst in
+            let ok =
+              if drop && checked then
+                first_nonfaulty ~faulty ~lo ~hi ~skip ~desc !d e
+              else e
+            in
+            if traced && ok > !d then
+              report_run fates ~round ~src ~lo ~hi ~skip ~desc !d ok drop;
+            if ok < e then found := at_offset ~lo ~hi ~desc ok
+            else if drop then begin
+              let size = run_size ~lo ~hi ~skip ~desc !d e in
+              if Bytes.length !out = 0 && size < total then begin
+                out := pooled_mask sh ~width:(hi + 1);
+                Bytes.fill !out lo (hi - lo + 1) '\000'
+              end;
+              if Bytes.length !out > 0 then begin
+                let b = at_offset ~lo ~hi ~desc (e - 1) in
+                Bytes.fill !out (min dst b) (abs (b - dst) + 1) '\001'
+              end;
+              dropped := !dropped + size;
+              omitted := !omitted + size
+            end;
+            d := e
+          end
+        done
+      end;
+      if Bytes.length !out > 0 && (!found >= 0 || !dropped = total) then
+        sh.s_pooled <- sh.s_pooled - 1
+      else if !found < 0 && !dropped < total then
+        shared_push sh ~src ~lo ~hi ~skip ~mask:!out t.seg_msg.(k);
+      incr s
+    done;
+    shared_reverse sh first;
+    if !found >= 0 then -1 - !found else !omitted
+  end
+
 (** The verdict walk of a sender [src] delivered row by row: one fate per
     expanded entry of [t] (a buffer without an attached table), asked in
     emission order and written into [out] at the entry's index in
@@ -444,9 +637,14 @@ let[@inline] fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
     [faulty], omitting towards a non-[faulty] destination is illegal.
     Returns the number of omissions (link losses excluded), or
     [-1 - dst] for the first illegal omission, towards [dst]: the walk
-    stops there, before writing or reporting it. *)
+    stops there, before writing or reporting it. Without [ask] and
+    [link], the mask alone decides: each segment is walked by runs of
+    destinations the mask treats alike, each counted, written and
+    reported ({!Trace.Sink.fates}) whole, and a drop run checked
+    destination by destination; pointwise slots are runs of one. *)
 let verdicts t ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src ~out =
   let checked = not faulty.(src) and traced = Option.is_some sink in
+  let by_runs = Option.is_none ask && Option.is_none link in
   (* the sink's entry points, bound once per walk: applied whole, they
      allocate nothing per message *)
   let events = Option.value sink ~default:Trace.Sink.null in
@@ -459,22 +657,47 @@ let verdicts t ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src ~out =
       let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
       let desc = t.seg_desc.(k) in
       let d = ref 0 in
-      while !found < 0 && !d <= hi - lo do
-        let dst = if desc then hi - !d else lo + !d in
-        if dst <> skip then begin
-          let c =
-            fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit ~deliver
-              ~mask ~checked ~src dst
-          in
-          if c = '\003' then found := dst
+      if by_runs then begin
+        let fates = Trace.Sink.fates events in
+        while !found < 0 && !d <= hi - lo do
+          let dst = at_offset ~lo ~hi ~desc !d in
+          if dst = skip then incr d
           else begin
-            Bytes.set out !at c;
-            if c = '\001' then incr omitted;
-            incr at
+            let e = run_end ~mask ~lo ~hi ~skip ~desc !d in
+            let drop = masked mask dst in
+            let ok =
+              if drop && checked then
+                first_nonfaulty ~faulty ~lo ~hi ~skip ~desc !d e
+              else e
+            in
+            if traced && ok > !d then
+              report_run fates ~round ~src ~lo ~hi ~skip ~desc !d ok drop;
+            let size = run_size ~lo ~hi ~skip ~desc !d ok in
+            Bytes.fill out !at size (if drop then '\001' else '\000');
+            if drop then omitted := !omitted + size;
+            at := !at + size;
+            if ok < e then found := at_offset ~lo ~hi ~desc ok;
+            d := e
           end
-        end;
-        incr d
-      done;
+        done
+      end
+      else
+        while !found < 0 && !d <= hi - lo do
+          let dst = if desc then hi - !d else lo + !d in
+          if dst <> skip then begin
+            let c =
+              fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
+                ~deliver ~mask ~checked ~src dst
+            in
+            if c = '\003' then found := dst
+            else begin
+              Bytes.set out !at c;
+              if c = '\001' then incr omitted;
+              incr at
+            end
+          end;
+          incr d
+        done;
       incr s
     done;
     if !found < 0 && !i < t.len then begin
@@ -553,102 +776,6 @@ let deliver_rows t inboxes ~scratch ~faulty ~round ~ask ~link ~link_trace
     in
     if omitted >= 0 then rdeliver t inboxes ~peer:src ~verdicts:out;
     omitted
-  end
-
-(* A table-owned mask buffer covering destinations [0 .. width - 1],
-   free until the next {!shared_clear}. Its bytes are stale: the caller
-   writes every destination its entry covers. *)
-let pooled_mask sh ~width =
-  let k = sh.s_pooled in
-  if k = Array.length sh.s_pool then
-    sh.s_pool <- Array.append sh.s_pool (Array.make (max 4 k) Bytes.empty);
-  if Bytes.length sh.s_pool.(k) < width then sh.s_pool.(k) <- Bytes.create width;
-  sh.s_pooled <- k + 1;
-  sh.s_pool.(k)
-
-(* Reverse the table entries [first .. s_len - 1] in place. *)
-let shared_reverse sh first =
-  let swap a i k =
-    let x = a.(i) in
-    a.(i) <- a.(k);
-    a.(k) <- x
-  in
-  let i = ref first and k = ref (sh.s_len - 1) in
-  while !i < !k do
-    swap sh.s_src !i !k;
-    swap sh.s_msg !i !k;
-    swap sh.s_lo !i !k;
-    swap sh.s_hi !i !k;
-    swap sh.s_key !i !k;
-    swap sh.s_mask !i !k;
-    incr i;
-    decr k
-  done
-
-(** The verdict walk of a sender [src] delivered through the round-shared
-    table, for a [t] that holds no pointwise slots. It asks each
-    segment's fates in emission order, as {!verdicts} does, counts the
-    omissions, and writes each drop straight into a mask indexed by
-    destination, taken from the table's pool at the segment's first
-    drop. A segment that drops nothing becomes an unmasked entry; one
-    that drops everything gives its mask back and adds no entry; any
-    other becomes an entry with its mask. The sender's entries go in in
-    reverse emission order. A sender with nothing to ask, transmit or
-    report and an empty [mask] skips the walk: every segment becomes an
-    unmasked entry, at O(1) per segment. Returns what {!verdicts}
-    returns; after an illegal omission the sender's entries are partial,
-    and the round must be abandoned. *)
-let rshare t sh ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src =
-  assert (t.len = 0);
-  if silent ~ask ~link ~sink ~mask then begin
-    for k = t.seg_len - 1 downto 0 do
-      shared_push sh ~src ~lo:t.seg_lo.(k) ~hi:t.seg_hi.(k)
-        ~skip:t.seg_skip.(k) ~mask:Bytes.empty t.seg_msg.(k)
-    done;
-    0
-  end
-  else begin
-    let first = sh.s_len in
-    let checked = not faulty.(src) and traced = Option.is_some sink in
-    let events = Option.value sink ~default:Trace.Sink.null in
-    let omit = Trace.Sink.omit events and deliver = Trace.Sink.deliver events in
-    let omitted = ref 0 and found = ref (-1) and s = ref 0 in
-    while !found < 0 && !s < t.seg_len do
-      let k = !s in
-      let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
-      let desc = t.seg_desc.(k) in
-      (* the mask is taken from the pool at the segment's first drop *)
-      let out = ref Bytes.empty in
-      let dropped = ref 0 and d = ref 0 in
-      while !found < 0 && !d <= hi - lo do
-        let dst = if desc then hi - !d else lo + !d in
-        if dst <> skip then begin
-          let c =
-            fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit ~deliver
-              ~mask ~checked ~src dst
-          in
-          if c = '\003' then found := dst
-          else if c <> '\000' then begin
-            if !dropped = 0 then begin
-              out := pooled_mask sh ~width:(hi + 1);
-              Bytes.fill !out lo (hi - lo + 1) '\000'
-            end;
-            Bytes.unsafe_set !out dst c;
-            incr dropped;
-            if c = '\001' then incr omitted
-          end
-        end;
-        incr d
-      done;
-      let size = seg_size ~lo ~hi ~skip in
-      if !dropped > 0 && (!found >= 0 || !dropped = size) then
-        sh.s_pooled <- sh.s_pooled - 1
-      else if !found < 0 && !dropped < size then
-        shared_push sh ~src ~lo ~hi ~skip ~mask:!out t.seg_msg.(k);
-      incr s
-    done;
-    shared_reverse sh first;
-    if !found >= 0 then -1 - !found else !omitted
   end
 
 (** Smallest destination-range width among the buffer's segments

@@ -236,16 +236,50 @@ end
 (* Sinks.                                                              *)
 (* ------------------------------------------------------------------ *)
 
+module Run = struct
+  let size ~lo ~hi ~skip =
+    if hi < lo then 0 else hi - lo + 1 - if skip >= lo && skip <= hi then 1 else 0
+
+  (* The one statement of a run's order: [lo] up to [hi], or [hi] down to
+     [lo] when [desc], stepping over [skip]. [nth], the [k]th destination
+     in that order (from 0, for [k < size]), says the same in O(1), for
+     the ring's evictions. *)
+  let iter ~lo ~hi ~skip ~desc f =
+    if desc then
+      for dst = hi downto lo do
+        if dst <> skip then f dst
+      done
+    else
+      for dst = lo to hi do
+        if dst <> skip then f dst
+      done
+
+  let nth ~lo ~hi ~skip ~desc k =
+    if desc then
+      let d = hi - k in
+      if skip <= hi && skip >= d then d - 1 else d
+    else
+      let d = lo + k in
+      if skip >= lo && skip <= d then d + 1 else d
+end
+
 module Sink = struct
   (* [messages]: the sink consumes message-level events, so the engine
      reports them. [send]/[omit]/[deliver] take a message-level event's
-     fields, so a sink that stores fields need not build the event. *)
+     fields, and [sends]/[fates] a run of them, so a sink that stores
+     fields need not build the events. *)
   type t = {
     emit : Event.t -> unit;
     send :
       round:int -> src:int -> dst:int -> bits:int -> hint:int option -> unit;
     omit : round:int -> src:int -> dst:int -> unit;
     deliver : round:int -> src:int -> dst:int -> unit;
+    sends :
+      round:int -> src:int -> lo:int -> hi:int -> skip:int -> desc:bool ->
+      bits:int -> hint:int option -> unit;
+    fates :
+      round:int -> src:int -> lo:int -> hi:int -> skip:int -> desc:bool ->
+      omitted:bool -> unit;
     close : unit -> unit;
     messages : bool;
   }
@@ -259,6 +293,16 @@ module Sink = struct
       omit = (fun ~round ~src ~dst -> emit (Event.Omit { round; src; dst }));
       deliver =
         (fun ~round ~src ~dst -> emit (Event.Deliver { round; src; dst }));
+      sends =
+        (fun ~round ~src ~lo ~hi ~skip ~desc ~bits ~hint ->
+          Run.iter ~lo ~hi ~skip ~desc (fun dst ->
+              emit (Event.Send { round; src; dst; bits; hint })));
+      fates =
+        (fun ~round ~src ~lo ~hi ~skip ~desc ~omitted ->
+          Run.iter ~lo ~hi ~skip ~desc (fun dst ->
+              emit
+                (if omitted then Event.Omit { round; src; dst }
+                 else Event.Deliver { round; src; dst })));
       close;
       messages = true;
     }
@@ -270,6 +314,8 @@ module Sink = struct
   let send t = t.send
   let omit t = t.omit
   let deliver t = t.deliver
+  let sends t = t.sends
+  let fates t = t.fates
   let close t = t.close ()
   let messages t = t.messages
   let no_verdict ~round:_ ~src:_ ~dst:_ = ()
@@ -280,6 +326,9 @@ module Sink = struct
       send = (fun ~round:_ ~src:_ ~dst:_ ~bits:_ ~hint:_ -> ());
       omit = no_verdict;
       deliver = no_verdict;
+      sends =
+        (fun ~round:_ ~src:_ ~lo:_ ~hi:_ ~skip:_ ~desc:_ ~bits:_ ~hint:_ -> ());
+      fates = (fun ~round:_ ~src:_ ~lo:_ ~hi:_ ~skip:_ ~desc:_ ~omitted:_ -> ());
       close = ignore;
       messages = false;
     }
@@ -291,30 +340,46 @@ module Sink = struct
       close = s.close;
     }
 
+  (* Message-level calls go only to the sides that take them: a side
+     that is round-level would ignore them. *)
   let tee a b =
-    {
-      emit =
-        (fun e ->
-          a.emit e;
-          b.emit e);
-      send =
-        (fun ~round ~src ~dst ~bits ~hint ->
-          a.send ~round ~src ~dst ~bits ~hint;
-          b.send ~round ~src ~dst ~bits ~hint);
-      omit =
-        (fun ~round ~src ~dst ->
-          a.omit ~round ~src ~dst;
-          b.omit ~round ~src ~dst);
-      deliver =
-        (fun ~round ~src ~dst ->
-          a.deliver ~round ~src ~dst;
-          b.deliver ~round ~src ~dst);
-      close =
-        (fun () ->
-          a.close ();
-          b.close ());
-      messages = a.messages || b.messages;
-    }
+    let emit e =
+      a.emit e;
+      b.emit e
+    and close () =
+      a.close ();
+      b.close ()
+    in
+    match (a.messages, b.messages) with
+    | true, false -> { a with emit; close }
+    | false, true -> { b with emit; close }
+    | false, false -> { null with emit; close }
+    | true, true ->
+        {
+          emit;
+          send =
+            (fun ~round ~src ~dst ~bits ~hint ->
+              a.send ~round ~src ~dst ~bits ~hint;
+              b.send ~round ~src ~dst ~bits ~hint);
+          omit =
+            (fun ~round ~src ~dst ->
+              a.omit ~round ~src ~dst;
+              b.omit ~round ~src ~dst);
+          deliver =
+            (fun ~round ~src ~dst ->
+              a.deliver ~round ~src ~dst;
+              b.deliver ~round ~src ~dst);
+          sends =
+            (fun ~round ~src ~lo ~hi ~skip ~desc ~bits ~hint ->
+              a.sends ~round ~src ~lo ~hi ~skip ~desc ~bits ~hint;
+              b.sends ~round ~src ~lo ~hi ~skip ~desc ~bits ~hint);
+          fates =
+            (fun ~round ~src ~lo ~hi ~skip ~desc ~omitted ->
+              a.fates ~round ~src ~lo ~hi ~skip ~desc ~omitted;
+              b.fates ~round ~src ~lo ~hi ~skip ~desc ~omitted);
+          close;
+          messages = true;
+        }
 
   let tee_all = function
     | [] -> null
@@ -345,15 +410,34 @@ end
 (* ------------------------------------------------------------------ *)
 
 module Ring = struct
-  (* Slot [i]'s [kinds.(i)] says where its event lives. [Send], [Omit]
-     and [Deliver] live in the int columns at [i] ([bits] and [hint] for
-     [Send] only), the kind telling [Send]'s [hint = None] ([Sent]) from
-     [Some] ([Sent_hinted]): a message-level add stores immediates only,
-     so it allocates nothing and needs no write barrier. Every other event
-     is kept as is in [boxed.(i)]. A boxed cell a message event has since
-     overwritten keeps its old event alive until reused: at most
-     [capacity] events. *)
-  type kind = Boxed | Sent | Sent_hinted | Omitted | Delivered
+  (* Entries, oldest first, fill slots [head .. head + used - 1] (mod
+     capacity); slot [i]'s [kinds.(i)] says where its entry lives. A
+     single [Send], [Omit] or [Deliver] lives in the int columns at [i]
+     ([bits] and [hint] for [Send] only), the kind telling [Send]'s
+     [hint = None] ([Sent]) from [Some] ([Sent_hinted]). A run of two or
+     more events keeps its first and last destination, in event order, in
+     [dst] and [bits] and its skip in [hint]; a run of [Send]s takes a
+     second slot ([More]) for its [bits] and [hint]. So an entry of [c]
+     events takes at most [c] slots, and [capacity] slots hold the newest
+     [capacity] events. Storing a message-level event or run stores
+     immediates only: it allocates nothing and needs no write barrier.
+     Every other event is kept as is in [boxed.(i)]. A boxed cell a
+     message event has since overwritten keeps its old event alive until
+     reused: at most [capacity] events. The module keeps its helpers
+     few: each is a field of the module's block, allocated when the
+     program starts, and a larger block moved every workload's peak
+     heap by one 32 KB pool. *)
+  type kind =
+    | Boxed
+    | Sent
+    | Sent_hinted
+    | Omitted
+    | Delivered
+    | Sent_run
+    | Sent_hinted_run
+    | Omitted_run
+    | Delivered_run
+    | More
 
   type t = {
     kinds : kind array;
@@ -363,8 +447,9 @@ module Ring = struct
     bits : int array;
     hint : int array;
     boxed : Event.t array;
-    mutable next : int;
-    mutable len : int;
+    mutable head : int;  (** the oldest entry's slot *)
+    mutable used : int;  (** slots in use *)
+    mutable len : int;  (** events retained *)
   }
 
   let create ~capacity =
@@ -378,25 +463,69 @@ module Ring = struct
       bits = column ();
       hint = column ();
       boxed = Array.make capacity (Event.Round_start { round = 0 });
-      next = 0;
+      head = 0;
+      used = 0;
       len = 0;
     }
 
   let capacity t = Array.length t.kinds
   let length t = t.len
 
-  (* Claims the next slot for an event of [kind]; returns its index. *)
-  let[@inline] slot t kind =
-    let cap = Array.length t.kinds in
-    let i = t.next in
-    t.next <- (if i + 1 = cap then 0 else i + 1);
-    if t.len < cap then t.len <- t.len + 1;
-    Array.unsafe_set t.kinds i kind;
-    i
+  (* The events of the entry at slot [i]. *)
+  let count t i =
+    match t.kinds.(i) with
+    | Sent_run | Sent_hinted_run | Omitted_run | Delivered_run ->
+        let a = t.dst.(i) and b = t.bits.(i) in
+        Run.size ~lo:(min a b) ~hi:(max a b) ~skip:t.hint.(i)
+    | Boxed | Sent | Sent_hinted | Omitted | Delivered | More -> 1
 
-  (* Claims a slot and stores a message-level event's common fields. *)
-  let[@inline] put t kind round src dst =
-    let i = slot t kind in
+  (* Evicts from the oldest end until [e] more events fit ([e <=
+     capacity]). The oldest entry goes whole, or loses its oldest events
+     when it holds more than need to go: a run of [Send]s left with one
+     event becomes a single [Send] in its second slot. *)
+  let make_room t e =
+    let cap = capacity t in
+    let excess = ref (t.len + e - cap) in
+    while !excess > 0 do
+      let i = t.head in
+      let c = count t i in
+      let s = match t.kinds.(i) with Sent_run | Sent_hinted_run -> 2 | _ -> 1 in
+      if c <= !excess then begin
+        t.head <- (i + s) mod cap;
+        t.used <- t.used - s;
+        t.len <- t.len - c;
+        excess := !excess - c
+      end
+      else begin
+        let a = t.dst.(i) and b = t.bits.(i) in
+        let first =
+          Run.nth ~lo:(min a b) ~hi:(max a b) ~skip:t.hint.(i) ~desc:(a > b)
+            !excess
+        in
+        if s = 2 && first = b then begin
+          let j = (i + 1) mod cap in
+          t.kinds.(j) <- (if t.kinds.(i) = Sent_run then Sent else Sent_hinted);
+          t.round.(j) <- t.round.(i);
+          t.src.(j) <- t.src.(i);
+          t.dst.(j) <- first;
+          t.head <- j;
+          t.used <- t.used - 1
+        end
+        else t.dst.(i) <- first;
+        t.len <- t.len - !excess;
+        excess := 0
+      end
+    done
+
+  (* Claims [s] slots for an entry of [e] events and stores its kind and
+     common fields; returns its first slot. *)
+  let claim t kind ~e ~s round src dst =
+    make_room t e;
+    let i = t.head + t.used in
+    let i = if i >= capacity t then i - capacity t else i in
+    t.used <- t.used + s;
+    t.len <- t.len + e;
+    Array.unsafe_set t.kinds i kind;
     Array.unsafe_set t.round i round;
     Array.unsafe_set t.src i src;
     Array.unsafe_set t.dst i dst;
@@ -405,42 +534,84 @@ module Ring = struct
   let add_send t round src dst bits hint =
     match hint with
     | None ->
-        let i = put t Sent round src dst in
+        let i = claim t Sent ~e:1 ~s:1 round src dst in
         Array.unsafe_set t.bits i bits
     | Some h ->
-        let i = put t Sent_hinted round src dst in
+        let i = claim t Sent_hinted ~e:1 ~s:1 round src dst in
         Array.unsafe_set t.bits i bits;
         Array.unsafe_set t.hint i h
 
-  let add_omit t round src dst = ignore (put t Omitted round src dst : int)
-  let add_deliver t round src dst = ignore (put t Delivered round src dst : int)
+  (* A run of [kind] ([Sent_run], [Omitted_run] or [Delivered_run];
+     [bits] and [hint] for [Sent_run] only) from its [k]th event on,
+     keeping its newest [capacity]; a run of one is stored as its single
+     event. *)
+  let add_run t kind round src ~lo ~hi ~skip ~desc ~bits ~hint =
+    let size = Run.size ~lo ~hi ~skip in
+    let k = max 0 (size - capacity t) in
+    let first = Run.nth ~lo ~hi ~skip ~desc k in
+    if size - k = 1 then
+      match kind with
+      | Sent_run -> add_send t round src first bits hint
+      | Omitted_run -> ignore (claim t Omitted ~e:1 ~s:1 round src first : int)
+      | _ -> ignore (claim t Delivered ~e:1 ~s:1 round src first : int)
+    else if size > 1 then begin
+      let sent = kind = Sent_run in
+      let kind = if sent && Option.is_some hint then Sent_hinted_run else kind in
+      let i =
+        claim t kind ~e:(size - k) ~s:(if sent then 2 else 1) round src first
+      in
+      Array.unsafe_set t.bits i (Run.nth ~lo ~hi ~skip ~desc (size - 1));
+      Array.unsafe_set t.hint i skip;
+      if sent then begin
+        let j = if i + 1 = capacity t then 0 else i + 1 in
+        Array.unsafe_set t.kinds j More;
+        Array.unsafe_set t.bits j bits;
+        Array.unsafe_set t.hint j (match hint with Some h -> h | None -> 0)
+      end
+    end
 
   let add t (e : Event.t) =
     match e with
     | Send { round; src; dst; bits; hint } -> add_send t round src dst bits hint
-    | Omit { round; src; dst } -> add_omit t round src dst
-    | Deliver { round; src; dst } -> add_deliver t round src dst
-    | _ -> t.boxed.(slot t Boxed) <- e
+    | Omit { round; src; dst } -> ignore (claim t Omitted ~e:1 ~s:1 round src dst : int)
+    | Deliver { round; src; dst } ->
+        ignore (claim t Delivered ~e:1 ~s:1 round src dst : int)
+    | _ -> t.boxed.(claim t Boxed ~e:1 ~s:1 0 0 0) <- e
 
-  let get t i : Event.t =
-    let round = t.round.(i) and src = t.src.(i) and dst = t.dst.(i) in
+  (* The single event at [i], or the event of the run at [i] towards
+     [dst]. A run of [Send]s keeps its [bits] and [hint] in slot [i + 1]. *)
+  let get t i dst : Event.t =
+    let round = t.round.(i) and src = t.src.(i) in
+    let j = (i + 1) mod capacity t in
     match t.kinds.(i) with
     | Sent -> Send { round; src; dst; bits = t.bits.(i); hint = None }
     | Sent_hinted ->
         Send { round; src; dst; bits = t.bits.(i); hint = Some t.hint.(i) }
-    | Omitted -> Omit { round; src; dst }
-    | Delivered -> Deliver { round; src; dst }
-    | Boxed -> t.boxed.(i)
+    | Sent_run -> Send { round; src; dst; bits = t.bits.(j); hint = None }
+    | Sent_hinted_run ->
+        Send { round; src; dst; bits = t.bits.(j); hint = Some t.hint.(j) }
+    | Omitted | Omitted_run -> Omit { round; src; dst }
+    | Delivered | Delivered_run -> Deliver { round; src; dst }
+    | Boxed | More -> t.boxed.(i)
 
   (* [f] over the retained events, newest first, each rebuilt just for
      its call: a fold that keeps less than every event (a tail's rounds,
-     its JSON lines) leaves the rest to die young. *)
+     its JSON lines) leaves the rest to die young. A run goes last event
+     first. *)
   let fold t ~init f =
     let cap = capacity t in
-    let acc = ref init in
-    for k = 1 to t.len do
-      let i = t.next - k in
-      acc := f !acc (get t (if i < 0 then i + cap else i))
+    let acc = ref init and k = ref t.used in
+    while !k > 0 do
+      let i = (t.head + !k - 1) mod cap in
+      let i = if t.kinds.(i) = More then (i + cap - 1) mod cap else i in
+      (match t.kinds.(i) with
+      | Sent_run | Sent_hinted_run | Omitted_run | Delivered_run ->
+          let a = t.dst.(i) and b = t.bits.(i) in
+          Run.iter ~lo:(min a b) ~hi:(max a b) ~skip:t.hint.(i) ~desc:(a < b)
+            (fun dst -> acc := f !acc (get t i dst))
+      | Boxed | Sent | Sent_hinted | Omitted | Delivered | More ->
+          acc := f !acc (get t i t.dst.(i)));
+      k := (i + cap - t.head) mod cap
     done;
     !acc
 
@@ -452,8 +623,20 @@ module Ring = struct
       send =
         (fun ~round ~src ~dst ~bits ~hint ->
           add_send t round src dst bits hint);
-      omit = (fun ~round ~src ~dst -> add_omit t round src dst);
-      deliver = (fun ~round ~src ~dst -> add_deliver t round src dst);
+      omit =
+        (fun ~round ~src ~dst ->
+          ignore (claim t Omitted ~e:1 ~s:1 round src dst : int));
+      deliver =
+        (fun ~round ~src ~dst ->
+          ignore (claim t Delivered ~e:1 ~s:1 round src dst : int));
+      sends =
+        (fun ~round ~src ~lo ~hi ~skip ~desc ~bits ~hint ->
+          add_run t Sent_run round src ~lo ~hi ~skip ~desc ~bits ~hint);
+      fates =
+        (fun ~round ~src ~lo ~hi ~skip ~desc ~omitted ->
+          add_run t
+            (if omitted then Omitted_run else Delivered_run)
+            round src ~lo ~hi ~skip ~desc ~bits:0 ~hint:None);
       close = ignore;
       messages = true;
     }

@@ -14,9 +14,10 @@
     - {b deterministic}: events carry no timestamps, so two runs with the
       same seed produce byte-identical traces at any [--jobs] width
       (wall-clock lives only in {!Metrics}, outside the event stream).
-    - {b bounded capture}: {!Ring} / {!Tail} keep the last K rounds in a
-      preallocated buffer, cheap enough to leave on for every supervised
-      run so quarantine records ship with their trace tail. *)
+    - {b bounded capture}: {!Ring} / {!Tail} keep the newest events of
+      the last K rounds in a preallocated buffer, a broadcast's runs at
+      O(1) each, cheap enough to leave on for every supervised run so
+      quarantine records ship with their trace tail. *)
 
 module Event : sig
   (** One engine event. [round] is 1-based; counters in [Round_end] are the
@@ -32,7 +33,10 @@ module Event : sig
       in for it when the link loses the message); and a [Round_end]
       carrying the round's metric deltas. The stream is a pure function of
       the run's inputs, with no timestamps, so equal-seed runs produce
-      identical traces.
+      identical traces. The engine hands a broadcast segment's [Send]
+      events, and each stretch of its [Omit] or [Deliver] events, to a
+      sink as one run ({!Sink.sends}, {!Sink.fates}): the stream is the
+      same, and a sink that stores runs ({!Ring}) pays O(1) per run.
 
       The events marked {e message-level} below ({!is_message}) are one per
       message or per link attempt; the rest are {e round-level}. A sink
@@ -104,6 +108,20 @@ module Event : sig
       order and whitespace are free); [None] for anything else. *)
 end
 
+(** A run of message-level events: one event per destination of [lo ..
+    hi] but [skip] (a [skip] outside the range skips nothing), ascending,
+    or descending when [desc]. The engine reports a broadcast segment's
+    [Send] events as one run, and each stretch of its destinations that
+    share a verdict ([Omit] or [Deliver]) as another; every sink that
+    expands a run expands it through {!iter}. *)
+module Run : sig
+  val size : lo:int -> hi:int -> skip:int -> int
+  (** The number of events. *)
+
+  val iter : lo:int -> hi:int -> skip:int -> desc:bool -> (int -> unit) -> unit
+  (** [f dst] for each destination, in the run's order. *)
+end
+
 (** A pluggable event consumer. A sink is message-level or round-level
     (see {!Event}); the level is a property of how the sink was built. *)
 module Sink : sig
@@ -112,8 +130,10 @@ module Sink : sig
   val make : emit:(Event.t -> unit) -> close:(unit -> unit) -> t
   (** A message-level sink, as are {!memory}, {!file} and the
       {!Ring} and {!Tail} sinks. Its {!send}, {!omit} and {!deliver}
-      build the event and pass it to [emit], so [emit] sees every event
-      whichever entry point the producer used. *)
+      build the event and pass it to [emit], and its {!sends} and
+      {!fates} one event per destination of the run, in {!Run.iter}
+      order, so [emit] sees every event, in the same order, whichever
+      entry point the producer used. *)
 
   val emit : t -> Event.t -> unit
 
@@ -133,6 +153,21 @@ module Sink : sig
   (** [emit s (Deliver { round; src; dst })], field-wise, bound as
       {!send}. *)
 
+  val sends :
+    t -> round:int -> src:int -> lo:int -> hi:int -> skip:int -> desc:bool ->
+    bits:int -> hint:int option -> unit
+  (** The [Send] events of one run ({!Run}), all with [bits] and [hint]:
+      [send] for each destination in {!Run.iter} order, bound as {!send}.
+      The engine reports each broadcast segment's [Send] events this
+      way, so a sink that stores runs pays one call per segment. *)
+
+  val fates :
+    t -> round:int -> src:int -> lo:int -> hi:int -> skip:int -> desc:bool ->
+    omitted:bool -> unit
+  (** The [Omit] events ([omitted]) or [Deliver] events of one run:
+      {!omit} or {!deliver} for each destination in {!Run.iter} order,
+      bound as {!send}. *)
+
   val close : t -> unit
 
   val messages : t -> bool
@@ -142,11 +177,14 @@ module Sink : sig
   (** Round-level: it consumes nothing. *)
 
   val rounds : t -> t
-  (** The sink fed only the round-level events; round-level. Its {!send},
-      {!omit} and {!deliver} do nothing. *)
+  (** The sink fed only the round-level events; round-level. Its
+      message-level entry points do nothing. *)
 
   val tee : t -> t -> t
-  (** Message-level when either side is. *)
+  (** Message-level when either side is. Round-level events go to both
+      sides, and message-level calls (per event or per run) only to the
+      sides that are message-level: a tee of a tail and a round-level
+      metrics sink pays one call per message-level event or run. *)
 
   val memory : unit -> t * (unit -> Event.t list)
   (** In-memory sink for tests: the second component returns the events
@@ -158,30 +196,40 @@ module Sink : sig
       and closes the file, and a second [close] does nothing. *)
 end
 
-(** Preallocated event ring: O(1) add, keeps the newest [capacity] events,
-    allocates only at creation. [Send], [Omit] and [Deliver] are stored as
-    immediates, a kind and five int columns per slot, and rebuilt by
-    {!to_list}: lossless for every int and for [hint = None]. Storing one
-    allocates nothing, through {!add} or the sink's field-wise entry
-    points. Every other event is stored as the value it was added as. *)
+(** Preallocated event ring: keeps the newest [capacity] events, allocates
+    only at creation. A single [Send], [Omit] or [Deliver] is stored as
+    immediates, a kind and five int columns per slot, and a run
+    ({!Sink.sends}, {!Sink.fates}) as one slot ([Omit]/[Deliver]) or two
+    ([Send]) in the same columns, whatever its length; {!to_list} rebuilds
+    the events, losslessly for every int and for [hint = None]. Storing
+    one allocates nothing and costs amortized O(1), through {!add} or the
+    sink's field-wise and run entry points. Every other event is stored as the
+    value it was added as. The ring evicts from its oldest end, a run
+    event by event: a run may be partly evicted, and one longer than the
+    ring keeps its newest [capacity] events. *)
 module Ring : sig
   type t
 
   val create : capacity:int -> t
   val capacity : t -> int
+
   val length : t -> int
+  (** Events retained, at most [capacity]. *)
+
   val add : t -> Event.t -> unit
 
   val to_list : t -> Event.t list
   (** Oldest first. *)
 
   val sink : t -> Sink.t
-  (** Message-level; its field-wise entry points write the columns
-      directly. *)
+  (** Message-level; its field-wise and run entry points write the
+      columns directly. *)
 end
 
 (** Last-K-rounds capture over a {!Ring} — what quarantine records ship
-    with. *)
+    with. The ring bounds it by events, not rounds: a round with more
+    events than [capacity] (a broadcast round at n above about 90, at the
+    default capacity) leaves only its newest events. *)
 module Tail : sig
   type t
 
@@ -193,7 +241,8 @@ module Tail : sig
 
   val events : t -> Event.t list
   (** The retained events of the last [rounds] distinct rounds, oldest
-      first. *)
+      first: at most [capacity] events, so the oldest of those rounds may
+      be cut. *)
 
   val lines : t -> string list
   (** {!events} rendered as JSONL lines. *)

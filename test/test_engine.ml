@@ -162,6 +162,96 @@ let test_compiled_illegal_matches_general () =
         [ Sim.View.Omit_mask mask; Sim.View.Omit_all ])
     [ (module Echo); Consensus.Flood.protocol_buffered cfg ]
 
+(* A checked sender's drop run that reaches a non-faulty destination:
+   the mask alone decides, so the walk checks the run destination by
+   destination and stops at the first illegal one, in mid-run or at its
+   first destination, reporting the legal part before it. Pid 1 (never
+   faulty) drops [dropped] after pids 4-6 are corrupted; its one
+   broadcast a round goes through the round-shared table when wide (pids
+   0-15) and row by row when narrow (pids 2-8), ascending or descending.
+   With a tail or without a sink the run raises the message the
+   per-message predicate route raises, naming the first illegal
+   destination in emission order, and the tail holds the predicate
+   route's events. *)
+let spray ~lo ~hi ~desc : Sim.Protocol_intf.buffered =
+  (module struct
+    type state = { pid : int; input : int; mutable decided : int option }
+    type msg = unit
+
+    let name = "spray"
+    let init _ ~pid ~input = { pid; input; decided = None }
+
+    let step_into _ st ~round ~inbox:_ ~rand:_ ~emit:_ ~emit_all =
+      if round < 3 then emit_all ~lo ~hi ~skip:st.pid ~desc ()
+      else st.decided <- Some st.input;
+      st
+
+    let observe st =
+      { Sim.View.candidate = Some st.input; operative = true; decided = st.decided }
+
+    let msg_bits () = 1
+    let msg_hint () = None
+  end)
+
+let test_illegal_drop_run_traced () =
+  let n = 16 in
+  let cfg = cfg ~n ~t:3 () in
+  let inputs = Array.init n (fun i -> i mod 2) in
+  let cheater dropped =
+    let mask = Bytes.make n '\000' in
+    List.iter (fun d -> Bytes.set mask d '\001') dropped;
+    {
+      Sim.Adversary_intf.name = "run-cheater";
+      create =
+        (fun _ _ _ ->
+          {
+            Sim.View.new_faults = [ 4; 5; 6 ];
+            omit =
+              Masks
+                (fun src ->
+                  if src = 1 then Sim.View.Omit_mask mask else Deliver_all);
+          });
+    }
+  in
+  let raised ?trace proto adversary =
+    try
+      ignore (Sim.Engine.run ?trace proto cfg ~adversary ~inputs);
+      "no exception"
+    with Sim.Engine.Illegal_plan s -> s
+  in
+  List.iter
+    (fun (lo, hi) ->
+      List.iter
+        (fun desc ->
+          List.iter
+            (fun (dropped, first_illegal) ->
+              let proto = spray ~lo ~hi ~desc in
+              let adv = cheater dropped in
+              let what =
+                Printf.sprintf "%d..%d desc=%b drops %s" lo hi desc
+                  (String.concat "," (List.map string_of_int dropped))
+              in
+              let want =
+                Printf.sprintf
+                  "omission between non-faulty 1 -> %d at round 1"
+                  first_illegal
+              in
+              let tail = Trace.Tail.create ~rounds:2 () in
+              let memory, events = Trace.Sink.memory () in
+              Alcotest.(check string) (what ^ ": untraced") want (raised proto adv);
+              Alcotest.(check string) (what ^ ": tail") want
+                (raised ~trace:(Trace.Tail.sink tail) proto adv);
+              Alcotest.(check string) (what ^ ": predicate route") want
+                (raised ~trace:memory proto (Adversary.pointwise adv));
+              Alcotest.(check (list string)) (what ^ ": tail = predicate route")
+                (List.map Trace.Event.to_json (events ()))
+                (Trace.Tail.lines tail))
+            (* the illegal destination in mid-run, then first *)
+            (if desc then [ ([ 3; 4; 5; 6 ], 3); ([ 4; 5; 6; 7 ], 7) ]
+             else [ ([ 4; 5; 6; 7 ], 7); ([ 3; 4; 5; 6 ], 3) ]))
+        [ false; true ])
+    [ (0, n - 1); (2, 8) ]
+
 let test_budget_enforced () =
   let adversary =
     {
@@ -999,6 +1089,8 @@ let test_input_validation () =
 let suite =
   [
     Alcotest.test_case "full delivery and accounting" `Quick test_full_delivery;
+    Alcotest.test_case "a traced drop run raises at its first illegal dst"
+      `Quick test_illegal_drop_run_traced;
     Alcotest.test_case "instance forces no minor collection" `Quick
       test_instance_no_forced_minor;
     Alcotest.test_case "warmed run forces no minor collection" `Quick

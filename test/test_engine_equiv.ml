@@ -437,6 +437,77 @@ let test_route_witness () =
   same_tails ~route:"mask" ~strip:false (check ~messages:true);
   same_tails ~route:"stripped" ~strip:true stripped
 
+(* Tails across sinks, on a grid: every registry protocol at n = 16 and
+   64 under [crash], [splitter], [strike(rnd3,in)] (partial masks, so
+   several runs per broadcast segment), [strike(rnd3,all)] and [random]
+   (the per-message predicate route, so runs of one). A tail fed
+   directly stores each run as a run; one behind a [Sink.make] wrapper
+   gets every run expanded into events; a third is teed with a memory
+   sink and a round-level memory sink. The three must give the same
+   lines, and those lines are the memory sink's last [rounds] rounds
+   among its newest [capacity] events; the round-level sink sees the
+   memory sink's round-level events. *)
+let tail_adversaries =
+  [ "crash"; "splitter"; "strike(rnd3,in)"; "strike(rnd3,all)"; "random" ]
+
+let test_tails_grid () =
+  let rounds = 3 and capacity = 8192 in
+  List.iter
+    (fun entry ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun adversary ->
+              let spec =
+                Run_spec.make ~adversary ~protocol:entry.Harness.Registry.id ~n
+                  ~t_max:(grid_t entry ~n) ~seed:1 ()
+              in
+              let run sink = ignore (Run_spec.execute ~trace:sink spec) in
+              let tail () = Trace.Tail.create ~capacity ~rounds () in
+              let direct = tail () and wrapped = tail () and teed = tail () in
+              let memory, events = Trace.Sink.memory () in
+              let round_level, round_events = Trace.Sink.memory () in
+              run (Trace.Tail.sink direct);
+              run
+                (Trace.Sink.make
+                   ~emit:(Trace.Sink.emit (Trace.Tail.sink wrapped))
+                   ~close:ignore);
+              run
+                (Trace.Sink.tee
+                   (Trace.Sink.rounds round_level)
+                   (Trace.Sink.tee memory (Trace.Tail.sink teed)));
+              let all = events () in
+              let cut = List.length all - capacity in
+              let newest = List.filteri (fun i _ -> i >= cut) all in
+              let last = List.fold_left (fun r e -> max r (Trace.Event.round e)) 0 newest in
+              let model =
+                List.filter_map
+                  (fun e ->
+                    if Trace.Event.round e > last - rounds then
+                      Some (Trace.Event.to_json e)
+                    else None)
+                  newest
+              in
+              let what = Run_spec.to_string spec in
+              let lines = Trace.Tail.lines direct in
+              Alcotest.(check bool) (what ^ ": tail holds events") true (lines <> []);
+              Alcotest.(check (list string)) (what ^ ": direct tail = memory model")
+                model lines;
+              Alcotest.(check (list string)) (what ^ ": wrapped tail = direct")
+                lines (Trace.Tail.lines wrapped);
+              Alcotest.(check (list string)) (what ^ ": teed tail = direct")
+                lines (Trace.Tail.lines teed);
+              Alcotest.(check (list string)) (what ^ ": round-level side")
+                (List.filter_map
+                   (fun e ->
+                     if Trace.Event.is_message e then None
+                     else Some (Trace.Event.to_json e))
+                   all)
+                (List.map Trace.Event.to_json (round_events ())))
+            tail_adversaries)
+        [ 16; 64 ])
+    Harness.Registry.all
+
 let suite =
   List.map
     (fun entry ->
@@ -448,6 +519,8 @@ let suite =
   @ [
       Alcotest.test_case "every sink keeps the fast route" `Quick
         test_route_witness;
+      Alcotest.test_case "tails agree across sinks on a registry grid" `Quick
+        test_tails_grid;
       Alcotest.test_case "registry grids match golden digests" `Quick test_golden;
       Alcotest.test_case "sparse-expander Core runs match golden digests" `Quick
         test_sparse_golden;

@@ -278,6 +278,113 @@ let test_ring_bounds () =
       expect_last cap (Trace.Tail.events tail))
     [ 1; 5; List.length every_event; List.length every_event + 3; 64 ]
 
+(* Runs against their expansion: a ring (and a tail over one) fed
+   boxed events, single message events and runs must hold what a ring
+   fed each run's events one by one, through a [Sink.make] wrapper,
+   holds; and both hold the newest [capacity] events of the stream.
+   Runs have random bounds, skips (inside, at the ends and outside the
+   range), directions and lengths up to several times the capacity, so
+   eviction cuts runs at every offset, and a cut run of [Send]s can fall
+   to one event. *)
+type ring_op =
+  | Boxed of int
+  | One of Trace.Event.t
+  | Sends of int * int * int * int * int * bool * int * int option
+  | Fates of int * int * int * int * int * bool * bool
+
+let ring_op =
+  QCheck.Gen.(
+    let run =
+      map3
+        (fun (round, src) (lo, span) (skip, desc) ->
+          (round, src, lo, lo + span - 1, lo + skip, desc))
+        (pair (int_range 1 6) (int_range 0 9))
+        (pair (int_range 0 20) (int_range 0 90))
+        (pair (int_range (-2) 92) bool)
+    in
+    frequency
+      [
+        (2, map (fun r -> Boxed r) (int_range 1 6));
+        ( 2,
+          map3
+            (fun round (src, dst) kind ->
+              One
+                (match kind with
+                | 0 -> Trace.Event.Send { round; src; dst; bits = 3; hint = None }
+                | 1 -> Send { round; src; dst; bits = 5; hint = Some dst }
+                | 2 -> Omit { round; src; dst }
+                | _ -> Deliver { round; src; dst }))
+            (int_range 1 6)
+            (pair (int_range 0 9) (int_range 0 9))
+            (int_range 0 3) );
+        ( 3,
+          map2
+            (fun (round, src, lo, hi, skip, desc) hint ->
+              Sends (round, src, lo, hi, skip, desc, 1 + src, hint))
+            run
+            (opt (int_range (-3) 3)) );
+        ( 3,
+          map2
+            (fun (round, src, lo, hi, skip, desc) omitted ->
+              Fates (round, src, lo, hi, skip, desc, omitted))
+            run bool );
+      ])
+
+let show_ring_op = function
+  | Boxed r -> Printf.sprintf "boxed(round %d)" r
+  | One e -> Trace.Event.to_json e
+  | Sends (round, src, lo, hi, skip, desc, bits, hint) ->
+      Printf.sprintf "sends(r%d s%d %d..%d skip %d desc %b bits %d hint %s)"
+        round src lo hi skip desc bits
+        (match hint with Some h -> string_of_int h | None -> "-")
+  | Fates (round, src, lo, hi, skip, desc, omitted) ->
+      Printf.sprintf "fates(r%d s%d %d..%d skip %d desc %b omitted %b)" round
+        src lo hi skip desc omitted
+
+let feed sink = function
+  | Boxed round -> Trace.Sink.emit sink (Round_start { round })
+  | One e -> field_wise sink e
+  | Sends (round, src, lo, hi, skip, desc, bits, hint) ->
+      Trace.Sink.sends sink ~round ~src ~lo ~hi ~skip ~desc ~bits ~hint
+  | Fates (round, src, lo, hi, skip, desc, omitted) ->
+      Trace.Sink.fates sink ~round ~src ~lo ~hi ~skip ~desc ~omitted
+
+(* [sink] behind a wrapper that sees (and forwards) one event at a time *)
+let expanded sink =
+  Trace.Sink.make ~emit:(Trace.Sink.emit sink) ~close:(fun () -> ())
+
+let qcheck_ring_runs =
+  QCheck.Test.make ~name:"ring fed by runs = ring fed per event" ~count:400
+    (QCheck.make
+       ~print:(fun (cap, rounds, ops) ->
+         Printf.sprintf "capacity %d, rounds %d: %s" cap rounds
+           (String.concat "; " (List.map show_ring_op ops)))
+       QCheck.Gen.(
+         triple (int_range 1 64) (int_range 1 4) (list_size (int_range 0 30) ring_op)))
+    (fun (capacity, rounds, ops) ->
+      let by_runs = Trace.Ring.create ~capacity
+      and by_events = Trace.Ring.create ~capacity in
+      let tail = Trace.Tail.create ~capacity ~rounds ()
+      and tail' = Trace.Tail.create ~capacity ~rounds () in
+      let memory, events = Trace.Sink.memory () in
+      List.iter
+        (fun op ->
+          feed (Trace.Ring.sink by_runs) op;
+          feed (expanded (Trace.Ring.sink by_events)) op;
+          feed (Trace.Tail.sink tail) op;
+          feed (expanded (Trace.Tail.sink tail')) op;
+          feed memory op)
+        ops;
+      let all = events () in
+      let cut = List.length all - capacity in
+      let newest = List.filteri (fun i _ -> i >= cut) all in
+      let json = List.map Trace.Event.to_json in
+      json (Trace.Ring.to_list by_runs) = json (Trace.Ring.to_list by_events)
+      && json (Trace.Ring.to_list by_runs) = json newest
+      && Trace.Ring.length by_runs = Trace.Ring.length by_events
+      && Trace.Ring.length by_runs = List.length newest
+      && Trace.Tail.lines tail = Trace.Tail.lines tail')
+
 let test_tail_last_rounds () =
   let _, events = traced_run ~adversary:(omission_adversary ()) () in
   let tail = Trace.Tail.create ~rounds:2 () in
@@ -500,6 +607,8 @@ let suite =
       test_ring_bounds;
     Alcotest.test_case "tail keeps exactly the last K rounds" `Quick
       test_tail_last_rounds;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0x7a11 |])
+      qcheck_ring_runs;
     Alcotest.test_case "diff: identical traces" `Quick test_diff_identical;
     Alcotest.test_case "diff: pinpoints the first mutated event" `Quick
       test_diff_mutated;
