@@ -231,9 +231,9 @@ let () =
           ("writes", Bench_util.Out.I st.Cache.Stats.writes);
           ("entries", Bench_util.Out.I (Cache.Store.entries s));
         ];
-      Printf.printf "\ncache: %s (%d entries in %s%s)\n"
+      Printf.printf "\ncache: %s (%d entries in %s, fingerprint %s%s)\n"
         (Fmt.str "%a" Cache.Stats.pp st)
-        (Cache.Store.entries s) (Cache.Store.dir s)
+        (Cache.Store.entries s) (Cache.Store.dir s) (Cache.Store.fingerprint s)
         (match Cache.Store.corrupt s with
         | 0 -> ""
         | c -> Printf.sprintf ", %d corrupt dropped" c);

@@ -140,8 +140,9 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
   (match store with
   | None -> ()
   | Some st ->
-      Fmt.pr "cache: %a (%d entries in %s)@." Cache.Stats.pp
-        (Cache.Store.stats st) (Cache.Store.entries st) (Cache.Store.dir st);
+      Fmt.pr "cache: %a (%d entries in %s, fingerprint %s)@." Cache.Stats.pp
+        (Cache.Store.stats st) (Cache.Store.entries st) (Cache.Store.dir st)
+        (Cache.Store.fingerprint st);
       Cache.Store.close st);
   if !failures > 0 then exit 1
 
@@ -207,8 +208,9 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
   (match store with
   | None -> ()
   | Some st ->
-      Fmt.pr "fuzz: cache %a (%d entries in %s)@." Cache.Stats.pp
-        (Cache.Store.stats st) (Cache.Store.entries st) (Cache.Store.dir st);
+      Fmt.pr "fuzz: cache %a (%d entries in %s, fingerprint %s)@."
+        Cache.Stats.pp (Cache.Store.stats st) (Cache.Store.entries st)
+        (Cache.Store.dir st) (Cache.Store.fingerprint st);
       Cache.Store.close st);
   match result with
   | Ok stats ->

@@ -4,12 +4,12 @@
     observations ({!Sim.View.obs}: candidate bit, operative flag, decided
     flag, coin usage this round) and the pending messages
     ([iter_envelopes]), and returns corruptions and omissions. Structured
-    strategies are {!Strategy} terms, compiled to per-sender masks; the
-    vote splitter is hand-written, and so are the randomized ones, whose
-    per-message draw order is observable and needs a predicate. The
-    engine enforces legality (budget, omissions only at faulty
-    endpoints), so strategies here express intent and stay within
-    [t_max] themselves. *)
+    strategies are {!Strategy} terms, compiled to per-sender masks, or to
+    a per-message predicate in a round whose [Flip] coins draw in message
+    order: [random] is the term [strike(rnd<n>,p70)]. Only the vote
+    splitter and the test-only [chaotic] are hand-written. The engine
+    enforces legality (budget, omissions only at faulty endpoints), so
+    strategies here express intent and stay within [t_max] themselves. *)
 
 module Strategy = Strategy
 
@@ -22,50 +22,19 @@ let crash_schedule schedule =
          Strategy.Both (From (r, Strike (Pids pids, Out)), rest))
        schedule Idle)
 
-(* Omit each message with an endpoint marked in [faulty_b] independently
-   with probability [p]. A predicate, not masks: it draws one random float
-   per such message, and that draw order is part of the observable
-   bit-stream. *)
-let coin_at_faulty faulty_b rand p =
-  Sim.View.Predicate
-    (fun src dst ->
-      (Bytes.get faulty_b src <> '\000' || Bytes.get faulty_b dst <> '\000')
-      && Sim.Rand.chance rand p)
-
 (** Corrupt [t_max] processes chosen uniformly at round 1, then omit each of
-    their incident messages independently with probability [p_omit] — noisy
-    but non-strategic omissions. The term [strike(rnd<n>,p<100 p_omit>)]
-    plays the same run event for event, but its compiled predicate walks
-    the round's strikes on every call: flood at n = 1024, t = 8, p = 0.5
-    ran in 25.6–26.7 ms under the term against 14.0–14.7 ms under this
-    one (engine time, best of 5, shared 2-vCPU container), so the name [random] and the benchmark's pointwise flood stay on
-    this hand-written one. *)
+    their incident messages independently with probability [p_omit]: the
+    term [strike(rnd<n>,p<100 p_omit>)] under this name. *)
 let random_omission ~p_omit =
-  {
-    Sim.Adversary_intf.name = Printf.sprintf "random-omission(p=%.2f)" p_omit;
-    create =
-      (fun cfg rand ->
-        (* byte-per-pid snapshot of the fault set: the predicate below runs
-           once per (src, dst) pair, so probing a Hashtbl there was the
-           hottest lookup in randomized runs *)
-        let faulty_b = Bytes.make cfg.Sim.Config.n '\000' in
-        let chosen = ref false in
-        fun _view ->
-          let new_faults =
-            if !chosen then []
-            else begin
-              chosen := true;
-              let perm = Array.init cfg.Sim.Config.n (fun i -> i) in
-              Sim.Rand.shuffle rand perm;
-              let victims =
-                Array.to_list (Array.sub perm 0 cfg.Sim.Config.t_max)
-              in
-              List.iter (fun pid -> Bytes.set faulty_b pid '\001') victims;
-              victims
-            end
-          in
-          { Sim.View.new_faults; omit = coin_at_faulty faulty_b rand p_omit });
-  }
+  let pct = Float.to_int (Float.round (p_omit *. 100.)) in
+  if pct < 0 || pct > 100 || float_of_int pct /. 100. <> p_omit then
+    Printf.ksprintf invalid_arg
+      "random_omission: p_omit = %g is not a whole percent in [0, 1]" p_omit;
+  let name = Printf.sprintf "random-omission(p=%.2f)" p_omit in
+  let compile (cfg : Sim.Config.t) =
+    Strategy.compile ~name (Strike (Random cfg.n, Flip pct))
+  in
+  { Sim.Adversary_intf.name; create = (fun cfg -> (compile cfg).create cfg) }
 
 let group_killer ?(group = 0) () =
   Strategy.compile
@@ -239,14 +208,16 @@ let standard_suite ~n =
     random live process (while budget lasts), and omit every message at a
     faulty endpoint independently with probability [omit_rate]. Driven by
     the adversary's private seed — the random-exploration strategy the
-    property-based tests sweep. *)
+    property-based tests sweep. It is hand-written because no term says
+    it: a strike's target is drawn every active round or never, not on a
+    per-round corruption coin, and [Random 1] shuffles every live pid
+    where this draws one [int_below]. *)
 let chaotic ?(corrupt_rate = 0.3) ?(omit_rate = 0.5) () =
   {
     Sim.Adversary_intf.name = "chaotic";
     create =
       (fun cfg rand ->
-        (* byte-per-pid fault flags instead of a Hashtbl probe per message
-           pair (see random_omission) *)
+        (* byte-per-pid fault flags: the predicate runs once per message *)
         let faulty_b = Bytes.make cfg.Sim.Config.n '\000' in
         fun view ->
           let new_faults =
@@ -254,22 +225,22 @@ let chaotic ?(corrupt_rate = 0.3) ?(omit_rate = 0.5) () =
               view.Sim.View.faults_used < cfg.Sim.Config.t_max
               && Sim.Rand.chance rand corrupt_rate
             then begin
-              let live = ref [] in
-              for pid = cfg.Sim.Config.n - 1 downto 0 do
-                if not view.faulty.(pid) then live := pid :: !live
-              done;
-              match !live with
-              | [] -> []
-              | l ->
-                  let arr = Array.of_list l in
-                  let victim = arr.(Sim.Rand.int_below rand (Array.length arr)) in
-                  Bytes.set faulty_b victim '\001';
-                  [ victim ]
+              (* fewer than t_max < n faults: some pid is live *)
+              let live = List.init cfg.n Fun.id in
+              let live = List.filter (fun p -> not view.faulty.(p)) live in
+              let i = Sim.Rand.int_below rand (List.length live) in
+              let victim = List.nth live i in
+              Bytes.set faulty_b victim '\001';
+              [ victim ]
             end
             else []
           in
-          let omit = coin_at_faulty faulty_b rand omit_rate in
-          { Sim.View.new_faults; omit });
+          let omit src dst =
+            (Bytes.get faulty_b src <> '\000'
+            || Bytes.get faulty_b dst <> '\000')
+            && Sim.Rand.chance rand omit_rate
+          in
+          { Sim.View.new_faults; omit = Predicate omit });
   }
 
 (** [pointwise a]: [a] with every plan's omissions decoded into a

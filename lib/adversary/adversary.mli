@@ -16,10 +16,11 @@ val crash_schedule : (int * int list) list -> Sim.Adversary_intf.t
 
 val random_omission : p_omit:float -> Sim.Adversary_intf.t
 (** Corrupt [t_max] uniformly-chosen processes at round 1, then omit each
-    of their incident messages independently with probability [p_omit].
-    [strike(rnd<n>,p<100 p_omit>)] is the same run as a term; this
-    hand-written predicate runs it in a little over half the time, so the
-    name [random] and the benchmark's pointwise flood use it. *)
+    of their incident messages independently with probability [p_omit]:
+    the term [strike(rnd<n>,p<100 p_omit>)], named
+    [random-omission(p=<p_omit>)]. The name [random] is [p_omit = 0.7].
+    Raises [Invalid_argument] unless [p_omit] is a whole percent in
+    [0, 1]. *)
 
 val group_killer : ?group:int -> unit -> Sim.Adversary_intf.t
 (** Corrupt a majority of one sqrt-decomposition group (contiguous pids)
@@ -68,7 +69,8 @@ val chaotic :
   ?corrupt_rate:float -> ?omit_rate:float -> unit -> Sim.Adversary_intf.t
 (** Chaos monkey: random corruptions over time and random per-message
     omissions at faulty endpoints — the strategy the property-based tests
-    sweep over seeds. *)
+    sweep over seeds. Hand-written: its per-round corruption coin and
+    single-victim draw are not a {!Strategy} term. *)
 
 val pointwise : Sim.Adversary_intf.t -> Sim.Adversary_intf.t
 (** The same strategy with every plan's omissions decoded into a

@@ -4,8 +4,10 @@
     printed and re-parsed for replay, and compiled to a legal
     {!Sim.Adversary_intf.t}. It is the one implementation of every
     structured adversary: the fuzzing harness searches the term space,
-    and [crash_schedule], [staggered_crash], [group_killer] and [eclipse]
-    are fixed terms.
+    and [crash_schedule], [staggered_crash], [group_killer], [eclipse]
+    and [random] ([random_omission]) are fixed terms. A round whose only
+    strike with victims is a [Flip] compiles to the predicate a
+    hand-written coin adversary would be: two byte tests, then one coin.
 
     Legality is by construction: a compiled strike keeps a private victim
     set, only ever corrupts within the remaining budget, and only omits
@@ -306,8 +308,10 @@ let rec shrink = function
    other drops give a sender masks of their own, OR-ed together when
    there are several. A round in which a [Flip] strike has victims is a
    predicate instead: its coin per message is drawn in the engine's
-   message order, and that draw order is observable. Every n-byte buffer
-   is allocated once, when the adversary is created. *)
+   message order, and that draw order is observable. Every strike with
+   victims is asked, so a message at the victims of two [Flip] strikes
+   may draw two coins. Every n-byte buffer is allocated once, when the
+   adversary is created. *)
 
 type state = {
   target : target;
@@ -321,6 +325,7 @@ type state = {
          holders of [b]; [Link v]: [v]; [Local]: the members of every
          group holding a victim; otherwise empty *)
   mutable groups : int;  (* [Local]: groups holding a victim *)
+  coin : float;  (* [Flip p]: p / 100, the chance a coin omits *)
 }
 
 let state n (target, drop) =
@@ -332,8 +337,10 @@ let state n (target, drop) =
     | ToHolders _ | Local -> Bytes.make n '\000'
     | Out | In | All | Flip _ | Intra -> Bytes.empty
   in
+  let coin = match drop with Flip p -> float_of_int p /. 100. | _ -> 0. in
   let victims = Bytes.make n '\000' and claimed = 0 and groups = 0 in
-  { target; drop; victims; claimed; fired = false; active = false; aux; groups }
+  { target; drop; victims; claimed; fired = false; active = false; aux; groups;
+    coin }
 
 (* The strikes of [t] in preorder. *)
 let strikes_of t =
@@ -345,14 +352,6 @@ let strikes_of t =
     | Both (a, b) -> go (go acc a) b
   in
   List.rev (go [] t)
-
-let take k l =
-  let rec go k acc = function
-    | [] -> List.rev acc
-    | _ when k <= 0 -> List.rev acc
-    | x :: tl -> go (k - 1) (x :: acc) tl
-  in
-  go k [] l
 
 let victim st p = Bytes.get st.victims p <> '\000'
 
@@ -370,54 +369,73 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
     let is_live (view : Sim.View.t) pid =
       (not view.faulty.(pid)) && not (List.mem pid !faults)
     in
-    (* the live pids whose observation passes [keep], ascending *)
-    let live (view : Sim.View.t) keep =
-      Array.fold_right
-        (fun o l ->
-          if keep o && is_live view o.Sim.View.pid then o.pid :: l else l)
-        view.obs []
+    (* Corrupt [pid] within the budget; a pid that is already faulty joins
+       the victim set for free (omitting at its edges is legal). *)
+    let claim view st pid =
+      let live = is_live view pid in
+      if Bytes.get st.victims pid = '\000' && ((not live) || !budget > 0)
+      then begin
+        if live then begin
+          decr budget;
+          faults := pid :: !faults
+        end;
+        Bytes.set st.victims pid '\001';
+        st.claimed <- st.claimed + 1;
+        dirty := true
+      end
     in
-    let holders view b = live view (fun o -> o.core.candidate = Some b) in
-    let eval_target (view : Sim.View.t) = function
-      | Pids l -> List.filter (fun p -> p >= 0 && p < n) l
-      | Lowest k -> take k (live view (fun _ -> true))
+    (* [f i pid] for the first [k] live pids, ascending, whose observation
+       passes [keep], [i] counting from 0; returns how many there were *)
+    let live_pids (view : Sim.View.t) k keep f =
+      let found = ref 0 and pid = ref 0 in
+      while !found < k && !pid < n do
+        if keep view.obs.(!pid) && is_live view !pid then begin
+          f !found !pid;
+          incr found
+        end;
+        incr pid
+      done;
+      !found
+    in
+    let count view keep = live_pids view n keep (fun _ _ -> ()) in
+    (* A live pid is never a victim yet, so each claim costs one unit of
+       budget: the walk stops after min(k, budget) of them. *)
+    let claim_first view st k keep =
+      ignore (live_pids view (min k !budget) keep (fun _ p -> claim view st p))
+    in
+    let all _ = true and holds b o = o.Sim.View.core.candidate = Some b in
+    let strike (view : Sim.View.t) st =
+      match st.target with
+      | Pids l -> List.iter (fun p -> if p >= 0 && p < n then claim view st p) l
+      | Lowest k -> claim_first view st k all
       | Random k ->
-          let live = Array.of_list (live view (fun _ -> true)) in
+          (* shuffle every live pid, ascending, whatever k and the budget:
+             the draws do not depend on how many are claimed *)
+          let live = Array.make (count view all) 0 in
+          ignore (live_pids view n all (Array.set live));
           Sim.Rand.shuffle rand live;
-          take k (Array.to_list live)
-      | Flippers k -> take k (live view (fun o -> o.used_randomness))
-      | Holders (b, k) -> take k (holders view b)
+          for i = 0 to min k (min !budget (Array.length live)) - 1 do
+            claim view st live.(i)
+          done
+      | Flippers k -> claim_first view st k (fun o -> o.used_randomness)
+      | Holders (b, k) -> claim_first view st k (holds b)
       | Majority k ->
-          let ones = holders view 1 in
-          if List.length ones >= List.length (holders view 0) then take k ones
-          else take k (holders view 0)
+          let b =
+            if count view (holds 1) >= count view (holds 0) then 1 else 0
+          in
+          claim_first view st k (holds b)
       | Group g ->
           let part = Groups.sqrt_partition n in
           let count = Groups.group_count part in
           let lo, hi = Groups.group part (((g mod count) + count) mod count) in
-          List.init (((hi - lo) / 2) + 1) (( + ) lo)
+          for p = lo to lo + ((hi - lo) / 2) do
+            claim view st p
+          done
       | Senders v ->
-          (* ascending, a sender once per message: claims skip repeats *)
-          let l = ref [] in
+          (* ascending; a sender once per message, its repeats skipped *)
           view.iter_envelopes (fun src dst _ _ ->
-              if dst = v && src <> v && is_live view src then l := src :: !l);
-          List.rev !l
-    in
-    (* Corrupt the targets within the budget; pids that are already faulty
-       join the victim set for free (omitting at their edges is legal). *)
-    let claim view st =
-      List.iter (fun pid ->
-          let live = is_live view pid in
-          if Bytes.get st.victims pid = '\000' && ((not live) || !budget > 0)
-          then begin
-            if live then begin
-              decr budget;
-              faults := pid :: !faults
-            end;
-            Bytes.set st.victims pid '\001';
-            st.claimed <- st.claimed + 1;
-            dirty := true
-          end)
+              if dst = v && src <> v && is_live view src then
+                claim view st src)
     in
     let rebuild () =
       Bytes.fill silent 0 n '\000';
@@ -515,9 +533,8 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
       | In -> victim st dst
       | All -> victim st src || victim st dst
       | Intra -> victim st src && victim st dst
-      | Flip p ->
-          (victim st src || victim st dst)
-          && Sim.Rand.chance rand (float_of_int p /. 100.)
+      | Flip _ ->
+          (victim st src || victim st dst) && Sim.Rand.chance rand st.coin
       | Half | ToHolders _ -> victim st src && Bytes.get st.aux dst <> '\000'
       | Local -> (victim st src || victim st dst) && src / gs = dst / gs
       | Link v -> (victim st src && dst = v) || (src = v && victim st dst)
@@ -534,7 +551,7 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
           end;
           if on && (redo || not st.fired) then begin
             st.fired <- true;
-            claim view st (eval_target view st.target)
+            strike view st
           end;
           key + 1
       | Seq l ->
@@ -559,13 +576,14 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
       end;
       n_shaped := 0;
       scratch_src := -1;
-      let flips = ref false in
+      let asked = ref 0 and flip = ref (-1) in
       for i = 0 to Array.length strikes - 1 do
         let st = strikes.(i) in
-        if st.active && st.claimed > 0 then
+        if st.active && st.claimed > 0 then begin
+          incr asked;
           match st.drop with
           | Out -> ()
-          | Flip _ -> flips := true
+          | Flip _ -> flip := i
           | ToHolders b ->
               (* the view is only valid during this call *)
               Array.iter
@@ -575,9 +593,18 @@ let compile ?(name = "strategy") t : Sim.Adversary_intf.t =
                 view.obs;
               shape st
           | In | All | Intra | Half | Local | Link _ -> shape st
+        end
       done;
       let new_faults = List.rev !faults in
-      if not !flips then { Sim.View.new_faults; omit = Masks verdict }
+      if !flip < 0 then { Sim.View.new_faults; omit = Masks verdict }
+      else if !asked = 1 then
+        (* the one strike asked is a Flip: two byte tests, then its coin *)
+        let { victims; coin; _ } = strikes.(!flip) in
+        let omit src dst =
+          (Bytes.get victims src <> '\000' || Bytes.get victims dst <> '\000')
+          && Sim.Rand.chance rand coin
+        in
+        { new_faults; omit = Predicate omit }
       else
         (* every strike with victims, asked in reverse preorder until one
            omits, so the coins are drawn as they always were *)

@@ -4,7 +4,8 @@
    boundary; what matters is that the address is a pure function of
    (fingerprint, key). *)
 
-let fingerprint = "consensus-cache-v2"
+let format_version = "consensus-cache-v2"
+let fingerprint = format_version ^ "/" ^ Source_digest.digest
 
 module Codec = Codec
 
@@ -104,6 +105,8 @@ module Store = struct
       stats = Stats.zero ();
       lock = Mutex.create ();
     }
+
+  let fingerprint t = t.fingerprint
 
   let digest_key t key =
     Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ key))

@@ -21,12 +21,22 @@
     the moment its task completes, the store is also the checkpoint
     an interrupted campaign resumes from. *)
 
+val format_version : string
+(** The store's format version, the hand-kept part of {!fingerprint}.
+    Bump it when a payload's bytes change (the codec, or what a cached
+    result holds), so an old entry misses instead of counting as
+    corrupt. *)
+
 val fingerprint : string
-(** Code fingerprint mixed into every digest. Bump whenever the engine
-    or a protocol changes semantics: every existing entry silently
-    becomes a miss, which is exactly the invalidation we want. Bump it
-    too when a payload's bytes change, so an old entry misses instead of
-    counting as corrupt. *)
+(** Code fingerprint mixed into every digest: {!format_version}, ["/"],
+    and an MD5 digest, taken at build time, of the [.ml] and [.mli]
+    files of every library a cached result depends on ([lib/sim],
+    [trace], [groups], [expander], [consensus], [adversary], [net],
+    [harness], [stats], [lowerbound], [supervise] and [runspec]). Any
+    edit there, a comment included, makes every existing entry a miss;
+    nothing needs bumping by hand when the engine, a protocol or a
+    lower-bound experiment changes. Code under [bench/] and [bin/] is
+    not digested. *)
 
 module Codec = Codec
 (** The payload codec every cached result goes through. *)
@@ -47,6 +57,9 @@ module Store : sig
       index file stays open in append mode for the store's lifetime;
       there is no truncating mode, because a cache is meant to persist
       across runs. *)
+
+  val fingerprint : t -> string
+  (** The fingerprint the store was opened under. *)
 
   val digest_key : t -> string -> string
   (** Hex digest of [fingerprint ^ "\x00" ^ key] — the content address

@@ -1,8 +1,8 @@
 (* One canonical record per run, one canonical string per record. The
    string is the API: the CLI accepts it (--spec), replay one-liners
    print it, and the cache addresses results by it. Keep the field
-   order and spellings frozen — changing either silently invalidates
-   every existing cache (which is what Cache.fingerprint is for). *)
+   order and spellings frozen — changing either invalidates every
+   existing cache, since Cache.fingerprint digests this file. *)
 
 type t = {
   protocol : string;

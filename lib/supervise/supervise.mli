@@ -267,8 +267,9 @@ module Cached : sig
   (** Content-addressed caching over {!map}. [key] is the caller's
       canonical serialization of everything that determines the result
       (an experiment point string for bench tasks); the store addresses
-      it under [digest(fingerprint, key)], so a code fingerprint bump
-      invalidates everything at once. Only successes are cached. *)
+      it under [digest(fingerprint, key)], so a change to the code the
+      fingerprint digests invalidates everything at once. Only successes
+      are cached. *)
 
   val outcome_to_string : Sim.Engine.outcome -> string
   (** The outcome's cache payload. Its bytes are frozen: golden digests

@@ -169,14 +169,89 @@ let traced_run ~n ~t ~seed adversary =
 let qcheck t =
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 0xadf |]) t
 
+(* [random_omission] is now the term [strike(rnd<n>,p<100 p>)]; the old
+   Hashtbl-probe implementation stays the oracle for it, for the name
+   [random] (p = 0.7) and for the spelled term. *)
 let qcheck_random_omission_snapshot =
   QCheck.Test.make ~name:"random_omission: Bytes probe = old Hashtbl probe"
-    ~count:20
-    QCheck.(pair (int_range 1 1000) (int_range 0 100))
-    (fun (seed, p100) ->
+    ~count:30
+    QCheck.(
+      quad (int_range 1 1000) (int_range 4 64) (int_range 0 100)
+        (int_range 0 1000))
+    (fun (seed, n, p100, t_draw) ->
+      let t = t_draw mod ((n / 3) + 1) in
       let p_omit = float_of_int p100 /. 100. in
-      traced_run ~n:24 ~t:5 ~seed (Adversary.random_omission ~p_omit)
-      = traced_run ~n:24 ~t:5 ~seed (old_random_omission ~p_omit))
+      let old = traced_run ~n ~t ~seed (old_random_omission ~p_omit) in
+      let term = Printf.sprintf "strike(rnd%d,p%d)" n p100 in
+      traced_run ~n ~t ~seed (Adversary.random_omission ~p_omit) = old
+      && traced_run ~n ~t ~seed (Adversary.resolve term) = old
+      && traced_run ~n ~t ~seed (Adversary.resolve "random")
+         = traced_run ~n ~t ~seed (old_random_omission ~p_omit:0.7))
+
+let test_random_omission_whole_percent () =
+  Alcotest.check_raises "p_omit = 0.375 is not a whole percent"
+    (Invalid_argument
+       "random_omission: p_omit = 0.375 is not a whole percent in [0, 1]")
+    (fun () -> ignore (Adversary.random_omission ~p_omit:0.375))
+
+(* --- several Flip strikes: the compiled walk against a hand-written one ---
+
+   A round with more than one strike holding victims asks the strikes in
+   reverse preorder until one omits, so a message at the victims of two
+   [Flip] strikes may draw two coins. [flip_strikes] plays that by hand
+   over fixed pid sets ([Some pct] a Flip strike, [None] an Out strike),
+   all corrupted at round 1 within a budget that covers them. *)
+
+let flip_strikes strikes =
+  {
+    Sim.Adversary_intf.name = "flip-strikes";
+    create =
+      (fun _cfg rand ->
+        let first = ref true in
+        let hit pids src dst = List.mem src pids || List.mem dst pids in
+        let asked = List.rev strikes in
+        fun _view ->
+          let new_faults =
+            if not !first then []
+            else begin
+              first := false;
+              List.fold_left
+                (fun acc (pids, _) ->
+                  acc @ List.filter (fun p -> not (List.mem p acc)) pids)
+                [] strikes
+            end
+          in
+          Sim.View.pointwise ~new_faults ~omit:(fun src dst ->
+              List.exists
+                (fun (pids, drop) ->
+                  match drop with
+                  | None -> List.mem src pids
+                  | Some pct ->
+                      hit pids src dst
+                      && Sim.Rand.chance rand (float_of_int pct /. 100.))
+                asked));
+  }
+
+let qcheck_multi_flip =
+  let cases =
+    [
+      ("both(strike(p0.1.2,p50),strike(p1.2.3,p30))",
+        [ ([ 0; 1; 2 ], Some 50); ([ 1; 2; 3 ], Some 30) ]);
+      ("both(strike(p0.1.2,p40),strike(p1.2.3,p40))",
+        [ ([ 0; 1; 2 ], Some 40); ([ 1; 2; 3 ], Some 40) ]);
+      ("both(strike(p4.5,p70),both(strike(p5.6,p20),strike(p4.6,p90)))",
+        [ ([ 4; 5 ], Some 70); ([ 5; 6 ], Some 20); ([ 4; 6 ], Some 90) ]);
+      ("both(strike(p0.1,out),strike(p1.2,p60))",
+        [ ([ 0; 1 ], None); ([ 1; 2 ], Some 60) ]);
+    ]
+  in
+  QCheck.Test.make ~name:"several Flip strikes = reverse-preorder oracle"
+    ~count:12 (QCheck.int_range 1 1000) (fun seed ->
+      List.for_all
+        (fun (term, strikes) ->
+          traced_run ~n:16 ~t:5 ~seed (Adversary.resolve term)
+          = traced_run ~n:16 ~t:5 ~seed (flip_strikes strikes))
+        cases)
 
 let qcheck_chaotic_snapshot =
   QCheck.Test.make ~name:"chaotic: Bytes probe = old Hashtbl probe" ~count:20
@@ -242,12 +317,15 @@ let suite =
     Alcotest.test_case "random omission budget" `Quick
       test_random_omission_budget;
     Alcotest.test_case "random omission p=0" `Quick test_random_omission_zero_p;
+    Alcotest.test_case "random omission takes whole percents" `Quick
+      test_random_omission_whole_percent;
     Alcotest.test_case "staggered crash rate" `Quick test_staggered_crash_rate;
     Alcotest.test_case "group killer target" `Quick test_group_killer_target;
     Alcotest.test_case "eclipse spares the victim" `Quick
       test_eclipse_targets_victim_links;
     Alcotest.test_case "standard suite" `Quick test_standard_suite_runs;
     qcheck qcheck_random_omission_snapshot;
+    qcheck qcheck_multi_flip;
     qcheck qcheck_chaotic_snapshot;
     qcheck qcheck_mask_route_equals_general;
   ]

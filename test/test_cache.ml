@@ -130,6 +130,26 @@ let test_fingerprint_invalidates () =
         (lookup s1 "k");
       Cache.Store.close s1)
 
+(* the default fingerprint is the format version plus the build-time
+   digest of the sources that decide a run, and every store opened
+   without one (run, fuzz and bench alike) is addressed under it *)
+let test_fingerprint_is_derived () =
+  let prefix = Cache.format_version ^ "/" in
+  let fp = Cache.fingerprint in
+  let p = String.length prefix in
+  Alcotest.(check string) "format version first" prefix (String.sub fp 0 p);
+  let digest = String.sub fp p (String.length fp - p) in
+  Alcotest.(check int) "an MD5 hex digest" 32 (String.length digest);
+  String.iter
+    (fun c ->
+      if not (String.contains "0123456789abcdef" c) then
+        Alcotest.failf "not hex: %S" digest)
+    digest;
+  with_store (fun _dir open_ ->
+      let s = open_ () in
+      Alcotest.(check string) "default store" fp (Cache.Store.fingerprint s);
+      Cache.Store.close s)
+
 let test_concurrent_writers () =
   with_store (fun _dir open_ ->
       let s = open_ () in
@@ -420,7 +440,7 @@ let test_run_spec_roundtrip () =
       | Error e -> Alcotest.failf "of_string rejected %S: %s" s e)
     specs;
   (* the canonical string is frozen: a change here invalidates every
-     existing cache, so it must be deliberate (bump Cache.fingerprint) *)
+     existing cache, so it must be deliberate *)
   Alcotest.(check string)
     "frozen format"
     "p=optimal n=31 t=1 x=- seed=7 a=random i=ones wall=- rounds=- msgs=- \
@@ -720,6 +740,8 @@ let suite =
       test_torn_payload_self_repair;
     Alcotest.test_case "fingerprint bump invalidates" `Quick
       test_fingerprint_invalidates;
+    Alcotest.test_case "fingerprint derives from the sources" `Quick
+      test_fingerprint_is_derived;
     Alcotest.test_case "concurrent writers tear-free" `Quick
       test_concurrent_writers;
     Alcotest.test_case "hit = recompute, whole registry" `Quick
