@@ -164,7 +164,7 @@ let () =
   Bench_util.trace_metrics := !trace;
   Bench_util.trace_tail_rounds := max 0 !trace_tail;
   if !trace_dir <> "" then begin
-    if not (Sys.file_exists !trace_dir) then Sys.mkdir !trace_dir 0o755;
+    Cache.ensure_dir !trace_dir;
     Bench_util.trace_dir := Some !trace_dir
   end;
   let json = if !json = "" then None else Some !json in

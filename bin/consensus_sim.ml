@@ -9,9 +9,6 @@
 
 open Cmdliner
 
-let ensure_dir dir =
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-
 let print_tail lines =
   if lines <> [] then begin
     Fmt.pr "trace tail (last rounds):@.";
@@ -27,7 +24,7 @@ let run_cmd spec0 seeds trace trace_dir trace_tail cache no_cache =
         exit 2
   in
   let module B = (val builder : Sim.Protocol_intf.BUILDER) in
-  Option.iter ensure_dir trace_dir;
+  Option.iter Cache.ensure_dir trace_dir;
   let store =
     Run_spec.Cli.store_of_flags ~resume:false ~json:None ~cache ~no_cache ()
   in
@@ -235,7 +232,7 @@ let fuzz_cmd count seed max_n protocol smoke jobs json resume cache no_cache
       Fmt.pr "%a" Conformance.Fuzz.pp_failure f;
       (* quarantine the counterexample with its trace: full trace file +
          last-K-rounds tail on the console and in the JSON record *)
-      ensure_dir trace_dir;
+      Cache.ensure_dir trace_dir;
       let q, path =
         Conformance.Fuzz.quarantine ~tail_rounds:(max 1 trace_tail)
           ~dir:trace_dir f

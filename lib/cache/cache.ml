@@ -9,6 +9,22 @@ let fingerprint = format_version ^ "/" ^ Source_digest.digest
 
 module Codec = Codec
 
+let ensure_dir dir =
+  (* one stat for a directory that exists, as every store open finds *)
+  let rec make d =
+    match Sys.is_directory d with
+    | true -> ()
+    | false -> raise (Sys_error (d ^ ": Not a directory"))
+    | exception Sys_error _ -> (
+        make (Filename.dirname d);
+        (* another process or domain may have made it meanwhile *)
+        try Sys.mkdir d 0o755 with Sys_error _ when Sys.file_exists d -> ())
+  in
+  try make dir
+  with Sys_error e ->
+    Fmt.epr "cannot create directory %s: %s@." dir e;
+    exit 2
+
 module Stats = struct
   type t = { mutable hits : int; mutable misses : int; mutable writes : int }
 
@@ -32,8 +48,6 @@ module Store = struct
   let objects_dir dir = Filename.concat dir "objects"
   let index_path dir = Filename.concat dir "index"
   let object_path t hex = Filename.concat (objects_dir t.dir) hex
-
-  let ensure_dir d = if not (Sys.file_exists d) then Unix.mkdir d 0o755
 
   let is_hex s =
     String.length s > 0

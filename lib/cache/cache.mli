@@ -41,6 +41,11 @@ val fingerprint : string
 module Codec = Codec
 (** The payload codec every cached result goes through. *)
 
+val ensure_dir : string -> unit
+(** [ensure_dir dir] makes directory [dir] and any missing parents. When
+    one cannot be made, or a file stands in the way, it prints one line
+    naming [dir] to stderr and exits 2. *)
+
 module Stats : sig
   type t = { mutable hits : int; mutable misses : int; mutable writes : int }
 
@@ -52,7 +57,8 @@ module Store : sig
   type t
 
   val open_ : ?fingerprint:string -> dir:string -> unit -> t
-  (** Open (creating if needed) the store rooted at [dir]. The index is
+  (** Open the store rooted at [dir], making [dir] and any missing
+      parents with {!ensure_dir} if needed. The index is
       replayed; torn or corrupt lines are skipped and counted. The
       index file stays open in append mode for the store's lifetime;
       there is no truncating mode, because a cache is meant to persist

@@ -23,12 +23,14 @@
     read. One closure-free verdict walk per sender serves both: it asks
     in emission order, checks every omission's legality, reports
     [Omit]/[Deliver] to a message-level sink, and counts the omissions.
-    A sender whose round is pure wide broadcast has its drops written
-    straight into the round-shared broadcast table's masks; any other
-    sender's verdict bytes are then pushed row by row. When the mask
-    alone decides (no predicate, no link), the walk steps over each
-    broadcast segment by runs of destinations the mask treats alike, so
-    a segment costs O(runs), traced or not. A message-level sink only
+    It asks message by message with a predicate or a link; when the
+    mask alone decides, it steps over each broadcast segment by runs of
+    destinations the mask treats alike, so a segment costs O(runs),
+    traced or not. The walk has two writers. A sender whose round is
+    pure wide broadcast has its drops written straight into the
+    round-shared broadcast table's masks, at the destination; any other
+    sender's verdicts are written at each message's rank, then pushed
+    row by row. A message-level sink only
     decides whether [Send]/[Omit]/[Deliver] events are reported, on
     either route.
 
@@ -37,11 +39,12 @@
     whose observation and fault-snapshot arrays are reused across rounds,
     and a single derived random stream reseeded per step. On either
     route the engine allocates nothing per message: a sender is priced by
-    one closure-free {!Mailbox.total_bits}, and its verdict walk is
-    {!Mailbox.rshare} into table entries whose masks come from buffers
-    the table reuses across rounds, or {!Mailbox.deliver_rows}, verdict
-    bytes then a reverse push; an untraced, linkless sender that omits
-    nothing on the mask route skips the walk. The engine's own
+    one closure-free {!Mailbox.total_bits}, and its verdict walk
+    ({!Mailbox.verdicts}) writes either table masks from buffers the
+    table reuses across rounds ({!Mailbox.rshare}) or verdict bytes
+    that a reverse push reads ({!Mailbox.deliver_rows}); an untraced,
+    linkless sender that omits nothing on the mask route skips the
+    walk. The engine's own
     steady-state cost is O(n) words per round (fresh [obs_core]
     observations). Protocols and predicates add what they allocate per
     message record or per call. A message-level sink is handed a
@@ -489,9 +492,10 @@ let instance (module P : Protocol_intf.BUFFERED) (cfg : Config.t) : instance =
          byte or the round's predicate, then the [link] (when one is
          plugged in). A [Lost] verdict is a residual link loss, marked
          '\002': dropped like an omission but not checked against the
-         fault set. A table sender's walk writes its drops into the
-         table's masks ({!Mailbox.rshare}); any other sender's walk
-         writes verdict bytes that a backward push delivers
+         fault set. The walk ({!Mailbox.verdicts}) has two writers: a
+         table sender's drops go into the table's masks
+         ({!Mailbox.rshare}); any other sender's verdict bytes go into
+         a scratch buffer that a backward push delivers
          ({!Mailbox.deliver_rows}), so each inbox comes out sorted by
          sender. The walk returns the sender's omission count:
          [messages_omitted] is counted here alone and never counts a

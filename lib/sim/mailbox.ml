@@ -24,7 +24,13 @@
     The [peer] of a slot is the destination pid for outboxes and the
     source pid for inboxes. Readers must treat a mailbox as valid only for
     the duration of the call that received it: the engine clears and
-    refills these buffers every round. *)
+    refills these buffers every round.
+
+    An outbox is delivered by one verdict walk ({!verdicts}), which asks
+    each message's fate in emission order and has two writers: a table
+    sender's drops go into the round-shared table's masks ({!rshare}),
+    any other sender's fates into bytes that a reverse push reads
+    ({!deliver_rows}). *)
 
 (** Round-shared broadcast table: the engine's alternative to
     materialising one inbox row per (sender, destination) pair. Each entry
@@ -32,7 +38,7 @@
     and an optional per-destination omission mask — appended once by the
     engine's delivery phase and read by {e every} receiver's inbox
     iteration, which filters the table down to the entries covering its
-    own pid. {!rshare} fills it for every plan, its verdict walk writing
+    own pid. {!rshare} fills it for every plan: the verdict walk writes
     each segment's drops straight into a destination-indexed mask from a
     pool the table owns and reuses across rounds. Delivery work per
     broadcast drops from O(destinations) scattered writes to O(1), and
@@ -45,6 +51,18 @@
     and is tested on its range, skip and mask. A receiver's read binds
     the table's arrays once: the table does not change while inboxes
     are read. *)
+
+(* The mask buffers a table owns, reused across rounds: [bufs.(0 ..
+   used - 1)] are taken since the last {!shared_clear}. [drops.(k)]
+   tells what segment [k] of the sender last walked dropped: nothing
+   ([-1]), everything ([-2]), or the destinations marked in
+   [bufs.(drops.(k))]. Ints, so the walk stores no pointer. *)
+type pool = {
+  mutable bufs : Bytes.t array;
+  mutable used : int;
+  mutable drops : int array;
+}
+
 type 'm shared = {
   s_n : int;  (** pids [0 .. n - 1]: the width a full entry covers *)
   mutable s_src : int array;
@@ -57,9 +75,9 @@ type 'm shared = {
       (** [Bytes.empty] = deliver to the whole range; otherwise a
           non-['\000'] byte at [dst] suppresses that destination *)
   mutable s_len : int;
-  mutable s_pool : Bytes.t array;
-      (** mask buffers {!rshare} fills, reused across rounds *)
-  mutable s_pooled : int;  (** pool buffers in use since {!shared_clear} *)
+  s_pool : pool option;
+      (** always [Some]: the mask buffers {!rshare}'s walk fills, named
+          as the walk's argument without allocating *)
 }
 
 type 'm t = {
@@ -95,13 +113,12 @@ let shared_create ~n =
     s_key = [||];
     s_mask = [||];
     s_len = 0;
-    s_pool = [||];
-    s_pooled = 0;
+    s_pool = Some { bufs = [||]; used = 0; drops = [||] };
   }
 
 let shared_clear sh =
   sh.s_len <- 0;
-  sh.s_pooled <- 0
+  match sh.s_pool with Some p -> p.used <- 0 | None -> ()
 
 let shared_grow sh m =
   let cap = Array.length sh.s_lo in
@@ -258,8 +275,8 @@ let push_all t ~lo ~hi ?(skip = -1) ?(desc = false) m =
     with the accumulator of the last entry whose [f] returned. Raise it
     with [raise_notrace]: a protocol that has learned all an inbox can
     tell it skips the rest. Any other exception propagates. The engine's
-    own walks never stop early: neither {!riter} nor the verdict walks
-    ({!verdicts}, {!rshare}) catch it, and the engine refuses it when a
+    own walks never stop early: neither {!riter} nor the verdict walk
+    ({!verdicts}) catches it, and the engine refuses it when a
     predicate, link or sink raises it in a verdict walk. *)
 exception Stop
 
@@ -490,232 +507,181 @@ let[@inline] run_size ~lo ~hi ~skip ~desc d e =
    or [Deliver]s. *)
 let report_run fates ~round ~src ~lo ~hi ~skip ~desc d e drop =
   let a = at_offset ~lo ~hi ~desc d and b = at_offset ~lo ~hi ~desc (e - 1) in
-  fates ~round ~src ~lo:(min a b) ~hi:(max a b) ~skip ~desc ~omitted:drop
+  fates ~round ~src ~lo:(Int.min a b) ~hi:(Int.max a b) ~skip ~desc
+    ~omitted:drop
 
-(* A table-owned mask buffer covering destinations [0 .. width - 1],
-   free until the next {!shared_clear}. Its bytes are stale: the caller
-   writes every destination its entry covers. *)
-let pooled_mask sh ~width =
-  let k = sh.s_pooled in
-  if k = Array.length sh.s_pool then
-    sh.s_pool <- Array.append sh.s_pool (Array.make (max 4 k) Bytes.empty);
-  if Bytes.length sh.s_pool.(k) < width then sh.s_pool.(k) <- Bytes.create width;
-  sh.s_pooled <- k + 1;
-  sh.s_pool.(k)
+(* A mask buffer from a table's [pool] covering destinations [0 .. hi],
+   zeroed on [lo .. hi] and taken until the next {!shared_clear}; its
+   other bytes are stale. *)
+let take_mask pool ~lo ~hi =
+  let p = Option.get pool in
+  let k = p.used in
+  if k = Array.length p.bufs then
+    p.bufs <- Array.append p.bufs (Array.make (max 4 k) Bytes.empty);
+  if Bytes.length p.bufs.(k) <= hi then p.bufs.(k) <- Bytes.create (hi + 1);
+  p.used <- k + 1;
+  Bytes.fill p.bufs.(k) lo (hi - lo + 1) '\000';
+  p.bufs.(k)
 
-(* Reverse the table entries [first .. s_len - 1] in place. *)
-let shared_reverse sh first =
-  let swap a i k =
-    let x = a.(i) in
-    a.(i) <- a.(k);
-    a.(k) <- x
-  in
-  let i = ref first and k = ref (sh.s_len - 1) in
-  while !i < !k do
-    swap sh.s_src !i !k;
-    swap sh.s_msg !i !k;
-    swap sh.s_lo !i !k;
-    swap sh.s_hi !i !k;
-    swap sh.s_key !i !k;
-    swap sh.s_mask !i !k;
-    incr i;
-    decr k
-  done
+(** The verdict walk of a sender [src]: one fate per expanded entry of
+    [t] (a buffer without an attached table), asked in emission order. A
+    message is omitted when [ask] says so (a [Predicate] plan, asked
+    once per message) or, without [ask], when [mask] has a
+    non-['\000'] byte at its destination (['\001']). A message not
+    omitted goes to [link], when there is one, whose [transmit] gets
+    [link_trace] and may lose it (['\002']); otherwise it is delivered
+    (['\000']). [sink] takes the [Omit]/[Deliver] events of [round].
+    When [src] is not [faulty], omitting towards a non-[faulty]
+    destination is illegal. Returns the number of omissions (link
+    losses excluded), or [-1 - dst] for the first illegal omission,
+    towards [dst]: the walk stops there, before writing or reporting
+    it.
 
-(** The verdict walk of a sender [src] delivered through the round-shared
-    table, for a [t] that holds no pointwise slots. It asks each
-    segment's fates in emission order, as {!verdicts} does (by runs when
-    the mask alone decides), counts the omissions, and writes each drop
-    straight into a mask indexed by destination, taken from the table's
-    pool at the segment's first drop that leaves some destination
-    delivered. A segment that drops nothing becomes an unmasked entry;
-    one that drops everything adds no entry; any other becomes an entry
-    with its mask. The sender's entries go in in reverse emission order.
-    A sender with nothing to ask, transmit or report and an empty [mask]
-    skips the walk: every segment becomes an unmasked entry, at O(1) per
-    segment. Returns what {!verdicts} returns; after an illegal omission
-    the sender's entries are partial, and the round must be
-    abandoned. *)
-let rshare t sh ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src =
-  assert (t.len = 0);
-  if silent ~ask ~link ~sink ~mask then begin
-    for k = t.seg_len - 1 downto 0 do
-      shared_push sh ~src ~lo:t.seg_lo.(k) ~hi:t.seg_hi.(k)
-        ~skip:t.seg_skip.(k) ~mask:Bytes.empty t.seg_msg.(k)
-    done;
-    0
-  end
-  else begin
-    let first = sh.s_len in
-    let checked = not faulty.(src) and traced = Option.is_some sink in
-    let by_runs = Option.is_none ask && Option.is_none link in
-    let events = Option.value sink ~default:Trace.Sink.null in
-    let omit = Trace.Sink.omit events and deliver = Trace.Sink.deliver events in
-    let omitted = ref 0 and found = ref (-1) and s = ref 0 in
-    while !found < 0 && !s < t.seg_len do
-      let k = !s in
-      let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
-      let desc = t.seg_desc.(k) in
-      (* the mask is taken from the pool at the segment's first drop,
-         unless that drop is the whole segment *)
-      let out = ref Bytes.empty and total = seg_size ~lo ~hi ~skip in
-      let dropped = ref 0 and d = ref 0 in
-      if not by_runs then
-        while !found < 0 && !d <= hi - lo do
-          let dst = if desc then hi - !d else lo + !d in
-          if dst <> skip then begin
-            let c =
-              fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
-                ~deliver ~mask ~checked ~src dst
-            in
-            if c = '\003' then found := dst
-            else if c <> '\000' then begin
-              if !dropped = 0 then begin
-                out := pooled_mask sh ~width:(hi + 1);
-                Bytes.fill !out lo (hi - lo + 1) '\000'
-              end;
-              Bytes.unsafe_set !out dst c;
-              incr dropped;
-              if c = '\001' then incr omitted
-            end
-          end;
-          incr d
-        done
-      else begin
-        let fates = Trace.Sink.fates events in
-        while !found < 0 && !d <= hi - lo do
-          let dst = at_offset ~lo ~hi ~desc !d in
-          if dst = skip then incr d
-          else begin
-            let e = run_end ~mask ~lo ~hi ~skip ~desc !d in
-            let drop = masked mask dst in
-            let ok =
-              if drop && checked then
-                first_nonfaulty ~faulty ~lo ~hi ~skip ~desc !d e
-              else e
-            in
-            if traced && ok > !d then
-              report_run fates ~round ~src ~lo ~hi ~skip ~desc !d ok drop;
-            if ok < e then found := at_offset ~lo ~hi ~desc ok
-            else if drop then begin
-              let size = run_size ~lo ~hi ~skip ~desc !d e in
-              if Bytes.length !out = 0 && size < total then begin
-                out := pooled_mask sh ~width:(hi + 1);
-                Bytes.fill !out lo (hi - lo + 1) '\000'
-              end;
-              if Bytes.length !out > 0 then begin
-                let b = at_offset ~lo ~hi ~desc (e - 1) in
-                Bytes.fill !out (min dst b) (abs (b - dst) + 1) '\001'
-              end;
-              dropped := !dropped + size;
-              omitted := !omitted + size
-            end;
-            d := e
-          end
-        done
-      end;
-      if Bytes.length !out > 0 && (!found >= 0 || !dropped = total) then
-        sh.s_pooled <- sh.s_pooled - 1
-      else if !found < 0 && !dropped < total then
-        shared_push sh ~src ~lo ~hi ~skip ~mask:!out t.seg_msg.(k);
-      incr s
-    done;
-    shared_reverse sh first;
-    if !found >= 0 then -1 - !found else !omitted
-  end
-
-(** The verdict walk of a sender [src] delivered row by row: one fate per
-    expanded entry of [t] (a buffer without an attached table), asked in
-    emission order and written into [out] at the entry's index in
-    emission order, as {!rdeliver} reads it. A message is omitted when
-    [ask] says so (a [Predicate] plan, asked once per message) or,
-    without [ask], when [mask] has a non-['\000'] byte at its
-    destination (['\001'] in [out]). A message not omitted goes to
-    [link], when there is one, whose [transmit] gets [link_trace] and may
-    lose it (['\002']); otherwise it is delivered (['\000']). [sink]
-    takes the [Omit]/[Deliver] events of [round]. When [src] is not
-    [faulty], omitting towards a non-[faulty] destination is illegal.
-    Returns the number of omissions (link losses excluded), or
-    [-1 - dst] for the first illegal omission, towards [dst]: the walk
-    stops there, before writing or reporting it. Without [ask] and
-    [link], the mask alone decides: each segment is walked by runs of
-    destinations the mask treats alike, each counted, written and
+    With a predicate or a link, the walk asks message by message.
+    Without them the mask alone decides: each segment is walked by runs
+    of destinations the mask treats alike, each counted, written and
     reported ({!Trace.Sink.fates}) whole, and a drop run checked
-    destination by destination; pointwise slots are runs of one. *)
-let verdicts t ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src ~out =
+    destination by destination. A pointwise slot is a segment of one
+    destination.
+
+    The two writers differ only in where a fate goes. A row sender
+    ([pool = None]) writes every fate into [out] at the entry's rank in
+    emission order, as {!rdeliver} reads it. A table sender ([pool] is
+    its table's, and [t] holds no pointwise slot) writes each drop into
+    byte [dst] of a mask taken from [pool] at the segment's first drop
+    that leaves some destination delivered, and records in [pool]'s
+    [drops.(k)] what segment [k] dropped. *)
+let verdicts t ~pool ~out ~faulty ~round ~ask ~link ~link_trace ~sink ~mask
+    ~src =
   let checked = not faulty.(src) and traced = Option.is_some sink in
   let by_runs = Option.is_none ask && Option.is_none link in
+  let table = Option.is_some pool in
   (* the sink's entry points, bound once per walk: applied whole, they
      allocate nothing per message *)
   let events = Option.value sink ~default:Trace.Sink.null in
   let omit = Trace.Sink.omit events and deliver = Trace.Sink.deliver events in
+  let fates = Trace.Sink.fates events in
   let omitted = ref 0 and found = ref (-1) in
   let s = ref 0 and i = ref 0 and at = ref 0 in
-  while !found < 0 && !i <= t.len do
-    while !found < 0 && !s < t.seg_len && t.seg_pos.(!s) <= !i do
-      let k = !s in
-      let lo = t.seg_lo.(k) and hi = t.seg_hi.(k) and skip = t.seg_skip.(k) in
-      let desc = t.seg_desc.(k) in
-      let d = ref 0 in
-      if by_runs then begin
-        let fates = Trace.Sink.fates events in
-        while !found < 0 && !d <= hi - lo do
-          let dst = at_offset ~lo ~hi ~desc !d in
-          if dst = skip then incr d
-          else begin
-            let e = run_end ~mask ~lo ~hi ~skip ~desc !d in
-            let drop = masked mask dst in
-            let ok =
-              if drop && checked then
-                first_nonfaulty ~faulty ~lo ~hi ~skip ~desc !d e
-              else e
-            in
-            if traced && ok > !d then
-              report_run fates ~round ~src ~lo ~hi ~skip ~desc !d ok drop;
+  while !found < 0 && (!s < t.seg_len || !i < t.len) do
+    (* the next segment in emission order: segment [k], which sits just
+       before pointwise slot [seg_pos.(k)], or slot [!i] *)
+    let k = !s in
+    let seg = k < t.seg_len && t.seg_pos.(k) <= !i in
+    let lo = if seg then t.seg_lo.(k) else Array.unsafe_get t.peers !i in
+    let hi = if seg then t.seg_hi.(k) else lo in
+    let skip = if seg then t.seg_skip.(k) else -1 in
+    let desc = seg && t.seg_desc.(k) in
+    let total = seg_size ~lo ~hi ~skip in
+    (* where the segment's fates go, and a table segment's drops: a row
+       sender writes [out] at each entry's rank [!at], a table sender
+       its segment's mask, taken at the first drop, at [dst] *)
+    let buf = ref (if table then Bytes.empty else out) in
+    let dropped = ref 0 and d = ref 0 in
+    if by_runs then
+      while !found < 0 && !d <= hi - lo do
+        let dst = at_offset ~lo ~hi ~desc !d in
+        if dst = skip then incr d
+        else begin
+          let e = run_end ~mask ~lo ~hi ~skip ~desc !d in
+          let drop = masked mask dst in
+          let ok =
+            if drop && checked then
+              first_nonfaulty ~faulty ~lo ~hi ~skip ~desc !d e
+            else e
+          in
+          if traced && ok > !d then
+            report_run fates ~round ~src ~lo ~hi ~skip ~desc !d ok drop;
+          if drop || not table then begin
             let size = run_size ~lo ~hi ~skip ~desc !d ok in
-            Bytes.fill out !at size (if drop then '\001' else '\000');
-            if drop then omitted := !omitted + size;
+            if table && !dropped = 0 && size < total then
+              buf := take_mask pool ~lo ~hi;
+            if ok > !d && Bytes.length !buf > 0 then begin
+              (* a table run's bytes span its destinations, the skip
+                 included *)
+              let b = at_offset ~lo ~hi ~desc (ok - 1) in
+              Bytes.fill !buf
+                (if table then Int.min dst b else !at)
+                (if table then abs (b - dst) + 1 else size)
+                (if drop then '\001' else '\000')
+            end;
             at := !at + size;
-            if ok < e then found := at_offset ~lo ~hi ~desc ok;
-            d := e
-          end
-        done
-      end
-      else
-        while !found < 0 && !d <= hi - lo do
-          let dst = if desc then hi - !d else lo + !d in
-          if dst <> skip then begin
-            let c =
-              fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
-                ~deliver ~mask ~checked ~src dst
-            in
-            if c = '\003' then found := dst
-            else begin
-              Bytes.set out !at c;
-              if c = '\001' then incr omitted;
-              incr at
+            if drop then begin
+              dropped := !dropped + size;
+              omitted := !omitted + size
             end
           end;
-          incr d
-        done;
-      incr s
-    done;
-    if !found < 0 && !i < t.len then begin
-      let dst = Array.unsafe_get t.peers !i in
-      let c =
-        fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit ~deliver
-          ~mask ~checked ~src dst
-      in
-      if c = '\003' then found := dst
+          if ok < e then found := at_offset ~lo ~hi ~desc ok;
+          d := e
+        end
+      done
+    else
+      while !found < 0 && !d <= hi - lo do
+        let dst = at_offset ~lo ~hi ~desc !d in
+        if dst <> skip then begin
+          let c =
+            fate ~faulty ~round ~ask ~link ~link_trace ~traced ~omit
+              ~deliver ~mask ~checked ~src dst
+          in
+          if c = '\003' then found := dst
+          else if c <> '\000' || not table then begin
+            if table then begin
+              if !dropped = 0 then buf := take_mask pool ~lo ~hi;
+              incr dropped
+            end;
+            Bytes.unsafe_set !buf (if table then dst else !at) c;
+            incr at;
+            if c = '\001' then incr omitted
+          end
+        end;
+        incr d
+      done;
+    if table then begin
+      (* a mask taken for this segment is the pool's last taken *)
+      let p = Option.get pool and taken = Bytes.length !buf > 0 in
+      if !dropped < total then p.drops.(k) <- (if taken then p.used - 1 else -1)
       else begin
-        Bytes.set out !at c;
-        if c = '\001' then incr omitted;
-        incr at
+        if taken then p.used <- p.used - 1;
+        p.drops.(k) <- -2
       end
     end;
-    incr i
+    if seg then incr s else incr i
   done;
   if !found >= 0 then -1 - !found else !omitted
+
+(** The delivery of a sender [src] through the round-shared table, for a
+    [t] that holds no pointwise slots: its {!verdicts} walk writes each
+    segment's drops into a mask from the table's pool, then each segment
+    goes in as an entry, the sender's entries in reverse emission order.
+    A segment that drops nothing becomes an unmasked entry; one that
+    drops everything adds no entry; any other becomes an entry with its
+    mask. A sender with nothing to ask, transmit or report and an empty
+    [mask] skips the walk: every segment becomes an unmasked entry, at
+    O(1) per segment. Returns what {!verdicts} returns; after an illegal
+    omission the sender adds no entry, and the round must be
+    abandoned. *)
+let rshare t sh ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src =
+  assert (t.len = 0);
+  let silent = silent ~ask ~link ~sink ~mask in
+  let pool = Option.get sh.s_pool in
+  if Array.length pool.drops < t.seg_len then
+    pool.drops <- Array.make t.seg_len (-1);
+  let omitted =
+    if silent then 0
+    else
+      verdicts t ~pool:sh.s_pool ~out:Bytes.empty ~faulty ~round ~ask ~link
+        ~link_trace ~sink ~mask ~src
+  in
+  if omitted >= 0 then
+    for k = t.seg_len - 1 downto 0 do
+      let drops = if silent then -1 else pool.drops.(k) in
+      if drops <> -2 then
+        shared_push sh ~src ~lo:t.seg_lo.(k) ~hi:t.seg_hi.(k)
+          ~skip:t.seg_skip.(k)
+          ~mask:(if drops < 0 then Bytes.empty else pool.bufs.(drops))
+          t.seg_msg.(k)
+    done;
+  omitted
 
 (* Verdict byte [i] of [verdicts] (as in {!rdeliver}); [Bytes.empty]
    reads ['\000'] everywhere. *)
@@ -772,7 +738,8 @@ let deliver_rows t inboxes ~scratch ~faulty ~round ~ask ~link ~link_trace
     if Bytes.length !scratch < length t then scratch := Bytes.create (length t);
     let out = !scratch in
     let omitted =
-      verdicts t ~faulty ~round ~ask ~link ~link_trace ~sink ~mask ~src ~out
+      verdicts t ~pool:None ~out ~faulty ~round ~ask ~link ~link_trace ~sink
+        ~mask ~src
     in
     if omitted >= 0 then rdeliver t inboxes ~peer:src ~verdicts:out;
     omitted

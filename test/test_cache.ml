@@ -105,6 +105,20 @@ let test_torn_payload_self_repair () =
         (lookup s "k");
       Cache.Store.close s)
 
+(* a store under a path whose parents are missing makes them all *)
+let test_store_nested_path () =
+  let root = temp_dir () in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists root then rm_rf root)
+    (fun () ->
+      let dir = Filename.concat (Filename.concat root "deeper") "store" in
+      let s = Cache.Store.open_ ~dir () in
+      Cache.Store.add s ~key:"k" "nested";
+      Cache.Store.close s;
+      let s = Cache.Store.open_ ~dir () in
+      Alcotest.(check (option string)) "reopened" (Some "nested") (lookup s "k");
+      Cache.Store.close s)
+
 let test_fingerprint_invalidates () =
   let dir = temp_dir () in
   Fun.protect
@@ -734,6 +748,8 @@ let test_fuzz_violation_not_cached () =
 let suite =
   [
     Alcotest.test_case "store roundtrip + reopen" `Quick test_store_roundtrip;
+    Alcotest.test_case "store under a missing nested path" `Quick
+      test_store_nested_path;
     Alcotest.test_case "corrupt index lines skipped" `Quick
       test_corrupt_index_skipped;
     Alcotest.test_case "torn payload self-repairs" `Quick

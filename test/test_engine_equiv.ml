@@ -120,23 +120,25 @@ let check_equal ~ctx (res_a, trace_a) (res_b, trace_b) =
   end
 
 (* Each [Round_end] carries the message count and bit sum of the round's
-   [Send] events: what lets a round-level sink stand in for the per-message
-   stream when totalling a round's traffic. *)
+   [Send] events, what lets a round-level sink stand in for the
+   per-message stream when totalling a round's traffic, and the count of
+   its [Omit] events: a message a link loses is not an omission. *)
 let check_round_totals ~ctx events =
   ignore
     (List.fold_left
-       (fun (msgs, bits) (e : Trace.Event.t) ->
+       (fun (msgs, bits, omits) (e : Trace.Event.t) ->
          match e with
-         | Send { bits = b; _ } -> (msgs + 1, bits + b)
-         | Round_end { round; messages; bits = b; _ } ->
-             if (messages, b) <> (msgs, bits) then
+         | Send { bits = b; _ } -> (msgs + 1, bits + b, omits)
+         | Omit _ -> (msgs, bits, omits + 1)
+         | Round_end { round; messages; bits = b; omitted; _ } ->
+             if (messages, b, omitted) <> (msgs, bits, omits) then
                Alcotest.failf
-                 "%s: round %d ends with %d messages / %d bits, its sends \
-                  total %d / %d"
-                 ctx round messages b msgs bits;
-             (0, 0)
-         | _ -> (msgs, bits))
-       (0, 0) events)
+                 "%s: round %d ends with %d messages / %d bits / %d \
+                  omitted, its events total %d / %d / %d"
+                 ctx round messages b omitted msgs bits omits;
+             (0, 0, 0)
+         | _ -> (msgs, bits, omits))
+       (0, 0, 0) events)
 
 (* The reference run of a cell: broadcast emission, per-sender masks,
    traced. *)
@@ -191,6 +193,43 @@ let test_entry entry () =
       in
       check_equal ~ctx:(ctx ^ " [instance run 1]") reference (via_instance ());
       check_equal ~ctx:(ctx ^ " [instance run 2]") reference (via_instance ()))
+
+(* The grid over a lossy link, which loses every message whose round,
+   source and destination sum to a multiple of 3 once the plan has let
+   it through: the mask route and the general route must still agree
+   byte for byte, and each round's [omitted] must count its [Omit]
+   events, never a loss. *)
+let lossy_link =
+  {
+    Sim.Link_intf.name = "lossy";
+    reset = (fun ~seed:_ -> ());
+    begin_round = (fun ~round:_ -> ());
+    transmit =
+      (fun ~trace:_ ~round ~src ~dst ->
+        if (round + src + dst) mod 3 = 0 then Sim.Link_intf.Lost
+        else Sim.Link_intf.Delivered);
+  }
+
+let test_lossy_grid () =
+  List.iter
+    (fun entry ->
+      iter_grid entry (fun ~ctx cfg ~adv_idx ~inputs ->
+          let run ~strip proto =
+            capture ~strip ~n:cfg.Sim.Config.n ~adv_idx
+              (fun ~adversary ~trace ->
+                Sim.Engine.run ~trace ~link:lossy_link proto cfg ~adversary
+                  ~inputs)
+          in
+          let build () = Harness.Registry.build entry cfg in
+          let masked = run ~strip:false (build ()) in
+          let pointwise =
+            run ~strip:true (Sim.Protocol_intf.pointwise_emission (build ()))
+          in
+          check_equal ~ctx:(ctx ^ " [lossy: mask vs predicate]") masked
+            pointwise;
+          check_round_totals ~ctx:(ctx ^ " [lossy: round totals]")
+            (snd masked)))
+    Harness.Registry.all
 
 (* Golden oracle: the MD5 of each protocol's whole grid — every outcome
    (or [Illegal_plan] message) followed by its full JSONL trace, in grid
@@ -521,6 +560,8 @@ let suite =
         test_route_witness;
       Alcotest.test_case "tails agree across sinks on a registry grid" `Quick
         test_tails_grid;
+      Alcotest.test_case "link losses are not omissions on a registry grid"
+        `Quick test_lossy_grid;
       Alcotest.test_case "registry grids match golden digests" `Quick test_golden;
       Alcotest.test_case "sparse-expander Core runs match golden digests" `Quick
         test_sparse_golden;

@@ -321,7 +321,7 @@ let qcheck_walk_and_bits =
         let ask = if asked then Some ask else None in
         let mask = if asked then Bytes.empty else mask in
         let r =
-          Sim.Mailbox.verdicts mb ~faulty ~round:3 ~ask ~link:None
+          Sim.Mailbox.verdicts mb ~pool:None ~faulty ~round:3 ~ask ~link:None
             ~link_trace:None ~sink ~mask ~src:9 ~out
         in
         (r, events (), out, List.rev !asks)
@@ -383,12 +383,12 @@ let qcheck_walk_and_bits =
    table ({!Sim.Mailbox.rshare}, its masks written as it walks); any
    other sender goes row by row ({!Sim.Mailbox.deliver_rows}: its walk
    writes verdict bytes that a closure-free index walk pushes).
-   Either way every inbox must read as the list model, senders
-   ascending and each sender's survivors towards the inbox in reverse
-   emission order, each walk asks every code once and returns the
-   number of '\001' entries. Two rounds run through the same table and
-   inboxes, so the second reads masks from reused pool buffers with
-   stale bytes. *)
+   Either way each walk must report, return and ask as the per-sender
+   model says, and when every sender's plan is legal every inbox must
+   read as the list model: senders ascending and each sender's
+   survivors towards the inbox in reverse emission order. Two rounds
+   run through the same table and inboxes, so the second reads masks
+   from reused pool buffers with stale bytes. *)
 type source = Codes of int list | Mask of bool list | Deliver_all
 
 let source =
@@ -464,52 +464,138 @@ let model senders =
              |> List.map (fun (_, m) -> (src, m)))
            senders))
 
-let deliver_rounds ~table rounds =
+(* What the walk of sender [src] must do under [faulty]: the [Omit] and
+   [Deliver] events it reports, in emission order, what it returns, and
+   how many codes it asks for. A non-faulty sender's omission towards a
+   non-faulty destination is illegal: the walk stops there, before
+   reporting it, and returns [-1 - dst]. A link loss is never illegal
+   and never reported. *)
+let sender_model ~faulty ~src ops source =
+  let codes = entry_codes ops source in
+  let rec go i = function
+    | [] -> ([], -1, i)
+    | ((dst, _), c) :: rest ->
+        if c = 1 && (not faulty.(src)) && not faulty.(dst) then ([], dst, i + 1)
+        else
+          let evs, stop, asked = go (i + 1) rest in
+          let ev =
+            match c with
+            | 0 -> [ Trace.Event.Deliver { round = 1; src; dst } ]
+            | 1 -> [ Trace.Event.Omit { round = 1; src; dst } ]
+            | _ -> []
+          in
+          (ev @ evs, stop, asked)
+  in
+  let evs, stop, asked = go 0 (List.combine (expand_ops ops) codes) in
+  let omitted = List.length (List.filter (( = ) 1) codes) in
+  (evs, (if stop >= 0 then -1 - stop else omitted), asked)
+
+(* A fault set over the 8 pids: every pid faulty, so that no omission is
+   illegal, or most of them, so that non-faulty senders often omit
+   towards non-faulty destinations. *)
+let faulty_gen =
+  QCheck.make
+    ~print:(fun a ->
+      String.concat "" (Array.to_list (Array.map (fun f -> if f then "F" else ".") a)))
+    QCheck.Gen.(
+      oneof
+        [
+          return (Array.make 8 true);
+          array_size (return 8) (frequency [ (3, return true); (1, return false) ]);
+        ])
+
+(* Each round through one table and one set of inboxes, every sender
+   through the table ([table]) or row by row: per sender, what its walk
+   returned, the events it reported to a memory sink ([traced]) and the
+   codes it asked for; then every inbox as a list, and whether every
+   inbox's rows are sorted by sender. *)
+let walk_rounds ~table ~faulty ~traced rounds =
   let sh = Sim.Mailbox.shared_create ~n:8 in
   let inboxes = Array.init 8 (fun _ -> Sim.Mailbox.create ()) in
   Array.iteri (fun dst ib -> Sim.Mailbox.attach_shared ib sh ~owner:dst) inboxes;
-  (* every pid faulty: no omission is illegal *)
-  let faulty = Array.make 8 true and scratch = ref Bytes.empty in
-  List.for_all
+  let scratch = ref Bytes.empty in
+  List.map
     (fun senders ->
       Sim.Mailbox.shared_clear sh;
       Array.iter Sim.Mailbox.clear inboxes;
-      let counts =
+      let walks =
         List.mapi
           (fun src (ops, source) ->
             let ob = Sim.Mailbox.create () in
             apply_ops ob ops;
             let ask, link, mask, asked = verdict_source ops source in
-            let omitted =
+            let sink, events = Trace.Sink.memory () in
+            let sink = if traced then Some sink else None in
+            let r =
               if table then
                 Sim.Mailbox.rshare ob sh ~faulty ~round:1 ~ask ~link
-                  ~link_trace:None ~sink:None ~mask ~src
+                  ~link_trace:None ~sink ~mask ~src
               else
                 Sim.Mailbox.deliver_rows ob inboxes ~scratch ~faulty ~round:1
-                  ~ask ~link ~link_trace:None ~sink:None ~mask ~src
+                  ~ask ~link ~link_trace:None ~sink ~mask ~src
             in
-            let codes = entry_codes ops source in
-            omitted = List.length (List.filter (( = ) 1) codes)
-            && (match source with
-               | Codes _ -> !asked = List.length codes
-               | _ -> true))
+            (r, events (), !asked))
           senders
       in
-      List.for_all Fun.id counts
-      && Array.map Sim.Mailbox.to_list inboxes = model senders
-      && (table || Array.for_all Sim.Mailbox.is_sorted_by_peer inboxes))
+      ( walks,
+        Array.map Sim.Mailbox.to_list inboxes,
+        Array.for_all Sim.Mailbox.is_sorted_by_peer inboxes ))
     rounds
+
+let legal walks = List.for_all (fun (r, _, _) -> r >= 0) walks
+
+let deliver_rounds ~table ~faulty ~traced rounds =
+  List.for_all2
+    (fun senders (walks, inboxes, sorted) ->
+      List.for_all2
+        (fun (src, (ops, source)) (r, evs, asked) ->
+          let want_evs, want_r, want_asked =
+            sender_model ~faulty ~src ops source
+          in
+          r = want_r
+          && evs = (if traced then want_evs else [])
+          && match source with Codes _ -> asked = want_asked | _ -> true)
+        (List.mapi (fun src s -> (src, s)) senders)
+        walks
+      && sorted
+      && ((not (legal walks)) || inboxes = model senders))
+    rounds
+    (walk_rounds ~table ~faulty ~traced rounds)
 
 let qcheck_rshare =
   QCheck.Test.make ~name:"rshare: table inboxes = survivors model" ~count:500
-    QCheck.(pair (verdict_round_gen segment_ops) (verdict_round_gen segment_ops))
-    (fun (r1, r2) -> deliver_rounds ~table:true [ r1; r2 ])
+    QCheck.(
+      quad faulty_gen bool (verdict_round_gen segment_ops)
+        (verdict_round_gen segment_ops))
+    (fun (faulty, traced, r1, r2) ->
+      deliver_rounds ~table:true ~faulty ~traced [ r1; r2 ])
 
 let qcheck_rdeliver =
   QCheck.Test.make ~name:"rdeliver: pushed inboxes = survivors model"
     ~count:500
-    QCheck.(pair (verdict_round_gen mixed_load) (verdict_round_gen mixed_load))
-    (fun (r1, r2) -> deliver_rounds ~table:false [ r1; r2 ])
+    QCheck.(
+      quad faulty_gen bool (verdict_round_gen mixed_load)
+        (verdict_round_gen mixed_load))
+    (fun (faulty, traced, r1, r2) ->
+      deliver_rounds ~table:false ~faulty ~traced [ r1; r2 ])
+
+(* A pure-segment sender may go either way: through the table or row by
+   row, its walk must return the same value, report the same events and
+   ask as often, and when every plan is legal the inboxes must read the
+   same. *)
+let qcheck_routes_agree =
+  QCheck.Test.make ~name:"rshare = deliver_rows on pure-segment senders"
+    ~count:500
+    QCheck.(
+      quad faulty_gen bool (verdict_round_gen segment_ops)
+        (verdict_round_gen segment_ops))
+    (fun (faulty, traced, r1, r2) ->
+      let rounds = [ r1; r2 ] in
+      List.for_all2
+        (fun (w1, i1, _) (w2, i2, _) ->
+          w1 = w2 && ((not (legal w1)) || i1 = i2))
+        (walk_rounds ~table:true ~faulty ~traced rounds)
+        (walk_rounds ~table:false ~faulty ~traced rounds))
 
 (* Reading the round-shared table against a list model, on an 8-pid
    table. A sender either pushes table entries or pointwise rows, never
@@ -687,6 +773,7 @@ let suite =
     qcheck qcheck_walk_and_bits;
     qcheck qcheck_rshare;
     qcheck qcheck_rdeliver;
+    qcheck qcheck_routes_agree;
     qcheck qcheck_table_read;
     qcheck qcheck_stop_segments;
     qcheck qcheck_stop_table;
